@@ -1,23 +1,24 @@
 // Command graphite-sweep runs design-space sweeps. It has three modes:
 //
 // Scenario mode executes a declarative scenario file (see README,
-// "Scenario files") on a host-parallel worker pool and writes one JSONL
-// record per run:
+// "Scenario files") as one sweep and writes one JSONL record per run, in
+// run-index order, as the runs complete. By default the runs execute on
+// local worker slots:
 //
 //	graphite-sweep -scenario examples/scenarios/line-size-sweep.json -parallel 4 -out r.jsonl
 //
-// Distributed mode spreads one scenario across machines (README,
-// "Distributed sweeps"): a coordinator serves the expanded runs over TCP
-// and any number of workers pull, execute, and stream records back. The
-// merged output is byte-identical to the single-host runner's, up to
+// With -serve the same sweep is spread across machines instead (README,
+// "Distributed sweeps"): a coordinator serves the runs over TCP and any
+// number of workers pull, execute, and stream records back. It is one
+// sweep engine either way, so the output is byte-identical up to
 // wall_sec:
 //
 //	graphite-sweep -scenario sweep.json -serve :9640 -workers-expected 2 -out r.jsonl
 //	graphite-sweep -worker -connect host:9640 -parallel 8
 //
 // -resume r.jsonl skips runs that already have an error-free record with
-// a matching config digest, so an interrupted sweep continues where it
-// stopped.
+// a matching config digest, so an interrupted sweep — local or served —
+// continues where it stopped.
 //
 // Service mode submits the scenario to a running graphited daemon
 // (README, "Simulation service"; docs/API.md) instead of executing it
@@ -28,7 +29,7 @@
 //
 //	graphite-sweep -scenario sweep.json -submit http://127.0.0.1:9640 -out r.jsonl
 //
-// Both modes take -cache DIR (README, "Record cache"): a
+// Local and served sweeps take -cache DIR (README, "Record cache"): a
 // content-addressed record store consulted before any run is simulated
 // or dispatched. Warm re-runs of a sweep simulate nothing and emit
 // byte-identical records up to wall_sec/cached. -cache-max-bytes,
@@ -90,19 +91,13 @@ func main() {
 	)
 	flag.Parse()
 
-	// -resume and -workers-expected only mean something to the
-	// coordinator. Rejecting them elsewhere matters for -resume
-	// especially: silently ignoring it in single-host mode would
-	// truncate the very file the user asked to resume from.
-	if *serve == "" {
-		if *resume != "" {
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -resume requires -serve (distributed coordinator mode)")
-			os.Exit(2)
-		}
-		if *workersExp != 0 {
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -workers-expected requires -serve")
-			os.Exit(2)
-		}
+	if (*serve != "" || *resume != "") && *scenarioPath == "" {
+		fmt.Fprintln(os.Stderr, "graphite-sweep: -serve and -resume require -scenario")
+		os.Exit(2)
+	}
+	if *serve == "" && *workersExp != 0 {
+		fmt.Fprintln(os.Stderr, "graphite-sweep: -workers-expected requires -serve")
+		os.Exit(2)
 	}
 	if !*worker && *connect != "" {
 		fmt.Fprintln(os.Stderr, "graphite-sweep: -connect requires -worker (did you forget -worker?)")
@@ -117,6 +112,11 @@ func main() {
 			os.Exit(2)
 		case *serve != "" || *worker:
 			fmt.Fprintln(os.Stderr, "graphite-sweep: -submit is exclusive with -serve/-worker")
+			os.Exit(2)
+		case *resume != "":
+			// Ignoring it would truncate the very file the user asked to
+			// resume from.
+			fmt.Fprintln(os.Stderr, "graphite-sweep: -resume applies to local execution; resubmit to the daemon and its cache replays finished runs")
 			os.Exit(2)
 		case *cacheDir != "":
 			fmt.Fprintln(os.Stderr, "graphite-sweep: -cache applies to local execution; the daemon owns the cache in -submit mode")
@@ -134,8 +134,8 @@ func main() {
 			os.Exit(2)
 		}
 		if *cacheDir != "" {
-			// The cache hangs off the front doors (runner, coordinator);
-			// workers only ever see specs the cache already missed.
+			// The cache hangs off the sweep; workers only ever see specs
+			// the cache already missed.
 			fmt.Fprintln(os.Stderr, "graphite-sweep: -cache applies to -scenario/-serve, not -worker (the coordinator owns the cache)")
 			os.Exit(2)
 		}
@@ -157,21 +157,8 @@ func main() {
 			cache.Close()
 		}
 	}
-	if *serve != "" {
-		if *scenarioPath == "" {
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -serve requires -scenario")
-			os.Exit(2)
-		}
-		err := serveScenario(*scenarioPath, *serve, *out, *resume, *workersExp, cache)
-		closeCache()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *scenarioPath != "" {
-		err := runScenario(*scenarioPath, *parallel, *out, cache)
+		err := runScenario(*scenarioPath, *out, *resume, *serve, *workersExp, *parallel, cache)
 		closeCache()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
@@ -322,50 +309,10 @@ func submitScenario(path, baseURL, out string) error {
 	return nil
 }
 
-// runScenario loads, expands, executes, and reports one scenario file.
-func runScenario(path string, parallel int, out string, cache *recordcache.Cache) error {
-	sc, err := scenario.Load(path)
-	if err != nil {
-		return err
-	}
-	specs, err := sc.Expand()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "scenario %s: %d runs (%d grids)\n", sc.Name, len(specs), len(sc.Grids))
-
-	// Create the output file before the sweep so a bad path fails in
-	// seconds, not after hours of simulation.
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
-	opt := scenario.Options{Parallel: parallel, Progress: os.Stderr}
-	if cache != nil {
-		// Assigned conditionally: a nil *recordcache.Cache in the
-		// interface field would dodge the runner's nil check.
-		opt.Cache = cache
-	}
-	records, runErr := scenario.RunExpanded(sc, specs, opt)
-	if err := scenario.WriteJSONL(w, records); err != nil {
-		return err
-	}
-	cacheSummary(cache, records)
-	if out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", len(records), out)
-	}
-	return runErr
-}
-
-// serveScenario runs the distributed coordinator: expand the scenario,
-// adopt any resumable records, and serve the rest to workers.
-func serveScenario(path, addr, out, resumePath string, workersExpected int, cache *recordcache.Cache) error {
+// runScenario loads and expands one scenario file and runs it as a sweep:
+// on local worker slots or, with serve set, on whatever workers attach to
+// a coordinator listening there.
+func runScenario(path, out, resumePath, serve string, workersExpected, parallel int, cache *recordcache.Cache) error {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		return err
@@ -385,25 +332,39 @@ func serveScenario(path, addr, out, resumePath string, workersExpected int, cach
 		}
 	}
 
-	opt := dispatch.Options{
-		Addr:            addr,
-		WorkersExpected: workersExpected,
-		Serial:          scenario.NeedsSerial(sc, specs),
-		Verify:          sc.Verify,
-		Progress:        os.Stderr,
-		Resume:          resume,
+	opt := scenario.SweepOptions{
+		Serial:   scenario.NeedsSerial(sc, specs),
+		Verify:   sc.Verify,
+		Progress: os.Stderr,
+		Resume:   resume,
 	}
 	if cache != nil {
+		// Assigned conditionally: a nil *recordcache.Cache in the
+		// interface field would dodge the sweep's nil check.
 		opt.Cache = cache
 	}
-	c, err := dispatch.NewCoordinator(specs, opt)
-	if err != nil {
-		return err
+	var sw *scenario.Sweep
+	var wait func() ([]scenario.Record, error)
+	where := ""
+	if serve != "" {
+		c, err := dispatch.NewCoordinator(specs, dispatch.Options{Addr: serve, WorkersExpected: workersExpected, SweepOptions: opt})
+		if err != nil {
+			return err
+		}
+		sw, wait, where = c.Sweep, c.Wait, ", serving on "+c.Addr()
+	} else {
+		sw = scenario.NewSweep(specs, opt)
+		wait = func() ([]scenario.Record, error) {
+			sw.Work(parallel)
+			return sw.Wait()
+		}
 	}
 
 	// Truncate the output only now: -out may name the same file as
-	// -resume, and a coordinator startup failure (bad address, port in
-	// use) must not destroy the records we just read from it.
+	// -resume, and a startup failure (bad scenario, bad address, port in
+	// use) must not destroy the records we just read from it. Still
+	// before any run executes, so a bad path fails in seconds, not after
+	// hours of simulation.
 	w := os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -413,15 +374,15 @@ func serveScenario(path, addr, out, resumePath string, workersExpected int, cach
 		defer f.Close()
 		w = f
 	}
-	c.SetOutput(w)
-	fmt.Fprintf(os.Stderr, "scenario %s: %d runs (%d resumed, %d cached), serving on %s\n",
-		sc.Name, len(specs), c.Reused(), c.Cached(), c.Addr())
+	sw.SetOutput(w)
+	fmt.Fprintf(os.Stderr, "scenario %s: %d runs (%d resumed, %d cached)%s\n",
+		sc.Name, len(specs), sw.Reused(), sw.Cached(), where)
 
-	records, runErr := c.Wait()
+	records, runErr := wait()
 	cacheSummary(cache, records)
 	if out != "" {
 		fmt.Fprintf(os.Stderr, "wrote %d records to %s (%d executed, %d resumed, %d cached)\n",
-			len(records), out, c.Executed(), c.Reused(), c.Cached())
+			len(records), out, sw.Executed(), sw.Reused(), sw.Cached())
 	}
 	return runErr
 }

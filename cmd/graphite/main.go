@@ -11,13 +11,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/core/launch"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -26,37 +28,46 @@ func main() {
 	// If a multi-process run ever forks copies of this binary as fabric
 	// workers, those copies enter here and never return.
 	launch.MaybeWorkerProcess()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command: parse args, simulate, print to stdout. It
+// returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphite", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name      = flag.String("workload", "radix", "workload name (see -list)")
-		list      = flag.Bool("list", false, "list workloads and exit")
-		tiles     = flag.Int("tiles", 32, "target tiles")
-		threads   = flag.Int("threads", 0, "worker threads (default: tiles)")
-		procs     = flag.Int("procs", 1, "simulated host processes")
-		scale     = flag.Int("scale", 0, "problem size (default: workload default)")
-		syncFlag  = flag.String("sync", "lax", "sync model: lax|laxbarrier|laxp2p")
-		coher     = flag.String("coherence", "fullmap", "coherence: fullmap|dirnb|limitless")
-		ptrs      = flag.Int("dirptrs", 4, "directory pointers for dirnb/limitless")
-		lineSize  = flag.Int("line", 64, "cache line size in bytes")
-		transport = flag.String("transport", "channel", "transport: channel|tcp")
-		workers   = flag.Int("workers", 0, "host worker cores (GOMAXPROCS), 0 = all")
-		seed      = flag.Int64("seed", 1, "model random seed")
-		showTiles = flag.Bool("pertile", false, "print per-tile statistics")
+		name      = fs.String("workload", "radix", "workload name (see -list)")
+		list      = fs.Bool("list", false, "list workloads and exit")
+		tiles     = fs.Int("tiles", 32, "target tiles")
+		threads   = fs.Int("threads", 0, "worker threads (default: tiles)")
+		procs     = fs.Int("procs", 1, "simulated host processes")
+		scale     = fs.Int("scale", 0, "problem size (default: workload default)")
+		syncFlag  = fs.String("sync", "lax", "sync model: lax|laxbarrier|laxp2p")
+		coher     = fs.String("coherence", "fullmap", "coherence: fullmap|dirnb|limitless")
+		ptrs      = fs.Int("dirptrs", 4, "directory pointers for dirnb/limitless")
+		lineSize  = fs.Int("line", 64, "cache line size in bytes")
+		transport = fs.String("transport", "channel", "transport: channel|tcp")
+		workers   = fs.Int("workers", 0, "host worker cores (GOMAXPROCS), 0 = all")
+		seed      = fs.Int64("seed", 1, "model random seed")
+		showTiles = fs.Bool("pertile", false, "print per-tile statistics")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, n := range workloads.Names() {
 			w, _ := workloads.Get(n)
-			fmt.Printf("%-16s scale=%-5d %s\n", n, w.DefaultScale, w.Description)
+			fmt.Fprintf(stdout, "%-16s scale=%-5d %s\n", n, w.DefaultScale, w.Description)
 		}
-		return
+		return 0
 	}
 
 	w, ok := workloads.Get(*name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q; try -list\n", *name)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q; try -list\n", *name)
+		return 2
 	}
 	if *threads == 0 {
 		*threads = *tiles
@@ -81,8 +92,8 @@ func main() {
 	case "laxp2p":
 		cfg.Sync.Model = config.LaxP2P
 	default:
-		fmt.Fprintf(os.Stderr, "unknown sync model %q\n", *syncFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown sync model %q\n", *syncFlag)
+		return 2
 	}
 	switch strings.ToLower(*coher) {
 	case "fullmap":
@@ -94,66 +105,66 @@ func main() {
 		cfg.Coherence.Kind = config.LimitLESS
 		cfg.Coherence.DirPointers = *ptrs
 	default:
-		fmt.Fprintf(os.Stderr, "unknown coherence %q\n", *coher)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown coherence %q\n", *coher)
+		return 2
 	}
 	if strings.ToLower(*transport) == "tcp" {
 		cfg.Transport = config.TransportTCP
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	experiments.Table1(os.Stdout, cfg)
-	fmt.Println()
+	experiments.Table1(stdout, cfg)
+	fmt.Fprintln(stdout)
 
-	prog := w.Build(workloads.Params{Threads: *threads, Scale: *scale})
-	cl, err := core.NewCluster(cfg, prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer cl.Close()
-	rs, err := cl.Run(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	// One run, executed exactly as a sweep would execute it, so the
+	// numbers printed here are the numbers of the run's sweep record.
+	rec, rs := scenario.ExecuteStats(&scenario.RunSpec{
+		Scenario:  "graphite",
+		Workload:  *name,
+		Threads:   *threads,
+		Scale:     *scale,
+		Seed:      *seed,
+		Config:    cfg,
+		TileStats: *showTiles,
+	})
+	if rec.Error != "" {
+		fmt.Fprintln(stderr, rec.Error)
+		return 1
 	}
 
-	fmt.Printf("workload          %s (scale %d, %d threads)\n", *name, *scale, *threads)
-	fmt.Printf("simulated cycles  %d (%.3f ms of target time)\n",
-		rs.SimulatedCycles, float64(rs.SimulatedCycles)/float64(cfg.ClockHz)*1e3)
-	fmt.Printf("wall time         %v\n", rs.Wall)
-	fmt.Printf("instructions      %d\n", rs.Totals.Instructions)
-	fmt.Printf("loads / stores    %d / %d\n", rs.Totals.Loads, rs.Totals.Stores)
-	fmt.Printf("L2 miss rate      %.4f%% (cold %.4f%% capacity %.4f%% true %.4f%% false %.4f%%)\n",
-		100*rs.Totals.MissRate(),
-		100*rs.Totals.MissRateBy(stats.MissCold),
-		100*rs.Totals.MissRateBy(stats.MissCapacity),
-		100*rs.Totals.MissRateBy(stats.MissTrueSharing),
-		100*rs.Totals.MissRateBy(stats.MissFalseSharing))
-	fmt.Printf("avg mem latency   %.1f cycles over %d L2 misses\n",
-		rs.Totals.AvgMemLatency(), rs.Totals.MemAccesses)
-	fmt.Printf("upgrades          %d, invalidations %d, dir traps %d\n",
-		rs.Totals.Upgrades, rs.Totals.InvSent, rs.Totals.DirTraps)
-	fmt.Printf("DRAM              %d reads, %d writes\n", rs.Totals.DRAMReads, rs.Totals.DRAMWrites)
-	fmt.Printf("network           %d packets, %d bytes\n", rs.Totals.NetPacketsSent, rs.Totals.NetBytesSent)
-	fmt.Printf("branches          %d (%.2f%% mispredicted)\n", rs.Totals.Branches,
-		100*float64(rs.Totals.BranchMispredict)/float64(max(rs.Totals.Branches, 1)))
+	t := &rec.Stats
+	fmt.Fprintf(stdout, "workload          %s (scale %d, %d threads)\n", *name, *scale, *threads)
+	fmt.Fprintf(stdout, "simulated cycles  %d (%.3f ms of target time)\n",
+		rec.SimCycles, float64(rec.SimCycles)/float64(cfg.ClockHz)*1e3)
+	fmt.Fprintf(stdout, "wall time         %v\n", rs.Wall)
+	fmt.Fprintf(stdout, "checksum          %016x\n", math.Float64bits(rec.Checksum))
+	fmt.Fprintf(stdout, "config digest     %s\n", rec.ConfigDigest)
+	fmt.Fprintf(stdout, "instructions      %d\n", t.Instructions)
+	fmt.Fprintf(stdout, "loads / stores    %d / %d\n", t.Loads, t.Stores)
+	fmt.Fprintf(stdout, "L2 miss rate      %.4f%% (cold %.4f%% capacity %.4f%% true %.4f%% false %.4f%%)\n",
+		100*t.MissRate(),
+		100*t.MissRateBy(stats.MissCold),
+		100*t.MissRateBy(stats.MissCapacity),
+		100*t.MissRateBy(stats.MissTrueSharing),
+		100*t.MissRateBy(stats.MissFalseSharing))
+	fmt.Fprintf(stdout, "avg mem latency   %.1f cycles over %d L2 misses\n",
+		t.AvgMemLatency(), t.MemAccesses)
+	fmt.Fprintf(stdout, "upgrades          %d, invalidations %d, dir traps %d\n",
+		t.Upgrades, t.InvSent, t.DirTraps)
+	fmt.Fprintf(stdout, "DRAM              %d reads, %d writes\n", t.DRAMReads, t.DRAMWrites)
+	fmt.Fprintf(stdout, "network           %d packets, %d bytes\n", t.NetPacketsSent, t.NetBytesSent)
+	fmt.Fprintf(stdout, "branches          %d (%.2f%% mispredicted)\n", t.Branches,
+		100*float64(t.BranchMispredict)/float64(max(t.Branches, 1)))
 
 	if *showTiles {
-		fmt.Printf("\n%-6s %14s %12s %10s %10s %10s\n", "tile", "cycles", "instr", "loads", "stores", "l2miss")
-		for _, ts := range rs.Tiles {
-			fmt.Printf("%-6d %14d %12d %10d %10d %10d\n",
+		fmt.Fprintf(stdout, "\n%-6s %14s %12s %10s %10s %10s\n", "tile", "cycles", "instr", "loads", "stores", "l2miss")
+		for _, ts := range rec.Tiles {
+			fmt.Fprintf(stdout, "%-6d %14d %12d %10d %10d %10d\n",
 				ts.TileID, ts.Cycles, ts.Instructions, ts.Loads, ts.Stores, ts.L2Misses)
 		}
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return 0
 }

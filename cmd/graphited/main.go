@@ -1,8 +1,7 @@
 // Command graphited is the simulation service daemon: a long-lived HTTP
-// server that accepts scenario sweeps as jobs, executes them on its
-// worker fleet through the distributed dispatch coordinator, memoizes
-// results in a shared record cache, and streams merged JSONL records
-// back to clients. See docs/API.md for the wire surface and
+// server that accepts scenario sweeps as jobs, executes each as one
+// sweep on its worker fleet, memoizes results in a shared record cache,
+// and streams the JSONL records back to clients. See docs/API.md for the wire surface and
 // docs/OPERATIONS.md for running it in production.
 //
 // Usage:

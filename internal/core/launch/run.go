@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/backoff"
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -273,11 +274,10 @@ func Run(spec *Spec) (*Result, error) {
 		workerOut = os.Stderr
 	}
 
-	backoff := s.RestartBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
+	refork := backoff.Backoff{Base: s.RestartBackoff, Cap: 5 * time.Second}
+	if refork.Base <= 0 {
+		refork.Base = 250 * time.Millisecond
 	}
-	const backoffCap = 5 * time.Second
 	for attempt := 0; ; attempt++ {
 		// Generation 1 is the first launch; each recovery re-fork bumps
 		// it, so a zombie worker of a dead attempt fails the handshake
@@ -311,12 +311,10 @@ func Run(spec *Spec) (*Result, error) {
 		}
 		// The fault injector did its job once; the replay must survive.
 		s.ChaosExitMS = 0
+		delay := refork.Next()
 		fmt.Fprintf(os.Stderr, "launch: worker died (attempt %d/%d); re-forking in %v\n",
-			attempt+1, s.MaxRestarts+1, backoff)
-		time.Sleep(backoff) //graphite:wallclock recovery backoff paces host-level re-forks; no simulated clock exists between attempts
-		if backoff *= 2; backoff > backoffCap {
-			backoff = backoffCap
-		}
+			attempt+1, s.MaxRestarts+1, delay)
+		time.Sleep(delay) //graphite:wallclock recovery backoff paces host-level re-forks; no simulated clock exists between attempts
 	}
 }
 

@@ -1,13 +1,7 @@
-// Package directory implements the sharer-tracking policies of Graphite's
-// directory-based MSI coherence protocols (paper §3.2 and §4.4): the
-// full-map directory, the limited directory Dir_iNB of Agarwal et al., and
-// the LimitLESS scheme of Chaiken et al., in which a limited number of
-// hardware pointers track the first sharers and overflow is handled by a
-// software trap that preserves the full sharer set at extra latency.
-//
-// The package is purely bookkeeping: protocol message flow and timing live
-// in internal/memsys. Entries are owned by a single home-tile server
-// goroutine and need no locking.
+// The pre-SoA sharer sets, kept as the reference model the Store is
+// tested against (store_test.go): one interface, three small
+// implementations, an Entry that embeds one per line.
+
 package directory
 
 import (

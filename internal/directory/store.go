@@ -1,3 +1,13 @@
+// Package directory implements the sharer-tracking policies of Graphite's
+// directory-based MSI coherence protocols (paper §3.2 and §4.4): the
+// full-map directory, the limited directory Dir_iNB of Agarwal et al., and
+// the LimitLESS scheme of Chaiken et al., in which a limited number of
+// hardware pointers track the first sharers and overflow is handled by a
+// software trap that preserves the full sharer set at extra latency.
+//
+// The package is purely bookkeeping: protocol message flow and timing live
+// in internal/memsys, and so does the locking — a Store belongs to one
+// directory shard.
 package directory
 
 import (
@@ -5,9 +15,9 @@ import (
 	"repro/internal/config"
 )
 
-// Store is a structure-of-arrays arena of directory entries. Where Entry
-// embeds per-line sharer state behind an interface (and, beyond 64 tiles,
-// a per-line heap-allocated bit vector), a Store packs the state of every
+// Store is a structure-of-arrays arena of directory entries. Instead of
+// one object per line embedding its sharer state (and, beyond 64 tiles, a
+// per-line heap-allocated bit vector), a Store packs the state of every
 // line homed in one directory shard into parallel slices: owners, last
 // writers and their masks, sharer counts, and — per policy — either a
 // fixed stride of sharer bit-vector words (full map, LimitLESS) or a
@@ -149,7 +159,8 @@ func (r Ref) slots() []arch.TileID {
 // must reclaim a pointer, it returns the tile to invalidate (Dir_iNB);
 // otherwise evict is arch.InvalidTile. trap reports that the add
 // overflowed into software (LimitLESS) and must be charged the trap
-// latency. Semantics match SharerSet.Add exactly.
+// latency. Semantics match the test oracle's SharerSet.Add exactly
+// (oracle_test.go).
 func (r Ref) AddSharer(t arch.TileID) (evict arch.TileID, trap bool) {
 	s := r.s
 	switch s.kind {

@@ -74,7 +74,7 @@ func (s *Server) CkptFailed() <-chan error { return s.ckptFailed }
 
 // maybeCheckpoint begins a checkpoint at a barrier release point when
 // the policy calls for one, deferring the release (already collected in
-// releaseProcs/releaseDirect) until the save completes. It returns true
+// releaseProcs) until the save completes. It returns true
 // when the release was stashed. No recheckSimBarrier can run during the
 // window — every unblocked thread is parked on this very release — so
 // the stashed scratch state stays intact.

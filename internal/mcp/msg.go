@@ -64,9 +64,11 @@ const (
 	MsgMallocRep
 	MsgFree
 
-	// LaxBarrier epoch service.
-	MsgSimBarrier
-	MsgSimBarrierRep
+	// Reserved: the numbers of the retired per-tile LaxBarrier RPC and
+	// its reply (the epoch service is MsgSimBarrierBatch/Release below).
+	// Kept blank so every other message keeps its number.
+	_
+	_
 
 	// File I/O forwarding (gob payloads).
 	MsgFileOp

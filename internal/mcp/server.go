@@ -59,15 +59,6 @@ type condRec struct {
 	waiters []condWaiter
 }
 
-type simWait struct {
-	epoch int64
-	// batched waits arrived in a process ledger's MsgSimBarrierBatch and
-	// are released with one MsgSimBarrierRelease to that process's LCP;
-	// unbatched waits are individual MsgSimBarrier RPCs answered at `to`.
-	batched bool
-	to      replyTo
-}
-
 // Server is the Master Control Program. Exactly one exists per simulation,
 // on host process 0. Run Serve in its own goroutine; it exits when the
 // network closes.
@@ -87,16 +78,17 @@ type Server struct {
 	barriers map[arch.Addr]*barrierRec
 	conds    map[arch.Addr]*condRec
 
-	simWaits map[arch.TileID]simWait
-	// simBatch, releaseProcs, and releaseDirect are serve-loop scratch
-	// (one goroutine): reused across quanta so the steady-state barrier
-	// service does not allocate per round. When a checkpoint intercepts a
-	// release, releaseProcs/releaseDirect hold the stashed release until
-	// the save completes; no recheck can run in between (every unblocked
-	// thread is parked on that very release), so they stay intact.
-	simBatch      []SimWait
-	releaseProcs  map[arch.ProcID]bool
-	releaseDirect []replyTo
+	// simWaits holds the LaxBarrier epoch each parked tile waits on, as
+	// forwarded by its process's ledger (MsgSimBarrierBatch).
+	simWaits map[arch.TileID]int64
+	// simBatch and releaseProcs are serve-loop scratch (one goroutine):
+	// reused across quanta so the steady-state barrier service does not
+	// allocate per round. When a checkpoint intercepts a release,
+	// releaseProcs holds the stashed release until the save completes; no
+	// recheck can run in between (every unblocked thread is parked on
+	// that very release), so it stays intact.
+	simBatch     []SimWait
+	releaseProcs map[arch.ProcID]bool
 
 	// Checkpoint state machine (see checkpoint.go). All fields are
 	// serve-goroutine-private except ckpt (set before Serve runs) and
@@ -141,7 +133,7 @@ func NewServer(cfg *config.Config, net *network.Net) *Server {
 		mutexes:      make(map[arch.Addr]*mutexRec),
 		barriers:     make(map[arch.Addr]*barrierRec),
 		conds:        make(map[arch.Addr]*condRec),
-		simWaits:     make(map[arch.TileID]simWait),
+		simWaits:     make(map[arch.TileID]int64),
 		releaseProcs: make(map[arch.ProcID]bool),
 		ckptFailed:   make(chan error, 1),
 		statsCh:      make(chan []stats.Tile, cfg.Processes),
@@ -236,8 +228,6 @@ func (s *Server) handle(pkt network.Packet) {
 		s.handleMalloc(pkt, to)
 	case MsgFree:
 		s.handleFree(pkt)
-	case MsgSimBarrier:
-		s.handleSimBarrier(pkt, to)
 	case MsgSimBarrierBatch:
 		s.handleSimBarrierBatch(pkt)
 	case MsgFileOp:
@@ -505,15 +495,6 @@ func (s *Server) handleFree(pkt network.Packet) {
 	}
 }
 
-func (s *Server) handleSimBarrier(pkt network.Packet, to replyTo) {
-	epoch64, err := DecodeU64(pkt.Payload)
-	if err != nil {
-		panic("mcp: " + err.Error())
-	}
-	s.simWaits[pkt.Src] = simWait{epoch: int64(epoch64), to: to}
-	s.recheckSimBarrier()
-}
-
 // handleSimBarrierBatch merges one process ledger's batch of waits into
 // the wait table. Entries are independent — a tile cannot have two waits
 // in flight (it stays parked until released) — so merge order across
@@ -525,7 +506,7 @@ func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
 	}
 	s.simBatch = waits[:0]
 	for _, w := range waits {
-		s.simWaits[w.Tile] = simWait{epoch: w.Epoch, batched: true}
+		s.simWaits[w.Tile] = w.Epoch
 	}
 	s.recheckSimBarrier()
 }
@@ -534,8 +515,8 @@ func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
 // every running, unblocked thread is waiting on the barrier. Threads
 // blocked in MCP services (mutex queues, joins, condition waits) are not
 // advancing their clocks and are excluded, which keeps the quanta barrier
-// deadlock-free. Batched waiters are released with one notification per
-// host process; direct RPC waiters get individual replies.
+// deadlock-free. Waiters are released with one notification per host
+// process.
 func (s *Server) recheckSimBarrier() {
 	if len(s.simWaits) == 0 {
 		return
@@ -546,28 +527,23 @@ func (s *Server) recheckSimBarrier() {
 	}
 	min := int64(1<<62 - 1)
 	//graphite:maporder commutative minimum over pending epochs
-	for _, w := range s.simWaits {
-		if w.epoch < min {
-			min = w.epoch
+	for _, epoch := range s.simWaits {
+		if epoch < min {
+			min = epoch
 		}
 	}
 	clear(s.releaseProcs)
-	s.releaseDirect = s.releaseDirect[:0]
 	//graphite:maporder releases go to disjoint tiles/processes; the fabric orders only per-pair FIFO, so wake order was never defined, and released threads re-synchronize at the next quantum regardless
-	for tile, w := range s.simWaits {
-		if w.epoch != min {
+	for tile, epoch := range s.simWaits {
+		if epoch != min {
 			continue
 		}
-		if w.batched {
-			s.releaseProcs[s.cfg.ProcOf(tile)] = true
-		} else {
-			s.releaseDirect = append(s.releaseDirect, w.to)
-		}
+		s.releaseProcs[s.cfg.ProcOf(tile)] = true
 		delete(s.simWaits, tile)
 	}
 	// A checkpoint-eligible epoch intercepts the release: the collected
-	// targets stay stashed in releaseProcs/releaseDirect until the save
-	// completes, and releaseEpoch runs from the checkpoint machine.
+	// targets stay stashed in releaseProcs until the save completes, and
+	// releaseEpoch runs from the checkpoint machine.
 	if s.maybeCheckpoint(min) {
 		return
 	}
@@ -575,12 +551,8 @@ func (s *Server) recheckSimBarrier() {
 }
 
 // releaseEpoch performs a collected epoch release: one notification per
-// batched process, one reply per direct RPC waiter.
+// process with released waiters.
 func (s *Server) releaseEpoch(min int64) {
-	for _, to := range s.releaseDirect {
-		s.reply(MsgSimBarrierRep, to, nil, 0)
-	}
-	s.releaseDirect = s.releaseDirect[:0]
 	//graphite:maporder one release notification per distinct process; delivery order across processes is unordered by the fabric anyway
 	for proc := range s.releaseProcs {
 		dst := arch.TileID(transport.LCP(proc))

@@ -80,13 +80,43 @@ func (h *mcpHarness) send(tile int, typ uint8, payload []byte, at arch.Cycles) u
 // recv awaits the next system-class reply at a tile.
 func (h *mcpHarness) recv(t *testing.T, tile int) network.Packet {
 	t.Helper()
+	return recvOn(t, h.tiles[tile])
+}
+
+// simWait forwards LaxBarrier waits to the MCP the way a process ledger
+// does: one batch from the LCP endpoint.
+func (h *mcpHarness) simWait(t *testing.T, waits ...SimWait) {
+	t.Helper()
+	if _, err := h.lcp.Send(network.ClassSystem, MsgSimBarrierBatch, arch.TileID(transport.MCP), 0, EncodeSimBatch(waits), 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// simRelease awaits the MCP's next epoch release at the LCP and returns
+// the released epoch.
+func (h *mcpHarness) simRelease(t *testing.T) uint64 {
+	t.Helper()
+	rel := recvOn(t, h.lcp)
+	if rel.Type != MsgSimBarrierRelease {
+		t.Fatalf("LCP got %s, want SimBarrierRelease", MsgName(rel.Type))
+	}
+	epoch, err := DecodeU64(rel.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return epoch
+}
+
+// recvOn awaits the next system-class packet at an endpoint.
+func recvOn(t *testing.T, n *network.Net) network.Packet {
+	t.Helper()
 	type res struct {
 		pkt network.Packet
 		ok  bool
 	}
 	ch := make(chan res, 1)
 	go func() {
-		pkt, ok := h.tiles[tile].Recv(network.ClassSystem)
+		pkt, ok := n.Recv(network.ClassSystem)
 		ch <- res{pkt, ok}
 	}()
 	select {
@@ -287,20 +317,23 @@ func TestSimBarrierReleasesMinEpochOnly(t *testing.T) {
 	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
 	h.recv(t, 0)
 	h.lcp.Recv(network.ClassSystem)
-	// Tile 0 waits at epoch 5, tile 1 at epoch 3: only epoch 3 releases.
-	h.send(0, MsgSimBarrier, EncodeU64(5), 5000)
-	h.send(1, MsgSimBarrier, EncodeU64(3), 3000)
-	rep := h.recv(t, 1)
-	if rep.Type != MsgSimBarrierRep {
-		t.Fatalf("reply %d", rep.Type)
+	// Tile 0 waits at epoch 5, tile 1 at epoch 3, in separate batches:
+	// only epoch 3 releases.
+	h.simWait(t, SimWait{Tile: 0, Epoch: 5})
+	h.simWait(t, SimWait{Tile: 1, Epoch: 3})
+	if e := h.simRelease(t); e != 3 {
+		t.Fatalf("released epoch %d, want 3", e)
 	}
 	// Tile 1 advances to epoch 4 and waits again; now min=4 releases it.
-	h.send(1, MsgSimBarrier, EncodeU64(4), 4000)
-	h.recv(t, 1)
-	// Finally both at 5: tile 0 releases.
-	h.send(1, MsgSimBarrier, EncodeU64(5), 5000)
-	h.recv(t, 0)
-	h.recv(t, 1)
+	h.simWait(t, SimWait{Tile: 1, Epoch: 4})
+	if e := h.simRelease(t); e != 4 {
+		t.Fatalf("released epoch %d, want 4", e)
+	}
+	// Finally both at 5: one release covers both tiles.
+	h.simWait(t, SimWait{Tile: 1, Epoch: 5})
+	if e := h.simRelease(t); e != 5 {
+		t.Fatalf("released epoch %d, want 5", e)
+	}
 }
 
 func TestSimBarrierExcludesBlockedThreads(t *testing.T) {
@@ -314,12 +347,12 @@ func TestSimBarrierExcludesBlockedThreads(t *testing.T) {
 	h.send(0, MsgMutexLock, EncodeU64(0x9), 10)
 	h.recv(t, 0)
 	h.send(1, MsgMutexLock, EncodeU64(0x9), 20)
+	h.noReply(t, 1, 20*time.Millisecond)
 	// Tile 0 hits the sim barrier: tile 1 is blocked, so the barrier must
 	// release tile 0 rather than deadlock.
-	h.send(0, MsgSimBarrier, EncodeU64(1), 1000)
-	rep := h.recv(t, 0)
-	if rep.Type != MsgSimBarrierRep {
-		t.Fatalf("reply %d", rep.Type)
+	h.simWait(t, SimWait{Tile: 0, Epoch: 1})
+	if e := h.simRelease(t); e != 1 {
+		t.Fatalf("released epoch %d, want 1", e)
 	}
 }
 
@@ -332,48 +365,15 @@ func TestSimBarrierBatchReleasesViaLCP(t *testing.T) {
 	h.lcp.Recv(network.ClassSystem)
 	// The process ledger forwards both tiles' waits in one batch; the MCP
 	// answers the whole process with a single release of the min epoch.
-	batch := []SimWait{{Tile: 0, Epoch: 5}, {Tile: 1, Epoch: 3}}
-	if _, err := h.lcp.Send(network.ClassSystem, MsgSimBarrierBatch, arch.TileID(transport.MCP), 0, EncodeSimBatch(batch), 0); err != nil {
-		t.Fatal(err)
-	}
-	rel, _ := h.lcp.Recv(network.ClassSystem)
-	if rel.Type != MsgSimBarrierRelease {
-		t.Fatalf("reply type %s", MsgName(rel.Type))
-	}
-	if e, _ := DecodeU64(rel.Payload); e != 3 {
+	h.simWait(t, SimWait{Tile: 0, Epoch: 5}, SimWait{Tile: 1, Epoch: 3})
+	if e := h.simRelease(t); e != 3 {
 		t.Fatalf("released epoch %d, want 3", e)
 	}
 	// Tile 1 (released) advances and waits again at 5: now both pending
 	// waits share the min epoch and one release covers them.
-	batch = []SimWait{{Tile: 1, Epoch: 5}}
-	if _, err := h.lcp.Send(network.ClassSystem, MsgSimBarrierBatch, arch.TileID(transport.MCP), 0, EncodeSimBatch(batch), 0); err != nil {
-		t.Fatal(err)
-	}
-	rel, _ = h.lcp.Recv(network.ClassSystem)
-	if e, _ := DecodeU64(rel.Payload); rel.Type != MsgSimBarrierRelease || e != 5 {
-		t.Fatalf("second release = type %s epoch %d, want epoch 5", MsgName(rel.Type), e)
-	}
-}
-
-func TestSimBarrierBatchMixesWithDirectWaits(t *testing.T) {
-	h := newHarness(t, 2)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
-	h.recv(t, 0)
-	h.lcp.Recv(network.ClassSystem)
-	// Tile 0 waits via the legacy per-tile RPC, tile 1 via a batch: the
-	// release must answer each through its own path.
-	h.send(0, MsgSimBarrier, EncodeU64(2), 2000)
-	if _, err := h.lcp.Send(network.ClassSystem, MsgSimBarrierBatch, arch.TileID(transport.MCP), 0, EncodeSimBatch([]SimWait{{Tile: 1, Epoch: 2}}), 0); err != nil {
-		t.Fatal(err)
-	}
-	if rep := h.recv(t, 0); rep.Type != MsgSimBarrierRep {
-		t.Fatalf("direct waiter got %s", MsgName(rep.Type))
-	}
-	rel, _ := h.lcp.Recv(network.ClassSystem)
-	if e, _ := DecodeU64(rel.Payload); rel.Type != MsgSimBarrierRelease || e != 2 {
-		t.Fatalf("batched waiter got type %s epoch %d", MsgName(rel.Type), e)
+	h.simWait(t, SimWait{Tile: 1, Epoch: 5})
+	if e := h.simRelease(t); e != 5 {
+		t.Fatalf("second release: epoch %d, want 5", e)
 	}
 }
 

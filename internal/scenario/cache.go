@@ -1,8 +1,7 @@
-// Record memoization: the runner and the dispatch coordinator consult a
-// digest-keyed RecordCache before simulating. Determinism makes this
-// sound — a run's record is a pure function of its cache key (see
-// CacheKey) — and the key deliberately mirrors what the dispatch
-// coordinator's -resume adoption matches: the config.Canonical digest
+// Record memoization: a Sweep consults a digest-keyed RecordCache before
+// queueing a run. Determinism makes this sound — a run's record is a pure
+// function of its cache key (see CacheKey) — and the key deliberately
+// mirrors what Resume adoption matches: the config.Canonical digest
 // plus the run-level identity fields (workload, threads, scale, seed)
 // that live on the RunSpec outside config.Config. Presentation fields
 // (run index, grid/point coordinates, axes, wall clock) are NOT part of
@@ -20,7 +19,7 @@ import (
 
 // RecordCache is the memoization store consulted per RunSpec before
 // simulating (implemented by internal/recordcache; defined here so the
-// runner does not depend on the store's tiering). Implementations must
+// sweep engine does not depend on the store's tiering). Implementations must
 // be safe for concurrent use and must return records that the caller
 // may hold without further synchronization.
 type RecordCache interface {
@@ -59,10 +58,12 @@ func RecordKey(r *Record) string {
 
 // CacheLookup consults cache for spec (digest must be Digest of the
 // spec's config; pass "" to have it computed). Hits come back adopted:
-// identity fields re-stamped from the spec, wall clock zeroed, flagged
-// Cached — the exact field discipline of the dispatch coordinator's
-// record merge, so cached output is byte-identical to simulated output
-// up to wall_sec/proc_wall_sec/cached. A cached record that cannot
+// identity fields re-stamped from the spec, and the replay artifacts set
+// — WallSec 0 (no host time was spent), ProcWallSec dropped (per-process
+// wall clocks of a past run are meaningless here), Cached true — so
+// cached output is byte-identical to simulated output up to
+// wall_sec/proc_wall_sec/cached. Result fields — cycles, checksum,
+// stats, tiles — pass through untouched. A cached record that cannot
 // serve the spec (an error record, or one missing the per-tile stats
 // the spec asks for) is a miss.
 func CacheLookup(cache RecordCache, spec *RunSpec, digest string) (Record, bool) {
@@ -78,19 +79,26 @@ func CacheLookup(cache RecordCache, spec *RunSpec, digest string) (Record, bool)
 	}
 	if spec.TileStats && len(rec.Tiles) == 0 {
 		// Tiles cannot be backfilled without re-running (same rule as
-		// -resume adoption).
+		// Resume adoption).
 		return Record{}, false
 	}
-	return AdoptCached(spec, digest, rec), true
+	stampIdentity(&rec, spec, digest)
+	rec.Cached = true
+	rec.WallSec = 0
+	rec.ProcWallSec = nil
+	return rec, true
 }
 
-// AdoptCached rebuilds a cached record's identity fields from the
-// consuming spec and stamps the replay artifacts: WallSec 0 (no host
-// time was spent), ProcWallSec dropped (per-process wall clocks of a
-// past run are meaningless here), Cached true. Result fields — cycles,
-// checksum, stats, tiles — pass through untouched.
-func AdoptCached(spec *RunSpec, digest string, cached Record) Record {
-	rec := cached
+// stampIdentity overwrites rec's spec-identity fields — everything that
+// says which run of which sweep this is, as opposed to what the run
+// computed — from spec and its config digest, and drops per-tile stats
+// the spec does not ask for. It is the one place a record is tied to a
+// spec: a fresh record starts from it, and a record that came from
+// anywhere else (a worker's JSON, a resume file, the cache) is re-stamped
+// with it, because a JSON round trip erases the distinction between
+// json.Number and float64 in the axes map and output that is
+// byte-identical however a run was executed or adopted is the contract.
+func stampIdentity(rec *Record, spec *RunSpec, digest string) {
 	rec.Schema = RecordSchema
 	rec.Scenario = spec.Scenario
 	rec.Run = spec.Run
@@ -104,13 +112,9 @@ func AdoptCached(spec *RunSpec, digest string, cached Record) Record {
 	rec.Processes = spec.Processes
 	rec.Axes = spec.Axes
 	rec.ConfigDigest = digest
-	rec.Cached = true
-	rec.WallSec = 0
-	rec.ProcWallSec = nil
 	if !spec.TileStats {
 		rec.Tiles = nil
 	}
-	return rec
 }
 
 // Cacheable reports whether a record may enter the cache: it must be a

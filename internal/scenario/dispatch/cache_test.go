@@ -1,20 +1,12 @@
 package dispatch
 
 import (
-	"bytes"
-	"regexp"
 	"testing"
 	"time"
 
 	"repro/internal/recordcache"
 	"repro/internal/scenario"
 )
-
-// replayRe strips the fields a cached replay may differ in (wall clocks
-// and the cached flag) — the cache-mode superset of stripWall.
-var replayRe = regexp.MustCompile(`,"(wall_sec":[0-9eE.+-]+|proc_wall_sec":\[[^]]*\]|cached":true)`)
-
-func stripReplay(b []byte) string { return replayRe.ReplaceAllString(string(b), "") }
 
 func newMemCache(t *testing.T) *recordcache.Cache {
 	t.Helper()
@@ -26,121 +18,13 @@ func newMemCache(t *testing.T) *recordcache.Cache {
 	return c
 }
 
-// TestCachePreseededServesWithoutDispatch: a coordinator whose cache
-// already holds every record must serve the sweep without dispatching a
-// single spec — the counting fake worker must see done immediately —
-// and the output must match a fresh run up to wall_sec/cached.
-func TestCachePreseededServesWithoutDispatch(t *testing.T) {
-	s, specs := loadTestScenario(t)
-	cache := newMemCache(t)
-	full, err := scenario.RunExpanded(s, specs, scenario.Options{Parallel: 2, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Entries != len(specs) {
-		t.Fatalf("seeding failed: %+v", st)
-	}
-
-	_, specs2 := loadTestScenario(t)
-	var out bytes.Buffer
-	c, err := NewCoordinator(specs2, Options{Verify: s.Verify, Out: &out, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The counting fake worker: any spec frame before done is a dispatch
-	// the cache should have absorbed.
-	conn, r, _, err := attach(c.Addr(), 5*time.Second, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	dispatched := 0
-	for {
-		m, err := readMsg(r)
-		if err != nil {
-			t.Fatalf("fake worker: %v", err)
-		}
-		if m.Type == msgDone {
-			break
-		}
-		if m.Type == msgSpec {
-			dispatched++
-			// Reply so the sweep can still finish if the cache failed;
-			// the counter is the assertion.
-			rec := scenario.Execute(m.Spec)
-			if err := writeMsg(conn, &message{Type: msgRecord, Record: &rec}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	records, err := c.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dispatched != 0 {
-		t.Fatalf("%d specs dispatched to the worker despite a fully seeded cache", dispatched)
-	}
-	if c.Cached() != len(specs2) || c.Executed() != 0 {
-		t.Fatalf("cached %d / executed %d, want %d / 0", c.Cached(), c.Executed(), len(specs2))
-	}
-	for i := range records {
-		if !records[i].Cached {
-			t.Fatalf("run %d not flagged cached", i)
-		}
-	}
-	got, want := stripReplay(jsonl(t, records)), stripReplay(jsonl(t, full))
-	if got != want {
-		t.Fatalf("cache-served records differ from executed records:\n got: %s\nwant: %s", got, want)
-	}
-	if !bytes.Equal(out.Bytes(), jsonl(t, records)) {
-		t.Fatal("incremental Out differs from final records")
-	}
-}
-
-// TestCachePopulatedByDispatch: records merged from workers land in the
-// cache, and a second coordinator over the same cache needs no workers.
-func TestCachePopulatedByDispatch(t *testing.T) {
-	s, specs := loadTestScenario(t)
-	cache := newMemCache(t)
-	c, err := NewCoordinator(specs, Options{Verify: s.Verify, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- Work(c.Addr(), WorkerOptions{Parallel: 2, DialTimeout: 5 * time.Second}) }()
-	first, err := c.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if werr := <-done; werr != nil {
-		t.Fatalf("worker: %v", werr)
-	}
-
-	_, specs2 := loadTestScenario(t)
-	c2, err := NewCoordinator(specs2, Options{Verify: s.Verify, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := c2.Wait() // no workers attached at all
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Cached() != len(specs2) || c2.Executed() != 0 {
-		t.Fatalf("cached %d / executed %d, want %d / 0", c2.Cached(), c2.Executed(), len(specs2))
-	}
-	if got, want := stripReplay(jsonl(t, second)), stripReplay(jsonl(t, first)); got != want {
-		t.Fatalf("cache replay differs from dispatched run:\n got: %s\nwant: %s", got, want)
-	}
-}
-
 // TestCacheNotPoisonedByFailures: neither a worker killed mid-spec nor a
 // worker that reports a failed run may leave anything in the cache that
 // a later sweep would mistake for a result.
 func TestCacheNotPoisonedByFailures(t *testing.T) {
 	_, specs := loadTestScenario(t)
 	cache := newMemCache(t)
-	c, err := NewCoordinator(specs, Options{Cache: cache})
+	c, err := NewCoordinator(specs, Options{SweepOptions: scenario.SweepOptions{Cache: cache}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +68,7 @@ func TestCacheNotPoisonedByFailures(t *testing.T) {
 	// A real worker finishes the remainder (including the requeued ones).
 	done := make(chan error, 1)
 	go func() { done <- Work(c.Addr(), WorkerOptions{Parallel: 1, DialTimeout: 5 * time.Second}) }()
-	records, err := c.Wait()
+	records, err := waitAll(t, c)
 	if err == nil {
 		t.Fatal("sweep with an injected failure must surface the error")
 	}

@@ -2,9 +2,7 @@ package dispatch
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -23,66 +21,33 @@ type Options struct {
 	// fleet instead of racing onto whichever worker connects first.
 	// 0 dispatches immediately.
 	WorkersExpected int
-	// Serial tells workers to run one spec at a time per host process
-	// (scenario.NeedsSerial).
-	Serial bool
-	// Verify asks workers to fill ChecksumOK against the native kernels.
-	Verify bool
-	// Out, when non-nil, receives the merged JSONL incrementally: record
-	// i is written as soon as records 0..i are all complete, so a
-	// long sweep's output is durable as it goes and usable by -resume.
-	Out io.Writer
-	// Progress, when non-nil, receives one line per completed run.
-	Progress io.Writer
-	// Resume holds records from a previous partial run of the same
-	// scenario. A record is reused — not re-executed — when its run index
-	// and config digest match the current expansion and it carries no
-	// error.
-	Resume []scenario.Record
-	// Cache, when non-nil, is consulted per spec before enqueueing it to
-	// workers (hits are adopted like Resume records, keyed by content
-	// digest instead of run index) and receives every verified record the
-	// coordinator merges — executed, resumed, or synthesized nothing: an
-	// abandonment error never enters the cache.
-	Cache scenario.RecordCache
+	// SweepOptions configure the sweep being served. Serial is forwarded
+	// to workers in the welcome, Verify with every spec.
+	scenario.SweepOptions
 }
 
-// Coordinator serves one sweep to remote workers.
+// Coordinator serves one sweep to remote workers: it owns the listener
+// and the worker connections, and drives the embedded Sweep with what
+// they deliver — Next feeds a connection, a record frame is a Complete, a
+// dead connection is a Fail. Everything else about the sweep (adoption,
+// verification, caching, ordering, output) is the Sweep's.
 type Coordinator struct {
-	opt     Options
-	ln      net.Listener
-	specs   []scenario.RunSpec
-	digests []string // coordinator-side config digest per spec
+	*scenario.Sweep
+	opt Options
+	ln  net.Listener
 
-	// afterFunc schedules the delayed requeue of a failed spec (nil:
-	// time.AfterFunc). Tests inject an immediate or recording variant.
-	afterFunc func(time.Duration, func())
-
-	mu           sync.Mutex
-	cond         *sync.Cond
-	conns        map[net.Conn]struct{} // live worker connections (for Cancel)
-	queue        []int                 // pending spec indices, dispatched front to back
-	attempts     []int                 // failed dispatch attempts per spec
-	done         []bool
-	records      []scenario.Record
-	remaining    int
-	reused       int
-	cached       int
-	executed     int
-	hellos       int
-	warnedSerial bool
-	finished     bool
-	nextWrite    int
-	writeErr     error
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // live worker connections (for Cancel)
+	hellos int
+	gate   chan struct{} // closed once WorkersExpected workers said hello
 
 	handlers sync.WaitGroup
 	accept   sync.WaitGroup
 }
 
-// NewCoordinator expands nothing itself: it takes the specs of an
-// already-expanded scenario (so the caller can log the expansion), applies
-// Resume, starts listening, and begins serving. Call Wait to block until
-// every record is in.
+// NewCoordinator takes the specs of an already-expanded scenario (so the
+// caller can log the expansion), builds their Sweep, starts listening,
+// and begins serving. Call Wait to block until every record is in.
 func NewCoordinator(specs []scenario.RunSpec, opt Options) (*Coordinator, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dispatch: no runs to serve")
@@ -96,115 +61,15 @@ func NewCoordinator(specs []scenario.RunSpec, opt Options) (*Coordinator, error)
 		return nil, fmt.Errorf("dispatch: listen %s: %w", addr, err)
 	}
 	c := &Coordinator{
-		opt:       opt,
-		ln:        ln,
-		conns:     make(map[net.Conn]struct{}),
-		specs:     specs,
-		digests:   make([]string, len(specs)),
-		attempts:  make([]int, len(specs)),
-		done:      make([]bool, len(specs)),
-		records:   make([]scenario.Record, len(specs)),
-		remaining: len(specs),
+		Sweep: scenario.NewSweep(specs, opt.SweepOptions),
+		opt:   opt,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
+		gate:  make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
-	for i := range specs {
-		c.digests[i] = scenario.Digest(&specs[i].Config)
+	if opt.WorkersExpected <= 0 {
+		close(c.gate)
 	}
-
-	// Adopt resumable records. The config digest covers only
-	// config.Config; workload/threads/scale live on the RunSpec outside
-	// it (two runs over different workloads share a digest), so they
-	// must match explicitly or an edited scenario could adopt another
-	// workload's results under a rewritten identity.
-	for ri := range opt.Resume {
-		r := &opt.Resume[ri]
-		i := r.Run
-		if i < 0 || i >= len(specs) || c.done[i] || r.Error != "" || r.ConfigDigest != c.digests[i] {
-			continue
-		}
-		if r.Workload != specs[i].Workload || r.Threads != specs[i].Threads || r.Scale != specs[i].Scale {
-			continue
-		}
-		// tile_stats turned on since the record was produced: the tiles
-		// field cannot be backfilled without re-running, so re-run.
-		// (Turned off is handled by mergeRecord dropping the field.)
-		if specs[i].TileStats && len(r.Tiles) == 0 {
-			continue
-		}
-		c.records[i] = c.mergeRecord(i, r)
-		c.done[i] = true
-		c.remaining--
-		c.reused++
-	}
-	// Consult the record cache for everything -resume didn't cover. The
-	// cache is keyed by content digest (scenario.CacheKey) rather than
-	// run index, so it serves edited, reordered, and overlapping sweeps
-	// where -resume only serves an identical re-expansion. Hits adopt
-	// the same field discipline as mergeRecord (CacheLookup re-stamps
-	// identity fields; verify/tile_stats mismatches handled below and in
-	// CacheLookup).
-	if opt.Cache != nil {
-		for i := range specs {
-			if c.done[i] {
-				continue
-			}
-			rec, ok := scenario.CacheLookup(opt.Cache, &specs[i], c.digests[i])
-			if !ok {
-				continue
-			}
-			if !opt.Verify {
-				rec.ChecksumOK = nil
-			}
-			c.records[i] = rec
-			c.done[i] = true
-			c.remaining--
-			c.cached++
-		}
-	}
-	// Fill ChecksumOK for adopted records that predate -verify, so
-	// resumed output is indistinguishable from freshly executed output.
-	// Bounded-parallel via VerifyParallel — the native runs are the same
-	// long pole a large verified sweep has.
-	if opt.Verify {
-		var need []int
-		for i := range c.records {
-			if c.done[i] && c.records[i].ChecksumOK == nil {
-				need = append(need, i)
-			}
-		}
-		if len(need) > 0 {
-			tmp := make([]scenario.Record, len(need))
-			for j, i := range need {
-				tmp[j] = c.records[i]
-			}
-			scenario.VerifyParallel(tmp, 0)
-			for j, i := range need {
-				c.records[i].ChecksumOK = tmp[j].ChecksumOK
-			}
-		}
-	}
-	// Feed resume-adopted records into the cache (post-backfill, so they
-	// enter with their verification verdict): -resume becomes one more
-	// way to warm the cache, layered under it rather than beside it.
-	if opt.Cache != nil {
-		for i := range specs {
-			if c.done[i] && scenario.Cacheable(&c.records[i]) {
-				opt.Cache.Put(c.records[i])
-			}
-		}
-	}
-	for i := range specs {
-		if !c.done[i] {
-			c.queue = append(c.queue, i)
-		}
-	}
-	c.mu.Lock()
-	c.flushLocked()
-	if c.remaining == 0 {
-		c.finished = true
-	}
-	c.mu.Unlock()
-
 	c.accept.Add(1)
 	go c.acceptLoop()
 	return c, nil
@@ -213,66 +78,15 @@ func NewCoordinator(specs []scenario.RunSpec, opt Options) (*Coordinator, error)
 // Addr returns the coordinator's listen address (with the resolved port).
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// SetOutput installs (or replaces) the incremental output writer and
-// immediately flushes the completed in-order prefix to it. It exists so a
-// caller whose output path may equal its resume path can delay truncating
-// the file until the coordinator has come up successfully: construct with
-// Options.Out nil, then SetOutput once NewCoordinator has returned.
-func (c *Coordinator) SetOutput(w io.Writer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opt.Out = w
-	c.flushLocked()
-}
-
-// Reused reports how many records were adopted from Options.Resume.
-func (c *Coordinator) Reused() int { return c.reused }
-
-// Cached reports how many records were served by Options.Cache instead
-// of being dispatched to workers.
-func (c *Coordinator) Cached() int { return c.cached }
-
-// Executed reports how many records came back from workers so far.
-func (c *Coordinator) Executed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.executed
-}
-
-// Progress reports how many of the sweep's runs have a record so far and
-// the total. done == total means Wait will not block on further workers.
-func (c *Coordinator) Progress() (done, total int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.specs) - c.remaining, len(c.specs)
-}
-
-// Cancel abandons every unfinished run: each gets an error record
-// carrying reason (flushed to Out like any other completion, so consumers
-// of the incremental output see the sweep settle), the pending queue is
-// emptied, and every live worker connection is closed. Closing the
-// connections bounds cancellation — a handler blocked on a slow or silent
-// worker errors out immediately and the requeue path finds the run
-// already done — at the cost of discarding in-flight results (the
-// simulator has no preemption points; a worker's in-flight run burns to
-// completion and its record is dropped with the connection). Wait still
-// returns the full record set, with the canceled runs' errors joined into
-// its error. Cancel after completion is a no-op.
+// Cancel cancels the sweep (Sweep.Cancel) and closes every live worker
+// connection. Closing the connections bounds cancellation — a handler
+// blocked on a slow or silent worker errors out immediately and its Fail
+// finds the run already done — at the cost of discarding in-flight
+// results. Wait still returns the full record set, with the canceled
+// runs' errors joined into its error.
 func (c *Coordinator) Cancel(reason string) {
+	c.Sweep.Cancel(reason)
 	c.mu.Lock()
-	if c.remaining > 0 {
-		c.queue = nil
-		for i := range c.specs {
-			if c.done[i] {
-				continue
-			}
-			c.records[i] = c.mergeRecord(i, &scenario.Record{Run: c.specs[i].Run, Error: reason})
-			c.done[i] = true
-			c.remaining--
-		}
-		c.flushLocked()
-		c.cond.Broadcast()
-	}
 	conns := make([]net.Conn, 0, len(c.conns))
 	//graphite:maporder teardown close of a connection set; close order among dead-anyway peers is immaterial
 	for conn := range c.conns {
@@ -284,38 +98,18 @@ func (c *Coordinator) Cancel(reason string) {
 	}
 }
 
-// Wait blocks until every run has a record, then shuts the listener down
-// and returns the records in run-index order. Like scenario.RunSpecs, the
-// error joins all per-run failures plus any output-write failure; records
-// of successful runs are valid even when err != nil.
+// Wait blocks until every run has a record (Sweep.Wait), then shuts the
+// listener down and releases the workers.
 func (c *Coordinator) Wait() ([]scenario.Record, error) {
-	c.mu.Lock()
-	for c.remaining > 0 {
-		c.cond.Wait()
-	}
-	c.finished = true
-	c.cond.Broadcast()
-	writeErr := c.writeErr
-	c.mu.Unlock()
-
+	records, err := c.Sweep.Wait()
 	// Stop accepting, then let every handler observe completion and send
 	// its done message. Handlers never block indefinitely here: the hello
-	// exchange runs under a deadline and the dispatch loop re-checks
-	// finished after every broadcast.
+	// exchange runs under a deadline, and the gate and Next both open
+	// when the sweep is done.
 	c.ln.Close()
 	c.accept.Wait()
 	c.handlers.Wait()
-
-	var errs []error
-	if writeErr != nil {
-		errs = append(errs, writeErr)
-	}
-	for i := range c.records {
-		if c.records[i].Error != "" {
-			errs = append(errs, fmt.Errorf("run %d (%s): %s", c.records[i].Run, c.records[i].Workload, c.records[i].Error))
-		}
-	}
-	return c.records, errors.Join(errs...)
+	return records, err
 }
 
 func (c *Coordinator) acceptLoop() {
@@ -371,206 +165,41 @@ func (c *Coordinator) handle(conn net.Conn) {
 	// The gate is a start condition only: a counted worker that later
 	// dies doesn't re-arm it — its in-flight spec requeues and survivors
 	// (or late joiners) finish the sweep.
-	c.mu.Lock()
 	if m.Primary {
+		c.mu.Lock()
 		c.hellos++
+		if c.hellos == c.opt.WorkersExpected {
+			close(c.gate)
+		}
 		// The serial clamp is per worker process; exclusivity across
 		// processes is the operator's to provide (one worker per host),
 		// so a serial sweep with several workers deserves a note.
-		if c.opt.Serial && c.hellos == 2 && !c.warnedSerial && c.opt.Progress != nil {
-			c.warnedSerial = true
+		if c.opt.Serial && c.hellos == 2 && c.opt.Progress != nil {
 			fmt.Fprintln(c.opt.Progress, "serial scenario with multiple workers: wall-clock honesty requires each worker to run on its own host")
 		}
+		c.mu.Unlock()
 	}
-	c.cond.Broadcast()
-	for c.hellos < c.opt.WorkersExpected && !c.finished {
-		c.cond.Wait()
+	select {
+	case <-c.gate:
+	case <-c.Done():
 	}
-	c.mu.Unlock()
 
 	for {
-		i, ok := c.pop()
+		i, spec, ok := c.Next()
 		if !ok {
 			// Sweep complete: release the worker cleanly.
 			writeMsg(conn, &message{Type: msgDone})
 			return
 		}
-		if err := writeMsg(conn, &message{Type: msgSpec, Verify: c.opt.Verify, Spec: &c.specs[i]}); err != nil {
-			c.requeue(i)
+		if err := writeMsg(conn, &message{Type: msgSpec, Verify: c.opt.Verify, Spec: spec}); err != nil {
+			c.Fail(i)
 			return
 		}
 		m, err := readMsg(r)
-		if err != nil || m.Type != msgRecord || m.Record == nil || m.Record.Run != c.specs[i].Run {
-			c.requeue(i)
+		if err != nil || m.Type != msgRecord || m.Record == nil || m.Record.Run != spec.Run {
+			c.Fail(i)
 			return
 		}
-		c.complete(i, m.Record, true)
-	}
-}
-
-// pop takes the next pending spec, blocking while the queue is empty but
-// the sweep is unfinished (a requeue may still produce work). ok is false
-// once every record is in.
-func (c *Coordinator) pop() (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.queue) == 0 && c.remaining > 0 {
-		c.cond.Wait()
-	}
-	if c.remaining == 0 {
-		return 0, false
-	}
-	i := c.queue[0]
-	c.queue = c.queue[1:]
-	return i, true
-}
-
-// maxAttempts bounds how often one spec may take a connection down with
-// it before the coordinator gives up on it. A worker crash is blamed on
-// the worker, but a spec that deterministically kills every worker that
-// touches it (say, a record too large to frame) must not requeue forever,
-// poisoning the whole fleet and hanging the sweep.
-const maxAttempts = 3
-
-// requeueBackoff paces re-dispatch of a failed spec: 100ms after the
-// first failure, doubling per subsequent one, capped at 2s. An immediate
-// requeue hands the spec straight to the next idle worker, so a
-// correlated outage (fleet restart, a flapping link) burns through all
-// maxAttempts in milliseconds and abandons runs a healthy fleet would
-// have finished; the backoff gives the fleet that recovery window.
-func requeueBackoff(attempt int) time.Duration {
-	const base, max = 100 * time.Millisecond, 2 * time.Second
-	d := base << uint(attempt-1)
-	if d <= 0 || d > max {
-		return max
-	}
-	return d
-}
-
-// requeue returns an in-flight spec to the queue after its connection
-// failed — after the backoff delay for this attempt — or, past
-// maxAttempts, records the failure the way a failed single-host run
-// would be recorded, so the sweep still completes.
-func (c *Coordinator) requeue(i int) {
-	c.mu.Lock()
-	if c.done[i] {
-		c.mu.Unlock()
-		return
-	}
-	c.attempts[i]++
-	if c.attempts[i] >= maxAttempts {
-		attempts := c.attempts[i]
-		c.mu.Unlock()
-		c.complete(i, &scenario.Record{
-			Run:   c.specs[i].Run,
-			Error: fmt.Sprintf("dispatch: run abandoned after %d failed worker connections", attempts),
-		}, false)
-		return
-	}
-	delay := requeueBackoff(c.attempts[i])
-	after := c.afterFunc
-	c.mu.Unlock()
-	if after == nil {
-		after = func(d time.Duration, f func()) { //graphite:wallclock requeue backoff paces host-level re-dispatch; no simulated clock exists at the sweep layer
-			time.AfterFunc(d, f)
-		}
-	}
-	after(delay, func() {
-		c.mu.Lock()
-		// The spec may have completed meanwhile (an abandonment record,
-		// a racing duplicate) — only a still-open spec re-enters.
-		if !c.done[i] {
-			c.queue = append(c.queue, i)
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
-	})
-}
-
-// complete stores a record and flushes the in-order prefix. executed
-// marks records genuinely produced by a worker, as opposed to synthesized
-// abandonment errors.
-func (c *Coordinator) complete(i int, remote *scenario.Record, executed bool) {
-	rec := c.mergeRecord(i, remote)
-	// Cache only what a worker genuinely produced and verified: requeue
-	// paths never reach here (a killed worker's partial work is simply
-	// re-dispatched) and synthesized abandonment records fail both the
-	// executed flag and Cacheable's error check, so neither can poison
-	// the cache.
-	if executed && c.opt.Cache != nil && scenario.Cacheable(&rec) {
-		c.opt.Cache.Put(rec)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done[i] {
-		return
-	}
-	c.records[i] = rec
-	c.done[i] = true
-	c.remaining--
-	if executed {
-		c.executed++
-	}
-	c.flushLocked()
-	if c.opt.Progress != nil {
-		status := fmt.Sprintf("%d cycles", rec.SimCycles)
-		if rec.Error != "" {
-			status = "ERROR: " + rec.Error
-		}
-		total := len(c.specs)
-		fmt.Fprintf(c.opt.Progress, "[%d/%d] run %d %s (%.3fs, %s)\n",
-			total-c.remaining, total, rec.Run, rec.Workload, rec.WallSec, status)
-	}
-	c.cond.Broadcast()
-}
-
-// mergeRecord rebuilds the record's spec-identity fields from the
-// coordinator's own expansion. Result fields (cycles, checksum, stats,
-// wall time, error) come from the worker; identity fields must not — a
-// JSON round trip erases the distinction between json.Number and float64
-// in the axes map, and byte-identical merged output is the contract
-// (DESIGN.md §11).
-func (c *Coordinator) mergeRecord(i int, remote *scenario.Record) scenario.Record {
-	spec := &c.specs[i]
-	rec := *remote
-	rec.Schema = scenario.RecordSchema
-	rec.Scenario = spec.Scenario
-	rec.Run = spec.Run
-	rec.Grid = spec.Grid
-	rec.Point = spec.Point
-	rec.Repeat = spec.Repeat
-	rec.Workload = spec.Workload
-	rec.Threads = spec.Threads
-	rec.Scale = spec.Scale
-	rec.Seed = spec.Seed
-	rec.Processes = spec.Processes
-	rec.Axes = spec.Axes
-	rec.ConfigDigest = c.digests[i]
-	// Verify or tile_stats turned off since a resumed record was
-	// produced: drop the stale fields, or the merged output would mix
-	// row shapes and differ from a fresh single-host run. (Either
-	// turned on is the symmetric case: ChecksumOK is backfilled in
-	// NewCoordinator, missing tiles force a re-run.)
-	if !c.opt.Verify {
-		rec.ChecksumOK = nil
-	}
-	if !spec.TileStats {
-		rec.Tiles = nil
-	}
-	return rec
-}
-
-// flushLocked writes the completed in-order prefix to Out. Called with mu
-// held.
-func (c *Coordinator) flushLocked() {
-	if c.opt.Out == nil || c.writeErr != nil {
-		return
-	}
-	for c.nextWrite < len(c.records) && c.done[c.nextWrite] {
-		if err := scenario.WriteJSONL(c.opt.Out, c.records[c.nextWrite:c.nextWrite+1]); err != nil {
-			c.writeErr = fmt.Errorf("dispatch: write output: %w", err)
-			return
-		}
-		c.nextWrite++
+		c.Complete(i, *m.Record)
 	}
 }

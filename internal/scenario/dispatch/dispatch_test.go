@@ -2,9 +2,7 @@ package dispatch
 
 import (
 	"bytes"
-	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,68 +42,16 @@ func loadTestScenario(t *testing.T) (*scenario.Scenario, []scenario.RunSpec) {
 	return s, specs
 }
 
-var wallSecRe = regexp.MustCompile(`,"wall_sec":[0-9eE.+-]+`)
-
-func stripWall(b []byte) string { return wallSecRe.ReplaceAllString(string(b), "") }
-
-func jsonl(t *testing.T, records []scenario.Record) []byte {
+// waitAll is Coordinator.Wait with a deadline, so a sweep that never
+// settles fails the test in seconds instead of hanging it.
+func waitAll(t *testing.T, c *Coordinator) ([]scenario.Record, error) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := scenario.WriteJSONL(&buf, records); err != nil {
-		t.Fatal(err)
+	select {
+	case <-c.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("sweep did not finish within 60s")
 	}
-	return buf.Bytes()
-}
-
-// TestDistributedMatchesSingleHost is the PR's determinism contract: a
-// 2-worker distributed sweep produces JSONL byte-identical to the
-// single-host runner's output up to wall_sec.
-func TestDistributedMatchesSingleHost(t *testing.T) {
-	s, specs := loadTestScenario(t)
-	single, err := scenario.RunExpanded(s, specs, scenario.Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, specs2 := loadTestScenario(t) // fresh expansion for the coordinator
-	var out bytes.Buffer
-	c, err := NewCoordinator(specs2, Options{
-		Serial:          scenario.NeedsSerial(s, specs2),
-		Verify:          s.Verify,
-		Out:             &out,
-		WorkersExpected: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := Work(c.Addr(), WorkerOptions{Parallel: 1, DialTimeout: 5 * time.Second}); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	dist, err := c.Wait()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := stripWall(jsonl(t, dist)), stripWall(jsonl(t, single))
-	if got != want {
-		t.Fatalf("distributed records differ from single-host records:\n got: %s\nwant: %s", got, want)
-	}
-	// The incrementally written output must be the same bytes the record
-	// slice serializes to.
-	if !bytes.Equal(out.Bytes(), jsonl(t, dist)) {
-		t.Fatal("incremental Out differs from final records")
-	}
-	if c.Executed() != len(specs2) {
-		t.Fatalf("executed %d runs, want %d", c.Executed(), len(specs2))
-	}
+	return c.Wait()
 }
 
 // TestWorkerKillMidSweep kills a worker that holds an in-flight spec; the
@@ -114,7 +60,7 @@ func TestDistributedMatchesSingleHost(t *testing.T) {
 func TestWorkerKillMidSweep(t *testing.T) {
 	s, specs := loadTestScenario(t)
 	var out bytes.Buffer
-	c, err := NewCoordinator(specs, Options{Verify: s.Verify, Out: &out})
+	c, err := NewCoordinator(specs, Options{SweepOptions: scenario.SweepOptions{Verify: s.Verify, Out: &out}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +79,7 @@ func TestWorkerKillMidSweep(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- Work(c.Addr(), WorkerOptions{Parallel: 1, DialTimeout: 5 * time.Second}) }()
-	records, err := c.Wait()
+	records, err := waitAll(t, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,106 +113,41 @@ func TestWorkerKillMidSweep(t *testing.T) {
 	}
 }
 
-// TestResumeRoundTrip: records from a partial previous run are reused when
-// run index and config digest match and the record is error-free; the
-// final output is byte-identical to a full run up to wall_sec.
-func TestResumeRoundTrip(t *testing.T) {
-	s, specs := loadTestScenario(t)
-	full, err := scenario.RunExpanded(s, specs, scenario.Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Previous partial output: run 0 completed cleanly, run 1 has a stale
-	// digest (config changed since), run 2 is an impostor — as if the
-	// workload axis was edited between runs, so the old record carries
-	// the same run index and config digest (workload/threads/scale live
-	// outside config.Config) but a different workload — and run 3
-	// errored. Only run 0 may be adopted.
-	partial := []scenario.Record{full[0], full[1], full[2], full[3]}
-	partial[1].ConfigDigest = "stale"
-	partial[2].Workload = "radix"
-	if partial[2].ConfigDigest != scenario.Digest(&specs[2].Config) {
-		t.Fatal("test premise broken: impostor record no longer shares run 2's config digest")
-	}
-	partial[3].Error = "killed"
-
-	_, specs2 := loadTestScenario(t)
-	var out bytes.Buffer
-	c, err := NewCoordinator(specs2, Options{Verify: s.Verify, Out: &out, Resume: partial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Reused() != 1 {
-		t.Fatalf("reused %d records, want 1 (stale digest, impostor workload, and errored record must re-run)", c.Reused())
-	}
-	done := make(chan error, 1)
-	go func() { done <- Work(c.Addr(), WorkerOptions{Parallel: 2, DialTimeout: 5 * time.Second}) }()
-	records, err := c.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if werr := <-done; werr != nil {
-		t.Fatalf("worker: %v", werr)
-	}
-	if c.Executed() != 3 {
-		t.Fatalf("executed %d runs, want 3", c.Executed())
-	}
-	got, want := stripWall(jsonl(t, records)), stripWall(jsonl(t, full))
-	if got != want {
-		t.Fatalf("resumed records differ from full run:\n got: %s\nwant: %s", got, want)
-	}
-	if !bytes.Equal(out.Bytes(), jsonl(t, records)) {
-		t.Fatal("incremental Out differs from final records")
-	}
-}
-
-// TestAllResumedCompletesWithoutWorkers: a sweep whose every record
-// resumes needs no workers at all.
-func TestAllResumedCompletesWithoutWorkers(t *testing.T) {
-	s, specs := loadTestScenario(t)
-	full, err := scenario.RunExpanded(s, specs, scenario.Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, specs2 := loadTestScenario(t)
-	var out bytes.Buffer
-	c, err := NewCoordinator(specs2, Options{Verify: s.Verify, Out: &out, Resume: full})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := c.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Reused() != len(specs2) || c.Executed() != 0 {
-		t.Fatalf("reused %d / executed %d, want %d / 0", c.Reused(), c.Executed(), len(specs2))
-	}
-	if got, want := stripWall(jsonl(t, records)), stripWall(jsonl(t, full)); got != want {
-		t.Fatal("all-resumed records differ from original run")
-	}
-}
-
 // TestPoisonSpecAbandonedAfterMaxAttempts: a spec that takes down every
 // connection that touches it must not requeue forever; past maxAttempts
-// it completes as an error record, like a failed single-host run.
+// it completes as an error record, like a failed run. (The engine-level
+// schedule is scenario.TestSweepFailRequeuesWithBackoff; this is the wire
+// half: a connection that dies with a spec in flight is a Fail.)
 func TestPoisonSpecAbandonedAfterMaxAttempts(t *testing.T) {
 	_, specs := loadTestScenario(t)
 	c, err := NewCoordinator(specs[:1], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a := 0; a < maxAttempts; a++ {
+	// Every connection takes the spec and dies without replying, until
+	// the coordinator answers done instead: the sweep gave up on the spec.
+	deaths := 0
+	for {
 		conn, r, _, err := attach(c.Addr(), 5*time.Second, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := readMsg(r); err != nil || m.Type != msgSpec {
-			t.Fatalf("attempt %d: expected a spec, got %+v, %v", a, m, err)
+		m, err := readMsg(r)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("after %d deaths: %v", deaths, err)
 		}
-		conn.Close() // die without replying, every time
+		if m.Type == msgDone {
+			break
+		}
+		if deaths++; m.Type != msgSpec || deaths > 10 {
+			t.Fatalf("after %d deaths: got %q, want the spec again or done", deaths, m.Type)
+		}
 	}
-	records, err := c.Wait()
+	if deaths != 3 {
+		t.Fatalf("spec abandoned after %d dead connections, want 3", deaths)
+	}
+	records, err := waitAll(t, c)
 	if err == nil {
 		t.Fatal("abandoned run must surface as an error")
 	}
@@ -275,81 +156,5 @@ func TestPoisonSpecAbandonedAfterMaxAttempts(t *testing.T) {
 	}
 	if c.Executed() != 0 {
 		t.Fatalf("executed = %d, want 0", c.Executed())
-	}
-}
-
-// TestRequeueBackoffSchedule pins the backoff curve: doubling from 100ms,
-// capped at 2s, and safe against shift overflow at absurd attempt counts.
-func TestRequeueBackoffSchedule(t *testing.T) {
-	cases := []struct {
-		attempt int
-		want    time.Duration
-	}{
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{3, 400 * time.Millisecond},
-		{5, 1600 * time.Millisecond},
-		{6, 2 * time.Second},
-		{40, 2 * time.Second},
-		{70, 2 * time.Second}, // base << 69 overflows; the cap must still hold
-	}
-	for _, c := range cases {
-		if got := requeueBackoff(c.attempt); got != c.want {
-			t.Errorf("requeueBackoff(%d) = %v, want %v", c.attempt, got, c.want)
-		}
-	}
-}
-
-// TestRequeueUsesBackoff: each failed dispatch of a spec must be
-// re-enqueued through the scheduler with that attempt's backoff delay,
-// not immediately.
-func TestRequeueUsesBackoff(t *testing.T) {
-	_, specs := loadTestScenario(t)
-	c, err := NewCoordinator(specs[:1], Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var delays []time.Duration
-	c.afterFunc = func(d time.Duration, f func()) {
-		mu.Lock()
-		delays = append(delays, d)
-		mu.Unlock()
-		f() // run immediately: the test asserts scheduling, not pacing
-	}
-
-	for a := 0; a < maxAttempts-1; a++ {
-		conn, r, _, err := attach(c.Addr(), 5*time.Second, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m, err := readMsg(r); err != nil || m.Type != msgSpec {
-			t.Fatalf("attempt %d: expected a spec, got %+v, %v", a, m, err)
-		}
-		conn.Close() // die without replying
-	}
-	// A healthy worker finishes the much-requeued spec.
-	done := make(chan error, 1)
-	go func() { done <- Work(c.Addr(), WorkerOptions{Parallel: 1, DialTimeout: 5 * time.Second}) }()
-	records, err := c.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if werr := <-done; werr != nil {
-		t.Fatalf("surviving worker: %v", werr)
-	}
-	if len(records) != 1 || records[0].Error != "" {
-		t.Fatalf("want 1 clean record, got %+v", records)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
-	if len(delays) != len(want) {
-		t.Fatalf("scheduled %d requeues (%v), want %d", len(delays), delays, len(want))
-	}
-	for i := range want {
-		if delays[i] != want[i] {
-			t.Errorf("requeue %d scheduled after %v, want %v", i, delays[i], want[i])
-		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package dispatch distributes scenario sweeps across machines: a
-// coordinator expands a scenario into RunSpecs and serves them over TCP,
-// and workers (the same graphite-sweep binary, started with -worker)
-// pull specs, execute them with scenario.Execute, and stream Records
-// back. This is the evaluation-plane analogue of the paper's core idea —
-// one logical job spread transparently across hosts — applied to the
-// design-space sweeps of §4 instead of a single simulation.
+// Package dispatch is the sweep engine's network driver: a coordinator
+// serves the pending runs of a scenario.Sweep over TCP, and workers (the
+// same graphite-sweep binary, started with -worker) pull specs, execute
+// them with scenario.Execute, and stream Records back. This is the
+// evaluation-plane analogue of the paper's core idea — one logical job
+// spread transparently across hosts — applied to the design-space sweeps
+// of §4 instead of a single simulation.
 //
 // Wire format: length-prefixed JSON frames (a uint32 little-endian
 // payload length followed by one JSON message), matching the framing
@@ -20,12 +20,12 @@
 //	coordinator → worker   {"type":"done"}
 //
 // Fault tolerance: the coordinator tracks the single in-flight spec of
-// every connection and requeues it the moment the connection errors, so
-// killing a worker mid-sweep loses no runs. Output determinism: records
-// are merged into run-index order and the coordinator rewrites each
-// record's spec-identity fields (run coordinates, axes, config digest)
-// from its own expansion, so the merged JSONL is byte-identical to the
-// single-host runner's output up to wall_sec (see DESIGN.md §11).
+// every connection and fails it back to the sweep the moment the
+// connection errors, so killing a worker mid-sweep loses no runs. Output
+// determinism is the Sweep's: it re-stamps each record's spec-identity
+// fields from its own expansion and orders the output by run index, so
+// the JSONL is byte-identical to a locally executed sweep's up to
+// wall_sec (see DESIGN.md §10).
 package dispatch
 
 import (

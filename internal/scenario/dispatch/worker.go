@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/workloads"
 )
 
 // WorkerOptions configures Work.
@@ -19,7 +18,7 @@ type WorkerOptions struct {
 	// Parallel is how many specs this worker executes concurrently (it
 	// opens one coordinator connection per slot); 0 means one per host
 	// CPU. Serial sweeps clamp it to 1 — the coordinator says so in its
-	// welcome, exactly like scenario.RunSpecs forces a 1-worker pool.
+	// welcome, exactly like Sweep.Work runs a serial sweep on one slot.
 	Parallel int
 	// Progress, when non-nil, receives one line per executed run.
 	Progress io.Writer
@@ -52,7 +51,7 @@ func Work(addr string, opt WorkerOptions) error {
 		slots = 1
 	}
 
-	var v verifier
+	var natives scenario.NativeMemo
 	var mu sync.Mutex
 	var errs []error
 	gotDone := false
@@ -60,7 +59,7 @@ func Work(addr string, opt WorkerOptions) error {
 	run := func(conn net.Conn, r *bufio.Reader) {
 		defer wg.Done()
 		defer conn.Close()
-		err := workLoop(conn, r, &v, opt.Progress)
+		err := workLoop(conn, r, &natives, opt.Progress)
 		mu.Lock()
 		if err != nil {
 			errs = append(errs, err)
@@ -138,7 +137,7 @@ func attach(addr string, timeout time.Duration, primary bool) (net.Conn, *bufio.
 
 // workLoop serves one connection: execute every spec the coordinator
 // sends, reply with the record, stop at done.
-func workLoop(conn net.Conn, r *bufio.Reader, v *verifier, progress io.Writer) error {
+func workLoop(conn net.Conn, r *bufio.Reader, natives *scenario.NativeMemo, progress io.Writer) error {
 	for {
 		m, err := readMsg(r)
 		if err != nil {
@@ -151,7 +150,7 @@ func workLoop(conn net.Conn, r *bufio.Reader, v *verifier, progress io.Writer) e
 			}
 			rec := scenario.Execute(m.Spec)
 			if m.Verify {
-				v.fill(&rec)
+				natives.Fill(&rec)
 			}
 			if progress != nil {
 				status := fmt.Sprintf("%d cycles", rec.SimCycles)
@@ -169,45 +168,4 @@ func workLoop(conn net.Conn, r *bufio.Reader, v *verifier, progress io.Writer) e
 			return fmt.Errorf("dispatch: unexpected %q message", m.Type)
 		}
 	}
-}
-
-// verifier memoizes native checksums per (workload, threads, scale), so a
-// worker (or the coordinator, for resumed records) runs each native
-// variant once — the same sharing scenario.Verify does for a whole sweep.
-// Entries are per-key sync.Onces, so concurrent slots that miss on the
-// same key wait for one native execution instead of each running it.
-type verifier struct {
-	mu    sync.Mutex
-	cache map[scenario.NativeKey]*nativeEntry
-}
-
-type nativeEntry struct {
-	once  sync.Once
-	val   float64
-	known bool
-}
-
-// fill computes ChecksumOK for one record, exactly mirroring what
-// scenario.Verify would decide for it in a single-host run.
-func (v *verifier) fill(rec *scenario.Record) {
-	if rec.Error != "" {
-		return
-	}
-	k := scenario.NativeKey{Workload: rec.Workload, Threads: rec.Threads, Scale: rec.Scale}
-	v.mu.Lock()
-	if v.cache == nil {
-		v.cache = make(map[scenario.NativeKey]*nativeEntry)
-	}
-	e := v.cache[k]
-	if e == nil {
-		e = &nativeEntry{}
-		v.cache[k] = e
-	}
-	v.mu.Unlock()
-	e.once.Do(func() { e.val, e.known = scenario.NativeChecksum(k) })
-	if !e.known {
-		return
-	}
-	ok := workloads.Close(rec.Checksum, e.val)
-	rec.ChecksumOK = &ok
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -88,7 +89,10 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVerifyParallelMatchesSerial(t *testing.T) {
+// TestNativeMemoConcurrentMatchesSerial: verdicts filled from several
+// goroutines through one memo equal those filled one by one, and records
+// the memo cannot judge stay unverified.
+func TestNativeMemoConcurrentMatchesSerial(t *testing.T) {
 	recs := func() []Record {
 		return []Record{
 			{Workload: "radix", Threads: 1, Scale: 64, Checksum: 1},
@@ -98,16 +102,30 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	a, b := recs(), recs()
-	VerifyParallel(a, 1)
-	VerifyParallel(b, 4)
+	var serial, shared NativeMemo
+	for i := range a {
+		serial.Fill(&a[i])
+	}
+	var wg sync.WaitGroup
+	for i := range b {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared.Fill(&b[i])
+		}()
+	}
+	wg.Wait()
 	for i := range a {
 		av, bv := a[i].ChecksumOK, b[i].ChecksumOK
 		if (av == nil) != (bv == nil) {
-			t.Fatalf("record %d: nil mismatch between serial and parallel verify", i)
+			t.Fatalf("record %d: nil mismatch between serial and concurrent fill", i)
 		}
 		if av != nil && *av != *bv {
 			t.Fatalf("record %d: verdict mismatch: %v vs %v", i, *av, *bv)
 		}
+	}
+	if a[0].ChecksumOK == nil {
+		t.Fatal("known workload left unverified")
 	}
 	if a[1].ChecksumOK != nil {
 		t.Fatal("unknown workload must stay unverified")

@@ -1,21 +1,16 @@
-// The scenario runner: executes expanded RunSpecs on a host-parallel
-// worker pool. Each run is fully isolated — it builds its own Cluster
-// (transports, memory system, MCP), so concurrent runs share no mutable
-// simulator state and a run's statistics are unaffected by what else the
-// pool is doing. Wall-clock time is the only host-dependent field; it is
-// recorded but excluded from reproducibility comparisons (see DESIGN.md).
+// Records and single-run execution: the Record schema, Execute (one
+// RunSpec in, one Record out, on a dedicated Cluster), native-checksum
+// verification, and JSONL I/O. Sweeps of many runs are sweep.go's.
 
 package scenario
 
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -81,22 +76,19 @@ type Record struct {
 	Error       string    `json:"error,omitempty"`
 }
 
-// Options configures a runner invocation.
+// Options configures Run and RunExpanded.
 type Options struct {
-	// Parallel bounds the worker pool; 0 means one worker per host CPU.
-	// Forced to 1 when the scenario is Serial or any run sets
-	// Config.Workers (GOMAXPROCS is process-global, so such runs cannot
-	// share the host).
+	// Parallel bounds the local worker slots; 0 means one per host CPU.
+	// Forced to 1 when NeedsSerial says the runs cannot share the host.
 	Parallel int
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
-	// Cache, when non-nil, is consulted per RunSpec before simulating
-	// (hits are adopted via CacheLookup) and — in RunExpanded, after
-	// verification — receives every cacheable fresh record.
+	// Cache, when non-nil, is the sweep's record cache
+	// (SweepOptions.Cache).
 	Cache RecordCache
 }
 
-// Run expands the scenario and executes every run on the worker pool.
+// Run expands the scenario and executes every run on local worker slots.
 // The returned records are ordered by run index regardless of completion
 // order. The error joins all per-run failures (each failed run also
 // carries its message in Record.Error); records of successful runs are
@@ -112,35 +104,20 @@ func Run(s *Scenario, opt Options) ([]Record, error) {
 // RunExpanded executes specs previously produced by s.Expand(), for
 // callers that inspect the expansion (count it, log it) before running.
 func RunExpanded(s *Scenario, specs []RunSpec, opt Options) ([]Record, error) {
-	records, err := RunSpecs(specs, NeedsSerial(s, specs), opt)
-	if s.Verify {
-		VerifyParallel(records, opt.Parallel)
-	} else {
-		// A cache hit may carry checksum_ok from a verified past sweep;
-		// this sweep didn't ask, so drop it or the output would differ
-		// from a fresh unverified run (same rule as dispatch's merge).
-		for i := range records {
-			records[i].ChecksumOK = nil
-		}
-	}
-	if opt.Cache != nil {
-		// Put after verification so cached records carry their verdict;
-		// a failed verification keeps the record out entirely.
-		for i := range records {
-			if Cacheable(&records[i]) {
-				opt.Cache.Put(records[i])
-			}
-		}
-	}
-	return records, err
+	sw := NewSweep(specs, SweepOptions{
+		Serial:   NeedsSerial(s, specs),
+		Verify:   s.Verify,
+		Progress: opt.Progress,
+		Cache:    opt.Cache,
+	})
+	sw.Work(opt.Parallel)
+	return sw.Wait()
 }
 
-// NeedsSerial reports whether the scenario must run with one worker per
-// host process (Serial scenarios, runs that pin Config.Workers —
+// NeedsSerial reports whether the scenario must run with one worker slot
+// per host process (Serial scenarios, runs that pin Config.Workers —
 // GOMAXPROCS is process-global — and multi-process runs with pinned
-// fabric addresses, which would collide if run concurrently). The
-// dispatch coordinator forwards this to workers so a distributed sweep
-// honors the same constraint.
+// fabric addresses, which would collide if run concurrently).
 func NeedsSerial(s *Scenario, specs []RunSpec) bool {
 	if s.Serial {
 		return true
@@ -154,68 +131,6 @@ func NeedsSerial(s *Scenario, specs []RunSpec) bool {
 		}
 	}
 	return false
-}
-
-// RunSpecs executes pre-expanded specs (sharing Expand's spec layout)
-// with scenario-level options applied by the caller.
-func RunSpecs(specs []RunSpec, serial bool, opt Options) ([]Record, error) {
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if serial {
-		workers = 1
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	records := make([]Record, len(specs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	done := 0
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if rec, ok := CacheLookup(opt.Cache, &specs[i], ""); ok {
-					records[i] = rec
-				} else {
-					records[i] = Execute(&specs[i])
-				}
-				if opt.Progress != nil {
-					progressMu.Lock()
-					done++
-					r := &records[i]
-					status := fmt.Sprintf("%d cycles", r.SimCycles)
-					if r.Cached {
-						status += ", cached"
-					}
-					if r.Error != "" {
-						status = "ERROR: " + r.Error
-					}
-					fmt.Fprintf(opt.Progress, "[%d/%d] run %d %s %s (%.3fs, %s)\n",
-						done, len(specs), r.Run, r.Workload, axesString(r.Axes), r.WallSec, status)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	var errs []error
-	for i := range records {
-		if records[i].Error != "" {
-			errs = append(errs, fmt.Errorf("run %d (%s): %s", records[i].Run, records[i].Workload, records[i].Error))
-		}
-	}
-	return records, errors.Join(errs...)
 }
 
 // Execute runs one spec to completion, building and tearing down a
@@ -234,20 +149,8 @@ func Execute(spec *RunSpec) Record {
 // simulated cycle count in both the Record and the RunStats. rs is nil
 // when the record carries an error.
 func ExecuteStats(spec *RunSpec) (Record, *core.RunStats) {
-	rec := Record{
-		Schema:       RecordSchema,
-		Scenario:     spec.Scenario,
-		Run:          spec.Run,
-		Grid:         spec.Grid,
-		Point:        spec.Point,
-		Repeat:       spec.Repeat,
-		Workload:     spec.Workload,
-		Threads:      spec.Threads,
-		Scale:        spec.Scale,
-		Seed:         spec.Seed,
-		Axes:         spec.Axes,
-		ConfigDigest: Digest(&spec.Config),
-	}
+	var rec Record
+	stampIdentity(&rec, spec, Digest(&spec.Config))
 	if spec.Processes > 1 {
 		return executeMultiProcess(spec, rec)
 	}
@@ -309,7 +212,6 @@ func applyResultMem(rec *Record, rs *core.RunStats, buf []byte) {
 // transport are host-execution details the digest deliberately excludes —
 // so the record matches the in-process run of the same spec.
 func executeMultiProcess(spec *RunSpec, rec Record) (Record, *core.RunStats) {
-	rec.Processes = spec.Processes
 	cfg := spec.Config
 	cfg.Processes = spec.Processes
 	cfg.Transport = config.TransportTCP
@@ -369,7 +271,7 @@ type NativeKey struct {
 // NativeChecksum executes the native variant of a workload and returns its
 // checksum. ok is false for unknown workloads. The result is deterministic
 // for a given key, which is what lets distributed workers verify their own
-// records and still match a single-host Verify pass byte for byte.
+// records and still match a single-host sweep byte for byte.
 func NativeChecksum(k NativeKey) (float64, bool) {
 	w, found := workloads.Get(k.Workload)
 	if !found {
@@ -378,77 +280,46 @@ func NativeChecksum(k NativeKey) (float64, bool) {
 	return w.Native(workloads.Params{Threads: k.Threads, Scale: k.Scale}), true
 }
 
-// Verify runs the native variants of each distinct (workload, threads,
-// scale) in records and fills ChecksumOK, using one native execution per
-// distinct variant across all host CPUs.
-func Verify(records []Record) { VerifyParallel(records, 0) }
+// NativeMemo memoizes native checksums per NativeKey, so whoever verifies
+// records — a sweep, or a remote worker verifying its own — runs each
+// native variant once. Entries are per-key sync.Onces: concurrent callers
+// that miss on the same key wait for one native execution instead of each
+// running it, and distinct keys run concurrently. The zero value is ready
+// to use.
+type NativeMemo struct {
+	mu      sync.Mutex
+	entries map[NativeKey]*nativeEntry
+}
 
-// VerifyParallel is Verify with the native executions bounded by parallel
-// workers (0 = one per host CPU). The native runs were previously computed
-// serially after the sweep finished, making verification the long pole on
-// large verified grids; the checksums are independent, so they parallelize
-// like the sweep itself.
-func VerifyParallel(records []Record, parallel int) {
-	seen := map[NativeKey]bool{}
-	var keys []NativeKey
-	for i := range records {
-		r := &records[i]
-		if r.Error != "" {
-			continue
-		}
-		k := NativeKey{r.Workload, r.Threads, r.Scale}
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
+type nativeEntry struct {
+	once  sync.Once
+	val   float64
+	known bool
+}
+
+// Fill sets rec.ChecksumOK to whether the record's checksum matches its
+// native variant's. Error records and unknown workloads are left alone.
+func (m *NativeMemo) Fill(rec *Record) {
+	if rec.Error != "" {
 		return
 	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	k := NativeKey{rec.Workload, rec.Threads, rec.Scale}
+	m.mu.Lock()
+	if m.entries == nil {
+		m.entries = make(map[NativeKey]*nativeEntry)
 	}
-	if workers > len(keys) {
-		workers = len(keys)
+	e := m.entries[k]
+	if e == nil {
+		e = &nativeEntry{}
+		m.entries[k] = e
 	}
-	native := make([]float64, len(keys))
-	known := make([]bool, len(keys))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				native[i], known[i] = NativeChecksum(keys[i])
-			}
-		}()
+	m.mu.Unlock()
+	e.once.Do(func() { e.val, e.known = NativeChecksum(k) })
+	if !e.known {
+		return
 	}
-	for i := range keys {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	byKey := make(map[NativeKey]float64, len(keys))
-	for i, k := range keys {
-		if known[i] {
-			byKey[k] = native[i]
-		}
-	}
-	for i := range records {
-		r := &records[i]
-		if r.Error != "" {
-			continue
-		}
-		want, found := byKey[NativeKey{r.Workload, r.Threads, r.Scale}]
-		if !found {
-			continue
-		}
-		ok := workloads.Close(r.Checksum, want)
-		r.ChecksumOK = &ok
-	}
+	ok := workloads.Close(rec.Checksum, e.val)
+	rec.ChecksumOK = &ok
 }
 
 // WriteJSONL writes one compact JSON object per line. Field order and

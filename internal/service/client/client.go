@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // Client talks to one graphited daemon. The zero value is not usable;
@@ -136,8 +138,7 @@ var errSink = errors.New("record sink write failed")
 // surface immediately, as does ctx cancellation. It returns the number
 // of complete lines written; partial lines are never written.
 func (c *Client) StreamRecords(ctx context.Context, id string, from int, w io.Writer) (n int, err error) {
-	backoff := 100 * time.Millisecond
-	const maxBackoff = 5 * time.Second
+	retry := backoff.Backoff{Base: 100 * time.Millisecond, Cap: 5 * time.Second}
 	for dry := 0; ; {
 		m, err := c.streamOnce(ctx, id, from+n, w)
 		n += m
@@ -149,17 +150,15 @@ func (c *Client) StreamRecords(ctx context.Context, id string, from int, w io.Wr
 			return n, err
 		}
 		if m > 0 {
-			dry, backoff = 0, 100*time.Millisecond
+			dry = 0
+			retry.Reset()
 		} else if dry++; dry >= streamRetries {
 			return n, err
 		}
 		select {
 		case <-ctx.Done():
 			return n, fmt.Errorf("client: record stream: %w", ctx.Err())
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		case <-time.After(retry.Next()):
 		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// recordLog accumulates one job's merged JSONL output and hands complete
-// lines to any number of concurrent streamers. The dispatch coordinator
-// is its only writer: Options.Out receives record i exactly when records
-// 0..i are all complete (coordinator flush discipline, DESIGN.md §11), so
+// recordLog accumulates one job's JSONL output and hands complete lines
+// to any number of concurrent streamers. The job's sweep is its only
+// writer: SweepOptions.Out receives record i exactly when records 0..i
+// are all complete (the sweep's flush discipline, DESIGN.md §10), so
 // the log's line order IS run-index order and a streamer that has read i
 // lines resumes losslessly from line i — that single property is what
 // makes GET /v1/jobs/{id}/records?from= sound without any bookkeeping
@@ -35,7 +35,7 @@ func newRecordLog(onLine func()) *recordLog {
 	return l
 }
 
-// Write implements io.Writer for the coordinator's Options.Out.
+// Write implements io.Writer for the sweep's SweepOptions.Out.
 func (l *recordLog) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	completed := 0

@@ -1,22 +1,23 @@
 // Package service implements graphited, the long-lived
-// simulation-as-a-service daemon: an HTTP front end over the distributed
-// sweep machinery of internal/scenario/dispatch. Clients POST a scenario
-// (the same JSON schema graphite-sweep -scenario reads) to /v1/jobs and
-// get back a job ID; the daemon expands the scenario, runs it through a
-// dispatch coordinator backed by its worker fleet and shared record
-// cache, and streams the merged JSONL back from /v1/jobs/{id}/records —
-// incrementally, in run-index order, resumable via ?from=.
+// simulation-as-a-service daemon: an HTTP front end over the sweep engine
+// of internal/scenario. Clients POST a scenario (the same JSON schema
+// graphite-sweep -scenario reads) to /v1/jobs and get back a job ID; the
+// daemon expands the scenario, runs it as a sweep on its worker fleet and
+// shared record cache, and streams the JSONL back from
+// /v1/jobs/{id}/records — incrementally, in run-index order, resumable
+// via ?from=.
 //
 // The daemon is deliberately a thin shell over existing, separately
-// tested layers. A job IS a dispatch.Coordinator: queueing, in-flight
-// requeue on worker death, run-index-ordered merging, verification
-// backfill, and record-cache adoption all come from PR 3/PR 6 machinery
-// unchanged, which is what makes a daemon-served sweep byte-identical to
-// graphite-sweep output up to the wall-clock fields (DESIGN.md §15).
+// tested layers. A job IS a scenario.Sweep behind a dispatch.Coordinator:
+// queueing, requeue on worker death, run-index-ordered output,
+// verification and record-cache adoption are the sweep engine's, the same
+// one graphite-sweep runs on, which is what makes a daemon-served sweep
+// byte-identical to graphite-sweep output up to the wall-clock fields
+// (DESIGN.md, "Sweep engine").
 //
 // Job lifecycle: queued → running → done | failed. A job fails when any
 // run ends with an error — including cancellation, which stamps every
-// unfinished run with an error record via Coordinator.Cancel. Results
+// unfinished run with an error record via Sweep.Cancel. Results
 // live in memory for the daemon's lifetime; durability across restarts
 // is the record cache's job (resubmitting a scenario to a restarted
 // daemon with the same -cache directory replays it without simulating).
@@ -59,11 +60,11 @@ type Options struct {
 	// from fighting over the host.
 	MaxActive int
 	// Cache, when non-nil, is the record cache shared by every job: each
-	// job's coordinator consults it before dispatching and feeds verified
+	// job's sweep consults it before queueing runs and feeds verified
 	// records back. The Server does not own it — the caller closes it
 	// after Close.
 	Cache *recordcache.Cache
-	// Progress, when non-nil, receives the coordinators' per-run progress
+	// Progress, when non-nil, receives the sweeps' per-run progress
 	// lines (the daemon's stderr, typically).
 	Progress io.Writer
 	// Log, when non-nil, receives one structured access-log line per
@@ -218,16 +219,18 @@ func (s *Server) scheduleLocked() {
 	}
 }
 
-// runJob drives one job start-to-finish: build the coordinator, attach
-// the in-process fleet, wait, settle. It owns the job's running→terminal
-// transition.
+// runJob drives one job start-to-finish: build the coordinator (and with
+// it the job's sweep), attach the in-process fleet, wait, settle. It owns
+// the job's running→terminal transition.
 func (s *Server) runJob(j *Job) {
 	opt := dispatch.Options{
-		Addr:     "127.0.0.1:0",
-		Serial:   scenario.NeedsSerial(j.sc, j.specs),
-		Verify:   j.sc.Verify,
-		Out:      j.log,
-		Progress: s.opt.Progress,
+		Addr: "127.0.0.1:0",
+		SweepOptions: scenario.SweepOptions{
+			Serial:   scenario.NeedsSerial(j.sc, j.specs),
+			Verify:   j.sc.Verify,
+			Out:      j.log,
+			Progress: s.opt.Progress,
+		},
 	}
 	if s.opt.Cache != nil {
 		opt.Cache = s.opt.Cache
@@ -244,15 +247,23 @@ func (s *Server) runJob(j *Job) {
 	if canceled {
 		coord.Cancel(cancelReason)
 	}
-	// Attach the fleet only if the cache left anything to execute: a
-	// fully warm job completes before a worker could even say hello, and
-	// the worker's dial-after-close error would be noise.
+	// The in-process fleet attaches over loopback like any external
+	// worker, not with Sweep.Work, and that is deliberate: between runs a
+	// wire slot waits on its socket, which leaves a P with nothing to run,
+	// and the Go scheduler polls the network only from such a P (or from
+	// sysmon, every 10 ms). Local slots never wait, so with one per CPU
+	// everything in the process that waits on a socket — record streams,
+	// status requests, external workers' frames — would be noticed up to
+	// 10 ms late while a job runs (measured: first record 15 → 22 ms on
+	// the sweep-svc benchmark). A job the cache served completely attaches
+	// nothing: Wait below closes the listener at once and the fleet's dial
+	// would only find it gone.
 	if done, total := coord.Progress(); done < total && s.workers > 0 {
 		go func() {
 			err := dispatch.Work(coord.Addr(), dispatch.WorkerOptions{Parallel: s.workers})
 			if err != nil && s.opt.Progress != nil {
 				// Expected on Cancel (connections are closed under the
-				// workers); worth a line, never fatal — the coordinator's
+				// workers); worth a line, never fatal — the sweep's
 				// requeue discipline owns correctness.
 				fmt.Fprintf(s.opt.Progress, "job %s: worker fleet: %v\n", j.id, err)
 			}
@@ -263,8 +274,7 @@ func (s *Server) runJob(j *Job) {
 }
 
 // cancelReason is the error stamped into every run a cancellation
-// abandons — the service analogue of the coordinator's abandonment
-// records.
+// abandons — the service analogue of the sweep's abandonment records.
 const cancelReason = "dispatch: job canceled"
 
 // settle moves a job to its terminal state and frees its scheduler slot.

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,14 @@ func newTestService(t *testing.T, opt Options) (*Server, *client.Client) {
 	return svc, cl
 }
 
+// testContext bounds every client call of a test, so a job that never
+// settles fails the test in seconds instead of hanging it.
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // referenceJSONL executes the test scenario locally and returns its
 // stripped JSONL — the byte-identity baseline for daemon-served output.
 func referenceJSONL(t *testing.T) string {
@@ -96,7 +105,7 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	defer cache.Close()
 	svc, cl := newTestService(t, Options{Workers: 2, Cache: cache})
-	ctx := context.Background()
+	ctx := testContext(t)
 	want := referenceJSONL(t)
 
 	// Cold submission: everything executes.
@@ -212,7 +221,7 @@ func httpGet(t *testing.T, svc *Server, path string) string {
 // the cancel error, and end open record streams.
 func TestCancelRunningJob(t *testing.T) {
 	_, cl := newTestService(t, Options{Workers: -1})
-	ctx := context.Background()
+	ctx := testContext(t)
 	st, err := cl.Submit(ctx, []byte(testScenarioJSON))
 	if err != nil {
 		t.Fatal(err)
@@ -257,11 +266,76 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestCancelWhileFleetRunning: DELETE of a job whose runs are executing on
+// the in-process fleet settles it as failed at once — the run in flight
+// burns to completion and its record is dropped with the connection —
+// every record the fleet did not finish carries the cancel error, and the
+// fleet's goroutines exit.
+func TestCancelWhileFleetRunning(t *testing.T) {
+	_, cl := newTestService(t, Options{Workers: 1})
+	ctx := testContext(t)
+	// 64 runs on one slot: long enough that the cancel lands mid-sweep.
+	body := strings.Replace(testScenarioJSON, `"seed": 1,`, `"seed": 1, "repeats": 16,`, 1)
+	st, err := cl.Submit(ctx, []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once the first record is out, the slot is executing a later run.
+	for {
+		js, err := cl.Job(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.RunsDone > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cl.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.WaitTerminal(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateFailed || !strings.Contains(final.Error, "canceled") {
+		t.Fatalf("canceled job settled as %+v", final)
+	}
+	if final.RunsExecuted == 0 || final.RunsExecuted == final.RunsTotal || final.RunsDone != final.RunsTotal {
+		t.Fatalf("cancel did not land mid-sweep: %+v", final)
+	}
+
+	// No leak: the fleet's slots return once their in-flight run ends.
+	fleet := func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("dispatch.Work"))
+	}
+	for deadline := time.Now().Add(30 * time.Second); fleet(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fleet goroutines still running 30s after the cancel")
+		}
+	}
+
+	// The abandoned run changed nothing: exactly the runs executed before
+	// the cancel carry results, in a stream of all 64.
+	after, err := cl.Job(ctx, st.ID)
+	if err != nil || after.RunsExecuted != final.RunsExecuted {
+		t.Fatalf("status moved after settling: %+v → %+v, %v", final, after, err)
+	}
+	var buf bytes.Buffer
+	if n, err := cl.StreamRecords(ctx, st.ID, 0, &buf); err != nil || n != final.RunsTotal {
+		t.Fatalf("stream: %d lines, %v", n, err)
+	}
+	if clean := final.RunsTotal - bytes.Count(buf.Bytes(), []byte(`"error":"dispatch: job canceled"`)); clean != final.RunsExecuted {
+		t.Fatalf("%d records without the cancel error, want the %d executed", clean, final.RunsExecuted)
+	}
+}
+
 // TestCancelQueuedJob: a job canceled while waiting for a slot never
 // runs and serves an empty record stream.
 func TestCancelQueuedJob(t *testing.T) {
 	_, cl := newTestService(t, Options{Workers: -1, MaxActive: 1})
-	ctx := context.Background()
+	ctx := testContext(t)
 	// First job occupies the only slot (no workers — it never finishes).
 	blocker, err := cl.Submit(ctx, []byte(testScenarioJSON))
 	if err != nil {
@@ -301,7 +375,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // inline here: length-prefixed JSON frames).
 func TestWorkerDeathRequeue(t *testing.T) {
 	_, cl := newTestService(t, Options{Workers: -1})
-	ctx := context.Background()
+	ctx := testContext(t)
 	st, err := cl.Submit(ctx, []byte(testScenarioJSON))
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +482,7 @@ func readFrame(t *testing.T, r *bufio.Reader) map[string]any {
 // with a diagnostic, not on a queued job later.
 func TestSubmitRejectsBadScenarios(t *testing.T) {
 	_, cl := newTestService(t, Options{Workers: -1})
-	ctx := context.Background()
+	ctx := testContext(t)
 	for _, bad := range []string{
 		`not json`,
 		`{"name":"x","grids":[]}`,
@@ -431,7 +505,7 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 // served.
 func TestDrainRejectsNewJobs(t *testing.T) {
 	svc, cl := newTestService(t, Options{Workers: -1})
-	ctx := context.Background()
+	ctx := testContext(t)
 	st, err := cl.Submit(ctx, []byte(testScenarioJSON))
 	if err != nil {
 		t.Fatal(err)

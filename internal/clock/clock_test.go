@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/arch"
 )
@@ -133,22 +134,73 @@ func TestProgressWindowOutlierDamping(t *testing.T) {
 }
 
 func TestProgressWindowConcurrent(t *testing.T) {
-	w := NewProgressWindow(32)
+	// Goroutines mix the self-locking calls with multi-step transactions
+	// under Lock, as tiles' servers and route walks do. No caller may see
+	// progress regress, and at quiescence the running sum must equal the
+	// ring it summarizes.
+	w := NewProgressWindow(33)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
+			prev := arch.Cycles(0)
 			for i := 1; i <= 2_000; i++ {
-				w.Observe(arch.Cycles(i))
-				_ = w.Now()
+				var got arch.Cycles
+				if (i+g)%3 == 0 {
+					w.Lock()
+					for k := 0; k < 4; k++ {
+						w.ObserveLocked(arch.Cycles(i))
+						got = w.NowLocked()
+					}
+					w.Unlock()
+				} else {
+					w.Observe(arch.Cycles(i))
+					got = w.Now()
+				}
+				if got < prev {
+					t.Errorf("progress regressed: %d after %d", got, prev)
+					return
+				}
+				prev = got
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	got := w.Now()
 	if got <= 0 || got > 2_000 {
 		t.Fatalf("window average %d outside observed range", got)
+	}
+	var slots int64
+	for _, v := range w.slots {
+		slots += v
+	}
+	if w.sum != slots {
+		t.Fatalf("running sum %d, slots sum to %d", w.sum, slots)
+	}
+}
+
+func TestProgressWindowFillsItsCacheLines(t *testing.T) {
+	// The padding in ProgressWindow is sized by hand; a new field must
+	// shrink it, not push the struct into a size class that straddles
+	// cache lines shared with other objects.
+	if size := unsafe.Sizeof(ProgressWindow{}); size != 128 {
+		t.Fatalf("ProgressWindow is %d bytes, want 128 (adjust the padding)", size)
+	}
+}
+
+func TestProgressWindowHugeTimestamps(t *testing.T) {
+	// Beyond mulSafe the floor test by multiplication would overflow;
+	// Now must fall back to the division and stay exact.
+	w := NewProgressWindow(1024)
+	const huge = arch.Cycles(1) << 61
+	w.Observe(huge)
+	if got := w.Now(); got != huge {
+		t.Fatalf("one huge sample: Now() = %d, want %d", got, huge)
+	}
+	w.Observe(0)
+	if got := w.Now(); got != huge {
+		t.Fatalf("floor lost: Now() = %d, want %d", got, huge)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/coremodel"
 	"repro/internal/mcp"
+	"repro/internal/simtest"
 )
 
 // ckptProgram interleaves compute, shared-memory contention, and enough
@@ -71,7 +72,7 @@ func TestCheckpointRestoreIdentity(t *testing.T) {
 		OnSaved:      func(epoch int64, m *checkpoint.Manifest) { saved++ },
 		OnError:      func(err error) { t.Errorf("checkpoint error: %v", err) },
 	})
-	if _, err := c.Run(0); err != nil {
+	if _, err := runCluster(t, c, 0); err != nil {
 		t.Fatal(err)
 	}
 	if saved == 0 {
@@ -137,7 +138,7 @@ func TestCheckpointDeterministicDigests(t *testing.T) {
 		}
 		defer c.Close()
 		c.SetCheckpoint(&mcp.CheckpointPolicy{Dir: dir, Every: 2, ConfigDigest: "test-digest"})
-		if _, err := c.Run(0); err != nil {
+		if _, err := runCluster(t, c, 0); err != nil {
 			t.Fatal(err)
 		}
 		ms, err := checkpoint.LoadManifests(dir)
@@ -185,14 +186,16 @@ func TestCheckpointVerifyMismatchFatal(t *testing.T) {
 		_, err := c.Run(0)
 		done <- err
 	}()
-	select {
-	case err := <-c.CkptFailed():
-		if err == nil {
-			t.Fatal("nil error on CkptFailed")
+	simtest.Deadline(t, runDeadline, func() {
+		select {
+		case err := <-c.CkptFailed():
+			if err == nil {
+				t.Error("nil error on CkptFailed")
+			}
+		case err := <-done:
+			t.Errorf("run completed (err=%v) despite digest mismatch", err)
 		}
-	case err := <-done:
-		t.Fatalf("run completed (err=%v) despite digest mismatch", err)
-	}
+	})
 	// The run is wedged by design (the epoch release was withheld);
 	// Close tears it down via the deferred cleanup.
 }

@@ -3,12 +3,27 @@ package core
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/coremodel"
 	"repro/internal/mcp"
+	"repro/internal/simtest"
 )
+
+// runDeadline bounds one test simulation; the longest takes seconds, also
+// under the race detector.
+const runDeadline = 2 * time.Minute
+
+// runCluster is c.Run(arg) under runDeadline: a simulation that wedges
+// fails its test with every goroutine's stack instead of idling into the
+// package timeout. Every test in this package runs its cluster through it.
+func runCluster(t testing.TB, c *Cluster, arg uint64) (rs *RunStats, err error) {
+	t.Helper()
+	simtest.Deadline(t, runDeadline, func() { rs, err = c.Run(arg) })
+	return rs, err
+}
 
 func testCfg(tiles, procs int) config.Config {
 	cfg := config.Default()
@@ -28,7 +43,7 @@ func run(t *testing.T, cfg config.Config, prog Program, arg uint64) (*RunStats, 
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	rs, err := c.Run(arg)
+	rs, err := runCluster(t, c, arg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +516,7 @@ func TestPeekPokeAroundRun(t *testing.T) {
 	var in [8]byte
 	in[0] = 21
 	c.Poke(base, in[:])
-	if _, err := c.Run(uint64(base)); err != nil {
+	if _, err := runCluster(t, c, uint64(base)); err != nil {
 		t.Fatal(err)
 	}
 	var out [8]byte

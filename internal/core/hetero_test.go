@@ -161,7 +161,7 @@ func TestFunctionalDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := c.Run(0)
+		rs, err := runCluster(t, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,13 @@ func (s *Store) Alloc() Ref {
 		// First entry of an unhinted store: jump straight to a useful
 		// capacity. Growing seven parallel slices through append's early
 		// doubling schedule costs ~40 small allocations per shard before
-		// reaching this size; one presize costs seven. Shards never
-		// touched (every line homed elsewhere) still cost nothing.
-		s.presize(64)
+		// reaching 64 entries; one presize costs seven. The capacity is
+		// sized by sharer-vector width — 64 entries up to 64 tiles (and
+		// for Dir_iNB), four at 1024 tiles, where 64 would reserve 8 KB
+		// of sharer bits in a shard that homes a line or two — and
+		// amortized doubling does the rest. Shards never touched (every
+		// line homed elsewhere) still cost nothing.
+		s.presize(max(4, 64/max(1, s.stride)))
 	}
 	i := int32(len(s.owners))
 	s.owners = append(s.owners, arch.InvalidTile)

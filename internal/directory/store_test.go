@@ -165,3 +165,47 @@ func TestStoreManyEntries(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstAllocSizedBySharerWidth pins what a shard reserves for its
+// first line: 64 entries where an entry's sharer bits are one word (and
+// for Dir_iNB, which has none), but no more than 1 KB of sharer bits at
+// 1024 tiles, where most shards home a line or two.
+func TestFirstAllocSizedBySharerWidth(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     config.CoherenceConfig
+		tiles   int
+		entries int
+	}{
+		{"fullmap-4", config.CoherenceConfig{Kind: config.FullMap}, 4, 64},
+		{"fullmap-64", config.CoherenceConfig{Kind: config.FullMap}, 64, 64},
+		{"limitless-64", config.CoherenceConfig{Kind: config.LimitLESS, DirPointers: 4}, 64, 64},
+		{"dirnb-1024", config.CoherenceConfig{Kind: config.LimitedNB, DirPointers: 4}, 1024, 64},
+		{"fullmap-256", config.CoherenceConfig{Kind: config.FullMap}, 256, 16},
+		{"fullmap-1024", config.CoherenceConfig{Kind: config.FullMap}, 1024, 4},
+	} {
+		s := NewStore(c.cfg, c.tiles, 0)
+		if cap(s.owners) != 0 {
+			t.Fatalf("%s: untouched store holds capacity %d", c.name, cap(s.owners))
+		}
+		s.Alloc()
+		if cap(s.owners) != c.entries {
+			t.Errorf("%s: first Alloc reserved %d entries, want %d", c.name, cap(s.owners), c.entries)
+		}
+		if bytes := cap(s.bits) * 8; bytes > 1024 {
+			t.Errorf("%s: first Alloc reserved %d bytes of sharer bits, want at most 1024", c.name, bytes)
+		}
+	}
+	// Growth past the first reservation keeps every entry intact.
+	s := NewStore(config.CoherenceConfig{Kind: config.FullMap}, 1024, 0)
+	refs := make([]Ref, 100)
+	for i := range refs {
+		refs[i] = s.Alloc()
+		refs[i].AddSharer(arch.TileID(1023 - i))
+	}
+	for i := range refs {
+		if !refs[i].ContainsSharer(arch.TileID(1023-i)) || refs[i].SharerCount() != 1 {
+			t.Fatalf("entry %d lost its sharer across growth", i)
+		}
+	}
+}

@@ -23,26 +23,34 @@ import (
 type Controller struct {
 	latency  arch.Cycles
 	service  arch.Cycles // per-line service time from partitioned bandwidth
-	queue    *queuemodel.Queue
 	lineSize int
 
+	// queue is the controller's lax contention queue, guarded by
+	// progress's lock; progress is nil when queue modeling is off.
+	queue    queuemodel.Queue
+	progress *clock.ProgressWindow
+
 	store map[uint64][]byte // line address -> line data
-	// slab carves line buffers in chunks: one allocation per
-	// dramSlabLines lines touched instead of one per line.
-	slab []byte
+	// slab carves line buffers in chunks that double from one line up to
+	// dramSlabLines: a controller homing a handful of lines (the common
+	// case at a thousand tiles) holds a handful of lines, a busy one
+	// pays one allocation per dramSlabLines lines touched.
+	slab      []byte
+	slabLines int // size of the last chunk, in lines
 
 	// Statistics.
 	Reads, Writes   uint64
 	TotalQueueDelay arch.Cycles
 }
 
-// dramSlabLines is the slab chunk size in lines.
+// dramSlabLines is the largest slab chunk, in lines.
 const dramSlabLines = 256
 
 // lineBuf carves storage for one newly touched line.
 func (c *Controller) lineBuf() []byte {
 	if len(c.slab) < c.lineSize {
-		c.slab = make([]byte, dramSlabLines*c.lineSize)
+		c.slabLines = min(max(1, 2*c.slabLines), dramSlabLines)
+		c.slab = make([]byte, c.slabLines*c.lineSize)
 	}
 	b := c.slab[:c.lineSize:c.lineSize]
 	c.slab = c.slab[c.lineSize:]
@@ -62,7 +70,7 @@ func New(cfg *config.Config, progress *clock.ProgressWindow) *Controller {
 		store:    make(map[uint64][]byte),
 	}
 	if cfg.DRAM.QueueModel && progress != nil {
-		c.queue = queuemodel.New(progress)
+		c.progress = progress
 	}
 	return c
 }
@@ -124,8 +132,8 @@ func (c *Controller) Poke(line uint64, off int, src []byte) {
 
 func (c *Controller) access(now arch.Cycles) arch.Cycles {
 	lat := c.latency + c.service
-	if c.queue != nil {
-		d := c.queue.Delay(now, c.service)
+	if c.progress != nil {
+		d := c.queue.Delay(c.progress, now, c.service)
 		c.TotalQueueDelay += d
 		lat += d
 	}

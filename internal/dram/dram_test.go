@@ -117,3 +117,29 @@ func TestPeekPoke(t *testing.T) {
 		t.Fatalf("Lines() = %d, want 1 (Peek must not allocate)", c.Lines())
 	}
 }
+
+func TestLineStorageStartsSmallAndDoubles(t *testing.T) {
+	// A controller that homes one line holds one line of slab, not
+	// dramSlabLines; chunks double up to dramSlabLines and stay there.
+	c := newCtl(1024, false)
+	src := bytes.Repeat([]byte{0xA5}, 64)
+	c.WriteLine(0, src, 0)
+	if c.slabLines != 1 {
+		t.Fatalf("first line took a %d-line chunk, want 1", c.slabLines)
+	}
+	const lines = 3 * dramSlabLines
+	for l := uint64(1); l < lines; l++ {
+		src[0] = byte(l)
+		c.WriteLine(l, src, 0)
+	}
+	if c.slabLines != dramSlabLines {
+		t.Fatalf("chunk size settled at %d lines, want %d", c.slabLines, dramSlabLines)
+	}
+	dst := make([]byte, 64)
+	for l := uint64(1); l < lines; l++ {
+		c.ReadLine(l, dst, 0)
+		if dst[0] != byte(l) || dst[63] != 0xA5 {
+			t.Fatalf("line %d read back %x..%x", l, dst[0], dst[63])
+		}
+	}
+}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"repro/internal/config"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/core"
 )
 
 func TestDiagFig9Shape(t *testing.T) {
@@ -13,10 +15,10 @@ func TestDiagFig9Shape(t *testing.T) {
 		for _, tiles := range []int{1, 2, 4, 8, 16, 32} {
 			cfg := baseConfig(tiles)
 			cfg.Coherence = config.CoherenceConfig{Kind: sch.Kind, DirPointers: sch.Ptrs, TrapLatency: 100, DirLatency: 10}
-			rs, _, err := runOnce("blackscholes", tiles, 10, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rs := bounded(t, func() (*core.RunStats, error) {
+				rs, _, err := runOnce("blackscholes", tiles, 10, cfg)
+				return rs, err
+			})
 			if base == 0 {
 				base = float64(rs.SimulatedCycles)
 			}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
+	"repro/internal/simtest"
 	"repro/internal/stats"
 )
 
@@ -67,10 +69,7 @@ func TestTable1Print(t *testing.T) {
 }
 
 func TestFig4Quick(t *testing.T) {
-	res, err := Fig4(Quick, []string{"radix"}, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Fig4Result, error) { return Fig4(Quick, []string{"radix"}, []int{1, 2}) })
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -85,10 +84,7 @@ func TestFig4Quick(t *testing.T) {
 }
 
 func TestTable2Quick(t *testing.T) {
-	res, err := Table2(Quick, []string{"fmm", "radix"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Table2Result, error) { return Table2(Quick, []string{"fmm", "radix"}) })
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -111,10 +107,7 @@ func TestTable2Quick(t *testing.T) {
 }
 
 func TestFig5Quick(t *testing.T) {
-	res, err := Fig5(Quick, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Fig5Result, error) { return Fig5(Quick, []int{1, 2}) })
 	if len(res.Points) != 2 || res.TargetTiles != 64 {
 		t.Fatalf("unexpected result %+v", res)
 	}
@@ -126,10 +119,7 @@ func TestFig5Quick(t *testing.T) {
 }
 
 func TestTable3Quick(t *testing.T) {
-	res, err := Table3(Quick, []string{"radix"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Table3Result, error) { return Table3(Quick, []string{"radix"}, 2) })
 	// 1 benchmark x 3 models x 2 process counts.
 	if len(res.Cells) != 6 {
 		t.Fatalf("cells = %d", len(res.Cells))
@@ -153,10 +143,7 @@ func TestTable3Quick(t *testing.T) {
 }
 
 func TestFig7Quick(t *testing.T) {
-	res, err := Fig7(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Fig7Result, error) { return Fig7(Quick) })
 	if len(res.Traces) != 3 {
 		t.Fatalf("traces = %d", len(res.Traces))
 	}
@@ -168,10 +155,7 @@ func TestFig7Quick(t *testing.T) {
 }
 
 func TestFig8Quick(t *testing.T) {
-	res, err := Fig8(Quick, []string{"lu_cont", "radix"}, []int{32, 256}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Fig8Result, error) { return Fig8(Quick, []string{"lu_cont", "radix"}, []int{32, 256}, 0) })
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -196,10 +180,7 @@ func TestFig8Quick(t *testing.T) {
 }
 
 func TestFig9Quick(t *testing.T) {
-	res, err := Fig9(Quick, []int{1, 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*Fig9Result, error) { return Fig9(Quick, []int{1, 4}, 0) })
 	// 4 schemes x 2 tile counts.
 	if len(res.Points) != 8 {
 		t.Fatalf("points = %d", len(res.Points))
@@ -217,4 +198,23 @@ func TestFig9Quick(t *testing.T) {
 	if !strings.Contains(buf.String(), "LimitLESS4") {
 		t.Fatal("print missing scheme")
 	}
+}
+
+// expDeadline bounds one experiment of a test: the slowest takes seconds,
+// the 256-tile host-scaling point under the race detector a minute.
+const expDeadline = 5 * time.Minute
+
+// bounded runs one experiment — some number of simulations — under
+// expDeadline, so that a wedged simulation fails its test with every
+// goroutine's stack instead of idling into the package timeout. Every
+// test in this package that simulates goes through it.
+func bounded[T any](t *testing.T, fn func() (T, error)) T {
+	t.Helper()
+	var v T
+	var err error
+	simtest.Deadline(t, expDeadline, func() { v, err = fn() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

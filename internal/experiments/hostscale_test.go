@@ -7,10 +7,7 @@ import (
 )
 
 func TestHostScaleQuick(t *testing.T) {
-	res, err := HostScale(Quick, []int{16}, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*HostScaleResult, error) { return HostScale(Quick, []int{16}, []int{1, 2}) })
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -39,10 +36,7 @@ func TestHostScaleQuick(t *testing.T) {
 // test reaches, and re-asserts the worker-count result-identity contract
 // there.
 func TestHostScaleSmoke256(t *testing.T) {
-	res, err := HostScale(Quick, []int{256}, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bounded(t, func() (*HostScaleResult, error) { return HostScale(Quick, []int{256}, []int{1, 2}) })
 	for _, p := range res.Points {
 		if !p.Identical {
 			t.Errorf("256-tile workers=%d result diverged from 1-worker run", p.Workers)

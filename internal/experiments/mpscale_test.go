@@ -16,10 +16,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestMPScaleQuick(t *testing.T) {
-	r, err := MPScale(Quick, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := bounded(t, func() (*MPScaleResult, error) { return MPScale(Quick, []int{1, 2}) })
 	if len(r.Points) != 2 {
 		t.Fatalf("got %d points, want 2", len(r.Points))
 	}

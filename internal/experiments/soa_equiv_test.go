@@ -83,10 +83,13 @@ func runSoASuite(t *testing.T) []soaGoldenLine {
 	t.Helper()
 	var out []soaGoldenLine
 	for _, sc := range soaSuite(t) {
-		records, err := scenario.Run(sc, scenario.Options{})
-		if err != nil {
-			t.Fatalf("scenario %s: %v", sc.Name, err)
-		}
+		records := bounded(t, func() ([]scenario.Record, error) {
+			records, err := scenario.Run(sc, scenario.Options{})
+			if err != nil {
+				err = fmt.Errorf("scenario %s: %w", sc.Name, err)
+			}
+			return records, err
+		})
 		for i := range records {
 			out = append(out, goldenLine(&records[i]))
 		}

@@ -165,14 +165,32 @@ func (s *Server) StartMain(arg uint64) error {
 	return nil
 }
 
+// pickTile claims a tile for a new thread: the lowest tile that has never
+// run one, or, once every tile has, the lowest free tile. Thread IDs are
+// tile IDs and workloads address their neighbours by worker index
+// (matmul's ring), so a program that spawns its workers in a row must find
+// worker i on tile i whatever the order in which early finishers exit: a
+// later spawn on a finished worker's tile would give two ring positions one
+// ID, and their neighbours would wait forever. It also keeps an exited
+// thread's record joinable until tiles run out.
 func (s *Server) pickTile() arch.TileID {
+	reuse := arch.InvalidTile
 	for i, busy := range s.tileBusy {
-		if !busy {
+		if busy {
+			continue
+		}
+		if s.threads[arch.ThreadID(i)] == nil {
 			s.tileBusy[i] = true
 			return arch.TileID(i)
 		}
+		if reuse == arch.InvalidTile {
+			reuse = arch.TileID(i)
+		}
 	}
-	return arch.InvalidTile
+	if reuse != arch.InvalidTile {
+		s.tileBusy[reuse] = true
+	}
+	return reuse
 }
 
 func (s *Server) sendToLCP(tile arch.TileID, st StartThread, when arch.Cycles) {

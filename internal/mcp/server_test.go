@@ -415,3 +415,46 @@ func TestMallocExhaustionRepliesZero(t *testing.T) {
 		t.Fatal("allocation failed after exhaustion probe")
 	}
 }
+
+// TestSpawnPrefersNeverUsedTiles: a program spawning its workers in a row
+// must find worker i on tile i even when an earlier worker has already
+// exited (matmul's workers address ring neighbours by index, and thread
+// IDs are tile IDs). A freed tile is reused only once no fresh one is left.
+func TestSpawnPrefersNeverUsedTiles(t *testing.T) {
+	h := newHarness(t, 4)
+	if err := h.srv.StartMain(0); err != nil {
+		t.Fatal(err)
+	}
+	h.lcp.Recv(network.ClassSystem)
+	spawn := func(at arch.Cycles) uint64 {
+		t.Helper()
+		h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), at)
+		tid, _, err := DecodeU64Pair(h.recv(t, 0).Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tid != ^uint64(0) {
+			h.lcp.Recv(network.ClassSystem)
+		}
+		return tid
+	}
+	for want := uint64(1); want <= 2; want++ {
+		if tid := spawn(100); tid != want {
+			t.Fatalf("spawn %d landed on tile %d", want, tid)
+		}
+	}
+	// Worker 1 exits before the third spawn: that spawn still gets tile 3.
+	h.send(1, MsgThreadExit, nil, 200)
+	h.send(0, MsgJoin, EncodeU64(1), 300) // orders the exit before the spawn
+	h.recv(t, 0)
+	if tid := spawn(400); tid != 3 {
+		t.Fatalf("third spawn landed on tile %d, want the never-used tile 3", tid)
+	}
+	// With every tile used, the freed one is handed out again.
+	if tid := spawn(500); tid != 1 {
+		t.Fatalf("fourth spawn landed on tile %d, want the freed tile 1", tid)
+	}
+	if tid := spawn(600); tid != ^uint64(0) {
+		t.Fatalf("fifth spawn got tile %d with no tile free", tid)
+	}
+}

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/network"
+	"repro/internal/simtest"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
@@ -574,4 +576,22 @@ func BenchmarkLocalHitPath256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.Read(0x9000, buf, arch.Cycles(i))
 	}
+}
+
+// TestAccessAfterTeardownReturns pins the teardown contract a wedged run
+// relies on: a core that misses, peeks or pokes for the first time after
+// its tile's server has already exited (Cluster.Close racing a thread that
+// is still computing) must come back, not wait for a completion nobody is
+// left to send.
+func TestAccessAfterTeardownReturns(t *testing.T) {
+	c := newCluster(t, testConfig(2))
+	c.close()
+	simtest.Deadline(t, 30*time.Second, func() {
+		buf := make([]byte, 8)
+		c.nodes[0].Read(0x1040, buf, 0)  // homed remotely
+		c.nodes[1].Write(0x1040, buf, 0) // a second tile, a write
+		c.nodes[0].Read(0x2080, buf, 10) // and again on the same tile
+		c.nodes[0].Peek(0x1040, buf)
+		c.nodes[0].Poke(0x1040, buf)
+	})
 }

@@ -51,13 +51,13 @@ const maxDrain = 64
 func (n *Node) Serve() {
 	defer func() {
 		// Teardown: unblock a core waiting on a completion that will never
-		// arrive. The request slot is dead from here on.
+		// arrive, and every request a still-running thread stages from
+		// here on — each finds the channel closed and returns at once, so
+		// Cluster.Close can wait for the thread. The request slot is dead
+		// from here on.
 		n.mu.Lock()
-		if n.pending != nil {
-			done := n.pending.done
-			n.pending = nil
-			close(done)
-		}
+		n.pending = nil
+		close(n.reqDone)
 		n.mu.Unlock()
 		close(n.stopped)
 	}()

@@ -92,15 +92,21 @@ type Mesh struct {
 	width  int
 	height int
 
-	// links holds one contention queue per (router, direction), densely
-	// indexed — (y*width+x)*4+dir — and fully constructed up front, so the
-	// per-hop hot path is an array load with no map or mesh-wide lock
-	// (each Queue synchronizes itself). nil without a contention model.
-	links []*queuemodel.Queue
+	// links holds one contention queue per (router, direction) as a flat
+	// slice of values indexed (y*width+x)*4+dir, built up front. The
+	// queues are guarded by prog's lock, which Delay takes once for a
+	// packet's whole route. nil without a contention model.
+	links []queuemodel.Queue
 	prog  *clock.ProgressWindow
 }
 
-// Link directions: 0=east 1=west 2=north 3=south.
+// Link directions, the low two bits of a link index.
+const (
+	east = iota
+	west
+	north
+	south
+)
 
 func newMesh(cfg config.NetworkConfig, tiles int, prog *clock.ProgressWindow) *Mesh {
 	w := 1
@@ -110,10 +116,7 @@ func newMesh(cfg config.NetworkConfig, tiles int, prog *clock.ProgressWindow) *M
 	h := (tiles + w - 1) / w
 	m := &Mesh{cfg: cfg, width: w, height: h, prog: prog}
 	if prog != nil {
-		m.links = make([]*queuemodel.Queue, w*h*4)
-		for i := range m.links {
-			m.links[i] = queuemodel.New(prog)
-		}
+		m.links = make([]queuemodel.Queue, w*h*4)
 	}
 	return m
 }
@@ -155,53 +158,66 @@ func (m *Mesh) serialization(bytes int) arch.Cycles {
 	return arch.Cycles((bytes + bw - 1) / bw)
 }
 
-// Delay implements Model.
+// Delay implements Model. With a contention model the packet's whole XY
+// route is one critical section under the progress window's lock: hop by
+// hop it is admitted to the outgoing link's queue at its running time t,
+// which then advances by the link's wait and the router latency.
+//
+//graphite:hotpath
 func (m *Mesh) Delay(src, dst arch.TileID, bytes int, depart arch.Cycles) arch.Cycles {
 	ser := m.serialization(bytes)
 	if src == dst {
 		// Loopback through the local switch: serialization only.
 		return ser
 	}
-	hops := m.HopCount(src, dst)
-	latency := arch.Cycles(hops)*m.cfg.HopLatency + ser
 	if m.prog == nil {
-		return latency
+		return arch.Cycles(m.HopCount(src, dst))*m.cfg.HopLatency + ser
 	}
-	// Contention: walk the XY route and charge each link's queue.
-	x, y := m.coord(src)
+	sx, sy := m.coord(src)
 	dx, dy := m.coord(dst)
+	link := (sy*m.width + sx) * 4
 	t := depart
-	var contention arch.Cycles
-	step := func(dir uint8, nx, ny int) {
-		q := m.links[(y*m.width+x)*4+int(dir)]
-		wait := q.Delay(t, ser)
-		contention += wait
-		t += wait + m.cfg.HopLatency
-		x, y = nx, ny
+	m.prog.Lock()
+	if dx >= sx {
+		t = m.walk(link+east, 4, dx-sx, t, ser)
+	} else {
+		t = m.walk(link+west, -4, sx-dx, t, ser)
 	}
-	for x != dx {
-		if x < dx {
-			step(0, x+1, y)
-		} else {
-			step(1, x-1, y)
-		}
+	link += (dx - sx) * 4
+	if dy >= sy {
+		t = m.walk(link+south, 4*m.width, dy-sy, t, ser)
+	} else {
+		t = m.walk(link+north, -4*m.width, sy-dy, t, ser)
 	}
-	for y != dy {
-		if y < dy {
-			step(3, x, y+1)
-		} else {
-			step(2, x, y-1)
-		}
+	m.prog.Unlock()
+	// t has advanced by every hop's wait and router latency.
+	return t - depart + ser
+}
+
+// walk carries a packet over hops links in a straight line, starting at
+// index link and moving stride per hop, and returns its time after the
+// last. The caller holds prog's lock.
+//
+//graphite:hotpath
+func (m *Mesh) walk(link, stride, hops int, t, ser arch.Cycles) arch.Cycles {
+	for ; hops > 0; hops-- {
+		t += m.links[link].Admit(m.prog, t, ser) + m.cfg.HopLatency
+		link += stride
 	}
-	return latency + contention
+	return t
 }
 
 // ContentionStats aggregates queueing statistics over all links.
 func (m *Mesh) ContentionStats() (packets uint64, totalDelay arch.Cycles) {
-	for _, q := range m.links {
-		p, d, _ := q.Stats()
+	if m.prog == nil {
+		return 0, 0
+	}
+	m.prog.Lock()
+	for i := range m.links {
+		p, d, _ := m.links[i].Stats()
 		packets += p
 		totalDelay += d
 	}
+	m.prog.Unlock()
 	return packets, totalDelay
 }

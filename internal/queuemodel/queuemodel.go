@@ -17,20 +17,24 @@
 // no running thread) are measured against global progress as the paper
 // prescribes. Individual packets are modeled out of order, but aggregate
 // queueing delay matches the offered load.
+//
+// Queues hold no lock of their own. Every queue measured against one
+// progress window is guarded by that window's lock (one per simulated
+// process), so a resource made of many queues — the mesh and its links —
+// admits a packet to all of them inside one critical section.
 package queuemodel
 
 import (
-	"sync"
-
 	"repro/internal/arch"
 	"repro/internal/clock"
 )
 
-// Queue models one contended resource.
+// Queue is the state of one contended resource: its queue clock and
+// counters, plain words so that thousands pack into a flat slice. All
+// access happens with the lock of the window the queue is measured
+// against held, or after the simulation has quiesced.
 type Queue struct {
-	mu       sync.Mutex
-	qclock   arch.Cycles
-	progress *clock.ProgressWindow
+	qclock arch.Cycles
 
 	// stats
 	packets    uint64
@@ -38,62 +42,51 @@ type Queue struct {
 	busyCycles arch.Cycles
 }
 
-// New returns a queue that measures delay against the given progress
-// window. The window may be shared by many queues.
-func New(progress *clock.ProgressWindow) *Queue {
-	return &Queue{progress: progress}
-}
-
-// Delay accepts a packet that needs processing cycles of service and
+// Admit accepts a packet that needs service cycles of processing and
 // returns its modeled queueing delay (waiting time, excluding service).
 // now is the packet's own timestamp; it feeds the progress window so that
-// queues stay current even on tiles with no active thread.
-func (q *Queue) Delay(now, processing arch.Cycles) arch.Cycles {
-	if processing < 0 {
-		processing = 0
+// queues stay current even on tiles with no active thread. The caller
+// holds w's lock.
+//
+//graphite:hotpath
+func (q *Queue) Admit(w *clock.ProgressWindow, now, service arch.Cycles) arch.Cycles {
+	if service < 0 {
+		service = 0
 	}
-	q.progress.Observe(now)
-	arrive := q.progress.Now()
+	w.ObserveLocked(now)
+	arrive := w.NowLocked()
 	if now > arrive {
 		arrive = now
 	}
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	var wait arch.Cycles
 	if q.qclock > arrive {
 		wait = q.qclock - arrive
-		q.qclock += processing
+		q.qclock += service
 	} else {
-		q.qclock = arrive + processing
+		q.qclock = arrive + service
 	}
 	q.packets++
 	q.totalDelay += wait
-	q.busyCycles += processing
+	q.busyCycles += service
+	return wait
+}
+
+// Delay is Admit for a resource that is a single queue: it takes w's lock
+// around the one admission.
+//
+//graphite:hotpath
+func (q *Queue) Delay(w *clock.ProgressWindow, now, service arch.Cycles) arch.Cycles {
+	w.Lock()
+	wait := q.Admit(w, now, service)
+	w.Unlock()
 	return wait
 }
 
 // Clock returns the current queue clock (diagnostics and tests).
-func (q *Queue) Clock() arch.Cycles {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.qclock
-}
+func (q *Queue) Clock() arch.Cycles { return q.qclock }
 
 // Stats reports the number of packets seen, the cumulative queueing delay,
 // and the cumulative service time.
 func (q *Queue) Stats() (packets uint64, totalDelay, busy arch.Cycles) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.packets, q.totalDelay, q.busyCycles
-}
-
-// Reset clears the queue clock and statistics.
-func (q *Queue) Reset() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.qclock = 0
-	q.packets = 0
-	q.totalDelay = 0
-	q.busyCycles = 0
 }

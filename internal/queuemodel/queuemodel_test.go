@@ -9,9 +9,20 @@ import (
 	"repro/internal/clock"
 )
 
-func newQueue(windowSize int) (*Queue, *clock.ProgressWindow) {
+// boundQueue is a queue with the window it is measured against, so test
+// bodies read as "a packet reaches the queue".
+type boundQueue struct {
+	Queue
+	w *clock.ProgressWindow
+}
+
+func (q *boundQueue) Delay(now, service arch.Cycles) arch.Cycles {
+	return q.Queue.Delay(q.w, now, service)
+}
+
+func newQueue(windowSize int) (*boundQueue, *clock.ProgressWindow) {
 	w := clock.NewProgressWindow(windowSize)
-	return New(w), w
+	return &boundQueue{w: w}, w
 }
 
 func TestUncontendedQueueHasNoDelay(t *testing.T) {
@@ -88,16 +99,6 @@ func TestNegativeProcessingClamped(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	q, _ := newQueue(1)
-	q.Delay(100, 100)
-	q.Reset()
-	p, d, b := q.Stats()
-	if p != 0 || d != 0 || b != 0 || q.Clock() != 0 {
-		t.Fatalf("reset left state: packets=%d delay=%d busy=%d clock=%d", p, d, b, q.Clock())
-	}
-}
-
 func TestConcurrentDelayKeepsAccounting(t *testing.T) {
 	q, _ := newQueue(8)
 	const workers, per = 8, 500
@@ -132,4 +133,22 @@ func TestDelayNeverNegativeQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkQueueDelayParallel admits packets to per-goroutine queues that
+// share one progress window, from GOMAXPROCS goroutines at once: the cost
+// of one trip through the contention-model lock. 0 allocs/op.
+func BenchmarkQueueDelayParallel(b *testing.B) {
+	w := clock.NewProgressWindow(1024)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		var q Queue
+		var total arch.Cycles
+		for now := arch.Cycles(0); pb.Next(); now += 10 {
+			total += q.Delay(w, now, 3)
+		}
+		if total < 0 {
+			b.Error("negative total delay")
+		}
+	})
 }

@@ -72,7 +72,7 @@ func main() {
 	var (
 		scenarioPath = flag.String("scenario", "", "scenario file to run (overrides -exp)")
 		parallel     = flag.Int("parallel", 0, "worker pool size for scenario/worker runs (0 = host CPUs)")
-		out          = flag.String("out", "", "JSONL output path for -scenario (default: stdout)")
+		out          = flag.String("out", "", "JSONL output path for -scenario (default: stdout); with -exp fig7, CSV path for every clock-skew sample")
 		serve        = flag.String("serve", "", "coordinator mode: serve the -scenario runs to workers on this address")
 		worker       = flag.Bool("worker", false, "worker mode: pull runs from a coordinator (-connect)")
 		connect      = flag.String("connect", "", "coordinator address for -worker (host:port)")
@@ -192,6 +192,20 @@ func main() {
 		}
 	}
 
+	if *out != "" {
+		// The one experiment with a series to plot: the table on stdout
+		// thins long traces, the file has every sample.
+		if *exp != "fig7" {
+			fmt.Fprintln(os.Stderr, "graphite-sweep: -out goes with -scenario, or with -exp fig7 (its skew samples as CSV)")
+			os.Exit(2)
+		}
+		if err := fig7WithCSV(pr, *out); err != nil {
+			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
 	runOne := func(name string) {
 		fmt.Printf("==== %s (%s preset) ====\n", name, pr)
 		if err := experiments.RunByName(name, os.Stdout, opts); err != nil {
@@ -207,6 +221,27 @@ func main() {
 		return
 	}
 	runOne(*exp)
+}
+
+// fig7WithCSV is -exp fig7 with -out: the usual table on stdout, and the
+// same run's samples, unthinned, as CSV in path.
+func fig7WithCSV(pr experiments.Preset, path string) error {
+	fmt.Printf("==== fig7 (%s preset) ====\n", pr)
+	r, err := experiments.Fig7(pr)
+	if err != nil {
+		return err
+	}
+	r.Print(os.Stdout)
+	fmt.Println()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // openCache builds the record cache from the -cache* flags; nil means

@@ -2,7 +2,7 @@
 // program runs striped across four simulated host processes that exchange
 // every byte of application data, coherence traffic, and control messages
 // through the loopback network stack — the paper's cluster deployment in
-// miniature (see cmd/graphite-mp for genuinely separate OS processes).
+// miniature (graphite -procs 4 -fork puts each in an OS process of its own).
 //
 //	go run ./examples/distributed-tcp
 package main

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/coremodel"
 	"repro/internal/mcp"
-	"repro/internal/simtest"
 )
 
 // ckptProgram interleaves compute, shared-memory contention, and enough
@@ -166,7 +166,9 @@ func TestCheckpointDeterministicDigests(t *testing.T) {
 }
 
 // TestCheckpointVerifyMismatchFatal attaches a Verify table with a wrong
-// digest and requires the MCP to report the divergence on CkptFailed.
+// digest and requires Run itself to return the divergence: the epoch
+// release is withheld, so a Run that waited for completion alone would
+// park forever.
 func TestCheckpointVerifyMismatchFatal(t *testing.T) {
 	cfg := ckptCfg()
 	c, err := NewCluster(cfg, ckptProgram(t))
@@ -181,21 +183,8 @@ func TestCheckpointVerifyMismatchFatal(t *testing.T) {
 		Verify:       map[int64][]string{2: {"bogus-digest"}},
 		StrictVerify: true,
 	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Run(0)
-		done <- err
-	}()
-	simtest.Deadline(t, runDeadline, func() {
-		select {
-		case err := <-c.CkptFailed():
-			if err == nil {
-				t.Error("nil error on CkptFailed")
-			}
-		case err := <-done:
-			t.Errorf("run completed (err=%v) despite digest mismatch", err)
-		}
-	})
-	// The run is wedged by design (the epoch release was withheld);
-	// Close tears it down via the deferred cleanup.
+	rs, err := runCluster(t, c, 0)
+	if err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("run returned (%v, %v) despite digest mismatch, want the checkpoint error", rs, err)
+	}
 }

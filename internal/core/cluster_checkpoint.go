@@ -12,26 +12,24 @@ import (
 	"repro/internal/mcp"
 )
 
-// SetCheckpoint attaches a checkpoint policy to the cluster: the MCP
-// initiates a save at every epoch divisible by pol.Every, and each
-// process writes its state file into pol.Dir. Call after NewCluster and
-// before Run.
+// SetCheckpoint attaches a checkpoint policy to the cluster: the MCP (on
+// the cluster that hosts it) initiates a save at every epoch divisible by
+// pol.Every, and each process writes its state file into pol.Dir. Call
+// after construction and before Run or Serve.
 func (c *Cluster) SetCheckpoint(pol *mcp.CheckpointPolicy) {
 	c.ckpt = pol
-	c.procs[0].MCP.SetCheckpoint(pol)
+	if m := c.procs[0].MCP; m != nil {
+		m.SetCheckpoint(pol)
+	}
 	for _, p := range c.procs {
 		p.SetCheckpoint(pol.Dir, pol.ConfigDigest)
 	}
 }
 
-// CkptFailed reports a fatal checkpoint failure (replay-verification
-// digest mismatch); see mcp.Server.CkptFailed.
-func (c *Cluster) CkptFailed() <-chan error { return c.procs[0].MCP.CkptFailed() }
-
-// CaptureState checkpoints an idle cluster directly — before Run, or
-// after Run has returned — without the MCP's drain protocol: every tile
-// is captured in its server goroutine and the manifest written
-// synchronously. SetCheckpoint must have been called. Running
+// CaptureState checkpoints an idle NewCluster cluster directly — before
+// Run, or after Run has returned — without the MCP's drain protocol:
+// every tile is captured in its server goroutine and the manifest
+// written synchronously. SetCheckpoint must have been called. Running
 // simulations are checkpointed by the MCP at epoch boundaries instead.
 func (c *Cluster) CaptureState(epoch int64) (*checkpoint.Manifest, error) {
 	pol := c.ckpt

@@ -1,7 +1,7 @@
-// Package launch runs one simulation distributed across genuinely
-// separate OS processes — the deployment mode of the paper's cluster
-// experiments (§3.1, §4.2) — and supervises the worker processes' whole
-// lifecycle. It owns three concerns:
+// Package launch runs one simulation from a Spec: with its processes
+// inside this OS process, or distributed across genuinely separate ones —
+// the deployment mode of the paper's cluster experiments (§3.1, §4.2) —
+// whose whole lifecycle it then supervises. It owns three concerns:
 //
 //   - host lists: parsing explicit multi-host address lists (one fabric
 //     listen address per process) and allocating free localhost ports for
@@ -10,14 +10,18 @@
 //     guarantees they are killed and reaped on every coordinator exit
 //     path, including signals — a crashed coordinator must never leave
 //     orphaned workers behind;
-//   - the two process roles: Coordinate runs the proc-0 role (MCP,
-//     application main, result collection, acknowledged teardown) against
-//     workers launched anywhere, and Run is the single-machine
+//   - who builds the cluster: InProcess builds every process here,
+//     Coordinate joins the fabric as process 0 and RunWorker as process N
+//     (workers launched anywhere), and Run is the single-machine
 //     convenience that forks the workers itself by re-executing the
-//     current binary (see MaybeWorkerProcess).
+//     current binary (see MaybeWorkerProcess) and replays the run when
+//     one dies. What happens to a built cluster — checkpoint policy, Run
+//     or Serve, result readback, acknowledged teardown — is core.Cluster's
+//     and is the same for all of them.
 //
-// cmd/graphite-mp is a thin CLI over this package, and internal/scenario
-// uses it to make "how many OS processes" a sweepable run parameter.
+// cmd/graphite's role flags are a thin CLI over this package, and
+// internal/scenario executes every run through it, which makes "how many
+// OS processes" a sweepable run parameter.
 package launch
 
 import (
@@ -109,7 +113,7 @@ func checkLoopback(hosts []string) error {
 		if ip := net.ParseIP(host); ip != nil && ip.IsLoopback() {
 			continue
 		}
-		return fmt.Errorf("launch: cannot fork a worker for remote host %q; start it there yourself (graphite-mp -proc N -hosts …)", h)
+		return fmt.Errorf("launch: cannot fork a worker for remote host %q; start it there yourself (graphite -proc N -hosts …)", h)
 	}
 	return nil
 }
@@ -124,9 +128,8 @@ type child struct {
 // Group supervises a set of forked worker processes. Every child is
 // reaped by a dedicated goroutine the moment it exits, so no exit path —
 // error return, panic escape, or signal — leaves a zombie, and Kill is
-// always safe to call (the old graphite-mp pattern of `defer cmd.Wait()`
-// orphaned every worker when an error path called os.Exit, which skips
-// defers).
+// always safe to call (`defer cmd.Wait()` orphans every worker when an
+// error path calls os.Exit, which skips defers).
 type Group struct {
 	mu       sync.Mutex
 	children []*child
@@ -142,8 +145,10 @@ func (g *Group) Start(cmd *exec.Cmd) error {
 	c := &child{cmd: cmd, reaped: make(chan struct{})}
 	go func() {
 		c.err = cmd.Wait()
-		close(c.reaped)
+		// Died before reaped: whoever has waited a child out (Wait,
+		// WaitTimeout) finds Died already signalled.
 		g.noteDeath()
+		close(c.reaped)
 	}()
 	g.mu.Lock()
 	g.children = append(g.children, c)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
+	"repro/internal/mcp"
 	"repro/internal/workloads"
 )
 
@@ -27,13 +28,12 @@ func recoverConfig(tiles, procs int) config.Config {
 // an uninterrupted run of the same spec.
 func TestRunRecoversFromWorkerLoss(t *testing.T) {
 	base := Spec{
-		Workload:        "fft",
-		Threads:         2,
-		Config:          recoverConfig(4, 2),
-		PeekAddr:        workloads.DefaultResultAddr,
-		PeekLen:         16,
-		CheckpointEvery: 4,
-		ConfigDigest:    "recover-test-digest",
+		Workload:   "fft",
+		Threads:    2,
+		Config:     recoverConfig(4, 2),
+		PeekAddr:   workloads.DefaultResultAddr,
+		PeekLen:    16,
+		Checkpoint: &mcp.CheckpointPolicy{Every: 4, ConfigDigest: "recover-test-digest"},
 	}
 
 	// Calibrate the workload so the run is long enough that a mid-run
@@ -42,7 +42,7 @@ func TestRunRecoversFromWorkerLoss(t *testing.T) {
 	var ref *Result
 	for scale := 9; ; scale++ {
 		base.Scale = scale
-		base.CheckpointDir = t.TempDir()
+		base.Checkpoint.Dir = t.TempDir()
 		res, err := Run(cloneSpec(base))
 		if err != nil {
 			t.Fatalf("reference run (scale %d): %v", scale, err)
@@ -52,13 +52,13 @@ func TestRunRecoversFromWorkerLoss(t *testing.T) {
 			break
 		}
 	}
-	if ms, err := checkpoint.LoadManifests(base.CheckpointDir); err != nil || len(ms) == 0 {
+	if ms, err := checkpoint.LoadManifests(base.Checkpoint.Dir); err != nil || len(ms) == 0 {
 		t.Fatalf("reference run wrote no checkpoints (err=%v); lower CheckpointEvery", err)
 	}
 
 	// Chaos run: worker 1 SIGKILLs itself roughly mid-run.
-	chaos := base
-	chaos.CheckpointDir = t.TempDir()
+	chaos := *cloneSpec(base)
+	chaos.Checkpoint.Dir = t.TempDir()
 	chaos.ChaosExitMS = int(ref.Stats.Wall/time.Millisecond)/2 + 50
 	chaos.MaxRestarts = 2
 	chaos.RestartBackoff = 50 * time.Millisecond
@@ -78,7 +78,7 @@ func TestRunRecoversFromWorkerLoss(t *testing.T) {
 	// The surviving manifests must come from a recovery generation — if
 	// they are all generation 1, the kill never landed mid-run and this
 	// test exercised nothing (retune the chaos timing).
-	ms, err := checkpoint.LoadManifests(chaos.CheckpointDir)
+	ms, err := checkpoint.LoadManifests(chaos.Checkpoint.Dir)
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("recovered run wrote no checkpoints (err=%v)", err)
 	}
@@ -86,16 +86,20 @@ func TestRunRecoversFromWorkerLoss(t *testing.T) {
 		if m.Generation < 2 {
 			t.Fatalf("manifest epoch %d is generation %d; the chaos kill never interrupted the run", m.Epoch, m.Generation)
 		}
-		if m.ConfigDigest != base.ConfigDigest {
-			t.Errorf("manifest epoch %d carries config digest %q, want %q", m.Epoch, m.ConfigDigest, base.ConfigDigest)
+		if m.ConfigDigest != base.Checkpoint.ConfigDigest {
+			t.Errorf("manifest epoch %d carries config digest %q, want %q", m.Epoch, m.ConfigDigest, base.Checkpoint.ConfigDigest)
 		}
 	}
 }
 
-// cloneSpec hands Run its own mutable copy (Run rewrites Generation,
-// Verify, and ChaosExitMS across attempts).
+// cloneSpec hands its caller a copy it may change, checkpoint policy
+// included.
 func cloneSpec(s Spec) *Spec {
 	c := s
+	if s.Checkpoint != nil {
+		pol := *s.Checkpoint
+		c.Checkpoint = &pol
+	}
 	return &c
 }
 
@@ -104,14 +108,13 @@ func cloneSpec(s Spec) *Spec {
 // spinning forever. Chaos at 0 restarts dies on the first loss.
 func TestRunGivesUpAfterMaxRestarts(t *testing.T) {
 	spec := &Spec{
-		Workload:        "fft",
-		Threads:         2,
-		Scale:           12,
-		Config:          recoverConfig(4, 2),
-		CheckpointDir:   t.TempDir(),
-		CheckpointEvery: 4,
-		MaxRestarts:     0,
-		ChaosExitMS:     60,
+		Workload:    "fft",
+		Threads:     2,
+		Scale:       12,
+		Config:      recoverConfig(4, 2),
+		Checkpoint:  &mcp.CheckpointPolicy{Dir: t.TempDir(), Every: 4},
+		MaxRestarts: 0,
+		ChaosExitMS: 60,
 	}
 	_, err := Run(spec)
 	if err == nil {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"runtime"
 	"time"
 
 	"repro/internal/arch"
@@ -18,26 +17,21 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/mcp"
-	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/workloads"
 )
 
-// ErrWorkerDied reports that a worker OS process exited while the run was
-// still in flight. Run treats it as recoverable (re-fork and replay, up to
-// MaxRestarts); a manual Coordinate surfaces it to the caller.
-var ErrWorkerDied = errors.New("launch: worker process died mid-run")
-
-// Spec describes one simulation distributed across Config.Processes OS
-// processes.
+// Spec describes one simulation and where its Config.Processes processes
+// run: all inside this OS process (InProcess), or one OS process each,
+// forked here (Run) or started by hand (Coordinate, RunWorker).
 type Spec struct {
 	// Workload, Threads, Scale select the program (by registry name, so
 	// every process builds the identical Program).
 	Workload string
 	Threads  int
 	Scale    int
-	// Config is the simulation configuration; Config.Processes is the OS
-	// process count. Transport is forced to TCP.
+	// Config is the simulation configuration. Run and Coordinate take
+	// Config.Processes as the OS process count and force Transport to TCP.
 	Config config.Config
 	// Hosts lists every process's fabric listen address (host:port), by
 	// process ID. Empty: free localhost ports are allocated (Run only;
@@ -59,17 +53,15 @@ type Spec struct {
 	// default os.Stderr).
 	WorkerOutput io.Writer
 
-	// CheckpointDir and CheckpointEvery enable auto-checkpointing: the
-	// MCP quiesces the fabric every CheckpointEvery barrier epochs and
-	// every process serializes its simulation state under CheckpointDir
+	// Checkpoint, when it names a Dir and a positive Every, enables
+	// auto-checkpointing: the MCP quiesces the fabric every Every barrier
+	// epochs and every process serializes its simulation state under Dir
 	// (shared filesystem, or per-machine paths on a manual multi-host
-	// launch). Both must be set for checkpoints to happen.
-	CheckpointDir   string
-	CheckpointEvery int64
-	// ConfigDigest stamps checkpoint manifests with the run's canonical
-	// configuration hash (scenario.Digest); restore refuses a manifest
-	// carrying a different digest.
-	ConfigDigest string
+	// launch). Its FabricID and Generation are the Spec's. Run fills
+	// Verify from the dead attempt's manifests on recovery; a replay
+	// whose digests diverge is reported through OnError (default: a line
+	// on stderr), and aborts the run when StrictVerify is set.
+	Checkpoint *mcp.CheckpointPolicy
 	// MaxRestarts bounds how many times Run re-forks the workers and
 	// replays the run after a worker process dies (0: die on first loss).
 	MaxRestarts int
@@ -80,32 +72,27 @@ type Spec struct {
 	// handshake so zombie workers of a dead attempt cannot rejoin (Run
 	// manages it; manual Coordinate launches may leave it 0 = unchecked).
 	Generation uint64
-	// Verify maps barrier epoch → expected per-process state digests; a
-	// replay whose checkpoint digests diverge is reported through the
-	// checkpoint error path (and aborts the run when StrictVerify is
-	// set). Run fills it from the dead attempt's manifests on recovery.
-	Verify       map[int64][]string
-	StrictVerify bool
 	// ChaosExitMS, when nonzero, instructs the first forked worker to
 	// SIGKILL itself after this many wall-clock milliseconds —
 	// fault-injection for recovery tests and the CI chaos smoke. Run
 	// clears it after the first death so the replay can complete.
 	ChaosExitMS int
 	// WorkerDied, when non-nil, makes Coordinate abort with
-	// ErrWorkerDied if the channel closes mid-run. Run wires it to its
-	// worker Group; manual coordinators may supply their own signal.
+	// core.ErrWorkerDied if the channel closes mid-run. Run wires it to
+	// its worker Group; manual coordinators may supply their own signal.
 	WorkerDied <-chan struct{}
 }
 
-// Result is the outcome of a multi-process run.
+// Result is the outcome of a run.
 type Result struct {
-	// Stats mirrors the single-OS-process Cluster.Run outcome.
+	// Stats is the Cluster.Run outcome.
 	Stats *core.RunStats
 	// Peeked holds the PeekLen bytes at PeekAddr, read after caches were
 	// flushed.
 	Peeked []byte
-	// Procs reports each process's teardown acknowledgement and
-	// wall-clock serving time, indexed by process ID.
+	// Procs reports each OS process's teardown acknowledgement and
+	// wall-clock serving time, indexed by process ID (nil when no process
+	// of the run lives outside this one).
 	Procs []mcp.ProcShutdown
 }
 
@@ -113,39 +100,61 @@ type Result struct {
 // teardown before Run declares them stuck and kills them.
 const workerExitGrace = 15 * time.Second
 
-// Coordinate runs the proc-0 role of a multi-process simulation: host the
-// MCP and the striped proc-0 tiles, start the application, collect
-// results, and tear the fabric down with acknowledgement. The worker
-// processes must be launched separately (by Run on this machine, or by
-// hand/ssh on remote ones) with the same hosts list and config.
-// Processes == 1 is the degenerate single-process case: no workers, all
-// tiles local.
-func Coordinate(spec *Spec) (*Result, error) {
-	w, ok := workloads.Get(spec.Workload)
+// program builds the registry workload every process of the run executes.
+func program(workload string, threads, scale int) (core.Program, error) {
+	w, ok := workloads.Get(workload)
 	if !ok {
-		return nil, fmt.Errorf("launch: unknown workload %q", spec.Workload)
+		return core.Program{}, fmt.Errorf("launch: unknown workload %q", workload)
 	}
-	cfg := spec.Config
+	return w.Build(workloads.Params{Threads: threads, Scale: scale}), nil
+}
+
+// join dials one process's attachment to the TCP fabric — tc names the
+// process, the addresses and the handshake identity — and builds the
+// one-process cluster on it.
+func join(cfg config.Config, prog core.Program, tc transport.TCPConfig) (*core.Cluster, error) {
 	cfg.Transport = config.TransportTCP
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Processes == 1 is a degenerate but valid fabric: no peers, no
-	// workers, everything local (the single-process sanity check of the
-	// graphite-mp CLI).
-	if len(spec.Hosts) != cfg.Processes {
-		return nil, fmt.Errorf("launch: %d hosts for %d processes", len(spec.Hosts), cfg.Processes)
+	if len(tc.Addrs) != cfg.Processes {
+		return nil, fmt.Errorf("launch: %d hosts for %d processes", len(tc.Addrs), cfg.Processes)
 	}
-	if cfg.Workers > 0 {
-		prev := runtime.GOMAXPROCS(cfg.Workers)
-		defer runtime.GOMAXPROCS(prev)
+	tc.Procs, tc.Route = cfg.Processes, transport.StripedRoute(cfg.Processes)
+	tr, err := transport.DialTCP(tc)
+	if err != nil {
+		return nil, err
 	}
+	return core.JoinCluster(cfg, prog, tc.Proc, tr)
+}
 
-	tr, err := transport.DialTCP(transport.TCPConfig{
-		Proc:        0,
-		Procs:       cfg.Processes,
+// InProcess runs the simulation with every one of its processes inside
+// this OS process, on the transport Config names.
+func InProcess(spec *Spec) (*Result, error) {
+	prog, err := program(spec.Workload, spec.Threads, spec.Scale)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := core.NewCluster(spec.Config, prog)
+	if err != nil {
+		return nil, err
+	}
+	return drive(cl, spec)
+}
+
+// Coordinate runs the proc-0 role of a multi-process simulation: host the
+// MCP and the striped proc-0 tiles, run the application, collect results,
+// and tear the fabric down with acknowledgement. The worker processes
+// must be launched separately (by Run on this machine, or by hand/ssh on
+// remote ones) with the same hosts list and config. Processes == 1 is the
+// degenerate single-process case: no workers, all tiles local.
+func Coordinate(spec *Spec) (*Result, error) {
+	prog, err := program(spec.Workload, spec.Threads, spec.Scale)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := join(spec.Config, prog, transport.TCPConfig{
 		Addrs:       spec.Hosts,
-		Route:       transport.StripedRoute(cfg.Processes),
 		DialTimeout: spec.DialTimeout,
 		FabricID:    spec.FabricID,
 		Generation:  spec.Generation,
@@ -153,76 +162,34 @@ func Coordinate(spec *Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer tr.Close()
+	cl.WorkerDied = spec.WorkerDied
+	return drive(cl, spec)
+}
 
-	prog := w.Build(workloads.Params{Threads: spec.Threads, Scale: spec.Scale})
-	proc, err := core.NewProc(0, &cfg, prog, tr)
+// drive is what every run does with its cluster, whoever built it: attach
+// the checkpoint policy, Run, read the result window back while every
+// home tile still serves, Close.
+func drive(cl *core.Cluster, spec *Spec) (*Result, error) {
+	defer cl.Close()
+	if cp := spec.Checkpoint; cp != nil && cp.Dir != "" && cp.Every > 0 {
+		pol := *cp
+		pol.FabricID, pol.Generation = spec.FabricID, spec.Generation
+		if pol.OnError == nil {
+			pol.OnError = func(err error) { fmt.Fprintf(os.Stderr, "launch: checkpoint: %v\n", err) }
+		}
+		cl.SetCheckpoint(&pol)
+	}
+	rs, err := cl.Run(0)
 	if err != nil {
 		return nil, err
 	}
-	defer proc.Close()
-	if spec.CheckpointDir != "" && spec.CheckpointEvery > 0 {
-		proc.MCP.SetCheckpoint(&mcp.CheckpointPolicy{
-			Dir:          spec.CheckpointDir,
-			Every:        spec.CheckpointEvery,
-			FabricID:     spec.FabricID,
-			Generation:   spec.Generation,
-			ConfigDigest: spec.ConfigDigest,
-			Verify:       spec.Verify,
-			StrictVerify: spec.StrictVerify,
-			OnError: func(err error) {
-				fmt.Fprintf(os.Stderr, "launch: checkpoint: %v\n", err)
-			},
-		})
-		proc.SetCheckpoint(spec.CheckpointDir, spec.ConfigDigest)
-	}
-	proc.Start()
-
-	start := time.Now()
-	if err := proc.MCP.StartMain(0); err != nil {
-		return nil, err
-	}
-	select {
-	case <-proc.MCP.Done():
-	case err := <-proc.MCP.CkptFailed():
-		// StrictVerify divergence: the epoch release was withheld, the
-		// fabric is parked; the deferred teardown dismantles it.
-		return nil, fmt.Errorf("launch: %w", err)
-	case <-spec.WorkerDied:
-		// A worker process is gone; every cross-process transaction it
-		// owed an answer to would hang forever. Abort — the deferred
-		// proc/transport teardown unwinds the local threads — and let
-		// Run decide whether to re-fork and replay.
-		return nil, ErrWorkerDied
-	case <-proc.MCP.Stopped():
-		// The MCP's receive loop ended before the run did: the transport
-		// failed the fabric underneath us (a peer write error closes it;
-		// see transport.closedOr). Same recovery decision as a reaped
-		// worker — this is how a manual Coordinate without a worker
-		// Group observes a lost peer.
-		return nil, fmt.Errorf("%w (fabric transport failed)", ErrWorkerDied)
-	}
-	wall := time.Since(start)
-	proc.Wait()
-	proc.MCP.FlushCaches()
-	tiles := proc.MCP.GatherStats()
-	totals := stats.Aggregate(tiles)
-
-	res := &Result{
-		Stats: &core.RunStats{
-			SimulatedCycles: totals.MaxCycles,
-			Wall:            wall,
-			Tiles:           tiles,
-			Totals:          totals,
-		},
-	}
-	// Read result memory while the remote home tiles are still serving —
-	// teardown comes after.
+	res := &Result{Stats: rs}
 	if spec.PeekLen > 0 {
 		res.Peeked = make([]byte, spec.PeekLen)
-		proc.Tiles()[0].Mem.Peek(spec.PeekAddr, res.Peeked)
+		cl.Peek(spec.PeekAddr, res.Peeked)
 	}
-	res.Procs = proc.MCP.ShutdownWorkers()
+	cl.Close()
+	res.Procs = cl.Teardown()
 	for _, ps := range res.Procs {
 		if !ps.Acked {
 			return res, fmt.Errorf("launch: process %d never acknowledged teardown", ps.Proc)
@@ -287,7 +254,7 @@ func Run(spec *Spec) (*Result, error) {
 		if err == nil {
 			return res, nil
 		}
-		if !errors.Is(err, ErrWorkerDied) || attempt >= s.MaxRestarts {
+		if !errors.Is(err, core.ErrWorkerDied) || attempt >= s.MaxRestarts {
 			return res, err
 		}
 		// Recover by deterministic replay: re-fork everything and re-run
@@ -300,13 +267,14 @@ func Run(spec *Spec) (*Result, error) {
 		// boundary for timing-dependent state (multi-thread runs
 		// guarantee the checksum, not cycle-exact state), so comparing
 		// multi-thread digests would only report noise.
-		if s.CheckpointDir != "" && s.Threads <= 1 {
-			if ms, lerr := checkpoint.LoadManifests(s.CheckpointDir); lerr == nil && len(ms) > 0 {
-				v := make(map[int64][]string, len(ms))
+		if cp := s.Checkpoint; cp != nil && cp.Dir != "" && s.Threads <= 1 {
+			if ms, lerr := checkpoint.LoadManifests(cp.Dir); lerr == nil && len(ms) > 0 {
+				pol := *cp
+				pol.Verify = make(map[int64][]string, len(ms))
 				for _, m := range ms {
-					v[m.Epoch] = m.VerifyDigests()
+					pol.Verify[m.Epoch] = m.VerifyDigests()
 				}
-				s.Verify = v
+				s.Checkpoint = &pol
 			}
 		}
 		// The fault injector did its job once; the replay must survive.
@@ -335,10 +303,11 @@ func runAttempt(s *Spec, exe string, workerOut io.Writer) (*Result, error) {
 			DialTimeoutMS: int(s.DialTimeout / time.Millisecond),
 			FabricID:      s.FabricID,
 			Generation:    s.Generation,
-			CheckpointDir: s.CheckpointDir,
-			ConfigDigest:  s.ConfigDigest,
 			Verbose:       s.WorkerVerbose,
 			Config:        cfg,
+		}
+		if cp := s.Checkpoint; cp != nil {
+			ws.CheckpointDir, ws.ConfigDigest = cp.Dir, cp.ConfigDigest
 		}
 		if p == 1 {
 			ws.ChaosExitMS = s.ChaosExitMS

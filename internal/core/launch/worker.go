@@ -9,9 +9,8 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/mcp"
 	"repro/internal/transport"
-	"repro/internal/workloads"
 )
 
 // WorkerEnv is the environment variable through which Run hands a forked
@@ -23,8 +22,8 @@ const WorkerEnv = "GRAPHITE_MP_WORKER"
 
 // WorkerSpec fully describes one worker process's role: which process it
 // is, where every process listens, and the simulation it serves. It is
-// the JSON payload of WorkerEnv and the flag set of a manually launched
-// graphite-mp worker.
+// the JSON payload of WorkerEnv and what a worker started by hand
+// (graphite -proc N -hosts …) builds from its flags.
 //
 //graphite:wire
 type WorkerSpec struct {
@@ -84,25 +83,15 @@ func MaybeWorkerProcess() {
 }
 
 // RunWorker serves one worker process role to completion: attach to the
-// fabric, host this process's striped tiles, and exit when the
-// coordinator announces teardown. The shutdown callback is installed
-// before Start — the documented core.Proc contract — so a coordinator
-// tearing down immediately after startup cannot strand the worker.
+// fabric, host this process's striped tiles, and return when the
+// coordinator has announced teardown and this process acknowledged it.
 func RunWorker(ws *WorkerSpec) error {
-	w, ok := workloads.Get(ws.Workload)
-	if !ok {
-		return fmt.Errorf("launch: unknown workload %q", ws.Workload)
-	}
-	cfg := ws.Config
-	cfg.Transport = config.TransportTCP
-	if err := cfg.Validate(); err != nil {
+	prog, err := program(ws.Workload, ws.Threads, ws.Scale)
+	if err != nil {
 		return err
 	}
-	if len(ws.Hosts) != cfg.Processes {
-		return fmt.Errorf("launch: %d hosts for %d processes", len(ws.Hosts), cfg.Processes)
-	}
-	if ws.Proc <= 0 || ws.Proc >= cfg.Processes {
-		return fmt.Errorf("launch: worker proc %d out of range (1..%d)", ws.Proc, cfg.Processes-1)
+	if ws.Proc <= 0 || ws.Proc >= ws.Config.Processes {
+		return fmt.Errorf("launch: worker proc %d out of range (1..%d)", ws.Proc, ws.Config.Processes-1)
 	}
 	if ws.ChaosExitMS > 0 {
 		// Fault injection: die the hard way (no teardown, no ack) so the
@@ -112,11 +101,9 @@ func RunWorker(ws *WorkerSpec) error {
 			syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		})
 	}
-	tr, err := transport.DialTCP(transport.TCPConfig{
+	cl, err := join(ws.Config, prog, transport.TCPConfig{
 		Proc:        arch.ProcID(ws.Proc),
-		Procs:       cfg.Processes,
 		Addrs:       ws.Hosts,
-		Route:       transport.StripedRoute(cfg.Processes),
 		DialTimeout: time.Duration(ws.DialTimeoutMS) * time.Millisecond,
 		FabricID:    ws.FabricID,
 		Generation:  ws.Generation,
@@ -124,27 +111,16 @@ func RunWorker(ws *WorkerSpec) error {
 	if err != nil {
 		return err
 	}
-	defer tr.Close()
-
-	prog := w.Build(workloads.Params{Threads: ws.Threads, Scale: ws.Scale})
-	proc, err := core.NewProc(arch.ProcID(ws.Proc), &cfg, prog, tr)
-	if err != nil {
+	defer cl.Close()
+	if ws.CheckpointDir != "" {
+		cl.SetCheckpoint(&mcp.CheckpointPolicy{Dir: ws.CheckpointDir, ConfigDigest: ws.ConfigDigest})
+	}
+	if ws.Verbose {
+		fmt.Fprintf(os.Stderr, "[proc %d] serving %d tiles on %s\n", ws.Proc, len(cl.Tiles()), ws.Hosts[ws.Proc])
+	}
+	if err := cl.Serve(); err != nil {
 		return err
 	}
-	if ws.CheckpointDir != "" {
-		proc.SetCheckpoint(ws.CheckpointDir, ws.ConfigDigest)
-	}
-	done := make(chan struct{})
-	proc.OnShutdown = func() { close(done) }
-	proc.Start()
-	if ws.Verbose {
-		fmt.Fprintf(os.Stderr, "[proc %d] serving %d tiles on %s\n", ws.Proc, len(proc.Tiles()), ws.Hosts[ws.Proc])
-	}
-	<-done
-	// The teardown ack is already on the wire (the LCP acknowledges
-	// before this callback fires); quiesce and leave.
-	proc.Wait()
-	proc.Close()
 	if ws.Verbose {
 		fmt.Fprintf(os.Stderr, "[proc %d] teardown acknowledged, exiting\n", ws.Proc)
 	}

@@ -8,13 +8,12 @@ import (
 	"repro/internal/transport"
 )
 
-// TestShutdownImmediatelyAfterStart is the regression test for the
-// graphite-mp teardown race: OnShutdown must be installed before Start
-// (the documented Proc contract), and a coordinator that announces
-// teardown the instant startup completes must still reach every worker's
-// callback. Before the fix, graphite-mp assigned OnShutdown after Start,
-// so a fast MsgShutdown could be served while the field was still nil and
-// the worker blocked forever.
+// TestShutdownImmediatelyAfterStart is the regression test for a worker
+// teardown race: OnShutdown must be installed before Start (the
+// documented Proc contract, which JoinCluster keeps), and a coordinator
+// that announces teardown the instant startup completes must still reach
+// every worker's callback. Assigned after Start, a fast MsgShutdown could
+// be served while the field was still nil and the worker blocked forever.
 func TestShutdownImmediatelyAfterStart(t *testing.T) {
 	const procs = 2
 	cfg := testCfg(2, procs)

@@ -152,6 +152,20 @@ func TestFig7Quick(t *testing.T) {
 	if !strings.Contains(buf.String(), "LaxBarrier") {
 		t.Fatal("print missing model")
 	}
+
+	// The CSV is every sample under one header row.
+	var csv bytes.Buffer
+	if err := res.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for _, tr := range res.Traces {
+		samples += len(tr.Samples)
+	}
+	lines := strings.Split(strings.TrimSuffix(csv.String(), "\n"), "\n")
+	if lines[0] != "model,wall_ms,min_dev_cycles,max_dev_cycles,mean_cycles" || len(lines) != 1+samples {
+		t.Fatalf("CSV has header %q and %d lines, want the five columns and 1+%d", lines[0], len(lines), samples)
+	}
 }
 
 func TestFig8Quick(t *testing.T) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/config"
@@ -73,4 +74,23 @@ func (r *Fig7Result) Print(w io.Writer) {
 				int64(s.Min-s.Mean), int64(s.Max-s.Mean), int64(s.Mean))
 		}
 	}
+}
+
+// WriteCSV writes every sample of every trace, unthinned, one row per
+// sample under a header row — the series to plot Figure 7 from.
+func (r *Fig7Result) WriteCSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, "model,wall_ms,min_dev_cycles,max_dev_cycles,mean_cycles"); err != nil {
+		return err
+	}
+	for _, tr := range r.Traces {
+		for _, s := range tr.Samples {
+			if _, err := fmt.Fprintf(w, "%s,%.3f,%d,%d,%d\n",
+				tr.Model.String(),
+				float64(s.Wall.Microseconds())/1000,
+				int64(s.Min-s.Mean), int64(s.Max-s.Mean), int64(s.Mean)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

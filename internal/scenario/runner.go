@@ -143,93 +143,57 @@ func Execute(spec *RunSpec) Record {
 
 // ExecuteStats is Execute plus the raw RunStats, for callers that need
 // per-run data a Record does not carry (clock-skew samples, per-tile
-// records). It is the single owner of the workload result-readback ABI:
-// the checksum lives at DefaultResultAddr, the region-of-interest end
-// time 8 bytes after it, and the ROI (when recorded) replaces the
-// simulated cycle count in both the Record and the RunStats. rs is nil
-// when the record carries an error.
+// records).
 func ExecuteStats(spec *RunSpec) (Record, *core.RunStats) {
+	return ExecuteVia(spec, nil)
+}
+
+// ExecuteVia is ExecuteStats with the launcher chosen by the caller: run
+// receives the launch.Spec the run amounts to and builds the cluster —
+// launch.InProcess, launch.Run, launch.Coordinate, or a wrapper that
+// first sets what a RunSpec does not carry (dial timeout, worker
+// logging, fault injection). Nil selects launch.Run for a spec
+// distributed over OS processes and launch.InProcess otherwise.
+//
+// It is the single owner of the workload result-readback ABI: the
+// checksum lives at DefaultResultAddr, the region-of-interest end time 8
+// bytes after it, and the ROI (when recorded) replaces the simulated
+// cycle count in both the Record and the RunStats. rs is nil when the
+// record carries an error. The record's config digest is computed from
+// the unmodified spec config — the process count and transport are
+// host-execution details the digest deliberately excludes — so a
+// distributed record matches the in-process run of the same spec.
+func ExecuteVia(spec *RunSpec, run func(*launch.Spec) (*launch.Result, error)) (Record, *core.RunStats) {
 	var rec Record
 	stampIdentity(&rec, spec, Digest(&spec.Config))
-	if spec.Processes > 1 {
-		return executeMultiProcess(spec, rec)
-	}
-	w, ok := workloads.Get(spec.Workload)
-	if !ok {
-		rec.Error = fmt.Sprintf("unknown workload %q", spec.Workload)
-		return rec, nil
-	}
-	p := workloads.Params{Threads: spec.Threads, Scale: spec.Scale}
-	cl, err := core.NewCluster(spec.Config, w.Build(p))
-	if err != nil {
-		rec.Error = err.Error()
-		return rec, nil
-	}
-	defer cl.Close()
-	// An in-process run has no worker to lose, so checkpointing here is
-	// pure state capture — only worth the I/O when the policy names a
-	// directory to keep the snapshots in.
-	if cp := spec.Checkpoint; cp != nil && cp.Every > 0 && cp.Dir != "" {
-		cl.SetCheckpoint(&mcp.CheckpointPolicy{
-			Dir:          cp.Dir,
-			Every:        cp.Every,
-			ConfigDigest: rec.ConfigDigest,
-			OnError:      func(err error) { fmt.Fprintf(os.Stderr, "scenario: checkpoint: %v\n", err) },
-		})
-	}
-	rs, err := cl.Run(0)
-	if err != nil {
-		rec.Error = err.Error()
-		return rec, nil
-	}
-	var buf [16]byte
-	cl.Peek(workloads.DefaultResultAddr, buf[:])
-	applyResultMem(&rec, rs, buf[:])
-	if spec.TileStats {
-		rec.Tiles = rs.Tiles
-	}
-	rec.WallSec = rs.Wall.Seconds()
-	return rec, rs
-}
-
-// applyResultMem folds the workload result-readback window (checksum at
-// byte 0, region-of-interest end time at byte 8) and the run stats into
-// the record.
-func applyResultMem(rec *Record, rs *core.RunStats, buf []byte) {
-	rec.Checksum = math.Float64frombits(binary.LittleEndian.Uint64(buf[0:8]))
-	if roi := arch.Cycles(binary.LittleEndian.Uint64(buf[8:16])); roi > 0 {
-		rs.SimulatedCycles = roi
-	}
-	rec.SimCycles = uint64(rs.SimulatedCycles)
-	rec.Stats = rs.Totals
-	rec.MissByName = rs.Totals.MissByName()
-}
-
-// executeMultiProcess runs one spec as a single simulation distributed
-// across spec.Processes OS processes (launch.Run forks and supervises the
-// workers; this process coordinates). The record's config digest is
-// computed from the unmodified spec config — the process count and
-// transport are host-execution details the digest deliberately excludes —
-// so the record matches the in-process run of the same spec.
-func executeMultiProcess(spec *RunSpec, rec Record) (Record, *core.RunStats) {
-	cfg := spec.Config
-	cfg.Processes = spec.Processes
-	cfg.Transport = config.TransportTCP
 	ls := &launch.Spec{
 		Workload: spec.Workload,
 		Threads:  spec.Threads,
 		Scale:    spec.Scale,
-		Config:   cfg,
+		Config:   spec.Config,
 		Hosts:    spec.Hosts,
 		PeekAddr: workloads.DefaultResultAddr,
 		PeekLen:  16,
 	}
-	if cp := spec.Checkpoint; cp != nil && cp.Every > 0 {
+	forked := spec.Processes > 1
+	if forked {
+		ls.Config.Processes = spec.Processes
+		ls.Config.Transport = config.TransportTCP
+	}
+	if run == nil {
+		run = launch.InProcess
+		if forked {
+			run = launch.Run
+		}
+	}
+	if cp := spec.Checkpoint; cp != nil && cp.Every > 0 && (forked || cp.Dir != "") {
+		// An in-process run has no worker to lose, so checkpointing there
+		// is pure state capture — only worth the I/O when the policy names
+		// a directory to keep the snapshots in. A forked run checkpoints
+		// so that a killed worker costs a replay, not the record; nobody
+		// wants those snapshots after the run.
 		dir := cp.Dir
 		if dir == "" {
-			// Recovery-only checkpointing: the snapshots exist so a
-			// killed worker costs a replay, not the record; nobody wants
-			// them after the run.
 			tmp, err := os.MkdirTemp("", "graphite-ckpt-*")
 			if err != nil {
 				rec.Error = fmt.Sprintf("checkpoint dir: %v", err)
@@ -238,25 +202,28 @@ func executeMultiProcess(spec *RunSpec, rec Record) (Record, *core.RunStats) {
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
-		ls.CheckpointDir = dir
-		ls.CheckpointEvery = cp.Every
+		ls.Checkpoint = &mcp.CheckpointPolicy{Dir: dir, Every: cp.Every, ConfigDigest: rec.ConfigDigest}
 		ls.MaxRestarts = cp.MaxRestarts
-		ls.ConfigDigest = rec.ConfigDigest
 	}
-	res, err := launch.Run(ls)
+	res, err := run(ls)
 	if err != nil {
 		rec.Error = err.Error()
 		return rec, nil
 	}
 	rs := res.Stats
-	applyResultMem(&rec, rs, res.Peeked)
+	rec.Checksum = math.Float64frombits(binary.LittleEndian.Uint64(res.Peeked[0:8]))
+	if roi := arch.Cycles(binary.LittleEndian.Uint64(res.Peeked[8:16])); roi > 0 {
+		rs.SimulatedCycles = roi
+	}
+	rec.SimCycles = uint64(rs.SimulatedCycles)
+	rec.Stats = rs.Totals
+	rec.MissByName = rs.Totals.MissByName()
 	if spec.TileStats {
 		rec.Tiles = rs.Tiles
 	}
 	rec.WallSec = rs.Wall.Seconds()
-	rec.ProcWallSec = make([]float64, len(res.Procs))
-	for i, ps := range res.Procs {
-		rec.ProcWallSec[i] = ps.Wall.Seconds()
+	for _, ps := range res.Procs {
+		rec.ProcWallSec = append(rec.ProcWallSec, ps.Wall.Seconds())
 	}
 	return rec, rs
 }

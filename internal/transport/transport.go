@@ -15,7 +15,8 @@
 //   - ChannelFabric: in-memory mailboxes, for single-OS-process
 //     simulations and tests.
 //   - TCP: real sockets with length-prefixed framing, for genuinely
-//     distributed simulations (see cmd/graphite-mp).
+//     distributed simulations (graphite -fork, or -proc N -hosts …; see
+//     internal/core/launch).
 //
 // Delivery is reliable and per-sender FIFO. Mailboxes are unbounded:
 // transport-level sends never block, which is what makes the higher-level

@@ -3,21 +3,15 @@
 // machine-checked forms of the determinism, zero-allocation, atomic
 // single-writer, and wire-schema invariants DESIGN.md argues in prose.
 //
-// Standalone (the CI mode — includes the wire-schema lock comparison):
+// It loads the whole module at once, so the cross-package checks — the
+// wire-schema lock and wire transitivity across package boundaries — see
+// every package:
 //
 //	go run ./cmd/graphite-lint ./...
 //	go run ./cmd/graphite-lint -write-schema-lock ./...   # after an intentional schema change
 //	go run ./cmd/graphite-lint -dir internal/lint/testdata/src/detpure   # analyze a bare dir
 //
-// As a go vet tool (per-package; the cross-package checks — the wire
-// schema lock and wire transitivity across package boundaries — only
-// run in the standalone form, since each vet process sees one package):
-//
-//	go build -o /tmp/graphite-lint ./cmd/graphite-lint
-//	go vet -vettool=/tmp/graphite-lint ./...
-//
-// Exit status: 0 clean, 1 findings (2 in vettool mode, matching vet's
-// convention), >2 operational errors.
+// Exit status: 0 clean, 1 findings, >2 operational errors.
 package main
 
 import (
@@ -32,22 +26,6 @@ import (
 )
 
 func main() {
-	// go vet protocol probes.
-	for _, a := range os.Args[1:] {
-		switch a {
-		case "-V=full", "--V=full":
-			// The output is go's content-ID cache key for this tool.
-			fmt.Println("graphite-lint version 1")
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) >= 2 && strings.HasSuffix(os.Args[len(os.Args)-1], ".cfg") {
-		os.Exit(vettool(os.Args[len(os.Args)-1]))
-	}
-
 	var (
 		dir        = flag.String("dir", "", "analyze one directory of Go files instead of package patterns (testdata smokes; skips the schema lock)")
 		lockPath   = flag.String("schema-lock", "", "wire schema lock file (default <module>/internal/lint/testdata/wire_schema.lock)")
@@ -65,7 +43,6 @@ func main() {
 	}
 	suite := lint.NewSuite(lint.DefaultDetPaths(module))
 	suite.ModulePath = module
-	suite.CrossPackage = true
 
 	if *listOnly {
 		for _, a := range suite.Analyzers {
@@ -158,85 +135,4 @@ func report(diags []lint.Diagnostic, jsonOut string) int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig is the JSON unit description go vet hands a -vettool (the
-// unitchecker protocol, reimplemented on the standard library).
-type vetConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vettool analyzes one package unit on behalf of go vet and returns the
-// process exit code.
-func vettool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphite-lint:", err)
-		return 3
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "graphite-lint: parse vet config:", err)
-		return 3
-	}
-	// vet expects the facts file regardless of outcome; the suite keeps
-	// no cross-package facts in this mode, so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "graphite-lint:", err)
-			return 3
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Analyze the non-test files only: the suite's invariants are about
-	// shipped simulator code, and tests legitimately use wall clocks
-	// and allocate (the standalone driver never sees test files either).
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	importPath := strings.TrimSpace(strings.SplitN(cfg.ImportPath, " ", 2)[0])
-	module := modulePathOf(importPath)
-	suite := lint.NewSuite(lint.DefaultDetPaths(module))
-	suite.ModulePath = module
-	pkg, err := lint.CheckUnit(importPath, files, cfg.ImportMap, cfg.PackageFile, suite.DetPaths)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "graphite-lint:", err)
-		return 3
-	}
-	suite.RunPackage(pkg)
-	diags := suite.Diagnostics()
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(diags) > 0 {
-		return 2 // vet's diagnostic exit convention
-	}
-	return 0
-}
-
-// modulePathOf recovers the module path from an import path: this
-// repository's module is "repro", so the first path element is the
-// module. (A vettool unit config does not carry the module path.)
-func modulePathOf(importPath string) string {
-	if i := strings.Index(importPath, "/"); i > 0 {
-		return importPath[:i]
-	}
-	return importPath
 }

@@ -81,8 +81,8 @@ func (h Line) SetDirty(d bool) { h.c.dirtys[h.idx] = d }
 // was held Modified; it feeds true/false-sharing classification.
 func (h Line) WriteMask() uint64 { return h.c.masks[h.idx] }
 
-// SetWriteMask replaces the write mask.
-func (h Line) SetWriteMask(m uint64) { h.c.masks[h.idx] = m }
+// setWriteMask replaces the write mask.
+func (h Line) setWriteMask(m uint64) { h.c.masks[h.idx] = m }
 
 // OrWriteMask accumulates bits into the write mask.
 func (h Line) OrWriteMask(m uint64) { h.c.masks[h.idx] |= m }
@@ -229,9 +229,6 @@ func (c *Cache) LineBits() uint { return c.lineBits }
 
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() arch.Cycles { return c.cfg.HitLatency }
-
-// LineOf converts a byte address to its line address.
-func (c *Cache) LineOf(a arch.Addr) LineAddr { return LineAddr(uint64(a) >> c.lineBits) }
 
 // Base returns the first byte address of a line.
 func (c *Cache) Base(l LineAddr) arch.Addr { return arch.Addr(uint64(l) << c.lineBits) }
@@ -391,8 +388,8 @@ func (c *Cache) ForEach(fn func(Line)) {
 	}
 }
 
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
+// occupancy returns the number of valid lines.
+func (c *Cache) occupancy() int {
 	n := 0
 	for i := range c.states {
 		if c.states[i] != Invalid {

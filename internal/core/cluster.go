@@ -38,15 +38,6 @@ type RunStats struct {
 	Skew []SkewSample
 }
 
-// Slowdown returns the simulation slowdown versus a native execution of
-// the same work taking native wall time.
-func (r *RunStats) Slowdown(native time.Duration) float64 {
-	if native <= 0 {
-		return 0
-	}
-	return float64(r.Wall) / float64(native)
-}
-
 // ErrWorkerDied reports that a process of the simulation was lost while
 // the run was in flight: the caller's WorkerDied signal fired, or the MCP's
 // receive loop ended because the fabric failed underneath it. No result

@@ -539,13 +539,3 @@ func TestSkewCollection(t *testing.T) {
 		}
 	}
 }
-
-func TestRunStatsSlowdown(t *testing.T) {
-	rs := &RunStats{Wall: 100_000_000} // 100 ms
-	if sd := rs.Slowdown(1_000_000); sd != 100 {
-		t.Fatalf("slowdown = %v", sd)
-	}
-	if rs.Slowdown(0) != 0 {
-		t.Fatal("zero native must not divide by zero")
-	}
-}

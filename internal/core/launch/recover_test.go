@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os/exec"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -56,9 +57,19 @@ func TestRunRecoversFromWorkerLoss(t *testing.T) {
 		t.Fatalf("reference run wrote no checkpoints (err=%v); lower CheckpointEvery", err)
 	}
 
-	// Chaos run: worker 1 SIGKILLs itself roughly mid-run.
+	// Chaos run: worker 1 SIGKILLs itself roughly mid-run. The MCP lives in
+	// this process, so OnSaved sees every checkpoint each attempt writes.
 	chaos := *cloneSpec(base)
 	chaos.Checkpoint.Dir = t.TempDir()
+	var mu sync.Mutex
+	replayed := map[int64]bool{} // epochs a recovery generation checkpointed
+	chaos.Checkpoint.OnSaved = func(epoch int64, m *checkpoint.Manifest) {
+		if m.Generation >= 2 {
+			mu.Lock()
+			replayed[epoch] = true
+			mu.Unlock()
+		}
+	}
 	chaos.ChaosExitMS = int(ref.Stats.Wall/time.Millisecond)/2 + 50
 	chaos.MaxRestarts = 2
 	chaos.RestartBackoff = 50 * time.Millisecond
@@ -75,20 +86,34 @@ func TestRunRecoversFromWorkerLoss(t *testing.T) {
 		t.Errorf("recovered checksum differs from uninterrupted run:\n  got  %x\n  want %x", res.Peeked[:8], ref.Peeked[:8])
 	}
 
-	// The surviving manifests must come from a recovery generation — if
-	// they are all generation 1, the kill never landed mid-run and this
-	// test exercised nothing (retune the chaos timing).
+	// The replay must have run past every epoch the dead attempt reached:
+	// the highest-epoch manifest comes from a recovery generation. If it is
+	// generation 1, the kill never landed mid-run and this test exercised
+	// nothing (retune the chaos timing). A replay checkpoint replaces the
+	// dead attempt's at the same epoch, so a generation-1 manifest may
+	// survive only at an epoch the replay never checkpointed: a two-thread
+	// replay is checksum-identical, not timing-identical, and its barrier
+	// can release past an epoch the dead attempt's barrier stopped at.
 	ms, err := checkpoint.LoadManifests(chaos.Checkpoint.Dir)
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("recovered run wrote no checkpoints (err=%v)", err)
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	last := ms[0]
 	for _, m := range ms {
-		if m.Generation < 2 {
-			t.Fatalf("manifest epoch %d is generation %d; the chaos kill never interrupted the run", m.Epoch, m.Generation)
+		if m.Epoch > last.Epoch {
+			last = m
+		}
+		if m.Generation < 2 && replayed[m.Epoch] {
+			t.Errorf("manifest epoch %d is generation %d, but the replay checkpointed that epoch", m.Epoch, m.Generation)
 		}
 		if m.ConfigDigest != base.Checkpoint.ConfigDigest {
 			t.Errorf("manifest epoch %d carries config digest %q, want %q", m.Epoch, m.ConfigDigest, base.Checkpoint.ConfigDigest)
 		}
+	}
+	if last.Generation < 2 {
+		t.Fatalf("last manifest (epoch %d) is generation %d; the chaos kill never interrupted the run", last.Epoch, last.Generation)
 	}
 }
 

@@ -81,11 +81,7 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 		if err != nil {
 			return nil, err
 		}
-		net := network.New(tid, tr, ep, p.models, p.progress)
-		// The tile's memory server is the endpoint pump: memory traffic —
-		// the dominant class — skips the demux goroutine and queue hop.
-		net.SetPrimary(network.ClassMemory)
-		tile := NewTile(tid, cfg, net, p.progress)
+		tile := NewTile(tid, cfg, network.New(tid, tr, ep, p.models, p.progress), p.progress)
 		p.tiles[tid] = tile
 		p.tileList = append(p.tileList, tile)
 	}
@@ -136,16 +132,14 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 	return p, nil
 }
 
-// Start launches every server goroutine of the process.
+// Start launches every server goroutine of the process: one per tile, the
+// LCP, and the MCP on process 0. Each pumps its own endpoint.
 func (p *Proc) Start() {
 	for _, t := range p.tileList {
-		t.Net.Start()
 		t.Start()
 	}
-	p.lcpNet.Start()
 	go p.lcp.Serve()
 	if p.MCP != nil {
-		p.mcpNet.Start()
 		go p.MCP.Serve()
 	}
 }

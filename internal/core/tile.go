@@ -8,7 +8,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -27,7 +26,7 @@ type Tile struct {
 	Net   *network.Net
 	Mem   *memsys.Node
 	Core  *coremodel.Core
-	sys   *sysRouter
+	sys   sysPort
 	cfg   *config.Config
 
 	// active reports whether an application thread is currently running
@@ -55,15 +54,14 @@ func (t *Tile) setRPCBlocked(blocked bool) {
 	}
 }
 
-// Active reports whether the tile currently runs an application thread.
-func (t *Tile) Active() bool { return t.active.Load() }
-
 // Running reports whether the tile's thread is running and not blocked in
 // a control-plane RPC.
 func (t *Tile) Running() bool { return t.active.Load() && !t.rpcBlocked.Load() }
 
-// NewTile builds a tile. net must be registered on the tile's endpoint and
-// started; progress is the process's shared progress window.
+// NewTile builds a tile. net must be registered on the tile's endpoint;
+// the tile makes its memory server the net's pump and sinks the system
+// class into the control-plane port. progress is the process's shared
+// progress window.
 func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clock.ProgressWindow) *Tile {
 	t := &Tile{ID: id, Net: net, cfg: cfg}
 	t.Mem = memsys.NewNode(id, cfg, net, progress)
@@ -76,104 +74,83 @@ func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clo
 		func(pc arch.Addr, n int, now arch.Cycles) arch.Cycles {
 			return t.Mem.Fetch(pc, n, now).Latency
 		})
-	t.sys = newSysRouter(net, &t.Clock)
-	t.sys.running = t.Running
+	t.sys = sysPort{net: net, clk: &t.Clock, running: t.Running, reply: make(chan network.Packet, 1)}
+	// Memory traffic, the dominant class, never leaves the server's
+	// goroutine; system packets are answered or handed over on the way.
+	net.SetPrimary(network.ClassMemory)
+	net.SetSink(network.ClassSystem, t.sys.deliver)
 	return t
 }
 
-// Start launches the tile's server goroutines (memory node and system
-// router).
+// Start launches the tile's one server goroutine: the memory node, which
+// also pumps the tile's endpoint for the control plane.
 func (t *Tile) Start() {
 	go t.Mem.Serve()
-	go t.sys.serve()
 }
 
-// sysRouter serves the tile's system-class traffic: it answers LaxP2P
-// clock probes directly (even when the tile has no running thread, the
-// clock is readable) and routes RPC replies to blocked callers by
-// sequence number.
-type sysRouter struct {
+// sysPort is the tile's end of the control plane. Its sink runs inside the
+// memory server's pump: it answers LaxP2P clock probes on the spot (even
+// when the tile has no running thread, the clock is readable) and hands an
+// RPC reply to the tile's one outstanding caller — the application thread,
+// in a control-plane call or a LaxP2P probe. Like the memory node's
+// request slot, there is one reusable reply slot per tile.
+type sysPort struct {
 	net *network.Net
 	clk *clock.Local
 	// running reports whether the tile's thread is running and unblocked;
 	// probe replies carry it so LaxP2P partners skip waiting tiles.
 	running func() bool
 
-	mu      sync.Mutex
-	waiters map[uint64]chan network.Packet
-	seq     uint64
-	closed  bool
-
-	stopped chan struct{}
+	// seq numbers the caller's requests. want is the sequence number the
+	// outstanding call awaits, 0 when none. reply is the slot (buffered,
+	// so the sink never blocks); the sink closes it when the endpoint
+	// closes, which releases a parked caller with ok == false.
+	seq   atomic.Uint64
+	want  atomic.Uint64
+	reply chan network.Packet
 }
 
-func newSysRouter(net *network.Net, clk *clock.Local) *sysRouter {
-	return &sysRouter{
-		net:     net,
-		clk:     clk,
-		waiters: make(map[uint64]chan network.Packet),
-		stopped: make(chan struct{}),
-	}
-}
-
-func (r *sysRouter) serve() {
-	defer close(r.stopped)
-	for {
-		pkt, ok := r.net.Recv(network.ClassSystem)
-		if !ok {
-			r.mu.Lock()
-			r.closed = true
-			//graphite:maporder teardown close of per-request channels; each waiter observes only its own channel
-			for seq, ch := range r.waiters {
-				close(ch)
-				delete(r.waiters, seq)
-			}
-			r.mu.Unlock()
-			return
+// deliver is the system-class sink. It runs on the memory server's
+// goroutine and never blocks: the reply slot is buffered and empty while
+// a call waits, and the probe reply is a transport send.
+func (r *sysPort) deliver(pkt network.Packet, ok bool) {
+	switch {
+	case !ok:
+		close(r.reply)
+	case pkt.Type == mcp.MsgClockProbe:
+		running := uint64(0)
+		if r.running() {
+			running = 1
 		}
-		if pkt.Type == mcp.MsgClockProbe {
-			running := uint64(0)
-			if r.running != nil && r.running() {
-				running = 1
-			}
-			payload := mcp.EncodeU64Pair(uint64(r.clk.Now()), running)
-			r.net.Send(network.ClassSystem, mcp.MsgClockProbeRep, pkt.Src, pkt.Seq, payload, 0)
-			continue
-		}
-		r.mu.Lock()
-		ch := r.waiters[pkt.Seq]
-		delete(r.waiters, pkt.Seq)
-		r.mu.Unlock()
-		if ch != nil {
-			ch <- pkt
-		}
+		payload := mcp.EncodeU64Pair(uint64(r.clk.Now()), running)
+		r.net.Send(network.ClassSystem, mcp.MsgClockProbeRep, pkt.Src, pkt.Seq, payload, 0)
+	case pkt.Seq != 0 && r.want.CompareAndSwap(pkt.Seq, 0):
+		r.reply <- pkt
 	}
 }
 
 // call performs a blocking RPC: it sends a system packet and waits for the
 // reply bearing the same sequence number. ok is false on teardown.
-func (r *sysRouter) call(typ uint8, dst arch.TileID, payload []byte, now arch.Cycles) (network.Packet, bool) {
-	ch := make(chan network.Packet, 1)
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return network.Packet{}, false
+func (r *sysPort) call(typ uint8, dst arch.TileID, payload []byte, now arch.Cycles) (network.Packet, bool) {
+	seq := r.seq.Add(1)
+	if !r.want.CompareAndSwap(0, seq) {
+		panic("core: concurrent control-plane calls on one tile")
 	}
-	r.seq++
-	seq := r.seq
-	r.waiters[seq] = ch
-	r.mu.Unlock()
 	if _, err := r.net.Send(network.ClassSystem, typ, dst, seq, payload, now); err != nil {
-		r.mu.Lock()
-		delete(r.waiters, seq)
-		r.mu.Unlock()
+		r.want.Store(0)
 		return network.Packet{}, false
 	}
-	pkt, ok := <-ch
+	pkt, ok := <-r.reply
+	if !ok {
+		// Torn down: no reply will come, and a thread that keeps running
+		// (a LaxP2P probe tolerates a failed call) must be able to call
+		// again.
+		r.want.Store(0)
+	}
 	return pkt, ok
 }
 
 // notify sends a fire-and-forget system packet.
-func (r *sysRouter) notify(typ uint8, dst arch.TileID, payload []byte, now arch.Cycles) {
+func (r *sysPort) notify(typ uint8, dst arch.TileID, payload []byte, now arch.Cycles) {
 	r.net.Send(network.ClassSystem, typ, dst, 0, payload, now)
 }

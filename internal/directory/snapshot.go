@@ -12,9 +12,6 @@ import "repro/internal/config"
 // Index returns the entry's arena index within its store.
 func (r Ref) Index() int { return int(r.i) }
 
-// Entry returns the handle of the i'th allocated entry.
-func (s *Store) Entry(i int) Ref { return Ref{s: s, i: int32(i)} }
-
 // Cursor returns the LimitedNB round-robin eviction cursor (zero for
 // other policies).
 func (r Ref) Cursor() int32 {

@@ -141,11 +141,11 @@ func (r Ref) LastWriterMask() uint64 { return r.s.wmasks[r.i] }
 // SetLastWriterMask records the last writer's mask.
 func (r Ref) SetLastWriterMask(m uint64) { r.s.wmasks[r.i] = m }
 
-// SharerCount returns the number of tracked sharers.
-func (r Ref) SharerCount() int { return int(r.s.counts[r.i]) }
+// sharerCount returns the number of tracked sharers.
+func (r Ref) sharerCount() int { return int(r.s.counts[r.i]) }
 
-// Idle reports whether no tile caches the line.
-func (r Ref) Idle() bool {
+// idle reports whether no tile caches the line.
+func (r Ref) idle() bool {
 	return r.s.owners[r.i] == arch.InvalidTile && r.s.counts[r.i] == 0
 }
 

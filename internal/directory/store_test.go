@@ -95,8 +95,8 @@ func TestStoreMatchesReference(t *testing.T) {
 						t.Fatalf("op %d: InvTrap = %v, reference %v", op, got, want.InvTrap())
 					}
 				}
-				if ref.SharerCount() != want.Count() {
-					t.Fatalf("op %d: count %d, reference %d", op, ref.SharerCount(), want.Count())
+				if ref.sharerCount() != want.Count() {
+					t.Fatalf("op %d: count %d, reference %d", op, ref.sharerCount(), want.Count())
 				}
 				if !equalInts(sharersOf(ref), sharersOfSet(want)) {
 					t.Fatalf("op %d: sharers %v, reference %v", op, sharersOf(ref), sharersOfSet(want))
@@ -111,28 +111,28 @@ func TestStoreMatchesReference(t *testing.T) {
 func TestStoreEntryLifecycle(t *testing.T) {
 	s := NewStore(config.CoherenceConfig{Kind: config.FullMap}, 16, 0)
 	e := s.Alloc()
-	if !e.Idle() {
+	if !e.idle() {
 		t.Fatal("fresh entry not idle")
 	}
 	if e.Owner() != arch.InvalidTile || e.LastWriter() != arch.InvalidTile {
 		t.Fatal("fresh entry has owner or writer")
 	}
 	e.AddSharer(3)
-	if e.Idle() {
+	if e.idle() {
 		t.Fatal("entry with sharer reported idle")
 	}
 	e.ClearSharers()
 	e.SetOwner(5)
 	e.SetLastWriter(5)
 	e.SetLastWriterMask(0xF0)
-	if e.Idle() {
+	if e.idle() {
 		t.Fatal("owned entry reported idle")
 	}
 	if e.Owner() != 5 || e.LastWriter() != 5 || e.LastWriterMask() != 0xF0 {
 		t.Fatal("owner/writer state lost")
 	}
 	e.SetOwner(arch.InvalidTile)
-	if !e.Idle() {
+	if !e.idle() {
 		t.Fatal("released entry not idle")
 	}
 }
@@ -157,8 +157,8 @@ func TestStoreManyEntries(t *testing.T) {
 		if !refs[i].ContainsSharer(arch.TileID(i % tiles)) {
 			t.Fatalf("entry %d lost its sharer", i)
 		}
-		if refs[i].SharerCount() != 1 {
-			t.Fatalf("entry %d count = %d", i, refs[i].SharerCount())
+		if refs[i].sharerCount() != 1 {
+			t.Fatalf("entry %d count = %d", i, refs[i].sharerCount())
 		}
 		if refs[i].LastWriterMask() != uint64(i) {
 			t.Fatalf("entry %d mask = %d", i, refs[i].LastWriterMask())
@@ -204,7 +204,7 @@ func TestFirstAllocSizedBySharerWidth(t *testing.T) {
 		refs[i].AddSharer(arch.TileID(1023 - i))
 	}
 	for i := range refs {
-		if !refs[i].ContainsSharer(arch.TileID(1023-i)) || refs[i].SharerCount() != 1 {
+		if !refs[i].ContainsSharer(arch.TileID(1023-i)) || refs[i].sharerCount() != 1 {
 			t.Fatalf("entry %d lost its sharer across growth", i)
 		}
 	}

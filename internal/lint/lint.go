@@ -22,10 +22,10 @@
 //     on every field, and the flattened schema must match a committed
 //     lock file, so wire-breaking changes are visible in the diff.
 //
-// The analyzers run from cmd/graphite-lint (standalone over ./..., or
-// as a go vet -vettool). They are deliberately built on the standard
-// library only (go/ast, go/types, go list): the repository vendors no
-// third-party analysis framework.
+// The analyzers run from cmd/graphite-lint over the whole module at once.
+// They are deliberately built on the standard library only (go/ast,
+// go/types, go list): the repository vendors no third-party analysis
+// framework.
 //
 // # Annotation grammar
 //
@@ -115,12 +115,6 @@ type Suite struct {
 	// types cannot be annotated). Empty limits the rule to same-package
 	// types (the test loader's mode).
 	ModulePath string
-	// CrossPackage is true when the suite sees every module package in
-	// one run (the standalone driver and the in-process tests). The vet
-	// tool protocol analyzes one package per process, so wire
-	// registrations from other packages are unavailable there and the
-	// transitivity rule applies to same-package types only.
-	CrossPackage bool
 
 	wireTypes map[types.Object]bool
 	diags     []Diagnostic

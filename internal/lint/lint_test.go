@@ -52,7 +52,6 @@ func TestTreeCleanAndSchemaLock(t *testing.T) {
 	}
 	suite := lint.NewSuite(lint.DefaultDetPaths(module))
 	suite.ModulePath = module
-	suite.CrossPackage = true
 	for _, pkg := range pkgs {
 		suite.RunPackage(pkg)
 	}

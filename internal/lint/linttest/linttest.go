@@ -61,7 +61,6 @@ func analyze(t *testing.T, dir string) ([]lint.Diagnostic, *token.FileSet, []*as
 	}
 	suite := lint.NewSuite(lint.DefaultDetPaths(module))
 	suite.ModulePath = module
-	suite.CrossPackage = true
 	suite.RunPackage(pkg)
 	return suite.Diagnostics(), pkg.Fset, pkg.Files
 }

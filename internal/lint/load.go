@@ -43,8 +43,7 @@ type listedPkg struct {
 
 // Loader loads and typechecks module packages from source while
 // resolving every external import (the standard library) from compiler
-// export data produced by `go list -export`. This is the same
-// resolution strategy go vet's unitchecker uses, built on the standard
+// export data produced by `go list -export`, built on the standard
 // library only.
 type Loader struct {
 	Fset *token.FileSet
@@ -266,40 +265,6 @@ func (l *Loader) check(importPath string, asts []*ast.File) (*Package, error) {
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
-}
-
-// CheckUnit typechecks one go vet unit: the package's own source files
-// plus compiler export data for every import, as described by the vet
-// config's ImportMap/PackageFile tables. This is how the suite runs
-// under `go vet -vettool=graphite-lint`.
-func CheckUnit(importPath string, goFiles []string, importMap, packageFile map[string]string, detPaths map[string]bool) (*Package, error) {
-	l := NewLoader(detPaths)
-	// Resolve vet's two-level mapping: source import path → canonical
-	// path → export file.
-	l.gcImporter = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
-		if c, ok := importMap[path]; ok {
-			path = c
-		}
-		f, ok := packageFile[path]
-		if !ok || f == "" {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(f)
-	}).(types.ImporterFrom)
-	var asts []*ast.File
-	for _, f := range goFiles {
-		parsed, err := parser.ParseFile(l.Fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		asts = append(asts, parsed)
-	}
-	pkg, err := l.check(importPath, asts)
-	if err != nil {
-		return nil, err
-	}
-	pkg.InScope = detPaths[importPath]
-	return pkg, nil
 }
 
 // ModuleInfo reports the module path and root directory that contain

@@ -178,9 +178,6 @@ func (p *Pass) checkFieldType(file *ast.File, field *ast.Field) {
 	if !p.suite.inModule(obj.Pkg(), p.Pkg) {
 		return // stdlib/external types cannot carry annotations
 	}
-	if obj.Pkg() != p.Pkg && !p.suite.CrossPackage {
-		return // per-package (vettool) mode: other packages' wire marks are invisible here
-	}
 	p.reportUnlessSuppressed(file, nil, field.Pos(), "wireexempt",
 		"field type %s.%s is not a //graphite:wire struct; wire schemas must be wire all the way down (annotate the type, or //graphite:wireexempt <why> here)",
 		obj.Pkg().Name(), obj.Name())

@@ -94,5 +94,5 @@ func (a *Allocator) InUse() arch.Addr { return a.inUse }
 // Peak returns the high-water mark of allocated bytes.
 func (a *Allocator) Peak() arch.Addr { return a.peak }
 
-// FreeSpans returns the number of fragments in the free list.
-func (a *Allocator) FreeSpans() int { return len(a.free) }
+// freeSpans returns the number of fragments in the free list.
+func (a *Allocator) freeSpans() int { return len(a.free) }

@@ -174,5 +174,5 @@ func (fs *FS) Handle(req FileReq) FileRep {
 	}
 }
 
-// OpenFDs returns the number of open descriptors (diagnostics).
-func (fs *FS) OpenFDs() int { return len(fs.fds) }
+// openFDs returns the number of open descriptors.
+func (fs *FS) openFDs() int { return len(fs.fds) }

@@ -65,8 +65,8 @@ func TestAllocatorCoalesces(t *testing.T) {
 	a.Free(p2)
 	a.Free(p1)
 	a.Free(p3)
-	if a.FreeSpans() != 1 {
-		t.Fatalf("free list fragmented into %d spans after full free", a.FreeSpans())
+	if a.freeSpans() != 1 {
+		t.Fatalf("free list fragmented into %d spans after full free", a.freeSpans())
 	}
 	if _, err := a.Alloc(1024); err != nil {
 		t.Fatalf("coalesced heap cannot satisfy full-size alloc: %v", err)
@@ -146,7 +146,7 @@ func TestFSOpenReadWrite(t *testing.T) {
 	if rep := fs.Handle(FileReq{Op: FileClose, FD: fd}); rep.Err != "" {
 		t.Fatal(rep.Err)
 	}
-	if fs.OpenFDs() != 0 {
+	if fs.openFDs() != 0 {
 		t.Fatal("fd leaked")
 	}
 }
@@ -241,7 +241,7 @@ func TestMsgCodecs(t *testing.T) {
 		t.Fatal("decoded short start")
 	}
 	for m := uint8(0); m <= MsgFlushRep; m++ {
-		if MsgName(m) == "" {
+		if msgName(m) == "" {
 			t.Fatal("empty message name")
 		}
 	}

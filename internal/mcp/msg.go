@@ -109,8 +109,8 @@ const (
 	MsgCkptSaveRep
 )
 
-// MsgName returns a human-readable message name for diagnostics.
-func MsgName(t uint8) string {
+// msgName returns a human-readable message name for diagnostics.
+func msgName(t uint8) string {
 	names := []string{
 		"ClockProbe", "ClockProbeRep", "Spawn", "SpawnRep", "Join",
 		"JoinRep", "ThreadExit", "StartThread", "MutexLock", "MutexLockRep",

@@ -36,23 +36,19 @@ func newHarness(t *testing.T, tiles int) *mcpHarness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := network.New(arch.TileID(i), tr, ep, models, prog)
-		n.Start()
-		h.tiles = append(h.tiles, n)
+		h.tiles = append(h.tiles, network.New(arch.TileID(i), tr, ep, models, prog))
 	}
 	lcpEP, err := tr.Register(transport.LCP(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.lcp = network.New(arch.TileID(transport.LCP(0)), tr, lcpEP, models, nil)
-	h.lcp.Start()
 
 	mcpEP, err := tr.Register(transport.MCP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mcpNet := network.New(arch.TileID(transport.MCP), tr, mcpEP, models, nil)
-	mcpNet.Start()
 	h.srv = NewServer(&cfg, mcpNet)
 	go h.srv.Serve()
 
@@ -98,7 +94,7 @@ func (h *mcpHarness) simRelease(t *testing.T) uint64 {
 	t.Helper()
 	rel := recvOn(t, h.lcp)
 	if rel.Type != MsgSimBarrierRelease {
-		t.Fatalf("LCP got %s, want SimBarrierRelease", MsgName(rel.Type))
+		t.Fatalf("LCP got %s, want SimBarrierRelease", msgName(rel.Type))
 	}
 	epoch, err := DecodeU64(rel.Payload)
 	if err != nil {

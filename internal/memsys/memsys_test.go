@@ -53,7 +53,6 @@ func newCluster(t testing.TB, cfg config.Config) *cluster {
 		}
 		net := network.New(arch.TileID(tile), tr, ep, models, prog)
 		net.SetPrimary(network.ClassMemory)
-		net.Start()
 		node := NewNode(arch.TileID(tile), &c.cfg, net, prog)
 		go node.Serve()
 		c.nets = append(c.nets, net)

@@ -27,7 +27,9 @@ const maxDrain = 64
 // Serve is the tile's memory server loop. It processes every memory-class
 // packet addressed to this tile — directory requests for lines homed here,
 // coherence commands for lines cached here, and replies that complete the
-// local core's outstanding miss. It returns when the network closes.
+// local core's outstanding miss. It returns when the network closes. Its
+// receives pump the tile's endpoint, so they also deliver the tile's
+// other traffic classes to their sinks and queues (network.Net).
 //
 // The server never blocks on other tiles: home transactions are a state
 // machine (blocking directory with per-line pending queues), so the
@@ -75,10 +77,10 @@ func (n *Node) Serve() {
 		if pkt.Src == n.tile {
 			n.selfInflight.Add(-1)
 		}
-		// Drain whatever else is queued — one lock for the whole burst —
-		// before flushing and waking, bounded so a long inbound stream can
-		// starve neither the flush nor the waiting core.
-		k := n.net.TryRecvBurst(network.ClassMemory, burst[1:])
+		// Drain whatever else the transport already delivered before
+		// flushing and waking, bounded so a long inbound stream can starve
+		// neither the flush nor the waiting core.
+		k := n.net.TryRecvBurst(burst[1:])
 		for i := 1; i <= k; i++ {
 			if done, rep := n.dispatch(burst[i]); done != nil {
 				wake = append(wake, coreWake{done, rep})

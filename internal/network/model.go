@@ -129,8 +129,8 @@ func (m *Mesh) Name() string {
 	return "mesh_hop"
 }
 
-// Geometry returns the mesh dimensions (for tests and reporting).
-func (m *Mesh) Geometry() (w, h int) { return m.width, m.height }
+// geometry returns the mesh dimensions.
+func (m *Mesh) geometry() (w, h int) { return m.width, m.height }
 
 func (m *Mesh) coord(t arch.TileID) (x, y int) {
 	return int(t) % m.width, int(t) / m.width
@@ -207,8 +207,8 @@ func (m *Mesh) walk(link, stride, hops int, t, ser arch.Cycles) arch.Cycles {
 	return t
 }
 
-// ContentionStats aggregates queueing statistics over all links.
-func (m *Mesh) ContentionStats() (packets uint64, totalDelay arch.Cycles) {
+// contentionStats aggregates queueing statistics over all links.
+func (m *Mesh) contentionStats() (packets uint64, totalDelay arch.Cycles) {
 	if m.prog == nil {
 		return 0, 0
 	}

@@ -49,7 +49,9 @@ type Stats struct {
 
 // pktQueue is an unbounded FIFO of packets, stored in a ring buffer so
 // steady-state traffic recycles one allocation instead of regrowing an
-// append-and-reslice queue (whose head capacity is unrecoverable).
+// append-and-reslice queue (whose head capacity is unrecoverable). The
+// ring is allocated by the first put: a class that is pumped or sunk never
+// queues anything, so its queue costs no packet storage.
 type pktQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -60,9 +62,7 @@ type pktQueue struct {
 }
 
 func newPktQueue() *pktQueue {
-	// Start at the steady-state minimum ring size: the first packets of a
-	// run then never trigger a growth step.
-	q := &pktQueue{buf: make([]Packet, 16)}
+	q := &pktQueue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -104,26 +104,6 @@ func (q *pktQueue) grow(n int) {
 	q.buf, q.head = nb, 0
 }
 
-// putBatch appends ps in order under one lock acquisition with one
-// receiver wakeup, preserving arrival order.
-func (q *pktQueue) putBatch(ps []Packet) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.grow(len(ps))
-	for i := range ps {
-		*q.at(q.count) = ps[i]
-		q.count++
-	}
-	if len(ps) > 1 {
-		q.cond.Broadcast()
-	} else {
-		q.cond.Signal()
-	}
-}
-
 // pop removes and returns the head packet. Called with mu held, count > 0.
 func (q *pktQueue) pop() Packet {
 	p := q.buf[q.head]
@@ -131,32 +111,6 @@ func (q *pktQueue) pop() Packet {
 	q.head = (q.head + 1) % len(q.buf)
 	q.count--
 	return p
-}
-
-// tryGet returns the next packet without blocking; ok is false when the
-// queue is momentarily empty or closed.
-func (q *pktQueue) tryGet() (Packet, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.count == 0 {
-		return Packet{}, false
-	}
-	return q.pop(), true
-}
-
-// tryGetBurst pops up to len(out) queued packets without blocking under
-// one lock acquisition, returning how many it moved.
-func (q *pktQueue) tryGetBurst(out []Packet) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	k := q.count
-	if k > len(out) {
-		k = len(out)
-	}
-	for i := 0; i < k; i++ {
-		out[i] = q.pop()
-	}
-	return k
 }
 
 func (q *pktQueue) get() (Packet, bool) {
@@ -207,28 +161,33 @@ func (q *pktQueue) close() {
 
 // Net is one node's interface to the on-chip networks: a target tile or a
 // simulator control thread (MCP/LCP, which only ever uses ClassSystem).
-// Transport frames reach per-class receive queues either through a
-// demultiplexing goroutine (the default) or, when a primary class is
-// declared, inline in the primary consumer's Recv — the tile's memory
-// server then pumps the endpoint itself, and the dominant traffic class
-// pays no extra goroutine hand-off or queue hop at all. Start must be
-// called once before any Recv.
+//
+// Every Net has exactly one pump: the consumer of its pump class, whose
+// Recv reads the transport endpoint itself. Packets of the pump class are
+// returned inline; every other class goes to that class's sink — a
+// function installed with SetSink, or by default the class queue that
+// Recv/RecvMatch read. Other classes are therefore delivered only while
+// the pump consumer receives. The pump class is ClassSystem (the control
+// endpoints receive nothing else) unless SetPrimary names another: a
+// tile's memory server pumps ClassMemory, and the tile sinks its system
+// traffic (see core.Tile).
 type Net struct {
-	node     arch.TileID // may be negative for control endpoints
-	tr       transport.Transport
-	ep       transport.Endpoint
-	models   *Models
-	progress *clock.ProgressWindow
-	queues   [NumClasses]*pktQueue
-	primary  Class // NumClasses when unset
-	stats    Stats
-	wg       sync.WaitGroup
+	node      arch.TileID // may be negative for control endpoints
+	tr        transport.Transport
+	ep        transport.Endpoint
+	models    *Models
+	progress  *clock.ProgressWindow
+	queues    [NumClasses]*pktQueue
+	sinks     [NumClasses]func(pkt Packet, ok bool)
+	pumped    Class
+	stats     Stats
+	closeOnce sync.Once // the sinks' ok == false call
 }
 
 // New creates the network interface for a node. The endpoint must already
 // be registered on the transport. progress may be nil for control nodes.
 func New(node arch.TileID, tr transport.Transport, ep transport.Endpoint, models *Models, progress *clock.ProgressWindow) *Net {
-	n := &Net{node: node, tr: tr, ep: ep, models: models, progress: progress, primary: NumClasses}
+	n := &Net{node: node, tr: tr, ep: ep, models: models, progress: progress, pumped: ClassSystem}
 	for c := range n.queues {
 		n.queues[c] = newPktQueue()
 	}
@@ -238,67 +197,20 @@ func New(node arch.TileID, tr transport.Transport, ep transport.Endpoint, models
 // Node returns the node ID this Net serves.
 func (n *Net) Node() arch.TileID { return n.node }
 
-// SetPrimary declares class's consumer the endpoint pump: its Recv reads
-// transport frames directly, returning packets of its own class and
-// routing others to their queues, so no demux goroutine runs. The primary
-// consumer must keep receiving for the other classes to make progress —
-// the tile memory server's Serve loop does exactly that. Must be called
-// before Start.
-func (n *Net) SetPrimary(c Class) { n.primary = c }
+// SetPrimary makes class c the pump class: its consumer's Recv reads the
+// endpoint and delivers every other class on the way. Call before the
+// first Recv.
+func (n *Net) SetPrimary(c Class) { n.pumped = c }
 
-// Start launches the demultiplexer (unless a primary consumer pumps the
-// endpoint inline).
-func (n *Net) Start() {
-	if n.primary < NumClasses {
-		return
-	}
-	n.wg.Add(1)
-	go n.demux()
-}
+// SetSink hands class c's packets to fn instead of queueing them for
+// Recv. fn runs inside the pump consumer's Recv, on its goroutine, so it
+// must not block; it sees the packets in arrival order with ok == true,
+// then ok == false exactly once when the endpoint closes. Call before the
+// first Recv.
+func (n *Net) SetSink(c Class, fn func(pkt Packet, ok bool)) { n.sinks[c] = fn }
 
-// demuxBurst bounds how many already-delivered frames demux moves in one
-// sweep before releasing them to the class queues.
-const demuxBurst = 32
-
-func (n *Net) demux() {
-	defer n.wg.Done()
-	var burst [NumClasses][]Packet
-	for {
-		frame, err := n.ep.Recv()
-		if err != nil {
-			for _, q := range n.queues {
-				q.close()
-			}
-			return
-		}
-		// Sweep whatever else the transport already delivered and hand the
-		// packets to each class queue as one batch: a protocol burst costs
-		// one queue lock and one receiver wakeup instead of one per packet.
-		for {
-			pkt, err := Decode(frame)
-			if err == nil {
-				n.recvPacket(&pkt)
-				burst[pkt.Class] = append(burst[pkt.Class], pkt)
-			}
-			// Malformed frames indicate a simulator bug; dropping them is
-			// the only safe action mid-simulation.
-			if len(burst[ClassMemory])+len(burst[ClassSystem])+len(burst[ClassApp]) >= demuxBurst {
-				break
-			}
-			var ok bool
-			if frame, ok, err = n.ep.TryRecv(); err != nil || !ok {
-				break
-			}
-		}
-		for c := range burst {
-			if len(burst[c]) > 0 {
-				n.queues[c].putBatch(burst[c])
-				clear(burst[c])
-				burst[c] = burst[c][:0]
-			}
-		}
-	}
-}
+// Start is a no-op kept because benchmark/, edited only in benchmark PRs, calls it.
+func (n *Net) Start() {}
 
 // Send models and transmits a packet, returning its simulated arrival time
 // at dst. now is the sender's current clock.
@@ -337,20 +249,14 @@ func (n *Net) recvPacket(pkt *Packet) {
 	n.stats.PacketsRecv[pkt.Class].Add(1)
 }
 
-// pump reads transport frames from the primary consumer's context,
-// returning the first primary-class packet and routing every other class
-// to its queue. ok is false once the endpoint closes, after which all
-// queues are closed so secondary consumers unblock too.
+// pump reads transport frames from the pump consumer's context,
+// returning the first pump-class packet and delivering every other class
+// to its sink. ok is false once the endpoint closes.
 func (n *Net) pump() (Packet, bool) {
-	if p, ok := n.queues[n.primary].tryGet(); ok {
-		return p, true
-	}
 	for {
 		frame, err := n.ep.Recv()
 		if err != nil {
-			for _, q := range n.queues {
-				q.close()
-			}
+			n.closeOnce.Do(n.closeSinks)
 			return Packet{}, false
 		}
 		pkt, err := Decode(frame)
@@ -360,39 +266,48 @@ func (n *Net) pump() (Packet, bool) {
 			continue
 		}
 		n.recvPacket(&pkt)
-		if pkt.Class == n.primary {
+		if pkt.Class == n.pumped {
 			return pkt, true
 		}
-		n.queues[pkt.Class].put(pkt)
+		n.deliver(pkt)
 	}
 }
 
-// Recv blocks for the next packet of a class, in arrival order.
-// ok is false after Close.
+// deliver hands a non-pump packet to its class's sink or queue.
+func (n *Net) deliver(pkt Packet) {
+	if fn := n.sinks[pkt.Class]; fn != nil {
+		fn(pkt, true)
+		return
+	}
+	n.queues[pkt.Class].put(pkt)
+}
+
+// closeSinks tells every consumer that the endpoint closed.
+func (n *Net) closeSinks() {
+	for c, q := range n.queues {
+		q.close()
+		if fn := n.sinks[c]; fn != nil {
+			fn(Packet{}, false)
+		}
+	}
+}
+
+// Recv blocks for the next packet of a class, in arrival order: the pump
+// class by reading the endpoint, any other class from its queue. ok is
+// false after Close.
 func (n *Net) Recv(class Class) (Packet, bool) {
-	if class == n.primary {
+	if class == n.pumped {
 		return n.pump()
 	}
 	return n.queues[class].get()
 }
 
-// TryRecv returns the next packet of a class without blocking; ok is false
-// when none is queued (or the Net is closed). Server loops use it to drain
-// bursts before flushing batched replies.
-func (n *Net) TryRecv(class Class) (Packet, bool) {
-	return n.queues[class].tryGet()
-}
-
-// TryRecvBurst moves up to len(out) queued packets of a class into out
-// without blocking, under one queue lock, returning the count. Server
-// loops use it to drain inbound bursts at one lock per burst instead of
-// one per packet. The primary consumer additionally sweeps frames the
-// transport has already delivered.
-func (n *Net) TryRecvBurst(class Class, out []Packet) int {
-	k := n.queues[class].tryGetBurst(out)
-	if class != n.primary {
-		return k
-	}
+// TryRecvBurst moves up to len(out) pump-class packets the transport has
+// already delivered into out without blocking, delivering other classes
+// on the way, and returns the count. Only the pump consumer calls it:
+// server loops drain a burst this way before flushing batched replies.
+func (n *Net) TryRecvBurst(out []Packet) int {
+	k := 0
 	for k < len(out) {
 		frame, ok, err := n.ep.TryRecv()
 		if err != nil || !ok {
@@ -403,18 +318,19 @@ func (n *Net) TryRecvBurst(class Class, out []Packet) int {
 			continue
 		}
 		n.recvPacket(&pkt)
-		if pkt.Class == class {
+		if pkt.Class == n.pumped {
 			out[k] = pkt
 			k++
 		} else {
-			n.queues[pkt.Class].put(pkt)
+			n.deliver(pkt)
 		}
 	}
 	return k
 }
 
-// RecvMatch blocks for the next packet of a class satisfying pred,
-// buffering non-matching packets for later Recv/RecvMatch calls.
+// RecvMatch blocks for the next queued packet of a non-pump class
+// satisfying pred, buffering non-matching packets for later
+// Recv/RecvMatch calls.
 func (n *Net) RecvMatch(class Class, pred func(*Packet) bool) (Packet, bool) {
 	return n.queues[class].getMatch(pred)
 }
@@ -440,12 +356,13 @@ func (n *Net) Observe(t arch.Cycles) {
 // Stats exposes the traffic counters.
 func (n *Net) Stats() *Stats { return &n.stats }
 
-// Close shuts down the receive queues and the endpoint. In-flight Recv
-// calls return ok == false.
+// Close shuts down the endpoint and the receive queues. In-flight Recv
+// calls return ok == false; the pump consumer's does so once it has
+// drained what the transport already delivered, and the sinks hear of
+// the close from it.
 func (n *Net) Close() {
 	n.ep.Close()
 	for _, q := range n.queues {
 		q.close()
 	}
-	n.wg.Wait()
 }

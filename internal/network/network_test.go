@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/clock"
 	"repro/internal/config"
+	"repro/internal/simtest"
 	"repro/internal/transport"
 )
 
@@ -93,15 +95,15 @@ func meshCfg(kind config.NetworkModelKind) config.NetworkConfig {
 
 func TestMeshGeometry(t *testing.T) {
 	m := newMesh(meshCfg(config.NetMeshHop), 16, nil)
-	if w, h := m.Geometry(); w != 4 || h != 4 {
+	if w, h := m.geometry(); w != 4 || h != 4 {
 		t.Fatalf("16 tiles -> %dx%d, want 4x4", w, h)
 	}
 	m = newMesh(meshCfg(config.NetMeshHop), 17, nil)
-	if w, h := m.Geometry(); w != 5 || h != 4 {
+	if w, h := m.geometry(); w != 5 || h != 4 {
 		t.Fatalf("17 tiles -> %dx%d, want 5x4", w, h)
 	}
 	m = newMesh(meshCfg(config.NetMeshHop), 1, nil)
-	if w, h := m.Geometry(); w != 1 || h != 1 {
+	if w, h := m.geometry(); w != 1 || h != 1 {
 		t.Fatalf("1 tile -> %dx%d", w, h)
 	}
 }
@@ -171,7 +173,7 @@ func TestMeshContentionAddsQueueing(t *testing.T) {
 	if last <= base {
 		t.Fatalf("contention did not grow: first %d, after load %d", base, last)
 	}
-	pkts, delay := m.ContentionStats()
+	pkts, delay := m.contentionStats()
 	if pkts == 0 || delay == 0 {
 		t.Fatalf("contention stats empty: %d pkts %d delay", pkts, delay)
 	}
@@ -255,164 +257,264 @@ func TestNewModelSelectsKinds(t *testing.T) {
 	}
 }
 
-func newTestNode(t *testing.T, tiles int) (*Net, *Net, func()) {
+// netDeadline bounds every test that blocks on a receive.
+const netDeadline = 30 * time.Second
+
+// pair is two tile nets on one channel fabric, each with the consumer a
+// tile gives it: ClassMemory is the pump, received by a server goroutine
+// (here one that forwards each memory packet to mem[i]).
+type pair struct {
+	n0, n1 *Net
+	mem    [2]chan Packet // closed when that net's pump consumer stops
+	prog   *clock.ProgressWindow
+	fab    *transport.ChannelFabric
+}
+
+// newPair builds a pair whose progress window has the given size. setup,
+// if non-nil, runs on n1 before its pump consumer starts.
+func newPair(t *testing.T, window int, setup func(n1 *Net)) *pair {
 	t.Helper()
 	cfg := config.Default()
-	cfg.Tiles = tiles
-	prog := clock.NewProgressWindow(tiles)
-	models := NewModels(&cfg, prog)
-	fab := transport.NewChannelFabric(transport.StripedRoute(1))
-	tr := fab.Process(0)
-	ep0, err := tr.Register(0)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Tiles = 4
+	p := &pair{prog: clock.NewProgressWindow(window)}
+	models := NewModels(&cfg, p.prog)
+	p.fab = transport.NewChannelFabric(transport.StripedRoute(1))
+	tr := p.fab.Process(0)
+	var nets [2]*Net
+	for i := range nets {
+		ep, err := tr.Register(transport.TileEndpoint(arch.TileID(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[i] = New(arch.TileID(i), tr, ep, models, p.prog)
+		nets[i].SetPrimary(ClassMemory)
 	}
-	ep1, err := tr.Register(1)
-	if err != nil {
-		t.Fatal(err)
+	p.n0, p.n1 = nets[0], nets[1]
+	if setup != nil {
+		setup(p.n1)
 	}
-	n0 := New(0, tr, ep0, models, prog)
-	n1 := New(1, tr, ep1, models, prog)
-	n0.Start()
-	n1.Start()
-	return n0, n1, func() { n0.Close(); n1.Close(); fab.Close() }
-}
-
-func TestNetSendRecv(t *testing.T) {
-	n0, n1, done := newTestNode(t, 4)
-	defer done()
-	arrival, err := n0.Send(ClassApp, 9, 1, 77, []byte("ping"), 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arrival <= 500 {
-		t.Fatalf("arrival %d not after send time", arrival)
-	}
-	pkt, ok := n1.Recv(ClassApp)
-	if !ok {
-		t.Fatal("recv failed")
-	}
-	if pkt.Src != 0 || pkt.Dst != 1 || pkt.Type != 9 || pkt.Seq != 77 ||
-		string(pkt.Payload) != "ping" || pkt.Time != arrival {
-		t.Fatalf("bad packet: %+v (want arrival %d)", pkt, arrival)
-	}
-}
-
-func TestNetClassIsolation(t *testing.T) {
-	n0, n1, done := newTestNode(t, 4)
-	defer done()
-	n0.Send(ClassMemory, 1, 1, 0, []byte("mem"), 0)
-	n0.Send(ClassApp, 2, 1, 0, []byte("app"), 0)
-	pkt, ok := n1.Recv(ClassApp)
-	if !ok || string(pkt.Payload) != "app" {
-		t.Fatalf("app queue returned %q", pkt.Payload)
-	}
-	pkt, ok = n1.Recv(ClassMemory)
-	if !ok || string(pkt.Payload) != "mem" {
-		t.Fatalf("memory queue returned %q", pkt.Payload)
-	}
-}
-
-func TestNetRecvMatchBuffersOthers(t *testing.T) {
-	n0, n1, done := newTestNode(t, 4)
-	defer done()
-	n0.Send(ClassApp, 0, 1, 1, []byte("a"), 0)
-	n0.Send(ClassApp, 0, 1, 2, []byte("b"), 0)
-	n0.Send(ClassApp, 0, 1, 3, []byte("c"), 0)
-	pkt, ok := n1.RecvMatch(ClassApp, func(p *Packet) bool { return p.Seq == 2 })
-	if !ok || string(pkt.Payload) != "b" {
-		t.Fatalf("RecvMatch returned %q", pkt.Payload)
-	}
-	// The skipped packets are still there, in order.
-	pkt, _ = n1.Recv(ClassApp)
-	if string(pkt.Payload) != "a" {
-		t.Fatalf("buffered packet lost: got %q", pkt.Payload)
-	}
-	pkt, _ = n1.Recv(ClassApp)
-	if string(pkt.Payload) != "c" {
-		t.Fatalf("buffered packet lost: got %q", pkt.Payload)
-	}
-}
-
-func TestNetSystemTrafficHasZeroDelay(t *testing.T) {
-	n0, n1, done := newTestNode(t, 4)
-	defer done()
-	arrival, err := n0.Send(ClassSystem, 0, 1, 0, nil, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arrival != 12345 {
-		t.Fatalf("system packet delayed: arrival %d", arrival)
-	}
-	if _, ok := n1.Recv(ClassSystem); !ok {
-		t.Fatal("system packet lost")
-	}
-}
-
-func TestNetFeedsProgressWindow(t *testing.T) {
-	cfg := config.Default()
-	cfg.Tiles = 2
-	prog := clock.NewProgressWindow(1)
-	models := NewModels(&cfg, prog)
-	fab := transport.NewChannelFabric(transport.StripedRoute(1))
-	tr := fab.Process(0)
-	ep0, _ := tr.Register(0)
-	ep1, _ := tr.Register(1)
-	n0 := New(0, tr, ep0, models, prog)
-	n1 := New(1, tr, ep1, models, prog)
-	n0.Start()
-	n1.Start()
-	defer func() { n0.Close(); n1.Close(); fab.Close() }()
-
-	n0.Send(ClassApp, 0, 1, 0, nil, 10_000)
-	if _, ok := n1.Recv(ClassApp); !ok {
-		t.Fatal("recv failed")
-	}
-	if got := prog.Now(); got < 10_000 {
-		t.Fatalf("progress window not fed by delivery: %d", got)
-	}
-}
-
-func TestNetConcurrentSenders(t *testing.T) {
-	n0, n1, done := newTestNode(t, 4)
-	defer done()
-	const senders, per = 4, 200
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
+	for i, n := range nets {
+		// Room for every memory packet a test sends: the pump consumer
+		// never waits on the test.
+		mem := make(chan Packet, 64)
+		p.mem[i] = mem
 		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := n0.Send(ClassApp, 0, 1, 0, []byte{1}, arch.Cycles(i)); err != nil {
-					t.Errorf("send: %v", err)
+			defer close(mem)
+			for {
+				pkt, ok := n.Recv(ClassMemory)
+				if !ok {
 					return
 				}
+				mem <- pkt
 			}
 		}()
 	}
-	for i := 0; i < senders*per; i++ {
-		if _, ok := n1.Recv(ClassApp); !ok {
-			t.Fatal("premature close")
+	t.Cleanup(p.close)
+	return p
+}
+
+// close shuts both nets and the fabric and waits for the pump consumers.
+func (p *pair) close() {
+	p.n0.Close()
+	p.n1.Close()
+	p.fab.Close()
+	for _, mem := range p.mem {
+		for range mem {
 		}
 	}
-	wg.Wait()
-	if got := n0.Stats().PacketsSent[ClassApp].Load(); got != senders*per {
+}
+
+func TestNetSendRecv(t *testing.T) {
+	p := newPair(t, 4, nil)
+	simtest.Deadline(t, netDeadline, func() {
+		arrival, err := p.n0.Send(ClassApp, 9, 1, 77, []byte("ping"), 500)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if arrival <= 500 {
+			t.Errorf("arrival %d not after send time", arrival)
+		}
+		pkt, ok := p.n1.Recv(ClassApp)
+		if !ok {
+			t.Error("recv failed")
+			return
+		}
+		if pkt.Src != 0 || pkt.Dst != 1 || pkt.Type != 9 || pkt.Seq != 77 ||
+			string(pkt.Payload) != "ping" || pkt.Time != arrival {
+			t.Errorf("bad packet: %+v (want arrival %d)", pkt, arrival)
+		}
+	})
+}
+
+// TestNetClassIsolation: the pump consumer gets only its own class, and
+// the app packet that arrived behind a memory packet waits in its queue.
+func TestNetClassIsolation(t *testing.T) {
+	p := newPair(t, 4, nil)
+	simtest.Deadline(t, netDeadline, func() {
+		p.n0.Send(ClassMemory, 1, 1, 0, []byte("mem"), 0)
+		p.n0.Send(ClassApp, 2, 1, 0, []byte("app"), 0)
+		pkt, ok := p.n1.Recv(ClassApp)
+		if !ok || string(pkt.Payload) != "app" {
+			t.Errorf("app queue returned %q", pkt.Payload)
+		}
+		pkt = <-p.mem[1]
+		if string(pkt.Payload) != "mem" {
+			t.Errorf("memory pump returned %q", pkt.Payload)
+		}
+	})
+}
+
+func TestNetRecvMatchBuffersOthers(t *testing.T) {
+	p := newPair(t, 4, nil)
+	simtest.Deadline(t, netDeadline, func() {
+		p.n0.Send(ClassApp, 0, 1, 1, []byte("a"), 0)
+		p.n0.Send(ClassApp, 0, 1, 2, []byte("b"), 0)
+		p.n0.Send(ClassApp, 0, 1, 3, []byte("c"), 0)
+		pkt, ok := p.n1.RecvMatch(ClassApp, func(p *Packet) bool { return p.Seq == 2 })
+		if !ok || string(pkt.Payload) != "b" {
+			t.Errorf("RecvMatch returned %q", pkt.Payload)
+		}
+		// The skipped packets are still there, in order.
+		for _, want := range []string{"a", "c"} {
+			if pkt, _ = p.n1.Recv(ClassApp); string(pkt.Payload) != want {
+				t.Errorf("buffered packet lost: got %q, want %q", pkt.Payload, want)
+			}
+		}
+	})
+}
+
+func TestNetSystemTrafficHasZeroDelay(t *testing.T) {
+	p := newPair(t, 4, nil)
+	simtest.Deadline(t, netDeadline, func() {
+		arrival, err := p.n0.Send(ClassSystem, 0, 1, 0, nil, 12345)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if arrival != 12345 {
+			t.Errorf("system packet delayed: arrival %d", arrival)
+		}
+		if _, ok := p.n1.Recv(ClassSystem); !ok {
+			t.Error("system packet lost")
+		}
+	})
+}
+
+func TestNetFeedsProgressWindow(t *testing.T) {
+	p := newPair(t, 1, nil)
+	simtest.Deadline(t, netDeadline, func() {
+		p.n0.Send(ClassApp, 0, 1, 0, nil, 10_000)
+		if _, ok := p.n1.Recv(ClassApp); !ok {
+			t.Error("recv failed")
+			return
+		}
+		if got := p.prog.Now(); got < 10_000 {
+			t.Errorf("progress window not fed by delivery: %d", got)
+		}
+	})
+}
+
+func TestNetConcurrentSenders(t *testing.T) {
+	p := newPair(t, 4, nil)
+	const senders, per = 4, 200
+	simtest.Deadline(t, netDeadline, func() {
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					if _, err := p.n0.Send(ClassApp, 0, 1, 0, []byte{1}, arch.Cycles(i)); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < senders*per; i++ {
+			if _, ok := p.n1.Recv(ClassApp); !ok {
+				t.Error("premature close")
+				return
+			}
+		}
+		wg.Wait()
+	})
+	if got := p.n0.Stats().PacketsSent[ClassApp].Load(); got != senders*per {
 		t.Fatalf("sent counter = %d", got)
 	}
-	if got := n1.Stats().PacketsRecv[ClassApp].Load(); got != senders*per {
+	if got := p.n1.Stats().PacketsRecv[ClassApp].Load(); got != senders*per {
 		t.Fatalf("recv counter = %d", got)
 	}
 }
 
 func TestNetCloseUnblocksRecv(t *testing.T) {
-	n0, _, done := newTestNode(t, 4)
+	p := newPair(t, 4, nil)
 	unblocked := make(chan bool, 1)
 	go func() {
-		_, ok := n0.Recv(ClassApp)
+		_, ok := p.n0.Recv(ClassApp)
 		unblocked <- ok
 	}()
-	done()
-	if ok := <-unblocked; ok {
-		t.Fatal("Recv returned ok after close")
+	simtest.Deadline(t, netDeadline, func() {
+		p.close()
+		if ok := <-unblocked; ok {
+			t.Error("Recv returned ok after close")
+		}
+	})
+}
+
+// TestNetSinkSeesArrivalOrderAndCloseOnce: a sink installed on a non-pump
+// class runs inside the pump consumer's receives, sees that class's
+// packets in arrival order whatever else is interleaved, and hears of the
+// endpoint's close exactly once even when the pump is received again.
+func TestNetSinkSeesArrivalOrderAndCloseOnce(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		got    []uint64
+		closes int
+	)
+	p := newPair(t, 4, func(n1 *Net) {
+		n1.SetSink(ClassSystem, func(pkt Packet, ok bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if !ok {
+				closes++
+				return
+			}
+			got = append(got, pkt.Seq)
+		})
+	})
+	const n = 50
+	simtest.Deadline(t, netDeadline, func() {
+		for i := uint64(1); i <= n; i++ {
+			p.n0.Send(ClassSystem, 0, 1, i, nil, 0)
+			if i%10 == 0 {
+				p.n0.Send(ClassMemory, 0, 1, i, nil, 0)
+			}
+		}
+		// The last memory packet trails every system packet, so once the
+		// pump consumer has it the sink has seen them all.
+		for pkt := range p.mem[1] {
+			if pkt.Seq == n {
+				break
+			}
+		}
+		p.close()
+		if _, ok := p.n1.Recv(ClassMemory); ok {
+			t.Error("pump returned a packet after close")
+		}
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != n {
+		t.Fatalf("sink saw %d packets, want %d", len(got), n)
+	}
+	for i, seq := range got {
+		if seq != uint64(i+1) {
+			t.Fatalf("sink saw seq %d at position %d: %v", seq, i, got)
+		}
+	}
+	if closes != 1 {
+		t.Fatalf("sink told of close %d times, want 1", closes)
 	}
 }

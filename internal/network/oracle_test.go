@@ -282,7 +282,7 @@ func TestContentionModelMatchesReference(t *testing.T) {
 						}
 					}
 
-					gp, gd := m.ContentionStats()
+					gp, gd := m.contentionStats()
 					wp, wd := ref.ContentionStats()
 					if gp != wp || gd != wd {
 						t.Fatalf("ContentionStats = (%d, %d), reference (%d, %d)", gp, gd, wp, wd)

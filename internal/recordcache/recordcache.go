@@ -512,16 +512,11 @@ func (c *Cache) maybeCompactLocked() {
 	}
 }
 
-// Compact rewrites all live entries into one fresh segment and removes
-// the old ones. Crash-safe: the new segment is fully written, fsynced,
-// and renamed into place before anything is deleted, and duplicate
-// entries from a crash between rename and delete collapse at next scan.
-func (c *Cache) Compact() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.compactLocked()
-}
-
+// compactLocked rewrites all live entries into one fresh segment and
+// removes the old ones. Crash-safe: the new segment is fully written,
+// fsynced, and renamed into place before anything is deleted, and
+// duplicate entries from a crash between rename and delete collapse at
+// next scan.
 func (c *Cache) compactLocked() error {
 	if c.dir == "" || c.readOnly {
 		return nil

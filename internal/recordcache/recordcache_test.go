@@ -130,7 +130,10 @@ func TestOverwriteLatestWins(t *testing.T) {
 	if st := c.Stats(); st.DiskEntries != 1 || st.DiskDead == 0 {
 		t.Fatalf("overwrite accounting wrong: %+v", st)
 	}
-	if err := c.Compact(); err != nil {
+	c.mu.Lock()
+	err = c.compactLocked()
+	c.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.DiskDead != 0 || st.DiskEntries != 1 {

@@ -7,7 +7,7 @@
 //
 // A model's Tick is invoked by the thread runtime after every application
 // event. Models gate wall-clock execution only; they never advance
-// simulated clocks.
+// simulated clocks. Lax has no Model: the runtime skips Tick under it.
 package synchro
 
 import (
@@ -45,15 +45,6 @@ type Model interface {
 	// block (barrier) or sleep (P2P) in real time.
 	Tick(now arch.Cycles)
 }
-
-// lax is the baseline: no extra synchronization.
-type lax struct{}
-
-// NewLax returns the lax synchronization model.
-func NewLax() Model { return lax{} }
-
-// Tick implements Model.
-func (lax) Tick(arch.Cycles) {}
 
 // barrier implements LaxBarrier via a wait function provided by the
 // runtime (an RPC to the MCP's simulation-barrier service).
@@ -170,7 +161,7 @@ func (p *p2p) Tick(now arch.Cycles) {
 	if rate <= 0 {
 		return
 	}
-	nap := time.Duration(float64(c) / rate * float64(time.Second))
+	nap := napFor(c, rate)
 	if nap > p.maxNap {
 		nap = p.maxNap
 	}
@@ -179,9 +170,9 @@ func (p *p2p) Tick(now arch.Cycles) {
 	}
 }
 
-// NapFor exposes the sleep computation for tests and analysis: given a
-// clock lead c and rate r (cycles/sec), the nap is c/r seconds.
-func NapFor(c arch.Cycles, rate float64) time.Duration {
+// napFor is the P2P sleep computation: given a clock lead c and rate r
+// (cycles/sec), the nap is c/r seconds.
+func napFor(c arch.Cycles, rate float64) time.Duration {
 	if rate <= 0 || c <= 0 {
 		return 0
 	}

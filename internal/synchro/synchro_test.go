@@ -8,13 +8,6 @@ import (
 	"repro/internal/config"
 )
 
-func TestLaxNeverBlocks(t *testing.T) {
-	m := NewLax()
-	for i := 0; i < 100; i++ {
-		m.Tick(arch.Cycles(i * 1_000_000))
-	}
-}
-
 func TestBarrierWaitsAtQuantumBoundaries(t *testing.T) {
 	var epochs []int64
 	m := NewBarrier(1000, func(e int64) { epochs = append(epochs, e) })
@@ -151,13 +144,13 @@ func TestP2PSingleTileNoop(t *testing.T) {
 }
 
 func TestNapFor(t *testing.T) {
-	if d := NapFor(1000, 1000); d != time.Second {
-		t.Fatalf("NapFor(1000 cycles, 1000 cyc/s) = %v, want 1s", d)
+	if d := napFor(1000, 1000); d != time.Second {
+		t.Fatalf("napFor(1000 cycles, 1000 cyc/s) = %v, want 1s", d)
 	}
-	if d := NapFor(500, 1000); d != 500*time.Millisecond {
+	if d := napFor(500, 1000); d != 500*time.Millisecond {
 		t.Fatalf("NapFor = %v", d)
 	}
-	if NapFor(-5, 1000) != 0 || NapFor(100, 0) != 0 {
+	if napFor(-5, 1000) != 0 || napFor(100, 0) != 0 {
 		t.Fatal("degenerate inputs must nap 0")
 	}
 }
@@ -192,7 +185,7 @@ func TestP2PRateAnchorsAtFirstTick(t *testing.T) {
 	if len(naps) != 1 {
 		t.Fatalf("naps = %v, want exactly one", naps)
 	}
-	if want := NapFor(1_100_000, 100_000); naps[0] != want {
+	if want := napFor(1_100_000, 100_000); naps[0] != want {
 		t.Fatalf("nap = %v, want %v (rate measured from first tick)", naps[0], want)
 	}
 }

@@ -7,20 +7,24 @@
 //
 // A checkpoint is one ProcState per host process — written by that
 // process, checksummed, and versioned — plus one Manifest written by the
-// MCP's process after every save reply has arrived. The manifest records
-// each process file's SHA-256 and, as the state digest, the same sum (the
-// file is the state's canonical encoding), which is what makes checkpoints
-// comparable across runs: two runs of a deterministic simulation that
-// checkpoint at the same epoch produce byte-identical ProcState JSON and
-// therefore equal digests. The recovery path in core/launch leans on
-// exactly this property — after a worker dies, the run is re-executed and
-// each checkpoint's digests are verified against the previous attempt's
-// manifests, so a divergent replay is detected at the first epoch where
-// it differs rather than at the end of the run (see DESIGN.md §18).
+// MCP's process after every save reply has arrived. A state file is the
+// state's canonical binary encoding (codec.go): listed in a fixed field
+// order, slots and sets in ascending order, nothing in map-iteration
+// order, and invalid cache slots left out because a restore zeroes them.
+// The manifest is JSON, small enough to read by eye. It records each
+// process file's SHA-256 and, as the state digest, the same sum, which is
+// what makes checkpoints comparable across runs: two runs of a
+// deterministic simulation that checkpoint at the same epoch produce
+// byte-identical state files and therefore equal digests. The recovery
+// path in core/launch leans on exactly this property — after a worker
+// dies, the run is re-executed and each checkpoint's digests are verified
+// against the previous attempt's manifests, so a divergent replay is
+// detected at the first epoch where it differs rather than at the end of
+// the run (see DESIGN.md §18).
 //
 // The package is a leaf: simulator packages (cache, memsys, mcp, core)
-// import it and translate their internal state into these wire types,
-// never the other way around.
+// import it and translate their internal state into these types, never
+// the other way around.
 package checkpoint
 
 import (
@@ -36,65 +40,67 @@ import (
 	"repro/internal/stats"
 )
 
-// Version identifies the checkpoint serialization format. Readers reject
-// files written by a different version rather than guessing.
-const Version = 1
+// Version identifies the checkpoint format: the binary per-process state
+// file (codec.go) and the JSON manifest. Readers reject files written by a
+// different version rather than guessing.
+const Version = 2
 
-// CacheState is the raw structure-of-arrays image of one cache: every
-// slot (valid or not) in set×assoc order, plus the LRU tick and the
-// public counters. Capturing slots verbatim — rather than only valid
-// lines — preserves LRU ordering and set layout bit-for-bit, so a
-// restored cache makes exactly the eviction decisions the original would
-// have made.
-//
-//graphite:wire
+// CacheState is one cache's image: its geometry, its valid slots in
+// ascending slot index, and the LRU tick and public counters. Invalid
+// slots are not listed: a restore clears every slot before it scatters
+// the valid ones back, so a restored cache has the original's slot
+// placement and LRU stamps and makes exactly its eviction decisions.
 type CacheState struct {
-	Addrs      []uint64 `json:"addrs"`
-	States     []uint8  `json:"states"`
-	Dirtys     []bool   `json:"dirtys"`
-	Masks      []uint64 `json:"masks"`
-	LRUs       []uint64 `json:"lrus"`
-	Data       []byte   `json:"data"`
-	Tick       uint64   `json:"tick"`
-	Hits       uint64   `json:"hits"`
-	Misses     uint64   `json:"misses"`
-	Evictions  uint64   `json:"evictions"`
-	Writebacks uint64   `json:"writebacks"`
+	Slots    uint32 // sets × associativity
+	LineSize uint32
+	Valid    []CacheSlot
+	// Data holds the payload of each Valid slot, LineSize bytes apiece,
+	// in Valid's order.
+	Data       []byte
+	Tick       uint64
+	Hits       uint64
+	Misses     uint64
+	Evictions  uint64
+	Writebacks uint64
+}
+
+// CacheSlot is the metadata of one valid cache slot.
+type CacheSlot struct {
+	Index uint32
+	Addr  uint64
+	State uint8
+	Dirty bool
+	Mask  uint64
+	LRU   uint64
 }
 
 // DRAMLine is one backing-store line.
-//
-//graphite:wire
 type DRAMLine struct {
-	Addr uint64 `json:"addr"`
-	Data []byte `json:"data"`
+	Addr uint64
+	Data []byte
 }
 
 // DRAMState is one controller's backing store (lines sorted by address)
 // and counters.
-//
-//graphite:wire
 type DRAMState struct {
-	Lines           []DRAMLine `json:"lines"`
-	Reads           uint64     `json:"reads"`
-	Writes          uint64     `json:"writes"`
-	TotalQueueDelay int64      `json:"total_queue_delay"`
+	Lines           []DRAMLine
+	Reads           uint64
+	Writes          uint64
+	TotalQueueDelay int64
 }
 
 // CoreState is the core performance model: synthetic PC, predictor table,
 // store buffer, and retirement counters.
-//
-//graphite:wire
 type CoreState struct {
-	PC           uint64  `json:"pc"`
-	FetchedLine  uint64  `json:"fetched_line"`
-	Predictor    []uint8 `json:"predictor"`
-	StoreBuf     []int64 `json:"store_buf,omitempty"`
-	Instructions uint64  `json:"instructions"`
-	Branches     uint64  `json:"branches"`
-	Mispredicts  uint64  `json:"mispredicts"`
-	ComputeCyc   int64   `json:"compute_cyc"`
-	MemStallCyc  int64   `json:"mem_stall_cyc"`
+	PC           uint64
+	FetchedLine  uint64
+	Predictor    []uint8
+	StoreBuf     []int64
+	Instructions uint64
+	Branches     uint64
+	Mispredicts  uint64
+	ComputeCyc   int64
+	MemStallCyc  int64
 }
 
 // DirEntryState is one directory entry: its arena index (so a restore
@@ -103,54 +109,48 @@ type CoreState struct {
 // limited-pointer policies and ascending tile order for bit vectors —
 // each is that policy's canonical order, and re-adding them in sequence
 // reconstructs the entry exactly.
-//
-//graphite:wire
 type DirEntryState struct {
-	Index          int32   `json:"index"`
-	Line           uint64  `json:"line"`
-	Owner          int32   `json:"owner"`
-	LastWriter     int32   `json:"last_writer"`
-	LastWriterMask uint64  `json:"last_writer_mask"`
-	Sharers        []int32 `json:"sharers,omitempty"`
-	Cursor         int32   `json:"cursor,omitempty"`
+	Index          int32
+	Line           uint64
+	Owner          int32
+	LastWriter     int32
+	LastWriterMask uint64
+	Sharers        []int32
+	Cursor         int32
 }
 
 // DirShardState is one home-directory shard: its entries (sorted by arena
 // index), sub-request sequence counter, and home-side statistics.
-//
-//graphite:wire
 type DirShardState struct {
-	Entries     []DirEntryState `json:"entries,omitempty"`
-	HomeSeq     uint64          `json:"home_seq"`
-	DirRequests uint64          `json:"dir_requests"`
-	DirTraps    uint64          `json:"dir_traps"`
-	InvSent     uint64          `json:"inv_sent"`
+	Entries     []DirEntryState
+	HomeSeq     uint64
+	DirRequests uint64
+	DirTraps    uint64
+	InvSent     uint64
 }
 
 // TileState is the complete architectural state of one tile at a quiesced
 // epoch boundary.
-//
-//graphite:wire
 type TileState struct {
-	Tile  int32 `json:"tile"`
-	Clock int64 `json:"clock"`
+	Tile  int32
+	Clock int64
 
-	Core *CoreState  `json:"core,omitempty"`
-	L1I  *CacheState `json:"l1i,omitempty"`
-	L1D  *CacheState `json:"l1d,omitempty"`
-	L2   *CacheState `json:"l2"`
+	Core *CoreState
+	L1I  *CacheState
+	L1D  *CacheState
+	L2   *CacheState
 
-	DirShards []DirShardState `json:"dir_shards"`
-	DRAM      DRAMState       `json:"dram"`
+	DirShards []DirShardState
+	DRAM      DRAMState
 
 	// ReqSeq is the core context's memory-request sequence counter.
-	ReqSeq uint64 `json:"req_seq"`
+	ReqSeq uint64
 	// EverAccessed and Invalidated are the miss-classification sets
 	// (sorted line addresses).
-	EverAccessed []uint64 `json:"ever_accessed,omitempty"`
-	Invalidated  []uint64 `json:"invalidated,omitempty"`
+	EverAccessed []uint64
+	Invalidated  []uint64
 
-	Stats stats.Tile `json:"stats"`
+	Stats stats.Tile
 }
 
 // ThreadState is one MCP thread record.
@@ -271,14 +271,13 @@ type MCPState struct {
 }
 
 // ProcState is everything one host process contributes to a checkpoint.
-//
-//graphite:wire
+// Its file is the binary encoding in codec.go.
 type ProcState struct {
-	Version      int         `json:"version"`
-	Proc         int32       `json:"proc"`
-	Epoch        int64       `json:"epoch"`
-	ConfigDigest string      `json:"config_digest"`
-	Tiles        []TileState `json:"tiles"`
+	Version      int
+	Proc         int32
+	Epoch        int64
+	ConfigDigest string
+	Tiles        []TileState
 }
 
 // ManifestProc records one process's contribution in the manifest: where
@@ -328,7 +327,7 @@ func (m *Manifest) VerifyDigests() []string {
 
 // ProcFileName names the state file of one (epoch, proc) pair.
 func ProcFileName(epoch int64, proc int32) string {
-	return fmt.Sprintf("ckpt-e%08d-p%03d.json", epoch, proc)
+	return fmt.Sprintf("ckpt-e%08d-p%03d.state", epoch, proc)
 }
 
 // ManifestFileName names the manifest of one epoch.
@@ -339,15 +338,11 @@ func ManifestFileName(epoch int64) string {
 // WriteProcState serializes ps into dir, returning the file's base name,
 // its SHA-256 (hex), and the state digest. The file is written via a
 // temporary name and renamed, so a reader never sees a torn file. The
-// file is the canonical JSON encoding of the state (the encoder's field
-// order is fixed), so one hash of the written bytes is both values: two
-// equal states produce equal files.
+// file is the canonical encoding of the state, so one hash of the written
+// bytes is both values: two equal states produce equal files.
 func WriteProcState(dir string, ps *ProcState) (file, fileSum, stateDigest string, err error) {
 	ps.Version = Version
-	b, err := json.Marshal(ps)
-	if err != nil {
-		return "", "", "", fmt.Errorf("checkpoint: marshal proc %d: %w", ps.Proc, err)
-	}
+	b := encodeProcState(ps)
 	sum := sha256.Sum256(b)
 	name := ProcFileName(ps.Epoch, ps.Proc)
 	if err := atomicWrite(filepath.Join(dir, name), b); err != nil {
@@ -370,14 +365,11 @@ func ReadProcState(path, wantSum string) (*ProcState, error) {
 			return nil, fmt.Errorf("checkpoint: %s: checksum mismatch (got %s, want %s)", path, got, wantSum)
 		}
 	}
-	var ps ProcState
-	if err := json.Unmarshal(b, &ps); err != nil {
+	ps, err := decodeProcState(b)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: decode %s: %w", path, err)
 	}
-	if ps.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s: version %d, want %d", path, ps.Version, Version)
-	}
-	return &ps, nil
+	return ps, nil
 }
 
 // WriteManifest writes the epoch's manifest into dir (atomically, like

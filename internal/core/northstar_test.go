@@ -3,10 +3,15 @@ package core_test
 import (
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/mcp"
 	"repro/internal/scenario"
 	"repro/internal/simtest"
 	"repro/internal/workloads"
@@ -17,7 +22,10 @@ import (
 // contention model — to completion under a deadline and checks the result
 // against the native computation. It asserts nothing about simulated
 // time: lax matmul at this size reports implausible cycle counts
-// (DESIGN.md §5, ROADMAP item 1).
+// (DESIGN.md §5, ROADMAP item 1). It then checkpoints the finished
+// cluster: the files must stay far below what the state's capacity would
+// take, and restoring them into a fresh cluster must recapture the same
+// digests.
 func TestMatmul1024Tiles(t *testing.T) {
 	const tiles, scale = 1024, 32
 	cfg, err := scenario.Preset("large-target") // the benchmark's tile-1024 target
@@ -31,11 +39,14 @@ func TestMatmul1024Tiles(t *testing.T) {
 		t.Fatal("matmul not registered")
 	}
 	p := workloads.Params{Threads: tiles, Scale: scale}
-	c, err := core.NewCluster(cfg, w.Build(p))
+	prog := w.Build(p)
+	c, err := core.NewCluster(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	dir := t.TempDir()
+	c.SetCheckpoint(&mcp.CheckpointPolicy{Dir: dir, ConfigDigest: "test-digest"})
 	var rs *core.RunStats
 	simtest.Deadline(t, 2*time.Minute, func() { rs, err = c.Run(0) })
 	if err != nil {
@@ -49,5 +60,37 @@ func TestMatmul1024Tiles(t *testing.T) {
 	got := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
 	if want := w.Native(p); !workloads.Close(got, want) {
 		t.Fatalf("checksum %v, native %v", got, want)
+	}
+
+	var saved, recaptured *checkpoint.Manifest
+	simtest.Deadline(t, 2*time.Minute, func() {
+		if saved, err = c.CaptureState(1); err != nil {
+			return
+		}
+		var rc *core.Cluster
+		if rc, err = core.RestoreCluster(cfg, prog, dir, saved); err != nil {
+			return
+		}
+		defer rc.Close()
+		rc.SetCheckpoint(&mcp.CheckpointPolicy{Dir: t.TempDir(), ConfigDigest: "test-digest"})
+		recaptured, err = rc.CaptureState(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, mp := range saved.Procs {
+		fi, err := os.Stat(filepath.Join(dir, mp.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += fi.Size()
+	}
+	t.Logf("1024-tile checkpoint: %d bytes of state files", size)
+	if size > 200<<20 {
+		t.Errorf("1024-tile checkpoint is %d bytes, want under 200 MB", size)
+	}
+	if !slices.Equal(saved.VerifyDigests(), recaptured.VerifyDigests()) {
+		t.Errorf("restore is not bit-identical:\n  saved     %v\n  recapture %v", saved.VerifyDigests(), recaptured.VerifyDigests())
 	}
 }

@@ -12,8 +12,6 @@ package mcp
 // never blocks: each stage is driven by reply arrival.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -154,9 +152,9 @@ func (s *Server) sendCkptSaves() {
 // last one completes the checkpoint: manifest write, replay-identity
 // verification, and the stashed epoch release.
 func (s *Server) handleCkptSaveRep(pkt network.Packet) {
-	var res CkptSaveResult
-	if err := gob.NewDecoder(bytes.NewReader(pkt.Payload)).Decode(&res); err != nil {
-		panic("mcp: bad ckpt save reply: " + err.Error())
+	res, err := DecodeCkptSaveResult(pkt.Payload)
+	if err != nil {
+		panic(err.Error())
 	}
 	s.ckptSaves = append(s.ckptSaves, res)
 	if len(s.ckptSaves) < s.cfg.Processes {

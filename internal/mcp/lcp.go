@@ -120,11 +120,7 @@ func (l *LCP) Serve() {
 			if l.cb.CkptSave != nil {
 				res = l.cb.CkptSave(int64(epoch64))
 			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&res); err != nil {
-				panic("mcp: encode ckpt save reply: " + err.Error())
-			}
-			if _, err := l.net.Send(network.ClassSystem, MsgCkptSaveRep, pkt.Src, pkt.Seq, buf.Bytes(), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
+			if _, err := l.net.Send(network.ClassSystem, MsgCkptSaveRep, pkt.Src, pkt.Seq, EncodeCkptSaveResult(res), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
 				panic("mcp: ckpt save reply: " + err.Error())
 			}
 		case MsgShutdown:

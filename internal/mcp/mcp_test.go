@@ -240,6 +240,23 @@ func TestMsgCodecs(t *testing.T) {
 	if _, err := DecodeStartThread([]byte{1}); err == nil {
 		t.Fatal("decoded short start")
 	}
+	for _, res := range []CkptSaveResult{
+		{Proc: 3, File: "ckpt-e00000064-p003.state", FileSum: "ab12", StateDigest: "ab12"},
+		{Proc: -1, Err: "disk full"},
+		{},
+	} {
+		b := EncodeCkptSaveResult(res)
+		got, err := DecodeCkptSaveResult(b)
+		if err != nil || got != res {
+			t.Fatalf("ckpt save codec: %+v -> %+v, %v", res, got, err)
+		}
+		if _, err := DecodeCkptSaveResult(b[:len(b)-1]); err == nil {
+			t.Fatalf("decoded short ckpt save reply %+v", res)
+		}
+		if _, err := DecodeCkptSaveResult(append(b, 0)); err == nil {
+			t.Fatalf("decoded oversized ckpt save reply %+v", res)
+		}
+	}
 	for m := uint8(0); m <= MsgFlushRep; m++ {
 		if msgName(m) == "" {
 			t.Fatal("empty message name")

@@ -100,7 +100,7 @@ const (
 	// each process's drain status (MsgCkptProbe / MsgCkptProbeRep) until
 	// residual memory traffic settles, then orders each process to
 	// serialize its state (MsgCkptSave, carrying the epoch) and collects
-	// the gob-encoded CkptSaveResult acknowledgements (MsgCkptSaveRep)
+	// the CkptSaveResult acknowledgements (MsgCkptSaveRep)
 	// before writing the manifest and performing the stashed barrier
 	// release.
 	MsgCkptProbe
@@ -264,7 +264,7 @@ func DecodeCkptProbeRep(b []byte) (CkptProbeRep, error) {
 	}, nil
 }
 
-// CkptSaveResult is one process's save acknowledgement (gob payload of
+// CkptSaveResult is one process's save acknowledgement (the payload of
 // MsgCkptSaveRep): the manifest entry for its state file, or the error
 // that prevented writing it.
 type CkptSaveResult struct {
@@ -273,6 +273,48 @@ type CkptSaveResult struct {
 	FileSum     string
 	StateDigest string
 	Err         string
+}
+
+// EncodeCkptSaveResult serializes a CkptSaveResult: Proc as 4 bytes, then
+// File, FileSum, StateDigest and Err, each a 4-byte length and its bytes.
+func EncodeCkptSaveResult(r CkptSaveResult) []byte {
+	strs := [...]string{r.File, r.FileSum, r.StateDigest, r.Err}
+	n := 4
+	for _, s := range strs {
+		n += 4 + len(s)
+	}
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, n), uint32(r.Proc))
+	for _, s := range strs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+// DecodeCkptSaveResult parses a CkptSaveResult. A string running past the
+// payload, or bytes left after the last one, is an error.
+func DecodeCkptSaveResult(b []byte) (CkptSaveResult, error) {
+	if len(b) < 4 {
+		return CkptSaveResult{}, fmt.Errorf("mcp: bad ckpt save reply (%d bytes)", len(b))
+	}
+	r := CkptSaveResult{Proc: int32(binary.LittleEndian.Uint32(b))}
+	rest := b[4:]
+	for _, s := range [...]*string{&r.File, &r.FileSum, &r.StateDigest, &r.Err} {
+		if len(rest) < 4 {
+			return CkptSaveResult{}, fmt.Errorf("mcp: short ckpt save reply (%d bytes)", len(b))
+		}
+		n := uint64(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		if n > uint64(len(rest)) {
+			return CkptSaveResult{}, fmt.Errorf("mcp: short ckpt save reply (%d bytes)", len(b))
+		}
+		*s = string(rest[:n])
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return CkptSaveResult{}, fmt.Errorf("mcp: ckpt save reply has %d trailing bytes", len(rest))
+	}
+	return r, nil
 }
 
 // EncodeU64Pair serializes two uint64s (cond/mutex address pairs,

@@ -2,7 +2,6 @@ package checkpoint_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,52 +93,11 @@ func TestRealCaptureRoundTrips(t *testing.T) {
 	}
 }
 
-// fill sets every field reachable from v to a non-zero value, distinct
-// where the type allows, with slices of length 2.
-func fill(t *testing.T, v reflect.Value, next *uint64) {
-	*next++
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			fill(t, v.Field(i), next)
-		}
-	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
-		fill(t, v.Elem(), next)
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
-		fallthrough
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			fill(t, v.Index(i), next)
-		}
-	case reflect.String:
-		v.SetString(fmt.Sprint("s", *next))
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		x := -int64(*next) // negative, to cover the sign of every signed field
-		for v.OverflowInt(x) {
-			x /= 2
-		}
-		v.SetInt(x)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		x := *next
-		for v.OverflowUint(x) {
-			x /= 2
-		}
-		v.SetUint(x)
-	default:
-		t.Fatalf("fill: no rule for %s", v.Type())
-	}
-}
-
 // filledState is a ProcState with every field set, through every nested
 // type of the state file.
 func filledState(t *testing.T) *checkpoint.ProcState {
 	ps := &checkpoint.ProcState{}
-	var next uint64
-	fill(t, reflect.ValueOf(ps).Elem(), &next)
+	simtest.Fill(t, ps)
 	ps.Version = checkpoint.Version // the header field: any other value is rejected
 	return ps
 }

@@ -449,10 +449,11 @@ func TestSpawnOverflowReturnsInvalid(t *testing.T) {
 			if t2 := th.Spawn(1, 0); t2 != arch.InvalidThread {
 				t.Error("overflow spawn succeeded beyond tile count")
 			}
+			th.Send(t1, []byte{1}) // only now may the child exit and free tile 1
 			th.Join(t1)
 		},
 		func(th *Thread, arg uint64) {
-			th.Compute(coremodel.Arith, 100)
+			th.RecvFrom(0)
 		},
 	}
 	run(t, testCfg(2, 1), prog, 0)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -12,6 +10,7 @@ import (
 	"repro/internal/mcp"
 	"repro/internal/network"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // ThreadFunc is the signature of an application thread. Thread function 0
@@ -325,16 +324,12 @@ func (t *Thread) RecvFrom(src arch.ThreadID) []byte {
 // FileOp forwards one file system call to the MCP (paper §3.4). All
 // threads share one file table regardless of host process.
 func (t *Thread) FileOp(req mcp.FileReq) mcp.FileRep {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		panic(err)
-	}
-	pkt, ok := t.call(mcp.MsgFileOp, buf.Bytes())
+	pkt, ok := t.call(mcp.MsgFileOp, wire.Encode(req.Walk))
 	if !ok {
 		panic(tornDown("file op"))
 	}
 	var rep mcp.FileRep
-	if err := gob.NewDecoder(bytes.NewReader(pkt.Payload)).Decode(&rep); err != nil {
+	if err := wire.Decode(pkt.Payload, rep.Walk); err != nil {
 		panic(err)
 	}
 	t.forward(pkt.Time)

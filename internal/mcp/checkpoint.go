@@ -20,6 +20,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/network"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // CheckpointPolicy configures MCP-initiated checkpoints. It is attached
@@ -114,9 +115,9 @@ func (s *Server) sendCkpt(p arch.ProcID, typ uint8, payload []byte) {
 // globally balanced, and unchanged since the previous round — cumulative
 // counters, so equality means nothing moved) or probes again.
 func (s *Server) handleCkptProbeRep(pkt network.Packet) {
-	rep, err := DecodeCkptProbeRep(pkt.Payload)
-	if err != nil {
-		panic("mcp: " + err.Error())
+	var rep CkptProbeRep
+	if err := wire.Decode(pkt.Payload, rep.Walk); err != nil {
+		panic("mcp: bad ckpt probe reply: " + err.Error())
 	}
 	s.ckptAcks++
 	s.ckptSent += rep.Sent
@@ -152,9 +153,9 @@ func (s *Server) sendCkptSaves() {
 // last one completes the checkpoint: manifest write, replay-identity
 // verification, and the stashed epoch release.
 func (s *Server) handleCkptSaveRep(pkt network.Packet) {
-	res, err := DecodeCkptSaveResult(pkt.Payload)
-	if err != nil {
-		panic(err.Error())
+	var res CkptSaveResult
+	if err := wire.Decode(pkt.Payload, res.Walk); err != nil {
+		panic("mcp: bad ckpt save reply: " + err.Error())
 	}
 	s.ckptSaves = append(s.ckptSaves, res)
 	if len(s.ckptSaves) < s.cfg.Processes {

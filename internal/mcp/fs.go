@@ -3,6 +3,8 @@ package mcp
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/wire"
 )
 
 // File operation codes for FileReq.Op.
@@ -23,8 +25,8 @@ const (
 	OAppend = 1 << 2
 )
 
-// FileReq is a forwarded file system call (gob-encoded; paper §3.4: file
-// I/O executes at the MCP so descriptors are consistent across processes).
+// FileReq is a forwarded file system call (paper §3.4: file I/O executes
+// at the MCP so descriptors are consistent across processes).
 type FileReq struct {
 	Op     uint8
 	FD     int32
@@ -36,12 +38,32 @@ type FileReq struct {
 	Whence int32
 }
 
+// Walk codes r (see internal/wire).
+func (r *FileReq) Walk(c *wire.Codec) {
+	c.U8(&r.Op)
+	c.I32(&r.FD)
+	c.Str(&r.Path)
+	c.I32(&r.Flags)
+	c.Blob(&r.Data)
+	c.I32(&r.N)
+	c.Varint(&r.Off)
+	c.I32(&r.Whence)
+}
+
 // FileRep is the result of a forwarded file system call.
 type FileRep struct {
 	Err  string
 	FD   int32
 	Data []byte
 	N    int64
+}
+
+// Walk codes r (see internal/wire).
+func (r *FileRep) Walk(c *wire.Codec) {
+	c.Str(&r.Err)
+	c.I32(&r.FD)
+	c.Blob(&r.Data)
+	c.Varint(&r.N)
 }
 
 // memFile is one file's contents.

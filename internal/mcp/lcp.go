@@ -1,8 +1,6 @@
 package mcp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"time"
 
@@ -10,6 +8,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/stats"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // LCPCallbacks connect the Local Control Program to its process's tile
@@ -80,12 +79,8 @@ func (l *LCP) Serve() {
 			}
 			l.cb.StartThread(st, pkt.Time)
 		case MsgStatsGather:
-			tiles := l.cb.CollectStats()
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(tiles); err != nil {
-				panic("mcp: encode stats: " + err.Error())
-			}
-			if _, err := l.net.Send(network.ClassSystem, MsgStatsRep, pkt.Src, pkt.Seq, buf.Bytes(), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
+			rep := statsRep(l.cb.CollectStats())
+			if _, err := l.net.Send(network.ClassSystem, MsgStatsRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
 				panic("mcp: stats reply: " + err.Error())
 			}
 		case MsgFlush:
@@ -108,7 +103,7 @@ func (l *LCP) Serve() {
 			} else {
 				rep.Quiesced = true
 			}
-			if _, err := l.net.Send(network.ClassSystem, MsgCkptProbeRep, pkt.Src, pkt.Seq, EncodeCkptProbeRep(rep), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
+			if _, err := l.net.Send(network.ClassSystem, MsgCkptProbeRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
 				panic("mcp: ckpt probe reply: " + err.Error())
 			}
 		case MsgCkptSave:
@@ -120,7 +115,7 @@ func (l *LCP) Serve() {
 			if l.cb.CkptSave != nil {
 				res = l.cb.CkptSave(int64(epoch64))
 			}
-			if _, err := l.net.Send(network.ClassSystem, MsgCkptSaveRep, pkt.Src, pkt.Seq, EncodeCkptSaveResult(res), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
+			if _, err := l.net.Send(network.ClassSystem, MsgCkptSaveRep, pkt.Src, pkt.Seq, wire.Encode(res.Walk), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
 				panic("mcp: ckpt save reply: " + err.Error())
 			}
 		case MsgShutdown:

@@ -1,11 +1,16 @@
 package mcp
 
 import (
+	"bytes"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/simtest"
+	"repro/internal/wire"
 )
 
 func TestAllocatorBasic(t *testing.T) {
@@ -245,15 +250,15 @@ func TestMsgCodecs(t *testing.T) {
 		{Proc: -1, Err: "disk full"},
 		{},
 	} {
-		b := EncodeCkptSaveResult(res)
-		got, err := DecodeCkptSaveResult(b)
-		if err != nil || got != res {
+		b := wire.Encode(res.Walk)
+		var got CkptSaveResult
+		if err := wire.Decode(b, got.Walk); err != nil || got != res {
 			t.Fatalf("ckpt save codec: %+v -> %+v, %v", res, got, err)
 		}
-		if _, err := DecodeCkptSaveResult(b[:len(b)-1]); err == nil {
+		if err := wire.Decode(b[:len(b)-1], new(CkptSaveResult).Walk); err == nil {
 			t.Fatalf("decoded short ckpt save reply %+v", res)
 		}
-		if _, err := DecodeCkptSaveResult(append(b, 0)); err == nil {
+		if err := wire.Decode(append(b, 0), new(CkptSaveResult).Walk); err == nil {
 			t.Fatalf("decoded oversized ckpt save reply %+v", res)
 		}
 	}
@@ -262,4 +267,66 @@ func TestMsgCodecs(t *testing.T) {
 			t.Fatal("empty message name")
 		}
 	}
+}
+
+// payload is a variable-length control payload: its layout is its walk.
+type payload interface{ Walk(*wire.Codec) }
+
+// payloadKinds builds an empty value of every payload kind.
+var payloadKinds = []func() payload{
+	func() payload { return &FileReq{} },
+	func() payload { return &FileRep{} },
+	func() payload { return &CkptProbeRep{} },
+	func() payload { return &CkptSaveResult{} },
+	func() payload { return &statsRep{} },
+}
+
+// TestPayloadsRoundTrip fills every field of every payload kind, encodes
+// and decodes it, and requires it back unchanged: a field added without
+// teaching its walk comes back zero.
+func TestPayloadsRoundTrip(t *testing.T) {
+	for _, kind := range payloadKinds {
+		in := kind()
+		simtest.Fill(t, in)
+		b := wire.Encode(in.Walk)
+		out := kind()
+		if err := wire.Decode(b, out.Walk); err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("%T round trip:\n got  %+v\n want %+v", in, out, in)
+		}
+	}
+}
+
+// FuzzControlPayload feeds arbitrary bytes to the payload decoders, the
+// first byte picking the kind: a decoder must not panic, must not
+// allocate more than a bound proportional to its input, and every input
+// it accepts must be the encoding of what it decoded to.
+func FuzzControlPayload(f *testing.F) {
+	for k, kind := range payloadKinds {
+		filled := kind()
+		simtest.Fill(f, filled)
+		f.Add(append([]byte{byte(k)}, wire.Encode(filled.Walk)...))
+		f.Add(append([]byte{byte(k)}, wire.Encode(kind().Walk)...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		p := payloadKinds[int(b[0])%len(payloadKinds)]()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := wire.Decode(b[1:], p.Walk)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(32*len(b))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if again := wire.Encode(p.Walk); !bytes.Equal(again, b[1:]) {
+			t.Fatalf("%T accepted a non-canonical encoding (%d bytes, canonical %d)", p, len(b)-1, len(again))
+		}
+	})
 }

@@ -29,14 +29,16 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/stats"
 	"repro/internal/synchro"
+	"repro/internal/wire"
 )
 
 // System message types (network.Packet.Type within ClassSystem).
 const (
 	// MsgClockProbe / MsgClockProbeRep implement LaxP2P partner probes;
-	// they are answered directly by the target tile's system router, not
-	// by the MCP.
+	// the target tile's sysPort answers them inside its memory server's
+	// pump, not the MCP.
 	MsgClockProbe uint8 = iota
 	MsgClockProbeRep
 
@@ -70,7 +72,7 @@ const (
 	_
 	_
 
-	// File I/O forwarding (gob payloads).
+	// File I/O forwarding (FileReq / FileRep payloads).
 	MsgFileOp
 	MsgFileRep
 
@@ -116,7 +118,7 @@ func msgName(t uint8) string {
 		"JoinRep", "ThreadExit", "StartThread", "MutexLock", "MutexLockRep",
 		"MutexUnlock", "BarrierWait", "BarrierRep", "CondWait", "CondRep",
 		"CondSignal", "CondBroadcast", "Malloc", "MallocRep", "Free",
-		"SimBarrier", "SimBarrierRep", "FileOp", "FileRep", "StatsGather",
+		"reserved", "reserved", "FileOp", "FileRep", "StatsGather",
 		"StatsRep", "Flush", "FlushRep", "Shutdown", "ShutdownRep",
 		"SimBarrierBatch", "SimBarrierRelease",
 		"CkptProbe", "CkptProbeRep", "CkptSave", "CkptSaveRep",
@@ -241,27 +243,11 @@ type CkptProbeRep struct {
 	Quiesced   bool
 }
 
-// EncodeCkptProbeRep serializes a CkptProbeRep.
-func EncodeCkptProbeRep(r CkptProbeRep) []byte {
-	b := make([]byte, 17)
-	binary.LittleEndian.PutUint64(b[0:8], r.Sent)
-	binary.LittleEndian.PutUint64(b[8:16], r.Recv)
-	if r.Quiesced {
-		b[16] = 1
-	}
-	return b
-}
-
-// DecodeCkptProbeRep parses a CkptProbeRep.
-func DecodeCkptProbeRep(b []byte) (CkptProbeRep, error) {
-	if len(b) != 17 {
-		return CkptProbeRep{}, fmt.Errorf("mcp: bad ckpt probe reply (%d bytes)", len(b))
-	}
-	return CkptProbeRep{
-		Sent:     binary.LittleEndian.Uint64(b[0:8]),
-		Recv:     binary.LittleEndian.Uint64(b[8:16]),
-		Quiesced: b[16] != 0,
-	}, nil
+// Walk codes r (see internal/wire).
+func (r *CkptProbeRep) Walk(c *wire.Codec) {
+	c.Uvarint(&r.Sent)
+	c.Uvarint(&r.Recv)
+	c.Bool(&r.Quiesced)
 }
 
 // CkptSaveResult is one process's save acknowledgement (the payload of
@@ -275,46 +261,26 @@ type CkptSaveResult struct {
 	Err         string
 }
 
-// EncodeCkptSaveResult serializes a CkptSaveResult: Proc as 4 bytes, then
-// File, FileSum, StateDigest and Err, each a 4-byte length and its bytes.
-func EncodeCkptSaveResult(r CkptSaveResult) []byte {
-	strs := [...]string{r.File, r.FileSum, r.StateDigest, r.Err}
-	n := 4
-	for _, s := range strs {
-		n += 4 + len(s)
-	}
-	b := binary.LittleEndian.AppendUint32(make([]byte, 0, n), uint32(r.Proc))
-	for _, s := range strs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
-	}
-	return b
+// Walk codes r (see internal/wire).
+func (r *CkptSaveResult) Walk(c *wire.Codec) {
+	c.I32(&r.Proc)
+	c.Str(&r.File)
+	c.Str(&r.FileSum)
+	c.Str(&r.StateDigest)
+	c.Str(&r.Err)
 }
 
-// DecodeCkptSaveResult parses a CkptSaveResult. A string running past the
-// payload, or bytes left after the last one, is an error.
-func DecodeCkptSaveResult(b []byte) (CkptSaveResult, error) {
-	if len(b) < 4 {
-		return CkptSaveResult{}, fmt.Errorf("mcp: bad ckpt save reply (%d bytes)", len(b))
-	}
-	r := CkptSaveResult{Proc: int32(binary.LittleEndian.Uint32(b))}
-	rest := b[4:]
-	for _, s := range [...]*string{&r.File, &r.FileSum, &r.StateDigest, &r.Err} {
-		if len(rest) < 4 {
-			return CkptSaveResult{}, fmt.Errorf("mcp: short ckpt save reply (%d bytes)", len(b))
-		}
-		n := uint64(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if n > uint64(len(rest)) {
-			return CkptSaveResult{}, fmt.Errorf("mcp: short ckpt save reply (%d bytes)", len(b))
-		}
-		*s = string(rest[:n])
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return CkptSaveResult{}, fmt.Errorf("mcp: ckpt save reply has %d trailing bytes", len(rest))
-	}
-	return r, nil
+// statsRep is the payload of MsgStatsRep: the records of one process's
+// tiles.
+type statsRep []stats.Tile
+
+// minStatsTile is the shortest encoding of one record, that of the zero
+// record.
+var minStatsTile = wire.SizeOf((&stats.Tile{}).Walk)
+
+// Walk codes r (see internal/wire).
+func (r *statsRep) Walk(c *wire.Codec) {
+	wire.List(c, (*[]stats.Tile)(r), minStatsTile, func(t *stats.Tile) { t.Walk(c) })
 }
 
 // EncodeU64Pair serializes two uint64s (cond/mutex address pairs,

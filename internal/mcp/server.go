@@ -1,8 +1,6 @@
 package mcp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -13,6 +11,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/stats"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // replyTo addresses a blocked requester.
@@ -255,12 +254,11 @@ func (s *Server) handle(pkt network.Packet) {
 	case MsgCkptSaveRep:
 		s.handleCkptSaveRep(pkt)
 	case MsgStatsRep:
-		var tiles []stats.Tile
-		dec := gob.NewDecoder(bytes.NewReader(pkt.Payload))
-		if err := dec.Decode(&tiles); err != nil {
+		var rep statsRep
+		if err := wire.Decode(pkt.Payload, rep.Walk); err != nil {
 			panic("mcp: bad stats payload: " + err.Error())
 		}
-		s.statsCh <- tiles
+		s.statsCh <- rep
 	case MsgFlushRep:
 		s.flushCh <- struct{}{}
 	case MsgShutdownRep:
@@ -583,16 +581,11 @@ func (s *Server) releaseEpoch(min int64) {
 
 func (s *Server) handleFileOp(pkt network.Packet, to replyTo) {
 	var req FileReq
-	dec := gob.NewDecoder(bytes.NewReader(pkt.Payload))
-	if err := dec.Decode(&req); err != nil {
+	if err := wire.Decode(pkt.Payload, req.Walk); err != nil {
 		panic("mcp: bad file payload: " + err.Error())
 	}
 	rep := s.fs.Handle(req)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rep); err != nil {
-		panic("mcp: encode file reply: " + err.Error())
-	}
-	s.reply(MsgFileRep, to, buf.Bytes(), pkt.Time+s.cfg.Costs.File)
+	s.reply(MsgFileRep, to, wire.Encode(rep.Walk), pkt.Time+s.cfg.Costs.File)
 }
 
 func (s *Server) block(tile arch.TileID) {

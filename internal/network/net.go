@@ -174,7 +174,7 @@ func (q *pktQueue) close() {
 type Net struct {
 	node      arch.TileID // may be negative for control endpoints
 	tr        transport.Transport
-	ep        transport.Endpoint
+	ep        *transport.Endpoint
 	models    *Models
 	progress  *clock.ProgressWindow
 	queues    [NumClasses]*pktQueue
@@ -186,7 +186,7 @@ type Net struct {
 
 // New creates the network interface for a node. The endpoint must already
 // be registered on the transport. progress may be nil for control nodes.
-func New(node arch.TileID, tr transport.Transport, ep transport.Endpoint, models *Models, progress *clock.ProgressWindow) *Net {
+func New(node arch.TileID, tr transport.Transport, ep *transport.Endpoint, models *Models, progress *clock.ProgressWindow) *Net {
 	n := &Net{node: node, tr: tr, ep: ep, models: models, progress: progress, pumped: ClassSystem}
 	for c := range n.queues {
 		n.queues[c] = newPktQueue()

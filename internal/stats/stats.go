@@ -1,10 +1,12 @@
 // Package stats defines the per-tile statistics records collected during a
-// simulation and their aggregation. Records are plain data and gob-encodable
-// so the MCP can gather them from every host process at simulation end.
+// simulation and their aggregation. Records are plain data with a wire walk
+// (Tile.Walk), so the MCP can gather them from every host process at
+// simulation end and checkpoints can store them.
 package stats
 
 import (
 	"repro/internal/arch"
+	"repro/internal/wire"
 )
 
 // MissKind classifies misses at the coherence point (L2), following the
@@ -47,8 +49,8 @@ func (k MissKind) String() string {
 
 // Tile is the statistics record of one target tile. The JSON field names
 // are the stable export schema consumed by scenario JSONL records and any
-// external analysis tooling; gob encoding (the MCP gather path) ignores
-// the tags.
+// external analysis tooling; the binary encoding (Walk: the MCP gather
+// path and checkpoint state files) ignores the tags.
 //
 //graphite:wire
 type Tile struct {
@@ -98,6 +100,44 @@ type Tile struct {
 	NetPacketsSent uint64 `json:"net_packets_sent"`
 	NetBytesSent   uint64 `json:"net_bytes_sent"`
 	NetPacketsRecv uint64 `json:"net_packets_recv"`
+}
+
+// Walk codes every field of t, in declaration order (see internal/wire).
+func (t *Tile) Walk(c *wire.Codec) {
+	c.I32((*int32)(&t.TileID))
+	c.Uvarint(&t.Instructions)
+	c.Varint((*int64)(&t.Cycles))
+	c.Uvarint(&t.Branches)
+	c.Uvarint(&t.BranchMispredict)
+	c.Varint((*int64)(&t.ComputeCycles))
+	c.Varint((*int64)(&t.MemStallCycles))
+	c.Varint((*int64)(&t.SyncWaitCycles))
+	c.Uvarint(&t.Loads)
+	c.Uvarint(&t.Stores)
+	c.Uvarint(&t.L1IHits)
+	c.Uvarint(&t.L1IMisses)
+	c.Uvarint(&t.L1DHits)
+	c.Uvarint(&t.L1DMisses)
+	c.Uvarint(&t.L2Hits)
+	c.Uvarint(&t.L2Misses)
+	c.Uvarint(&t.L2Evictions)
+	c.Uvarint(&t.L2Writebacks)
+	c.Uvarint(&t.Upgrades)
+	for i := range t.MissBy {
+		c.Uvarint(&t.MissBy[i])
+	}
+	c.Uvarint(&t.IFetchMisses)
+	c.Varint((*int64)(&t.MemLatencyTotal))
+	c.Uvarint(&t.MemAccesses)
+	c.Uvarint(&t.DirRequests)
+	c.Uvarint(&t.DirTraps)
+	c.Uvarint(&t.InvSent)
+	c.Uvarint(&t.DRAMReads)
+	c.Uvarint(&t.DRAMWrites)
+	c.Varint((*int64)(&t.DRAMQueueWait))
+	c.Uvarint(&t.NetPacketsSent)
+	c.Uvarint(&t.NetBytesSent)
+	c.Uvarint(&t.NetPacketsRecv)
 }
 
 // TotalL2Misses returns the sum of the classified miss counters.

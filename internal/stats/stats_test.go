@@ -2,9 +2,11 @@ package stats
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/simtest"
+	"repro/internal/wire"
 )
 
 func TestMissKindStrings(t *testing.T) {
@@ -66,20 +68,18 @@ func TestTileTotalL2Misses(t *testing.T) {
 	}
 }
 
-func TestTileGobRoundtrip(t *testing.T) {
-	// Tiles cross process boundaries gob-encoded (MCP stats gathering).
-	in := Tile{TileID: 3, Instructions: 42, Cycles: 99, IFetchMisses: 7,
-		MissBy: [NumMissKinds]uint64{1, 2, 3, 4}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode([]Tile{in}); err != nil {
+// TestTileWireRoundtrip: tiles cross process boundaries and land in
+// checkpoints through Tile.Walk, which must visit every field.
+func TestTileWireRoundtrip(t *testing.T) {
+	var in Tile
+	simtest.Fill(t, &in)
+	b := wire.Encode(in.Walk)
+	var out Tile
+	if err := wire.Decode(b, out.Walk); err != nil {
 		t.Fatal(err)
 	}
-	var out []Tile
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0] != in {
-		t.Fatalf("roundtrip mismatch: %+v", out)
+	if out != in {
+		t.Fatalf("roundtrip mismatch:\n got  %+v\n want %+v", out, in)
 	}
 }
 

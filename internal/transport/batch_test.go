@@ -19,7 +19,7 @@ func frameVal(sender, seq int) []byte {
 
 // checkFIFO drains total frames from ep and asserts each sender's sequence
 // numbers arrive strictly in order.
-func checkFIFO(t *testing.T, ep Endpoint, total, senders int) {
+func checkFIFO(t *testing.T, ep *Endpoint, total, senders int) {
 	t.Helper()
 	next := make([]int, senders)
 	for i := 0; i < total; i++ {
@@ -109,8 +109,8 @@ func TestChannelBatchEmptyAndErrors(t *testing.T) {
 }
 
 // TestTCPBatchFIFO runs the same mixed Send/SendBatch FIFO check across a
-// real two-process TCP fabric, covering the batch wire framing (flagged
-// frame, sub-frame split) and local-delivery batches.
+// real two-process TCP fabric, covering remote batches (frames written
+// back to back, one flush) and local-delivery batches.
 func TestTCPBatchFIFO(t *testing.T) {
 	const perSender = 200
 	addrs := tcpAddrs(t, 2)
@@ -139,7 +139,7 @@ func TestTCPBatchFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sender 0 is remote (proc 1, batch wire framing); sender 1 is local
+	// Sender 0 is remote (proc 1, over the socket); sender 1 is local
 	// (proc 0, direct mailbox batches).
 	var sg sync.WaitGroup
 	for s, tr := range []Transport{trs[1], trs[0]} {
@@ -154,7 +154,7 @@ func TestTCPBatchFIFO(t *testing.T) {
 }
 
 // TestTCPBatchOversized verifies that a batch whose total exceeds the frame
-// limit still arrives intact via the per-frame fallback.
+// limit still arrives intact: the limit bounds each frame, not the batch.
 func TestTCPBatchOversized(t *testing.T) {
 	addrs := tcpAddrs(t, 2)
 	route := StripedRoute(2)

@@ -65,9 +65,40 @@ func TestEarlyFramesWaitForRegister(t *testing.T) {
 			t.Fatalf("frame %d: got %v", i, got)
 		}
 	}
+
+	// The same for a control endpoint, whose held frames wait in the
+	// fabric's control map. Meanwhile a send from the owning process
+	// itself is still refused: only Register makes an endpoint reachable
+	// locally.
+	lcp := LCP(1)
+	if err := d0.tr.Send(lcp, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.tr.SendBatch(lcp, [][]byte{{1}, {2}}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if err := d1.tr.Send(lcp, []byte{9}); err == nil {
+		t.Fatal("local send to an unregistered endpoint succeeded")
+	}
+	ep, err = d1.tr.Register(lcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.tr.Send(lcp, []byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if got := recvOne(t, ep); len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("control frame %d: got %v", i, got)
+		}
+	}
+	if _, err := d1.tr.Register(lcp); err == nil {
+		t.Fatal("claimed endpoint registered twice")
+	}
 }
 
-func recvOne(t *testing.T, ep Endpoint) []byte {
+func recvOne(t *testing.T, ep *Endpoint) []byte {
 	t.Helper()
 	type res struct {
 		data []byte

@@ -27,32 +27,38 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestHandshakeRejectsProtoSkew: a peer answering the hello with a welcome
-// pinning a different wire-format version must fail the dial loudly.
-func TestHandshakeRejectsProtoSkew(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	ln, err := net.Listen("tcp", addrs[0])
+// fakePeer listens on addr, accepts one connection, reads its hello and
+// answers with the given one.
+func fakePeer(t *testing.T, addr string, hello []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		var hello [32]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		var theirs [32]byte
+		if _, err := io.ReadFull(conn, theirs[:]); err != nil {
 			return
 		}
-		var welcome [24]byte
-		binary.LittleEndian.PutUint32(welcome[0:4], helloMagic)
-		binary.LittleEndian.PutUint32(welcome[4:8], tcpProto+999)
-		conn.Write(welcome[:])
+		conn.Write(hello)
 	}()
+}
 
-	_, err = DialTCP(TCPConfig{
+// TestHandshakeRejectsProtoSkew: a peer answering with a hello pinning a
+// different wire-format version must fail the dial loudly.
+func TestHandshakeRejectsProtoSkew(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	hello := encodeHello(2, 0, 0, 0)
+	binary.LittleEndian.PutUint32(hello[4:8], tcpProto+999)
+	fakePeer(t, addrs[0], hello)
+
+	_, err := DialTCP(TCPConfig{
 		Proc: 1, Procs: 2, Addrs: addrs,
 		DialTimeout: 2 * time.Second,
 	})
@@ -71,26 +77,7 @@ func TestHandshakeRejectsClusterSizeMismatch(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 
 	// A fake proc 1 that lets proc 0's outbound dial complete normally.
-	ln, err := net.Listen("tcp", addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		var hello [32]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			return
-		}
-		var welcome [24]byte
-		binary.LittleEndian.PutUint32(welcome[0:4], helloMagic)
-		binary.LittleEndian.PutUint32(welcome[4:8], tcpProto)
-		conn.Write(welcome[:])
-	}()
+	fakePeer(t, addrs[1], encodeHello(2, 1, 0, 0))
 
 	result := make(chan error, 1)
 	go func() {
@@ -135,27 +122,7 @@ func TestHandshakeRejectsGenerationSkew(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 
 	// A fake proc 1 that lets proc 0's outbound dial complete normally.
-	ln, err := net.Listen("tcp", addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		var hello [32]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			return
-		}
-		var welcome [24]byte
-		binary.LittleEndian.PutUint32(welcome[0:4], helloMagic)
-		binary.LittleEndian.PutUint32(welcome[4:8], tcpProto)
-		binary.LittleEndian.PutUint64(welcome[16:24], 2)
-		conn.Write(welcome[:])
-	}()
+	fakePeer(t, addrs[1], encodeHello(2, 1, 0, 2))
 
 	result := make(chan error, 1)
 	go func() {
@@ -199,26 +166,7 @@ func TestHandshakeRejectsGenerationSkew(t *testing.T) {
 func TestHandshakeRejectsGarbage(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 
-	ln, err := net.Listen("tcp", addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		var hello [32]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			return
-		}
-		var welcome [24]byte
-		binary.LittleEndian.PutUint32(welcome[0:4], helloMagic)
-		binary.LittleEndian.PutUint32(welcome[4:8], tcpProto)
-		conn.Write(welcome[:])
-	}()
+	fakePeer(t, addrs[1], encodeHello(2, 1, 0, 0))
 
 	result := make(chan error, 1)
 	go func() {
@@ -252,4 +200,26 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("DialTCP did not return")
 	}
+}
+
+// FuzzHello feeds arbitrary bytes to checkHello as the hello of the other
+// end of a connection: it must not panic, and a hello it accepts names a
+// process below the process count that is not the receiver itself.
+func FuzzHello(f *testing.F) {
+	f.Add(encodeHello(3, 1, 0, 0), uint8(3), uint8(0))
+	f.Add(encodeHello(3, 2, 7, 2), uint8(3), uint8(2))
+	f.Add(encodeHello(2, 1, 7, 1), uint8(2), uint8(0))
+	f.Add(encodeHello(3, 5, 0, 0), uint8(3), uint8(0))
+	f.Add([]byte("GET / HTTP/1.1\r\nHost: nope\r\n\r\n"), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, b []byte, procs, self uint8) {
+		cfg := TCPConfig{Procs: int(procs%8) + 1, FabricID: 7, Generation: 2}
+		cfg.Proc = arch.ProcID(int(self) % cfg.Procs)
+		from, err := checkHello(b, &cfg)
+		if err != nil {
+			return
+		}
+		if int(from) >= cfg.Procs || from == cfg.Proc {
+			t.Fatalf("accepted a hello from process %d as process %d of %d", from, cfg.Proc, cfg.Procs)
+		}
+	})
 }

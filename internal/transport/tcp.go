@@ -19,13 +19,6 @@ import (
 // against corrupt frames.
 const maxFrame = 16 << 20
 
-// batchFlag marks a coalesced frame in the length word of the wire header.
-// The payload of a batch frame is a frame count followed by that many
-// length-prefixed sub-frames, all destined for the same endpoint; the
-// reader splits them and delivers each as an ordinary message, preserving
-// order. maxFrame leaves the top bits of the length word free.
-const batchFlag = 1 << 31
-
 // helloMagic opens every fabric connection ("GMP\x01" little-endian). A
 // peer that does not present it is not a Graphite transport at all —
 // someone dialed the wrong port — and is rejected before any frame is
@@ -36,22 +29,13 @@ const helloMagic = 0x01504D47
 // connection handshake: processes of one simulation may run on different
 // machines from different builds, and a version skew must fail the dial
 // loudly instead of mis-framing traffic. Bump on any change to the frame
-// or handshake layout. Proto 3 added the run generation to the hello
-// and welcome.
-const tcpProto = 3
+// or handshake layout. Proto 4 has one frame format and both ends send
+// the same hello.
+const tcpProto = 4
 
-// hello is the 32-byte header the dialing process sends on a fresh
-// connection: magic, proto, total process count, the dialer's ProcID,
-// the fabric ID of the run, and the run generation. The acceptor
-// validates all of them (the process count and fabric ID catch two
-// simulations misconfigured onto each other — auto-allocated localhost
-// ports can be recycled between concurrent runs; the generation catches
-// a zombie worker from a pre-recovery attempt dialing into the re-forked
-// fabric) and answers with a 24-byte welcome (magic, proto, fabric ID,
-// generation) so the dialer can diagnose a skewed or foreign peer too.
-// A zero fabric ID or generation means "unchecked" (manually launched
-// multi-host runs share no generated ID); each is enforced only when
-// both sides carry one.
+// encodeHello returns the 32-byte header each end of a fresh connection
+// sends: magic, proto, total process count, the sender's ProcID, the
+// fabric ID of the run, and the run generation.
 func encodeHello(procs int, proc arch.ProcID, fabric, generation uint64) []byte {
 	b := make([]byte, 32)
 	binary.LittleEndian.PutUint32(b[0:4], helloMagic)
@@ -61,6 +45,40 @@ func encodeHello(procs int, proc arch.ProcID, fabric, generation uint64) []byte 
 	binary.LittleEndian.PutUint64(b[16:24], fabric)
 	binary.LittleEndian.PutUint64(b[24:32], generation)
 	return b
+}
+
+// checkHello validates the hello of the other end of a connection and
+// returns its ProcID. The process count and fabric ID catch two
+// simulations misconfigured onto each other (auto-allocated localhost
+// ports can be recycled between concurrent runs); the generation catches
+// a zombie worker from a pre-recovery attempt dialing into the re-forked
+// fabric. A zero fabric ID or generation means "unchecked" (manually
+// launched multi-host runs share no generated ID); each is enforced only
+// when both sides carry one.
+func checkHello(b []byte, cfg *TCPConfig) (arch.ProcID, error) {
+	if len(b) != 32 {
+		return 0, fmt.Errorf("sent a %d-byte hello", len(b))
+	}
+	if m := binary.LittleEndian.Uint32(b[0:4]); m != helloMagic {
+		return 0, fmt.Errorf("is not a graphite transport peer (magic %#x)", m)
+	}
+	if v := binary.LittleEndian.Uint32(b[4:8]); v != tcpProto {
+		return 0, fmt.Errorf("speaks transport proto %d, this build speaks %d", v, tcpProto)
+	}
+	if n := binary.LittleEndian.Uint32(b[8:12]); n != uint32(cfg.Procs) {
+		return 0, fmt.Errorf("belongs to a %d-process fabric, this one has %d", n, cfg.Procs)
+	}
+	if f := binary.LittleEndian.Uint64(b[16:24]); f != 0 && cfg.FabricID != 0 && f != cfg.FabricID {
+		return 0, fmt.Errorf("belongs to a different run (fabric %#x, this one is %#x)", f, cfg.FabricID)
+	}
+	if g := binary.LittleEndian.Uint64(b[24:32]); g != 0 && cfg.Generation != 0 && g != cfg.Generation {
+		return 0, fmt.Errorf("belongs to run generation %d, this fabric is generation %d", g, cfg.Generation)
+	}
+	from := binary.LittleEndian.Uint32(b[12:16])
+	if from >= uint32(cfg.Procs) || arch.ProcID(from) == cfg.Proc {
+		return 0, fmt.Errorf("claims invalid process ID %d", from)
+	}
+	return arch.ProcID(from), nil
 }
 
 // TCPConfig configures one process's attachment to a TCP fabric.
@@ -87,25 +105,15 @@ type TCPConfig struct {
 	Generation uint64
 }
 
-// tcpTransport implements Transport over a full mesh of TCP connections.
-// The connection dialed from p to q carries only p→q traffic; each process
-// accepts Procs-1 inbound connections and demultiplexes frames into local
-// mailboxes by endpoint ID.
+// tcpTransport implements Transport as a ChannelFabric of this process's
+// endpoints plus a full mesh of TCP connections. The connection dialed
+// from p to q carries only p→q traffic; each process accepts Procs-1
+// inbound connections and delivers their frames into its fabric.
 type tcpTransport struct {
 	cfg      TCPConfig
+	local    *ChannelFabric
 	listener net.Listener
-
-	mu    sync.RWMutex
-	boxes map[EndpointID]*mailbox
-	// pending holds inbound frames for endpoints this process has not
-	// registered yet, in arrival order. Processes finish DialTCP together
-	// but register endpoints at their own pace, so a fast peer's first
-	// frames can beat the local Register; dropping them would lose
-	// protocol messages and hang the simulation (a blocked core waits
-	// forever for its reply). Register drains them into the new mailbox.
-	pending map[EndpointID][][]byte
-	peers   []*tcpPeer // indexed by ProcID; nil for self
-	closed  bool
+	peers    []*tcpPeer // indexed by ProcID; nil for self
 
 	wg sync.WaitGroup
 }
@@ -114,6 +122,7 @@ type tcpPeer struct {
 	mu   sync.Mutex
 	conn net.Conn
 	w    *bufio.Writer
+	hdr  [8]byte // frame header scratch, guarded by mu
 }
 
 // DialTCP attaches process cfg.Proc to the fabric: it listens on its own
@@ -139,9 +148,8 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 	}
 	t := &tcpTransport{
 		cfg:      cfg,
+		local:    NewChannelFabric(cfg.Route),
 		listener: ln,
-		boxes:    make(map[EndpointID]*mailbox),
-		pending:  make(map[EndpointID][][]byte),
 		peers:    make([]*tcpPeer, cfg.Procs),
 	}
 
@@ -159,14 +167,12 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 				err = aerr
 				break
 			}
-			from, herr := t.acceptHandshake(conn)
+			from, herr := handshake(conn, &t.cfg)
+			if herr == nil && seen[from] {
+				herr = fmt.Errorf("process %d connected twice", from)
+			}
 			if herr != nil {
 				err = herr
-				conn.Close()
-				break
-			}
-			if seen[from] {
-				err = fmt.Errorf("process %d connected twice", from)
 				conn.Close()
 				break
 			}
@@ -183,7 +189,7 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 		if arch.ProcID(p) == cfg.Proc {
 			continue
 		}
-		conn, err := dialHandshake(cfg, p)
+		conn, err := dialPeer(&t.cfg, p)
 		if err != nil {
 			dialErr = err
 			break
@@ -204,81 +210,41 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 	return t, nil
 }
 
-// acceptHandshake validates a fresh inbound connection's hello and answers
-// with a welcome. It returns the dialing process's ID.
-func (t *tcpTransport) acceptHandshake(conn net.Conn) (arch.ProcID, error) {
-	conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	defer conn.SetReadDeadline(time.Time{})
+// handshake sends this process's hello on a fresh connection, reads the
+// other end's, and returns its ProcID. Dialer and acceptor run the same
+// exchange; each sends first, so a rejected peer still learns why.
+func handshake(conn net.Conn, cfg *TCPConfig) (arch.ProcID, error) {
+	conn.SetDeadline(time.Now().Add(cfg.DialTimeout))
+	defer conn.SetDeadline(time.Time{})
+	if _, err := conn.Write(encodeHello(cfg.Procs, cfg.Proc, cfg.FabricID, cfg.Generation)); err != nil {
+		return 0, fmt.Errorf("writing hello to %s: %w", conn.RemoteAddr(), err)
+	}
 	var hello [32]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
 		return 0, fmt.Errorf("reading hello from %s: %w", conn.RemoteAddr(), err)
 	}
-	if m := binary.LittleEndian.Uint32(hello[0:4]); m != helloMagic {
-		// Not a Graphite peer at all: do not answer, just reject.
-		return 0, fmt.Errorf("%s is not a graphite transport peer (magic %#x)", conn.RemoteAddr(), m)
-	}
-	// Always answer a well-formed hello, even one we reject: the dialer is
-	// a Graphite peer blocked on the welcome, and the reply lets it report
-	// the version skew on its own side too.
-	var welcome [24]byte
-	binary.LittleEndian.PutUint32(welcome[0:4], helloMagic)
-	binary.LittleEndian.PutUint32(welcome[4:8], tcpProto)
-	binary.LittleEndian.PutUint64(welcome[8:16], t.cfg.FabricID)
-	binary.LittleEndian.PutUint64(welcome[16:24], t.cfg.Generation)
-	if _, err := conn.Write(welcome[:]); err != nil {
-		return 0, fmt.Errorf("writing welcome to %s: %w", conn.RemoteAddr(), err)
-	}
-	if v := binary.LittleEndian.Uint32(hello[4:8]); v != tcpProto {
-		return 0, fmt.Errorf("peer %s speaks transport proto %d, this build speaks %d", conn.RemoteAddr(), v, tcpProto)
-	}
-	if n := int(binary.LittleEndian.Uint32(hello[8:12])); n != t.cfg.Procs {
-		return 0, fmt.Errorf("peer %s belongs to a %d-process fabric, this one has %d", conn.RemoteAddr(), n, t.cfg.Procs)
-	}
-	if f := binary.LittleEndian.Uint64(hello[16:24]); f != 0 && t.cfg.FabricID != 0 && f != t.cfg.FabricID {
-		return 0, fmt.Errorf("peer %s belongs to a different run (fabric %#x, this one is %#x)", conn.RemoteAddr(), f, t.cfg.FabricID)
-	}
-	if g := binary.LittleEndian.Uint64(hello[24:32]); g != 0 && t.cfg.Generation != 0 && g != t.cfg.Generation {
-		return 0, fmt.Errorf("peer %s belongs to run generation %d, this fabric is generation %d", conn.RemoteAddr(), g, t.cfg.Generation)
-	}
-	from := arch.ProcID(binary.LittleEndian.Uint32(hello[12:16]))
-	if int(from) >= t.cfg.Procs || from == t.cfg.Proc {
-		return 0, fmt.Errorf("peer %s claims invalid process ID %d", conn.RemoteAddr(), from)
+	from, err := checkHello(hello[:], cfg)
+	if err != nil {
+		return 0, fmt.Errorf("peer %s %w", conn.RemoteAddr(), err)
 	}
 	return from, nil
 }
 
-// dialHandshake connects to process p (retrying until the config deadline
-// — peers of a multi-host launch come up in any order) and completes the
-// hello/welcome exchange.
-func dialHandshake(cfg TCPConfig, p int) (net.Conn, error) {
+// dialPeer connects to process p (retrying until the config deadline —
+// peers of a multi-host launch come up in any order) and completes the
+// handshake.
+func dialPeer(cfg *TCPConfig, p int) (net.Conn, error) {
 	conn, err := dialRetry(cfg.Addrs[p], cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial proc %d (%s): %w", p, cfg.Addrs[p], err)
 	}
-	fail := func(err error) (net.Conn, error) {
+	from, err := handshake(conn, cfg)
+	if err == nil && int(from) != p {
+		err = fmt.Errorf("answered as process %d", from)
+	}
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: handshake with proc %d (%s): %w", p, cfg.Addrs[p], err)
-	}
-	if _, err := conn.Write(encodeHello(cfg.Procs, cfg.Proc, cfg.FabricID, cfg.Generation)); err != nil {
-		return fail(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(cfg.DialTimeout))
-	var welcome [24]byte
-	if _, err := io.ReadFull(conn, welcome[:]); err != nil {
-		return fail(fmt.Errorf("reading welcome: %w", err))
-	}
-	conn.SetReadDeadline(time.Time{})
-	if m := binary.LittleEndian.Uint32(welcome[0:4]); m != helloMagic {
-		return fail(fmt.Errorf("not a graphite transport peer (magic %#x)", m))
-	}
-	if v := binary.LittleEndian.Uint32(welcome[4:8]); v != tcpProto {
-		return fail(fmt.Errorf("peer speaks transport proto %d, this build speaks %d", v, tcpProto))
-	}
-	if f := binary.LittleEndian.Uint64(welcome[8:16]); f != 0 && cfg.FabricID != 0 && f != cfg.FabricID {
-		return fail(fmt.Errorf("peer belongs to a different run (fabric %#x, this one is %#x)", f, cfg.FabricID))
-	}
-	if g := binary.LittleEndian.Uint64(welcome[16:24]); g != 0 && cfg.Generation != 0 && g != cfg.Generation {
-		return fail(fmt.Errorf("peer belongs to run generation %d, this process is generation %d", g, cfg.Generation))
 	}
 	return conn, nil
 }
@@ -299,6 +265,8 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 	}
 }
 
+// readLoop delivers one inbound connection's frames, each an 8-byte
+// header (payload length, destination) and the payload.
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -309,9 +277,6 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		dst := EndpointID(int32(binary.LittleEndian.Uint32(hdr[4:8])))
-		isBatch := n&batchFlag != 0
-		n &^= batchFlag
 		if n > maxFrame {
 			return
 		}
@@ -319,158 +284,57 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(r, data); err != nil {
 			return
 		}
-		if !isBatch {
-			t.deliverLocal(dst, data)
-			continue
-		}
-		frames, ok := splitBatch(data)
-		if !ok {
-			return // corrupt batch framing; the connection is unusable
-		}
-		t.deliverLocalBatch(dst, frames)
-	}
-}
-
-// splitBatch parses a batch payload into its sub-frames. The sub-frames
-// alias data, which is fine: receivers own delivered frames and the buffer
-// is never reused.
-func splitBatch(data []byte) ([][]byte, bool) {
-	if len(data) < 4 {
-		return nil, false
-	}
-	count := binary.LittleEndian.Uint32(data[0:4])
-	data = data[4:]
-	// Every sub-frame costs at least 4 header bytes, so a valid count can
-	// never exceed len(data)/4. Reject corrupt counts before sizing the
-	// slice — a hostile value must not drive a huge allocation.
-	if uint64(count) > uint64(len(data))/4 {
-		return nil, false
-	}
-	frames := make([][]byte, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(data) < 4 {
-			return nil, false
-		}
-		n := binary.LittleEndian.Uint32(data[0:4])
-		if uint32(len(data)-4) < n {
-			return nil, false
-		}
-		frames = append(frames, data[4:4+n])
-		data = data[4+n:]
-	}
-	if len(data) != 0 {
-		return nil, false
-	}
-	return frames, true
-}
-
-func (t *tcpTransport) deliverLocal(dst EndpointID, data []byte) {
-	t.mu.RLock()
-	b := t.boxes[dst]
-	t.mu.RUnlock()
-	if b != nil {
-		b.put(data)
-		return
-	}
-	t.stashPending(dst, data)
-}
-
-func (t *tcpTransport) deliverLocalBatch(dst EndpointID, frames [][]byte) {
-	t.mu.RLock()
-	b := t.boxes[dst]
-	t.mu.RUnlock()
-	if b != nil {
-		b.putBatch(frames)
-		return
-	}
-	t.stashPending(dst, frames...)
-}
-
-// stashPending queues frames for a not-yet-registered endpoint (the
-// startup race described on the pending field). Frames arriving after
-// Close are dropped — that is the shutdown race, and it is harmless
-// because simulations quiesce before teardown.
-func (t *tcpTransport) stashPending(dst EndpointID, frames ...[]byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b := t.boxes[dst]; b != nil {
-		// Register won the race; deliver normally (still in arrival
-		// order: this readLoop is the only writer for its sender).
-		b.putBatch(frames)
-		return
-	}
-	if !t.closed {
-		t.pending[dst] = append(t.pending[dst], frames...)
+		t.local.hold(EndpointID(int32(binary.LittleEndian.Uint32(hdr[4:8]))), data)
 	}
 }
 
 // Register implements Transport.
-func (t *tcpTransport) Register(id EndpointID) (Endpoint, error) {
-	if owner := t.cfg.Route(id); owner != t.cfg.Proc {
-		return nil, fmt.Errorf("transport: endpoint %d owned by process %d, registered from %d", id, owner, t.cfg.Proc)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	if _, dup := t.boxes[id]; dup {
-		return nil, fmt.Errorf("transport: endpoint %d registered twice", id)
-	}
-	b := newMailbox(id)
-	t.boxes[id] = b
-	// Drain frames that arrived before registration, preserving their
-	// arrival order ahead of anything delivered from now on.
-	if early := t.pending[id]; len(early) > 0 {
-		delete(t.pending, id)
-		b.putBatch(early)
-	}
-	return b, nil
+func (t *tcpTransport) Register(id EndpointID) (*Endpoint, error) {
+	return t.local.register(t.cfg.Proc, id)
 }
 
-// Send implements Transport.
+// Send implements Transport: a batch of one.
 func (t *tcpTransport) Send(dst EndpointID, data []byte) error {
+	one := [1][]byte{data}
+	return t.SendBatch(dst, one[:])
+}
+
+// SendBatch implements Transport. A remote batch is its frames written
+// back to back under the peer lock, with one flush.
+//
+//graphite:hotpath
+func (t *tcpTransport) SendBatch(dst EndpointID, frames [][]byte) error {
 	owner := t.cfg.Route(dst)
 	if owner == t.cfg.Proc {
-		t.mu.RLock()
-		b := t.boxes[dst]
-		closed := t.closed
-		t.mu.RUnlock()
-		if closed {
-			return ErrClosed
-		}
-		if b == nil {
-			return fmt.Errorf("transport: send to unregistered local endpoint %d", dst)
-		}
-		return b.put(data)
+		return t.local.sendBatch(dst, frames)
 	}
 	// The remote path must observe Close just like the local path does:
 	// after Close the peer connections are being torn down, and letting a
 	// send race them surfaces as a raw bufio/conn write error instead of
 	// the documented ErrClosed.
-	t.mu.RLock()
-	closed := t.closed
-	t.mu.RUnlock()
-	if closed {
+	if t.local.closed() {
 		return ErrClosed
 	}
 	if int(owner) >= len(t.peers) || t.peers[owner] == nil {
-		return fmt.Errorf("transport: no connection to process %d", owner)
+		return fmt.Errorf("transport: no connection to process %d", owner) //graphite:alloc error path; a missing peer aborts the run
 	}
-	if len(data) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
+	for _, f := range frames {
+		if len(f) > maxFrame {
+			return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(f)) //graphite:alloc error path; no simulator message comes near the limit
+		}
 	}
 	p := t.peers[owner]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(int32(dst)))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, err := p.w.Write(hdr[:]); err != nil {
-		return t.closedOr(err)
-	}
-	if _, err := p.w.Write(data); err != nil {
-		return t.closedOr(err)
+	binary.LittleEndian.PutUint32(p.hdr[4:8], uint32(int32(dst)))
+	for _, f := range frames {
+		binary.LittleEndian.PutUint32(p.hdr[0:4], uint32(len(f)))
+		if _, err := p.w.Write(p.hdr[:]); err != nil {
+			return t.closedOr(err)
+		}
+		if _, err := p.w.Write(f); err != nil {
+			return t.closedOr(err)
+		}
 	}
 	return t.closedOr(p.w.Flush())
 }
@@ -494,10 +358,7 @@ func (t *tcpTransport) closedOr(err error) error {
 	if err == nil {
 		return nil
 	}
-	t.mu.RLock()
-	closed := t.closed
-	t.mu.RUnlock()
-	if closed {
+	if t.local.closed() {
 		return ErrClosed
 	}
 	fmt.Fprintf(os.Stderr, "transport: fabric write failed (peer process lost?): %v\n", err)
@@ -505,96 +366,10 @@ func (t *tcpTransport) closedOr(err error) error {
 	return ErrClosed
 }
 
-// SendBatch implements Transport. Remote batches travel as one flagged
-// frame — a single buffered write and flush for the whole batch instead of
-// one per message.
-// SendBatch implements Transport: one writer-lock acquisition and one
-// framed write per destination burst.
-//
-//graphite:hotpath
-func (t *tcpTransport) SendBatch(dst EndpointID, frames [][]byte) error {
-	switch len(frames) {
-	case 0:
-		return nil
-	case 1:
-		return t.Send(dst, frames[0])
-	}
-	owner := t.cfg.Route(dst)
-	if owner == t.cfg.Proc {
-		t.mu.RLock()
-		b := t.boxes[dst]
-		closed := t.closed
-		t.mu.RUnlock()
-		if closed {
-			return ErrClosed
-		}
-		if b == nil {
-			return fmt.Errorf("transport: send to unregistered local endpoint %d", dst) //graphite:alloc error path; a misrouted endpoint aborts the run
-		}
-		return b.putBatch(frames)
-	}
-	t.mu.RLock()
-	tClosed := t.closed
-	t.mu.RUnlock()
-	if tClosed {
-		return ErrClosed
-	}
-	if int(owner) >= len(t.peers) || t.peers[owner] == nil {
-		return fmt.Errorf("transport: no connection to process %d", owner) //graphite:alloc error path; a missing peer aborts the run
-	}
-	total := 4
-	for _, f := range frames {
-		total += 4 + len(f)
-	}
-	if total > maxFrame {
-		// A batch this large is pathological; fall back to per-frame sends
-		// rather than widening the frame format.
-		for _, f := range frames {
-			if err := t.Send(dst, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	p := t.peers[owner]
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(total)|batchFlag)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(int32(dst)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(frames)))
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, err := p.w.Write(hdr[:]); err != nil {
-		return t.closedOr(err)
-	}
-	var sub [4]byte
-	for _, f := range frames {
-		binary.LittleEndian.PutUint32(sub[:], uint32(len(f)))
-		if _, err := p.w.Write(sub[:]); err != nil {
-			return t.closedOr(err)
-		}
-		if _, err := p.w.Write(f); err != nil {
-			return t.closedOr(err)
-		}
-	}
-	return t.closedOr(p.w.Flush())
-}
-
 // Close implements Transport.
 func (t *tcpTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.local.close() {
 		return nil
-	}
-	t.closed = true
-	boxes := make([]*mailbox, 0, len(t.boxes))
-	for _, b := range t.boxes {
-		boxes = append(boxes, b)
-	}
-	t.mu.Unlock()
-
-	for _, b := range boxes {
-		b.Close()
 	}
 	if t.listener != nil {
 		t.listener.Close()

@@ -14,14 +14,15 @@
 //
 //   - ChannelFabric: in-memory mailboxes, for single-OS-process
 //     simulations and tests.
-//   - TCP: real sockets with length-prefixed framing, for genuinely
+//   - TCP: a ChannelFabric holding this process's endpoints, plus sockets
+//     with length-prefixed framing to the other processes, for genuinely
 //     distributed simulations (graphite -fork, or -proc N -hosts …; see
 //     internal/core/launch).
 //
-// Delivery is reliable and per-sender FIFO. Mailboxes are unbounded:
-// transport-level sends never block, which is what makes the higher-level
-// memory protocol deadlock-free (a tile can always answer an invalidation
-// even while its own core blocks on a miss).
+// Both hand out the same Endpoint. Delivery is reliable and per-sender
+// FIFO. Mailboxes are unbounded: transport-level sends never block, which
+// is what makes the higher-level memory protocol deadlock-free (a tile can
+// always answer an invalidation even while its own core blocks on a miss).
 package transport
 
 import (
@@ -63,34 +64,20 @@ type Transport interface {
 	// Register claims ownership of endpoint id in this process and
 	// returns its receive handle. Each endpoint may be registered once,
 	// and only by the process that owns it according to the routing map.
-	Register(id EndpointID) (Endpoint, error)
+	Register(id EndpointID) (*Endpoint, error)
 	// Send delivers data to dst, which may live in any process.
 	// The data slice is owned by the transport after the call.
 	Send(dst EndpointID, data []byte) error
 	// SendBatch delivers frames to dst in order, as one fabric operation.
 	// It is semantically identical to calling Send once per frame but lets
-	// backends amortize locking, wire framing, and receiver wakeups across
+	// backends amortize locking, socket flushes, and receiver wakeups across
 	// the whole batch. Like Send it never blocks on the receiver. Each
 	// frame's byte slice is owned by the transport after the call, but the
 	// containing frames slice reverts to the caller when SendBatch
 	// returns — implementations must copy the frame references out before
 	// returning (senders recycle the container across batches).
 	SendBatch(dst EndpointID, frames [][]byte) error
-	// Close shuts down the transport; pending Recv calls return ErrClosed.
-	Close() error
-}
-
-// Endpoint is the receive side of one endpoint ID.
-type Endpoint interface {
-	// ID returns the endpoint's address.
-	ID() EndpointID
-	// Recv blocks until a message arrives and returns it. It returns
-	// ErrClosed after Close.
-	Recv() ([]byte, error)
-	// TryRecv returns the next message without blocking; ok reports
-	// whether one was available.
-	TryRecv() (data []byte, ok bool, err error)
-	// Close closes only this endpoint.
+	// Close shuts down the transport; blocked Recv calls return ErrClosed.
 	Close() error
 }
 
@@ -112,149 +99,153 @@ func StripedRoute(procs int) RouteFunc {
 	}
 }
 
-// mailbox is an unbounded FIFO of messages, stored in a ring buffer so
-// steady-state traffic recycles one allocation instead of regrowing an
-// append-and-reslice queue (the head capacity of a sliced queue is
-// unrecoverable, so it reallocates continuously under load).
-type mailbox struct {
+// Endpoint is the receive side of one endpoint ID: an unbounded FIFO of
+// messages, stored in a ring buffer so steady-state traffic recycles one
+// allocation instead of regrowing an append-and-reslice queue (the head
+// capacity of a sliced queue is unrecoverable, so it reallocates
+// continuously under load).
+type Endpoint struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    [][]byte // ring of count frames starting at head
 	head   int
 	count  int
 	closed bool
-	id     EndpointID
+	// claimed is set by Register. An unclaimed endpoint holds frames that
+	// another process sent before the local Register; it is guarded by the
+	// owning fabric's mu, not by the endpoint's.
+	claimed bool
 }
 
-func newMailbox(id EndpointID) *mailbox {
+func newEndpoint() *Endpoint {
 	// The ring starts at its steady-state minimum so the first messages of
 	// a simulation don't each pay a growth step; construction of all
 	// mailboxes is one allocation sweep instead of load-triggered regrowth.
-	m := &mailbox{id: id, buf: make([][]byte, 16)}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	e := &Endpoint{buf: make([][]byte, 16)}
+	e.cond = sync.NewCond(&e.mu)
+	return e
 }
 
 // grow ensures room for n more frames. Called with mu held.
-func (m *mailbox) grow(n int) {
-	if m.count+n <= len(m.buf) {
+func (e *Endpoint) grow(n int) {
+	if e.count+n <= len(e.buf) {
 		return
 	}
-	newCap := len(m.buf) * 2
+	newCap := len(e.buf) * 2
 	if newCap < 16 {
 		newCap = 16
 	}
-	for newCap < m.count+n {
+	for newCap < e.count+n {
 		newCap *= 2
 	}
 	nb := make([][]byte, newCap)
-	for i := 0; i < m.count; i++ {
-		nb[i] = m.buf[(m.head+i)%len(m.buf)]
+	for i := 0; i < e.count; i++ {
+		nb[i] = e.buf[(e.head+i)%len(e.buf)]
 	}
-	m.buf, m.head = nb, 0
+	e.buf, e.head = nb, 0
 }
 
-func (m *mailbox) push(data []byte) {
-	m.grow(1)
-	m.buf[(m.head+m.count)%len(m.buf)] = data
-	m.count++
+func (e *Endpoint) push(data []byte) {
+	e.grow(1)
+	e.buf[(e.head+e.count)%len(e.buf)] = data
+	e.count++
 }
 
-func (m *mailbox) pop() []byte {
-	data := m.buf[m.head]
-	m.buf[m.head] = nil
-	m.head = (m.head + 1) % len(m.buf)
-	m.count--
+func (e *Endpoint) pop() []byte {
+	data := e.buf[e.head]
+	e.buf[e.head] = nil
+	e.head = (e.head + 1) % len(e.buf)
+	e.count--
 	return data
 }
 
-func (m *mailbox) put(data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+func (e *Endpoint) put(data []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return ErrClosed
 	}
-	m.push(data)
-	m.cond.Signal()
+	e.push(data)
+	e.cond.Signal()
 	return nil
 }
 
 // putBatch appends a whole batch under one lock acquisition and wakes the
 // receiver once, preserving the order of frames.
-func (m *mailbox) putBatch(frames [][]byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+func (e *Endpoint) putBatch(frames [][]byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return ErrClosed
 	}
-	m.grow(len(frames))
+	e.grow(len(frames))
 	for _, f := range frames {
-		m.buf[(m.head+m.count)%len(m.buf)] = f
-		m.count++
+		e.buf[(e.head+e.count)%len(e.buf)] = f
+		e.count++
 	}
 	// Broadcast, not Signal: with more than one message queued, several
 	// concurrent Recv callers can all make progress.
 	if len(frames) > 1 {
-		m.cond.Broadcast()
+		e.cond.Broadcast()
 	} else {
-		m.cond.Signal()
+		e.cond.Signal()
 	}
 	return nil
 }
 
-// ID implements Endpoint.
-func (m *mailbox) ID() EndpointID { return m.id }
-
-// Recv implements Endpoint.
-func (m *mailbox) Recv() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.count == 0 && !m.closed {
-		m.cond.Wait()
+// Recv blocks until a message arrives and returns it. It returns
+// ErrClosed after Close.
+func (e *Endpoint) Recv() ([]byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.count == 0 && !e.closed {
+		e.cond.Wait()
 	}
-	if m.count == 0 {
+	if e.count == 0 {
 		return nil, ErrClosed
 	}
-	return m.pop(), nil
+	return e.pop(), nil
 }
 
-// TryRecv implements Endpoint.
-func (m *mailbox) TryRecv() ([]byte, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.count == 0 {
-		if m.closed {
+// TryRecv returns the next message without blocking; ok reports whether
+// one was available.
+func (e *Endpoint) TryRecv() (data []byte, ok bool, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.count == 0 {
+		if e.closed {
 			return nil, false, ErrClosed
 		}
 		return nil, false, nil
 	}
-	return m.pop(), true, nil
+	return e.pop(), true, nil
 }
 
-// Close implements Endpoint.
-func (m *mailbox) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	m.cond.Broadcast()
+// Close closes only this endpoint.
+func (e *Endpoint) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	e.cond.Broadcast()
 	return nil
 }
 
 // ChannelFabric is an in-memory fabric shared by every simulated process
 // of one simulation. Create it once, then hand each process its Transport
-// via Process.
+// via Process. A TCP transport keeps its own process's endpoints in one.
 //
-// Tile mailboxes (non-negative endpoint IDs) live in a dense array, sized
-// up front when the tile count is known (NewChannelFabricSized): every
-// send then resolves its destination with an array index instead of a
-// hash lookup, and constructing a thousand-tile simulation performs one
-// slice allocation rather than growing a map through its rehash
-// schedule. The handful of control endpoints (MCP, LCPs — negative IDs)
-// stay in a small map off the hot path.
+// Tile endpoints (non-negative IDs) live in a dense array, sized up front
+// when the tile count is known (NewChannelFabricSized): every send then
+// resolves its destination with an array index instead of a hash lookup,
+// and constructing a thousand-tile simulation performs one slice
+// allocation rather than growing a map through its rehash schedule. The
+// handful of control endpoints (MCP, LCPs — negative IDs) stay in a small
+// map off the hot path, and so does every endpoint that holds early frames
+// and is not registered yet.
 type ChannelFabric struct {
 	mu    sync.RWMutex
-	tiles []*mailbox              // dense, indexed by tile endpoint ID
-	ctrl  map[EndpointID]*mailbox // MCP and LCPs (negative IDs)
+	tiles []*Endpoint              // dense, indexed by tile endpoint ID
+	ctrl  map[EndpointID]*Endpoint // MCP, LCPs, and unclaimed endpoints
 	route RouteFunc
 	done  bool
 }
@@ -267,12 +258,12 @@ func NewChannelFabric(route RouteFunc) *ChannelFabric {
 	return NewChannelFabricSized(route, 0)
 }
 
-// NewChannelFabricSized creates a fabric with the dense tile-mailbox
+// NewChannelFabricSized creates a fabric with the dense tile-endpoint
 // array allocated up front for the given tile count.
 func NewChannelFabricSized(route RouteFunc, tiles int) *ChannelFabric {
 	return &ChannelFabric{
-		tiles: make([]*mailbox, tiles),
-		ctrl:  make(map[EndpointID]*mailbox),
+		tiles: make([]*Endpoint, tiles),
+		ctrl:  make(map[EndpointID]*Endpoint),
 		route: route,
 	}
 }
@@ -282,26 +273,50 @@ func (f *ChannelFabric) Process(p arch.ProcID) Transport {
 	return &channelTransport{fabric: f, proc: p}
 }
 
-// Close closes every mailbox on the fabric.
+// Close closes every endpoint on the fabric.
 func (f *ChannelFabric) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return nil
-	}
-	f.done = true
-	for _, b := range f.tiles {
-		if b != nil {
-			b.Close()
-		}
-	}
-	for _, b := range f.ctrl {
-		b.Close()
-	}
+	f.close()
 	return nil
 }
 
-func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (Endpoint, error) {
+// close closes every endpoint and reports whether this call did it.
+func (f *ChannelFabric) close() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done {
+		return false
+	}
+	f.done = true
+	for _, e := range f.tiles {
+		if e != nil {
+			e.Close()
+		}
+	}
+	for _, e := range f.ctrl {
+		e.Close()
+	}
+	return true
+}
+
+func (f *ChannelFabric) closed() bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.done
+}
+
+// lookup returns dst's endpoint, claimed or not, or nil. Called with mu
+// held.
+func (f *ChannelFabric) lookup(dst EndpointID) *Endpoint {
+	if dst >= 0 && int(dst) < len(f.tiles) && f.tiles[dst] != nil {
+		return f.tiles[dst]
+	}
+	return f.ctrl[dst]
+}
+
+// register claims endpoint id for process p. An unclaimed endpoint that
+// already holds early frames is claimed as it is, so those frames stay
+// ahead of everything that arrives later.
+func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (*Endpoint, error) {
 	if owner := f.route(id); owner != p {
 		return nil, fmt.Errorf("transport: endpoint %d owned by process %d, registered from %d", id, owner, p)
 	}
@@ -310,63 +325,85 @@ func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (Endpoint, error)
 	if f.done {
 		return nil, ErrClosed
 	}
-	if id < 0 {
-		if _, dup := f.ctrl[id]; dup {
-			return nil, fmt.Errorf("transport: endpoint %d registered twice", id)
-		}
-		b := newMailbox(id)
-		f.ctrl[id] = b
-		return b, nil
+	e := f.lookup(id)
+	if e == nil {
+		e = newEndpoint()
+	} else if e.claimed {
+		return nil, fmt.Errorf("transport: endpoint %d registered twice", id)
 	}
+	e.claimed = true
+	if id < 0 {
+		f.ctrl[id] = e
+		return e, nil
+	}
+	delete(f.ctrl, id)
 	for int(id) >= len(f.tiles) { // unsized fabric: amortized growth
 		f.tiles = append(f.tiles, nil)
 	}
-	if f.tiles[id] != nil {
-		return nil, fmt.Errorf("transport: endpoint %d registered twice", id)
-	}
-	b := newMailbox(id)
-	f.tiles[id] = b
-	return b, nil
+	f.tiles[id] = e
+	return e, nil
 }
 
-func (f *ChannelFabric) box(dst EndpointID) (*mailbox, error) {
+// hold delivers a frame that arrived from another process. A destination
+// not registered yet gets an unclaimed endpoint in the control map that
+// holds its frames until Register: processes finish DialTCP together but
+// register endpoints at their own pace, so a fast peer's first frames can
+// beat the local Register, and dropping them would lose protocol messages
+// and hang the simulation. Frames arriving after Close are dropped — that
+// is the shutdown race, and it is harmless because simulations quiesce
+// before teardown.
+func (f *ChannelFabric) hold(dst EndpointID, data []byte) {
 	f.mu.RLock()
-	var b *mailbox
-	if dst >= 0 {
-		if int(dst) < len(f.tiles) {
-			b = f.tiles[dst]
+	e := f.lookup(dst)
+	f.mu.RUnlock()
+	if e == nil {
+		f.mu.Lock()
+		if e = f.lookup(dst); e == nil && !f.done {
+			e = newEndpoint()
+			f.ctrl[dst] = e
 		}
-	} else {
-		b = f.ctrl[dst]
+		f.mu.Unlock()
+		if e == nil {
+			return
+		}
 	}
+	e.put(data)
+}
+
+// box returns dst's endpoint for a send from this process, which may
+// reach only a registered endpoint.
+func (f *ChannelFabric) box(dst EndpointID) (*Endpoint, error) {
+	f.mu.RLock()
+	e := f.lookup(dst)
+	claimed := e != nil && e.claimed
 	done := f.done
 	f.mu.RUnlock()
 	if done {
 		return nil, ErrClosed
 	}
-	if b == nil {
+	if !claimed {
 		return nil, fmt.Errorf("transport: send to unregistered endpoint %d", dst)
 	}
-	return b, nil
+	return e, nil
 }
 
 func (f *ChannelFabric) send(dst EndpointID, data []byte) error {
-	b, err := f.box(dst)
+	e, err := f.box(dst)
 	if err != nil {
 		return err
 	}
-	return b.put(data)
+	return e.put(data)
 }
 
 func (f *ChannelFabric) sendBatch(dst EndpointID, frames [][]byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	b, err := f.box(dst)
+	e, err := f.box(dst)
 	if err != nil {
 		return err
 	}
-	return b.putBatch(frames)
+	return e.putBatch(frames)
 }
 
 type channelTransport struct {
@@ -375,7 +412,7 @@ type channelTransport struct {
 }
 
 // Register implements Transport.
-func (t *channelTransport) Register(id EndpointID) (Endpoint, error) {
+func (t *channelTransport) Register(id EndpointID) (*Endpoint, error) {
 	return t.fabric.register(t.proc, id)
 }
 

@@ -280,7 +280,7 @@ func TestTCPThreeProcessesAllPairs(t *testing.T) {
 			t.Fatalf("proc %d: %v", p, err)
 		}
 	}
-	eps := make([]Endpoint, procs)
+	eps := make([]*Endpoint, procs)
 	for p := 0; p < procs; p++ {
 		ep, err := trs[p].Register(EndpointID(p)) // tile p lives on proc p when procs == tiles
 		if err != nil {

@@ -1,7 +1,7 @@
 // Command graphite runs one workload on one simulated target architecture
 // and prints its statistics — the everyday driver for exploring a
-// configuration. The simulation's -procs processes share this OS process
-// unless told otherwise:
+// configuration. The simulation's -procs processes share this OS process,
+// and its channel fabric, unless told otherwise:
 //
 //	graphite -workload radix -tiles 32 -threads 32 -procs 2 -sync laxp2p
 //	graphite -list
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		coher     = fs.String("coherence", "full_map", "coherence: full_map|dir_nb|limitless")
 		ptrs      = fs.Int("dirptrs", 4, "directory pointers for dir_nb/limitless")
 		lineSize  = fs.Int("line", 64, "cache line size in bytes")
-		transport = fs.String("transport", "channel", "transport between processes sharing this OS process: channel|tcp")
 		workers   = fs.Int("workers", 0, "host worker cores (GOMAXPROCS), 0 = all")
 		seed      = fs.Int64("seed", 1, "model random seed")
 		showTiles = fs.Bool("pertile", false, "print per-tile statistics")
@@ -126,9 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if cfg.Coherence.Kind != config.FullMap {
 		cfg.Coherence.DirPointers = *ptrs
-	}
-	if cfg.Transport, err = config.ParseTransportKind(*transport); err != nil {
-		return usage(err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return usage(err)

@@ -148,7 +148,7 @@ func TestOneRunWhereverItsProcessesLive(t *testing.T) {
 	}
 }
 
-// TestEnumFlagsUseTheConfigParsers: -sync, -coherence and -transport take
+// TestEnumFlagsUseTheConfigParsers: -sync and -coherence take
 // every spelling a scenario file takes, and an unknown value is a usage
 // error carrying the parser's message — not a silent default.
 func TestEnumFlagsUseTheConfigParsers(t *testing.T) {
@@ -161,10 +161,8 @@ func TestEnumFlagsUseTheConfigParsers(t *testing.T) {
 		{"-coherence", "full_map", ""},
 		{"-coherence", "dir_nb", ""},
 		{"-coherence", "dirnb", ""},
-		{"-transport", "tcp", ""},
 		{"-sync", "bogus", `unknown sync model "bogus"`},
 		{"-coherence", "bogus", `unknown coherence kind "bogus"`},
-		{"-transport", "bogus", `unknown transport "bogus"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-workload", "radix", "-tiles", "4", "-threads", "1", "-scale", "6", "-procs", "2", tc.flag, tc.value}

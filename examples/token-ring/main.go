@@ -1,10 +1,11 @@
-// Distributed simulation over real TCP sockets: the same unmodified
-// program runs striped across four simulated host processes that exchange
-// every byte of application data, coherence traffic, and control messages
-// through the loopback network stack — the paper's cluster deployment in
-// miniature (graphite -procs 4 -fork puts each in an OS process of its own).
+// A token ring across simulated host processes: the same unmodified
+// program runs striped across four processes that exchange every byte of
+// application data, coherence traffic, and control messages through the
+// transport layer. Here the four share this OS process and its channel
+// fabric; for real sockets, give each an OS process of its own with
+// graphite -procs 4 -fork.
 //
-//	go run ./examples/distributed-tcp
+//	go run ./examples/token-ring
 package main
 
 import (
@@ -18,8 +19,6 @@ func main() {
 	cfg := graphite.DefaultConfig()
 	cfg.Tiles = 8
 	cfg.Processes = 4 // tiles striped 0,4 | 1,5 | 2,6 | 3,7
-	cfg.Transport = graphite.TransportTCP
-	cfg.TCPBase = 36300
 
 	// Token ring: each thread receives a token, adds its contribution
 	// from shared memory, and passes it on — every hop crosses a process
@@ -85,6 +84,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated cycles %d, wall %v\n", rs.SimulatedCycles, rs.Wall)
-	fmt.Printf("network: %d packets, %d bytes over TCP\n",
+	fmt.Printf("network: %d packets, %d bytes\n",
 		rs.Totals.NetPacketsSent, rs.Totals.NetBytesSent)
 }

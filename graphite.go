@@ -11,7 +11,8 @@
 // against the Thread API — on a target architecture described by a Config.
 // Threads map one-to-one onto target tiles and are striped across one or
 // more simulated host processes that communicate only through the
-// transport layer (in-memory channels or real TCP sockets), preserving
+// transport layer (in-memory channels between processes that share an OS
+// process, TCP sockets between ones that do not), preserving
 // Graphite's single-process illusion: one shared simulated address space,
 // one file table, pthread-like spawn/join and synchronization.
 //
@@ -115,14 +116,6 @@ const (
 	NetMeshHop = config.NetMeshHop
 	// NetMeshContention adds analytical link contention.
 	NetMeshContention = config.NetMeshContention
-)
-
-// Transports (paper §3.3.1).
-const (
-	// TransportChannel uses in-memory mailboxes.
-	TransportChannel = config.TransportChannel
-	// TransportTCP uses real TCP sockets.
-	TransportTCP = config.TransportTCP
 )
 
 // Miss kinds (Figure 8).

@@ -43,7 +43,7 @@ import (
 // Version identifies the checkpoint format: the binary per-process state
 // file (codec.go) and the JSON manifest. Readers reject files written by a
 // different version rather than guessing.
-const Version = 2
+const Version = 3
 
 // CacheState is one cache's image: its geometry, its valid slots in
 // ascending slot index, and the LRU tick and public counters. Invalid
@@ -119,14 +119,16 @@ type DirEntryState struct {
 	Cursor         int32
 }
 
-// DirShardState is one home-directory shard: its entries (sorted by arena
-// index), sub-request sequence counter, and home-side statistics.
-type DirShardState struct {
+// HomeState is one tile's home: its directory entries (sorted by arena
+// index), sub-request sequence counter, home-side statistics, and the
+// DRAM controller behind it.
+type HomeState struct {
 	Entries     []DirEntryState
 	HomeSeq     uint64
 	DirRequests uint64
 	DirTraps    uint64
 	InvSent     uint64
+	DRAM        DRAMState
 }
 
 // TileState is the complete architectural state of one tile at a quiesced
@@ -140,8 +142,7 @@ type TileState struct {
 	L1D  *CacheState
 	L2   *CacheState
 
-	DirShards []DirShardState
-	DRAM      DRAMState
+	Home HomeState
 
 	// ReqSeq is the core context's memory-request sequence counter.
 	ReqSeq uint64

@@ -6,11 +6,12 @@ package checkpoint
 //	magic "GRPHCKPT", uvarint Version
 //	ProcState: varint Proc, varint Epoch, string ConfigDigest, list Tiles
 //	TileState: varint Tile, varint Clock; Core, L1I, L1D and L2, each a
-//	  presence bool and the body; list DirShards; DRAM; uvarint ReqSeq;
-//	  sorted EverAccessed, sorted Invalidated; Stats (stats.Tile.Walk)
+//	  presence bool and the body; Home; uvarint ReqSeq; sorted
+//	  EverAccessed, sorted Invalidated; Stats (stats.Tile.Walk)
 //	CacheState: uvarint Slots, uvarint LineSize, list Valid of (uvarint
 //	  Index, uvarint Addr, byte State, bool Dirty, uvarint Mask, uvarint
 //	  LRU); bytes Data; uvarint Tick and the four counters
+//	HomeState: list Entries; uvarint HomeSeq and the three counters; DRAM
 //	DRAMState: list Lines of (delta-uvarint Addr, bytes Data); uvarint
 //	  Reads, Writes; varint TotalQueueDelay
 
@@ -63,8 +64,7 @@ func (ts *TileState) walk(c *wire.Codec) {
 	for _, p := range [...]**CacheState{&ts.L1I, &ts.L1D, &ts.L2} {
 		wire.Opt(c, p, func(cs *CacheState) { cs.walk(c) })
 	}
-	wire.List(c, &ts.DirShards, minShard, func(s *DirShardState) { s.walk(c) })
-	ts.DRAM.walk(c)
+	ts.Home.walk(c)
 	c.Uvarint(&ts.ReqSeq)
 	c.Sorted(&ts.EverAccessed)
 	c.Sorted(&ts.Invalidated)
@@ -104,12 +104,13 @@ func (s *CacheSlot) walk(c *wire.Codec) {
 	c.Uvarint(&s.LRU)
 }
 
-func (s *DirShardState) walk(c *wire.Codec) {
-	wire.List(c, &s.Entries, minEntry, func(e *DirEntryState) { e.walk(c) })
-	c.Uvarint(&s.HomeSeq)
-	c.Uvarint(&s.DirRequests)
-	c.Uvarint(&s.DirTraps)
-	c.Uvarint(&s.InvSent)
+func (h *HomeState) walk(c *wire.Codec) {
+	wire.List(c, &h.Entries, minEntry, func(e *DirEntryState) { e.walk(c) })
+	c.Uvarint(&h.HomeSeq)
+	c.Uvarint(&h.DirRequests)
+	c.Uvarint(&h.DirTraps)
+	c.Uvarint(&h.InvSent)
+	h.DRAM.walk(c)
 }
 
 func (e *DirEntryState) walk(c *wire.Codec) {
@@ -143,7 +144,6 @@ func (d *DRAMState) walk(c *wire.Codec) {
 var (
 	minTile  = wire.SizeOf((&TileState{}).walk)
 	minSlot  = wire.SizeOf((&CacheSlot{}).walk)
-	minShard = wire.SizeOf((&DirShardState{}).walk)
 	minEntry = wire.SizeOf((&DirEntryState{}).walk)
 	minLine  = 2 // a zero address delta and an empty byte string
 )

@@ -161,44 +161,6 @@ func ParseCoherenceKind(s string) (CoherenceKind, error) {
 	}
 }
 
-// TransportKind selects the physical transport layer implementation
-// (paper §3.3.1).
-type TransportKind int
-
-const (
-	// TransportChannel moves packets over in-memory channels. It is the
-	// default for single-OS-process simulations and for tests.
-	TransportChannel TransportKind = iota
-	// TransportTCP moves packets over real TCP/IP sockets, exercising the
-	// same code paths a cluster deployment would.
-	TransportTCP
-)
-
-// String implements fmt.Stringer.
-func (k TransportKind) String() string {
-	switch k {
-	case TransportChannel:
-		return "channel"
-	case TransportTCP:
-		return "tcp"
-	default:
-		return fmt.Sprintf("TransportKind(%d)", int(k))
-	}
-}
-
-// ParseTransportKind converts a scenario-file spelling (the String()
-// forms) into a TransportKind.
-func ParseTransportKind(s string) (TransportKind, error) {
-	switch normalize(s) {
-	case "channel":
-		return TransportChannel, nil
-	case "tcp":
-		return TransportTCP, nil
-	default:
-		return TransportChannel, fmt.Errorf("unknown transport %q (channel|tcp)", s)
-	}
-}
-
 // CacheConfig configures one level of the cache hierarchy.
 type CacheConfig struct {
 	// Enabled turns the cache on. A disabled cache forwards every access
@@ -256,12 +218,6 @@ type CoherenceConfig struct {
 	TrapLatency arch.Cycles
 	// DirLatency is the directory lookup cost at the home tile.
 	DirLatency arch.Cycles
-	// DirShards is the number of independently locked directory regions
-	// per home tile. Home-side protocol state is sharded by line address
-	// so that directory traffic does not contend with the tile's own core
-	// on one mutex. Must be a power of two; 0 selects the default (16).
-	// This is a host-performance knob with no effect on modeled timing.
-	DirShards int
 }
 
 // DRAMConfig configures the memory controllers.
@@ -286,9 +242,6 @@ type NetworkConfig struct {
 	// LinkBandwidth is the link width in bytes per cycle, used for
 	// serialization delay and the contention model.
 	LinkBandwidth int
-	// QueueModel enables per-link lax queue contention (only meaningful
-	// for NetMeshContention, where it defaults on).
-	QueueModel bool
 }
 
 // CostConfig holds the modeled latencies of the MCP's intercepted
@@ -384,9 +337,6 @@ type CoreConfig struct {
 	// StoreBufferSize is the number of outstanding stores that retire
 	// without stalling the core; 0 disables the store buffer.
 	StoreBufferSize int
-	// LoadQueueSize bounds outstanding loads (the functional simulator
-	// blocks on loads, so this shapes timing only through drain modeling).
-	LoadQueueSize int
 	// CodeFootprint is the per-tile synthetic code working set in bytes,
 	// driving instruction-fetch modeling (the loop kernel size); 0
 	// disables fetch modeling.
@@ -413,17 +363,15 @@ type Config struct {
 	// onto tiles; at most Tiles threads may be live at once.
 	Tiles int
 	// Processes is the number of simulated host processes the tiles are
-	// striped across (tile t lives in process t % Processes).
+	// striped across (tile t lives in process t % Processes). Where they
+	// run decides the transport: processes sharing an OS process talk over
+	// the channel fabric, processes in separate OS processes over TCP.
 	Processes int
 	// Workers bounds host OS parallelism (GOMAXPROCS) for the simulation;
 	// 0 means "leave as is". Used by the host-scaling experiments.
 	Workers int
 	// ClockHz is the target clock frequency (Table 1: 1 GHz).
 	ClockHz uint64
-	// Transport selects the physical transport layer.
-	Transport TransportKind
-	// TCPBase is the first TCP port used when Transport == TransportTCP.
-	TCPBase int
 
 	L1I, L1D, L2 CacheConfig
 	Coherence    CoherenceConfig
@@ -464,8 +412,6 @@ func Default() Config {
 		Tiles:     32,
 		Processes: 1,
 		ClockHz:   1_000_000_000,
-		Transport: TransportChannel,
-		TCPBase:   36200,
 		L1I: CacheConfig{
 			Enabled: true, Size: 32 << 10, Assoc: 8, LineSize: 64, HitLatency: 1,
 		},
@@ -482,7 +428,7 @@ func Default() Config {
 			QueueModel:     true,
 		},
 		AppNet: NetworkConfig{Kind: NetMeshHop, HopLatency: 2, LinkBandwidth: 32},
-		MemNet: NetworkConfig{Kind: NetMeshContention, HopLatency: 2, LinkBandwidth: 32, QueueModel: true},
+		MemNet: NetworkConfig{Kind: NetMeshContention, HopLatency: 2, LinkBandwidth: 32},
 		SysNet: NetworkConfig{Kind: NetMagic},
 		Sync: SyncConfig{
 			Model:          Lax,
@@ -501,7 +447,6 @@ func Default() Config {
 			MispredictPenalty:   14,
 			BranchPredictorSize: 1024,
 			StoreBufferSize:     8,
-			LoadQueueSize:       4,
 			CodeFootprint:       8 << 10,
 		},
 		Costs: CostConfig{
@@ -530,14 +475,12 @@ func Default() Config {
 // simulation is executed, not what it simulates — reset to canonical
 // values. Two configurations with equal canonical forms describe the
 // identical target architecture: the same run striped across a different
-// number of OS processes, over a different transport, or with a different
+// number of processes, wherever those processes live, or with a different
 // GOMAXPROCS bound must produce identical results (paper §3.1: process
 // count is a performance knob, not a correctness one), so those fields
 // are excluded from the configuration digest recorded with every run.
 func (c Config) Canonical() Config {
 	c.Processes = 1
-	c.Transport = TransportChannel
-	c.TCPBase = 0
 	c.Workers = 0
 	c.CollectSkew = false
 	return c
@@ -581,9 +524,6 @@ func (c *Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("config: unknown coherence kind %d", int(c.Coherence.Kind))
-	}
-	if s := c.Coherence.DirShards; s < 0 || s&(s-1) != 0 {
-		return fmt.Errorf("config: DirShards %d is not a power of two", s)
 	}
 	if c.DRAM.TotalBandwidth <= 0 {
 		return fmt.Errorf("config: DRAM bandwidth must be positive")

@@ -143,14 +143,13 @@ func TestBandwidthPartitioning(t *testing.T) {
 func TestStringers(t *testing.T) {
 	for _, s := range []string{Lax.String(), LaxBarrier.String(), LaxP2P.String(),
 		NetMagic.String(), NetMeshHop.String(), NetMeshContention.String(),
-		FullMap.String(), LimitedNB.String(), LimitLESS.String(),
-		TransportChannel.String(), TransportTCP.String()} {
+		FullMap.String(), LimitedNB.String(), LimitLESS.String()} {
 		if s == "" {
 			t.Fatal("empty stringer")
 		}
 	}
 	if SyncModel(99).String() == "" || NetworkModelKind(99).String() == "" ||
-		CoherenceKind(99).String() == "" || TransportKind(99).String() == "" {
+		CoherenceKind(99).String() == "" {
 		t.Fatal("unknown enum produced empty string")
 	}
 }
@@ -172,9 +171,6 @@ func TestParsers(t *testing.T) {
 	}
 	if k, err := ParseCoherenceKind("LimitLESS"); err != nil || k != LimitLESS {
 		t.Fatalf("ParseCoherenceKind(LimitLESS) = %v, %v", k, err)
-	}
-	if k, err := ParseTransportKind("tcp"); err != nil || k != TransportTCP {
-		t.Fatalf("ParseTransportKind = %v, %v", k, err)
 	}
 	if k, err := ParseCoreModelKind("out-of-order"); err != nil || k != CoreOutOfOrder {
 		t.Fatalf("ParseCoreModelKind = %v, %v", k, err)
@@ -199,7 +195,6 @@ func TestParsers(t *testing.T) {
 		func() error { _, err := ParseSyncModel("chaotic"); return err },
 		func() error { _, err := ParseNetworkModelKind("torus"); return err },
 		func() error { _, err := ParseCoherenceKind("snooping"); return err },
-		func() error { _, err := ParseTransportKind("pigeon"); return err },
 		func() error { _, err := ParseCoreModelKind("vliw"); return err },
 	} {
 		if bad() == nil {

@@ -82,48 +82,18 @@ type Cluster struct {
 }
 
 // NewCluster builds and starts a simulation of prog under cfg with every
-// simulated process inside this OS process. The caller must Close it.
+// simulated process inside this OS process, so they share the channel
+// fabric: sockets are for processes that live apart (JoinCluster). The
+// caller must Close it.
 func NewCluster(cfg config.Config, prog Program) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, prog: prog}
 
-	switch cfg.Transport {
-	case config.TransportChannel:
-		c.fabric = transport.NewChannelFabricSized(transport.StripedRoute(cfg.Processes), cfg.Tiles)
-		for p := 0; p < cfg.Processes; p++ {
-			c.transports = append(c.transports, c.fabric.Process(arch.ProcID(p)))
-		}
-	case config.TransportTCP:
-		addrs := make([]string, cfg.Processes)
-		for p := range addrs {
-			addrs[p] = fmt.Sprintf("127.0.0.1:%d", cfg.TCPBase+p)
-		}
-		c.transports = make([]transport.Transport, cfg.Processes)
-		errs := make([]error, cfg.Processes)
-		var wg sync.WaitGroup
-		for p := 0; p < cfg.Processes; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				c.transports[p], errs[p] = transport.DialTCP(transport.TCPConfig{
-					Proc:  arch.ProcID(p),
-					Procs: cfg.Processes,
-					Addrs: addrs,
-					Route: transport.StripedRoute(cfg.Processes),
-				})
-			}(p)
-		}
-		wg.Wait()
-		for p, err := range errs {
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("core: proc %d transport: %w", p, err)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown transport %v", cfg.Transport)
+	c.fabric = transport.NewChannelFabricSized(transport.StripedRoute(cfg.Processes), cfg.Tiles)
+	for p := 0; p < cfg.Processes; p++ {
+		c.transports = append(c.transports, c.fabric.Process(arch.ProcID(p)))
 	}
 	if err := c.build(0); err != nil {
 		return nil, err
@@ -353,12 +323,20 @@ func (c *Cluster) Close() {
 	if !c.started {
 		return // no server ever ran: nothing to wait for
 	}
-	// With every transport closed the memory servers exit; once a tile's
-	// server has stopped its caches can safely return to the pools.
+	// With every transport closed the memory servers exit. Threads parked
+	// at the barrier are woken only after their process's servers have
+	// stopped — a server may have been capturing its tile for a checkpoint,
+	// and that capture must be ordered before the woken thread's next step
+	// — and caches return to the pools only after the threads.
 	for _, p := range c.procs {
-		p.Wait()
 		for _, t := range p.Tiles() {
 			<-t.Mem.Stopped()
+		}
+		if p.ledger != nil {
+			p.ledger.Close()
+		}
+		p.Wait()
+		for _, t := range p.Tiles() {
 			t.Mem.ReleaseCaches()
 		}
 	}

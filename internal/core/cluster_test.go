@@ -304,27 +304,6 @@ func TestMultiProcessDistribution(t *testing.T) {
 	}
 }
 
-func TestTCPTransportRun(t *testing.T) {
-	cfg := testCfg(4, 2)
-	cfg.Transport = config.TransportTCP
-	cfg.TCPBase = 38_451
-	prog := Program{Name: "tcp"}
-	prog.Funcs = []ThreadFunc{
-		func(th *Thread, arg uint64) {
-			a := th.Malloc(1024)
-			tid := th.Spawn(1, uint64(a))
-			th.Join(tid)
-			if got := th.Load64(a); got != 4242 {
-				t.Errorf("cross-process value = %d", got)
-			}
-		},
-		func(th *Thread, arg uint64) {
-			th.Store64(arch.Addr(arg), 4242)
-		},
-	}
-	run(t, cfg, prog, 0)
-}
-
 func TestLaxBarrierModelRuns(t *testing.T) {
 	cfg := testCfg(4, 1)
 	cfg.Sync.Model = config.LaxBarrier
@@ -389,6 +368,25 @@ func TestLaxBarrierMultiProcess(t *testing.T) {
 	rs, _ := run(t, cfg, prog, 0)
 	if rs.SimulatedCycles <= 0 {
 		t.Fatal("no simulated time")
+	}
+}
+
+// TestClusterConstructionAllocs pins what a thousand-tile simulation costs
+// to build and tear down: at most 50 allocations per tile, so that
+// construction stays small next to a short sweep run at this scale.
+func TestClusterConstructionAllocs(t *testing.T) {
+	const tiles, perTile = 1024, 50
+	cfg := testCfg(tiles, 1)
+	prog := Program{Name: "noop", Funcs: []ThreadFunc{func(th *Thread, arg uint64) {}}}
+	allocs := testing.AllocsPerRun(2, func() {
+		c, err := NewCluster(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	})
+	if allocs > tiles*perTile {
+		t.Errorf("building a %d-tile cluster made %.0f allocations (%.1f per tile), want at most %d per tile", tiles, allocs, allocs/tiles, perTile)
 	}
 }
 

@@ -113,7 +113,6 @@ func program(workload string, threads, scale int) (core.Program, error) {
 // process, the addresses and the handshake identity — and builds the
 // one-process cluster on it.
 func join(cfg config.Config, prog core.Program, tc transport.TCPConfig) (*core.Cluster, error) {
-	cfg.Transport = config.TransportTCP
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -129,7 +128,7 @@ func join(cfg config.Config, prog core.Program, tc transport.TCPConfig) (*core.C
 }
 
 // InProcess runs the simulation with every one of its processes inside
-// this OS process, on the transport Config names.
+// this OS process, on the channel fabric.
 func InProcess(spec *Spec) (*Result, error) {
 	prog, err := program(spec.Workload, spec.Threads, spec.Scale)
 	if err != nil {
@@ -291,7 +290,6 @@ func Run(spec *Spec) (*Result, error) {
 // returns, whatever the outcome.
 func runAttempt(s *Spec, exe string, workerOut io.Writer) (*Result, error) {
 	cfg := s.Config
-	cfg.Transport = config.TransportTCP
 	g := &Group{}
 	for p := 1; p < cfg.Processes; p++ {
 		ws := &WorkerSpec{

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/mcp"
 	"repro/internal/scenario"
@@ -92,5 +93,43 @@ func TestMatmul1024Tiles(t *testing.T) {
 	}
 	if !slices.Equal(saved.VerifyDigests(), recaptured.VerifyDigests()) {
 		t.Errorf("restore is not bit-identical:\n  saved     %v\n  recapture %v", saved.VerifyDigests(), recaptured.VerifyDigests())
+	}
+}
+
+// TestLaxBarrierMatmulFinishes: matmul's workers pass a message round
+// their ring after every row, so under LaxBarrier a receiver blocks while
+// its sender is parked at the quantum barrier. The barrier must release
+// past the receiver, at 8 and 16 tiles, in one process and striped across
+// two, and the product must be the one the Lax run computes.
+func TestLaxBarrierMatmulFinishes(t *testing.T) {
+	w, ok := workloads.Get("matmul")
+	if !ok {
+		t.Fatal("matmul not registered")
+	}
+	for _, tiles := range []int{8, 16} {
+		p := workloads.Params{Threads: tiles, Scale: 16}
+		checksum := func(model config.SyncModel, procs int) uint64 {
+			cfg := config.Default()
+			cfg.Tiles, cfg.Processes = tiles, procs
+			cfg.Sync.Model = model
+			c, err := core.NewCluster(cfg, w.Build(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			simtest.Deadline(t, 2*time.Minute, func() { _, err = c.Run(0) })
+			if err != nil {
+				t.Fatalf("%d tiles, %v, %d processes: %v", tiles, model, procs, err)
+			}
+			var buf [8]byte
+			c.Peek(workloads.DefaultResultAddr, buf[:])
+			return binary.LittleEndian.Uint64(buf[:])
+		}
+		want := checksum(config.Lax, 1)
+		for _, procs := range []int{1, 2} {
+			if got := checksum(config.LaxBarrier, procs); got != want {
+				t.Errorf("%d tiles, %d processes: LaxBarrier checksum %016x, Lax %016x", tiles, procs, got, want)
+			}
+		}
 	}
 }

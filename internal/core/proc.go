@@ -242,9 +242,9 @@ func (p *Proc) newSyncModel(tile *Tile) synchro.Model {
 		// While napping the tile is waiting, not behind: exclude it from
 		// skew sampling and partner probes like any blocked thread.
 		nap := func(d time.Duration) {
-			tile.setRPCBlocked(true)
+			tile.setRPCBlocked(true, false)
 			time.Sleep(d) //graphite:wallclock LaxP2P nap (paper §3.6.3) throttles host execution only; the frozen simulated clock resumes exactly where it stopped
-			tile.setRPCBlocked(false)
+			tile.setRPCBlocked(false, false)
 		}
 		return synchro.NewP2P(p.cfg.Sync, tile.ID, p.cfg.Tiles, p.cfg.RandSeed, probe, nap)
 	default:
@@ -276,11 +276,9 @@ func (p *Proc) Wait() { p.threads.Wait() }
 
 // Close shuts down the process's network receive loops (every tile net,
 // the LCP net, and the MCP net on process 0). The transport itself belongs
-// to the caller and is closed separately.
+// to the caller and is closed separately. Threads parked at the barrier
+// stay parked: Cluster.Close wakes them once the servers have stopped.
 func (p *Proc) Close() {
-	if p.ledger != nil {
-		p.ledger.Close() // wake any threads parked at the barrier
-	}
 	for _, t := range p.tileList {
 		t.Net.Close()
 	}

@@ -292,9 +292,9 @@ func (t *Thread) Send(dst arch.ThreadID, data []byte) {
 // timestamp.
 func (t *Thread) Recv() (arch.ThreadID, []byte) {
 	before := t.Now()
-	t.tile.setRPCBlocked(true)
+	t.tile.setRPCBlocked(true, true)
 	pkt, ok := t.tile.Net.Recv(network.ClassApp)
-	t.tile.setRPCBlocked(false)
+	t.tile.setRPCBlocked(false, false)
 	if !ok {
 		panic(tornDown("recv"))
 	}
@@ -307,11 +307,11 @@ func (t *Thread) Recv() (arch.ThreadID, []byte) {
 // RecvFrom blocks for the next application message from a specific sender.
 func (t *Thread) RecvFrom(src arch.ThreadID) []byte {
 	before := t.Now()
-	t.tile.setRPCBlocked(true)
+	t.tile.setRPCBlocked(true, true)
 	pkt, ok := t.tile.Net.RecvMatch(network.ClassApp, func(p *network.Packet) bool {
 		return p.Src == arch.TileID(src)
 	})
-	t.tile.setRPCBlocked(false)
+	t.tile.setRPCBlocked(false, false)
 	if !ok {
 		panic(tornDown("recv"))
 	}
@@ -379,9 +379,9 @@ func (t *Thread) CloseFile(fd int32) error {
 // word free, so the node's server answers coherence interventions itself
 // (DESIGN.md §13).
 func (t *Thread) call(typ uint8, payload []byte) (network.Packet, bool) {
-	t.tile.setRPCBlocked(true)
+	t.tile.setRPCBlocked(true, false)
 	pkt, ok := t.tile.sys.call(typ, mcpTile, payload, t.Now())
-	t.tile.setRPCBlocked(false)
+	t.tile.setRPCBlocked(false, false)
 	return pkt, ok
 }
 

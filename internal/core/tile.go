@@ -3,8 +3,9 @@
 // performance model, the memory subsystem node, and a network interface;
 // tiles are grouped into simulated host processes (Proc), each with a
 // Local Control Program, and process 0 additionally hosts the Master
-// Control Program. Cluster wires the processes over the configured
-// transport and drives a whole simulation run.
+// Control Program. Cluster wires the processes over the transport their
+// placement implies (the channel fabric in one OS process, TCP between
+// OS processes) and drives a whole simulation run.
 package core
 
 import (
@@ -42,15 +43,16 @@ type Tile struct {
 	// wait can complete the local barrier round, so the ledger must
 	// re-evaluate its flush condition. Nil under Lax and LaxP2P — the
 	// transition then costs one atomic store and a nil check, as before.
-	onBlock func(arch.TileID, bool)
+	onBlock func(tile arch.TileID, blocked, recv bool)
 }
 
-// setRPCBlocked records an rpcBlocked transition and notifies the epoch
-// ledger when one is attached.
-func (t *Tile) setRPCBlocked(blocked bool) {
+// setRPCBlocked records an rpcBlocked transition — recv marks a block in
+// an application receive — and notifies the epoch ledger when one is
+// attached.
+func (t *Tile) setRPCBlocked(blocked, recv bool) {
 	t.rpcBlocked.Store(blocked)
 	if t.onBlock != nil {
-		t.onBlock(t.ID, blocked)
+		t.onBlock(t.ID, blocked, recv)
 	}
 }
 

@@ -2,6 +2,7 @@ package coremodel
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/clock"
@@ -206,5 +207,14 @@ func TestSpawnCost(t *testing.T) {
 	instr, _, _, _, _ := c.Stats()
 	if instr != 1 {
 		t.Fatalf("spawn not counted as instruction")
+	}
+}
+
+func TestCoreFillsItsCacheLines(t *testing.T) {
+	// The padding in Core is sized by hand; a new field must shrink it,
+	// not push the struct into a size class that straddles cache lines
+	// shared with a neighbouring tile's core.
+	if size := unsafe.Sizeof(Core{}); size != 256 {
+		t.Fatalf("Core is %d bytes, want 256 (adjust the padding)", size)
 	}
 }

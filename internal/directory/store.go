@@ -7,7 +7,7 @@
 //
 // The package is purely bookkeeping: protocol message flow and timing live
 // in internal/memsys, and so does the locking — a Store belongs to one
-// directory shard.
+// tile's home.
 package directory
 
 import (
@@ -18,7 +18,7 @@ import (
 // Store is a structure-of-arrays arena of directory entries. Instead of
 // one object per line embedding its sharer state (and, beyond 64 tiles, a
 // per-line heap-allocated bit vector), a Store packs the state of every
-// line homed in one directory shard into parallel slices: owners, last
+// line homed at one tile into parallel slices: owners, last
 // writers and their masks, sharer counts, and — per policy — either a
 // fixed stride of sharer bit-vector words (full map, LimitLESS) or a
 // fixed stride of pointer slots (Dir_iNB). A thousand-tile simulation
@@ -26,8 +26,8 @@ import (
 // vector per line ever homed, and a directory walk touches contiguous
 // memory.
 //
-// A Store belongs to a single directory shard and inherits its locking:
-// all access happens with the shard mutex held (see internal/memsys).
+// A Store belongs to a single tile's home and inherits its locking: all
+// access happens with the home mutex held (see internal/memsys).
 // Ref is the lightweight handle (store pointer + entry index) through
 // which protocol code reads and mutates one entry.
 type Store struct {
@@ -85,13 +85,13 @@ func (s *Store) Alloc() Ref {
 	if cap(s.owners) == 0 {
 		// First entry of an unhinted store: jump straight to a useful
 		// capacity. Growing seven parallel slices through append's early
-		// doubling schedule costs ~40 small allocations per shard before
+		// doubling schedule costs ~40 small allocations per store before
 		// reaching 64 entries; one presize costs seven. The capacity is
 		// sized by sharer-vector width — 64 entries up to 64 tiles (and
 		// for Dir_iNB), four at 1024 tiles, where 64 would reserve 8 KB
-		// of sharer bits in a shard that homes a line or two — and
-		// amortized doubling does the rest. Shards never touched (every
-		// line homed elsewhere) still cost nothing.
+		// of sharer bits at a home that holds only a few lines — and
+		// amortized doubling does the rest. A home never touched (a tile
+		// whose lines nobody reads) still costs nothing.
 		s.presize(max(4, 64/max(1, s.stride)))
 	}
 	i := int32(len(s.owners))

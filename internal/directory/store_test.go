@@ -166,10 +166,10 @@ func TestStoreManyEntries(t *testing.T) {
 	}
 }
 
-// TestFirstAllocSizedBySharerWidth pins what a shard reserves for its
+// TestFirstAllocSizedBySharerWidth pins what a home reserves for its
 // first line: 64 entries where an entry's sharer bits are one word (and
 // for Dir_iNB, which has none), but no more than 1 KB of sharer bits at
-// 1024 tiles, where most shards home a line or two.
+// 1024 tiles, where most homes hold only a few lines.
 func TestFirstAllocSizedBySharerWidth(t *testing.T) {
 	for _, c := range []struct {
 		name    string

@@ -36,6 +36,5 @@ func Table1(w io.Writer, cfg config.Config) {
 	fprintf(w, "%-22s app=%s mem=%s sys=%s\n", "Interconnect",
 		cfg.AppNet.Kind.String(), cfg.MemNet.Kind.String(), cfg.SysNet.Kind.String())
 	fprintf(w, "%-22s %s\n", "Synchronization", cfg.Sync.Model.String())
-	fprintf(w, "%-22s %d tiles across %d host processes (%s transport)\n",
-		"Simulation", cfg.Tiles, cfg.Processes, cfg.Transport.String())
+	fprintf(w, "%-22s %d tiles across %d host processes\n", "Simulation", cfg.Tiles, cfg.Processes)
 }

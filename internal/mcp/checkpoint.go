@@ -76,10 +76,13 @@ func (s *Server) CkptFailed() <-chan error { return s.ckptFailed }
 // releaseProcs) until the save completes. It returns true
 // when the release was stashed. No recheckSimBarrier can run during the
 // window — every unblocked thread is parked on this very release — so
-// the stashed scratch state stays intact.
+// the stashed scratch state stays intact. It declines while a thread is
+// blocked in an application receive: the drain counts only memory
+// traffic, so an application message still in flight could wake that
+// thread during the cut.
 func (s *Server) maybeCheckpoint(epoch int64) bool {
 	cp := s.ckpt
-	if cp == nil || cp.Every <= 0 || epoch <= 0 || epoch%cp.Every != 0 || epoch == s.ckptLast {
+	if cp == nil || cp.Every <= 0 || epoch <= 0 || epoch%cp.Every != 0 || epoch == s.ckptLast || len(s.recvBlocked) > 0 {
 		return false
 	}
 	s.ckptLast = epoch

@@ -78,8 +78,13 @@ type Server struct {
 	conds    map[arch.Addr]*condRec
 
 	// simWaits holds the LaxBarrier epoch each parked tile waits on, as
-	// forwarded by its process's ledger (MsgSimBarrierBatch).
-	simWaits map[arch.TileID]int64
+	// forwarded by its process's ledger (MsgSimBarrierBatch). recvBlocked
+	// holds the tiles a ledger reported blocked in an application receive
+	// (epoch -1); like blocked, they are left out of the release rule. A
+	// tile leaves it at its next wait, its next packet to the MCP, or its
+	// exit (which is such a packet).
+	simWaits    map[arch.TileID]int64
+	recvBlocked map[arch.TileID]bool
 	// simBatch and releaseProcs are serve-loop scratch (one goroutine):
 	// reused across quanta so the steady-state barrier service does not
 	// allocate per round. When a checkpoint intercepts a release,
@@ -133,6 +138,7 @@ func NewServer(cfg *config.Config, net *network.Net) *Server {
 		barriers:     make(map[arch.Addr]*barrierRec),
 		conds:        make(map[arch.Addr]*condRec),
 		simWaits:     make(map[arch.TileID]int64),
+		recvBlocked:  make(map[arch.TileID]bool),
 		releaseProcs: make(map[arch.ProcID]bool),
 		ckptFailed:   make(chan error, 1),
 		statsCh:      make(chan []stats.Tile, cfg.Processes),
@@ -221,6 +227,7 @@ func (s *Server) Serve() {
 }
 
 func (s *Server) handle(pkt network.Packet) {
+	delete(s.recvBlocked, pkt.Src) // a tile that speaks to the MCP is not blocked receiving
 	to := replyTo{src: pkt.Src, seq: pkt.Seq}
 	switch pkt.Type {
 	case MsgSpawn:
@@ -514,7 +521,10 @@ func (s *Server) handleFree(pkt network.Packet) {
 // handleSimBarrierBatch merges one process ledger's batch of waits into
 // the wait table. Entries are independent — a tile cannot have two waits
 // in flight (it stays parked until released) — so merge order across
-// batches is irrelevant.
+// batches is irrelevant. A receive report (epoch -1) counts only for a
+// tile that is running and neither waiting nor MCP-blocked: the batch
+// rides the process's control endpoint, so it can trail the tile's own
+// later messages, and a stale report must not count the tile twice.
 func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
 	waits, err := AppendSimBatch(s.simBatch[:0], pkt.Payload)
 	if err != nil {
@@ -522,22 +532,30 @@ func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
 	}
 	s.simBatch = waits[:0]
 	for _, w := range waits {
-		s.simWaits[w.Tile] = w.Epoch
+		if w.Epoch >= 0 {
+			s.simWaits[w.Tile] = w.Epoch
+			delete(s.recvBlocked, w.Tile)
+			continue
+		}
+		_, waiting := s.simWaits[w.Tile]
+		if rec := s.threads[arch.ThreadID(w.Tile)]; rec != nil && !rec.exited && !waiting && !s.blocked[w.Tile] {
+			s.recvBlocked[w.Tile] = true
+		}
 	}
 	s.recheckSimBarrier()
 }
 
 // recheckSimBarrier releases the lowest pending LaxBarrier epoch once
 // every running, unblocked thread is waiting on the barrier. Threads
-// blocked in MCP services (mutex queues, joins, condition waits) are not
-// advancing their clocks and are excluded, which keeps the quanta barrier
-// deadlock-free. Waiters are released with one notification per host
-// process.
+// blocked in MCP services (mutex queues, joins, condition waits) or in an
+// application receive are not advancing their clocks and are excluded,
+// which keeps the quanta barrier deadlock-free. Waiters are released with
+// one notification per host process.
 func (s *Server) recheckSimBarrier() {
 	if len(s.simWaits) == 0 {
 		return
 	}
-	active := s.running - len(s.blocked)
+	active := s.running - len(s.blocked) - len(s.recvBlocked)
 	if len(s.simWaits) < active {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/network"
+	"repro/internal/simtest"
 	"repro/internal/transport"
 )
 
@@ -370,6 +371,57 @@ func TestSimBarrierBatchReleasesViaLCP(t *testing.T) {
 	h.simWait(t, SimWait{Tile: 1, Epoch: 5})
 	if e := h.simRelease(t); e != 5 {
 		t.Fatalf("second release: epoch %d, want 5", e)
+	}
+}
+
+// TestSimBarrierReleasesPastReceiveBlocked: a tile its ledger reports
+// blocked in an application receive (epoch -1) is left out of the
+// release rule, so the epoch its sender waits at releases; and no
+// checkpoint is cut while it is so blocked, because an application message
+// in flight could wake it during the cut. Its next MCP request counts it
+// again: the epoch then waits for it, and the checkpoint is cut.
+func TestSimBarrierReleasesPastReceiveBlocked(t *testing.T) {
+	h := newHarness(t, 2)
+	h.srv.StartMain(0)
+	h.lcp.Recv(network.ClassSystem)
+	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
+	h.recv(t, 0)
+	h.lcp.Recv(network.ClassSystem)
+	h.srv.SetCheckpoint(&CheckpointPolicy{Dir: t.TempDir(), Every: 1})
+
+	var first, early, second network.Packet
+	simtest.Deadline(t, time.Minute, func() {
+		next := make(chan network.Packet, 1)
+		recvLCP := func() {
+			pkt, _ := h.lcp.Recv(network.ClassSystem)
+			next <- pkt
+		}
+		h.simWait(t, SimWait{Tile: 1, Epoch: -1})
+		h.simWait(t, SimWait{Tile: 0, Epoch: 1})
+		go recvLCP()
+		first = <-next
+
+		// Tile 1 woke and asks the MCP for memory: it counts again.
+		h.send(1, MsgMalloc, EncodeU64(64), 100)
+		h.tiles[1].Recv(network.ClassSystem)
+		h.simWait(t, SimWait{Tile: 0, Epoch: 2})
+		go recvLCP()
+		select {
+		case early = <-next:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		h.simWait(t, SimWait{Tile: 1, Epoch: 2})
+		second = <-next
+	})
+	if epoch, err := DecodeU64(first.Payload); first.Type != MsgSimBarrierRelease || err != nil || epoch != 1 {
+		t.Fatalf("with tile 1 receiving, the LCP got %s %v, want the release of epoch 1", msgName(first.Type), first.Payload)
+	}
+	if early.Type != 0 {
+		t.Fatalf("epoch 2 moved (%s) before tile 1, running again, waited", msgName(early.Type))
+	}
+	if second.Type != MsgCkptProbe {
+		t.Fatalf("with every thread waiting, the LCP got %s, want the checkpoint's drain probe", msgName(second.Type))
 	}
 }
 

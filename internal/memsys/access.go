@@ -333,18 +333,18 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 //   - the directory is not the full-map kind (limited directories may
 //     evict pointers or trap on Add, which needs the full state machine).
 //
-// Called with mu held by the core context; takes the line's shard lock
-// (mu → shard nests only here and never in reverse).
+// Called with mu held by the core context; takes the home lock (mu →
+// home.mu nests only here and in the local evictions, never in reverse).
 func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, isWrite, ifetch bool, now, sendAt, lookup arch.Cycles) (AccessResult, bool) {
 	if n.selfInflight.Load() != 0 || n.cfg.Coherence.Kind != config.FullMap {
 		return AccessResult{}, false
 	}
-	sh := n.shardFor(line)
-	sh.mu.Lock()
-	dl := sh.dirLineOf(n, line)
+	h := &n.home
+	h.mu.Lock()
+	dl := h.dirLine(line)
 	e := dl.entry
 	if dl.busy != nil || e.Owner() != arch.InvalidTile {
-		sh.mu.Unlock()
+		h.mu.Unlock()
 		return AccessResult{}, false
 	}
 	upgrade := false
@@ -356,7 +356,7 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 			}
 		})
 		if foreign {
-			sh.mu.Unlock()
+			h.mu.Unlock()
 			return AccessResult{}, false
 		}
 		if ln, ok := n.l2.Peek(line); ok && ln.State() == cache.Shared {
@@ -368,7 +368,7 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 	// loopback timing: request delay, directory latency, DRAM, reply
 	// delay — and the progress-window samples the two deliveries would
 	// have contributed.
-	sh.dirRequests++
+	h.dirRequests++
 	reqArr := sendAt + n.net.Delay(network.ClassMemory, n.tile, reqPayloadLen, sendAt)
 	n.net.Observe(reqArr)
 	t := reqArr + n.cfg.Coherence.DirLatency
@@ -378,7 +378,7 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 	repLen := dataPayloadLen
 	if !isWrite {
 		e.AddSharer(n.tile) // full map: never evicts, never traps
-		t += n.dramRead(uint64(line), n.localGrant, t)
+		t += h.dram.ReadLine(uint64(line), n.localGrant, t)
 		g.typ = msgShRep
 		g.data = n.localGrant
 		repLen += n.lineSize
@@ -389,7 +389,7 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 		if upgrade {
 			g.typ = msgUpgRep
 		} else {
-			t += n.dramRead(uint64(line), n.localGrant, t)
+			t += h.dram.ReadLine(uint64(line), n.localGrant, t)
 			g.typ = msgExRep
 			g.data = n.localGrant
 			repLen += n.lineSize
@@ -398,7 +398,7 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 	}
 	repArr := t + n.net.Delay(network.ClassMemory, n.tile, repLen, t)
 	n.net.Observe(repArr)
-	sh.mu.Unlock()
+	h.mu.Unlock()
 
 	g.arrival = repArr
 	n.applyGrant(line, off, seg, mask, isWrite, ifetch, g)

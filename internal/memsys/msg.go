@@ -1,6 +1,6 @@
 // Package memsys implements the memory subsystem of a Graphite tile
 // (paper §3.2): the private L1 instruction/data caches and private L2, the
-// distributed directory (one shard per tile, lines striped across homes),
+// distributed directory (one home per tile, lines striped across homes),
 // the per-tile DRAM controller, and the directory-based MSI coherence
 // protocol that ties them together over the memory network.
 //
@@ -30,12 +30,12 @@
 // re-marks the word owned, and the woken core installs the line itself.
 // The full ownership and ordering argument lives in DESIGN.md §13.
 //
-// The home directory is sharded by line region with a mutex per shard, so
-// directory traffic does not contend with the tile's own core. The
-// server's outgoing messages are batched per destination and flushed
-// before the server blocks or wakes its core, which preserves the
-// per-sender-FIFO orderings the protocol relies on (see the race analysis
-// in DESIGN.md).
+// A tile's home — its directory and DRAM controller — is one unit under
+// one mutex, taken by the server per home message and by the core only in
+// the local-home shortcuts. The server's outgoing messages are batched
+// per destination and flushed before the server blocks or wakes its core,
+// which preserves the per-sender-FIFO orderings the protocol relies on
+// (see the race analysis in DESIGN.md).
 package memsys
 
 import (

@@ -34,9 +34,9 @@ type pendingReq struct {
 	done    chan network.Packet
 }
 
-// dirLine is the home-side state of one line: a handle into the shard's
+// dirLine is the home-side state of one line: a handle into the home's
 // directory-entry arena, the in-flight transaction if any, and requests
-// queued behind it. Entry state lives in the shard's structure-of-arrays
+// queued behind it. Entry state lives in the home's structure-of-arrays
 // Store (one bulk allocation per growth step, contiguous sharer words)
 // rather than embedded per line.
 type dirLine struct {
@@ -45,37 +45,34 @@ type dirLine struct {
 	pending []network.Packet
 }
 
-// dirShard is one independently locked region of the tile's home
-// directory. Home-side protocol state is sharded by line address so that
-// directory traffic for different line regions, and above all the tile's
-// own core (which owns the caches lock-free), never contend on a single
-// per-tile mutex. Each shard carries its own sub-request sequence counter,
-// transaction free list, and home-side statistics so nothing shared
-// remains.
-type dirShard struct {
+// home is the tile's home role as one lock-guarded unit: the directory
+// state of every line homed here and the DRAM controller behind it (paper
+// §3.2: one directory and one memory controller per tile). Only two
+// goroutines ever take mu — the tile's memory server, for every home
+// message, and the goroutine driving the tile's core, in the local-home
+// shortcuts (localMiss, localEvict, FlushAll) — so one lock costs nothing
+// a finer split would save.
+type home struct {
 	mu    sync.Mutex
 	lines map[cache.LineAddr]*dirLine
-	// store is the shard's directory-entry arena (structure-of-arrays);
-	// dirLine.entry handles index into it. Guarded by mu.
+	// store is the directory-entry arena (structure-of-arrays);
+	// dirLine.entry handles index into it.
 	store *directory.Store
-	// homeSeq numbers this shard's home-side sub-requests (Inv/Wb/Flush).
-	// Replies carry it back; a per-shard counter is unambiguous because
-	// replies are matched per line and lines never change shards.
+	// homeSeq numbers the home's sub-requests (Inv/Wb/Flush); replies
+	// carry it back.
 	homeSeq uint64
 	// txnFree recycles transaction records (and their flush-data buffers):
 	// one transaction begins per home request, so pooling them removes a
-	// steady per-miss allocation. Guarded by mu like the rest.
+	// steady per-miss allocation.
 	txnFree []*txn
 	// slab carves dirLine records in chunks: one allocation per chunk
 	// instead of one per line ever homed here. Records are pointed into
 	// and never move (the spent chunk is dropped, not regrown).
 	slab []dirLine
+	dram *dram.Controller
 	// Home-side stat counters, aggregated by Stats().
 	dirRequests, dirTraps, invSent uint64
 }
-
-// defaultDirShards is used when Config.Coherence.DirShards is zero.
-const defaultDirShards = 16
 
 // txn is one in-flight home transaction (blocking directory: one per line).
 type txn struct {
@@ -129,12 +126,12 @@ const (
 //     context (the goroutine driving Read/Write/Fetch) while the tile is
 //     unparked, and by the server goroutine only while the tile is parked.
 //     The coreState word plus mu mediate every ownership transfer.
-//   - the home domain (shards): directory state for lines homed here,
-//     sharded by line region, each shard with its own mutex.
-//   - the DRAM controller (dramMu), shared by all home shards.
+//   - the home domain: directory state for lines homed here and the DRAM
+//     controller, under home.mu.
 //
-// The server goroutine takes exactly one domain lock per message, and the
-// domains never nest, so lock ordering is trivial.
+// The server goroutine takes exactly one domain lock per message; the
+// only nesting is the core context's mu → home.mu in the local-home
+// shortcuts, never the reverse.
 type Node struct {
 	tile arch.TileID
 	cfg  *config.Config
@@ -158,14 +155,8 @@ type Node struct {
 	mu    sync.Mutex
 	intvQ []network.Packet
 
-	// Home role: the directory, sharded by line region. shardMask is
-	// len(shards)-1 (the count is a power of two).
-	shards    []dirShard
-	shardMask uint64
-
-	// DRAM controller, shared by all home shards.
-	dramMu sync.Mutex
-	dram   *dram.Controller
+	// home is the tile's directory and DRAM controller.
+	home home
 
 	// out batches the server goroutine's outgoing protocol messages per
 	// destination; Serve flushes it before blocking and before waking the
@@ -203,8 +194,7 @@ type Node struct {
 	localGrant []byte
 
 	// Statistics — core domain, written lock-free by the core context.
-	// Home-side counters live in the shards and DRAM counters under
-	// dramMu; Stats() aggregates all three.
+	// Home-side and DRAM counters live in home; Stats() aggregates both.
 	st stats.Tile
 
 	// Payload scratch buffers: an encoded payload lives only until the
@@ -248,17 +238,15 @@ type flushVictim struct {
 // NewNode builds the memory subsystem of one tile. progress feeds the DRAM
 // queue model; net must be the tile's network interface.
 func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *clock.ProgressWindow) *Node {
-	nshards := cfg.Coherence.DirShards
-	if nshards == 0 {
-		nshards = defaultDirShards
-	}
 	n := &Node{
-		tile:         tile,
-		cfg:          cfg,
-		net:          net,
-		shards:       make([]dirShard, nshards),
-		shardMask:    uint64(nshards - 1),
-		dram:         dram.New(cfg, progress),
+		tile: tile,
+		cfg:  cfg,
+		net:  net,
+		home: home{
+			lines: make(map[cache.LineAddr]*dirLine),
+			store: directory.NewStore(cfg.Coherence, cfg.Tiles, 0),
+			dram:  dram.New(cfg, progress),
+		},
 		out:          net.NewBatch(),
 		everAccessed: make(map[cache.LineAddr]struct{}),
 		invalidated:  make(map[cache.LineAddr]struct{}),
@@ -270,10 +258,6 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 	n.grantBuf = make([]byte, n.lineSize)
 	n.fetchBuf = make([]byte, n.lineSize)
 	n.localGrant = make([]byte, n.lineSize)
-	for i := range n.shards {
-		n.shards[i].lines = make(map[cache.LineAddr]*dirLine)
-		n.shards[i].store = directory.NewStore(cfg.Coherence, cfg.Tiles, 0)
-	}
 	n.st.TileID = tile
 	if cfg.L1I.Enabled {
 		n.l1i = cache.New(cfg.L1I)
@@ -311,14 +295,6 @@ func (n *Node) lineOf(a arch.Addr) cache.LineAddr {
 
 func (n *Node) homeOf(l cache.LineAddr) arch.TileID {
 	return arch.TileID(uint64(l) % uint64(n.cfg.Tiles))
-}
-
-// shardFor maps a line homed at this tile to its directory shard. Lines
-// are striped across homes (line mod Tiles), so dividing by the tile count
-// yields this home's dense per-line index; consecutive local lines land in
-// consecutive shards.
-func (n *Node) shardFor(l cache.LineAddr) *dirShard {
-	return &n.shards[(uint64(l)/uint64(n.cfg.Tiles))&n.shardMask]
 }
 
 // coreClaim takes single-writer ownership of the core domain for one
@@ -400,7 +376,7 @@ func (n *Node) queueIntervention(pkt network.Packet) {
 // Stats snapshots the tile's statistics. The core-domain counters are
 // read without synchronization, so callers must either be the tile's own
 // core context or observe the tile quiesced (thread exited or parked, as
-// at collection time); home and DRAM counters take their domain locks.
+// at collection time); home and DRAM counters take the home lock.
 func (n *Node) Stats() stats.Tile {
 	st := n.st
 	if n.l1i != nil {
@@ -412,18 +388,14 @@ func (n *Node) Stats() stats.Tile {
 	st.L2Hits, st.L2Misses = n.l2.Hits, n.l2.Misses
 	st.L2Evictions = n.l2.Evictions
 	st.L2Writebacks = n.l2.Writebacks
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		st.DirRequests += sh.dirRequests
-		st.DirTraps += sh.dirTraps
-		st.InvSent += sh.invSent
-		sh.mu.Unlock()
-	}
-	n.dramMu.Lock()
-	st.DRAMReads, st.DRAMWrites = n.dram.Reads, n.dram.Writes
-	st.DRAMQueueWait = n.dram.TotalQueueDelay
-	n.dramMu.Unlock()
+	h := &n.home
+	h.mu.Lock()
+	st.DirRequests += h.dirRequests
+	st.DirTraps += h.dirTraps
+	st.InvSent += h.invSent
+	st.DRAMReads, st.DRAMWrites = h.dram.Reads, h.dram.Writes
+	st.DRAMQueueWait = h.dram.TotalQueueDelay
+	h.mu.Unlock()
 	ns := n.net.Stats()
 	for c := network.Class(0); c < network.NumClasses; c++ {
 		st.NetPacketsSent += ns.PacketsSent[c].Load()
@@ -498,18 +470,4 @@ func (n *Node) coreEncData(p dataPayload) []byte {
 func (n *Node) coreEncPeek(p peekPayload) []byte {
 	n.coreScratch = encodePeek(n.coreScratch, p)
 	return n.coreScratch
-}
-
-// dramRead and dramWrite serialize home-shard access to the shared DRAM
-// controller.
-func (n *Node) dramRead(line uint64, buf []byte, now arch.Cycles) arch.Cycles {
-	n.dramMu.Lock()
-	defer n.dramMu.Unlock()
-	return n.dram.ReadLine(line, buf, now)
-}
-
-func (n *Node) dramWrite(line uint64, data []byte, now arch.Cycles) {
-	n.dramMu.Lock()
-	defer n.dramMu.Unlock()
-	n.dram.WriteLine(line, data, now)
 }

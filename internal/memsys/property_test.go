@@ -282,8 +282,9 @@ func TestLockFreeHitPathUnderInvalidationStorm(t *testing.T) {
 // vector) all read the same line concurrently, then one writer upgrades
 // and must invalidate every other sharer found by the stride-2 bitset
 // walk. Under -race the concurrent readers hammer the SoA cache handles
-// and the shared directory shard; the exact invalidation count proves no
-// sharer bit in either word is lost or double-counted across rounds.
+// and the home's shared directory store; the exact invalidation count
+// proves no sharer bit in either word is lost or double-counted across
+// rounds.
 func TestManySharerInvalidationStormSoA(t *testing.T) {
 	const tiles = 72
 	const rounds = 20

@@ -110,7 +110,7 @@ func (n *Node) flushSends() {
 func (n *Node) Stopped() <-chan struct{} { return n.stopped }
 
 // dispatch decodes a packet and routes it to its domain: home-side
-// messages to the directory shard of their line, cache commands to the
+// messages to the home under its lock, cache commands to the
 // intervention mailbox (or, while the core is parked, directly against the
 // caches), and completions to the blocked core. Nothing under a lock
 // blocks, so the domains cannot deadlock against the core context or each
@@ -122,30 +122,27 @@ func (n *Node) dispatch(pkt network.Packet) (chan network.Packet, network.Packet
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		sh := n.shardFor(cache.LineAddr(req.line))
-		sh.mu.Lock()
-		n.handleRequest(sh, pkt, req)
-		sh.mu.Unlock()
+		n.home.mu.Lock()
+		n.handleRequest(pkt, req)
+		n.home.mu.Unlock()
 	case msgEvictS:
 		line, err := decodeLine(pkt.Payload)
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		sh := n.shardFor(cache.LineAddr(line))
-		sh.mu.Lock()
-		if dl := sh.lines[cache.LineAddr(line)]; dl != nil {
+		n.home.mu.Lock()
+		if dl := n.home.lines[cache.LineAddr(line)]; dl != nil {
 			dl.entry.RemoveSharer(pkt.Src)
 		}
-		sh.mu.Unlock()
+		n.home.mu.Unlock()
 	case msgEvictM:
 		p, err := decodeData(pkt.Payload)
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		sh := n.shardFor(cache.LineAddr(p.line))
-		sh.mu.Lock()
-		n.handleEvictM(sh, pkt, p)
-		sh.mu.Unlock()
+		n.home.mu.Lock()
+		n.handleEvictM(pkt, p)
+		n.home.mu.Unlock()
 	case msgInvReq, msgWbReq, msgFlushReq:
 		n.queueIntervention(pkt)
 	case msgInvRep, msgWbRep, msgFlushRep:
@@ -153,10 +150,9 @@ func (n *Node) dispatch(pkt network.Packet) (chan network.Packet, network.Packet
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		sh := n.shardFor(cache.LineAddr(p.line))
-		sh.mu.Lock()
-		n.handleHomeReply(sh, pkt, p)
-		sh.mu.Unlock()
+		n.home.mu.Lock()
+		n.handleHomeReply(pkt, p)
+		n.home.mu.Unlock()
 	case msgShRep, msgExRep, msgUpgRep, msgPeekRep, msgPokeAck:
 		return n.handoffCompletion(pkt)
 	case msgEvictAck:
@@ -195,64 +191,67 @@ func (n *Node) handoffCompletion(pkt network.Packet) (chan network.Packet, netwo
 	return done, pkt
 }
 
-// dirLineSlabChunk sizes the shard's dirLine slab: small enough that a
-// sparse shard (tile count × shard count of them exist per simulation)
+// dirLineSlabChunk sizes the home's dirLine slab: small enough that a
+// tile homing a handful of lines (most of them, at a thousand tiles)
 // wastes little, large enough to amortize the allocation.
 const dirLineSlabChunk = 8
 
-func (sh *dirShard) dirLineOf(n *Node, l cache.LineAddr) *dirLine {
-	dl := sh.lines[l]
+// dirLine returns the home state of line l, creating it on first use.
+// Called with h.mu held.
+func (h *home) dirLine(l cache.LineAddr) *dirLine {
+	dl := h.lines[l]
 	if dl == nil {
-		if len(sh.slab) == 0 {
-			sh.slab = make([]dirLine, dirLineSlabChunk)
+		if len(h.slab) == 0 {
+			h.slab = make([]dirLine, dirLineSlabChunk)
 		}
-		dl = &sh.slab[0]
-		sh.slab = sh.slab[1:]
-		dl.entry = sh.store.Alloc()
-		sh.lines[l] = dl
+		dl = &h.slab[0]
+		h.slab = h.slab[1:]
+		dl.entry = h.store.Alloc()
+		h.lines[l] = dl
 	}
 	return dl
 }
 
-// getTxn takes a transaction record from the shard's free list (or
-// allocates the first time). Called with the shard locked.
-func (sh *dirShard) getTxn() *txn {
-	if len(sh.txnFree) == 0 {
+// getTxn takes a transaction record from the free list (or allocates the
+// first time). Called with h.mu held.
+func (h *home) getTxn() *txn {
+	if len(h.txnFree) == 0 {
 		return &txn{}
 	}
-	tx := sh.txnFree[len(sh.txnFree)-1]
-	sh.txnFree = sh.txnFree[:len(sh.txnFree)-1]
+	tx := h.txnFree[len(h.txnFree)-1]
+	h.txnFree = h.txnFree[:len(h.txnFree)-1]
 	return tx
 }
 
 // putTxn recycles a completed transaction record, keeping its data buffer.
-// Called with the shard locked.
-func (sh *dirShard) putTxn(tx *txn) {
+// Called with h.mu held.
+func (h *home) putTxn(tx *txn) {
 	buf := tx.data[:0]
 	*tx = txn{data: buf}
-	sh.txnFree = append(sh.txnFree, tx)
+	h.txnFree = append(h.txnFree, tx)
 }
 
-// handleRequest is the home's entry point for ShReq/ExReq. Called with the
-// line's shard locked.
-func (n *Node) handleRequest(sh *dirShard, pkt network.Packet, req reqPayload) {
-	sh.dirRequests++
-	dl := sh.dirLineOf(n, cache.LineAddr(req.line))
+// handleRequest is the home's entry point for ShReq/ExReq. Called with
+// the home locked, like every home handler below.
+func (n *Node) handleRequest(pkt network.Packet, req reqPayload) {
+	n.home.dirRequests++
+	dl := n.home.dirLine(cache.LineAddr(req.line))
 	if dl.busy != nil {
 		dl.pending = append(dl.pending, pkt)
 		return
 	}
-	n.startTxn(sh, dl, pkt, req)
+	n.startTxn(dl, pkt, req)
 }
 
-func (n *Node) startTxn(sh *dirShard, dl *dirLine, pkt network.Packet, req reqPayload) {
+func (n *Node) startTxn(dl *dirLine, pkt network.Packet, req reqPayload) {
+	h := &n.home
 	e := dl.entry
 	t := pkt.Time + n.cfg.Coherence.DirLatency
-	sh.homeSeq++
-	tx := sh.getTxn()
+	h.homeSeq++
+	tx := h.getTxn()
 	buf := tx.data[:0]
 	*tx = txn{
-		homeSeq:   sh.homeSeq,
+		homeSeq:   h.homeSeq,
 		reqType:   pkt.Type,
 		requester: pkt.Src,
 		reqSeq:    pkt.Seq,
@@ -276,7 +275,7 @@ func (n *Node) startTxn(sh *dirShard, dl *dirLine, pkt network.Packet, req reqPa
 		// completeTxn adds the requester to the sharer set, handling any
 		// Dir_iNB pointer reclaim (which requires another invalidation
 		// round before the grant).
-		n.completeTxn(sh, dl, tx, t)
+		n.completeTxn(dl, tx, t)
 		return
 	}
 
@@ -292,14 +291,14 @@ func (n *Node) startTxn(sh *dirShard, dl *dirLine, pkt network.Packet, req reqPa
 	tx.upgrade = tx.upgrade && e.ContainsSharer(pkt.Src)
 	if e.InvTrap() {
 		tx.trapExtra += n.cfg.Coherence.TrapLatency
-		sh.dirTraps++
+		h.dirTraps++
 	}
 	e.ForEachSharer(func(s arch.TileID) {
 		if s == pkt.Src {
 			return
 		}
 		tx.waitAcks++
-		sh.invSent++
+		h.invSent++
 		n.sendSrv(msgInvReq, s, tx.homeSeq, n.srvEncLine(req.line), t)
 	})
 	e.ClearSharers()
@@ -307,12 +306,13 @@ func (n *Node) startTxn(sh *dirShard, dl *dirLine, pkt network.Packet, req reqPa
 		dl.busy = tx
 		return
 	}
-	n.completeTxn(sh, dl, tx, t)
+	n.completeTxn(dl, tx, t)
 }
 
 // completeTxn grants the request, replies to the requester, and recycles
 // the transaction record.
-func (n *Node) completeTxn(sh *dirShard, dl *dirLine, tx *txn, now arch.Cycles) {
+func (n *Node) completeTxn(dl *dirLine, tx *txn, now arch.Cycles) {
+	h := &n.home
 	e := dl.entry
 	t := now
 	if tx.latest > t {
@@ -333,11 +333,11 @@ func (n *Node) completeTxn(sh *dirShard, dl *dirLine, tx *txn, now arch.Cycles) 
 		evict, trap := e.AddSharer(tx.requester)
 		if trap {
 			tx.trapExtra += n.cfg.Coherence.TrapLatency
-			sh.dirTraps++
+			h.dirTraps++
 		}
 		if evict != arch.InvalidTile && evict != tx.requester {
 			tx.waitAcks++
-			sh.invSent++
+			h.invSent++
 			n.sendSrv(msgInvReq, evict, tx.homeSeq, n.srvEncLine(uint64(tx.line)), t)
 			tx.latest = t
 			dl.busy = tx // re-enters completeTxn when the ack arrives
@@ -349,9 +349,9 @@ func (n *Node) completeTxn(sh *dirShard, dl *dirLine, tx *txn, now arch.Cycles) 
 			// so every Shared copy is clean (MSI). The writeback occupies
 			// the DRAM queue but is off the critical path.
 			copy(buf, tx.data)
-			n.dramWrite(uint64(tx.line), tx.data, t)
+			h.dram.WriteLine(uint64(tx.line), tx.data, t)
 		} else {
-			t += n.dramRead(uint64(tx.line), buf, t)
+			t += h.dram.ReadLine(uint64(tx.line), buf, t)
 		}
 		payload.flags |= flagHasData
 		payload.data = buf
@@ -368,7 +368,7 @@ func (n *Node) completeTxn(sh *dirShard, dl *dirLine, tx *txn, now arch.Cycles) 
 				// Dirty data moves owner to owner without touching DRAM.
 				copy(buf, tx.data)
 			} else {
-				t += n.dramRead(uint64(tx.line), buf, t)
+				t += h.dram.ReadLine(uint64(tx.line), buf, t)
 			}
 			e.SetOwner(tx.requester)
 			payload.flags |= flagHasData
@@ -377,12 +377,12 @@ func (n *Node) completeTxn(sh *dirShard, dl *dirLine, tx *txn, now arch.Cycles) 
 		}
 	}
 	dl.busy = nil
-	sh.putTxn(tx)
-	n.popPending(sh, dl)
+	h.putTxn(tx)
+	n.popPending(dl)
 }
 
 // popPending starts the next queued request for the line, if any.
-func (n *Node) popPending(sh *dirShard, dl *dirLine) {
+func (n *Node) popPending(dl *dirLine) {
 	for dl.busy == nil && len(dl.pending) > 0 {
 		pkt := dl.pending[0]
 		dl.pending = dl.pending[1:]
@@ -390,16 +390,15 @@ func (n *Node) popPending(sh *dirShard, dl *dirLine) {
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		n.startTxn(sh, dl, pkt, req)
+		n.startTxn(dl, pkt, req)
 	}
 }
 
 // handleHomeReply processes InvRep/WbRep/FlushRep for an in-flight
 // transaction. Stale replies (transaction already satisfied by a crossing
-// EvictM) are dropped by sequence-number mismatch. Called with the line's
-// shard locked.
-func (n *Node) handleHomeReply(sh *dirShard, pkt network.Packet, p dataPayload) {
-	dl := sh.lines[cache.LineAddr(p.line)]
+// EvictM) are dropped by sequence-number mismatch.
+func (n *Node) handleHomeReply(pkt network.Packet, p dataPayload) {
+	dl := n.home.lines[cache.LineAddr(p.line)]
 	if dl == nil || dl.busy == nil || dl.busy.homeSeq != pkt.Seq {
 		return // stale reply from a completed transaction
 	}
@@ -413,7 +412,7 @@ func (n *Node) handleHomeReply(sh *dirShard, pkt network.Packet, p dataPayload) 
 		tx.waitAcks--
 		if p.flags&flagHasData != 0 {
 			// Defensive: an invalidated copy turned out Modified.
-			n.dramWrite(p.line, p.data, pkt.Time)
+			n.home.dram.WriteLine(p.line, p.data, pkt.Time)
 		}
 	case msgWbRep:
 		if p.flags&flagNotPresent != 0 {
@@ -433,7 +432,7 @@ func (n *Node) handleHomeReply(sh *dirShard, pkt network.Packet, p dataPayload) 
 		// leak an untracked sharer.
 		if evict, _ := e.AddSharer(pkt.Src); evict != arch.InvalidTile && evict != pkt.Src {
 			tx.waitAcks++
-			sh.invSent++
+			n.home.invSent++
 			n.sendSrv(msgInvReq, evict, tx.homeSeq, n.srvEncLine(p.line), pkt.Time)
 		}
 		e.SetLastWriter(pkt.Src)
@@ -451,19 +450,18 @@ func (n *Node) handleHomeReply(sh *dirShard, pkt network.Packet, p dataPayload) 
 		e.SetLastWriterMask(p.mask)
 	}
 	if tx.waitAcks == 0 && !tx.waitData {
-		n.completeTxn(sh, dl, tx, tx.latest)
+		n.completeTxn(dl, tx, tx.latest)
 	}
 }
 
 // handleEvictM applies a dirty writeback. If a transaction is waiting for
 // a flush from the evicting owner, the writeback doubles as the flush data
 // (the owner's not-present reply that follows is dropped as stale).
-// Called with the line's shard locked.
-func (n *Node) handleEvictM(sh *dirShard, pkt network.Packet, p dataPayload) {
+func (n *Node) handleEvictM(pkt network.Packet, p dataPayload) {
 	n.sendSrv(msgEvictAck, pkt.Src, pkt.Seq, n.srvEncLine(p.line), pkt.Time)
-	dl := sh.dirLineOf(n, cache.LineAddr(p.line))
+	dl := n.home.dirLine(cache.LineAddr(p.line))
 	e := dl.entry
-	n.dramWrite(p.line, p.data, pkt.Time)
+	n.home.dram.WriteLine(p.line, p.data, pkt.Time)
 	if dl.busy != nil && dl.busy.waitData && dl.busy.dataFrom == pkt.Src {
 		tx := dl.busy
 		tx.waitData = false
@@ -477,7 +475,7 @@ func (n *Node) handleEvictM(sh *dirShard, pkt network.Packet, p dataPayload) {
 		e.SetLastWriter(pkt.Src)
 		e.SetLastWriterMask(p.mask)
 		if tx.waitAcks == 0 {
-			n.completeTxn(sh, dl, tx, tx.latest)
+			n.completeTxn(dl, tx, tx.latest)
 		}
 		return
 	}
@@ -619,21 +617,20 @@ func (n *Node) processVictim(victim cache.Victim, now arch.Cycles) {
 // write and the progress window sees the same delivery samples. Bails
 // (returns false) under the same ordering guards as localMiss: any
 // self-directed message in flight, or an open transaction on the line.
-// Called in the core context with no shard lock held; mu may or may not
+// Called in the core context without the home lock; mu may or may not
 // be held (FlushAll holds it, the post-miss victim path does not) — the
-// function must therefore touch only shard-guarded state, the atomic
-// selfInflight word, and the DRAM domain, never the mailbox or the
-// pending slot.
+// function must therefore touch only home-guarded state and the atomic
+// selfInflight word, never the mailbox or the pending slot.
 func (n *Node) localEvict(victim cache.Victim, now arch.Cycles) bool {
 	if n.selfInflight.Load() != 0 {
 		return false
 	}
-	sh := n.shardFor(victim.Addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	h := &n.home
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if victim.State != cache.Modified {
 		// Clean eviction: drop the sharer bit, as dispatch(msgEvictS) would.
-		if dl := sh.lines[victim.Addr]; dl != nil {
+		if dl := h.lines[victim.Addr]; dl != nil {
 			if dl.busy != nil {
 				return false
 			}
@@ -642,13 +639,13 @@ func (n *Node) localEvict(victim cache.Victim, now arch.Cycles) bool {
 		n.net.Observe(now + n.net.Delay(network.ClassMemory, n.tile, linePayloadLen, now))
 		return true
 	}
-	dl := sh.dirLineOf(n, victim.Addr)
+	dl := h.dirLine(victim.Addr)
 	if dl.busy != nil {
 		return false
 	}
 	arr := now + n.net.Delay(network.ClassMemory, n.tile, dataPayloadLen+len(victim.Data), now)
 	n.net.Observe(arr)
-	n.dramWrite(uint64(victim.Addr), victim.Data, arr)
+	h.dram.WriteLine(uint64(victim.Addr), victim.Data, arr)
 	e := dl.entry
 	if e.Owner() == n.tile {
 		e.SetOwner(arch.InvalidTile)
@@ -683,16 +680,16 @@ func (n *Node) handlePeekPoke(pkt network.Packet) {
 	line := uint64(p.addr) >> n.lineBits
 	off := int(uint64(p.addr) & (uint64(n.lineSize) - 1))
 	if pkt.Type == msgPoke {
-		n.dramMu.Lock()
-		n.dram.Poke(line, off, p.data)
-		n.dramMu.Unlock()
+		n.home.mu.Lock()
+		n.home.dram.Poke(line, off, p.data)
+		n.home.mu.Unlock()
 		n.sendSrv(msgPokeAck, pkt.Src, pkt.Seq, nil, pkt.Time)
 		return
 	}
 	buf := make([]byte, p.n)
-	n.dramMu.Lock()
-	n.dram.Peek(line, off, buf)
-	n.dramMu.Unlock()
+	n.home.mu.Lock()
+	n.home.dram.Peek(line, off, buf)
+	n.home.mu.Unlock()
 	n.sendSrv(msgPeekRep, pkt.Src, pkt.Seq, n.srvEncPeek(peekPayload{addr: p.addr, n: p.n, data: buf}), pkt.Time)
 }
 

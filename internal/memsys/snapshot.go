@@ -91,42 +91,35 @@ func (n *Node) Capture(ts *checkpoint.TileState) error {
 	n.coreState.Store(0)
 	n.mu.Unlock()
 
-	ts.DirShards = make([]checkpoint.DirShardState, len(n.shards))
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		ss := &ts.DirShards[i]
-		ss.HomeSeq = sh.homeSeq
-		ss.DirRequests = sh.dirRequests
-		ss.DirTraps = sh.dirTraps
-		ss.InvSent = sh.invSent
-		//graphite:maporder entries are sorted by arena index below, so iteration order never reaches the snapshot
-		for line, dl := range sh.lines {
-			if dl.busy != nil || len(dl.pending) > 0 {
-				sh.mu.Unlock()
-				return fmt.Errorf("memsys: tile %d not quiesced at capture (open transaction on line %#x)", n.tile, uint64(line))
-			}
-			e := dl.entry
-			es := checkpoint.DirEntryState{
-				Index:          int32(e.Index()),
-				Line:           uint64(line),
-				Owner:          int32(e.Owner()),
-				LastWriter:     int32(e.LastWriter()),
-				LastWriterMask: e.LastWriterMask(),
-				Cursor:         e.Cursor(),
-			}
-			e.ForEachSharer(func(t arch.TileID) {
-				es.Sharers = append(es.Sharers, int32(t))
-			})
-			ss.Entries = append(ss.Entries, es)
+	h := &n.home
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hs := &ts.Home
+	hs.HomeSeq = h.homeSeq
+	hs.DirRequests = h.dirRequests
+	hs.DirTraps = h.dirTraps
+	hs.InvSent = h.invSent
+	//graphite:maporder entries are sorted by arena index below, so iteration order never reaches the snapshot
+	for line, dl := range h.lines {
+		if dl.busy != nil || len(dl.pending) > 0 {
+			return fmt.Errorf("memsys: tile %d not quiesced at capture (open transaction on line %#x)", n.tile, uint64(line))
 		}
-		sort.Slice(ss.Entries, func(a, b int) bool { return ss.Entries[a].Index < ss.Entries[b].Index })
-		sh.mu.Unlock()
+		e := dl.entry
+		es := checkpoint.DirEntryState{
+			Index:          int32(e.Index()),
+			Line:           uint64(line),
+			Owner:          int32(e.Owner()),
+			LastWriter:     int32(e.LastWriter()),
+			LastWriterMask: e.LastWriterMask(),
+			Cursor:         e.Cursor(),
+		}
+		e.ForEachSharer(func(t arch.TileID) {
+			es.Sharers = append(es.Sharers, int32(t))
+		})
+		hs.Entries = append(hs.Entries, es)
 	}
-
-	n.dramMu.Lock()
-	ts.DRAM = *n.dram.Capture()
-	n.dramMu.Unlock()
+	sort.Slice(hs.Entries, func(a, b int) bool { return hs.Entries[a].Index < hs.Entries[b].Index })
+	hs.DRAM = *h.dram.Capture()
 	return nil
 }
 
@@ -140,9 +133,6 @@ func (n *Node) Restore(ts *checkpoint.TileState) error {
 	}
 	if (ts.L1I != nil) != (n.l1i != nil) || (ts.L1D != nil) != (n.l1d != nil) || ts.L2 == nil {
 		return fmt.Errorf("memsys: tile %d restore cache-hierarchy shape mismatch", n.tile)
-	}
-	if len(ts.DirShards) != len(n.shards) {
-		return fmt.Errorf("memsys: tile %d restore shard-count mismatch: snapshot %d, node %d", n.tile, len(ts.DirShards), len(n.shards))
 	}
 
 	n.mu.Lock()
@@ -179,47 +169,38 @@ func (n *Node) Restore(ts *checkpoint.TileState) error {
 	n.coreState.Store(0)
 	n.mu.Unlock()
 
-	for i := range n.shards {
-		sh := &n.shards[i]
-		ss := &ts.DirShards[i]
-		sh.mu.Lock()
-		if len(sh.lines) != 0 {
-			sh.mu.Unlock()
-			return fmt.Errorf("memsys: tile %d shard %d not empty at restore", n.tile, i)
-		}
-		// Entries are re-allocated in arena-index order into the empty
-		// store, so every Ref lands at its original index; sharers are
-		// re-added in captured (canonical) order, which reproduces
-		// pointer-slot layout exactly.
-		for idx, es := range ss.Entries {
-			if int(es.Index) != idx {
-				sh.mu.Unlock()
-				return fmt.Errorf("memsys: tile %d shard %d entry order broken at %d (index %d)", n.tile, i, idx, es.Index)
-			}
-			dl := sh.dirLineOf(n, cache.LineAddr(es.Line))
-			e := dl.entry
-			if e.Index() != idx {
-				sh.mu.Unlock()
-				return fmt.Errorf("memsys: tile %d shard %d arena index drift at %d", n.tile, i, idx)
-			}
-			for _, t := range es.Sharers {
-				e.AddSharer(arch.TileID(t))
-			}
-			e.SetOwner(arch.TileID(es.Owner))
-			e.SetLastWriter(arch.TileID(es.LastWriter))
-			e.SetLastWriterMask(es.LastWriterMask)
-			e.SetCursor(es.Cursor)
-		}
-		sh.homeSeq = ss.HomeSeq
-		sh.dirRequests = ss.DirRequests
-		sh.dirTraps = ss.DirTraps
-		sh.invSent = ss.InvSent
-		sh.mu.Unlock()
+	h := &n.home
+	hs := &ts.Home
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.lines) != 0 {
+		return fmt.Errorf("memsys: tile %d home not empty at restore", n.tile)
 	}
-
-	n.dramMu.Lock()
-	n.dram.Restore(&ts.DRAM)
-	n.dramMu.Unlock()
+	// Entries are re-allocated in arena-index order into the empty store,
+	// so every Ref lands at its original index; sharers are re-added in
+	// captured (canonical) order, which reproduces pointer-slot layout
+	// exactly.
+	for idx, es := range hs.Entries {
+		if int(es.Index) != idx {
+			return fmt.Errorf("memsys: tile %d home entry order broken at %d (index %d)", n.tile, idx, es.Index)
+		}
+		e := h.dirLine(cache.LineAddr(es.Line)).entry
+		if e.Index() != idx {
+			return fmt.Errorf("memsys: tile %d home arena index drift at %d", n.tile, idx)
+		}
+		for _, t := range es.Sharers {
+			e.AddSharer(arch.TileID(t))
+		}
+		e.SetOwner(arch.TileID(es.Owner))
+		e.SetLastWriter(arch.TileID(es.LastWriter))
+		e.SetLastWriterMask(es.LastWriterMask)
+		e.SetCursor(es.Cursor)
+	}
+	h.homeSeq = hs.HomeSeq
+	h.dirRequests = hs.DirRequests
+	h.dirTraps = hs.DirTraps
+	h.invSent = hs.InvSent
+	h.dram.Restore(&hs.DRAM)
 	return nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/core/launch"
 	"repro/internal/mcp"
@@ -160,7 +159,7 @@ func ExecuteStats(spec *RunSpec) (Record, *core.RunStats) {
 // bytes after it, and the ROI (when recorded) replaces the simulated
 // cycle count in both the Record and the RunStats. rs is nil when the
 // record carries an error. The record's config digest is computed from
-// the unmodified spec config — the process count and transport are
+// the unmodified spec config — the process count and placement are
 // host-execution details the digest deliberately excludes — so a
 // distributed record matches the in-process run of the same spec.
 func ExecuteVia(spec *RunSpec, run func(*launch.Spec) (*launch.Result, error)) (Record, *core.RunStats) {
@@ -178,7 +177,6 @@ func ExecuteVia(spec *RunSpec, run func(*launch.Spec) (*launch.Result, error)) (
 	forked := spec.Processes > 1
 	if forked {
 		ls.Config.Processes = spec.Processes
-		ls.Config.Transport = config.TransportTCP
 	}
 	if run == nil {
 		run = launch.InProcess

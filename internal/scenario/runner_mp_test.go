@@ -31,10 +31,9 @@ func mpScenario() *Scenario {
 		Scale:    4,
 		Seed:     7,
 		Base: map[string]any{
-			"Tiles":             4,
-			"MemNet.Kind":       "mesh_hop",
-			"MemNet.QueueModel": false,
-			"DRAM.QueueModel":   false,
+			"Tiles":           4,
+			"MemNet.Kind":     "mesh_hop",
+			"DRAM.QueueModel": false,
 		},
 		Grids: []Grid{{}},
 	}
@@ -110,7 +109,6 @@ func TestProcessesIsASweepAxis(t *testing.T) {
 	cfg := specs[1].Config
 	cfg.RandSeed = specs[0].Config.RandSeed
 	cfg.Processes = 2
-	cfg.Transport = specs[0].Config.Transport + 1 // any other transport
 	cfg.Workers = 3
 	if Digest(&specs[0].Config) != Digest(&cfg) {
 		t.Fatal("host-execution fields leaked into the config digest")

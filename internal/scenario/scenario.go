@@ -465,10 +465,6 @@ var enumParsers = map[reflect.Type]func(string) (int64, error){
 		v, err := config.ParseCoherenceKind(s)
 		return int64(v), err
 	},
-	reflect.TypeOf(config.TransportKind(0)): func(s string) (int64, error) {
-		v, err := config.ParseTransportKind(s)
-		return int64(v), err
-	},
 	reflect.TypeOf(config.CoreModelKind(0)): func(s string) (int64, error) {
 		v, err := config.ParseCoreModelKind(s)
 		return int64(v), err

@@ -221,7 +221,6 @@ func TestEnumStringValues(t *testing.T) {
 			"MemNet.Kind": "ring",
 			"AppNet.Kind": "magic",
 			"Core.Kind":   "out-of-order",
-			"Transport":   "channel",
 		},
 		Grids: []Grid{{}},
 	}
@@ -231,8 +230,7 @@ func TestEnumStringValues(t *testing.T) {
 	}
 	cfg := &specs[0].Config
 	if cfg.Sync.Model != config.LaxP2P || cfg.MemNet.Kind != config.NetRing ||
-		cfg.AppNet.Kind != config.NetMagic || cfg.Core.Kind != config.CoreOutOfOrder ||
-		cfg.Transport != config.TransportChannel {
+		cfg.AppNet.Kind != config.NetMagic || cfg.Core.Kind != config.CoreOutOfOrder {
 		t.Fatalf("enum overrides not applied: %+v", cfg)
 	}
 }

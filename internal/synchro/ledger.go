@@ -7,7 +7,8 @@ import (
 )
 
 // EpochWait is one tile's pending LaxBarrier wait: the tile and the epoch
-// its clock has reached.
+// its clock has reached. Epoch -1 reports instead that the tile's thread
+// is blocked in an application receive (see Ledger).
 type EpochWait struct {
 	Tile  arch.TileID
 	Epoch int64
@@ -35,6 +36,12 @@ type EpochWait struct {
 // blocking, a thread exiting — re-evaluates the flush condition, so no
 // wait is held once the round is quiescent. See DESIGN.md §16 for the
 // full ordering argument.
+//
+// A thread blocked in an MCP service is known to the MCP already; one
+// blocked in an application receive is not, and the MCP would count it
+// active and never release the epoch its sender is parked at. So the
+// batch that completes a round also reports each receive-blocked tile,
+// once per blocking episode, as an EpochWait with Epoch -1.
 type Ledger struct {
 	// flush transports one batch of waits to the MCP. It is called outside
 	// the ledger lock; per-tile ordering is still serial because a tile
@@ -56,6 +63,7 @@ type Ledger struct {
 type ledgerSlot struct {
 	active  bool // thread running on this tile
 	blocked bool // blocked in a control-plane RPC or app receive
+	recv    bool // blocked in an app receive not yet reported to the MCP
 	waiting bool // parked at a barrier epoch
 	flushed bool // current wait already transported to the MCP
 	epoch   int64
@@ -100,13 +108,15 @@ func (l *Ledger) ThreadExited(tile arch.TileID) {
 	l.send(batch)
 }
 
-// SetBlocked records a tile's rpcBlocked transition. Entering the blocked
-// state can complete a round (the tile can produce no wait until it
-// returns), so it may trigger a flush; leaving it never does.
-func (l *Ledger) SetBlocked(tile arch.TileID, blocked bool) {
+// SetBlocked records a tile's rpcBlocked transition; recv marks a block
+// in an application receive. Entering the blocked state can complete a
+// round (the tile can produce no wait until it returns), so it may
+// trigger a flush; leaving it never does.
+func (l *Ledger) SetBlocked(tile arch.TileID, blocked, recv bool) {
 	l.mu.Lock()
 	s := l.slot(tile)
 	s.blocked = blocked
+	s.recv = blocked && recv
 	var batch []EpochWait
 	if blocked {
 		batch = l.takeBatchLocked()
@@ -177,9 +187,9 @@ func (l *Ledger) Close() {
 	l.mu.Unlock()
 }
 
-// takeBatchLocked returns the unflushed waits if the local round is
-// complete — every active tile parked or blocked — and nil otherwise.
-// Caller holds l.mu.
+// takeBatchLocked returns the unflushed waits and unreported receive
+// blocks if the local round is complete — every active tile parked or
+// blocked — and nil otherwise. Caller holds l.mu.
 func (l *Ledger) takeBatchLocked() []EpochWait {
 	if l.closed {
 		return nil
@@ -193,7 +203,7 @@ func (l *Ledger) takeBatchLocked() []EpochWait {
 		if !s.waiting && !s.blocked {
 			return nil // a local thread still runs: it decides this round
 		}
-		if s.waiting && !s.flushed {
+		if s.waiting && !s.flushed || s.recv {
 			pending++
 		}
 	}
@@ -203,9 +213,14 @@ func (l *Ledger) takeBatchLocked() []EpochWait {
 	batch := make([]EpochWait, 0, pending)
 	//graphite:maporder the batch is a set: the MCP keys each wait by tile (Server.simWaits), so entry order never reaches a result or an output byte
 	for tile, s := range l.slots {
-		if s.active && s.waiting && !s.flushed {
+		switch {
+		case !s.active:
+		case s.waiting && !s.flushed:
 			s.flushed = true
 			batch = append(batch, EpochWait{Tile: tile, Epoch: s.epoch})
+		case s.recv:
+			s.recv = false
+			batch = append(batch, EpochWait{Tile: tile, Epoch: -1})
 		}
 	}
 	return batch

@@ -1,12 +1,14 @@
 package synchro
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/simtest"
 )
 
 // batchRecorder captures flushed batches.
@@ -94,7 +96,7 @@ func TestLedgerBlockedThreadCompletesRound(t *testing.T) {
 	// Tile 1 blocks in a control-plane RPC: it cannot wait this round, so
 	// the ledger must forward tile 0's wait now (the MCP excludes blocked
 	// threads from its release condition).
-	l.SetBlocked(1, true)
+	l.SetBlocked(1, true, false)
 	settle()
 	if rec.count() != 1 {
 		t.Fatalf("flush count %d after block, want 1", rec.count())
@@ -103,7 +105,7 @@ func TestLedgerBlockedThreadCompletesRound(t *testing.T) {
 		t.Fatalf("batch %v", got)
 	}
 	// Unblocking must not re-send anything.
-	l.SetBlocked(1, false)
+	l.SetBlocked(1, false, false)
 	settle()
 	if rec.count() != 1 {
 		t.Fatal("unblock triggered a flush")
@@ -121,6 +123,52 @@ func TestLedgerBlockedThreadCompletesRound(t *testing.T) {
 	l.Release(1)
 	<-d0
 	<-d1
+}
+
+// TestLedgerReportsReceiveOncePerEpisode: a thread blocked in an
+// application receive completes the round, and the batch that completes
+// it carries the tile once, as Epoch -1 — the MCP cannot otherwise tell it
+// from a running thread. Later rounds during the same receive do not
+// repeat it; the next receive does.
+func TestLedgerReportsReceiveOncePerEpisode(t *testing.T) {
+	simtest.Deadline(t, time.Minute, func() {
+		rec := &batchRecorder{}
+		l := NewLedger(rec.flush)
+		for tile := arch.TileID(0); tile < 3; tile++ {
+			l.ThreadStarted(tile)
+		}
+		check := func(step string, count int, want ...EpochWait) {
+			settle()
+			if rec.count() != count {
+				t.Errorf("%s: %d batches, want %d", step, rec.count(), count)
+				return
+			}
+			if got := rec.last(); len(want) > 0 && !slices.Equal(got, want) {
+				t.Errorf("%s: batch %v, want %v", step, got, want)
+			}
+		}
+
+		d0 := wait(l, 0, 2)
+		l.SetBlocked(1, true, true)
+		check("tile 2 still runs", 0)
+		d2 := wait(l, 2, 2)
+		check("round complete", 1, EpochWait{0, 2}, EpochWait{1, -1}, EpochWait{2, 2})
+
+		l.Release(2)
+		<-d0
+		<-d2
+		d0, d2 = wait(l, 0, 3), wait(l, 2, 3)
+		check("same receive, next round", 2, EpochWait{0, 3}, EpochWait{2, 3})
+
+		l.SetBlocked(1, false, false)
+		check("receive ends", 2)
+		l.SetBlocked(1, true, true)
+		check("next receive", 3, EpochWait{1, -1})
+
+		l.Release(3)
+		<-d0
+		<-d2
+	})
 }
 
 func TestLedgerReleaseWakesExactEpochOnly(t *testing.T) {

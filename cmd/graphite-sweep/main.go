@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -68,110 +69,126 @@ func main() {
 	// Scenarios with processes > 1 fork worker copies of this binary;
 	// those copies enter here and never return.
 	launch.MaybeWorkerProcess()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command: parse args, run the selected mode, write
+// records and tables to stdout (or -out) and progress to stderr. It
+// returns the process exit status: 2 for a usage error, 1 for a failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphite-sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenarioPath = flag.String("scenario", "", "scenario file to run (overrides -exp)")
-		parallel     = flag.Int("parallel", 0, "worker pool size for scenario/worker runs (0 = host CPUs)")
-		out          = flag.String("out", "", "JSONL output path for -scenario (default: stdout); with -exp fig7, CSV path for every clock-skew sample")
-		serve        = flag.String("serve", "", "coordinator mode: serve the -scenario runs to workers on this address")
-		worker       = flag.Bool("worker", false, "worker mode: pull runs from a coordinator (-connect)")
-		connect      = flag.String("connect", "", "coordinator address for -worker (host:port)")
-		submit       = flag.String("submit", "", "submit the -scenario to a graphited daemon at this base URL and stream the records back")
-		resume       = flag.String("resume", "", "JSONL of a previous partial run; matching error-free records are not re-executed")
-		workersExp   = flag.Int("workers-expected", 0, "coordinator waits for this many worker processes before dispatching")
-		cacheDir     = flag.String("cache", "", "record cache directory: serve repeated runs from cache instead of re-simulating")
-		cacheBytes   = flag.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
-		noCache      = flag.Bool("no-cache", false, "disable the record cache even when -cache is set")
-		exp          = flag.String("exp", "all", "experiment: "+experiments.FlagUsage())
-		preset       = flag.String("preset", "quick", "size preset: quick|standard|full")
-		runs         = flag.Int("runs", 0, "repetitions for table3 (default: preset-dependent)")
-		benchs       = flag.String("benchmarks", "", "comma-separated benchmark subset")
-		sizes        = flag.String("sizes", "", "comma-separated int list (line sizes, tile counts, machine counts)")
+		scenarioPath = fs.String("scenario", "", "scenario file to run (overrides -exp)")
+		parallel     = fs.Int("parallel", 0, "worker pool size for scenario/worker runs (0 = host CPUs)")
+		out          = fs.String("out", "", "JSONL output path for -scenario (default: stdout); with -exp fig7, CSV path for every clock-skew sample")
+		serve        = fs.String("serve", "", "coordinator mode: serve the -scenario runs to workers on this address")
+		worker       = fs.Bool("worker", false, "worker mode: pull runs from a coordinator (-connect)")
+		connect      = fs.String("connect", "", "coordinator address for -worker (host:port)")
+		submit       = fs.String("submit", "", "submit the -scenario to a graphited daemon at this base URL and stream the records back")
+		resume       = fs.String("resume", "", "JSONL of a previous partial run; matching error-free records are not re-executed")
+		workersExp   = fs.Int("workers-expected", 0, "coordinator waits for this many worker processes before dispatching")
+		cacheDir     = fs.String("cache", "", "record cache directory: serve repeated runs from cache instead of re-simulating")
+		cacheBytes   = fs.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
+		cacheTTL     = fs.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
+		noCache      = fs.Bool("no-cache", false, "disable the record cache even when -cache is set")
+		exp          = fs.String("exp", "all", "experiment: "+experiments.FlagUsage())
+		preset       = fs.String("preset", "quick", "size preset: quick|standard|full")
+		runs         = fs.Int("runs", 0, "repetitions for table3 (default: preset-dependent)")
+		benchs       = fs.String("benchmarks", "", "comma-separated benchmark subset")
+		sizes        = fs.String("sizes", "", "comma-separated int list (line sizes, tile counts, machine counts)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "graphite-sweep: "+msg)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "graphite-sweep:", err)
+		return 1
+	}
 
+	if fs.NArg() > 0 {
+		return usage(fmt.Sprintf("unexpected argument %q (every input is a flag)", fs.Arg(0)))
+	}
+	if *worker {
+		// A worker runs whatever its coordinator serves and streams the
+		// records back to it: a scenario, an output or a resume file here
+		// would be silently ignored.
+		for _, f := range []struct{ name, value string }{
+			{"scenario", *scenarioPath}, {"serve", *serve}, {"resume", *resume}, {"out", *out},
+		} {
+			if f.value != "" {
+				return usage("-" + f.name + " belongs on the coordinator's command line, not with -worker")
+			}
+		}
+	}
 	if (*serve != "" || *resume != "") && *scenarioPath == "" {
-		fmt.Fprintln(os.Stderr, "graphite-sweep: -serve and -resume require -scenario")
-		os.Exit(2)
+		return usage("-serve and -resume require -scenario")
 	}
 	if *serve == "" && *workersExp != 0 {
-		fmt.Fprintln(os.Stderr, "graphite-sweep: -workers-expected requires -serve")
-		os.Exit(2)
+		return usage("-workers-expected requires -serve")
 	}
 	if !*worker && *connect != "" {
-		fmt.Fprintln(os.Stderr, "graphite-sweep: -connect requires -worker (did you forget -worker?)")
-		os.Exit(2)
+		return usage("-connect requires -worker (did you forget -worker?)")
 	}
 	if *submit != "" {
 		// The daemon owns execution: every local-execution flag is
 		// meaningless (and -cache would grab the daemon's lock).
 		switch {
 		case *scenarioPath == "":
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -submit requires -scenario")
-			os.Exit(2)
+			return usage("-submit requires -scenario")
 		case *serve != "" || *worker:
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -submit is exclusive with -serve/-worker")
-			os.Exit(2)
+			return usage("-submit is exclusive with -serve/-worker")
 		case *resume != "":
 			// Ignoring it would truncate the very file the user asked to
 			// resume from.
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -resume applies to local execution; resubmit to the daemon and its cache replays finished runs")
-			os.Exit(2)
+			return usage("-resume applies to local execution; resubmit to the daemon and its cache replays finished runs")
 		case *cacheDir != "":
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -cache applies to local execution; the daemon owns the cache in -submit mode")
-			os.Exit(2)
+			return usage("-cache applies to local execution; the daemon owns the cache in -submit mode")
 		}
-		if err := submitScenario(*scenarioPath, *submit, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
-			os.Exit(1)
+		if err := submitScenario(*scenarioPath, *submit, *out, stdout, stderr); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *worker {
 		if *connect == "" {
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -worker requires -connect host:port")
-			os.Exit(2)
+			return usage("-worker requires -connect host:port")
 		}
 		if *cacheDir != "" {
 			// The cache hangs off the sweep; workers only ever see specs
 			// the cache already missed.
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -cache applies to -scenario/-serve, not -worker (the coordinator owns the cache)")
-			os.Exit(2)
+			return usage("-cache applies to -scenario/-serve, not -worker (the coordinator owns the cache)")
 		}
-		if err := dispatch.Work(*connect, dispatch.WorkerOptions{Parallel: *parallel, Progress: os.Stderr}); err != nil {
-			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
-			os.Exit(1)
+		if err := dispatch.Work(*connect, dispatch.WorkerOptions{Parallel: *parallel, Progress: stderr}); err != nil {
+			return fail(err)
 		}
-		return
-	}
-	cache, err := openCache(*cacheDir, *cacheBytes, *cacheTTL, *noCache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
-		os.Exit(1)
-	}
-	// Close explicitly (not deferred): os.Exit skips defers and the
-	// close releases the cache directory's writer lock.
-	closeCache := func() {
-		if cache != nil {
-			cache.Close()
-		}
+		return 0
 	}
 	if *scenarioPath != "" {
-		err := runScenario(*scenarioPath, *out, *resume, *serve, *workersExp, *parallel, cache)
-		closeCache()
+		cache, err := openCache(*cacheDir, *cacheBytes, *cacheTTL, *noCache, stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		err = runScenario(*scenarioPath, *out, *resume, *serve, *workersExp, *parallel, cache, stdout, stderr)
+		if cache != nil {
+			cache.Close() // releases the cache directory's writer lock
+		}
+		if err != nil {
+			return fail(err)
+		}
+		return 0
 	}
-	closeCache()
 
 	pr, err := experiments.ParsePreset(*preset)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usage(err.Error())
+	}
+	if _, ok := experiments.Find(*exp); !ok && *exp != "all" {
+		return usage(fmt.Sprintf("unknown experiment %q (accepted: %s)", *exp, experiments.FlagUsage()))
 	}
 	opts := experiments.Options{
 		Preset:   pr,
@@ -185,8 +202,7 @@ func main() {
 		for _, s := range strings.Split(*sizes, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return usage("-sizes: " + err.Error())
 			}
 			opts.Sizes = append(opts.Sizes, v)
 		}
@@ -196,43 +212,42 @@ func main() {
 		// The one experiment with a series to plot: the table on stdout
 		// thins long traces, the file has every sample.
 		if *exp != "fig7" {
-			fmt.Fprintln(os.Stderr, "graphite-sweep: -out goes with -scenario, or with -exp fig7 (its skew samples as CSV)")
-			os.Exit(2)
+			return usage("-out goes with -scenario, or with -exp fig7 (its skew samples as CSV)")
 		}
-		if err := fig7WithCSV(pr, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "graphite-sweep:", err)
-			os.Exit(1)
+		if err := fig7WithCSV(pr, *out, stdout); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	runOne := func(name string) {
-		fmt.Printf("==== %s (%s preset) ====\n", name, pr)
-		if err := experiments.RunByName(name, os.Stdout, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
+	names := []string{*exp}
 	if *exp == "all" {
+		names = names[:0]
 		for _, e := range experiments.Registry() {
-			runOne(e.Name)
+			names = append(names, e.Name)
 		}
-		return
 	}
-	runOne(*exp)
+	for _, name := range names {
+		fmt.Fprintf(stdout, "==== %s (%s preset) ====\n", name, pr)
+		if err := experiments.RunByName(name, stdout, opts); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintln(stdout)
+	}
+	return 0
 }
 
 // fig7WithCSV is -exp fig7 with -out: the usual table on stdout, and the
 // same run's samples, unthinned, as CSV in path.
-func fig7WithCSV(pr experiments.Preset, path string) error {
-	fmt.Printf("==== fig7 (%s preset) ====\n", pr)
+func fig7WithCSV(pr experiments.Preset, path string, stdout io.Writer) error {
+	fmt.Fprintf(stdout, "==== fig7 (%s preset) ====\n", pr)
 	r, err := experiments.Fig7(pr)
 	if err != nil {
 		return err
 	}
-	r.Print(os.Stdout)
-	fmt.Println()
+	r.Print(stdout)
+	fmt.Fprintln(stdout)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -246,7 +261,7 @@ func fig7WithCSV(pr experiments.Preset, path string) error {
 
 // openCache builds the record cache from the -cache* flags; nil means
 // caching is off (no -cache dir, or -no-cache).
-func openCache(dir string, maxBytes int64, ttl time.Duration, disabled bool) (*recordcache.Cache, error) {
+func openCache(dir string, maxBytes int64, ttl time.Duration, disabled bool, stderr io.Writer) (*recordcache.Cache, error) {
 	if dir == "" || disabled {
 		return nil, nil
 	}
@@ -255,14 +270,14 @@ func openCache(dir string, maxBytes int64, ttl time.Duration, disabled bool) (*r
 		return nil, err
 	}
 	if c.Stats().ReadOnly {
-		fmt.Fprintf(os.Stderr, "cache %s: writer lock held by another sweep, serving read-only\n", dir)
+		fmt.Fprintf(stderr, "cache %s: writer lock held by another sweep, serving read-only\n", dir)
 	}
 	return c, nil
 }
 
 // cacheSummary emits the hit/miss line CI and operators key off: the
 // warm-sweep contract is simulated=0 and hit_rate=100.0%.
-func cacheSummary(cache *recordcache.Cache, records []scenario.Record) {
+func cacheSummary(cache *recordcache.Cache, records []scenario.Record, stderr io.Writer) {
 	if cache == nil {
 		return
 	}
@@ -273,7 +288,7 @@ func cacheSummary(cache *recordcache.Cache, records []scenario.Record) {
 			cached++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d hit_rate=%.1f%% evictions=%d bytes=%d entries=%d simulated=%d cached=%d\n",
+	fmt.Fprintf(stderr, "cache: hits=%d misses=%d hit_rate=%.1f%% evictions=%d bytes=%d entries=%d simulated=%d cached=%d\n",
 		st.Hits, st.Misses, st.HitRate(), st.Evictions, st.DiskLive, st.DiskEntries, len(records)-cached, cached)
 }
 
@@ -281,7 +296,7 @@ func cacheSummary(cache *recordcache.Cache, records []scenario.Record) {
 // file, stream the merged JSONL to out (byte-verbatim — the service's
 // records are already in final form), resume the stream on connection
 // drops, and mirror the job's terminal state in the exit status.
-func submitScenario(path, baseURL, out string) error {
+func submitScenario(path, baseURL, out string, stdout, stderr io.Writer) error {
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -296,10 +311,10 @@ func submitScenario(path, baseURL, out string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "scenario %s: %d runs, submitted as job %s to %s\n",
+	fmt.Fprintf(stderr, "scenario %s: %d runs, submitted as job %s to %s\n",
 		st.Scenario, st.RunsTotal, st.ID, baseURL)
 
-	w := os.Stdout
+	w := stdout
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
@@ -323,7 +338,7 @@ func submitScenario(path, baseURL, out string) error {
 		if attempt >= 5 {
 			return fmt.Errorf("record stream failed %d times (last: %w); resume with: GET /v1/jobs/%s/records?from=%d", attempt, err, st.ID, written)
 		}
-		fmt.Fprintf(os.Stderr, "record stream interrupted after %d records (%v), resuming\n", written, err)
+		fmt.Fprintf(stderr, "record stream interrupted after %d records (%v), resuming\n", written, err)
 		time.Sleep(500 * time.Millisecond)
 	}
 
@@ -333,10 +348,10 @@ func submitScenario(path, baseURL, out string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "job %s %s: %d records (%d executed, %d cached)\n",
+	fmt.Fprintf(stderr, "job %s %s: %d records (%d executed, %d cached)\n",
 		final.ID, final.State, written, final.RunsExecuted, final.RunsCached)
 	if out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", written, out)
+		fmt.Fprintf(stderr, "wrote %d records to %s\n", written, out)
 	}
 	if final.State != "done" {
 		return fmt.Errorf("job %s %s: %s", final.ID, final.State, final.Error)
@@ -347,7 +362,7 @@ func submitScenario(path, baseURL, out string) error {
 // runScenario loads and expands one scenario file and runs it as a sweep:
 // on local worker slots or, with serve set, on whatever workers attach to
 // a coordinator listening there.
-func runScenario(path, out, resumePath, serve string, workersExpected, parallel int, cache *recordcache.Cache) error {
+func runScenario(path, out, resumePath, serve string, workersExpected, parallel int, cache *recordcache.Cache, stdout, stderr io.Writer) error {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		return err
@@ -361,7 +376,7 @@ func runScenario(path, out, resumePath, serve string, workersExpected, parallel 
 	// may name the same path.
 	var resume []scenario.Record
 	if resumePath != "" {
-		resume, err = readResume(resumePath)
+		resume, err = readResume(resumePath, stderr)
 		if err != nil {
 			return err
 		}
@@ -370,7 +385,7 @@ func runScenario(path, out, resumePath, serve string, workersExpected, parallel 
 	opt := scenario.SweepOptions{
 		Serial:   scenario.NeedsSerial(sc, specs),
 		Verify:   sc.Verify,
-		Progress: os.Stderr,
+		Progress: stderr,
 		Resume:   resume,
 	}
 	if cache != nil {
@@ -400,7 +415,7 @@ func runScenario(path, out, resumePath, serve string, workersExpected, parallel 
 	// use) must not destroy the records we just read from it. Still
 	// before any run executes, so a bad path fails in seconds, not after
 	// hours of simulation.
-	w := os.Stdout
+	w := stdout
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
@@ -410,13 +425,13 @@ func runScenario(path, out, resumePath, serve string, workersExpected, parallel 
 		w = f
 	}
 	sw.SetOutput(w)
-	fmt.Fprintf(os.Stderr, "scenario %s: %d runs (%d resumed, %d cached)%s\n",
+	fmt.Fprintf(stderr, "scenario %s: %d runs (%d resumed, %d cached)%s\n",
 		sc.Name, len(specs), sw.Reused(), sw.Cached(), where)
 
 	records, runErr := wait()
-	cacheSummary(cache, records)
+	cacheSummary(cache, records, stderr)
 	if out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d records to %s (%d executed, %d resumed, %d cached)\n",
+		fmt.Fprintf(stderr, "wrote %d records to %s (%d executed, %d resumed, %d cached)\n",
 			len(records), out, sw.Executed(), sw.Reused(), sw.Cached())
 	}
 	return runErr
@@ -426,7 +441,7 @@ func runScenario(path, out, resumePath, serve string, workersExpected, parallel 
 // an interrupted coordinator (crash, disk full) can leave a partial last
 // record, and that must not make the durable prefix — the whole point of
 // -resume — unreadable. Corruption anywhere else still fails loudly.
-func readResume(path string) ([]scenario.Record, error) {
+func readResume(path string, stderr io.Writer) ([]scenario.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
@@ -456,7 +471,7 @@ func readResume(path string) ([]scenario.Record, error) {
 		return nil, fmt.Errorf("resume %s: %w", path, err)
 	}
 	if badLine != 0 {
-		fmt.Fprintf(os.Stderr, "resume %s: dropping torn final record on line %d\n", path, badLine)
+		fmt.Fprintf(stderr, "resume %s: dropping torn final record on line %d\n", path, badLine)
 	}
 	return records, nil
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -36,29 +37,57 @@ func main() {
 	// this binary (launch re-exec); those copies enter here and never
 	// return.
 	launch.MaybeWorkerProcess()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
+// run is the whole daemon: parse args, serve until SIGINT/SIGTERM or a
+// listener failure, drain. It logs to stderr and returns the process exit
+// status: 2 for a usage error, 1 for a failure.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphited", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:9640", "HTTP listen address")
-		workers    = flag.Int("workers", 0, "in-process worker slots per job (0 = host CPUs, negative = external workers only)")
-		maxActive  = flag.Int("max-active", 1, "jobs running concurrently; further jobs queue in submission order")
-		cacheDir   = flag.String("cache", "", "record cache directory shared by every job (strongly recommended; see docs/OPERATIONS.md)")
-		cacheBytes = flag.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
-		drain      = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted jobs before canceling them")
-		verbose    = flag.Bool("verbose", false, "log 2xx requests too (non-2xx are always logged)")
-		quiet      = flag.Bool("quiet", false, "suppress per-run progress lines")
+		addr       = fs.String("addr", "127.0.0.1:9640", "HTTP listen address")
+		workers    = fs.Int("workers", 0, "in-process worker slots per job (0 = host CPUs, negative = external workers only)")
+		maxActive  = fs.Int("max-active", 1, "jobs running concurrently; further jobs queue in submission order")
+		cacheDir   = fs.String("cache", "", "record cache directory shared by every job (strongly recommended; see docs/OPERATIONS.md)")
+		cacheBytes = fs.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
+		cacheTTL   = fs.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
+		drain      = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted jobs before canceling them")
+		verbose    = fs.Bool("verbose", false, "log 2xx requests too (non-2xx are always logged)")
+		quiet      = fs.Bool("quiet", false, "suppress per-run progress lines")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "graphited: "+msg)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage(fmt.Sprintf("unexpected argument %q (every setting is a flag)", fs.Arg(0)))
+	}
+	if *cacheDir == "" {
+		tuned := ""
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "cache-max-bytes" || f.Name == "cache-ttl" {
+				tuned = f.Name
+			}
+		})
+		if tuned != "" {
+			return usage("-" + tuned + " tunes the record cache and needs -cache")
+		}
+	}
 
 	var cache *recordcache.Cache
 	if *cacheDir != "" {
 		c, err := recordcache.Open(recordcache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, TTL: *cacheTTL})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphited:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "graphited:", err)
+			return 1
 		}
 		if c.Stats().ReadOnly {
-			fmt.Fprintf(os.Stderr, "graphited: cache %s: writer lock held by another process, serving read-only\n", *cacheDir)
+			fmt.Fprintf(stderr, "graphited: cache %s: writer lock held by another process, serving read-only\n", *cacheDir)
 		}
 		cache = c
 	}
@@ -66,14 +95,14 @@ func main() {
 	opt := service.Options{
 		Workers:   *workers,
 		MaxActive: *maxActive,
-		Log:       os.Stderr,
+		Log:       stderr,
 		Verbose:   *verbose,
 	}
 	if cache != nil {
 		opt.Cache = cache
 	}
 	if !*quiet {
-		opt.Progress = os.Stderr
+		opt.Progress = stderr
 	}
 	svc := service.New(opt)
 
@@ -83,16 +112,17 @@ func main() {
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 
-	fmt.Fprintf(os.Stderr, "graphited: serving on %s (workers=%d, max-active=%d, cache=%s)\n",
+	fmt.Fprintf(stderr, "graphited: serving on %s (workers=%d, max-active=%d, cache=%s)\n",
 		*addr, svc.Workers(), *maxActive, orNone(*cacheDir))
 
 	exit := 0
 	select {
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "graphited: %s: draining (timeout %s)\n", sig, *drain)
+		fmt.Fprintf(stderr, "graphited: %s: draining (timeout %s)\n", sig, *drain)
 		if canceled := svc.DrainAndStop(*drain); canceled > 0 {
-			fmt.Fprintf(os.Stderr, "graphited: canceled %d unfinished job(s)\n", canceled)
+			fmt.Fprintf(stderr, "graphited: canceled %d unfinished job(s)\n", canceled)
 		}
 		// Jobs are settled, so every record stream has ended; Shutdown
 		// only waits out idle keep-alives.
@@ -101,7 +131,7 @@ func main() {
 		cancel()
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "graphited:", err)
+			fmt.Fprintln(stderr, "graphited:", err)
 			exit = 1
 		}
 		svc.Close()
@@ -109,7 +139,7 @@ func main() {
 	if cache != nil {
 		cache.Close() // releases the cache directory's writer lock
 	}
-	os.Exit(exit)
+	return exit
 }
 
 func orNone(s string) string {

@@ -367,8 +367,10 @@ type Config struct {
 	// run decides the transport: processes sharing an OS process talk over
 	// the channel fabric, processes in separate OS processes over TCP.
 	Processes int
-	// Workers bounds host OS parallelism (GOMAXPROCS) for the simulation;
-	// 0 means "leave as is". Used by the host-scaling experiments.
+	// Workers bounds host OS parallelism (GOMAXPROCS) for the simulation
+	// and sets how many memory-server shards each process runs; 0 means
+	// "leave GOMAXPROCS as is" and one shard per GOMAXPROCS. Used by the
+	// host-scaling experiments.
 	Workers int
 	// ClockHz is the target clock frequency (Table 1: 1 GHz).
 	ClockHz uint64

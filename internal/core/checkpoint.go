@@ -1,12 +1,12 @@
 package core
 
 // Per-process checkpoint support (DESIGN.md §18). The LCP's CkptProbe
-// and CkptSave callbacks land here. A save runs each tile's capture
-// inside that tile's own memory-server goroutine: the function is queued
-// with EnqueueCtrl and the server is poked with one CtrlMsg packet sent
-// from the LCP endpoint (control endpoints are negative, so the packet
-// neither takes a network delay nor perturbs the server's self-traffic
-// accounting). Restore uses the same path on a freshly constructed,
+// and CkptSave callbacks land here. A save runs each tile's capture in
+// that tile's memory server, the shard that serves it: the function is
+// queued with EnqueueCtrl and the server is poked with one CtrlMsg packet
+// sent from the LCP endpoint (control endpoints are negative, so the
+// packet neither takes a network delay nor perturbs the server's
+// self-traffic accounting). Restore uses the same path on a freshly constructed,
 // not-yet-started cluster.
 
 import (
@@ -122,8 +122,8 @@ func (p *Proc) RestoreState(ps *checkpoint.ProcState) error {
 	})
 }
 
-// forEachTileCtrl runs fn(i, tile) for every local tile inside that
-// tile's memory-server goroutine and waits for all of them. Errors are
+// forEachTileCtrl runs fn(i, tile) for every local tile in that tile's
+// memory server and waits for all of them; fn must not block. Errors are
 // collected per tile; the first (in stripe order) is returned.
 func (p *Proc) forEachTileCtrl(fn func(i int, t *Tile) error) error {
 	errs := make([]error, len(p.tileList))

@@ -28,7 +28,7 @@ func (c *Cluster) SetCheckpoint(pol *mcp.CheckpointPolicy) {
 
 // CaptureState checkpoints an idle NewCluster cluster directly — before
 // Run, or after Run has returned — without the MCP's drain protocol:
-// every tile is captured in its server goroutine and the manifest
+// every tile is captured in its memory server and the manifest
 // written synchronously. SetCheckpoint must have been called. Running
 // simulations are checkpointed by the MCP at epoch boundaries instead.
 func (c *Cluster) CaptureState(epoch int64) (*checkpoint.Manifest, error) {

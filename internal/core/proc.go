@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/mcp"
+	"repro/internal/memsys"
 	"repro/internal/network"
 	"repro/internal/stats"
 	"repro/internal/synchro"
@@ -132,11 +134,23 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 	return p, nil
 }
 
-// Start launches every server goroutine of the process: one per tile, the
-// LCP, and the MCP on process 0. Each pumps its own endpoint.
+// Start launches every server goroutine of the process: W memory-server
+// shards over its tiles, the LCP, and the MCP on process 0. W is
+// Config.Workers when set, else GOMAXPROCS, and at most the tile count;
+// tile i of the stripe goes to shard i mod W. The shards pump the tiles'
+// endpoints, the LCP and MCP their own.
 func (p *Proc) Start() {
-	for _, t := range p.tileList {
-		t.Start()
+	w := p.cfg.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	w = min(w, len(p.tileList))
+	shards := make([][]*memsys.Node, w)
+	for i, t := range p.tileList {
+		shards[i%w] = append(shards[i%w], t.Mem)
+	}
+	for _, nodes := range shards {
+		go memsys.Serve(nodes...)
 	}
 	go p.lcp.Serve()
 	if p.MCP != nil {

@@ -61,9 +61,9 @@ func (t *Tile) setRPCBlocked(blocked, recv bool) {
 func (t *Tile) Running() bool { return t.active.Load() && !t.rpcBlocked.Load() }
 
 // NewTile builds a tile. net must be registered on the tile's endpoint;
-// the tile makes its memory server the net's pump and sinks the system
-// class into the control-plane port. progress is the process's shared
-// progress window.
+// the tile makes its memory server (the process's shard that serves it,
+// see Proc.Start) the net's pump and sinks the system class into the
+// control-plane port. progress is the process's shared progress window.
 func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clock.ProgressWindow) *Tile {
 	t := &Tile{ID: id, Net: net, cfg: cfg}
 	t.Mem = memsys.NewNode(id, cfg, net, progress)
@@ -82,12 +82,6 @@ func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clo
 	net.SetPrimary(network.ClassMemory)
 	net.SetSink(network.ClassSystem, t.sys.deliver)
 	return t
-}
-
-// Start launches the tile's one server goroutine: the memory node, which
-// also pumps the tile's endpoint for the control plane.
-func (t *Tile) Start() {
-	go t.Mem.Serve()
 }
 
 // sysPort is the tile's end of the control plane. Its sink runs inside the

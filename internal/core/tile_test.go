@@ -11,21 +11,84 @@ import (
 	"repro/internal/coremodel"
 	"repro/internal/network"
 	"repro/internal/simtest"
+	"repro/internal/stats"
 )
 
-// TestClusterGoroutinesPerTile: a tile costs one server goroutine — its
-// memory server, which also pumps the endpoint for the control plane —
-// and each process adds its LCP (and process 0 the MCP).
+// TestClusterGoroutinesPerTile: an idle tile costs no goroutine. A
+// process serves its tiles from W memory-server shards (W = GOMAXPROCS
+// when Config.Workers is unset), which also pump the endpoints for the
+// control plane, and adds its LCP (and process 0 the MCP).
 func TestClusterGoroutinesPerTile(t *testing.T) {
 	const tiles = 256
+	w := min(runtime.GOMAXPROCS(0), tiles)
 	before := runtime.NumGoroutine()
 	c, err := NewCluster(testCfg(tiles, 1), Program{Name: "idle", Funcs: []ThreadFunc{func(*Thread, uint64) {}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if grew := runtime.NumGoroutine() - before; grew > tiles+8 {
-		t.Fatalf("a %d-tile cluster started %d goroutines, want at most %d", tiles, grew, tiles+8)
+	if grew := runtime.NumGoroutine() - before; grew > w+8 {
+		t.Fatalf("a %d-tile cluster started %d goroutines, want at most %d", tiles, grew, w+8)
+	}
+}
+
+// TestShardCountKeepsResults runs one single-thread workload at
+// Config.Workers 1, 2 and 3, which is how many memory-server shards each
+// of the two processes runs. How the tiles are laid out over shards is
+// host execution only: the checksum, the simulated cycles and every total
+// must be identical. The working set stays in the L2, so every message is
+// one link of a request-reply chain; a run of back-to-back dirty
+// evictions would not do, because each eviction notice's progress-window
+// sample races the next miss on any host with two CPUs (ROADMAP item 1).
+func TestShardCountKeepsResults(t *testing.T) {
+	const tiles, procs, lines = 16, 2, 128 // 8 KB of lines in a 16 KB L2
+	type result struct {
+		sum    uint64
+		cycles arch.Cycles
+		totals stats.Totals
+	}
+	var ref result
+	for _, w := range []int{1, 2, 3} {
+		var sum uint64
+		prog := Program{Name: "strided", Funcs: []ThreadFunc{func(th *Thread, _ uint64) {
+			// One word per line, homes striped over every tile: the first
+			// pass misses to every home and upgrades, later passes hit.
+			a := th.Malloc(lines * 64)
+			for pass := uint64(1); pass <= 3; pass++ {
+				for i := uint64(0); i < lines; i++ {
+					at := a + arch.Addr(i*64)
+					th.Store64(at, th.Load64(at)+i*pass)
+				}
+			}
+			for i := uint64(0); i < lines; i++ {
+				sum += th.Load64(a + arch.Addr(i*64))
+			}
+		}}}
+		cfg := testCfg(tiles, procs)
+		cfg.Workers = w
+		before := runtime.NumGoroutine()
+		c, err := NewCluster(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grew := runtime.NumGoroutine() - before; grew > procs*w+8 {
+			c.Close()
+			t.Fatalf("Workers=%d: cluster started %d goroutines, want at most %d", w, grew, procs*w+8)
+		}
+		rs, err := runCluster(t, c, 0)
+		c.Close()
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		got := result{sum, rs.SimulatedCycles, rs.Totals}
+		if got.sum != 6*(lines*(lines-1)/2) {
+			t.Fatalf("Workers=%d: checksum %d", w, got.sum)
+		}
+		if w == 1 {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("Workers=%d differs from Workers=1:\n  got  %+v\n  want %+v", w, got, ref)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func (n *Node) access(addr arch.Addr, buf []byte, isWrite, ifetch bool, now arch
 // accessLine performs one within-line reference. The hit path is
 // lock-free: one claim CAS and one release CAS on the tile-local
 // ownership word are the entire synchronization cost of an L1 or L2 hit —
-// no mutex, no shared-state round trip with the server goroutine. Misses
+// no mutex, no shared-state round trip with the server. Misses
 // additionally take mu to stage the outstanding request and to hand the
 // domain over for the blocking wait.
 //

@@ -20,10 +20,11 @@ import (
 
 // cluster wires N tiles' memory nodes over a channel fabric in one process.
 type cluster struct {
-	cfg   config.Config
-	fab   *transport.ChannelFabric
-	nets  []*network.Net
-	nodes []*Node
+	cfg    config.Config
+	fab    *transport.ChannelFabric
+	nets   []*network.Net
+	nodes  []*Node
+	shards sync.WaitGroup // one per Serve loop
 }
 
 func testConfig(tiles int) config.Config {
@@ -36,7 +37,14 @@ func testConfig(tiles int) config.Config {
 	return cfg
 }
 
+// newCluster serves every node from a shard of its own.
 func newCluster(t testing.TB, cfg config.Config) *cluster {
+	return newShardedCluster(t, cfg, cfg.Tiles)
+}
+
+// newShardedCluster serves the nodes from w shards, node i in shard i mod
+// w, the layout core.Proc.Start uses.
+func newShardedCluster(t testing.TB, cfg config.Config, w int) *cluster {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -46,6 +54,7 @@ func newCluster(t testing.TB, cfg config.Config) *cluster {
 	models := network.NewModels(&cfg, prog)
 	c.fab = transport.NewChannelFabric(transport.StripedRoute(1))
 	tr := c.fab.Process(0)
+	shards := make([][]*Node, w)
 	for tile := 0; tile < cfg.Tiles; tile++ {
 		ep, err := tr.Register(transport.TileEndpoint(arch.TileID(tile)))
 		if err != nil {
@@ -54,14 +63,33 @@ func newCluster(t testing.TB, cfg config.Config) *cluster {
 		net := network.New(arch.TileID(tile), tr, ep, models, prog)
 		net.SetPrimary(network.ClassMemory)
 		node := NewNode(arch.TileID(tile), &c.cfg, net, prog)
-		go node.Serve()
+		shards[tile%w] = append(shards[tile%w], node)
 		c.nets = append(c.nets, net)
 		c.nodes = append(c.nodes, node)
+	}
+	for _, nodes := range shards {
+		c.shards.Add(1)
+		go func() {
+			defer c.shards.Done()
+			Serve(nodes...)
+		}()
 	}
 	t.Cleanup(c.close)
 	return c
 }
 
+// inShardLayouts runs test on a fresh cluster in each shard layout the
+// property tests cover: one shard per node, one shard for all nodes, and
+// three shards.
+func inShardLayouts(t *testing.T, cfg config.Config, test func(t *testing.T, c *cluster)) {
+	for _, w := range []int{cfg.Tiles, 1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", w), func(t *testing.T) {
+			test(t, newShardedCluster(t, cfg, w))
+		})
+	}
+}
+
+// close tears the cluster down and waits until every shard has returned.
 func (c *cluster) close() {
 	for _, n := range c.nets {
 		n.Close()
@@ -70,6 +98,7 @@ func (c *cluster) close() {
 	for _, n := range c.nodes {
 		<-n.Stopped()
 	}
+	c.shards.Wait()
 }
 
 func TestReadUninitializedIsZero(t *testing.T) {
@@ -577,6 +606,27 @@ func BenchmarkLocalHitPath256(b *testing.B) {
 	}
 }
 
+// BenchmarkRemoteMiss: two tiles write one line in turn, so every write
+// finds it Modified at the other tile and is a full remote miss through
+// the home — the exchange of benchmark/'s memsys.remote_miss_us fixture.
+// It runs with both writers in one shard and with them in two.
+func BenchmarkRemoteMiss(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", w), func(b *testing.B) {
+			cfg := config.Default()
+			cfg.Tiles = 4
+			c := newShardedCluster(b, cfg, w)
+			buf := make([]byte, 8)
+			now := arch.Cycles(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += c.nodes[i&1].Write(0xA000, buf, now).Latency
+			}
+		})
+	}
+}
+
 // TestAccessAfterTeardownReturns pins the teardown contract a wedged run
 // relies on: a core that misses, peeks or pokes for the first time after
 // its tile's server has already exited (Cluster.Close racing a thread that
@@ -592,5 +642,54 @@ func TestAccessAfterTeardownReturns(t *testing.T) {
 		c.nodes[0].Read(0x2080, buf, 10) // and again on the same tile
 		c.nodes[0].Peek(0x1040, buf)
 		c.nodes[0].Poke(0x1040, buf)
+	})
+}
+
+// TestShardDrainsClosedNodeThenTearsItDown: a shard serves what a closed
+// node's endpoint still holds before it tears that node down, keeps
+// serving its other nodes, and returns once every node is down.
+func TestShardDrainsClosedNodeThenTearsItDown(t *testing.T) {
+	c := newShardedCluster(t, testConfig(3), 1)
+	tr := c.fab.Process(0)
+	ep, err := tr.Register(transport.LCP(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := network.New(arch.TileID(transport.LCP(0)), tr, ep, network.NewModels(&c.cfg, nil), nil)
+	ctrl.SetPrimary(network.ClassMemory)
+	// Hold the shard inside a control function of tile 0 while a peek of
+	// a line homed at tile 2 lands in tile 2's endpoint and tile 2's
+	// network closes.
+	held, release := make(chan struct{}), make(chan struct{})
+	c.nodes[0].EnqueueCtrl(func() {
+		close(held)
+		<-release
+	})
+	if _, err := ctrl.Send(network.ClassMemory, CtrlMsg, 0, 0, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	simtest.Deadline(t, 30*time.Second, func() {
+		<-held
+		peek := encodePeek(nil, peekPayload{addr: 2 * 64, n: 8})
+		if _, err := ctrl.Send(network.ClassMemory, msgPeek, 2, 1, peek, 0); err != nil {
+			t.Error(err)
+		}
+		c.nets[2].Close()
+		close(release)
+		if rep, ok := ctrl.Recv(network.ClassMemory); !ok || rep.Type != msgPeekRep {
+			t.Errorf("closed tile's held peek answered with %s (ok=%v), want its PeekRep", msgName(rep.Type), ok)
+			return
+		}
+		<-c.nodes[2].Stopped()
+
+		// Tiles 0 and 1 keep their server: a line homed at tile 1 moves
+		// from tile 0's cache to tile 1's.
+		c.nodes[0].Write(1*64, []byte{7}, 0)
+		got := make([]byte, 1)
+		c.nodes[1].Read(1*64, got, 100)
+		if got[0] != 7 {
+			t.Errorf("tile 1 read %d after tile 0 wrote 7", got[0])
+		}
+		c.close() // waits for the shard to return
 	})
 }

@@ -9,18 +9,21 @@
 // every load or store is served through the protocol. A simulation that
 // completes with correct program output therefore validates the protocol.
 //
-// Concurrency model. Each tile runs one memory server goroutine (Serve)
-// that processes all memory-class packets addressed to the tile — its
-// home/directory role, coherence commands against its caches, and replies
-// completing its core's outstanding miss. The tile's core context issues
-// at most one outstanding request at a time (one app thread per tile).
+// Concurrency model. Each tile is served by exactly one memory-server
+// shard (Serve), a loop that serves a fixed set of tiles and processes all
+// memory-class packets addressed to each — its home/directory role,
+// coherence commands against its caches, and replies completing its
+// core's outstanding miss. "The server" below is the shard acting for one
+// tile: it handles one tile at a time, so per tile it behaves like a
+// dedicated server. The tile's core context issues at most one
+// outstanding request at a time (one app thread per tile).
 //
 // The caches are a single-writer domain guarded by a biased ownership
 // word (Node.coreState), not a mutex: the core context claims the word
 // with one CAS per access and releases it with another, and the hot path
 // — an L1/L2 hit — runs with zero locks between those two operations.
 // Home-initiated interventions (Inv/Wb/Flush) never touch the caches from
-// the server goroutine while the core holds the word: they are published
+// the server while the core holds the word: they are published
 // through an intervention mailbox plus a pending bit that the core's
 // release observes and drains. When the word is free — the tile's thread
 // is blocked on its own miss, in a control-plane RPC, computing natively,
@@ -33,7 +36,8 @@
 // A tile's home — its directory and DRAM controller — is one unit under
 // one mutex, taken by the server per home message and by the core only in
 // the local-home shortcuts. The server's outgoing messages are batched
-// per destination and flushed before the server blocks or wakes its core,
+// per destination and flushed before the shard moves to another tile,
+// sleeps, or wakes the tile's core,
 // which preserves the per-sender-FIFO orderings the protocol relies on
 // (see the race analysis in DESIGN.md).
 package memsys

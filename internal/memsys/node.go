@@ -17,7 +17,7 @@ import (
 )
 
 // pendingReq is the tile's single outstanding memory request. The server
-// goroutine routes the completing reply packet to done; the core context
+// routes the completing reply packet to done; the core context
 // applies it (installs the line, performs the operation) on wake.
 type pendingReq struct {
 	seq     uint64
@@ -48,7 +48,7 @@ type dirLine struct {
 // home is the tile's home role as one lock-guarded unit: the directory
 // state of every line homed here and the DRAM controller behind it (paper
 // §3.2: one directory and one memory controller per tile). Only two
-// goroutines ever take mu — the tile's memory server, for every home
+// goroutines ever take mu — the shard serving the tile, for every home
 // message, and the goroutine driving the tile's core, in the local-home
 // shortcuts (localMiss, localEvict, FlushAll) — so one lock costs nothing
 // a finer split would save.
@@ -106,7 +106,7 @@ type txn struct {
 //	             (under mu) to apply an intervention against an idle tile.
 //	stCoreActive the core context is inside an access and owns the domain
 //	             lock-free.
-//	stSrvBusy    the server goroutine owns the domain (idle tile) and is
+//	stSrvBusy    the server owns the domain (idle tile) and is
 //	             applying interventions. Set and cleared only under mu.
 //	stPending    ORed onto stCoreActive by the server: interventions are
 //	             queued in the mailbox. The core's release CAS fails on it
@@ -124,12 +124,13 @@ const (
 //   - the core domain: caches, miss-classification state, and the hot
 //     statistics counters. Single-writer: it is mutated by the core
 //     context (the goroutine driving Read/Write/Fetch) while the tile is
-//     unparked, and by the server goroutine only while the tile is parked.
-//     The coreState word plus mu mediate every ownership transfer.
+//     unparked, and by its server (the shard serving the tile) only while
+//     the tile is parked. The coreState word plus mu mediate every
+//     ownership transfer.
 //   - the home domain: directory state for lines homed here and the DRAM
 //     controller, under home.mu.
 //
-// The server goroutine takes exactly one domain lock per message; the
+// The server takes exactly one domain lock per message; the
 // only nesting is the core context's mu → home.mu in the local-home
 // shortcuts, never the reverse.
 type Node struct {
@@ -158,9 +159,9 @@ type Node struct {
 	// home is the tile's directory and DRAM controller.
 	home home
 
-	// out batches the server goroutine's outgoing protocol messages per
-	// destination; Serve flushes it before blocking and before waking the
-	// local core. Owned by the server goroutine.
+	// out batches the server's outgoing protocol messages per
+	// destination; Serve flushes it at the end of every burst, before
+	// waking the local core. Owned by the server.
 	out *network.Batch
 
 	// Single outstanding core request, guarded by mu. reqSlot and
@@ -200,7 +201,7 @@ type Node struct {
 	// Payload scratch buffers: an encoded payload lives only until the
 	// next Send (which copies it into the wire frame), so each sending
 	// context recycles one buffer. coreScratch belongs to the core
-	// context; srvScratch and grantBuf belong to the server goroutine.
+	// context; srvScratch and grantBuf belong to the server.
 	coreScratch []byte
 	srvScratch  []byte
 	grantBuf    []byte
@@ -219,13 +220,19 @@ type Node struct {
 	flushMeta []flushVictim
 
 	// ctrlQ holds control functions (checkpoint capture/restore) queued
-	// by EnqueueCtrl for the server goroutine to run on the next msgCkpt
+	// by EnqueueCtrl for the server to run on the next msgCkpt
 	// packet, serialized with dispatch like any other message.
 	ctrlMu sync.Mutex
 	ctrlQ  []func()
 
 	lineBits uint
 	lineSize int
+
+	// queued marks the node as on its shard's ready list (guarded by the
+	// shard's lock); down is set by the shard when it tears the node down
+	// (shard goroutine only).
+	queued bool
+	down   bool
 
 	stopped chan struct{}
 }
@@ -352,7 +359,7 @@ func (n *Node) drainLocked(srv bool) {
 // tile whose thread is blocked, napping, computing natively, or long gone
 // can never stall the protocol. A tile whose core is mid-access gets the
 // command queued in the mailbox, flagged by stPending; the core's release
-// CAS observes the flag and drains. Called by the server goroutine only.
+// CAS observes the flag and drains. Called by the server only.
 func (n *Node) queueIntervention(pkt network.Packet) {
 	n.mu.Lock()
 	n.intvQ = append(n.intvQ, pkt)
@@ -424,10 +431,10 @@ func (n *Node) send(typ uint8, dst arch.TileID, seq uint64, payload []byte, now 
 	return arrival
 }
 
-// sendSrv queues a memory-class packet on the server goroutine's batch;
-// Serve flushes it before blocking and before waking the local core, which
+// sendSrv queues a memory-class packet on the server's batch; Serve
+// flushes it at the end of the burst, before waking the local core, which
 // preserves per-sender FIFO against the core context's immediate sends.
-// Only the server goroutine may call it.
+// Only the server may call it.
 func (n *Node) sendSrv(typ uint8, dst arch.TileID, seq uint64, payload []byte, now arch.Cycles) arch.Cycles {
 	if dst == n.tile {
 		n.selfInflight.Add(1)

@@ -199,9 +199,14 @@ func TestWriteMaskTracksWords(t *testing.T) {
 //     Loads) and the L2 is consulted exactly once per store and per L1D
 //     miss — identities that would be violated if an intervention ever
 //     raced the hit path into a double count or a lost one.
+//
+// It runs in every shard layout: a shard serving several of the four
+// tiles must keep all of this while it interleaves their traffic.
 func TestLockFreeHitPathUnderInvalidationStorm(t *testing.T) {
-	cfg := testConfig(4)
-	c := newCluster(t, cfg)
+	inShardLayouts(t, testConfig(4), invalidationStorm)
+}
+
+func invalidationStorm(t *testing.T, c *cluster) {
 	const lines = 8
 	const iters = 300
 	base := arch.Addr(0x500000)
@@ -284,11 +289,14 @@ func TestLockFreeHitPathUnderInvalidationStorm(t *testing.T) {
 // walk. Under -race the concurrent readers hammer the SoA cache handles
 // and the home's shared directory store; the exact invalidation count
 // proves no sharer bit in either word is lost or double-counted across
-// rounds.
+// rounds, in every shard layout.
 func TestManySharerInvalidationStormSoA(t *testing.T) {
+	inShardLayouts(t, testConfig(72), manySharerStorm)
+}
+
+func manySharerStorm(t *testing.T, c *cluster) {
 	const tiles = 72
 	const rounds = 20
-	c := newCluster(t, testConfig(tiles))
 	addr := arch.Addr(0x660000)
 	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup

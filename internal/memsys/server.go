@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -10,33 +11,45 @@ import (
 	"repro/internal/transport"
 )
 
-// coreWake is a deferred completion of the local core's outstanding miss:
-// Serve delivers the reply packet only after flushing batched sends (see
-// Serve). The core context applies the completion itself on wake.
+// coreWake is a deferred completion of a tile's outstanding miss: the
+// shard delivers the reply packet only after flushing the node's batched
+// sends. The core context applies the completion itself on wake.
 type coreWake struct {
 	done chan network.Packet
 	pkt  network.Packet
 }
 
-// maxDrain bounds how many queued packets Serve processes before flushing
-// batched sends and waking the local core, so a long inbound burst cannot
-// starve either. Within the bound, replies produced while draining a burst
-// coalesce into one transport operation per destination.
+// maxDrain bounds how many queued packets a shard processes for one node
+// before flushing its batched sends, waking its core and moving on, so a
+// long inbound burst can starve neither them nor the shard's other nodes.
+// Within the bound, replies produced while draining a burst coalesce into
+// one transport operation per destination.
 const maxDrain = 64
 
-// Serve is the tile's memory server loop. It processes every memory-class
-// packet addressed to this tile — directory requests for lines homed here,
-// coherence commands for lines cached here, and replies that complete the
-// local core's outstanding miss. It returns when the network closes. Its
-// receives pump the tile's endpoint, so they also deliver the tile's
-// other traffic classes to their sinks and queues (network.Net).
+// Serve is a memory-server shard: one loop that serves every node given,
+// until the networks of all of them have closed. For each node it
+// processes every memory-class packet addressed to that tile — directory
+// requests for lines homed there, coherence commands for lines cached
+// there, and replies that complete the tile's outstanding miss. Its
+// receives pump the tiles' endpoints, so they also deliver the tiles'
+// other traffic classes to their sinks and queues (network.Net). A
+// process runs a few shards over all of its tiles (core.Proc.Start).
 //
-// The server never blocks on other tiles: home transactions are a state
-// machine (blocking directory with per-line pending queues), so the
-// distributed protocol cannot deadlock even while this tile's own core is
-// blocked on a miss.
+// The shard keeps a ready list of its nodes whose endpoints hold frames,
+// in the order they became ready (the endpoints' readiness callbacks feed
+// it), and sleeps only while it is empty. It takes one node at a time and
+// drains a bounded burst from it; a node that may still hold frames after
+// a full burst goes to the back of the list, because its endpoint will
+// not fire again until it has been emptied.
 //
-// The server does not own this tile's caches: the core context does (see
+// A shard never blocks on other tiles: home transactions are a state
+// machine (blocking directory with per-line pending queues), and every
+// lock a handler takes is held by others only for bounded, non-blocking
+// work. So the distributed protocol cannot deadlock even while a served
+// tile's core is blocked on a miss, nor because one loop serves many
+// tiles.
+//
+// The shard does not own a tile's caches: the core context does (see
 // DESIGN.md §13). Inv/Wb/Flush commands are applied directly only after
 // claiming the free ownership word (an idle tile); against a mid-access
 // core they are published to the intervention mailbox for the core to
@@ -44,44 +57,27 @@ const maxDrain = 64
 // which installs the granted line itself after ownership returns with the
 // hand-off.
 //
-// Outgoing messages are batched per destination and flushed when the
-// inbound queue is momentarily empty (or maxDrain is hit) — always before
-// Serve blocks again, which keeps the protocol live, and always before a
-// waiting core is woken, which keeps per-sender FIFO intact: a woken core
-// may immediately send new messages (a miss for a line whose flush reply
-// is still sitting in the batch, say) that must not overtake them.
-func (n *Node) Serve() {
-	defer func() {
-		// Teardown: unblock a core waiting on a completion that will never
-		// arrive, and every request a still-running thread stages from
-		// here on — each finds the channel closed and returns at once, so
-		// Cluster.Close can wait for the thread. The request slot is dead
-		// from here on.
-		n.mu.Lock()
-		n.pending = nil
-		close(n.reqDone)
-		n.mu.Unlock()
-		close(n.stopped)
-	}()
+// Outgoing messages are batched per destination and flushed at the end of
+// every burst — before the shard moves to its next node or sleeps, which
+// keeps the protocol live, and before the node's waiting core is woken,
+// which keeps per-sender FIFO intact: a woken core may immediately send
+// new messages (a miss for a line whose flush reply is still sitting in
+// the batch, say) that must not overtake them.
+func Serve(nodes ...*Node) {
+	s := &shard{ring: make([]*Node, len(nodes))}
+	s.cond.L = &s.mu
+	for _, n := range nodes {
+		n.net.SetNotify(func() { s.ready(n) })
+	}
 	var wake []coreWake
 	var burst [maxDrain]network.Packet
-	for {
-		pkt, ok := n.net.Recv(network.ClassMemory)
-		if !ok {
-			n.flushSends()
-			return
+	for live := len(nodes); live > 0; {
+		n := s.next()
+		if n.down {
+			continue // readied by its own Close after it was torn down
 		}
-		if done, rep := n.dispatch(pkt); done != nil {
-			wake = append(wake, coreWake{done, rep})
-		}
-		if pkt.Src == n.tile {
-			n.selfInflight.Add(-1)
-		}
-		// Drain whatever else the transport already delivered before
-		// flushing and waking, bounded so a long inbound stream can starve
-		// neither the flush nor the waiting core.
-		k := n.net.TryRecvBurst(burst[1:])
-		for i := 1; i <= k; i++ {
+		k, open := n.net.TryRecvBurst(burst[:])
+		for i := 0; i < k; i++ {
 			if done, rep := n.dispatch(burst[i]); done != nil {
 				wake = append(wake, coreWake{done, rep})
 			}
@@ -96,7 +92,71 @@ func (n *Node) Serve() {
 			wake[i] = coreWake{}
 		}
 		wake = wake[:0]
+		switch {
+		case !open:
+			n.stop()
+			live--
+		case k == len(burst):
+			s.ready(n)
+		}
 	}
+}
+
+// Serve serves this node alone: a shard of one.
+func (n *Node) Serve() { Serve(n) }
+
+// shard is a Serve loop's ready list: a FIFO ring of the nodes whose
+// endpoints have frames waiting, each on it at most once (Node.queued).
+type shard struct {
+	mu    sync.Mutex
+	cond  sync.Cond // the loop waits here while the ring is empty
+	ring  []*Node
+	head  int
+	count int
+}
+
+// ready appends n unless it is already listed. It runs in endpoint
+// readiness callbacks, so it never blocks beyond the shard lock.
+func (s *shard) ready(n *Node) {
+	s.mu.Lock()
+	if !n.queued {
+		n.queued = true
+		s.ring[(s.head+s.count)%len(s.ring)] = n
+		s.count++
+		s.cond.Signal()
+	}
+	s.mu.Unlock()
+}
+
+// next pops the oldest ready node, sleeping while there is none. The node
+// is unlisted from here on, so readiness that arrives while the loop
+// drains it lists it again.
+func (s *shard) next() *Node {
+	s.mu.Lock()
+	for s.count == 0 {
+		s.cond.Wait()
+	}
+	n := s.ring[s.head]
+	s.ring[s.head] = nil
+	s.head = (s.head + 1) % len(s.ring)
+	s.count--
+	n.queued = false
+	s.mu.Unlock()
+	return n
+}
+
+// stop tears down a node whose endpoint has closed and drained, once:
+// unblock a core waiting on a completion that will never arrive, and
+// every request a still-running thread stages from here on — each finds
+// the channel closed and returns at once, so Cluster.Close can wait for
+// the thread. The request slot is dead from here on.
+func (n *Node) stop() {
+	n.down = true
+	n.mu.Lock()
+	n.pending = nil
+	close(n.reqDone)
+	n.mu.Unlock()
+	close(n.stopped)
 }
 
 // flushSends pushes the server's batched messages onto the fabric.
@@ -489,7 +549,7 @@ func (n *Node) handleEvictM(pkt network.Packet, p dataPayload) {
 // applyIntervention serves one Inv/Wb/Flush command against the local
 // caches. It runs in whichever context owns the core domain at the time:
 // the core context draining its mailbox (srv == false, immediate replies)
-// or the server goroutine while the core is parked (srv == true, batched
+// or the server while the core is parked (srv == true, batched
 // replies flushed before the core can wake). Called with mu held.
 func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 	line, err := decodeLine(pkt.Payload)

@@ -1,10 +1,10 @@
 package memsys
 
-// Checkpoint support. A tile's memory state is captured and restored
-// inside its own server goroutine: the control plane queues a function
-// with EnqueueCtrl and pokes the server with a CtrlMsg packet, so the
-// snapshot is serialized with message dispatch exactly like any protocol
-// message. The happens-before chain to the parked core context — the
+// Checkpoint support. A tile's memory state is captured and restored by
+// its own server (the shard serving it): the control plane queues a
+// function with EnqueueCtrl and pokes the server with a CtrlMsg packet,
+// so the snapshot is serialized with message dispatch exactly like any
+// protocol message. The happens-before chain to the parked core context — the
 // thread's last cache writes precede its barrier park, which precedes the
 // MCP's decision to checkpoint, which precedes the control packet's
 // delivery here — makes the core-domain reads race-free; the ownership
@@ -27,9 +27,10 @@ import (
 // itself, and a control packet must not participate in that accounting.
 const CtrlMsg = msgCkpt
 
-// EnqueueCtrl queues fn to run inside the server goroutine. The caller
-// must then send a CtrlMsg packet to this tile from a control endpoint;
-// the server runs every queued function when the packet arrives.
+// EnqueueCtrl queues fn to run in the node's server. fn must not block:
+// the shard serves other tiles too. The caller must then send a CtrlMsg
+// packet to this tile from a control endpoint; the server runs every
+// queued function when the packet arrives.
 func (n *Node) EnqueueCtrl(fn func()) {
 	n.ctrlMu.Lock()
 	n.ctrlQ = append(n.ctrlQ, fn)
@@ -63,7 +64,7 @@ func (n *Node) Quiesced() bool {
 }
 
 // Capture fills ts with the node's complete memory state. It must run in
-// the server goroutine (via EnqueueCtrl) on a quiesced, drained tile; it
+// the node's server (via EnqueueCtrl) on a quiesced, drained tile; it
 // errors rather than snapshotting a tile that still has protocol work in
 // flight.
 func (n *Node) Capture(ts *checkpoint.TileState) error {
@@ -125,7 +126,7 @@ func (n *Node) Capture(ts *checkpoint.TileState) error {
 
 // Restore overwrites the node's memory state from a snapshot taken by
 // Capture on an identically configured tile. Like Capture it must run in
-// the server goroutine of a quiesced node — in practice a freshly
+// the server of a quiesced node — in practice a freshly
 // constructed cluster before any thread has started.
 func (n *Node) Restore(ts *checkpoint.TileState) error {
 	if arch.TileID(ts.Tile) != n.tile {

@@ -168,9 +168,9 @@ func (q *pktQueue) close() {
 // function installed with SetSink, or by default the class queue that
 // Recv/RecvMatch read. Other classes are therefore delivered only while
 // the pump consumer receives. The pump class is ClassSystem (the control
-// endpoints receive nothing else) unless SetPrimary names another: a
-// tile's memory server pumps ClassMemory, and the tile sinks its system
-// traffic (see core.Tile).
+// endpoints receive nothing else) unless SetPrimary names another: the
+// memory-server shard that serves a tile pumps ClassMemory with
+// TryRecvBurst, and the tile sinks its system traffic (see core.Tile).
 type Net struct {
 	node      arch.TileID // may be negative for control endpoints
 	tr        transport.Transport
@@ -203,10 +203,10 @@ func (n *Net) Node() arch.TileID { return n.node }
 func (n *Net) SetPrimary(c Class) { n.pumped = c }
 
 // SetSink hands class c's packets to fn instead of queueing them for
-// Recv. fn runs inside the pump consumer's Recv, on its goroutine, so it
-// must not block; it sees the packets in arrival order with ok == true,
-// then ok == false exactly once when the endpoint closes. Call before the
-// first Recv.
+// Recv. fn runs inside the pump consumer's Recv or TryRecvBurst, on its
+// goroutine, so it must not block; it sees the packets in arrival order
+// with ok == true, then ok == false exactly once when the endpoint
+// closes. Call before the first Recv.
 func (n *Net) SetSink(c Class, fn func(pkt Packet, ok bool)) { n.sinks[c] = fn }
 
 // Start is a no-op kept because benchmark/, edited only in benchmark PRs, calls it.
@@ -302,15 +302,26 @@ func (n *Net) Recv(class Class) (Packet, bool) {
 	return n.queues[class].get()
 }
 
+// SetNotify installs the endpoint's readiness callback (see
+// transport.Endpoint.SetNotify): a pump consumer that serves many Nets
+// from one loop drains each with TryRecvBurst when it fires, instead of
+// blocking in Recv.
+func (n *Net) SetNotify(fn func()) { n.ep.SetNotify(fn) }
+
 // TryRecvBurst moves up to len(out) pump-class packets the transport has
 // already delivered into out without blocking, delivering other classes
-// on the way, and returns the count. Only the pump consumer calls it:
-// server loops drain a burst this way before flushing batched replies.
-func (n *Net) TryRecvBurst(out []Packet) int {
-	k := 0
+// on the way, and returns the count. open is false once the endpoint is
+// closed and drained; the sinks then hear of the close, once, as from
+// Recv. Only the pump consumer calls it: server loops drain a burst this
+// way before flushing batched replies.
+func (n *Net) TryRecvBurst(out []Packet) (k int, open bool) {
 	for k < len(out) {
 		frame, ok, err := n.ep.TryRecv()
-		if err != nil || !ok {
+		if err != nil {
+			n.closeOnce.Do(n.closeSinks)
+			return k, false
+		}
+		if !ok {
 			break
 		}
 		pkt, derr := Decode(frame)
@@ -325,7 +336,7 @@ func (n *Net) TryRecvBurst(out []Packet) int {
 			n.deliver(pkt)
 		}
 	}
-	return k
+	return k, true
 }
 
 // RecvMatch blocks for the next queued packet of a non-pump class

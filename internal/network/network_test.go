@@ -518,3 +518,57 @@ func TestNetSinkSeesArrivalOrderAndCloseOnce(t *testing.T) {
 		t.Fatalf("sink told of close %d times, want 1", closes)
 	}
 }
+
+// TestNetTryRecvBurstReportsCloseOnce: a pump consumer that never blocks
+// (a memory-server shard) drains what a closed endpoint still holds
+// before TryRecvBurst reports the close, sees other classes go to their
+// sinks on the way, and the sinks hear of the close once however often
+// the consumer asks again.
+func TestNetTryRecvBurstReportsCloseOnce(t *testing.T) {
+	cfg := config.Default()
+	cfg.Tiles = 2
+	fab := transport.NewChannelFabric(transport.StripedRoute(1))
+	defer fab.Close()
+	tr := fab.Process(0)
+	models := NewModels(&cfg, nil)
+	var nets [2]*Net
+	for i := range nets {
+		ep, err := tr.Register(transport.TileEndpoint(arch.TileID(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[i] = New(arch.TileID(i), tr, ep, models, nil)
+		nets[i].SetPrimary(ClassMemory)
+	}
+	var sys, closes int
+	nets[1].SetSink(ClassSystem, func(_ Packet, ok bool) {
+		if ok {
+			sys++
+		} else {
+			closes++
+		}
+	})
+	for i := uint64(1); i <= 3; i++ {
+		nets[0].Send(ClassMemory, 0, 1, i, nil, 0)
+		nets[0].Send(ClassSystem, 0, 1, i, nil, 0)
+	}
+	nets[1].Close()
+	var out [2]Packet
+	for _, want := range []struct {
+		seqs []uint64
+		open bool
+	}{{[]uint64{1, 2}, true}, {[]uint64{3}, false}, {nil, false}} {
+		k, open := nets[1].TryRecvBurst(out[:])
+		if k != len(want.seqs) || open != want.open {
+			t.Fatalf("TryRecvBurst = %d packets, open %v; want %d, open %v", k, open, len(want.seqs), want.open)
+		}
+		for i, seq := range want.seqs {
+			if out[i].Seq != seq {
+				t.Fatalf("packet %d has seq %d, want %d", i, out[i].Seq, seq)
+			}
+		}
+	}
+	if sys != 3 || closes != 1 {
+		t.Fatalf("system sink saw %d packets and %d closes, want 3 and 1", sys, closes)
+	}
+}

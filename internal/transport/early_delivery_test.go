@@ -66,6 +66,30 @@ func TestEarlyFramesWaitForRegister(t *testing.T) {
 		}
 	}
 
+	// A tile endpoint served the way a memory-server shard serves it —
+	// woken by the readiness callback, never blocked in Recv — must be
+	// served its early frames too: installing the callback over them
+	// fires it, as no later push would.
+	if err := d0.tr.SendBatch(3, [][]byte{{0}, {1}, {2}}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	ep, err = d1.tr.Register(TileEndpoint(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan []byte, n)
+	go shardServe(ep, served)
+	defer ep.Close() // returns the shard
+	if err := d0.tr.Send(3, []byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if got := recvServed(t, served); len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("shard-served frame %d: got %v", i, got)
+		}
+	}
+
 	// The same for a control endpoint, whose held frames wait in the
 	// fabric's control map. Meanwhile a send from the owning process
 	// itself is still refused: only Register makes an endpoint reachable

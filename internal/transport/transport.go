@@ -111,6 +111,8 @@ type Endpoint struct {
 	head   int
 	count  int
 	closed bool
+	// notify is the readiness callback installed by SetNotify, or nil.
+	notify func()
 	// claimed is set by Register. An unclaimed endpoint holds frames that
 	// another process sent before the local Register; it is guarded by the
 	// owning fabric's mu, not by the endpoint's.
@@ -161,12 +163,17 @@ func (e *Endpoint) pop() []byte {
 
 func (e *Endpoint) put(data []byte) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
+		e.mu.Unlock()
 		return ErrClosed
 	}
+	fire := e.readyFn()
 	e.push(data)
 	e.cond.Signal()
+	e.mu.Unlock()
+	if fire != nil {
+		fire()
+	}
 	return nil
 }
 
@@ -174,10 +181,11 @@ func (e *Endpoint) put(data []byte) error {
 // receiver once, preserving the order of frames.
 func (e *Endpoint) putBatch(frames [][]byte) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
+		e.mu.Unlock()
 		return ErrClosed
 	}
+	fire := e.readyFn()
 	e.grow(len(frames))
 	for _, f := range frames {
 		e.buf[(e.head+e.count)%len(e.buf)] = f
@@ -190,7 +198,38 @@ func (e *Endpoint) putBatch(frames [][]byte) error {
 	} else {
 		e.cond.Signal()
 	}
+	e.mu.Unlock()
+	if fire != nil {
+		fire()
+	}
 	return nil
+}
+
+// readyFn returns the readiness callback a push about to land must fire:
+// the installed one if the endpoint is empty, else nil. Called with mu
+// held, before the push.
+func (e *Endpoint) readyFn() func() {
+	if e.count == 0 {
+		return e.notify
+	}
+	return nil
+}
+
+// SetNotify installs fn as the endpoint's readiness callback, for a
+// consumer that drains with TryRecv instead of blocking in Recv. fn runs
+// outside the endpoint lock and must not block. It fires when the
+// endpoint goes from empty to non-empty, when it closes, and at install
+// if frames are already held or the endpoint is already closed. A push to
+// a non-empty endpoint fires nothing, so the consumer must drain until
+// TryRecv finds the endpoint empty, or come back on its own.
+func (e *Endpoint) SetNotify(fn func()) {
+	e.mu.Lock()
+	e.notify = fn
+	ready := e.count > 0 || e.closed
+	e.mu.Unlock()
+	if ready {
+		fn()
+	}
 }
 
 // Recv blocks until a message arrives and returns it. It returns
@@ -221,12 +260,20 @@ func (e *Endpoint) TryRecv() (data []byte, ok bool, err error) {
 	return e.pop(), true, nil
 }
 
-// Close closes only this endpoint.
+// Close closes only this endpoint. The first Close fires the readiness
+// callback.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	var fire func()
+	if !e.closed {
+		fire = e.notify
+	}
 	e.closed = true
 	e.cond.Broadcast()
+	e.mu.Unlock()
+	if fire != nil {
+		fire()
+	}
 	return nil
 }
 

@@ -190,8 +190,8 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 	case <-m.Stopped():
 		// The MCP's receive loop ended before the run did: the transport
 		// failed the fabric underneath it (a peer write error closes it;
-		// see transport.closedOr). This is how a lost peer is seen when
-		// nobody supervises the remote processes.
+		// see the TCP transport's fail). This is how a lost peer is seen
+		// when nobody supervises the remote processes.
 		return nil, fmt.Errorf("%w (fabric transport failed)", ErrWorkerDied)
 	}
 	wall := time.Since(start) //graphite:wallclock wall_sec slowdown reporting; excluded from reproducibility diffs

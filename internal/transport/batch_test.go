@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/arch"
 )
 
 // frameVal tags a frame with its sender and a per-sender sequence number.
@@ -109,32 +106,11 @@ func TestChannelBatchEmptyAndErrors(t *testing.T) {
 }
 
 // TestTCPBatchFIFO runs the same mixed Send/SendBatch FIFO check across a
-// real two-process TCP fabric, covering remote batches (frames written
-// back to back, one flush) and local-delivery batches.
+// real two-process TCP fabric, covering remote batches (frames appended
+// for the peer's writer) and local-delivery batches.
 func TestTCPBatchFIFO(t *testing.T) {
 	const perSender = 200
-	addrs := tcpAddrs(t, 2)
-	route := StripedRoute(2)
-	var trs [2]Transport
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			tr, err := DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: 2, Addrs: addrs, Route: route, DialTimeout: 5 * time.Second})
-			trs[p], errs[p] = tr, err
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: %v", p, err)
-		}
-	}
-	defer trs[0].Close()
-	defer trs[1].Close()
-
+	trs := dialPair(t)
 	ep0, err := trs[0].Register(0) // tile 0 -> proc 0
 	if err != nil {
 		t.Fatal(err)
@@ -156,28 +132,7 @@ func TestTCPBatchFIFO(t *testing.T) {
 // TestTCPBatchOversized verifies that a batch whose total exceeds the frame
 // limit still arrives intact: the limit bounds each frame, not the batch.
 func TestTCPBatchOversized(t *testing.T) {
-	addrs := tcpAddrs(t, 2)
-	route := StripedRoute(2)
-	var trs [2]Transport
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			tr, err := DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: 2, Addrs: addrs, Route: route, DialTimeout: 5 * time.Second})
-			trs[p], errs[p] = tr, err
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: %v", p, err)
-		}
-	}
-	defer trs[0].Close()
-	defer trs[1].Close()
-
+	trs := dialPair(t)
 	ep0, err := trs[0].Register(0)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -114,15 +115,55 @@ type tcpTransport struct {
 	local    *ChannelFabric
 	listener net.Listener
 	peers    []*tcpPeer // indexed by ProcID; nil for self
-
-	wg sync.WaitGroup
 }
 
+// tcpPeer is the sending half of the connection to one other process.
+// Senders append framed bytes to pending and return; one writer goroutine
+// (writeLoop) writes everything appended since its last write with one
+// conn.Write. So remote sends never block on the socket or on another
+// sender's syscall, and a burst of sends from many goroutines costs one
+// syscall, not one each.
+//
+// Invariants:
+//   - Bytes reach the socket in append order: only the writer writes, and
+//     it takes pending whole. Per-sender FIFO follows, and so does the
+//     rule that a memory server's batched sends precede those of the core
+//     it then wakes (DESIGN.md §7): both are appended, in that order.
+//   - pending and the writer's buffer never share a backing array. Senders
+//     append only to pending, the writer writes only its own buffer, and
+//     the two are exchanged whole, under mu, and only when pending holds
+//     bytes.
+//   - Once closed is set nothing is appended, so the writer's last swap,
+//     which sees closed, takes every frame a sender was told was sent.
 type tcpPeer struct {
-	mu   sync.Mutex
 	conn net.Conn
-	w    *bufio.Writer
-	hdr  [8]byte // frame header scratch, guarded by mu
+	kick chan struct{} // 1-slot: pending went non-empty, or the peer closed
+	done chan struct{} // closed when the writer has exited
+
+	mu      sync.Mutex
+	pending []byte // frames (8-byte header, payload) not yet swapped out
+	closed  bool
+
+	writes atomic.Int64 // conn.Write calls, for tests and benchmarks
+}
+
+// closeFlushTimeout bounds how long Close spends writing what senders
+// appended before it: ample for a teardown ack to a live peer, and a peer
+// that has stopped reading cannot hold Close longer.
+const closeFlushTimeout = time.Second
+
+// maxIdleBuf caps the capacity the writer keeps for reuse, so one
+// outsized burst does not pin its buffer for the rest of the run.
+const maxIdleBuf = 1 << 20
+
+// readSlab is the size of the slabs inbound payloads are carved from;
+// payloads above a quarter slab get their own allocation.
+const readSlab = 16 << 10
+
+// newTCPPeer wraps an established outbound connection. Its writer is
+// started separately (go t.writeLoop), and Close stops it.
+func newTCPPeer(conn net.Conn) *tcpPeer {
+	return &tcpPeer{conn: conn, kick: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 // DialTCP attaches process cfg.Proc to the fabric: it listens on its own
@@ -156,9 +197,7 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 	// Accept inbound connections from the other Procs-1 processes. Each
 	// must present a valid hello before its frames are trusted.
 	accepted := make(chan error, 1)
-	t.wg.Add(1)
 	go func() {
-		defer t.wg.Done()
 		var err error
 		seen := make(map[arch.ProcID]bool)
 		for i := 0; i < cfg.Procs-1; i++ {
@@ -177,7 +216,6 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 				break
 			}
 			seen[from] = true
-			t.wg.Add(1)
 			go t.readLoop(conn)
 		}
 		accepted <- err
@@ -197,7 +235,8 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		t.peers[p] = &tcpPeer{conn: conn, w: bufio.NewWriterSize(conn, 64<<10)}
+		t.peers[p] = newTCPPeer(conn)
+		go t.writeLoop(t.peers[p])
 	}
 	if dialErr != nil {
 		t.Close()
@@ -266,25 +305,59 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 }
 
 // readLoop delivers one inbound connection's frames, each an 8-byte
-// header (payload length, destination) and the payload.
+// header (payload length, destination) and the payload. A run of
+// consecutive frames for one destination reaches its mailbox as one batch
+// (one lock, one readiness callback), and the run is delivered before the
+// loop may block on the socket, so no frame waits on bytes that have not
+// arrived. Payloads are carved from a per-connection slab, as
+// network.FrameArena carves outbound frames. A frame longer than maxFrame
+// means the stream is corrupt: it fails the fabric, since every frame
+// after it is lost and the receivers would otherwise wait forever.
 func (t *tcpTransport) readLoop(conn net.Conn) {
-	defer t.wg.Done()
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, 64<<10)
-	var hdr [8]byte
+	var (
+		hdr  [8]byte
+		run  [][]byte // frames for dst not yet delivered
+		dst  EndpointID
+		slab []byte
+	)
+	deliver := func() {
+		if len(run) > 0 {
+			t.local.hold(dst, run)
+			clear(run)
+			run = run[:0]
+		}
+	}
 	for {
+		if r.Buffered() < len(hdr) {
+			deliver()
+		}
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
+		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 		if n > maxFrame {
+			t.fail(fmt.Errorf("frame of %d bytes from %s exceeds the %d-byte limit", n, conn.RemoteAddr(), maxFrame))
 			return
 		}
-		data := make([]byte, n)
+		if to := EndpointID(int32(binary.LittleEndian.Uint32(hdr[4:8]))); to != dst || r.Buffered() < n {
+			deliver()
+			dst = to
+		}
+		var data []byte
+		if n > readSlab/4 {
+			data = make([]byte, n)
+		} else {
+			if n > len(slab) {
+				slab = make([]byte, readSlab)
+			}
+			data, slab = slab[:n:n], slab[n:]
+		}
 		if _, err := io.ReadFull(r, data); err != nil {
 			return
 		}
-		t.local.hold(EndpointID(int32(binary.LittleEndian.Uint32(hdr[4:8]))), data)
+		run = append(run, data)
 	}
 }
 
@@ -299,21 +372,15 @@ func (t *tcpTransport) Send(dst EndpointID, data []byte) error {
 	return t.SendBatch(dst, one[:])
 }
 
-// SendBatch implements Transport. A remote batch is its frames written
-// back to back under the peer lock, with one flush.
+// SendBatch implements Transport. A remote batch is its frames appended
+// to the peer's pending bytes under the peer lock; the peer's writer puts
+// them on the wire. It never waits for the socket.
 //
 //graphite:hotpath
 func (t *tcpTransport) SendBatch(dst EndpointID, frames [][]byte) error {
 	owner := t.cfg.Route(dst)
 	if owner == t.cfg.Proc {
 		return t.local.sendBatch(dst, frames)
-	}
-	// The remote path must observe Close just like the local path does:
-	// after Close the peer connections are being torn down, and letting a
-	// send race them surfaces as a raw bufio/conn write error instead of
-	// the documented ErrClosed.
-	if t.local.closed() {
-		return ErrClosed
 	}
 	if int(owner) >= len(t.peers) || t.peers[owner] == nil {
 		return fmt.Errorf("transport: no connection to process %d", owner) //graphite:alloc error path; a missing peer aborts the run
@@ -325,48 +392,86 @@ func (t *tcpTransport) SendBatch(dst EndpointID, frames [][]byte) error {
 	}
 	p := t.peers[owner]
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	binary.LittleEndian.PutUint32(p.hdr[4:8], uint32(int32(dst)))
-	for _, f := range frames {
-		binary.LittleEndian.PutUint32(p.hdr[0:4], uint32(len(f)))
-		if _, err := p.w.Write(p.hdr[:]); err != nil {
-			return t.closedOr(err)
-		}
-		if _, err := p.w.Write(f); err != nil {
-			return t.closedOr(err)
-		}
-	}
-	return t.closedOr(p.w.Flush())
-}
-
-// closedOr maps a peer write error to ErrClosed when Close raced the
-// write: the pre-write closed check is check-then-act, so a Close landing
-// between it and the conn write still surfaces here, and callers are
-// promised ErrClosed — not a raw "use of closed network connection" —
-// once Close has begun.
-//
-// A write error on a fabric that is NOT closing means a peer process is
-// gone (killed, crashed, machine lost): the simulation cannot make
-// progress without it, and every send path in the simulator treats
-// ErrClosed — and only ErrClosed — as orderly teardown. So the first such
-// error fails the whole fabric: Close the transport (idempotent, wakes
-// every local receiver) and report ErrClosed, turning an unrecoverable
-// distributed fault into the same local unwind a deliberate teardown
-// takes. The supervisor (launch.Run, or graphited) decides whether to
-// re-fork and replay.
-func (t *tcpTransport) closedOr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if t.local.closed() {
+	if p.closed {
+		p.mu.Unlock()
 		return ErrClosed
 	}
-	fmt.Fprintf(os.Stderr, "transport: fabric write failed (peer process lost?): %v\n", err)
-	t.Close()
-	return ErrClosed
+	idle := len(p.pending) == 0
+	for _, f := range frames {
+		p.pending = binary.LittleEndian.AppendUint32(p.pending, uint32(len(f)))
+		p.pending = binary.LittleEndian.AppendUint32(p.pending, uint32(int32(dst)))
+		p.pending = append(p.pending, f...) //graphite:alloc grows only until the two buffers the writer alternates fit a burst
+	}
+	kick := idle && len(p.pending) > 0
+	p.mu.Unlock()
+	if kick {
+		p.wake()
+	}
+	return nil
 }
 
-// Close implements Transport.
+// wake makes sure the writer runs again; a kick already queued will do.
+func (p *tcpPeer) wake() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is p's writer. Each wake-up takes everything appended since
+// the last one and writes it with one conn.Write, until Close has been
+// seen and drained or a write fails.
+func (t *tcpTransport) writeLoop(p *tcpPeer) {
+	var out []byte // the writer's buffer; empty between writes
+	var err error
+	for last := false; !last && err == nil; {
+		<-p.kick
+		p.mu.Lock()
+		last = p.closed
+		if len(p.pending) > 0 {
+			out, p.pending = p.pending, out
+		}
+		p.mu.Unlock()
+		if len(out) == 0 {
+			continue
+		}
+		_, err = p.conn.Write(out)
+		p.writes.Add(1)
+		if cap(out) > maxIdleBuf {
+			out = nil
+		} else {
+			out = out[:0]
+		}
+	}
+	close(p.done)
+	if err != nil {
+		t.fail(fmt.Errorf("fabric write failed (peer process lost?): %w", err))
+	}
+}
+
+// fail handles a fault on a fabric that is not closing: a write error
+// means a peer process is gone (killed, crashed, machine lost), and a
+// corrupt inbound frame means its stream cannot be trusted. Either way the
+// simulation cannot make progress, and every path in the simulator treats
+// ErrClosed — and only ErrClosed — as orderly teardown. So fail logs the
+// fault and closes the transport (idempotent, wakes every local
+// receiver), turning an unrecoverable distributed fault into the same
+// local unwind a deliberate teardown takes. The supervisor (launch.Run,
+// or graphited) decides whether to re-fork and replay. A fault on a
+// fabric already closing is the teardown itself and is not logged.
+func (t *tcpTransport) fail(err error) {
+	if t.local.closed() {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "transport: %v\n", err)
+	t.Close()
+}
+
+// Close implements Transport. Local receivers are woken first; then each
+// writer writes what senders appended before Close, under a deadline of
+// closeFlushTimeout (a worker's teardown ack and the coordinator's
+// shutdown announcement are such frames), and only then are the
+// connections closed. Sends after Close return ErrClosed.
 func (t *tcpTransport) Close() error {
 	if !t.local.close() {
 		return nil
@@ -374,8 +479,19 @@ func (t *tcpTransport) Close() error {
 	if t.listener != nil {
 		t.listener.Close()
 	}
+	deadline := time.Now().Add(closeFlushTimeout)
 	for _, p := range t.peers {
 		if p != nil {
+			p.conn.SetWriteDeadline(deadline)
+			p.mu.Lock()
+			p.closed = true
+			p.mu.Unlock()
+			p.wake()
+		}
+	}
+	for _, p := range t.peers {
+		if p != nil {
+			<-p.done
 			p.conn.Close()
 		}
 	}

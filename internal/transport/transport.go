@@ -391,15 +391,16 @@ func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (*Endpoint, error
 	return e, nil
 }
 
-// hold delivers a frame that arrived from another process. A destination
-// not registered yet gets an unclaimed endpoint in the control map that
-// holds its frames until Register: processes finish DialTCP together but
-// register endpoints at their own pace, so a fast peer's first frames can
-// beat the local Register, and dropping them would lose protocol messages
-// and hang the simulation. Frames arriving after Close are dropped — that
+// hold delivers frames for one destination that arrived from another
+// process, in order and as one batch. A destination not registered yet
+// gets an unclaimed endpoint in the control map that holds its frames
+// until Register: processes finish DialTCP together but register
+// endpoints at their own pace, so a fast peer's first frames can beat the
+// local Register, and dropping them would lose protocol messages and hang
+// the simulation. Frames arriving after Close are dropped — that
 // is the shutdown race, and it is harmless because simulations quiesce
 // before teardown.
-func (f *ChannelFabric) hold(dst EndpointID, data []byte) {
+func (f *ChannelFabric) hold(dst EndpointID, frames [][]byte) {
 	f.mu.RLock()
 	e := f.lookup(dst)
 	f.mu.RUnlock()
@@ -414,7 +415,7 @@ func (f *ChannelFabric) hold(dst EndpointID, data []byte) {
 			return
 		}
 	}
-	e.put(data)
+	e.putBatch(frames)
 }
 
 // box returns dst's endpoint for a send from this process, which may

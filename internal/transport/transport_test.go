@@ -190,7 +190,7 @@ func TestChannelConcurrentSenders(t *testing.T) {
 	}
 }
 
-func tcpAddrs(t *testing.T, n int) []string {
+func tcpAddrs(t testing.TB, n int) []string {
 	t.Helper()
 	// Bind ephemeral listeners to find n free ports, then release them.
 	addrs := make([]string, n)
@@ -206,28 +206,7 @@ func tcpAddrs(t *testing.T, n int) []string {
 }
 
 func TestTCPTwoProcesses(t *testing.T) {
-	addrs := tcpAddrs(t, 2)
-	route := StripedRoute(2)
-	var trs [2]Transport
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			tr, err := DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: 2, Addrs: addrs, Route: route, DialTimeout: 5 * time.Second})
-			trs[p], errs[p] = tr, err
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: %v", p, err)
-		}
-	}
-	defer trs[0].Close()
-	defer trs[1].Close()
-
+	trs := dialPair(t)
 	ep0, err := trs[0].Register(0) // tile 0 -> proc 0
 	if err != nil {
 		t.Fatal(err)
@@ -307,38 +286,14 @@ func TestTCPThreeProcessesAllPairs(t *testing.T) {
 }
 
 func TestTCPRejectsForeignRegistration(t *testing.T) {
-	addrs := tcpAddrs(t, 2)
-	var trs [2]Transport
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			trs[p], _ = DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: 2, Addrs: addrs, DialTimeout: 5 * time.Second})
-		}(p)
-	}
-	wg.Wait()
-	defer trs[0].Close()
-	defer trs[1].Close()
+	trs := dialPair(t)
 	if _, err := trs[0].Register(1); err == nil {
 		t.Fatal("registered an endpoint owned by another process")
 	}
 }
 
 func TestTCPOversizeFrameRejected(t *testing.T) {
-	addrs := tcpAddrs(t, 2)
-	var trs [2]Transport
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			trs[p], _ = DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: 2, Addrs: addrs, DialTimeout: 5 * time.Second})
-		}(p)
-	}
-	wg.Wait()
-	defer trs[0].Close()
-	defer trs[1].Close()
+	trs := dialPair(t)
 	huge := make([]byte, maxFrame+1)
 	if err := trs[0].Send(1, huge); err == nil {
 		t.Fatal("oversize frame accepted")
@@ -346,21 +301,7 @@ func TestTCPOversizeFrameRejected(t *testing.T) {
 }
 
 func TestTCPSendAfterCloseReturnsErrClosed(t *testing.T) {
-	addrs := tcpAddrs(t, 2)
-	var trs [2]Transport
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			trs[p], _ = DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: 2, Addrs: addrs, DialTimeout: 5 * time.Second})
-		}(p)
-	}
-	wg.Wait()
-	defer trs[1].Close()
-	if trs[0] == nil || trs[1] == nil {
-		t.Fatal("dial failed")
-	}
+	trs := dialPair(t)
 	if _, err := trs[0].Register(0); err != nil {
 		t.Fatal(err)
 	}

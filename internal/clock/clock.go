@@ -79,7 +79,11 @@ func (c *Local) Set(t arch.Cycles) {
 // average, and so on without bound. The clamp moves only when Now is
 // called, so where Now is called is part of the model's behaviour.
 type ProgressWindow struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// The lock word has a cache line to itself: a waiter spins reading
+	// it, and on the line of the fields below every read would pull the
+	// line from under the holder's next write.
+	_     [56]byte
 	slots []int64 // ring of the last len(slots) samples, zero before filled
 	sum   int64   // sum of slots
 	high  int64   // monotonic floor of Now
@@ -90,12 +94,11 @@ type ProgressWindow struct {
 	// overflow, so NowLocked may test the floor by multiplication.
 	mulSafe int64
 
-	// Pad to 128 bytes, a size class whose objects start on cache-line
+	// 128 bytes in all, a size class whose objects start on cache-line
 	// boundaries: every tile of the process writes the words above, and
 	// in an 80-byte class they share lines with whatever the allocator
 	// puts next to them (measured: a 4-tile matmul, which barely uses the
 	// model, ran 13 % slower on two workers).
-	_ [56]byte
 }
 
 // NewProgressWindow returns a window holding size samples. Size must be

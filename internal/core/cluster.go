@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/mcp"
+	"repro/internal/park"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
@@ -78,7 +80,9 @@ type Cluster struct {
 	skewMu sync.Mutex
 	skew   []SkewSample
 
-	closed bool
+	// unwatch unregisters the cluster's wedged-run report (park.Watch).
+	unwatch func()
+	closed  bool
 }
 
 // NewCluster builds and starts a simulation of prog under cfg with every
@@ -151,6 +155,11 @@ func (c *Cluster) start() {
 	for _, p := range c.procs {
 		p.Start()
 	}
+	c.unwatch = park.Watch(func(w io.Writer) {
+		for _, p := range c.procs {
+			p.report(w)
+		}
+	})
 }
 
 // Run executes the program's main thread with arg and blocks until every
@@ -323,6 +332,7 @@ func (c *Cluster) Close() {
 	if !c.started {
 		return // no server ever ran: nothing to wait for
 	}
+	c.unwatch()
 	// With every transport closed the memory servers exit. Threads parked
 	// at the barrier are woken only after their process's servers have
 	// stopped — a server may have been capturing its tile for a checkpoint,

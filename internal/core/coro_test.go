@@ -1,0 +1,134 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/config"
+	"repro/internal/coremodel"
+	"repro/internal/mcp"
+	"repro/internal/park"
+	"repro/internal/simtest"
+)
+
+// TestSpinOnSharedShardFinishes: at Workers=1 both threads are coroutines
+// of one shard. Main spins on a flag that only hits in its cache; the
+// child stores the flag after a long Compute. The spin must yield its
+// shard's turn, or the child never runs and the home the store needs is
+// never served.
+func TestSpinOnSharedShardFinishes(t *testing.T) {
+	prog := Program{Name: "spin"}
+	prog.Funcs = []ThreadFunc{
+		func(th *Thread, _ uint64) {
+			flag := th.Malloc(64)
+			th.Store64(flag, 0)
+			child := th.Spawn(1, uint64(flag))
+			spins := 0
+			for th.Load64(flag) == 0 {
+				spins++
+			}
+			th.Join(child)
+			if spins == 0 {
+				t.Error("main never saw the flag clear: the test did not spin")
+			}
+		},
+		func(th *Thread, arg uint64) {
+			th.Compute(coremodel.Arith, 5_000_000)
+			th.Store64(arch.Addr(arg), 1)
+		},
+	}
+	cfg := testCfg(2, 1)
+	cfg.Workers = 1
+	run(t, cfg, prog, 0)
+}
+
+// TestReportNamesEachWait: a wedged run's dump (park.Report, printed by
+// simtest.Deadline) says what each thread waits for. Main parks in Join
+// while its child parks in a receive nobody answers.
+func TestReportNamesEachWait(t *testing.T) {
+	parked := make(chan struct{})
+	prog := Program{Name: "wedge"}
+	prog.Funcs = []ThreadFunc{
+		func(th *Thread, _ uint64) { th.Join(th.Spawn(1, 0)) },
+		func(th *Thread, _ uint64) {
+			close(parked)
+			th.Recv()
+		},
+	}
+	c, err := NewCluster(testCfg(2, 1), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go c.Run(0)
+	simtest.Deadline(t, runDeadline, func() {
+		<-parked
+		for {
+			var buf bytes.Buffer
+			park.Report(&buf)
+			out := buf.String()
+			if strings.Contains(out, "tile 1: thread parked, in an application receive") &&
+				strings.Contains(out, fmt.Sprintf("tile 0: thread parked, in MCP call type %d", mcp.MsgJoin)) &&
+				strings.Contains(out, "mcp: running 2,") {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// BenchmarkThreadRemoteMiss: one thread loads lines that miss in its
+// caches and are homed on one other tile — in its own shard, then in the
+// other one (Workers=2, tiles striped over the two shards). A miss is a
+// park of the thread's coroutine and a resume by its shard, with the
+// home's shard in between.
+func BenchmarkThreadRemoteMiss(b *testing.B) {
+	const tiles, lines = 4, 1024 // 64 KB per home: four times the L2
+	for _, home := range []struct {
+		name string
+		tile uint64
+	}{{"shard=same", 2}, {"shard=other", 1}} {
+		b.Run(home.name, func(b *testing.B) {
+			var elapsed time.Duration
+			prog := Program{Name: "remote-miss", Funcs: []ThreadFunc{func(th *Thread, _ uint64) {
+				base := th.Malloc((lines + 1) * tiles * 64)
+				base += arch.Addr((home.tile - uint64(th.tile.cfg.HomeTile(base))) % tiles * 64)
+				for i := 0; i < lines; i++ { // warm-up: every line cold once
+					th.Load64(base + arch.Addr(i*tiles*64))
+				}
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					th.Load64(base + arch.Addr(i%lines*tiles*64))
+				}
+				elapsed = time.Since(start)
+			}}}
+			cfg := testCfg(tiles, 1)
+			cfg.Workers = 2
+			b.ReportAllocs()
+			rs, _ := benchRun(b, cfg, prog)
+			if misses := rs.Totals.L2Misses; misses < uint64(b.N) {
+				b.Fatalf("%d L2 misses for %d loads: the loads hit", misses, b.N)
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/miss")
+		})
+	}
+}
+
+// benchRun runs prog to completion for a benchmark.
+func benchRun(b *testing.B, cfg config.Config, prog Program) (*RunStats, *Cluster) {
+	b.Helper()
+	c, err := NewCluster(cfg, prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	rs, err := runCluster(b, c, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs, c
+}

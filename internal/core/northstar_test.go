@@ -133,3 +133,34 @@ func TestLaxBarrierMatmulFinishes(t *testing.T) {
 		}
 	}
 }
+
+// TestLaxP2PMatmulOneShard: LaxP2P naps park a thread on a timer while
+// its shard runs the others. A 16-tile matmul with every thread on one
+// shard (Workers=1) must finish with the checksum the Lax run computes.
+func TestLaxP2PMatmulOneShard(t *testing.T) {
+	w, ok := workloads.Get("matmul")
+	if !ok {
+		t.Fatal("matmul not registered")
+	}
+	prog := w.Build(workloads.Params{Threads: 16, Scale: 16})
+	checksum := func(model config.SyncModel) uint64 {
+		cfg := config.Default()
+		cfg.Tiles, cfg.Workers = 16, 1
+		cfg.Sync.Model = model
+		c, err := core.NewCluster(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		simtest.Deadline(t, 2*time.Minute, func() { _, err = c.Run(0) })
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		var buf [8]byte
+		c.Peek(workloads.DefaultResultAddr, buf[:])
+		return binary.LittleEndian.Uint64(buf[:])
+	}
+	if got, want := checksum(config.LaxP2P), checksum(config.Lax); got != want {
+		t.Fatalf("LaxP2P checksum %016x, Lax %016x", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,9 @@ type Proc struct {
 	// receive counters or sent/recv would never balance again.
 	ckpt      *ckptConfig
 	ckptPokes atomic.Uint64
+
+	// shards are the memory-server shards Start launched.
+	shards []*memsys.Shard
 
 	threads sync.WaitGroup
 }
@@ -138,7 +142,7 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 // shards over its tiles, the LCP, and the MCP on process 0. W is
 // Config.Workers when set, else GOMAXPROCS, and at most the tile count;
 // tile i of the stripe goes to shard i mod W. The shards pump the tiles'
-// endpoints, the LCP and MCP their own.
+// endpoints and run their threads, the LCP and MCP pump their own.
 func (p *Proc) Start() {
 	w := p.cfg.Workers
 	if w <= 0 {
@@ -150,7 +154,11 @@ func (p *Proc) Start() {
 		shards[i%w] = append(shards[i%w], t.Mem)
 	}
 	for _, nodes := range shards {
-		go memsys.Serve(nodes...)
+		// Built here, not in the goroutine: a thread start the LCP
+		// handles next must find its tile's shard.
+		sh := memsys.NewShard(nodes...)
+		p.shards = append(p.shards, sh)
+		go sh.Run()
 	}
 	go p.lcp.Serve()
 	if p.MCP != nil {
@@ -158,7 +166,8 @@ func (p *Proc) Start() {
 	}
 }
 
-// startThread is the LCP callback launching an application thread.
+// startThread is the LCP callback launching an application thread: a
+// coroutine of the shard that serves the tile, which runs it from there.
 func (p *Proc) startThread(st mcp.StartThread, start arch.Cycles) {
 	if int(st.Tile) >= len(p.tiles) || p.tiles[st.Tile] == nil {
 		panic(fmt.Sprintf("core: process %d asked to start thread on foreign tile %v", p.id, st.Tile))
@@ -167,25 +176,23 @@ func (p *Proc) startThread(st mcp.StartThread, start arch.Cycles) {
 	if int(st.Func) >= len(p.prog.Funcs) {
 		panic(fmt.Sprintf("core: spawn of unregistered function %d", st.Func))
 	}
+	fn := p.prog.Funcs[st.Func]
 	p.threads.Add(1)
-	go func() {
-		defer p.threads.Done()
+	tile.Mem.Go(func(co *memsys.Coro) {
+		tile.setParker(co, p.ledger)
 		tile.Clock.Forward(start)
 		tile.active.Store(true)
 		if p.ledger != nil {
 			p.ledger.ThreadStarted(tile.ID)
 		}
-		th := &Thread{tile: tile, proc: p}
-		if m := p.newSyncModel(tile); m != nil {
+		th := &Thread{tile: tile, proc: p, co: co}
+		if m := p.newSyncModel(tile, co); m != nil {
 			th.tickFn = m.Tick
 		}
-		if !p.runThreadFunc(p.prog.Funcs[st.Func], th, st.Arg) {
-			// The simulation was dismantled under the thread (teardown of
-			// a wedged or recovering run). The control plane is gone, so
-			// there is no one to notify; just exit.
-			tile.active.Store(false)
-			return
-		}
+		// A thread the simulation is dismantled under unwinds out of fn
+		// through tornDown, past everything below: the control plane is
+		// gone, so there is no one to notify.
+		fn(th, st.Arg)
 		tile.active.Store(false)
 		if p.ledger != nil {
 			// Before the MCP hears of the exit: the departure may complete
@@ -196,32 +203,19 @@ func (p *Proc) startThread(st mcp.StartThread, start arch.Cycles) {
 		instr, br, miss, comp, mem := tile.Core.Stats()
 		tile.Mem.SetFinal(tile.Clock.Now(), instr, br, miss, comp, mem)
 		tile.sys.notify(mcp.MsgThreadExit, mcpTile, nil, tile.Clock.Now())
-	}()
-}
-
-// runThreadFunc executes one application thread function, absorbing the
-// tornDown panic that Thread APIs throw when the simulation is torn down
-// under a live thread. It reports whether the function ran to completion;
-// any other panic propagates unchanged.
-func (p *Proc) runThreadFunc(fn ThreadFunc, th *Thread, arg uint64) (completed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(tornDown); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	fn(th, arg)
-	return true
+	}, func() {
+		tile.active.Store(false)
+		tile.setParker(nil, p.ledger)
+		p.threads.Done()
+	})
 }
 
 // newSyncModel instantiates the configured synchronization model for a
-// freshly started thread. Plain Lax returns nil: the thread runtime then
-// skips model ticks entirely. Threads blocked in any of these closures
+// freshly started thread, co. Plain Lax returns nil: the thread runtime
+// then skips model ticks entirely. Threads parked in any of these closures
 // leave their memory node's ownership word free, so its server answers
 // coherence interventions while they wait.
-func (p *Proc) newSyncModel(tile *Tile) synchro.Model {
+func (p *Proc) newSyncModel(tile *Tile, co *memsys.Coro) synchro.Model {
 	switch p.cfg.Sync.Model {
 	case config.LaxBarrier:
 		return synchro.NewBarrier(p.cfg.Sync.BarrierQuantum, func(epoch int64) {
@@ -254,11 +248,12 @@ func (p *Proc) newSyncModel(tile *Tile) synchro.Model {
 			return arch.Cycles(v), true
 		}
 		// While napping the tile is waiting, not behind: exclude it from
-		// skew sampling and partner probes like any blocked thread.
+		// skew sampling and partner probes like any blocked thread. The
+		// nap parks the coroutine on a timer; its shard runs on.
 		nap := func(d time.Duration) {
-			tile.setRPCBlocked(true, false)
-			time.Sleep(d) //graphite:wallclock LaxP2P nap (paper §3.6.3) throttles host execution only; the frozen simulated clock resumes exactly where it stopped
-			tile.setRPCBlocked(false, false)
+			tile.setBlocked(waitNap)
+			co.Sleep(d)
+			tile.setBlocked(0)
 		}
 		return synchro.NewP2P(p.cfg.Sync, tile.ID, p.cfg.Tiles, p.cfg.RandSeed, probe, nap)
 	default:
@@ -282,6 +277,20 @@ func (p *Proc) flushAll() {
 	}
 }
 
+// report writes what the process's threads wait for (park.Report).
+func (p *Proc) report(w io.Writer) {
+	fmt.Fprintf(w, " process %d:\n", p.id)
+	if p.MCP != nil {
+		p.MCP.Report(w)
+	}
+	if p.ledger != nil {
+		p.ledger.Report(w)
+	}
+	for _, sh := range p.shards {
+		sh.Report(w, func(tile arch.TileID) string { return p.tiles[tile].waitLabel() })
+	}
+}
+
 // Tiles returns the process's tiles (for skew sampling and tests).
 func (p *Proc) Tiles() []*Tile { return p.tileList }
 
@@ -290,8 +299,8 @@ func (p *Proc) Wait() { p.threads.Wait() }
 
 // Close shuts down the process's network receive loops (every tile net,
 // the LCP net, and the MCP net on process 0). The transport itself belongs
-// to the caller and is closed separately. Threads parked at the barrier
-// stay parked: Cluster.Close wakes them once the servers have stopped.
+// to the caller and is closed separately. Each shard, once its tiles' nets
+// have closed and drained, ends the threads still suspended on it.
 func (p *Proc) Close() {
 	for _, t := range p.tileList {
 		t.Net.Close()

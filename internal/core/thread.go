@@ -8,7 +8,9 @@ import (
 	"repro/internal/arch"
 	"repro/internal/coremodel"
 	"repro/internal/mcp"
+	"repro/internal/memsys"
 	"repro/internal/network"
+	"repro/internal/park"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -34,11 +36,16 @@ type Program struct {
 // API, file I/O, and the instruction-modeling hooks that a dynamic binary
 // translator would drive implicitly.
 //
-// A Thread is bound to one tile and must be used only from its own
-// goroutine.
+// A Thread is bound to one tile and runs as a coroutine of the memory
+// server shard that serves the tile (memsys.Coro): every blocking call
+// parks the coroutine, and the shard resumes it when the wait is over. It
+// must be used only from its own coroutine, and application code must not
+// block it any other way — no time.Sleep, channel receive or Cond.Wait —
+// or the whole shard stops with it.
 type Thread struct {
 	tile *Tile
 	proc *Proc
+	co   *memsys.Coro
 	// tickFn drives the synchronization model after every application
 	// event. It is nil under plain Lax, which makes tick a single nil
 	// check: the common case pays neither an interface call nor an atomic
@@ -47,7 +54,7 @@ type Thread struct {
 	// scratch backs the fixed-width Load/Store helpers. A heap field
 	// rather than a stack array: the miss path retains the buffer until
 	// the reply applies it, so a local would escape and every Load64 /
-	// Store64 would allocate. The thread blocks for the duration of each
+	// Store64 would allocate. The thread waits for the duration of each
 	// access, so one buffer per thread is safe.
 	scratch [8]byte
 }
@@ -56,16 +63,9 @@ type Thread struct {
 const mcpTile = arch.TileID(transport.MCP)
 
 // tornDown is the panic value Thread APIs throw when the simulation is
-// dismantled under a still-running application thread — teardown of a
-// wedged or recovering run closes the transport and wakes parked
-// threads, whose next control-plane call cannot complete. startThread
-// recovers exactly this type and lets the goroutine exit quietly; any
-// other panic is an application or simulator bug and propagates.
-type tornDown string
-
-func (e tornDown) Error() string {
-	return "graphite: simulation torn down during " + string(e)
-}
+// dismantled under a still-running application thread (see
+// park.TornDown); the thread's coroutine recovers it in its top frame.
+type tornDown = park.TornDown
 
 // Small fixed instruction costs for operations not individually modeled.
 const (
@@ -92,12 +92,17 @@ func (t *Thread) Tiles() int { return t.tile.cfg.Tiles }
 // Now returns the thread's current simulated clock.
 func (t *Thread) Now() arch.Cycles { return t.tile.Clock.Now() }
 
-// tick drives the synchronization model after every application event.
-// Under plain Lax synchronization it is a nil check and nothing else.
+// tick drives the synchronization model after every application event,
+// then yields the thread's turn if its shard has other work waiting.
+// Under plain Lax synchronization with nothing waiting it is a nil check
+// and one atomic load.
+//
+//graphite:hotpath
 func (t *Thread) tick() {
 	if t.tickFn != nil {
 		t.tickFn(t.tile.Clock.Now())
 	}
+	t.co.Preempt()
 }
 
 // Compute models n instructions of kind k executing natively.
@@ -287,14 +292,14 @@ func (t *Thread) Send(dst arch.ThreadID, data []byte) {
 	t.tick()
 }
 
-// Recv blocks for the next application message from any sender. Receiving
+// Recv waits for the next application message from any sender. Receiving
 // is a true synchronization event: the clock forwards to the message
 // timestamp.
 func (t *Thread) Recv() (arch.ThreadID, []byte) {
 	before := t.Now()
-	t.tile.setRPCBlocked(true, true)
+	t.tile.setBlocked(waitRecv)
 	pkt, ok := t.tile.Net.Recv(network.ClassApp)
-	t.tile.setRPCBlocked(false, false)
+	t.tile.setBlocked(0)
 	if !ok {
 		panic(tornDown("recv"))
 	}
@@ -304,14 +309,14 @@ func (t *Thread) Recv() (arch.ThreadID, []byte) {
 	return arch.ThreadID(pkt.Src), pkt.Payload
 }
 
-// RecvFrom blocks for the next application message from a specific sender.
+// RecvFrom waits for the next application message from a specific sender.
 func (t *Thread) RecvFrom(src arch.ThreadID) []byte {
 	before := t.Now()
-	t.tile.setRPCBlocked(true, true)
+	t.tile.setBlocked(waitRecv)
 	pkt, ok := t.tile.Net.RecvMatch(network.ClassApp, func(p *network.Packet) bool {
 		return p.Src == arch.TileID(src)
 	})
-	t.tile.setRPCBlocked(false, false)
+	t.tile.setBlocked(0)
 	if !ok {
 		panic(tornDown("recv"))
 	}
@@ -373,15 +378,15 @@ func (t *Thread) CloseFile(fd int32) error {
 	return nil
 }
 
-// call performs a blocking MCP RPC, marking the tile blocked so skew
-// sampling and LaxP2P probes ignore its frozen clock while it waits. The
-// memory node needs no notice: a thread blocked here leaves the ownership
-// word free, so the node's server answers coherence interventions itself
-// (DESIGN.md §13).
+// call performs an MCP RPC, marking the tile blocked so skew sampling and
+// LaxP2P probes ignore its frozen clock while it waits. The memory node
+// needs no notice: a thread waiting here leaves the ownership word free,
+// so the node's server answers coherence interventions itself (DESIGN.md
+// §13).
 func (t *Thread) call(typ uint8, payload []byte) (network.Packet, bool) {
-	t.tile.setRPCBlocked(true, false)
+	t.tile.setBlocked(waitCall | uint32(typ))
 	pkt, ok := t.tile.sys.call(typ, mcpTile, payload, t.Now())
-	t.tile.setRPCBlocked(false, false)
+	t.tile.setBlocked(0)
 	return pkt, ok
 }
 

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -18,6 +19,8 @@ import (
 	"repro/internal/mcp"
 	"repro/internal/memsys"
 	"repro/internal/network"
+	"repro/internal/park"
+	"repro/internal/synchro"
 )
 
 // Tile is one target tile: compute core, network switch, and memory node.
@@ -31,14 +34,15 @@ type Tile struct {
 	cfg   *config.Config
 
 	// active reports whether an application thread is currently running
-	// on this tile; rpcBlocked reports that the thread is blocked in a
-	// control-plane RPC (join, lock, barrier, receive) with a frozen
-	// clock. Skew sampling and LaxP2P probes consider only running,
-	// unblocked tiles — a frozen clock is not "behind", it is waiting.
-	active     atomic.Bool
-	rpcBlocked atomic.Bool
+	// on this tile; blockedOn, when nonzero, says what the thread waits
+	// for with a frozen clock: an MCP call (join, lock, barrier, ...), an
+	// application receive, or a LaxP2P nap (the wait* codes). Skew
+	// sampling and LaxP2P probes consider only running, unblocked tiles —
+	// a frozen clock is not "behind", it is waiting.
+	active    atomic.Bool
+	blockedOn atomic.Uint32
 
-	// onBlock, if set (LaxBarrier only), forwards rpcBlocked transitions
+	// onBlock, if set (LaxBarrier only), forwards blockedOn transitions
 	// to the process's epoch ledger: a thread entering a control-plane
 	// wait can complete the local barrier round, so the ledger must
 	// re-evaluate its flush condition. Nil under Lax and LaxP2P — the
@@ -46,19 +50,40 @@ type Tile struct {
 	onBlock func(tile arch.TileID, blocked, recv bool)
 }
 
-// setRPCBlocked records an rpcBlocked transition — recv marks a block in
-// an application receive — and notifies the epoch ledger when one is
-// attached.
-func (t *Tile) setRPCBlocked(blocked, recv bool) {
-	t.rpcBlocked.Store(blocked)
+// Tile.blockedOn codes: waitCall|typ is an MCP call of message type typ.
+const (
+	waitRecv uint32 = 1 << 8
+	waitNap  uint32 = 2 << 8
+	waitCall uint32 = 3 << 8
+)
+
+// setBlocked records what the thread now waits for (0: nothing) and
+// notifies the epoch ledger when one is attached.
+func (t *Tile) setBlocked(on uint32) {
+	t.blockedOn.Store(on)
 	if t.onBlock != nil {
-		t.onBlock(t.ID, blocked, recv)
+		t.onBlock(t.ID, on != 0, on == waitRecv)
+	}
+}
+
+// waitLabel describes what the tile's thread waits for, for a wedged-run
+// dump.
+func (t *Tile) waitLabel() string {
+	switch on := t.blockedOn.Load(); {
+	case on == 0:
+		return ""
+	case on == waitRecv:
+		return ", in an application receive"
+	case on == waitNap:
+		return ", napping"
+	default:
+		return fmt.Sprintf(", in MCP call type %d", on&0xff)
 	}
 }
 
 // Running reports whether the tile's thread is running and not blocked in
 // a control-plane RPC.
-func (t *Tile) Running() bool { return t.active.Load() && !t.rpcBlocked.Load() }
+func (t *Tile) Running() bool { return t.active.Load() && t.blockedOn.Load() == 0 }
 
 // NewTile builds a tile. net must be registered on the tile's endpoint;
 // the tile makes its memory server (the process's shard that serves it,
@@ -76,12 +101,25 @@ func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clo
 		func(pc arch.Addr, n int, now arch.Cycles) arch.Cycles {
 			return t.Mem.Fetch(pc, n, now).Latency
 		})
-	t.sys = sysPort{net: net, clk: &t.Clock, running: t.Running, reply: make(chan network.Packet, 1)}
+	t.sys = sysPort{net: net, clk: &t.Clock, running: t.Running}
 	// Memory traffic, the dominant class, never leaves the server's
 	// goroutine; system packets are answered or handed over on the way.
 	net.SetPrimary(network.ClassMemory)
 	net.SetSink(network.ClassSystem, t.sys.deliver)
 	return t
+}
+
+// setParker installs how the tile's thread waits — for its misses, its
+// control-plane replies, its application messages and, under LaxBarrier,
+// at the process ledger: p is the thread's coroutine, nil restores the
+// defaults of a plain goroutine once the thread has ended.
+func (t *Tile) setParker(p park.Parker, ledger *synchro.Ledger) {
+	t.Mem.SetParker(p)
+	t.Net.SetParker(network.ClassApp, p)
+	t.sys.park = p
+	if ledger != nil {
+		ledger.SetParker(t.ID, p)
+	}
 }
 
 // sysPort is the tile's end of the control plane. Its sink runs inside the
@@ -90,6 +128,10 @@ func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clo
 // RPC reply to the tile's one outstanding caller — the application thread,
 // in a control-plane call or a LaxP2P probe. Like the memory node's
 // request slot, there is one reusable reply slot per tile.
+//
+// The sink and the caller both run on the shard that serves the tile —
+// the caller is that shard's coroutine — and never at the same time, so
+// the slot needs no lock.
 type sysPort struct {
 	net *network.Net
 	clk *clock.Local
@@ -97,22 +139,27 @@ type sysPort struct {
 	// probe replies carry it so LaxP2P partners skip waiting tiles.
 	running func() bool
 
-	// seq numbers the caller's requests. want is the sequence number the
-	// outstanding call awaits, 0 when none. reply is the slot (buffered,
-	// so the sink never blocks); the sink closes it when the endpoint
-	// closes, which releases a parked caller with ok == false.
-	seq   atomic.Uint64
-	want  atomic.Uint64
-	reply chan network.Packet
+	// park is the tile's thread while one runs. seq numbers its
+	// requests; want is the sequence number the outstanding call awaits,
+	// 0 when none (the sink clears it as it fills reply); closed is set
+	// when the endpoint closes, which fails the call.
+	park   park.Parker
+	seq    uint64
+	want   uint64
+	reply  network.Packet
+	closed bool
 }
 
-// deliver is the system-class sink. It runs on the memory server's
-// goroutine and never blocks: the reply slot is buffered and empty while
-// a call waits, and the probe reply is a transport send.
+// deliver is the system-class sink. It runs on the shard serving the tile
+// and never blocks: it fills the reply slot and wakes the caller, or
+// sends the probe reply.
 func (r *sysPort) deliver(pkt network.Packet, ok bool) {
 	switch {
 	case !ok:
-		close(r.reply)
+		r.closed = true
+		if r.park != nil {
+			r.park.Unpark()
+		}
 	case pkt.Type == mcp.MsgClockProbe:
 		running := uint64(0)
 		if r.running() {
@@ -120,30 +167,38 @@ func (r *sysPort) deliver(pkt network.Packet, ok bool) {
 		}
 		payload := mcp.EncodeU64Pair(uint64(r.clk.Now()), running)
 		r.net.Send(network.ClassSystem, mcp.MsgClockProbeRep, pkt.Src, pkt.Seq, payload, 0)
-	case pkt.Seq != 0 && r.want.CompareAndSwap(pkt.Seq, 0):
-		r.reply <- pkt
+	case pkt.Seq != 0 && pkt.Seq == r.want:
+		r.want = 0
+		r.reply = pkt
+		r.park.Unpark()
 	}
 }
 
-// call performs a blocking RPC: it sends a system packet and waits for the
-// reply bearing the same sequence number. ok is false on teardown.
+// call performs an RPC: it sends a system packet and parks until the reply
+// bearing the same sequence number lands. ok is false on teardown.
 func (r *sysPort) call(typ uint8, dst arch.TileID, payload []byte, now arch.Cycles) (network.Packet, bool) {
-	seq := r.seq.Add(1)
-	if !r.want.CompareAndSwap(0, seq) {
+	if r.want != 0 {
 		panic("core: concurrent control-plane calls on one tile")
 	}
-	if _, err := r.net.Send(network.ClassSystem, typ, dst, seq, payload, now); err != nil {
-		r.want.Store(0)
+	r.seq++
+	r.want = r.seq
+	if _, err := r.net.Send(network.ClassSystem, typ, dst, r.seq, payload, now); err != nil {
+		r.want = 0
 		return network.Packet{}, false
 	}
-	pkt, ok := <-r.reply
-	if !ok {
+	for r.want != 0 && !r.closed {
+		r.park.Park()
+	}
+	if r.want != 0 {
 		// Torn down: no reply will come, and a thread that keeps running
 		// (a LaxP2P probe tolerates a failed call) must be able to call
 		// again.
-		r.want.Store(0)
+		r.want = 0
+		return network.Packet{}, false
 	}
-	return pkt, ok
+	pkt := r.reply
+	r.reply = network.Packet{}
+	return pkt, true
 }
 
 // notify sends a fire-and-forget system packet.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -34,60 +35,70 @@ func TestClusterGoroutinesPerTile(t *testing.T) {
 
 // TestShardCountKeepsResults runs one single-thread workload at
 // Config.Workers 1, 2 and 3, which is how many memory-server shards each
-// of the two processes runs. How the tiles are laid out over shards is
+// process runs, under every synchronization model, in one simulated
+// process and striped over two. How the tiles are laid out over shards is
 // host execution only: the checksum, the simulated cycles and every total
 // must be identical. The working set stays in the L2, so every message is
 // one link of a request-reply chain; a run of back-to-back dirty
 // evictions would not do, because each eviction notice's progress-window
 // sample races the next miss on any host with two CPUs (ROADMAP item 1).
 func TestShardCountKeepsResults(t *testing.T) {
-	const tiles, procs, lines = 16, 2, 128 // 8 KB of lines in a 16 KB L2
+	const tiles, lines = 16, 128 // 8 KB of lines in a 16 KB L2
 	type result struct {
 		sum    uint64
 		cycles arch.Cycles
 		totals stats.Totals
 	}
-	var ref result
-	for _, w := range []int{1, 2, 3} {
-		var sum uint64
-		prog := Program{Name: "strided", Funcs: []ThreadFunc{func(th *Thread, _ uint64) {
-			// One word per line, homes striped over every tile: the first
-			// pass misses to every home and upgrades, later passes hit.
-			a := th.Malloc(lines * 64)
-			for pass := uint64(1); pass <= 3; pass++ {
-				for i := uint64(0); i < lines; i++ {
-					at := a + arch.Addr(i*64)
-					th.Store64(at, th.Load64(at)+i*pass)
+	for _, model := range []config.SyncModel{config.Lax, config.LaxBarrier, config.LaxP2P} {
+		for _, procs := range []int{1, 2} {
+			var ref result
+			for _, w := range []int{1, 2, 3} {
+				var sum uint64
+				prog := Program{Name: "strided", Funcs: []ThreadFunc{func(th *Thread, _ uint64) {
+					// One word per line, homes striped over every tile: the
+					// first pass misses to every home and upgrades, later
+					// passes hit.
+					a := th.Malloc(lines * 64)
+					for pass := uint64(1); pass <= 3; pass++ {
+						for i := uint64(0); i < lines; i++ {
+							at := a + arch.Addr(i*64)
+							th.Store64(at, th.Load64(at)+i*pass)
+						}
+					}
+					for i := uint64(0); i < lines; i++ {
+						sum += th.Load64(a + arch.Addr(i*64))
+					}
+				}}}
+				cfg := testCfg(tiles, procs)
+				cfg.Workers = w
+				cfg.Sync.Model = model
+				cfg.Sync.BarrierQuantum = 500
+				cfg.Sync.P2PInterval = 100
+				name := fmt.Sprintf("%v, %d processes, Workers=%d", model, procs, w)
+				before := runtime.NumGoroutine()
+				c, err := NewCluster(cfg, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if grew := runtime.NumGoroutine() - before; grew > procs*w+8 {
+					c.Close()
+					t.Fatalf("%s: cluster started %d goroutines, want at most %d", name, grew, procs*w+8)
+				}
+				rs, err := runCluster(t, c, 0)
+				c.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := result{sum, rs.SimulatedCycles, rs.Totals}
+				if got.sum != 6*(lines*(lines-1)/2) {
+					t.Fatalf("%s: checksum %d", name, got.sum)
+				}
+				if w == 1 {
+					ref = got
+				} else if got != ref {
+					t.Fatalf("%s differs from Workers=1:\n  got  %+v\n  want %+v", name, got, ref)
 				}
 			}
-			for i := uint64(0); i < lines; i++ {
-				sum += th.Load64(a + arch.Addr(i*64))
-			}
-		}}}
-		cfg := testCfg(tiles, procs)
-		cfg.Workers = w
-		before := runtime.NumGoroutine()
-		c, err := NewCluster(cfg, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grew := runtime.NumGoroutine() - before; grew > procs*w+8 {
-			c.Close()
-			t.Fatalf("Workers=%d: cluster started %d goroutines, want at most %d", w, grew, procs*w+8)
-		}
-		rs, err := runCluster(t, c, 0)
-		c.Close()
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-		got := result{sum, rs.SimulatedCycles, rs.Totals}
-		if got.sum != 6*(lines*(lines-1)/2) {
-			t.Fatalf("Workers=%d: checksum %d", w, got.sum)
-		}
-		if w == 1 {
-			ref = got
-		} else if got != ref {
-			t.Fatalf("Workers=%d differs from Workers=1:\n  got  %+v\n  want %+v", w, got, ref)
 		}
 	}
 }

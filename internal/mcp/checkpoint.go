@@ -74,9 +74,9 @@ func (s *Server) CkptFailed() <-chan error { return s.ckptFailed }
 // maybeCheckpoint begins a checkpoint at a barrier release point when
 // the policy calls for one, deferring the release (already collected in
 // releaseProcs) until the save completes. It returns true
-// when the release was stashed. No recheckSimBarrier can run during the
-// window — every unblocked thread is parked on this very release — so
-// the stashed scratch state stays intact. It declines while a thread is
+// when the release was stashed. recheckSimBarrier releases nothing while
+// the checkpoint is in progress (ckptMCP set), so the stashed scratch
+// state stays intact, and rechecks once the stashed release is done. It declines while a thread is
 // blocked in an application receive: the drain counts only memory
 // traffic, so an application message still in flight could wake that
 // thread during the cut.
@@ -216,6 +216,7 @@ func (s *Server) handleCkptSaveRep(pkt network.Packet) {
 	}
 	s.ckptMCP = nil
 	s.releaseEpoch(s.ckptEpoch)
+	s.recheckSimBarrier()
 }
 
 // abortCheckpoint abandons the in-progress checkpoint (non-fatal: the
@@ -227,6 +228,7 @@ func (s *Server) abortCheckpoint(err error) {
 	}
 	s.ckptMCP = nil
 	s.releaseEpoch(s.ckptEpoch)
+	s.recheckSimBarrier()
 }
 
 func equalDigests(a, b []string) bool {

@@ -12,8 +12,9 @@ import (
 )
 
 // LCPCallbacks connect the Local Control Program to its process's tile
-// runtime. StartThread must not block (launch a goroutine); Flush may
-// block until local caches are written back.
+// runtime. StartThread must not block (it hands the thread to the shard
+// that serves its tile); Flush may block until local caches are written
+// back.
 type LCPCallbacks struct {
 	// StartThread launches an application thread on a local tile with the
 	// given start clock.

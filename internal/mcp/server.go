@@ -3,6 +3,8 @@ package mcp
 import (
 	"errors"
 	"fmt"
+	"io"
+	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -116,6 +118,10 @@ type Server struct {
 	shutCh  chan shutdownAck
 	doneCh  chan struct{}
 	stopped chan struct{}
+
+	// mu is held while the serve loop handles a message, so Report can
+	// read the loop's state from another goroutine.
+	mu sync.Mutex
 }
 
 // shutdownAck is one LCP's acknowledgement of teardown.
@@ -222,8 +228,24 @@ func (s *Server) Serve() {
 		if !ok {
 			return
 		}
+		s.mu.Lock()
 		s.handle(pkt)
+		s.mu.Unlock()
 	}
+}
+
+// Report writes the LaxBarrier service's view of the threads for a
+// wedged-run dump (park.Report): running threads, the tiles blocked in MCP
+// services and in application receives, the epoch waits, and the active
+// count the release rule compares them with.
+func (s *Server) Report(w io.Writer) {
+	if !s.mu.TryLock() {
+		fmt.Fprintln(w, "  mcp: busy handling a message")
+		return
+	}
+	defer s.mu.Unlock()
+	fmt.Fprintf(w, "  mcp: running %d, active %d; mcp-blocked %v; recv-blocked %v; epoch waits %v\n",
+		s.running, s.running-len(s.blocked)-len(s.recvBlocked), s.blocked, s.recvBlocked, s.simWaits)
 }
 
 func (s *Server) handle(pkt network.Packet) {
@@ -546,42 +568,47 @@ func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
 }
 
 // recheckSimBarrier releases the lowest pending LaxBarrier epoch once
-// every running, unblocked thread is waiting on the barrier. Threads
-// blocked in MCP services (mutex queues, joins, condition waits) or in an
-// application receive are not advancing their clocks and are excluded,
-// which keeps the quanta barrier deadlock-free. Waiters are released with
-// one notification per host process.
+// every running, unblocked thread is waiting on the barrier, and repeats
+// while that still holds. Threads blocked in MCP services (mutex queues,
+// joins, condition waits) or in an application receive are not advancing
+// their clocks and are excluded, which keeps the quanta barrier
+// deadlock-free. Waiters are released with one notification per host
+// process.
+//
+// The repeat matters for a stale wait. A receive-blocked tile is left out
+// of the count, so its epoch can be released while its own wait for it is
+// still in flight in its ledger's batch; its ledger wakes it on the
+// release, and the wait then lands here for an epoch already gone. It is
+// the lowest pending epoch, so it is released first, and without a
+// recheck the real waits behind it would wait for an event that never
+// comes.
 func (s *Server) recheckSimBarrier() {
-	if len(s.simWaits) == 0 {
-		return
-	}
-	active := s.running - len(s.blocked) - len(s.recvBlocked)
-	if len(s.simWaits) < active {
-		return
-	}
-	min := int64(1<<62 - 1)
-	//graphite:maporder commutative minimum over pending epochs
-	for _, epoch := range s.simWaits {
-		if epoch < min {
-			min = epoch
+	for s.ckptMCP == nil && len(s.simWaits) > 0 && len(s.simWaits) >= s.running-len(s.blocked)-len(s.recvBlocked) {
+		min := int64(1<<62 - 1)
+		//graphite:maporder commutative minimum over pending epochs
+		for _, epoch := range s.simWaits {
+			if epoch < min {
+				min = epoch
+			}
 		}
-	}
-	clear(s.releaseProcs)
-	//graphite:maporder releases go to disjoint tiles/processes; the fabric orders only per-pair FIFO, so wake order was never defined, and released threads re-synchronize at the next quantum regardless
-	for tile, epoch := range s.simWaits {
-		if epoch != min {
-			continue
+		clear(s.releaseProcs)
+		//graphite:maporder releases go to disjoint tiles/processes; the fabric orders only per-pair FIFO, so wake order was never defined, and released threads re-synchronize at the next quantum regardless
+		for tile, epoch := range s.simWaits {
+			if epoch != min {
+				continue
+			}
+			s.releaseProcs[s.cfg.ProcOf(tile)] = true
+			delete(s.simWaits, tile)
 		}
-		s.releaseProcs[s.cfg.ProcOf(tile)] = true
-		delete(s.simWaits, tile)
+		// A checkpoint-eligible epoch intercepts the release: the
+		// collected targets stay stashed in releaseProcs until the save
+		// completes, and releaseEpoch runs from the checkpoint machine,
+		// which rechecks after it.
+		if s.maybeCheckpoint(min) {
+			return
+		}
+		s.releaseEpoch(min)
 	}
-	// A checkpoint-eligible epoch intercepts the release: the collected
-	// targets stay stashed in releaseProcs until the save completes, and
-	// releaseEpoch runs from the checkpoint machine.
-	if s.maybeCheckpoint(min) {
-		return
-	}
-	s.releaseEpoch(min)
 }
 
 // releaseEpoch performs a collected epoch release: one notification per

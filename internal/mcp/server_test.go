@@ -506,3 +506,38 @@ func TestSpawnPrefersNeverUsedTiles(t *testing.T) {
 		t.Fatalf("fifth spawn got tile %d with no tile free", tid)
 	}
 }
+
+// TestSimBarrierReleasesPastStaleWait: a receive-blocked tile is out of
+// the release rule, so the epoch it was about to wait at can release
+// while its wait for that epoch still rides its ledger's batch. The wait
+// then arrives for an epoch already gone, and the tile — woken by its
+// ledger's release — goes on into an MCP service. The stale wait is the
+// lowest pending epoch and releases first; the waits of the other tiles,
+// complete behind it, must release too, with no further event to
+// trigger it (the 2-process LaxBarrier matmul park).
+func TestSimBarrierReleasesPastStaleWait(t *testing.T) {
+	h := newHarness(t, 3)
+	h.srv.StartMain(0)
+	h.lcp.Recv(network.ClassSystem)
+	for i := 0; i < 2; i++ {
+		h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
+		h.recv(t, 0)
+		h.lcp.Recv(network.ClassSystem)
+	}
+	simtest.Deadline(t, time.Minute, func() {
+		h.simWait(t, SimWait{Tile: 0, Epoch: -1})
+		h.simWait(t, SimWait{Tile: 1, Epoch: 5}, SimWait{Tile: 2, Epoch: 5})
+		if e := h.simRelease(t); e != 5 {
+			t.Errorf("released epoch %d, want 5", e)
+		}
+		h.simWait(t, SimWait{Tile: 0, Epoch: 5}) // stale
+		h.send(0, MsgJoin, EncodeU64(1), 0)
+		h.noReply(t, 0, 20*time.Millisecond) // tile 0 is MCP-blocked now
+		h.simWait(t, SimWait{Tile: 1, Epoch: 6}, SimWait{Tile: 2, Epoch: 6})
+		for _, want := range []uint64{5, 6} {
+			if e := h.simRelease(t); e != want {
+				t.Errorf("released epoch %d, want %d", e, want)
+			}
+		}
+	})
+}

@@ -130,7 +130,7 @@ func (n *Node) accessOwned(addr arch.Addr, seg []byte, isWrite, ifetch bool, now
 }
 
 // miss issues the coherence request, releases the core domain for the
-// blocking wait, and applies the reply in the core context on wake.
+// wait, and applies the reply in the core context on wake.
 // Queued interventions are drained before the request leaves the tile, so
 // the home observes our reply to any earlier intervention before our
 // request (the ordering argument of DESIGN.md §13).
@@ -160,9 +160,8 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	}
 
 	n.seq++
-	// Reuse the tile's single request slot and completion channel: the
-	// previous request fully completed (pending was nil) and the core
-	// context drained reqDone before issuing this access.
+	// Reuse the tile's single request slot: the previous request fully
+	// completed (pending was nil).
 	pr := &n.reqSlot
 	*pr = pendingReq{
 		seq:     n.seq,
@@ -172,7 +171,7 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 		off:     off,
 		mask:    mask,
 		sentAt:  sendAt,
-		done:    n.reqDone,
+		park:    n.park,
 	}
 	req := reqPayload{line: uint64(line), mask: mask}
 	typ := msgShReq
@@ -189,36 +188,31 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 		}
 	}
 	n.pending = pr
-	// Release the core domain for the blocking wait: the server must be
-	// able to answer interventions against our caches while we sleep. The
+	// Release the core domain for the wait: the server must be able to
+	// answer interventions against our caches while we are parked. The
 	// server returns ownership at completion hand-off (re-marking the word
-	// stCoreActive under mu) before the reply is delivered on pr.done, so
-	// interventions arriving after the grant queue behind our install.
+	// stCoreActive under mu) before it wakes us, so interventions arriving
+	// after the grant queue behind our install.
 	n.coreState.Store(0)
 	home := n.homeOf(line)
 	n.send(typ, home, pr.seq, n.coreEncReq(req), sendAt)
 	n.mu.Unlock()
 
-	pkt, ok := <-pr.done
-	if !ok {
-		// Teardown while blocked: the server exited without the completion
-		// hand-off, so the staged request is still in the slot — clear it,
-		// or a thread that keeps running into more accesses would trip the
-		// concurrent-outstanding-requests check on a phantom request. Then
-		// re-mark the word owned (the enclosing accessLine releases it) and
-		// report the lookup cost only.
-		n.mu.Lock()
-		if n.pending == pr {
-			n.pending = nil
-		}
-		n.mu.Unlock()
+	if !n.await(pr) {
+		// Teardown: the server stopped without the completion hand-off.
+		// A request staged after the stop is still in the slot — clear
+		// it, or a thread that keeps running into more accesses would
+		// trip the concurrent-outstanding-requests check on a phantom
+		// request. Then re-mark the word owned (the enclosing accessLine
+		// releases it) and report the lookup cost only.
+		n.clearStaged(pr)
 		n.coreState.Store(stCoreActive)
 		return AccessResult{Latency: lookup, L2Misses: 1}
 	}
-	// The hand-off re-granted ownership before the channel send (which
-	// publishes the server's writes): the core context owns the domain
-	// again and applies the completion lock-free.
-	info := n.finishMiss(pr, pkt)
+	// The hand-off re-granted ownership before the wake (which publishes
+	// the server's writes): the core context owns the domain again and
+	// applies the completion lock-free.
+	info := n.finishMiss(pr, pr.reply)
 	lat := info.arrival - now
 	if lat < lookup {
 		lat = lookup
@@ -487,7 +481,7 @@ func (n *Node) Poke(addr arch.Addr, buf []byte) {
 	}
 }
 
-// peekLine and pokeLine block on the pending-request slot like a miss but
+// peekLine and pokeLine wait on the pending-request slot like a miss but
 // never touch the caches, so they do not transfer core-domain ownership:
 // a parked tile stays parked and a running one keeps its claim.
 func (n *Node) peekLine(addr arch.Addr, buf []byte) {
@@ -498,22 +492,16 @@ func (n *Node) peekLine(addr arch.Addr, buf []byte) {
 	}
 	n.seq++
 	pr := &n.reqSlot
-	*pr = pendingReq{seq: n.seq, peek: true, done: n.reqDone}
+	*pr = pendingReq{seq: n.seq, peek: true, park: n.park}
 	n.pending = pr
 	home := n.homeOf(n.lineOf(addr))
 	n.send(msgPeek, home, pr.seq, n.coreEncPeek(peekPayload{addr: addr, n: uint32(len(buf))}), 0)
 	n.mu.Unlock()
-	pkt, ok := <-pr.done
-	if !ok {
-		// Teardown: clear the staged request (see the miss path).
-		n.mu.Lock()
-		if n.pending == pr {
-			n.pending = nil
-		}
-		n.mu.Unlock()
+	if !n.await(pr) {
+		n.clearStaged(pr) // teardown (see the miss path)
 		return
 	}
-	p, err := decodePeek(pkt.Payload)
+	p, err := decodePeek(pr.reply.Payload)
 	if err != nil {
 		panic("memsys: " + err.Error())
 	}
@@ -528,19 +516,24 @@ func (n *Node) pokeLine(addr arch.Addr, buf []byte) {
 	}
 	n.seq++
 	pr := &n.reqSlot
-	*pr = pendingReq{seq: n.seq, poke: true, done: n.reqDone}
+	*pr = pendingReq{seq: n.seq, poke: true, park: n.park}
 	n.pending = pr
 	home := n.homeOf(n.lineOf(addr))
 	n.send(msgPoke, home, pr.seq, n.coreEncPeek(peekPayload{addr: addr, n: uint32(len(buf)), data: buf}), 0)
 	n.mu.Unlock()
-	if _, ok := <-pr.done; !ok {
-		// Teardown: clear the staged request (see the miss path).
-		n.mu.Lock()
-		if n.pending == pr {
-			n.pending = nil
-		}
-		n.mu.Unlock()
+	if !n.await(pr) {
+		n.clearStaged(pr) // teardown (see the miss path)
 	}
+}
+
+// clearStaged empties the request slot of a request the torn-down server
+// will never complete.
+func (n *Node) clearStaged(pr *pendingReq) {
+	n.mu.Lock()
+	if n.pending == pr {
+		n.pending = nil
+	}
+	n.mu.Unlock()
 }
 
 // AddSyncWait credits stall cycles to the tile's stat record. Core context

@@ -12,13 +12,14 @@ import (
 	"repro/internal/directory"
 	"repro/internal/dram"
 	"repro/internal/network"
+	"repro/internal/park"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
 // pendingReq is the tile's single outstanding memory request. The server
-// routes the completing reply packet to done; the core context
-// applies it (installs the line, performs the operation) on wake.
+// stores the completing reply packet in reply and wakes park; the core
+// context applies it (installs the line, performs the operation) on wake.
 type pendingReq struct {
 	seq     uint64
 	line    cache.LineAddr
@@ -31,7 +32,8 @@ type pendingReq struct {
 	rbuf    []byte // destination for loaded bytes
 	mask    uint64 // accessed-words mask
 	sentAt  arch.Cycles
-	done    chan network.Packet
+	park    park.Parker
+	reply   network.Packet
 }
 
 // dirLine is the home-side state of one line: a handle into the home's
@@ -164,14 +166,22 @@ type Node struct {
 	// waking the local core. Owned by the server.
 	out *network.Batch
 
-	// Single outstanding core request, guarded by mu. reqSlot and
-	// reqDone back every request: with one outstanding request per tile,
-	// the record and its completion channel are reused instead of
-	// allocated per miss.
+	// Single outstanding core request, guarded by mu. reqSlot backs
+	// every request: with one outstanding request per tile, the record is
+	// reused instead of allocated per miss. replied is the sequence
+	// number of the last request the shard completed, or nodeStopped
+	// once the node is down; the waiting core re-checks it after every
+	// wake (await).
 	pending *pendingReq
 	reqSlot pendingReq
-	reqDone chan network.Packet
 	seq     uint64
+	replied atomic.Uint64
+
+	// park is how the core context waits for a completion: by default
+	// defPark, a channel a plain goroutine blocks on; an application
+	// thread installs its coroutine (SetParker).
+	park    park.Parker
+	defPark park.Chan
 
 	// Miss classification state — core domain.
 	everAccessed map[cache.LineAddr]struct{}
@@ -228,11 +238,15 @@ type Node struct {
 	lineBits uint
 	lineSize int
 
-	// queued marks the node as on its shard's ready list (guarded by the
-	// shard's lock); down is set by the shard when it tears the node down
-	// (shard goroutine only).
+	// sh is the shard serving the node, set before it runs. queued marks
+	// the node as on its shard's ready list (guarded by the shard's lock);
+	// down is set by the shard when it tears the node down (shard
+	// goroutine only). coro is the thread coroutine running on the tile
+	// once the shard has first resumed it (written by the shard only).
+	sh     *Shard
 	queued bool
 	down   bool
+	coro   atomic.Pointer[Coro]
 
 	stopped chan struct{}
 }
@@ -258,10 +272,11 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 		everAccessed: make(map[cache.LineAddr]struct{}),
 		invalidated:  make(map[cache.LineAddr]struct{}),
 		wbDrained:    make(chan struct{}, 1),
-		reqDone:      make(chan network.Packet, 1),
+		defPark:      park.NewChan(),
 		lineSize:     cfg.LineSize(),
 		stopped:      make(chan struct{}),
 	}
+	n.park = n.defPark
 	n.grantBuf = make([]byte, n.lineSize)
 	n.fetchBuf = make([]byte, n.lineSize)
 	n.localGrant = make([]byte, n.lineSize)
@@ -275,6 +290,35 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 	n.l2 = cache.New(cfg.L2)
 	n.lineBits = n.l2.LineBits()
 	return n
+}
+
+// nodeStopped is Node.replied once the node is down.
+const nodeStopped = ^uint64(0)
+
+// SetParker installs how the core context waits for its misses, peeks
+// and pokes; nil restores the default, a blocking channel receive. Core
+// context only, between accesses.
+func (n *Node) SetParker(p park.Parker) {
+	if p == nil {
+		p = n.defPark
+	}
+	n.park = p
+}
+
+// await parks the core context until the shard has completed request pr
+// (true) or torn the node down (false). Called without mu.
+//
+//graphite:hotpath
+func (n *Node) await(pr *pendingReq) bool {
+	for {
+		switch n.replied.Load() {
+		case pr.seq:
+			return true
+		case nodeStopped:
+			return false
+		}
+		pr.park.Park()
+	}
 }
 
 // Tile returns the tile this node belongs to.

@@ -2,22 +2,18 @@ package memsys
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/network"
+	"repro/internal/park"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
-
-// coreWake is a deferred completion of a tile's outstanding miss: the
-// shard delivers the reply packet only after flushing the node's batched
-// sends. The core context applies the completion itself on wake.
-type coreWake struct {
-	done chan network.Packet
-	pkt  network.Packet
-}
 
 // maxDrain bounds how many queued packets a shard processes for one node
 // before flushing its batched sends, waking its core and moving on, so a
@@ -32,54 +28,137 @@ const maxDrain = 64
 // requests for lines homed there, coherence commands for lines cached
 // there, and replies that complete the tile's outstanding miss. Its
 // receives pump the tiles' endpoints, so they also deliver the tiles'
-// other traffic classes to their sinks and queues (network.Net). A
+// other traffic classes to their sinks and queues (network.Net). It also
+// runs the application threads of its tiles, as coroutines (Node.Go). A
 // process runs a few shards over all of its tiles (core.Proc.Start).
 //
-// The shard keeps a ready list of its nodes whose endpoints hold frames,
+// The shard keeps two ready lists: its nodes whose endpoints hold frames,
 // in the order they became ready (the endpoints' readiness callbacks feed
-// it), and sleeps only while it is empty. It takes one node at a time and
-// drains a bounded burst from it; a node that may still hold frames after
-// a full burst goes to the back of the list, because its endpoint will
-// not fire again until it has been emptied.
+// it), and its coroutines that are runnable, in turn order (Coro.Unpark
+// and Node.Go feed it). It sleeps only while both are empty. It takes one
+// entry at a time, a node first unless it has served a burst per node
+// since a coroutine last ran. A node gets one bounded burst; a node that
+// may still hold frames after a full burst goes to the back of its list,
+// because its endpoint will not fire again until it has been emptied. A
+// coroutine runs until it parks, steps aside (Coro.Preempt) or returns.
 //
 // A shard never blocks on other tiles: home transactions are a state
-// machine (blocking directory with per-line pending queues), and every
-// lock a handler takes is held by others only for bounded, non-blocking
-// work. So the distributed protocol cannot deadlock even while a served
-// tile's core is blocked on a miss, nor because one loop serves many
-// tiles.
+// machine (blocking directory with per-line pending queues), every lock a
+// handler takes is held by others only for bounded, non-blocking work, and
+// a thread that must wait parks its coroutine instead of blocking the
+// loop. So the distributed protocol cannot deadlock even while a served
+// tile's core waits on a miss, nor because one loop serves many tiles.
 //
-// The shard does not own a tile's caches: the core context does (see
+// The core context — the tile's thread — owns the tile's caches (see
 // DESIGN.md §13). Inv/Wb/Flush commands are applied directly only after
 // claiming the free ownership word (an idle tile); against a mid-access
 // core they are published to the intervention mailbox for the core to
-// drain at release. Completion replies are handed to the blocked core,
+// drain at release. Completion replies are handed to the waiting core,
 // which installs the granted line itself after ownership returns with the
 // hand-off.
 //
 // Outgoing messages are batched per destination and flushed at the end of
-// every burst — before the shard moves to its next node or sleeps, which
+// every burst — before the shard moves to its next entry or sleeps, which
 // keeps the protocol live, and before the node's waiting core is woken,
 // which keeps per-sender FIFO intact: a woken core may immediately send
 // new messages (a miss for a line whose flush reply is still sitting in
 // the batch, say) that must not overtake them.
-func Serve(nodes ...*Node) {
-	s := &shard{ring: make([]*Node, len(nodes))}
+func Serve(nodes ...*Node) { NewShard(nodes...).Run() }
+
+// Serve serves this node alone: a shard of one.
+func (n *Node) Serve() { Serve(n) }
+
+// Shard is one Serve loop: the nodes it serves and its ready lists.
+type Shard struct {
+	nodes []*Node
+
+	mu     sync.Mutex
+	cond   sync.Cond   // the loop waits here while both lists are empty
+	ready  ring[*Node] // nodes whose endpoints hold frames, oldest first
+	run    ring[*Coro] // runnable coroutines, in turn order
+	streak int         // node bursts served since the last coroutine ran
+	dead   bool        // the loop has returned; Node.Go ends new coroutines at once
+
+	// waiting mirrors the lists for lock-free reads by a running
+	// coroutine (Coro.Preempt): ready nodes in the high 32 bits, runnable
+	// coroutines in the low 32.
+	waiting atomic.Uint64
+}
+
+// nodeWaiting is one ready node in Shard.waiting.
+const nodeWaiting = 1 << 32
+
+// ring is a growable FIFO.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+
+func (r *ring[T]) grow() {
+	if r.n < len(r.buf) {
+		return
+	}
+	buf := make([]T, 2*len(r.buf)+1)
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.at(i)
+	}
+	r.buf, r.head = buf, 0
+}
+
+func (r *ring[T]) push(v T) {
+	r.grow()
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+}
+
+func (r *ring[T]) pushFront(v T) {
+	r.grow()
+	r.head = (r.head + len(r.buf) - 1) % len(r.buf)
+	r.buf[r.head] = v
+	r.n++
+}
+
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v
+}
+
+// NewShard builds the shard that will serve nodes; Run serves them. Nodes
+// can take coroutines (Node.Go) from here on.
+func NewShard(nodes ...*Node) *Shard {
+	s := &Shard{nodes: nodes}
 	s.cond.L = &s.mu
 	for _, n := range nodes {
-		n.net.SetNotify(func() { s.ready(n) })
+		n.sh = s
+		n.net.SetNotify(func() { s.readyNode(n) })
 	}
-	var wake []coreWake
+	return s
+}
+
+// Run is the shard loop (see Serve). It returns once every node is down,
+// after ending every coroutine still suspended on the shard.
+func (s *Shard) Run() {
 	var burst [maxDrain]network.Packet
-	for live := len(nodes); live > 0; {
-		n := s.next()
+	for live := len(s.nodes); live > 0; {
+		n, c := s.next()
+		if c != nil {
+			c.resume()
+			continue
+		}
 		if n.down {
 			continue // readied by its own Close after it was torn down
 		}
 		k, open := n.net.TryRecvBurst(burst[:])
+		var done *pendingReq
 		for i := 0; i < k; i++ {
-			if done, rep := n.dispatch(burst[i]); done != nil {
-				wake = append(wake, coreWake{done, rep})
+			if pr := n.dispatch(burst[i]); pr != nil {
+				done = pr // at most one: the tile has one outstanding request
 			}
 			if burst[i].Src == n.tile {
 				n.selfInflight.Add(-1)
@@ -87,75 +166,146 @@ func Serve(nodes ...*Node) {
 			burst[i] = network.Packet{}
 		}
 		n.flushSends()
-		for i := range wake {
-			wake[i].done <- wake[i].pkt
-			wake[i] = coreWake{}
+		var wake park.Parker
+		if done != nil {
+			// The slot is the core's again the moment replied says so.
+			wake = done.park
+			n.replied.Store(done.seq)
 		}
-		wake = wake[:0]
 		switch {
 		case !open:
 			n.stop()
 			live--
 		case k == len(burst):
-			s.ready(n)
+			s.readyNode(n)
 		}
+		if wake != nil {
+			// A thread of this shard runs on in place of the wake.
+			if c, ok := wake.(*Coro); !ok || !c.runNow() {
+				wake.Unpark()
+			}
+		}
+	}
+	s.mu.Lock()
+	s.dead = true
+	var orphans []*Coro
+	for s.run.n > 0 {
+		orphans = append(orphans, s.run.pop())
+	}
+	s.waiting.Store(0)
+	s.mu.Unlock()
+	for _, c := range orphans {
+		c.kill() // never resumed: their tiles went down first
 	}
 }
 
-// Serve serves this node alone: a shard of one.
-func (n *Node) Serve() { Serve(n) }
-
-// shard is a Serve loop's ready list: a FIFO ring of the nodes whose
-// endpoints have frames waiting, each on it at most once (Node.queued).
-type shard struct {
-	mu    sync.Mutex
-	cond  sync.Cond // the loop waits here while the ring is empty
-	ring  []*Node
-	head  int
-	count int
+// Report writes the shard's state for a wedged-run dump (park.Report):
+// its ready list, then per node the state of the tile's thread and the
+// line of its outstanding miss, if any. label adds what the caller knows
+// of a tile's thread.
+func (s *Shard) Report(w io.Writer, label func(arch.TileID) string) {
+	s.mu.Lock()
+	var nodes, coros []arch.TileID
+	for i := 0; i < s.ready.n; i++ {
+		nodes = append(nodes, s.ready.at(i).tile)
+	}
+	for i := 0; i < s.run.n; i++ {
+		coros = append(coros, s.run.at(i).node.tile)
+	}
+	s.mu.Unlock()
+	fmt.Fprintf(w, "  shard of tiles %d..: ready nodes %v, runnable threads %v\n", s.nodes[0].tile, nodes, coros)
+	for _, n := range s.nodes {
+		c := n.coro.Load()
+		if c == nil {
+			continue
+		}
+		state := [...]string{"running", "running, woken", "parked", "runnable", "ended"}[c.state.Load()]
+		n.mu.Lock()
+		miss := ""
+		if pr := n.pending; pr != nil {
+			miss = fmt.Sprintf(", miss on line %#x", uint64(pr.line))
+		}
+		n.mu.Unlock()
+		fmt.Fprintf(w, "    tile %d: thread %s%s%s\n", n.tile, state, miss, label(n.tile))
+	}
 }
 
-// ready appends n unless it is already listed. It runs in endpoint
+// readyNode lists n unless it is already listed. It runs in endpoint
 // readiness callbacks, so it never blocks beyond the shard lock.
-func (s *shard) ready(n *Node) {
+func (s *Shard) readyNode(n *Node) {
 	s.mu.Lock()
 	if !n.queued {
 		n.queued = true
-		s.ring[(s.head+s.count)%len(s.ring)] = n
-		s.count++
+		s.ready.push(n)
+		s.waiting.Add(nodeWaiting)
 		s.cond.Signal()
 	}
 	s.mu.Unlock()
 }
 
-// next pops the oldest ready node, sleeping while there is none. The node
-// is unlisted from here on, so readiness that arrives while the loop
-// drains it lists it again.
-func (s *shard) next() *Node {
+// readyCoro lists a runnable coroutine: at the back of the turn order, or
+// at the front for one that stepped aside only for ready nodes. It
+// reports false, listing nothing, once the loop has returned.
+//
+//graphite:hotpath
+func (s *Shard) readyCoro(c *Coro, front bool) bool {
 	s.mu.Lock()
-	for s.count == 0 {
+	ok := !s.dead
+	if ok {
+		if front {
+			s.run.pushFront(c)
+		} else {
+			s.run.push(c)
+		}
+		s.waiting.Add(1)
+		s.cond.Signal()
+	}
+	s.mu.Unlock()
+	return ok
+}
+
+// next takes the next entry, sleeping while there is none: a ready node
+// first, unless the shard has served a burst per node since a coroutine
+// last ran and coroutines wait. A node is unlisted from here on, so
+// readiness that arrives while the loop drains it lists it again.
+//
+//graphite:hotpath
+func (s *Shard) next() (*Node, *Coro) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.ready.n == 0 && s.run.n == 0 {
 		s.cond.Wait()
 	}
-	n := s.ring[s.head]
-	s.ring[s.head] = nil
-	s.head = (s.head + 1) % len(s.ring)
-	s.count--
-	n.queued = false
-	s.mu.Unlock()
-	return n
+	if s.ready.n > 0 && (s.run.n == 0 || s.streak < len(s.nodes)) {
+		n := s.ready.pop()
+		n.queued = false
+		s.streak++
+		s.waiting.Add(^uint64(nodeWaiting - 1))
+		return n, nil
+	}
+	s.streak = 0
+	s.waiting.Add(^uint64(0))
+	return nil, s.run.pop()
 }
 
 // stop tears down a node whose endpoint has closed and drained, once:
-// unblock a core waiting on a completion that will never arrive, and
-// every request a still-running thread stages from here on — each finds
-// the channel closed and returns at once, so Cluster.Close can wait for
-// the thread. The request slot is dead from here on.
+// release a plain goroutine waiting on a completion that will never
+// arrive, end the tile's suspended thread, and fail every request a
+// still-running caller stages from here on at once, so Cluster.Close can
+// wait for it. The request slot is dead from here on.
 func (n *Node) stop() {
 	n.down = true
 	n.mu.Lock()
+	pr := n.pending
 	n.pending = nil
-	close(n.reqDone)
+	n.replied.Store(nodeStopped)
 	n.mu.Unlock()
+	if c := n.coro.Load(); c != nil {
+		c.kill()
+	}
+	if pr != nil {
+		pr.park.Unpark()
+	}
 	close(n.stopped)
 }
 
@@ -175,7 +325,7 @@ func (n *Node) Stopped() <-chan struct{} { return n.stopped }
 // caches), and completions to the blocked core. Nothing under a lock
 // blocks, so the domains cannot deadlock against the core context or each
 // other.
-func (n *Node) dispatch(pkt network.Packet) (chan network.Packet, network.Packet) {
+func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 	switch pkt.Type {
 	case msgShReq, msgExReq:
 		req, err := decodeReq(pkt.Payload)
@@ -222,23 +372,24 @@ func (n *Node) dispatch(pkt network.Packet) (chan network.Packet, network.Packet
 	case msgCkpt:
 		n.runCtrl()
 	}
-	return nil, network.Packet{}
+	return nil
 }
 
 // handoffCompletion matches a completion reply against the outstanding
-// request and returns the core's wake channel. For miss completions it
+// request, stores it there and returns the request, whose core the shard
+// wakes after flushing the burst. For miss completions it
 // also re-grants core-domain ownership (marking the word stCoreActive)
 // before the reply is delivered: the core installs the line itself, and
 // every intervention the server receives from this point on queues in the
 // mailbox and is drained by the core after that installation — which is
 // exactly arrival order, because the home serializes per line and sent
 // the grant first. Stale replies (sequence mismatch) are dropped.
-func (n *Node) handoffCompletion(pkt network.Packet) (chan network.Packet, network.Packet) {
+func (n *Node) handoffCompletion(pkt network.Packet) *pendingReq {
 	n.mu.Lock()
 	pr := n.pending
 	if pr == nil || pr.seq != pkt.Seq {
 		n.mu.Unlock()
-		return nil, network.Packet{}
+		return nil
 	}
 	n.pending = nil
 	if !pr.peek && !pr.poke {
@@ -246,9 +397,9 @@ func (n *Node) handoffCompletion(pkt network.Packet) (chan network.Packet, netwo
 		// the server's own claims are transient under this mu.
 		n.coreState.Store(stCoreActive)
 	}
-	done := pr.done
+	pr.reply = pkt
 	n.mu.Unlock()
-	return done, pkt
+	return pr
 }
 
 // dirLineSlabChunk sizes the home's dirLine slab: small enough that a

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/clock"
 	"repro/internal/config"
+	"repro/internal/park"
 	"repro/internal/transport"
 )
 
@@ -52,6 +53,10 @@ type Stats struct {
 // append-and-reslice queue (whose head capacity is unrecoverable). The
 // ring is allocated by the first put: a class that is pumped or sunk never
 // queues anything, so its queue costs no packet storage.
+//
+// A consumer waits in wait: on cond by default, or — once a single
+// consumer has installed its park.Parker (Net.SetParker) — by parking,
+// and put wakes it.
 type pktQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -59,6 +64,8 @@ type pktQueue struct {
 	head   int
 	count  int
 	closed bool
+	park   park.Parker
+	parked bool // the installed consumer waits for a put or close
 }
 
 func newPktQueue() *pktQueue {
@@ -75,14 +82,45 @@ func (q *pktQueue) at(i int) *Packet {
 
 func (q *pktQueue) put(p Packet) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
+		q.mu.Unlock()
 		return
 	}
 	q.grow(1)
 	*q.at(q.count) = p
 	q.count++
-	q.cond.Signal()
+	q.wakeLocked(false)
+	q.mu.Unlock()
+}
+
+// wait blocks the consumer until the next put or close. Called with mu
+// held; returns with mu held.
+func (q *pktQueue) wait() {
+	if q.park == nil {
+		q.cond.Wait()
+		return
+	}
+	q.parked = true
+	q.mu.Unlock()
+	defer q.mu.Lock() // also when a torn-down thread unwinds out of Park
+	q.park.Park()
+}
+
+// wakeLocked wakes a waiting consumer, or on the default path one
+// waiter (every waiter when all is set). Called with mu held.
+func (q *pktQueue) wakeLocked(all bool) {
+	if q.park == nil {
+		if all {
+			q.cond.Broadcast()
+		} else {
+			q.cond.Signal()
+		}
+		return
+	}
+	if q.parked {
+		q.parked = false
+		q.park.Unpark()
+	}
 }
 
 // grow ensures room for n more packets. Called with mu held.
@@ -117,7 +155,7 @@ func (q *pktQueue) get() (Packet, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.count == 0 && !q.closed {
-		q.cond.Wait()
+		q.wait()
 	}
 	if q.count == 0 {
 		return Packet{}, false
@@ -148,7 +186,7 @@ func (q *pktQueue) getMatch(pred func(*Packet) bool) (Packet, bool) {
 		if q.closed {
 			return Packet{}, false
 		}
-		q.cond.Wait()
+		q.wait()
 	}
 }
 
@@ -156,7 +194,7 @@ func (q *pktQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	q.cond.Broadcast()
+	q.wakeLocked(true)
 }
 
 // Net is one node's interface to the on-chip networks: a target tile or a
@@ -208,6 +246,16 @@ func (n *Net) SetPrimary(c Class) { n.pumped = c }
 // with ok == true, then ok == false exactly once when the endpoint
 // closes. Call before the first Recv.
 func (n *Net) SetSink(c Class, fn func(pkt Packet, ok bool)) { n.sinks[c] = fn }
+
+// SetParker makes p the way the one consumer of class c's queue waits in
+// Recv and RecvMatch (an application thread parks its coroutine); nil
+// restores the default, a condition-variable wait.
+func (n *Net) SetParker(c Class, p park.Parker) {
+	q := n.queues[c]
+	q.mu.Lock()
+	q.park, q.parked = p, false
+	q.mu.Unlock()
+}
 
 // Start is a no-op kept because benchmark/, edited only in benchmark PRs, calls it.
 func (n *Net) Start() {}

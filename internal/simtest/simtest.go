@@ -1,7 +1,7 @@
 // Package simtest holds what tests of the simulator share. A simulation
-// that loses a message does not fail, it parks every goroutine and waits
+// that loses a message does not fail, it parks every thread and waits
 // (ROADMAP item 1), so a test that runs one bounds it here and gets the
-// stacks that say who waits for whom — not `go test`'s ten-minute
+// model state that says who waits for whom — not `go test`'s ten-minute
 // timeout and a truncated dump.
 package simtest
 
@@ -10,12 +10,18 @@ import (
 	"runtime/pprof"
 	"testing"
 	"time"
+
+	"repro/internal/park"
 )
 
 // Deadline runs fn on its own goroutine and returns when fn does. If fn
 // is still running after d it writes every goroutine's stack to standard
-// error and fails the test at once; fn's goroutine is abandoned, and the
-// caller's cleanup (Cluster.Close tears a wedged run down) still runs.
+// error, then what every live simulation waits for (park.Report: per
+// process the ledger round, the MCP's counts, each shard's ready list and
+// each thread's wait — application threads are coroutines, so their
+// stacks do not say it), and fails the test at once; fn's goroutine is
+// abandoned, and the caller's cleanup (Cluster.Close tears a wedged run
+// down) still runs.
 // fn must report through t.Error, not t.Fatal: it is not the test
 // goroutine.
 func Deadline(t testing.TB, d time.Duration, fn func()) {
@@ -31,6 +37,7 @@ func Deadline(t testing.TB, d time.Duration, fn func()) {
 	case <-done:
 	case <-timer.C:
 		pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
-		t.Fatalf("still running after %v; goroutine stacks are on standard error", d)
+		park.Report(os.Stderr)
+		t.Fatalf("still running after %v; goroutine stacks and model state are on standard error", d)
 	}
 }

@@ -1,9 +1,13 @@
 package synchro
 
 import (
+	"fmt"
+	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/arch"
+	"repro/internal/park"
 )
 
 // EpochWait is one tile's pending LaxBarrier wait: the tile and the epoch
@@ -49,11 +53,12 @@ type Ledger struct {
 	flush func([]EpochWait)
 
 	mu sync.Mutex
-	// cond signals epoch releases and Close to parked threads. One
+	// cond signals epoch releases and Close to threads that wait on the
+	// default path (no park.Parker installed for their tile). One
 	// condition shared by every slot keeps the steady-state wait path
 	// allocation-free (a per-wait channel would be one allocation per
 	// tile per quantum); stragglers woken by a foreign epoch's broadcast
-	// re-check their slot and park again.
+	// re-check their slot and wait again.
 	cond   sync.Cond
 	slots  map[arch.TileID]*ledgerSlot
 	closed bool
@@ -67,6 +72,7 @@ type ledgerSlot struct {
 	waiting bool // parked at a barrier epoch
 	flushed bool // current wait already transported to the MCP
 	epoch   int64
+	park    park.Parker // how the tile's thread waits; nil: on cond
 }
 
 // NewLedger builds a ledger whose batches are delivered by flush
@@ -85,6 +91,15 @@ func (l *Ledger) slot(tile arch.TileID) *ledgerSlot {
 		l.slots[tile] = s
 	}
 	return s
+}
+
+// SetParker makes p the way tile's thread waits in Wait (an application
+// thread parks its coroutine); nil restores the default, a wait on the
+// ledger's condition variable.
+func (l *Ledger) SetParker(tile arch.TileID, p park.Parker) {
+	l.mu.Lock()
+	l.slot(tile).park = p
+	l.mu.Unlock()
 }
 
 // ThreadStarted records that an application thread now runs on tile.
@@ -128,7 +143,7 @@ func (l *Ledger) SetBlocked(tile arch.TileID, blocked, recv bool) {
 // Wait parks the calling thread at the given barrier epoch until the MCP
 // releases that epoch (via Release) or the ledger closes. It registers
 // the wait, flushes the batch if this wait completes the local round, and
-// blocks.
+// waits.
 //
 //graphite:hotpath
 func (l *Ledger) Wait(tile arch.TileID, epoch int64) {
@@ -149,7 +164,13 @@ func (l *Ledger) Wait(tile arch.TileID, epoch int64) {
 		l.mu.Lock()
 	}
 	for s.waiting && !l.closed {
-		l.cond.Wait()
+		if s.park == nil {
+			l.cond.Wait()
+			continue
+		}
+		l.mu.Unlock()
+		s.park.Park()
+		l.mu.Lock()
 	}
 	l.mu.Unlock()
 }
@@ -165,7 +186,11 @@ func (l *Ledger) Release(epoch int64) {
 		if s.waiting && s.epoch == epoch {
 			s.waiting = false
 			s.flushed = false
-			woke = true
+			if s.park != nil {
+				s.park.Unpark()
+			} else {
+				woke = true
+			}
 		}
 	}
 	if woke {
@@ -182,6 +207,9 @@ func (l *Ledger) Close() {
 	//graphite:maporder commutative flag clears on disjoint slots during teardown
 	for _, s := range l.slots {
 		s.waiting = false
+		if s.park != nil {
+			s.park.Unpark()
+		}
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
@@ -224,6 +252,34 @@ func (l *Ledger) takeBatchLocked() []EpochWait {
 		}
 	}
 	return batch
+}
+
+// Report writes the ledger's round for a wedged-run dump (park.Report):
+// each active tile's epoch wait (and whether the MCP has it), and the
+// tiles blocked in a control-plane call or an application receive.
+func (l *Ledger) Report(w io.Writer) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tiles := make([]arch.TileID, 0, len(l.slots))
+	//graphite:maporder the tiles are sorted before use
+	for t := range l.slots {
+		tiles = append(tiles, t)
+	}
+	slices.Sort(tiles)
+	var waiting, blocked, recv []string
+	for _, t := range tiles {
+		s := l.slots[t]
+		switch {
+		case !s.active:
+		case s.waiting:
+			waiting = append(waiting, fmt.Sprintf("%d@%d(sent %v)", t, s.epoch, s.flushed))
+		case s.blocked && s.recv:
+			recv = append(recv, fmt.Sprint(t))
+		case s.blocked:
+			blocked = append(blocked, fmt.Sprint(t))
+		}
+	}
+	fmt.Fprintf(w, "  ledger: waiting %v; blocked in a call or a reported receive %v; receive-blocked, unreported %v\n", waiting, blocked, recv)
 }
 
 func (l *Ledger) send(batch []EpochWait) {

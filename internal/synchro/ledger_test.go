@@ -4,10 +4,12 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/park"
 	"repro/internal/simtest"
 )
 
@@ -230,4 +232,38 @@ func TestLedgerCloseWakesAndDisables(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("post-close Wait parked")
 	}
+}
+
+// countingParker is a park.Chan that counts its wakes.
+type countingParker struct {
+	park.Chan
+	wakes atomic.Int32
+}
+
+func (p *countingParker) Unpark() {
+	p.wakes.Add(1)
+	p.Chan.Unpark()
+}
+
+// TestLedgerParkerWakesOnlyItsWaiter: a tile with a Parker installed
+// waits through it, and a release wakes exactly the released slots'
+// parkers — not, as the shared condition does, every waiter.
+func TestLedgerParkerWakesOnlyItsWaiter(t *testing.T) {
+	rec := &batchRecorder{}
+	l := NewLedger(rec.flush)
+	p0, p1 := &countingParker{Chan: park.NewChan()}, &countingParker{Chan: park.NewChan()}
+	l.SetParker(0, p0)
+	l.SetParker(1, p1)
+	l.ThreadStarted(0)
+	l.ThreadStarted(1)
+	d0 := wait(l, 0, 2)
+	d1 := wait(l, 1, 5)
+	settle()
+	l.Release(2)
+	<-d0
+	if p0.wakes.Load() != 1 || p1.wakes.Load() != 0 {
+		t.Fatalf("release of epoch 2 woke tile 0 %d times and tile 1 %d times, want 1 and 0", p0.wakes.Load(), p1.wakes.Load())
+	}
+	l.Close()
+	<-d1
 }

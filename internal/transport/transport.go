@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -289,12 +290,22 @@ func (e *Endpoint) Close() error {
 // handful of control endpoints (MCP, LCPs — negative IDs) stay in a small
 // map off the hot path, and so does every endpoint that holds early frames
 // and is not registered yet.
+//
+// A sized fabric also publishes each registered tile endpoint in
+// claimed, which a send reads without the fabric lock: the shards of
+// every process send to tile endpoints all the time, and the read lock's
+// shared counter would bounce between their CPUs on every frame.
 type ChannelFabric struct {
 	mu    sync.RWMutex
 	tiles []*Endpoint              // dense, indexed by tile endpoint ID
 	ctrl  map[EndpointID]*Endpoint // MCP, LCPs, and unclaimed endpoints
 	route RouteFunc
 	done  bool
+
+	// claimed[id] is tile endpoint id once registered (sized fabrics
+	// only; fixed length, set once, never cleared: a closed endpoint
+	// refuses frames itself).
+	claimed []atomic.Pointer[Endpoint]
 }
 
 // NewChannelFabric creates a fabric using the given routing map. The map
@@ -309,9 +320,10 @@ func NewChannelFabric(route RouteFunc) *ChannelFabric {
 // array allocated up front for the given tile count.
 func NewChannelFabricSized(route RouteFunc, tiles int) *ChannelFabric {
 	return &ChannelFabric{
-		tiles: make([]*Endpoint, tiles),
-		ctrl:  make(map[EndpointID]*Endpoint),
-		route: route,
+		tiles:   make([]*Endpoint, tiles),
+		ctrl:    make(map[EndpointID]*Endpoint),
+		route:   route,
+		claimed: make([]atomic.Pointer[Endpoint], tiles),
 	}
 }
 
@@ -388,6 +400,9 @@ func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (*Endpoint, error
 		f.tiles = append(f.tiles, nil)
 	}
 	f.tiles[id] = e
+	if int(id) < len(f.claimed) {
+		f.claimed[id].Store(e)
+	}
 	return e, nil
 }
 
@@ -421,6 +436,11 @@ func (f *ChannelFabric) hold(dst EndpointID, frames [][]byte) {
 // box returns dst's endpoint for a send from this process, which may
 // reach only a registered endpoint.
 func (f *ChannelFabric) box(dst EndpointID) (*Endpoint, error) {
+	if dst >= 0 && int(dst) < len(f.claimed) {
+		if e := f.claimed[dst].Load(); e != nil {
+			return e, nil // after Close, its put reports ErrClosed
+		}
+	}
 	f.mu.RLock()
 	e := f.lookup(dst)
 	claimed := e != nil && e.claimed

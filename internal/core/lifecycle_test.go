@@ -142,19 +142,19 @@ func TestJoinedClusterMatchesInProcess(t *testing.T) {
 
 // TestRunReturnsWhenMCPStops: an MCP whose receive loop died under a
 // running in-process cluster ends Run with ErrWorkerDied — nothing could
-// ever report completion to it.
+// ever report completion to it. The thread parks in a receive no message
+// ever satisfies, which teardown ends.
 func TestRunReturnsWhenMCPStops(t *testing.T) {
-	started, release := make(chan struct{}), make(chan struct{})
+	started := make(chan struct{})
 	prog := Program{Name: "parked", Funcs: []ThreadFunc{func(th *Thread, arg uint64) {
 		close(started)
-		<-release
+		th.Recv()
 	}}}
 	c, err := NewCluster(testCfg(2, 1), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	defer close(release)
 	go func() {
 		<-started
 		c.procs[0].mcpNet.Close()

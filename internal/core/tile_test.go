@@ -218,14 +218,17 @@ func TestParkedCallReleasedWhenNetCloses(t *testing.T) {
 // BenchmarkSysCallRoundTrip measures one control-plane RPC — a tile's
 // call to the MCP and the reply back through the tile's system sink — on
 // the channel fabric. Joining a thread that never ran is answered at once.
+// The thread times its own loop: it must not block outside a Thread call,
+// so it cannot wait for the benchmark goroutine to start the clock.
 func BenchmarkSysCallRoundTrip(b *testing.B) {
-	ready, start, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	b.ReportAllocs()
 	prog := Program{Name: "rpc", Funcs: []ThreadFunc{func(th *Thread, arg uint64) {
-		close(ready)
-		<-start
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			th.Join(1)
 		}
+		b.StopTimer()
 		close(done)
 	}}}
 	c, err := NewCluster(testCfg(2, 1), prog)
@@ -238,16 +241,11 @@ func BenchmarkSysCallRoundTrip(b *testing.B) {
 		_, err := c.Run(0)
 		runErr <- err
 	}()
-	<-ready
-	b.ReportAllocs()
-	b.ResetTimer()
-	close(start)
 	select {
 	case <-done:
 	case <-time.After(runDeadline):
 		b.Fatal("RPC loop wedged")
 	}
-	b.StopTimer()
 	if err := <-runErr; err != nil {
 		b.Fatal(err)
 	}

@@ -54,23 +54,23 @@ type Stats struct {
 // ring is allocated by the first put: a class that is pumped or sunk never
 // queues anything, so its queue costs no packet storage.
 //
-// A consumer waits in wait: on cond by default, or — once a single
-// consumer has installed its park.Parker (Net.SetParker) — by parking,
-// and put wakes it.
+// A queue has one consumer, which waits in wait through park: by default
+// defPark, a channel a plain goroutine blocks on; an application thread
+// installs its coroutine (Net.SetParker). put and close wake it.
 type pktQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []Packet // ring of count packets starting at head
-	head   int
-	count  int
-	closed bool
-	park   park.Parker
-	parked bool // the installed consumer waits for a put or close
+	mu      sync.Mutex
+	buf     []Packet // ring of count packets starting at head
+	head    int
+	count   int
+	closed  bool
+	park    park.Parker
+	defPark park.Chan
+	parked  bool // the consumer waits for a put or close
 }
 
 func newPktQueue() *pktQueue {
-	q := &pktQueue{}
-	q.cond = sync.NewCond(&q.mu)
+	q := &pktQueue{defPark: park.NewChan()}
+	q.park = q.defPark
 	return q
 }
 
@@ -89,34 +89,21 @@ func (q *pktQueue) put(p Packet) {
 	q.grow(1)
 	*q.at(q.count) = p
 	q.count++
-	q.wakeLocked(false)
+	q.wakeLocked()
 	q.mu.Unlock()
 }
 
 // wait blocks the consumer until the next put or close. Called with mu
 // held; returns with mu held.
 func (q *pktQueue) wait() {
-	if q.park == nil {
-		q.cond.Wait()
-		return
-	}
 	q.parked = true
 	q.mu.Unlock()
 	defer q.mu.Lock() // also when a torn-down thread unwinds out of Park
 	q.park.Park()
 }
 
-// wakeLocked wakes a waiting consumer, or on the default path one
-// waiter (every waiter when all is set). Called with mu held.
-func (q *pktQueue) wakeLocked(all bool) {
-	if q.park == nil {
-		if all {
-			q.cond.Broadcast()
-		} else {
-			q.cond.Signal()
-		}
-		return
-	}
+// wakeLocked wakes the consumer if it waits. Called with mu held.
+func (q *pktQueue) wakeLocked() {
 	if q.parked {
 		q.parked = false
 		q.park.Unpark()
@@ -194,7 +181,7 @@ func (q *pktQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	q.wakeLocked(true)
+	q.wakeLocked()
 }
 
 // Net is one node's interface to the on-chip networks: a target tile or a
@@ -249,10 +236,13 @@ func (n *Net) SetSink(c Class, fn func(pkt Packet, ok bool)) { n.sinks[c] = fn }
 
 // SetParker makes p the way the one consumer of class c's queue waits in
 // Recv and RecvMatch (an application thread parks its coroutine); nil
-// restores the default, a condition-variable wait.
+// restores the default, a blocking channel receive.
 func (n *Net) SetParker(c Class, p park.Parker) {
 	q := n.queues[c]
 	q.mu.Lock()
+	if p == nil {
+		p = q.defPark
+	}
 	q.park, q.parked = p, false
 	q.mu.Unlock()
 }
@@ -342,7 +332,7 @@ func (n *Net) closeSinks() {
 
 // Recv blocks for the next packet of a class, in arrival order: the pump
 // class by reading the endpoint, any other class from its queue. ok is
-// false after Close.
+// false after Close. A queued class has one consumer at a time.
 func (n *Net) Recv(class Class) (Packet, bool) {
 	if class == n.pumped {
 		return n.pump()

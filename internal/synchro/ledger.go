@@ -52,14 +52,7 @@ type Ledger struct {
 	// cannot register a new wait until its previous one was released.
 	flush func([]EpochWait)
 
-	mu sync.Mutex
-	// cond signals epoch releases and Close to threads that wait on the
-	// default path (no park.Parker installed for their tile). One
-	// condition shared by every slot keeps the steady-state wait path
-	// allocation-free (a per-wait channel would be one allocation per
-	// tile per quantum); stragglers woken by a foreign epoch's broadcast
-	// re-check their slot and wait again.
-	cond   sync.Cond
+	mu     sync.Mutex
 	slots  map[arch.TileID]*ledgerSlot
 	closed bool
 }
@@ -72,33 +65,40 @@ type ledgerSlot struct {
 	waiting bool // parked at a barrier epoch
 	flushed bool // current wait already transported to the MCP
 	epoch   int64
-	park    park.Parker // how the tile's thread waits; nil: on cond
+	// park is how the tile's thread waits in Wait: by default defPark, a
+	// channel made once per slot that a plain goroutine blocks on; an
+	// application thread installs its coroutine (SetParker).
+	park    park.Parker
+	defPark park.Chan
 }
 
 // NewLedger builds a ledger whose batches are delivered by flush
 // (typically a system-class send from the process's LCP endpoint to the
 // MCP).
 func NewLedger(flush func([]EpochWait)) *Ledger {
-	l := &Ledger{flush: flush, slots: make(map[arch.TileID]*ledgerSlot)}
-	l.cond.L = &l.mu
-	return l
+	return &Ledger{flush: flush, slots: make(map[arch.TileID]*ledgerSlot)}
 }
 
 func (l *Ledger) slot(tile arch.TileID) *ledgerSlot {
 	s := l.slots[tile]
 	if s == nil {
-		s = &ledgerSlot{}
+		s = &ledgerSlot{defPark: park.NewChan()}
+		s.park = s.defPark
 		l.slots[tile] = s
 	}
 	return s
 }
 
 // SetParker makes p the way tile's thread waits in Wait (an application
-// thread parks its coroutine); nil restores the default, a wait on the
-// ledger's condition variable.
+// thread parks its coroutine); nil restores the default, a blocking
+// channel receive.
 func (l *Ledger) SetParker(tile arch.TileID, p park.Parker) {
 	l.mu.Lock()
-	l.slot(tile).park = p
+	s := l.slot(tile)
+	if p == nil {
+		p = s.defPark
+	}
+	s.park = p
 	l.mu.Unlock()
 }
 
@@ -164,10 +164,6 @@ func (l *Ledger) Wait(tile arch.TileID, epoch int64) {
 		l.mu.Lock()
 	}
 	for s.waiting && !l.closed {
-		if s.park == nil {
-			l.cond.Wait()
-			continue
-		}
 		l.mu.Unlock()
 		s.park.Park()
 		l.mu.Lock()
@@ -180,21 +176,13 @@ func (l *Ledger) Wait(tile arch.TileID, epoch int64) {
 // waiters stay parked).
 func (l *Ledger) Release(epoch int64) {
 	l.mu.Lock()
-	woke := false
 	//graphite:maporder commutative flag clears on disjoint slots; wakeup order is the scheduler's regardless
 	for _, s := range l.slots {
 		if s.waiting && s.epoch == epoch {
 			s.waiting = false
 			s.flushed = false
-			if s.park != nil {
-				s.park.Unpark()
-			} else {
-				woke = true
-			}
+			s.park.Unpark()
 		}
-	}
-	if woke {
-		l.cond.Broadcast()
 	}
 	l.mu.Unlock()
 }
@@ -207,11 +195,8 @@ func (l *Ledger) Close() {
 	//graphite:maporder commutative flag clears on disjoint slots during teardown
 	for _, s := range l.slots {
 		s.waiting = false
-		if s.park != nil {
-			s.park.Unpark()
-		}
+		s.park.Unpark()
 	}
-	l.cond.Broadcast()
 	l.mu.Unlock()
 }
 

@@ -247,7 +247,7 @@ func (p *countingParker) Unpark() {
 
 // TestLedgerParkerWakesOnlyItsWaiter: a tile with a Parker installed
 // waits through it, and a release wakes exactly the released slots'
-// parkers — not, as the shared condition does, every waiter.
+// parkers, not every waiter.
 func TestLedgerParkerWakesOnlyItsWaiter(t *testing.T) {
 	rec := &batchRecorder{}
 	l := NewLedger(rec.flush)

@@ -291,21 +291,20 @@ func (e *Endpoint) Close() error {
 // map off the hot path, and so does every endpoint that holds early frames
 // and is not registered yet.
 //
-// A sized fabric also publishes each registered tile endpoint in
-// claimed, which a send reads without the fabric lock: the shards of
-// every process send to tile endpoints all the time, and the read lock's
-// shared counter would bounce between their CPUs on every frame.
+// A send reads the tile array without the fabric lock: the shards of
+// every process send to tile endpoints all the time, and a read lock's
+// shared counter would bounce between their CPUs on every frame. So the
+// array holds atomic pointers, each set once by Register, and an unsized
+// fabric grows it by publishing a copy; done is atomic for the same
+// reason. A send that loads done before Close sets it may still reach an
+// endpoint Close has not closed yet, as it could when it took the lock
+// first; one that starts after fails with ErrClosed.
 type ChannelFabric struct {
 	mu    sync.RWMutex
-	tiles []*Endpoint              // dense, indexed by tile endpoint ID
-	ctrl  map[EndpointID]*Endpoint // MCP, LCPs, and unclaimed endpoints
+	tiles atomic.Pointer[[]atomic.Pointer[Endpoint]] // registered tile endpoints by ID; grown under mu
+	ctrl  map[EndpointID]*Endpoint                   // MCP, LCPs, and unclaimed endpoints
 	route RouteFunc
-	done  bool
-
-	// claimed[id] is tile endpoint id once registered (sized fabrics
-	// only; fixed length, set once, never cleared: a closed endpoint
-	// refuses frames itself).
-	claimed []atomic.Pointer[Endpoint]
+	done  atomic.Bool // set under mu
 }
 
 // NewChannelFabric creates a fabric using the given routing map. The map
@@ -319,12 +318,10 @@ func NewChannelFabric(route RouteFunc) *ChannelFabric {
 // NewChannelFabricSized creates a fabric with the dense tile-endpoint
 // array allocated up front for the given tile count.
 func NewChannelFabricSized(route RouteFunc, tiles int) *ChannelFabric {
-	return &ChannelFabric{
-		tiles:   make([]*Endpoint, tiles),
-		ctrl:    make(map[EndpointID]*Endpoint),
-		route:   route,
-		claimed: make([]atomic.Pointer[Endpoint], tiles),
-	}
+	f := &ChannelFabric{ctrl: make(map[EndpointID]*Endpoint), route: route}
+	ts := make([]atomic.Pointer[Endpoint], tiles)
+	f.tiles.Store(&ts)
+	return f
 }
 
 // Process returns the transport handle of process p.
@@ -342,12 +339,13 @@ func (f *ChannelFabric) Close() error {
 func (f *ChannelFabric) close() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.done {
+	if f.done.Load() {
 		return false
 	}
-	f.done = true
-	for _, e := range f.tiles {
-		if e != nil {
+	f.done.Store(true)
+	ts := *f.tiles.Load()
+	for i := range ts {
+		if e := ts[i].Load(); e != nil {
 			e.Close()
 		}
 	}
@@ -357,17 +355,21 @@ func (f *ChannelFabric) close() bool {
 	return true
 }
 
-func (f *ChannelFabric) closed() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.done
+func (f *ChannelFabric) closed() bool { return f.done.Load() }
+
+// tile returns registered tile endpoint dst, or nil. It takes no lock.
+func (f *ChannelFabric) tile(dst EndpointID) *Endpoint {
+	if ts := *f.tiles.Load(); dst >= 0 && int(dst) < len(ts) {
+		return ts[dst].Load()
+	}
+	return nil
 }
 
 // lookup returns dst's endpoint, claimed or not, or nil. Called with mu
 // held.
 func (f *ChannelFabric) lookup(dst EndpointID) *Endpoint {
-	if dst >= 0 && int(dst) < len(f.tiles) && f.tiles[dst] != nil {
-		return f.tiles[dst]
+	if e := f.tile(dst); e != nil {
+		return e
 	}
 	return f.ctrl[dst]
 }
@@ -381,7 +383,7 @@ func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (*Endpoint, error
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.done {
+	if f.done.Load() {
 		return nil, ErrClosed
 	}
 	e := f.lookup(id)
@@ -396,13 +398,16 @@ func (f *ChannelFabric) register(p arch.ProcID, id EndpointID) (*Endpoint, error
 		return e, nil
 	}
 	delete(f.ctrl, id)
-	for int(id) >= len(f.tiles) { // unsized fabric: amortized growth
-		f.tiles = append(f.tiles, nil)
+	ts := *f.tiles.Load()
+	if int(id) >= len(ts) { // unsized fabric: amortized growth
+		grown := make([]atomic.Pointer[Endpoint], max(int(id)+1, 2*len(ts)))
+		for i := range ts {
+			grown[i].Store(ts[i].Load())
+		}
+		f.tiles.Store(&grown)
+		ts = grown
 	}
-	f.tiles[id] = e
-	if int(id) < len(f.claimed) {
-		f.claimed[id].Store(e)
-	}
+	ts[id].Store(e)
 	return e, nil
 }
 
@@ -421,7 +426,7 @@ func (f *ChannelFabric) hold(dst EndpointID, frames [][]byte) {
 	f.mu.RUnlock()
 	if e == nil {
 		f.mu.Lock()
-		if e = f.lookup(dst); e == nil && !f.done {
+		if e = f.lookup(dst); e == nil && !f.done.Load() {
 			e = newEndpoint()
 			f.ctrl[dst] = e
 		}
@@ -434,22 +439,21 @@ func (f *ChannelFabric) hold(dst EndpointID, frames [][]byte) {
 }
 
 // box returns dst's endpoint for a send from this process, which may
-// reach only a registered endpoint.
+// reach only a registered endpoint. A tile endpoint is found without the
+// fabric lock.
 func (f *ChannelFabric) box(dst EndpointID) (*Endpoint, error) {
-	if dst >= 0 && int(dst) < len(f.claimed) {
-		if e := f.claimed[dst].Load(); e != nil {
-			return e, nil // after Close, its put reports ErrClosed
+	e := f.tile(dst)
+	if e == nil {
+		f.mu.RLock()
+		if e = f.ctrl[dst]; e != nil && !e.claimed {
+			e = nil
 		}
+		f.mu.RUnlock()
 	}
-	f.mu.RLock()
-	e := f.lookup(dst)
-	claimed := e != nil && e.claimed
-	done := f.done
-	f.mu.RUnlock()
-	if done {
+	if f.done.Load() {
 		return nil, ErrClosed
 	}
-	if !claimed {
+	if e == nil {
 		return nil, fmt.Errorf("transport: send to unregistered endpoint %d", dst)
 	}
 	return e, nil

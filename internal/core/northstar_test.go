@@ -164,3 +164,41 @@ func TestLaxP2PMatmulOneShard(t *testing.T) {
 		t.Fatalf("LaxP2P checksum %016x, Lax %016x", got, want)
 	}
 }
+
+// TestContendedModelFlushFinishes runs radix on the contention model,
+// striped over two processes, to its end-of-run flush: the LCP flushes
+// each tile's caches from its own goroutine, under the tile's locks,
+// while the shards serve the evictions in bursts that hold the
+// contention-model lock (network.Batch.Hold). Neither may wait for the
+// other; each run must finish with the native checksum.
+func TestContendedModelFlushFinishes(t *testing.T) {
+	w, ok := workloads.Get("radix")
+	if !ok {
+		t.Fatal("radix not registered")
+	}
+	cfg, err := scenario.Preset("small-cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tiles, cfg.Processes = 8, 2
+	cfg.MemNet.Kind = config.NetMeshContention
+	cfg.Coherence.Kind = config.FullMap
+	p := workloads.Params{Threads: 8, Scale: 8}
+	native := w.Native(p)
+	for i := 0; i < 5; i++ {
+		c, err := core.NewCluster(cfg, w.Build(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		simtest.Deadline(t, 2*time.Minute, func() { _, err = c.Run(0) })
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		var buf [8]byte
+		c.Peek(workloads.DefaultResultAddr, buf[:])
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(buf[:])); !workloads.Close(got, native) {
+			t.Errorf("run %d: checksum %v, native %v", i, got, native)
+		}
+		c.Close()
+	}
+}

@@ -248,6 +248,11 @@ type Node struct {
 	down   bool
 	coro   atomic.Pointer[Coro]
 
+	// held is the progress window whose lock the shard holds while it
+	// serves the node's burst, nil otherwise (server domain): the home's
+	// DRAM accesses are modeled inside that hold.
+	held *clock.ProgressWindow
+
 	stopped chan struct{}
 }
 
@@ -405,7 +410,7 @@ func (n *Node) drainLocked(srv bool) {
 // command queued in the mailbox, flagged by stPending; the core's release
 // CAS observes the flag and drains. Called by the server only.
 func (n *Node) queueIntervention(pkt network.Packet) {
-	n.mu.Lock()
+	n.lockHeld(&n.mu)
 	n.intvQ = append(n.intvQ, pkt)
 	for {
 		s := n.coreState.Load()

@@ -154,7 +154,12 @@ func (s *Shard) Run() {
 		if n.down {
 			continue // readied by its own Close after it was torn down
 		}
-		k, open := n.net.TryRecvBurst(burst[:])
+		// The burst holds the contention-model lock from its first receive
+		// to its flush (network.Batch.Hold): its handlers model every
+		// packet and DRAM access inside one hold, and let go before the
+		// shard runs a thread or waits.
+		n.held = n.out.Hold()
+		k, open := n.out.RecvBurst(burst[:])
 		var done *pendingReq
 		for i := 0; i < k; i++ {
 			if pr := n.dispatch(burst[i]); pr != nil {
@@ -166,6 +171,8 @@ func (s *Shard) Run() {
 			burst[i] = network.Packet{}
 		}
 		n.flushSends()
+		n.out.Release()
+		n.held = nil
 		var wake park.Parker
 		if done != nil {
 			// The slot is the core's again the moment replied says so.
@@ -332,7 +339,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		n.home.mu.Lock()
+		n.lockHeld(&n.home.mu)
 		n.handleRequest(pkt, req)
 		n.home.mu.Unlock()
 	case msgEvictS:
@@ -340,7 +347,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		n.home.mu.Lock()
+		n.lockHeld(&n.home.mu)
 		if dl := n.home.lines[cache.LineAddr(line)]; dl != nil {
 			dl.entry.RemoveSharer(pkt.Src)
 		}
@@ -350,7 +357,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		n.home.mu.Lock()
+		n.lockHeld(&n.home.mu)
 		n.handleEvictM(pkt, p)
 		n.home.mu.Unlock()
 	case msgInvReq, msgWbReq, msgFlushReq:
@@ -360,7 +367,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		if err != nil {
 			panic("memsys: " + err.Error())
 		}
-		n.home.mu.Lock()
+		n.lockHeld(&n.home.mu)
 		n.handleHomeReply(pkt, p)
 		n.home.mu.Unlock()
 	case msgShRep, msgExRep, msgUpgRep, msgPeekRep, msgPokeAck:
@@ -370,9 +377,36 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 	case msgPeek, msgPoke:
 		n.handlePeekPoke(pkt)
 	case msgCkpt:
-		n.runCtrl()
+		// Captures and restores take the node's locks the way a core
+		// context does; they run outside the hold.
+		if w := n.held; w != nil {
+			w.Unlock()
+			n.runCtrl()
+			w.Lock()
+		} else {
+			n.runCtrl()
+		}
 	}
 	return nil
+}
+
+// lockHeld takes mu for the server inside its hold on the progress window
+// (Node.held). Every other context takes the node's locks before the
+// window — a core context models its traffic under them, and FlushAll
+// runs one from the LCP's goroutine — so when mu is taken the server lets
+// go of the window until it has mu, and the lock order never inverts.
+func (n *Node) lockHeld(mu *sync.Mutex) {
+	w := n.held
+	if w == nil {
+		mu.Lock()
+		return
+	}
+	if mu.TryLock() {
+		return
+	}
+	w.Unlock()
+	mu.Lock()
+	w.Lock()
 }
 
 // handoffCompletion matches a completion reply against the outstanding
@@ -385,7 +419,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 // exactly arrival order, because the home serializes per line and sent
 // the grant first. Stale replies (sequence mismatch) are dropped.
 func (n *Node) handoffCompletion(pkt network.Packet) *pendingReq {
-	n.mu.Lock()
+	n.lockHeld(&n.mu)
 	pr := n.pending
 	if pr == nil || pr.seq != pkt.Seq {
 		n.mu.Unlock()
@@ -560,9 +594,9 @@ func (n *Node) completeTxn(dl *dirLine, tx *txn, now arch.Cycles) {
 			// so every Shared copy is clean (MSI). The writeback occupies
 			// the DRAM queue but is off the critical path.
 			copy(buf, tx.data)
-			h.dram.WriteLine(uint64(tx.line), tx.data, t)
+			h.dram.WriteLineHeld(uint64(tx.line), tx.data, t, n.held)
 		} else {
-			t += h.dram.ReadLine(uint64(tx.line), buf, t)
+			t += h.dram.ReadLineHeld(uint64(tx.line), buf, t, n.held)
 		}
 		payload.flags |= flagHasData
 		payload.data = buf
@@ -579,7 +613,7 @@ func (n *Node) completeTxn(dl *dirLine, tx *txn, now arch.Cycles) {
 				// Dirty data moves owner to owner without touching DRAM.
 				copy(buf, tx.data)
 			} else {
-				t += h.dram.ReadLine(uint64(tx.line), buf, t)
+				t += h.dram.ReadLineHeld(uint64(tx.line), buf, t, n.held)
 			}
 			e.SetOwner(tx.requester)
 			payload.flags |= flagHasData
@@ -623,7 +657,7 @@ func (n *Node) handleHomeReply(pkt network.Packet, p dataPayload) {
 		tx.waitAcks--
 		if p.flags&flagHasData != 0 {
 			// Defensive: an invalidated copy turned out Modified.
-			n.home.dram.WriteLine(p.line, p.data, pkt.Time)
+			n.home.dram.WriteLineHeld(p.line, p.data, pkt.Time, n.held)
 		}
 	case msgWbRep:
 		if p.flags&flagNotPresent != 0 {
@@ -672,7 +706,7 @@ func (n *Node) handleEvictM(pkt network.Packet, p dataPayload) {
 	n.sendSrv(msgEvictAck, pkt.Src, pkt.Seq, n.srvEncLine(p.line), pkt.Time)
 	dl := n.home.dirLine(cache.LineAddr(p.line))
 	e := dl.entry
-	n.home.dram.WriteLine(p.line, p.data, pkt.Time)
+	n.home.dram.WriteLineHeld(p.line, p.data, pkt.Time, n.held)
 	if dl.busy != nil && dl.busy.waitData && dl.busy.dataFrom == pkt.Src {
 		tx := dl.busy
 		tx.waitData = false
@@ -891,14 +925,14 @@ func (n *Node) handlePeekPoke(pkt network.Packet) {
 	line := uint64(p.addr) >> n.lineBits
 	off := int(uint64(p.addr) & (uint64(n.lineSize) - 1))
 	if pkt.Type == msgPoke {
-		n.home.mu.Lock()
+		n.lockHeld(&n.home.mu)
 		n.home.dram.Poke(line, off, p.data)
 		n.home.mu.Unlock()
 		n.sendSrv(msgPokeAck, pkt.Src, pkt.Seq, nil, pkt.Time)
 		return
 	}
 	buf := make([]byte, p.n)
-	n.home.mu.Lock()
+	n.lockHeld(&n.home.mu)
 	n.home.dram.Peek(line, off, buf)
 	n.home.mu.Unlock()
 	n.sendSrv(msgPeekRep, pkt.Src, pkt.Seq, n.srvEncPeek(peekPayload{addr: p.addr, n: p.n, data: buf}), pkt.Time)

@@ -93,20 +93,33 @@ type Mesh struct {
 	height int
 
 	// links holds one contention queue per (router, direction) as a flat
-	// slice of values indexed (y*width+x)*4+dir, built up front. The
-	// queues are guarded by prog's lock, which Delay takes once for a
-	// packet's whole route. nil without a contention model.
+	// slice of values, built up front and indexed by link. The queues are
+	// guarded by prog's lock, which Delay takes once for a packet's whole
+	// route. nil without a contention model.
 	links []queuemodel.Queue
 	prog  *clock.ProgressWindow
 }
 
-// Link directions, the low two bits of a link index.
+// Link directions. Each has its own block of links (see Mesh.link).
 const (
 	east = iota
 	west
 	north
 	south
 )
+
+// link returns the index of the link leaving router (x, y) in direction
+// dir. Each direction's links form one block, in row order for east and
+// west and in column order for north and south, so a straight stretch of
+// route walks adjacent queues — two to a cache line — and a route touches
+// about half as many lines as it has hops. Inside the lock that matters:
+// the lines a walk writes are the ones another worker's walk pulls back.
+func (m *Mesh) link(x, y, dir int) int {
+	if dir == east || dir == west {
+		return dir*m.width*m.height + y*m.width + x
+	}
+	return dir*m.width*m.height + x*m.height + y
+}
 
 func newMesh(cfg config.NetworkConfig, tiles int, prog *clock.ProgressWindow) *Mesh {
 	w := 1
@@ -165,6 +178,15 @@ func (m *Mesh) serialization(bytes int) arch.Cycles {
 //
 //graphite:hotpath
 func (m *Mesh) Delay(src, dst arch.TileID, bytes int, depart arch.Cycles) arch.Cycles {
+	return m.delay(src, dst, bytes, depart, nil)
+}
+
+// delay is Delay for a caller that may hold a progress window's lock
+// already (held, or nil): the route takes the lock only when it is not
+// that window's.
+//
+//graphite:hotpath
+func (m *Mesh) delay(src, dst arch.TileID, bytes int, depart arch.Cycles, held *clock.ProgressWindow) arch.Cycles {
 	ser := m.serialization(bytes)
 	if src == dst {
 		// Loopback through the local switch: serialization only.
@@ -175,21 +197,24 @@ func (m *Mesh) Delay(src, dst arch.TileID, bytes int, depart arch.Cycles) arch.C
 	}
 	sx, sy := m.coord(src)
 	dx, dy := m.coord(dst)
-	link := (sy*m.width + sx) * 4
 	t := depart
-	m.prog.Lock()
+	lock := m.prog != held
+	if lock {
+		m.prog.Lock()
+	}
 	if dx >= sx {
-		t = m.walk(link+east, 4, dx-sx, t, ser)
+		t = m.walk(m.link(sx, sy, east), 1, dx-sx, t, ser)
 	} else {
-		t = m.walk(link+west, -4, sx-dx, t, ser)
+		t = m.walk(m.link(sx, sy, west), -1, sx-dx, t, ser)
 	}
-	link += (dx - sx) * 4
 	if dy >= sy {
-		t = m.walk(link+south, 4*m.width, dy-sy, t, ser)
+		t = m.walk(m.link(dx, sy, south), 1, dy-sy, t, ser)
 	} else {
-		t = m.walk(link+north, -4*m.width, sy-dy, t, ser)
+		t = m.walk(m.link(dx, sy, north), -1, sy-dy, t, ser)
 	}
-	m.prog.Unlock()
+	if lock {
+		m.prog.Unlock()
+	}
 	// t has advanced by every hop's wait and router latency.
 	return t - depart + ser
 }

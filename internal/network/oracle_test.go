@@ -287,12 +287,14 @@ func TestContentionModelMatchesReference(t *testing.T) {
 					if gp != wp || gd != wd {
 						t.Fatalf("ContentionStats = (%d, %d), reference (%d, %d)", gp, gd, wp, wd)
 					}
-					for i := range m.links {
-						gp, gd, gb := m.links[i].Stats()
+					for i := range ref.links {
+						x, y, dir := i/4%ref.width, i/4/ref.width, i%4
+						got := &m.links[m.link(x, y, dir)]
+						gp, gd, gb := got.Stats()
 						wp, wd, wb := ref.links[i].Stats()
-						if gp != wp || gd != wd || gb != wb || m.links[i].Clock() != ref.links[i].qclock {
-							t.Fatalf("link %d: packets/delay/busy/clock = %d/%d/%d/%d, reference %d/%d/%d/%d",
-								i, gp, gd, gb, m.links[i].Clock(), wp, wd, wb, ref.links[i].qclock)
+						if gp != wp || gd != wd || gb != wb || got.Clock() != ref.links[i].qclock {
+							t.Fatalf("link (%d,%d) dir %d: packets/delay/busy/clock = %d/%d/%d/%d, reference %d/%d/%d/%d",
+								x, y, dir, gp, gd, gb, got.Clock(), wp, wd, wb, ref.links[i].qclock)
 						}
 					}
 					for i := range ctl {

@@ -85,10 +85,7 @@ type ProgressWindow struct {
 	// line from under the holder's next write.
 	_     [56]byte
 	slots []int64 // ring of the last len(slots) samples, zero before filled
-	sum   int64   // sum of slots
-	high  int64   // monotonic floor of Now
-	next  int     // slot the next sample replaces
-	seen  int64   // samples held: min(observations, len(slots))
+	cur   Cursor  // sum, floor and ring position
 
 	// mulSafe is the largest high for which (high+1)*len(slots) cannot
 	// overflow, so NowLocked may test the floor by multiplication.
@@ -99,6 +96,21 @@ type ProgressWindow struct {
 	// in an 80-byte class they share lines with whatever the allocator
 	// puts next to them (measured: a 4-tile matmul, which barely uses the
 	// model, ran 13 % slower on two workers).
+}
+
+// Cursor is the part of a window's state that every sample changes: the
+// running sum, the floor of Now, and the ring position. A lock holder
+// that samples many times in a row — a packet admitted to each link of
+// its mesh route (queuemodel.AdmitRoute) — takes it once (CursorLocked),
+// carries it through Sample calls and puts it back (SetCursorLocked).
+// Four words, so the compiler keeps it in registers: a hop then costs
+// arithmetic, not a round trip through the window's memory for every
+// word it touches.
+type Cursor struct {
+	sum  int64 // sum of slots
+	high int64 // monotonic floor of Now
+	seen int64 // samples held: min(observations, len(slots))
+	next int   // slot the next sample replaces
 }
 
 // NewProgressWindow returns a window holding size samples. Size must be
@@ -130,21 +142,7 @@ func (w *ProgressWindow) Observe(t arch.Cycles) {
 // ObserveLocked is Observe for a caller holding Lock.
 //
 //graphite:hotpath
-func (w *ProgressWindow) ObserveLocked(t arch.Cycles) {
-	if t < 0 {
-		return
-	}
-	i := w.next
-	w.sum += int64(t) - w.slots[i]
-	w.slots[i] = int64(t)
-	if i++; i == len(w.slots) {
-		i = 0
-	}
-	w.next = i
-	if w.seen < int64(len(w.slots)) {
-		w.seen++
-	}
-}
+func (w *ProgressWindow) ObserveLocked(t arch.Cycles) { w.cur = w.observe(w.cur, t) }
 
 // Now returns the current approximation of global progress: the average of
 // the timestamps in the window, clamped to be monotonically non-decreasing
@@ -160,20 +158,63 @@ func (w *ProgressWindow) Now() arch.Cycles {
 //
 //graphite:hotpath
 func (w *ProgressWindow) NowLocked() arch.Cycles {
-	n := w.seen
+	var now arch.Cycles
+	w.cur, now = w.now(w.cur)
+	return now
+}
+
+// CursorLocked takes the window's cursor for a run of Sample calls. The
+// caller holds Lock until it has put the cursor back.
+func (w *ProgressWindow) CursorLocked() Cursor { return w.cur }
+
+// SetCursorLocked puts back a cursor taken by CursorLocked.
+func (w *ProgressWindow) SetCursorLocked(c Cursor) { w.cur = c }
+
+// Sample is ObserveLocked(t) then NowLocked on a taken cursor.
+//
+//graphite:hotpath
+func (w *ProgressWindow) Sample(c Cursor, t arch.Cycles) (Cursor, arch.Cycles) {
+	return w.now(w.observe(c, t))
+}
+
+// observe records t at cursor c and returns the advanced cursor.
+//
+//graphite:hotpath
+func (w *ProgressWindow) observe(c Cursor, t arch.Cycles) Cursor {
+	if t < 0 {
+		return c
+	}
+	i := c.next
+	c.sum += int64(t) - w.slots[i]
+	w.slots[i] = int64(t)
+	if i++; i == len(w.slots) {
+		i = 0
+	}
+	c.next = i
+	if c.seen < int64(len(w.slots)) {
+		c.seen++
+	}
+	return c
+}
+
+// now returns the window's progress at cursor c, moving its floor.
+//
+//graphite:hotpath
+func (w *ProgressWindow) now(c Cursor) (Cursor, arch.Cycles) {
+	n := c.seen
 	if n == 0 {
-		return 0
+		return c, 0
 	}
 	// Samples are non-negative, so the truncated average exceeds the floor
 	// exactly when sum >= (high+1)*n. Most calls find the floor unmoved
 	// and skip the division.
-	if w.high <= w.mulSafe && w.sum < (w.high+1)*n {
-		return arch.Cycles(w.high)
+	if c.high <= w.mulSafe && c.sum < (c.high+1)*n {
+		return c, arch.Cycles(c.high)
 	}
-	if avg := w.sum / n; avg > w.high {
-		w.high = avg
+	if avg := c.sum / n; avg > c.high {
+		c.high = avg
 	}
-	return arch.Cycles(w.high)
+	return c, arch.Cycles(c.high)
 }
 
 // Size returns the window capacity.

@@ -175,8 +175,8 @@ func TestProgressWindowConcurrent(t *testing.T) {
 	for _, v := range w.slots {
 		slots += v
 	}
-	if w.sum != slots {
-		t.Fatalf("running sum %d, slots sum to %d", w.sum, slots)
+	if w.cur.sum != slots {
+		t.Fatalf("running sum %d, slots sum to %d", w.cur.sum, slots)
 	}
 }
 

@@ -32,10 +32,14 @@ import (
 // burst instead of once per packet. The order of the model's updates
 // does not change, so neither does any single-worker result.
 type Batch struct {
-	n     *Net
-	held  *clock.ProgressWindow // the Net's window while the owner holds its lock
-	order []transport.EndpointID
-	pend  map[transport.EndpointID][][]byte
+	n    *Net
+	held *clock.ProgressWindow // the Net's window while the owner holds its lock
+	// dests[:nd] are the destinations with queued frames, in first-queued
+	// order. A burst reaches a handful of destinations, so Send finds its
+	// own by a scan, which costs less than hashing into a map on every
+	// packet; a slot past nd keeps its frame array for the next burst.
+	dests []pendingDest
+	nd    int
 	arena FrameArena
 	// Per-class traffic counters accumulated locally and folded into the
 	// Net's shared atomics once per Flush instead of three times per Send.
@@ -43,10 +47,14 @@ type Batch struct {
 	delay       [NumClasses]int64
 }
 
-// NewBatch creates a batching sender on this Net.
-func (n *Net) NewBatch() *Batch {
-	return &Batch{n: n, pend: make(map[transport.EndpointID][][]byte)}
+// pendingDest is one destination's queued frames.
+type pendingDest struct {
+	ep     transport.EndpointID
+	frames [][]byte
 }
+
+// NewBatch creates a batching sender on this Net.
+func (n *Net) NewBatch() *Batch { return &Batch{n: n} }
 
 // Send models and queues a packet for dst, returning its simulated arrival
 // time. The packet reaches the fabric at the next Flush.
@@ -58,14 +66,27 @@ func (b *Batch) Send(class Class, typ uint8, dst arch.TileID, seq uint64, payloa
 	b.pkts[class]++
 	b.bytes[class] += uint64(p.Bytes())
 	b.delay[class] += int64(delay)
-	// Empty (not absent): Flush keeps drained entries in the map for
-	// reuse, so membership in order is "has pending frames", not "known".
-	ep := transport.EndpointID(dst)
-	if len(b.pend[ep]) == 0 {
-		b.order = append(b.order, ep)
-	}
-	b.pend[ep] = append(b.pend[ep], p.encodeInto(b.arena.alloc(p.Bytes())))
+	d := b.dest(transport.EndpointID(dst))
+	d.frames = append(d.frames, p.encodeInto(b.arena.alloc(p.Bytes())))
 	return p.Time
+}
+
+// dest returns ep's queue, opening one after the others if ep has none.
+//
+//graphite:hotpath
+func (b *Batch) dest(ep transport.EndpointID) *pendingDest {
+	for i := b.nd - 1; i >= 0; i-- { // the latest destination is the likeliest
+		if b.dests[i].ep == ep {
+			return &b.dests[i]
+		}
+	}
+	if b.nd == len(b.dests) {
+		b.dests = append(b.dests, pendingDest{}) //graphite:alloc amortized: slots are kept across bursts
+	}
+	d := &b.dests[b.nd]
+	b.nd++
+	d.ep = ep
+	return d
 }
 
 // Hold takes the lock of the Net's progress window for the owner's next
@@ -99,9 +120,8 @@ func (b *Batch) RecvBurst(out []Packet) (k int, open bool) {
 // Len reports how many packets are queued.
 func (b *Batch) Len() int {
 	total := 0
-	//graphite:maporder commutative sum of per-destination queue lengths
-	for _, fs := range b.pend {
-		total += len(fs)
+	for _, d := range b.dests[:b.nd] {
+		total += len(d.frames)
 	}
 	return total
 }
@@ -120,21 +140,16 @@ func (b *Batch) Flush() error {
 		}
 	}
 	var firstErr error
-	for _, ep := range b.order {
-		frames := b.pend[ep]
-		if len(frames) == 0 {
-			continue
-		}
-		if err := b.n.tr.SendBatch(ep, frames); err != nil && firstErr == nil {
+	for i := range b.dests[:b.nd] {
+		d := &b.dests[i]
+		if err := b.n.tr.SendBatch(d.ep, d.frames); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		// Keep the map entry but drop the frame references; the backing
-		// header array is reused by the next burst to this destination.
-		for i := range frames {
-			frames[i] = nil
-		}
-		b.pend[ep] = frames[:0]
+		// Drop the frame references but keep the array for the next
+		// burst through this slot.
+		clear(d.frames)
+		d.frames = d.frames[:0]
 	}
-	b.order = b.order[:0]
+	b.nd = 0
 	return firstErr
 }

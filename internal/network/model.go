@@ -225,11 +225,7 @@ func (m *Mesh) delay(src, dst arch.TileID, bytes int, depart arch.Cycles, held *
 //
 //graphite:hotpath
 func (m *Mesh) walk(link, stride, hops int, t, ser arch.Cycles) arch.Cycles {
-	for ; hops > 0; hops-- {
-		t += m.links[link].Admit(m.prog, t, ser) + m.cfg.HopLatency
-		link += stride
-	}
-	return t
+	return queuemodel.AdmitRoute(m.prog, m.links, link, stride, hops, t, ser, m.cfg.HopLatency)
 }
 
 // contentionStats aggregates queueing statistics over all links.

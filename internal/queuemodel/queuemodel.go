@@ -50,11 +50,36 @@ type Queue struct {
 //
 //graphite:hotpath
 func (q *Queue) Admit(w *clock.ProgressWindow, now, service arch.Cycles) arch.Cycles {
-	if service < 0 {
-		service = 0
-	}
 	w.ObserveLocked(now)
-	arrive := w.NowLocked()
+	return q.admit(now, w.NowLocked(), max(service, 0))
+}
+
+// AdmitRoute admits a packet to hops queues in a row — qs[i], then every
+// stride-th queue after it — as that many Admit calls would, at its
+// running time t: past each queue t advances by the queue's wait and hop.
+// It returns t after the last. The caller holds w's lock; the window's
+// cursor stays in registers for the whole route.
+//
+//graphite:hotpath
+func AdmitRoute(w *clock.ProgressWindow, qs []Queue, i, stride, hops int, t, service, hop arch.Cycles) arch.Cycles {
+	service = max(service, 0)
+	c := w.CursorLocked()
+	for ; hops > 0; hops-- {
+		var progress arch.Cycles
+		c, progress = w.Sample(c, t)
+		t += qs[i].admit(t, progress, service) + hop
+		i += stride
+	}
+	w.SetCursorLocked(c)
+	return t
+}
+
+// admit charges a packet with timestamp now, against global progress, to
+// the queue and returns its wait.
+//
+//graphite:hotpath
+func (q *Queue) admit(now, progress, service arch.Cycles) arch.Cycles {
+	arrive := progress
 	if now > arrive {
 		arrive = now
 	}

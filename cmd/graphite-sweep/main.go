@@ -32,8 +32,8 @@
 // Local and served sweeps take -cache DIR (README, "Record cache"): a
 // content-addressed record store consulted before any run is simulated
 // or dispatched. Warm re-runs of a sweep simulate nothing and emit
-// byte-identical records up to wall_sec/cached. -cache-max-bytes,
-// -cache-ttl, and -no-cache tune or disable it.
+// byte-identical records up to wall_sec/cached. -cache-max-bytes and
+// -cache-ttl tune it; without -cache nothing is cached.
 //
 // Experiment mode regenerates the tables and figures of the paper's
 // evaluation section (§4). Each -exp selects one experiment from the
@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheDir     = fs.String("cache", "", "record cache directory: serve repeated runs from cache instead of re-simulating")
 		cacheBytes   = fs.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
 		cacheTTL     = fs.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
-		noCache      = fs.Bool("no-cache", false, "disable the record cache even when -cache is set")
 		exp          = fs.String("exp", "all", "experiment: "+experiments.FlagUsage())
 		preset       = fs.String("preset", "quick", "size preset: quick|standard|full")
 		runs         = fs.Int("runs", 0, "repetitions for table3 (default: preset-dependent)")
@@ -169,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *scenarioPath != "" {
-		cache, err := openCache(*cacheDir, *cacheBytes, *cacheTTL, *noCache, stderr)
+		cache, err := openCache(*cacheDir, *cacheBytes, *cacheTTL, stderr)
 		if err != nil {
 			return fail(err)
 		}
@@ -260,9 +259,9 @@ func fig7WithCSV(pr experiments.Preset, path string, stdout io.Writer) error {
 }
 
 // openCache builds the record cache from the -cache* flags; nil means
-// caching is off (no -cache dir, or -no-cache).
-func openCache(dir string, maxBytes int64, ttl time.Duration, disabled bool, stderr io.Writer) (*recordcache.Cache, error) {
-	if dir == "" || disabled {
+// caching is off (no -cache dir).
+func openCache(dir string, maxBytes int64, ttl time.Duration, stderr io.Writer) (*recordcache.Cache, error) {
+	if dir == "" {
 		return nil, nil
 	}
 	c, err := recordcache.Open(recordcache.Options{Dir: dir, MaxBytes: maxBytes, TTL: ttl})

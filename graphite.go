@@ -14,7 +14,7 @@
 // transport layer (in-memory channels between processes that share an OS
 // process, TCP sockets between ones that do not), preserving
 // Graphite's single-process illusion: one shared simulated address space,
-// one file table, pthread-like spawn/join and synchronization.
+// pthread-like spawn/join and synchronization.
 //
 // Quickstart:
 //

@@ -229,32 +229,10 @@ type AllocState struct {
 	Peak      uint64            `json:"peak"`
 }
 
-// FileState is one simulated file (and FDState one open descriptor) of
-// the MCP's simulation-global file table.
-//
-//graphite:wire
-type FileState struct {
-	Path string `json:"path"`
-	Data []byte `json:"data,omitempty"`
-}
-
-// FDState is one open descriptor of the MCP file table. A descriptor
-// whose file was unlinked while open has no path; its contents ride in
-// Data instead (sharing between two such descriptors is not preserved —
-// each restores its own copy).
-//
-//graphite:wire
-type FDState struct {
-	FD   int32  `json:"fd"`
-	Path string `json:"path"`
-	Off  int64  `json:"off"`
-	Data []byte `json:"data,omitempty"`
-}
-
 // MCPState is the Master Control Program's service state: thread table,
-// tile occupancy, synchronization services, heap allocator, and file
-// table. Captured by the MCP itself during the save window (all
-// application threads are parked, so the tables are stable).
+// tile occupancy, synchronization services and heap allocator. Captured
+// by the MCP itself during the save window (all application threads are
+// parked, so the tables are stable).
 //
 //graphite:wire
 type MCPState struct {
@@ -266,9 +244,6 @@ type MCPState struct {
 	Barriers []BarrierState `json:"barriers,omitempty"`
 	Conds    []CondState    `json:"conds,omitempty"`
 	Alloc    AllocState     `json:"alloc"`
-	Files    []FileState    `json:"files,omitempty"`
-	FDs      []FDState      `json:"fds,omitempty"`
-	NextFD   int32          `json:"next_fd"`
 }
 
 // ProcState is everything one host process contributes to a checkpoint.

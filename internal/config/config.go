@@ -245,8 +245,8 @@ type NetworkConfig struct {
 }
 
 // CostConfig holds the modeled latencies of the MCP's intercepted
-// services (paper §3.4-§3.5: futexes, thread creation, memory
-// management, and file I/O execute at the MCP).
+// services (paper §3.4-§3.5: futexes, thread creation and memory
+// management execute at the MCP).
 type CostConfig struct {
 	// Mutex is charged per lock grant.
 	Mutex arch.Cycles
@@ -258,8 +258,6 @@ type CostConfig struct {
 	Spawn arch.Cycles
 	// Malloc is charged per dynamic memory request.
 	Malloc arch.Cycles
-	// File is charged per forwarded file operation.
-	File arch.Cycles
 }
 
 // SyncConfig configures the synchronization model.
@@ -457,7 +455,6 @@ func Default() Config {
 			Cond:    100,
 			Spawn:   300,
 			Malloc:  200,
-			File:    500,
 		},
 		AS: AddressSpaceConfig{
 			StaticBase:     0x0001_0000,

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/coremodel"
 	"repro/internal/mcp"
+	"repro/internal/simtest"
 )
 
 // ckptProgram interleaves compute, shared-memory contention, and enough
@@ -186,5 +190,41 @@ func TestCheckpointVerifyMismatchFatal(t *testing.T) {
 	rs, err := runCluster(t, c, 0)
 	if err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("run returned (%v, %v) despite digest mismatch, want the checkpoint error", rs, err)
+	}
+}
+
+// TestCloseWaitsForCheckpointWriter ends a run while the MCP is still
+// inside a checkpoint (a worker loss reported from the first OnSaved) and
+// requires Close to return only after that checkpoint is done: a caller
+// that removes or reloads the checkpoint directory after Close must not
+// race a writer.
+func TestCloseWaitsForCheckpointWriter(t *testing.T) {
+	c, err := NewCluster(ckptCfg(), ckptProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	died := make(chan struct{})
+	c.WorkerDied = died
+	var saves, finished atomic.Int32
+	c.SetCheckpoint(&mcp.CheckpointPolicy{
+		Dir:          t.TempDir(),
+		Every:        2,
+		ConfigDigest: "test-digest",
+		OnSaved: func(int64, *checkpoint.Manifest) {
+			if saves.Add(1) > 1 {
+				return
+			}
+			close(died)
+			time.Sleep(100 * time.Millisecond) //graphite:wallclock test choreography: hold the MCP inside its checkpoint while Run returns and Close starts
+			finished.Store(1)
+		},
+	})
+	if _, err := runCluster(t, c, 0); !errors.Is(err, ErrWorkerDied) {
+		t.Fatalf("Run returned %v, want ErrWorkerDied", err)
+	}
+	simtest.Deadline(t, runDeadline, c.Close)
+	if finished.Load() == 0 {
+		t.Fatal("Close returned while the MCP was still inside a checkpoint")
 	}
 }

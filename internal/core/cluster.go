@@ -337,10 +337,16 @@ func (c *Cluster) Close() {
 	// at the barrier are woken only after their process's servers have
 	// stopped — a server may have been capturing its tile for a checkpoint,
 	// and that capture must be ordered before the woken thread's next step
-	// — and caches return to the pools only after the threads.
+	// — and caches return to the pools only after the threads. The LCP and
+	// MCP loops are waited for too: one may still be writing a checkpoint
+	// state file or manifest, which must not land after Close returns.
 	for _, p := range c.procs {
 		for _, t := range p.Tiles() {
 			<-t.Mem.Stopped()
+		}
+		<-p.lcp.Stopped()
+		if p.MCP != nil {
+			<-p.MCP.Stopped()
 		}
 		if p.ledger != nil {
 			p.ledger.Close()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/coremodel"
-	"repro/internal/mcp"
 	"repro/internal/simtest"
 )
 
@@ -455,44 +454,6 @@ func TestSpawnOverflowReturnsInvalid(t *testing.T) {
 		},
 	}
 	run(t, testCfg(2, 1), prog, 0)
-}
-
-func TestFileIOAcrossThreads(t *testing.T) {
-	prog := Program{Name: "files"}
-	prog.Funcs = []ThreadFunc{
-		func(th *Thread, arg uint64) {
-			fd, err := th.Open("/data.bin", mcp.OCreate)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			th.WriteFile(fd, []byte("from main"))
-			// Pass the fd itself to the child — the paper's file
-			// descriptor consistency scenario.
-			tid := th.Spawn(1, uint64(fd))
-			th.Join(tid)
-			th.CloseFile(fd)
-		},
-		func(th *Thread, arg uint64) {
-			// Re-open to read from the start (the shared fd's offset is
-			// at EOF after main's write).
-			fd, err := th.Open("/data.bin", 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			data, err := th.ReadFile(fd, 100)
-			if err != nil || string(data) != "from main" {
-				t.Errorf("child read %q, %v", data, err)
-			}
-			// And the inherited descriptor is usable for appending.
-			if _, err := th.WriteFile(int32(arg), []byte("!")); err != nil {
-				t.Errorf("inherited fd write: %v", err)
-			}
-			th.CloseFile(fd)
-		},
-	}
-	run(t, testCfg(4, 2), prog, 0)
 }
 
 func TestPeekPokeAroundRun(t *testing.T) {

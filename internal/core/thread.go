@@ -12,7 +12,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/park"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // ThreadFunc is the signature of an application thread. Thread function 0
@@ -33,7 +32,7 @@ type Program struct {
 // Thread is the execution context handed to application code: the
 // Graphite programming interface. It exposes the simulated memory space,
 // pthread-like threading and synchronization, the user-level messaging
-// API, file I/O, and the instruction-modeling hooks that a dynamic binary
+// API, and the instruction-modeling hooks that a dynamic binary
 // translator would drive implicitly.
 //
 // A Thread is bound to one tile and runs as a coroutine of the memory
@@ -324,58 +323,6 @@ func (t *Thread) RecvFrom(src arch.ThreadID) []byte {
 	t.waited(before)
 	t.tick()
 	return pkt.Payload
-}
-
-// FileOp forwards one file system call to the MCP (paper §3.4). All
-// threads share one file table regardless of host process.
-func (t *Thread) FileOp(req mcp.FileReq) mcp.FileRep {
-	pkt, ok := t.call(mcp.MsgFileOp, wire.Encode(req.Walk))
-	if !ok {
-		panic(tornDown("file op"))
-	}
-	var rep mcp.FileRep
-	if err := wire.Decode(pkt.Payload, rep.Walk); err != nil {
-		panic(err)
-	}
-	t.forward(pkt.Time)
-	t.tick()
-	return rep
-}
-
-// Open opens (or creates) a file, returning its simulation-global fd.
-func (t *Thread) Open(path string, flags int32) (int32, error) {
-	rep := t.FileOp(mcp.FileReq{Op: mcp.FileOpen, Path: path, Flags: flags})
-	if rep.Err != "" {
-		return -1, fmt.Errorf("%s", rep.Err)
-	}
-	return rep.FD, nil
-}
-
-// WriteFile writes data at the fd's offset.
-func (t *Thread) WriteFile(fd int32, data []byte) (int64, error) {
-	rep := t.FileOp(mcp.FileReq{Op: mcp.FileWrite, FD: fd, Data: data})
-	if rep.Err != "" {
-		return 0, fmt.Errorf("%s", rep.Err)
-	}
-	return rep.N, nil
-}
-
-// ReadFile reads up to n bytes at the fd's offset.
-func (t *Thread) ReadFile(fd int32, n int32) ([]byte, error) {
-	rep := t.FileOp(mcp.FileReq{Op: mcp.FileRead, FD: fd, N: n})
-	if rep.Err != "" {
-		return nil, fmt.Errorf("%s", rep.Err)
-	}
-	return rep.Data, nil
-}
-
-// CloseFile closes an fd.
-func (t *Thread) CloseFile(fd int32) error {
-	rep := t.FileOp(mcp.FileReq{Op: mcp.FileClose, FD: fd})
-	if rep.Err != "" {
-		return fmt.Errorf("%s", rep.Err)
-	}
-	return nil
 }
 
 // call performs an MCP RPC, marking the tile blocked so skew sampling and

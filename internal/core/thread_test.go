@@ -7,7 +7,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/coremodel"
-	"repro/internal/mcp"
 )
 
 func TestCondBroadcastWakesAll(t *testing.T) {
@@ -83,33 +82,6 @@ func TestComputeKindsAdvanceDifferently(t *testing.T) {
 			if div <= arith {
 				t.Errorf("div (%d) not slower than arith (%d)", div, arith)
 			}
-		},
-	}
-	run(t, testCfg(2, 1), prog, 0)
-}
-
-func TestFileSeekAndStatViaThread(t *testing.T) {
-	prog := Program{Name: "seek"}
-	prog.Funcs = []ThreadFunc{
-		func(th *Thread, arg uint64) {
-			fd, err := th.Open("/s.bin", mcp.OCreate)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			th.WriteFile(fd, []byte("abcdef"))
-			rep := th.FileOp(mcp.FileReq{Op: mcp.FileSeek, FD: fd, Off: 2, Whence: 0})
-			if rep.Err != "" || rep.N != 2 {
-				t.Errorf("seek: %+v", rep)
-			}
-			data, _ := th.ReadFile(fd, 2)
-			if string(data) != "cd" {
-				t.Errorf("read after seek = %q", data)
-			}
-			if rep := th.FileOp(mcp.FileReq{Op: mcp.FileStat, FD: fd}); rep.N != 6 {
-				t.Errorf("stat = %+v", rep)
-			}
-			th.CloseFile(fd)
 		},
 	}
 	run(t, testCfg(2, 1), prog, 0)

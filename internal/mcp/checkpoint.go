@@ -251,7 +251,6 @@ func (s *Server) CaptureState() *checkpoint.MCPState {
 	ms := &checkpoint.MCPState{
 		TileBusy: append([]bool(nil), s.tileBusy...),
 		Running:  s.running,
-		NextFD:   s.fs.nextFD,
 	}
 
 	//graphite:maporder flattened sorted below
@@ -319,38 +318,7 @@ func (s *Server) CaptureState() *checkpoint.MCPState {
 		ms.Alloc.Allocated = append(ms.Alloc.Allocated, checkpoint.AllocBlockState{Addr: uint64(addr), Size: uint64(size)})
 	}
 	sort.Slice(ms.Alloc.Allocated, func(i, j int) bool { return ms.Alloc.Allocated[i].Addr < ms.Alloc.Allocated[j].Addr })
-
-	//graphite:maporder flattened sorted below
-	for path, f := range s.fs.files {
-		ms.Files = append(ms.Files, checkpoint.FileState{Path: path, Data: append([]byte(nil), f.data...)})
-	}
-	sort.Slice(ms.Files, func(i, j int) bool { return ms.Files[i].Path < ms.Files[j].Path })
-	//graphite:maporder flattened sorted below
-	for fd, e := range s.fs.fds {
-		fs := checkpoint.FDState{FD: fd, Off: e.off, Path: s.fs.pathOf(e.file)}
-		if fs.Path == "" {
-			// Unlinked-but-open file: its contents survive only through
-			// the descriptor. Sharing between two such descriptors is not
-			// preserved (each restores its own copy).
-			fs.Data = append([]byte(nil), e.file.data...)
-		}
-		ms.FDs = append(ms.FDs, fs)
-	}
-	sort.Slice(ms.FDs, func(i, j int) bool { return ms.FDs[i].FD < ms.FDs[j].FD })
 	return ms
-}
-
-// pathOf finds the table name of a file, or "" for unlinked files.
-func (fs *FS) pathOf(f *memFile) string {
-	found := ""
-	//graphite:maporder pointer-identity lookup; at most one path matches
-	for path, g := range fs.files {
-		if g == f {
-			found = path
-			break
-		}
-	}
-	return found
 }
 
 // RestoreState overwrites the MCP's service tables from a snapshot taken
@@ -421,25 +389,5 @@ func (s *Server) RestoreState(ms *checkpoint.MCPState) error {
 	}
 	s.alloc.inUse = arch.Addr(ms.Alloc.InUse)
 	s.alloc.peak = arch.Addr(ms.Alloc.Peak)
-
-	s.fs.files = make(map[string]*memFile, len(ms.Files))
-	for _, f := range ms.Files {
-		s.fs.files[f.Path] = &memFile{data: append([]byte(nil), f.Data...)}
-	}
-	s.fs.fds = make(map[int32]*fdEntry, len(ms.FDs))
-	for _, fd := range ms.FDs {
-		e := &fdEntry{off: fd.Off}
-		if fd.Path != "" {
-			f := s.fs.files[fd.Path]
-			if f == nil {
-				return fmt.Errorf("mcp: restore fd %d references unknown file %q", fd.FD, fd.Path)
-			}
-			e.file = f
-		} else {
-			e.file = &memFile{data: append([]byte(nil), fd.Data...)}
-		}
-		s.fs.fds[fd.FD] = e
-	}
-	s.fs.nextFD = ms.NextFD
 	return nil
 }

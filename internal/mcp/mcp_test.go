@@ -2,7 +2,6 @@ package mcp
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -116,106 +115,6 @@ func TestAllocatorNeverOverlapsQuick(t *testing.T) {
 	}
 }
 
-func TestFSOpenReadWrite(t *testing.T) {
-	fs := NewFS()
-	rep := fs.Handle(FileReq{Op: FileOpen, Path: "/out.dat", Flags: OCreate})
-	if rep.Err != "" {
-		t.Fatal(rep.Err)
-	}
-	fd := rep.FD
-	if fd < 3 {
-		t.Fatalf("fd = %d", fd)
-	}
-	rep = fs.Handle(FileReq{Op: FileWrite, FD: fd, Data: []byte("hello ")})
-	if rep.Err != "" || rep.N != 6 {
-		t.Fatalf("write: %+v", rep)
-	}
-	fs.Handle(FileReq{Op: FileWrite, FD: fd, Data: []byte("world")})
-	// Seek to start and read back.
-	rep = fs.Handle(FileReq{Op: FileSeek, FD: fd, Off: 0, Whence: io.SeekStart})
-	if rep.Err != "" || rep.N != 0 {
-		t.Fatalf("seek: %+v", rep)
-	}
-	rep = fs.Handle(FileReq{Op: FileRead, FD: fd, N: 100})
-	if rep.Err != "" || string(rep.Data) != "hello world" {
-		t.Fatalf("read: %q %s", rep.Data, rep.Err)
-	}
-	// EOF.
-	rep = fs.Handle(FileReq{Op: FileRead, FD: fd, N: 10})
-	if rep.Err != "" || rep.N != 0 {
-		t.Fatalf("EOF read: %+v", rep)
-	}
-	if rep := fs.Handle(FileReq{Op: FileStat, FD: fd}); rep.N != 11 {
-		t.Fatalf("stat: %+v", rep)
-	}
-	if rep := fs.Handle(FileReq{Op: FileClose, FD: fd}); rep.Err != "" {
-		t.Fatal(rep.Err)
-	}
-	if fs.openFDs() != 0 {
-		t.Fatal("fd leaked")
-	}
-}
-
-func TestFSDescriptorSharingAcrossThreads(t *testing.T) {
-	// The consistency property of paper §3.4: one thread writes through an
-	// fd, another thread (possibly in another host process) reads through
-	// a second fd on the same path.
-	fs := NewFS()
-	w := fs.Handle(FileReq{Op: FileOpen, Path: "/shared", Flags: OCreate})
-	fs.Handle(FileReq{Op: FileWrite, FD: w.FD, Data: []byte("xyz")})
-	r := fs.Handle(FileReq{Op: FileOpen, Path: "/shared"})
-	rep := fs.Handle(FileReq{Op: FileRead, FD: r.FD, N: 3})
-	if string(rep.Data) != "xyz" {
-		t.Fatalf("cross-fd read = %q", rep.Data)
-	}
-	// And the very same fd value works from "another thread" (same table).
-	rep = fs.Handle(FileReq{Op: FileSeek, FD: w.FD, Off: 0, Whence: io.SeekStart})
-	if rep.Err != "" {
-		t.Fatal(rep.Err)
-	}
-	rep = fs.Handle(FileReq{Op: FileRead, FD: w.FD, N: 3})
-	if string(rep.Data) != "xyz" {
-		t.Fatalf("same-fd read = %q", rep.Data)
-	}
-}
-
-func TestFSErrors(t *testing.T) {
-	fs := NewFS()
-	if rep := fs.Handle(FileReq{Op: FileOpen, Path: "/missing"}); rep.Err == "" {
-		t.Fatal("open of missing file without O_CREATE succeeded")
-	}
-	if rep := fs.Handle(FileReq{Op: FileRead, FD: 99, N: 1}); rep.Err == "" {
-		t.Fatal("read on bad fd succeeded")
-	}
-	if rep := fs.Handle(FileReq{Op: FileWrite, FD: 99}); rep.Err == "" {
-		t.Fatal("write on bad fd succeeded")
-	}
-	if rep := fs.Handle(FileReq{Op: FileUnlink, Path: "/missing"}); rep.Err == "" {
-		t.Fatal("unlink of missing file succeeded")
-	}
-	if rep := fs.Handle(FileReq{Op: 200}); rep.Err == "" {
-		t.Fatal("unknown op succeeded")
-	}
-}
-
-func TestFSTruncAndAppend(t *testing.T) {
-	fs := NewFS()
-	a := fs.Handle(FileReq{Op: FileOpen, Path: "/f", Flags: OCreate})
-	fs.Handle(FileReq{Op: FileWrite, FD: a.FD, Data: []byte("0123456789")})
-	b := fs.Handle(FileReq{Op: FileOpen, Path: "/f", Flags: OTrunc})
-	if rep := fs.Handle(FileReq{Op: FileStat, FD: b.FD}); rep.N != 0 {
-		t.Fatalf("O_TRUNC left %d bytes", rep.N)
-	}
-	fs.Handle(FileReq{Op: FileWrite, FD: b.FD, Data: []byte("ab")})
-	c := fs.Handle(FileReq{Op: FileOpen, Path: "/f", Flags: OAppend})
-	fs.Handle(FileReq{Op: FileWrite, FD: c.FD, Data: []byte("cd")})
-	r := fs.Handle(FileReq{Op: FileOpen, Path: "/f"})
-	rep := fs.Handle(FileReq{Op: FileRead, FD: r.FD, N: 10})
-	if string(rep.Data) != "abcd" {
-		t.Fatalf("append result = %q", rep.Data)
-	}
-}
-
 func TestMsgCodecs(t *testing.T) {
 	sr, err := DecodeSpawnReq(EncodeSpawnReq(SpawnReq{Func: 7, Arg: 0xDEADBEEF}))
 	if err != nil || sr.Func != 7 || sr.Arg != 0xDEADBEEF {
@@ -274,8 +173,6 @@ type payload interface{ Walk(*wire.Codec) }
 
 // payloadKinds builds an empty value of every payload kind.
 var payloadKinds = []func() payload{
-	func() payload { return &FileReq{} },
-	func() payload { return &FileRep{} },
 	func() payload { return &CkptProbeRep{} },
 	func() payload { return &CkptSaveResult{} },
 	func() payload { return &statsRep{} },

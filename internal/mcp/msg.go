@@ -13,8 +13,6 @@
 //     address;
 //   - dynamic memory management: brk/mmap-equivalent allocation from the
 //     heap segment of the single application address space;
-//   - consistent file I/O: a simulation-wide file table so threads in
-//     different host processes can pass file descriptors to each other;
 //   - the LaxBarrier epoch service used by the quanta-based
 //     synchronization model.
 //
@@ -72,9 +70,11 @@ const (
 	_
 	_
 
-	// File I/O forwarding (FileReq / FileRep payloads).
-	MsgFileOp
-	MsgFileRep
+	// Reserved: the numbers of the retired forwarded file operation and
+	// its reply (MsgFileOp, MsgFileRep). Kept blank so every other
+	// message keeps its number.
+	_
+	_
 
 	// Collection and teardown (MCP <-> LCP).
 	MsgStatsGather
@@ -118,7 +118,7 @@ func msgName(t uint8) string {
 		"JoinRep", "ThreadExit", "StartThread", "MutexLock", "MutexLockRep",
 		"MutexUnlock", "BarrierWait", "BarrierRep", "CondWait", "CondRep",
 		"CondSignal", "CondBroadcast", "Malloc", "MallocRep", "Free",
-		"reserved", "reserved", "FileOp", "FileRep", "StatsGather",
+		"reserved", "reserved", "reserved", "reserved", "StatsGather",
 		"StatsRep", "Flush", "FlushRep", "Shutdown", "ShutdownRep",
 		"SimBarrierBatch", "SimBarrierRelease",
 		"CkptProbe", "CkptProbeRep", "CkptSave", "CkptSaveRep",

@@ -67,7 +67,6 @@ type Server struct {
 	cfg   *config.Config
 	net   *network.Net
 	alloc *Allocator
-	fs    *FS
 
 	threads     map[arch.ThreadID]*threadRec
 	tileBusy    []bool
@@ -136,7 +135,6 @@ func NewServer(cfg *config.Config, net *network.Net) *Server {
 		cfg:          cfg,
 		net:          net,
 		alloc:        NewAllocator(cfg.AS.HeapBase, cfg.AS.HeapSize),
-		fs:           NewFS(),
 		threads:      make(map[arch.ThreadID]*threadRec),
 		tileBusy:     make([]bool, cfg.Tiles),
 		blocked:      make(map[arch.TileID]bool),
@@ -276,8 +274,6 @@ func (s *Server) handle(pkt network.Packet) {
 		s.handleFree(pkt)
 	case MsgSimBarrierBatch:
 		s.handleSimBarrierBatch(pkt)
-	case MsgFileOp:
-		s.handleFileOp(pkt, to)
 	case MsgCkptProbeRep:
 		s.handleCkptProbeRep(pkt)
 	case MsgCkptSaveRep:
@@ -622,15 +618,6 @@ func (s *Server) releaseEpoch(min int64) {
 		}
 	}
 	clear(s.releaseProcs)
-}
-
-func (s *Server) handleFileOp(pkt network.Packet, to replyTo) {
-	var req FileReq
-	if err := wire.Decode(pkt.Payload, req.Walk); err != nil {
-		panic("mcp: bad file payload: " + err.Error())
-	}
-	rep := s.fs.Handle(req)
-	s.reply(MsgFileRep, to, wire.Encode(rep.Walk), pkt.Time+s.cfg.Costs.File)
 }
 
 func (s *Server) block(tile arch.TileID) {

@@ -1,6 +1,6 @@
 // Package wire is the one codec for variable-length payloads that cross a
 // process boundary or land on disk: checkpoint state files, statistics
-// gathered by the MCP, forwarded file operations and checkpoint replies.
+// gathered by the MCP and checkpoint replies.
 //
 // A type's layout is one walk, a function that visits each of its fields
 // in order with a *Codec. The same walk runs three passes: sizing (count

@@ -12,6 +12,17 @@
 // which is what keeps lookups cheap when a single host process simulates
 // hundreds or thousands of tiles. Line is a lightweight handle (cache
 // pointer + slot index) over that storage.
+//
+// An invalid slot's tag is a sentinel no line address can take
+// (invalidTag), kept so by New, Invalidate and Restore, also over pooled
+// arrays that hold a prior run's tags. A tag match alone then means a
+// valid copy: Lookup, Peek, Downgrade and Invalidate read one array, and
+// Insert finds an existing copy, the first free slot and the LRU victim
+// in one pass over the tags and stamps.
+//
+// Every simulated load writes a cache's tick and hit counter, so the
+// Cache struct is padded to a size class whose objects start on host
+// cache-line boundaries (see Cache).
 package cache
 
 import (
@@ -68,8 +79,14 @@ func (h Line) Addr() LineAddr { return h.c.addrs[h.idx] }
 // State returns the MSI state.
 func (h Line) State() State { return h.c.states[h.idx] }
 
-// SetState sets the MSI state.
-func (h Line) SetState(s State) { h.c.states[h.idx] = s }
+// SetState sets the MSI state: Shared or Modified. A line leaves the
+// cache only through Invalidate, which also retires its tag.
+func (h Line) SetState(s State) {
+	if s == Invalid {
+		panic("cache: SetState(Invalid); use Invalidate")
+	}
+	h.c.states[h.idx] = s
+}
 
 // Dirty reports whether Data differs from the home memory copy.
 func (h Line) Dirty() bool { return h.c.dirtys[h.idx] }
@@ -98,7 +115,9 @@ func (h Line) Data() []byte {
 // invalidation). Data points into cache-owned storage — the shared victim
 // scratch buffer for Insert evictions, the slot itself for Invalidate —
 // and is valid only until the next Insert touching that storage; callers
-// must consume it (typically by encoding a writeback) first.
+// must consume it (typically by encoding a writeback) first. An Insert
+// eviction copies the bytes only for a Modified victim, the only kind
+// whose data anyone writes back: a Shared victim's Data is nil.
 type Victim struct {
 	Addr      LineAddr
 	State     State
@@ -110,6 +129,12 @@ type Victim struct {
 // Cache is one set-associative cache array with LRU replacement. It is not
 // internally synchronized: the owning core context serializes access (see
 // the single-writer ownership rules in internal/memsys and DESIGN.md §13).
+//
+// A tile's caches are allocated side by side and every hit writes tick
+// and Hits, so the struct is padded to 320 bytes, a size class whose
+// objects start on cache-line boundaries. At 280 bytes (the 288-byte
+// class) one tile's L2 shared a host line with the next tile's L1I, and
+// the two tiles' shards bounced it between host CPUs.
 type Cache struct {
 	cfg      config.CacheConfig
 	setMask  uint64
@@ -135,7 +160,14 @@ type Cache struct {
 
 	// Statistics.
 	Hits, Misses, Evictions, Writebacks uint64
+
+	_ [40]byte // to 320 bytes (see above)
 }
+
+// invalidTag is the tag of every invalid slot. A line address is a byte
+// address shifted right by the line bits, so it never reaches it (Insert
+// refuses it).
+const invalidTag = ^LineAddr(0)
 
 // lineArrays bundles one geometry's slot storage for pooling.
 type lineArrays struct {
@@ -184,8 +216,8 @@ func New(cfg config.CacheConfig) *Cache {
 	}
 	if v := linePool(lines, cfg.LineSize).Get(); v != nil {
 		a := v.(*lineArrays)
-		// Reset metadata but keep the payload buffer; stale addrs are
-		// unreachable behind Invalid states.
+		// Reset metadata but keep the payload buffer: the bytes are
+		// unreachable once every tag is the sentinel.
 		clear(a.states)
 		clear(a.dirtys)
 		clear(a.masks)
@@ -200,6 +232,7 @@ func New(cfg config.CacheConfig) *Cache {
 		c.lrus = make([]uint64, lines)
 		c.data = make([]byte, lines*cfg.LineSize)
 	}
+	retire(c.addrs)
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.lineBits++
 	}
@@ -238,6 +271,13 @@ func (c *Cache) setBase(l LineAddr) int {
 	return int(uint64(l)&c.setMask) * c.assoc
 }
 
+// retire sets every tag in addrs to the invalid sentinel.
+func retire(addrs []LineAddr) {
+	for i := range addrs {
+		addrs[i] = invalidTag
+	}
+}
+
 func (c *Cache) slotData(i int) []byte {
 	off := i * c.lineSize
 	return c.data[off : off+c.lineSize : off+c.lineSize]
@@ -248,7 +288,7 @@ func (c *Cache) slotData(i int) []byte {
 func (c *Cache) Lookup(l LineAddr) (Line, bool) {
 	base := c.setBase(l)
 	for i := base; i < base+c.assoc; i++ {
-		if c.states[i] != Invalid && c.addrs[i] == l {
+		if c.addrs[i] == l {
 			c.tick++
 			c.lrus[i] = c.tick
 			c.Hits++
@@ -264,7 +304,7 @@ func (c *Cache) Lookup(l LineAddr) (Line, bool) {
 func (c *Cache) Peek(l LineAddr) (Line, bool) {
 	base := c.setBase(l)
 	for i := base; i < base+c.assoc; i++ {
-		if c.states[i] != Invalid && c.addrs[i] == l {
+		if c.addrs[i] == l {
 			return Line{c, int32(i)}, true
 		}
 	}
@@ -273,48 +313,60 @@ func (c *Cache) Peek(l LineAddr) (Line, bool) {
 
 // Insert places a line with the given state and data, evicting the LRU
 // victim of the set if needed. The returned victim (valid when evicted is
-// true) carries its bytes in a cache-owned scratch buffer that the next
-// Insert overwrites: callers must consume the victim (typically by
-// encoding its writeback) before inserting again. data is copied into the
-// cache's own storage, so the steady state allocates nothing.
+// true) carries the bytes of a Modified victim in a cache-owned scratch
+// buffer that the next Insert overwrites: callers must consume the victim
+// (typically by encoding its writeback) before inserting again. A Shared
+// victim carries no bytes. data is copied into the cache's own storage,
+// so the steady state allocates nothing.
+//
+// One pass over the set finds an existing copy of the line (refilled in
+// place, keeping its dirty flag and write mask, so a line can never be
+// duplicated within a set), else the first free slot, else the least
+// recently used slot — the lowest such index on a tie.
+//
+//graphite:hotpath
 func (c *Cache) Insert(l LineAddr, st State, data []byte) (victim Victim, evicted bool) {
-	if st == Invalid {
-		panic("cache: inserting Invalid line")
+	if st == Invalid || l == invalidTag {
+		panic("cache: inserting an Invalid line or the invalid tag")
 	}
 	base := c.setBase(l)
-	// Prefer an existing copy of the line (state upgrade in place) over an
-	// empty slot, so a line can never be duplicated within a set.
-	slot := -1
+	slot, free, lru := -1, -1, base
 	for i := base; i < base+c.assoc; i++ {
-		if c.states[i] != Invalid && c.addrs[i] == l {
+		a := c.addrs[i]
+		if a == l {
 			slot = i
 			break
 		}
-	}
-	if slot < 0 {
-		for i := base; i < base+c.assoc; i++ {
-			if c.states[i] == Invalid {
-				slot = i
-				break
+		if a == invalidTag {
+			if free < 0 {
+				free = i
 			}
+		} else if c.lrus[i] < c.lrus[lru] {
+			lru = i
 		}
 	}
-	if slot < 0 {
-		// Evict the least recently used line. The victim's bytes move to
-		// the scratch buffer; the slot keeps its storage for the new line.
-		slot = base
-		for i := base + 1; i < base+c.assoc; i++ {
-			if c.lrus[i] < c.lrus[slot] {
-				slot = i
-			}
-		}
-		copy(c.victimBuf, c.slotData(slot))
+	switch {
+	case slot >= 0:
+		copy(c.slotData(slot), data)
+		c.states[slot] = st
+		c.tick++
+		c.lrus[slot] = c.tick
+		return Victim{}, false
+	case free >= 0:
+		slot = free
+	default:
+		// Evict the least recently used line; the slot keeps its storage
+		// for the new line.
+		slot = lru
 		victim = Victim{
 			Addr:      c.addrs[slot],
 			State:     c.states[slot],
 			Dirty:     c.dirtys[slot],
 			WriteMask: c.masks[slot],
-			Data:      c.victimBuf,
+		}
+		if victim.State == Modified {
+			copy(c.victimBuf, c.slotData(slot))
+			victim.Data = c.victimBuf
 		}
 		evicted = true
 		c.Evictions++
@@ -322,17 +374,11 @@ func (c *Cache) Insert(l LineAddr, st State, data []byte) (victim Victim, evicte
 			c.Writebacks++
 		}
 	}
-	prevMask := uint64(0)
-	prevDirty := false
-	if !evicted && c.states[slot] != Invalid && c.addrs[slot] == l {
-		prevMask = c.masks[slot]
-		prevDirty = c.dirtys[slot]
-	}
 	copy(c.slotData(slot), data)
 	c.addrs[slot] = l
 	c.states[slot] = st
-	c.dirtys[slot] = prevDirty
-	c.masks[slot] = prevMask
+	c.dirtys[slot] = false
+	c.masks[slot] = 0
 	c.tick++
 	c.lrus[slot] = c.tick
 	return victim, evicted
@@ -341,18 +387,20 @@ func (c *Cache) Insert(l LineAddr, st State, data []byte) (victim Victim, evicte
 // Invalidate removes a line, returning a snapshot of it and whether it was
 // present. The snapshot's Data aliases the slot's storage, which stays in
 // place for the slot's next occupant: it is valid only until the next
-// Insert that lands in this line's set.
+// Insert that lands in this line's set. The slot's tag becomes the
+// invalid sentinel.
 func (c *Cache) Invalidate(l LineAddr) (Victim, bool) {
 	base := c.setBase(l)
 	for i := base; i < base+c.assoc; i++ {
-		if c.states[i] != Invalid && c.addrs[i] == l {
+		if c.addrs[i] == l {
 			out := Victim{
-				Addr:      c.addrs[i],
+				Addr:      l,
 				State:     c.states[i],
 				Dirty:     c.dirtys[i],
 				WriteMask: c.masks[i],
 				Data:      c.slotData(i),
 			}
+			c.addrs[i] = invalidTag
 			c.states[i] = Invalid
 			c.dirtys[i] = false
 			c.masks[i] = 0
@@ -368,7 +416,7 @@ func (c *Cache) Invalidate(l LineAddr) (Victim, bool) {
 func (c *Cache) Downgrade(l LineAddr) (Line, bool) {
 	base := c.setBase(l)
 	for i := base; i < base+c.assoc; i++ {
-		if c.states[i] != Invalid && c.addrs[i] == l {
+		if c.addrs[i] == l {
 			c.states[i] = Shared
 			c.dirtys[i] = false
 			c.masks[i] = 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/config"
 )
@@ -247,5 +248,14 @@ func TestLookupAfterManyInsertsFindsLatestData(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCacheFillsItsCacheLines(t *testing.T) {
+	// The padding in Cache is sized by hand; a new field must shrink it,
+	// not push the struct back into a size class whose objects share host
+	// cache lines with a neighbouring cache.
+	if size := unsafe.Sizeof(Cache{}); size != 320 {
+		t.Fatalf("Cache is %d bytes, want 320 (adjust the padding)", size)
 	}
 }

@@ -10,11 +10,11 @@ import (
 // ascending slot index with its payload, and the LRU tick and counters.
 // Slot indices and LRU stamps are kept, so a restored cache replays the
 // original's eviction decisions bit for bit. Invalid slots are left out:
-// Invalidate leaves the departed line's address and payload in the
-// arrays, and pooled slot storage (Release/New) carries a prior
-// simulation's bytes — neither is observable through cache operations,
-// but either would leak host history into the snapshot digest and break
-// replay verification across runs.
+// Invalidate leaves the departed line's payload in the arrays, and pooled
+// slot storage (Release/New) carries a prior simulation's bytes — neither
+// is observable through cache operations, but either would leak host
+// history into the snapshot digest and break replay verification across
+// runs.
 func (c *Cache) Capture() *checkpoint.CacheState {
 	s := &checkpoint.CacheState{
 		Slots:      uint32(len(c.states)),
@@ -49,11 +49,12 @@ func (c *Cache) Capture() *checkpoint.CacheState {
 }
 
 // Restore overwrites the cache's state from a snapshot taken by Capture
-// on a cache of identical geometry. Every slot is cleared first — an
-// unlisted slot is an invalid one, and pooled arrays hold residue — then
-// the valid slots are scattered back. A snapshot of another geometry, or
-// with slots out of range, out of order or in no valid state, is an
-// error, and the cache is left untouched.
+// on a cache of identical geometry. Every slot is cleared first, its tag
+// retired to the invalid sentinel — an unlisted slot is an invalid one,
+// and pooled arrays hold residue — then the valid slots are scattered
+// back. A snapshot of another geometry, or with slots out of range, out
+// of order, in no valid state or holding the invalid tag, is an error,
+// and the cache is left untouched.
 func (c *Cache) Restore(s *checkpoint.CacheState) error {
 	if int(s.Slots) != len(c.states) || int(s.LineSize) != c.lineSize {
 		return fmt.Errorf("cache: restore geometry mismatch: snapshot %d slots of %d bytes, cache %d slots of %d bytes",
@@ -70,9 +71,12 @@ func (c *Cache) Restore(s *checkpoint.CacheState) error {
 		if st := State(sl.State); st != Shared && st != Modified {
 			return fmt.Errorf("cache: restore slot %d in state %v", sl.Index, st)
 		}
+		if LineAddr(sl.Addr) == invalidTag {
+			return fmt.Errorf("cache: restore slot %d holds the invalid tag", sl.Index)
+		}
 		next = int(sl.Index) + 1
 	}
-	clear(c.addrs)
+	retire(c.addrs)
 	clear(c.states)
 	clear(c.dirtys)
 	clear(c.masks)

@@ -118,6 +118,49 @@ func BenchmarkThreadRemoteMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkThreadHit: one thread on one tile with Table 1 caches loads
+// lines that hit — in its L1D ("l1"), or in its L2 after missing the L1D,
+// which the load then fills ("l2": sixteen lines one L1D set apart, so
+// LRU evicts each before it comes round again). A hit runs entirely in the
+// thread's turn on its shard: the cache walks, the core model and the
+// thread runtime's per-event tick.
+func BenchmarkThreadHit(b *testing.B) {
+	cfg := config.Default()
+	cfg.Tiles = 1
+	setStride := arch.Addr(cfg.L1D.Sets() * cfg.L1D.LineSize)
+	for _, hit := range []struct {
+		name   string
+		lines  int
+		stride arch.Addr
+	}{{"l1", 64, 64}, {"l2", 2 * cfg.L1D.Assoc, setStride}} {
+		b.Run(hit.name, func(b *testing.B) {
+			var elapsed time.Duration
+			prog := Program{Name: "thread-hit", Funcs: []ThreadFunc{func(th *Thread, _ uint64) {
+				base := th.Malloc(arch.Addr(hit.lines) * hit.stride)
+				for i := 0; i < hit.lines; i++ { // warm-up: every line cold once
+					th.Load64(base + arch.Addr(i)*hit.stride)
+				}
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					th.Load64(base + arch.Addr(i%hit.lines)*hit.stride)
+				}
+				elapsed = time.Since(start)
+			}}}
+			b.ReportAllocs()
+			rs, _ := benchRun(b, cfg, prog)
+			tot := rs.Totals
+			cold := uint64(hit.lines + cfg.Core.CodeFootprint/cfg.L1I.LineSize) // data and code
+			if tot.L2Misses > cold {
+				b.Fatalf("%d L2 misses for %d cold lines: the loads left the tile", tot.L2Misses, cold)
+			}
+			if hit.name == "l2" && tot.L1DHits > 64 {
+				b.Fatalf("%d L1D hits: the l2 case hit its L1D", tot.L1DHits)
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/load")
+		})
+	}
+}
+
 // benchRun runs prog to completion for a benchmark.
 func benchRun(b *testing.B, cfg config.Config, prog Program) (*RunStats, *Cluster) {
 	b.Helper()

@@ -202,40 +202,44 @@ func (c *Core) Branch(taken bool) {
 // Load retires a load whose memory latency was lat. The in-order model
 // blocks until the data returns; the out-of-order model overlaps up to
 // ROBWindow cycles of the latency with execution (paper §3.1: core models
-// may differ drastically from the in-order functional execution).
+// may differ drastically from the in-order functional execution). The
+// issue cycle and the stall reach the clock in one advance.
 func (c *Core) Load(lat arch.Cycles) {
 	c.advancePC(1)
 	c.instructions++
 	issue := c.cfg.ArithCost
-	c.clk.Advance(issue)
 	c.computeCyc += issue
 	if c.cfg.Kind == config.CoreOutOfOrder && c.cfg.ROBWindow > 0 {
 		lat -= c.cfg.ROBWindow
 	}
+	d := max(issue, 0) // the clock never runs backwards
 	if lat > issue {
 		stall := lat - issue
-		c.clk.Advance(stall)
+		d += stall
 		c.memStallCyc += stall
 	}
+	c.clk.Advance(d)
 }
 
 // Store retires a store whose memory latency was lat. With a store buffer
 // the latency is hidden unless the buffer is full, in which case the core
-// stalls until the oldest outstanding store completes.
+// stalls until the oldest outstanding store completes. The issue cycle
+// and the stall reach the clock in one advance.
 func (c *Core) Store(lat arch.Cycles) {
 	c.advancePC(1)
 	c.instructions++
 	issue := c.cfg.ArithCost
-	c.clk.Advance(issue)
 	c.computeCyc += issue
-	now := c.clk.Now()
+	d := max(issue, 0) // the clock never runs backwards
 	if c.storeBuf == nil {
 		if lat > 0 {
-			c.clk.Advance(lat)
+			d += lat
 			c.memStallCyc += lat
 		}
+		c.clk.Advance(d)
 		return
 	}
+	now := c.clk.Now() + d
 	// Find a free slot (completion in the past) or stall for the earliest.
 	free := -1
 	earliest := 0
@@ -250,12 +254,13 @@ func (c *Core) Store(lat arch.Cycles) {
 	}
 	if free < 0 {
 		stall := c.storeBuf[earliest] - now
-		c.clk.Advance(stall)
+		d += stall
 		c.memStallCyc += stall
 		now += stall
 		free = earliest
 	}
 	c.storeBuf[free] = now + lat
+	c.clk.Advance(d)
 }
 
 // SpawnCost charges the thread-spawn pseudo-instruction (paper §3.1).

@@ -218,3 +218,92 @@ func TestCoreFillsItsCacheLines(t *testing.T) {
 		t.Fatalf("Core is %d bytes, want 256 (adjust the padding)", size)
 	}
 }
+
+// twoStepLoad and twoStepStore are Load and Store as they were when the
+// issue cycle and the stall were two clock advances; the one-advance
+// versions must leave the clock, the counters and the store buffer
+// exactly where these do.
+func twoStepLoad(c *Core, lat arch.Cycles) {
+	c.advancePC(1)
+	c.instructions++
+	issue := c.cfg.ArithCost
+	c.clk.Advance(issue)
+	c.computeCyc += issue
+	if c.cfg.Kind == config.CoreOutOfOrder && c.cfg.ROBWindow > 0 {
+		lat -= c.cfg.ROBWindow
+	}
+	if lat > issue {
+		stall := lat - issue
+		c.clk.Advance(stall)
+		c.memStallCyc += stall
+	}
+}
+
+func twoStepStore(c *Core, lat arch.Cycles) {
+	c.advancePC(1)
+	c.instructions++
+	issue := c.cfg.ArithCost
+	c.clk.Advance(issue)
+	c.computeCyc += issue
+	now := c.clk.Now()
+	if c.storeBuf == nil {
+		if lat > 0 {
+			c.clk.Advance(lat)
+			c.memStallCyc += lat
+		}
+		return
+	}
+	free := -1
+	earliest := 0
+	for i, done := range c.storeBuf {
+		if done <= now {
+			free = i
+			break
+		}
+		if done < c.storeBuf[earliest] {
+			earliest = i
+		}
+	}
+	if free < 0 {
+		stall := c.storeBuf[earliest] - now
+		c.clk.Advance(stall)
+		c.memStallCyc += stall
+		now += stall
+		free = earliest
+	}
+	c.storeBuf[free] = now + lat
+}
+
+func TestRetireAdvancesLikeTwoSteps(t *testing.T) {
+	for _, kind := range []config.CoreModelKind{config.CoreInOrder, config.CoreOutOfOrder} {
+		for _, arith := range []arch.Cycles{-1, 0, 1, 3} {
+			for _, sb := range []int{0, 1, 4} {
+				cfg := coreCfg()
+				cfg.Kind, cfg.ROBWindow, cfg.ArithCost, cfg.StoreBufferSize = kind, 16, arith, sb
+				got, gotClk := newCore(cfg)
+				want, wantClk := newCore(cfg)
+				rng := uint64(arith+7)*31 + uint64(sb)
+				for step := 0; step < 2000; step++ {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					lat := arch.Cycles(rng>>33) % 200
+					if rng>>20&1 == 0 {
+						got.Load(lat)
+						twoStepLoad(want, lat)
+					} else {
+						got.Store(lat)
+						twoStepStore(want, lat)
+					}
+					if gotClk.Now() != wantClk.Now() || got.computeCyc != want.computeCyc || got.memStallCyc != want.memStallCyc {
+						t.Fatalf("kind %v arith %d store buffer %d, step %d: clock/compute/stall %d/%d/%d, two-step %d/%d/%d",
+							kind, arith, sb, step, gotClk.Now(), got.computeCyc, got.memStallCyc, wantClk.Now(), want.computeCyc, want.memStallCyc)
+					}
+					for i := range got.storeBuf {
+						if got.storeBuf[i] != want.storeBuf[i] {
+							t.Fatalf("kind %v arith %d store buffer %d, step %d: store buffer differs", kind, arith, sb, step)
+						}
+					}
+				}
+			}
+		}
+	}
+}

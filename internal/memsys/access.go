@@ -65,14 +65,17 @@ func (n *Node) access(addr arch.Addr, buf []byte, isWrite, ifetch bool, now arch
 }
 
 // accessLine performs one within-line reference. The hit path is
-// lock-free: one claim CAS and one release CAS on the tile-local
-// ownership word are the entire synchronization cost of an L1 or L2 hit —
-// no mutex, no shared-state round trip with the server. Misses
-// additionally take mu to stage the outstanding request and to hand the
-// domain over for the blocking wait.
+// lock-free: within a coroutine turn it takes no synchronization at all —
+// the turn holds the tile-local ownership word — and a plain goroutine
+// pays one claim CAS and one release CAS on it. Neither takes a mutex or
+// shares state with the server. Misses additionally take mu to stage the
+// outstanding request and to hand the domain over for the blocking wait.
 //
 //graphite:hotpath
 func (n *Node) accessLine(addr arch.Addr, seg []byte, isWrite, ifetch bool, now arch.Cycles) AccessResult {
+	if n.turn {
+		return n.accessOwned(addr, seg, isWrite, ifetch, now)
+	}
 	n.coreClaim()
 	res := n.accessOwned(addr, seg, isWrite, ifetch, now)
 	n.coreRelease()
@@ -192,7 +195,10 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	// answer interventions against our caches while we are parked. The
 	// server returns ownership at completion hand-off (re-marking the word
 	// stCoreActive under mu) before it wakes us, so interventions arriving
-	// after the grant queue behind our install.
+	// after the grant queue behind our install. A coroutine's turn hands
+	// the word over with it.
+	turn := n.turn
+	n.turn = false
 	n.coreState.Store(0)
 	home := n.homeOf(line)
 	n.send(typ, home, pr.seq, n.coreEncReq(req), sendAt)
@@ -204,15 +210,23 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 		// it, or a thread that keeps running into more accesses would
 		// trip the concurrent-outstanding-requests check on a phantom
 		// request. Then re-mark the word owned (the enclosing accessLine
-		// releases it) and report the lookup cost only.
+		// or turn releases it) and report the lookup cost only.
 		n.clearStaged(pr)
 		n.coreState.Store(stCoreActive)
+		n.turn = turn
 		return AccessResult{Latency: lookup, L2Misses: 1}
 	}
 	// The hand-off re-granted ownership before the wake (which publishes
 	// the server's writes): the core context owns the domain again and
-	// applies the completion lock-free.
+	// applies the completion lock-free. A coroutine's turn goes on with
+	// it, after the interventions that queued behind the grant.
 	info := n.finishMiss(pr, pr.reply)
+	if turn {
+		n.turn = true
+		if n.coreState.Load() != stCoreActive {
+			n.claimSlow() // drain what queued behind the grant
+		}
+	}
 	lat := info.arrival - now
 	if lat < lookup {
 		lat = lookup

@@ -101,7 +101,13 @@ func (c *Coro) resume() {
 	}
 	c.state.Store(coroRunning)
 	c.events = 0
-	if _, more := c.next(); !more {
+	// The turn holds the tile's core domain (DESIGN.md §13): the thread's
+	// hits claim nothing, and the server finds the domain free again once
+	// the thread has parked, stepped aside or ended.
+	c.node.turnClaim()
+	_, more := c.next()
+	c.node.turnRelease()
+	if !more {
 		c.end()
 	}
 }

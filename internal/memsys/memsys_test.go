@@ -68,10 +68,12 @@ func newShardedCluster(t testing.TB, cfg config.Config, w int) *cluster {
 		c.nodes = append(c.nodes, node)
 	}
 	for _, nodes := range shards {
+		// Built here, so the nodes take coroutines (Node.Go) at once.
+		sh := NewShard(nodes...)
 		c.shards.Add(1)
 		go func() {
 			defer c.shards.Done()
-			Serve(nodes...)
+			sh.Run()
 		}()
 	}
 	t.Cleanup(c.close)

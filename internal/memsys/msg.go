@@ -19,9 +19,10 @@
 // outstanding request at a time (one app thread per tile).
 //
 // The caches are a single-writer domain guarded by a biased ownership
-// word (Node.coreState), not a mutex: the core context claims the word
-// with one CAS per access and releases it with another, and the hot path
-// — an L1/L2 hit — runs with zero locks between those two operations.
+// word (Node.coreState), not a mutex: a thread coroutine claims the word
+// for its turn on the shard, a plain goroutine with one CAS per access
+// and releases it with another, and the hot path — an L1/L2 hit — runs
+// with zero locks in between.
 // Home-initiated interventions (Inv/Wb/Flush) never touch the caches from
 // the server while the core holds the word: they are published
 // through an intervention mailbox plus a pending bit that the core's

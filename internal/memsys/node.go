@@ -101,19 +101,25 @@ type txn struct {
 
 // coreState values. The word is the entire fast-path synchronization
 // protocol — a biased, single-writer ownership token over the core domain
-// (see DESIGN.md §13):
+// (see DESIGN.md §13). It is set whenever the core context may touch the
+// caches: for a turn of the tile's thread coroutine (turnClaim to
+// turnRelease), or for one access of a plain goroutine driving the node.
 //
-//	0            free: no one is touching the caches. The core claims
+//	0            free: no one is touching the caches. A coroutine claims
+//	             with one CAS when its shard resumes it, a plain goroutine
 //	             with one CAS per access; the server claims transiently
 //	             (under mu) to apply an intervention against an idle tile.
-//	stCoreActive the core context is inside an access and owns the domain
-//	             lock-free.
+//	stCoreActive the core context holds the domain lock-free: a coroutine
+//	             turn is open, or a plain goroutine is inside an access,
+//	             or a miss completion has handed the domain back to the
+//	             waiting core.
 //	stSrvBusy    the server owns the domain (idle tile) and is
 //	             applying interventions. Set and cleared only under mu.
 //	stPending    ORed onto stCoreActive by the server: interventions are
 //	             queued in the mailbox. The core's release CAS fails on it
 //	             and drains the backlog before going idle, so intervention
-//	             latency is bounded by the current access.
+//	             latency is bounded by the current access — or, for a
+//	             coroutine, by the miss whose hand-off let them queue.
 const (
 	stCoreActive = 1 << 0
 	stSrvBusy    = 1 << 1
@@ -146,10 +152,16 @@ type Node struct {
 	l2  *cache.Cache
 
 	// coreState is the fast path's only synchronization: the biased
-	// ownership token over the core domain (values above). The hit path's
-	// entire locking cost is one claim CAS and one release CAS on this
-	// core-local word.
+	// ownership token over the core domain (values above). A coroutine
+	// thread's hits cost nothing on it — its turn holds the word — and a
+	// plain goroutine's one claim CAS and one release CAS.
 	coreState atomic.Uint32
+
+	// turn is set while a coroutine turn holds coreState (core domain:
+	// written by the shard at the turn's ends and by the thread around a
+	// miss's wait, which run one at a time). accessLine skips its
+	// per-access claim while it is set.
+	turn bool
 
 	// mu guards the intervention mailbox, the pending-request slot, and
 	// the slow-path coreState transitions (server claims, drains,
@@ -354,10 +366,10 @@ func (n *Node) homeOf(l cache.LineAddr) arch.TileID {
 }
 
 // coreClaim takes single-writer ownership of the core domain for one
-// access. The uncontended case — the overwhelmingly common one — is a
-// single CAS on a core-local word; contention means the server is mid-
-// intervention on this idle-until-now tile, and the claim waits for it
-// under mu.
+// access of a plain goroutine. The uncontended case — the overwhelmingly
+// common one — is a single CAS on a core-local word; contention means the
+// server is mid-intervention on this idle-until-now tile, and the claim
+// waits for it under mu.
 func (n *Node) coreClaim() {
 	if n.coreState.CompareAndSwap(0, stCoreActive) {
 		return
@@ -367,8 +379,9 @@ func (n *Node) coreClaim() {
 
 func (n *Node) claimSlow() {
 	// The word was not free: the server holds it (stSrvBusy, only ever set
-	// with mu held). Taking mu waits it out; a stale pending backlog is
-	// drained defensively before the claim.
+	// with mu held), or — for a turn going on after a miss — the hand-off
+	// left interventions pending. Taking mu waits the server out; the
+	// backlog is drained before the claim.
 	n.mu.Lock()
 	n.drainLocked(false)
 	n.coreState.Store(stCoreActive)
@@ -376,10 +389,10 @@ func (n *Node) claimSlow() {
 }
 
 // coreRelease returns the domain to the free state at the end of an
-// access. If the server queued interventions while the access ran (the
-// release CAS fails on stPending), the core drains them — in arrival
-// order, with immediate replies — before going idle, so intervention
-// latency is bounded by one access.
+// access or a turn. If the server queued interventions while the domain
+// was held (the release CAS fails on stPending), the core drains them —
+// in arrival order, with immediate replies — before going idle, so
+// intervention latency is bounded by one access.
 func (n *Node) coreRelease() {
 	if n.coreState.CompareAndSwap(stCoreActive, 0) {
 		return
@@ -388,6 +401,34 @@ func (n *Node) coreRelease() {
 	n.drainLocked(false)
 	n.coreState.Store(0)
 	n.mu.Unlock()
+}
+
+// turnClaim opens a turn of the tile's thread coroutine: the core domain
+// is the thread's until turnRelease, so its hits claim nothing. The word
+// is free, or already the core's: a miss completion handed it back to
+// the thread that waited (handoffCompletion), and interventions queued
+// behind that hand-off are the thread's to drain once it has installed
+// the line (miss). Shard only, as it resumes the coroutine.
+//
+//graphite:hotpath
+func (n *Node) turnClaim() {
+	if !n.coreState.CompareAndSwap(0, stCoreActive) && n.coreState.Load()&stCoreActive == 0 {
+		n.claimSlow()
+	}
+	n.turn = true
+}
+
+// turnRelease ends the turn as the coroutine suspends or ends, so the
+// server answers interventions against the tile while the thread is set
+// aside. A turn whose thread waits on a miss has handed the word over
+// already. Shard only.
+//
+//graphite:hotpath
+func (n *Node) turnRelease() {
+	if n.turn {
+		n.turn = false
+		n.coreRelease()
+	}
 }
 
 // drainLocked applies every queued intervention in arrival order. srv

@@ -12,14 +12,13 @@ package mcp
 // never blocks: each stage is driven by reply arrival.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
 	"repro/internal/network"
-	"repro/internal/transport"
+	"repro/internal/synchro"
 	"repro/internal/wire"
 )
 
@@ -73,16 +72,15 @@ func (s *Server) CkptFailed() <-chan error { return s.ckptFailed }
 
 // maybeCheckpoint begins a checkpoint at a barrier release point when
 // the policy calls for one, deferring the release (already collected in
-// releaseProcs) until the save completes. It returns true
-// when the release was stashed. recheckSimBarrier releases nothing while
-// the checkpoint is in progress (ckptMCP set), so the stashed scratch
-// state stays intact, and rechecks once the stashed release is done. It declines while a thread is
-// blocked in an application receive: the drain counts only memory
-// traffic, so an application message still in flight could wake that
-// thread during the cut.
+// releaseTo) until the save completes. It returns true when the release
+// was stashed. recheckSimBarrier releases nothing while the checkpoint is
+// in progress (ckptMCP set), so the stash stays intact. It declines while
+// a thread is blocked in an application receive: the drain counts only
+// memory traffic, so an application message still in flight could wake
+// that thread during the cut.
 func (s *Server) maybeCheckpoint(epoch int64) bool {
 	cp := s.ckpt
-	if cp == nil || cp.Every <= 0 || epoch <= 0 || epoch%cp.Every != 0 || epoch == s.ckptLast || len(s.recvBlocked) > 0 {
+	if cp == nil || cp.Every <= 0 || epoch <= 0 || epoch%cp.Every != 0 || epoch == s.ckptLast || s.round.Count(synchro.Receiving) > 0 {
 		return false
 	}
 	s.ckptLast = epoch
@@ -102,14 +100,7 @@ func (s *Server) sendCkptProbes() {
 	s.ckptSent, s.ckptRecv = 0, 0
 	s.ckptQuiesced = true
 	for p := 0; p < s.cfg.Processes; p++ {
-		s.sendCkpt(arch.ProcID(p), MsgCkptProbe, nil)
-	}
-}
-
-func (s *Server) sendCkpt(p arch.ProcID, typ uint8, payload []byte) {
-	dst := arch.TileID(transport.LCP(p))
-	if _, err := s.net.Send(network.ClassSystem, typ, dst, 0, payload, 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-		panic("mcp: checkpoint send failed: " + err.Error())
+		send(s.net, MsgCkptProbe, lcpTile(arch.ProcID(p)), 0, nil, 0)
 	}
 }
 
@@ -148,7 +139,7 @@ func (s *Server) sendCkptSaves() {
 	s.ckptAcks = 0
 	payload := EncodeU64(uint64(s.ckptEpoch))
 	for p := 0; p < s.cfg.Processes; p++ {
-		s.sendCkpt(arch.ProcID(p), MsgCkptSave, payload)
+		send(s.net, MsgCkptSave, lcpTile(arch.ProcID(p)), 0, payload, 0)
 	}
 }
 
@@ -249,8 +240,15 @@ func equalDigests(a, b []string) bool {
 // flattened in sorted order so the encoding is canonical.
 func (s *Server) CaptureState() *checkpoint.MCPState {
 	ms := &checkpoint.MCPState{
-		TileBusy: append([]bool(nil), s.tileBusy...),
-		Running:  s.running,
+		TileBusy: make([]bool, s.cfg.Tiles),
+		Running:  s.round.Live(),
+	}
+	for i := range ms.TileBusy {
+		st := s.round.State(arch.TileID(i))
+		ms.TileBusy[i] = st != synchro.Idle
+		if st == synchro.Blocked {
+			ms.Blocked = append(ms.Blocked, int32(i))
+		}
 	}
 
 	//graphite:maporder flattened sorted below
@@ -266,12 +264,6 @@ func (s *Server) CaptureState() *checkpoint.MCPState {
 		ms.Threads = append(ms.Threads, ts)
 	}
 	sort.Slice(ms.Threads, func(i, j int) bool { return ms.Threads[i].Thread < ms.Threads[j].Thread })
-
-	//graphite:maporder flattened sorted below
-	for tile := range s.blocked {
-		ms.Blocked = append(ms.Blocked, int32(tile))
-	}
-	sort.Slice(ms.Blocked, func(i, j int) bool { return ms.Blocked[i] < ms.Blocked[j] })
 
 	//graphite:maporder flattened sorted below
 	for addr, m := range s.mutexes {
@@ -324,16 +316,19 @@ func (s *Server) CaptureState() *checkpoint.MCPState {
 // RestoreState overwrites the MCP's service tables from a snapshot taken
 // by CaptureState. It must run while no simulation traffic can arrive —
 // in practice on a freshly constructed cluster before any thread starts.
+// The round is rebuilt from the threads and the blocked tiles.
 func (s *Server) RestoreState(ms *checkpoint.MCPState) error {
-	if len(ms.TileBusy) != len(s.tileBusy) {
-		return fmt.Errorf("mcp: restore tile-count mismatch: snapshot %d, server %d", len(ms.TileBusy), len(s.tileBusy))
+	if len(ms.TileBusy) != s.cfg.Tiles {
+		return fmt.Errorf("mcp: restore tile-count mismatch: snapshot %d, server %d", len(ms.TileBusy), s.cfg.Tiles)
 	}
-	copy(s.tileBusy, ms.TileBusy)
-	s.running = ms.Running
 	s.everStarted = ms.Running > 0 || len(ms.Threads) > 0
 
+	s.round = synchro.NewRound(s.cfg.Tiles)
 	s.threads = make(map[arch.ThreadID]*threadRec, len(ms.Threads))
 	for _, ts := range ms.Threads {
+		if !ts.Exited {
+			s.round.Step(arch.TileID(ts.Thread), synchro.Started, 0)
+		}
 		rec := &threadRec{exited: ts.Exited, exitTime: arch.Cycles(ts.ExitTime)}
 		for _, j := range ts.Joiners {
 			rec.joiners = append(rec.joiners, replyTo{src: arch.TileID(j.Tile), seq: j.Seq})
@@ -341,9 +336,8 @@ func (s *Server) RestoreState(ms *checkpoint.MCPState) error {
 		s.threads[arch.ThreadID(ts.Thread)] = rec
 	}
 
-	s.blocked = make(map[arch.TileID]bool, len(ms.Blocked))
 	for _, t := range ms.Blocked {
-		s.blocked[arch.TileID(t)] = true
+		s.round.Step(arch.TileID(t), synchro.Block, 0)
 	}
 
 	s.mutexes = make(map[arch.Addr]*mutexRec, len(ms.Mutexes))

@@ -1,13 +1,11 @@
 package mcp
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/network"
 	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -81,14 +79,10 @@ func (l *LCP) Serve() {
 			l.cb.StartThread(st, pkt.Time)
 		case MsgStatsGather:
 			rep := statsRep(l.cb.CollectStats())
-			if _, err := l.net.Send(network.ClassSystem, MsgStatsRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-				panic("mcp: stats reply: " + err.Error())
-			}
+			send(l.net, MsgStatsRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0)
 		case MsgFlush:
 			l.cb.Flush()
-			if _, err := l.net.Send(network.ClassSystem, MsgFlushRep, pkt.Src, pkt.Seq, nil, 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-				panic("mcp: flush reply: " + err.Error())
-			}
+			send(l.net, MsgFlushRep, pkt.Src, pkt.Seq, nil, 0)
 		case MsgSimBarrierRelease:
 			epoch64, err := DecodeU64(pkt.Payload)
 			if err != nil {
@@ -104,9 +98,7 @@ func (l *LCP) Serve() {
 			} else {
 				rep.Quiesced = true
 			}
-			if _, err := l.net.Send(network.ClassSystem, MsgCkptProbeRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-				panic("mcp: ckpt probe reply: " + err.Error())
-			}
+			send(l.net, MsgCkptProbeRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0)
 		case MsgCkptSave:
 			epoch64, err := DecodeU64(pkt.Payload)
 			if err != nil {
@@ -116,18 +108,14 @@ func (l *LCP) Serve() {
 			if l.cb.CkptSave != nil {
 				res = l.cb.CkptSave(int64(epoch64))
 			}
-			if _, err := l.net.Send(network.ClassSystem, MsgCkptSaveRep, pkt.Src, pkt.Seq, wire.Encode(res.Walk), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-				panic("mcp: ckpt save reply: " + err.Error())
-			}
+			send(l.net, MsgCkptSaveRep, pkt.Src, pkt.Seq, wire.Encode(res.Walk), 0)
 		case MsgShutdown:
 			// Acknowledge-then-close: the ack (carrying this process's
 			// wall-clock serving time) must be on the wire before the
 			// Shutdown callback runs, because worker processes exit from
 			// that callback and tear the transport down with them.
 			wall := time.Since(l.started) //graphite:wallclock proc_wall_sec reporting; excluded from reproducibility diffs
-			if _, err := l.net.Send(network.ClassSystem, MsgShutdownRep, pkt.Src, pkt.Seq, EncodeU64(uint64(wall.Nanoseconds())), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-				panic("mcp: shutdown ack: " + err.Error())
-			}
+			send(l.net, MsgShutdownRep, pkt.Src, pkt.Seq, EncodeU64(uint64(wall.Nanoseconds())), 0)
 			if l.cb.Shutdown != nil {
 				l.cb.Shutdown()
 			}

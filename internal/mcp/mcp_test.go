@@ -2,6 +2,7 @@ package mcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"runtime"
 	"testing"
@@ -224,6 +225,38 @@ func FuzzControlPayload(f *testing.F) {
 		}
 		if again := wire.Encode(p.Walk); !bytes.Equal(again, b[1:]) {
 			t.Fatalf("%T accepted a non-canonical encoding (%d bytes, canonical %d)", p, len(b)-1, len(again))
+		}
+	})
+}
+
+// simEntry is one 12-byte batch entry, encoded as a ledger would.
+func simEntry(tile int32, epoch int64) []byte {
+	return EncodeSimBatch([]SimWait{{Tile: arch.TileID(tile), Epoch: epoch}})
+}
+
+// FuzzSimBatch feeds arbitrary bytes and tile counts to the LaxBarrier
+// batch decoder: it must not panic, every input it accepts must re-encode
+// byte for byte, and it must refuse any entry whose tile is outside
+// [0, tiles) or whose epoch is below -1.
+func FuzzSimBatch(f *testing.F) {
+	f.Add(EncodeSimBatch([]SimWait{{Tile: 0, Epoch: 1}, {Tile: 3, Epoch: -1}}), uint16(4))
+	f.Add(simEntry(4, 1), uint16(4))
+	f.Add(simEntry(-1, 1), uint16(4))
+	f.Add(simEntry(0, -2), uint16(4))
+	f.Add([]byte{1, 2, 3}, uint16(1))
+	f.Fuzz(func(t *testing.T, b []byte, tiles uint16) {
+		waits, err := AppendSimBatch(nil, b, int(tiles))
+		bad := len(b) == 0 || len(b)%12 != 0
+		for i := 0; !bad && i < len(b)/12; i++ {
+			tile := int32(binary.LittleEndian.Uint32(b[i*12:]))
+			epoch := int64(binary.LittleEndian.Uint64(b[i*12+4:]))
+			bad = tile < 0 || tile >= int32(tiles) || epoch < -1
+		}
+		if bad != (err != nil) {
+			t.Fatalf("%d bytes for %d tiles: error %v, want one: %v", len(b), tiles, err, bad)
+		}
+		if err == nil && !bytes.Equal(EncodeSimBatch(waits), b) {
+			t.Fatalf("accepted batch re-encodes differently")
 		}
 	})
 }

@@ -25,6 +25,7 @@ package mcp
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/stats"
@@ -214,25 +215,30 @@ func EncodeSimBatch(ws []SimWait) []byte {
 	return b
 }
 
-// AppendSimBatch parses a batch of barrier waits into dst (retaining
-// dst's backing array: the MCP's serve loop reuses one scratch slice
-// across batches).
-func AppendSimBatch(dst []SimWait, b []byte) ([]SimWait, error) {
+// AppendSimBatch parses a batch of barrier waits for a simulation of
+// tiles tiles into dst (retaining dst's backing array: the MCP's serve
+// loop reuses one scratch slice across batches). It refuses an entry
+// whose tile is outside [0, tiles) or whose epoch is below -1.
+func AppendSimBatch(dst []SimWait, b []byte, tiles int) ([]SimWait, error) {
 	if len(b) == 0 || len(b)%12 != 0 {
 		return nil, fmt.Errorf("mcp: bad sim batch (%d bytes)", len(b))
 	}
 	for i := 0; i < len(b)/12; i++ {
-		dst = append(dst, SimWait{
+		w := SimWait{
 			Tile:  arch.TileID(int32(binary.LittleEndian.Uint32(b[i*12:]))),
 			Epoch: int64(binary.LittleEndian.Uint64(b[i*12+4:])),
-		})
+		}
+		if w.Tile < 0 || int(w.Tile) >= tiles || w.Epoch < -1 {
+			return nil, fmt.Errorf("mcp: sim batch entry %d (tile %d, epoch %d) out of range for %d tiles", i, w.Tile, w.Epoch, tiles)
+		}
+		dst = append(dst, w)
 	}
 	return dst, nil
 }
 
-// DecodeSimBatch parses a batch of barrier waits.
+// DecodeSimBatch parses a batch of barrier waits for any tile number.
 func DecodeSimBatch(b []byte) ([]SimWait, error) {
-	return AppendSimBatch(nil, b)
+	return AppendSimBatch(nil, b, math.MaxInt32)
 }
 
 // CkptProbeRep is one process's drain-status report: cumulative

@@ -12,6 +12,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/network"
 	"repro/internal/stats"
+	"repro/internal/synchro"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -69,31 +70,19 @@ type Server struct {
 	alloc *Allocator
 
 	threads     map[arch.ThreadID]*threadRec
-	tileBusy    []bool
-	running     int
 	everStarted bool
-	blocked     map[arch.TileID]bool
 
 	mutexes  map[arch.Addr]*mutexRec
 	barriers map[arch.Addr]*barrierRec
 	conds    map[arch.Addr]*condRec
 
-	// simWaits holds the LaxBarrier epoch each parked tile waits on, as
-	// forwarded by its process's ledger (MsgSimBarrierBatch). recvBlocked
-	// holds the tiles a ledger reported blocked in an application receive
-	// (epoch -1); like blocked, they are left out of the release rule. A
-	// tile leaves it at its next wait, its next packet to the MCP, or its
-	// exit (which is such a packet).
-	simWaits    map[arch.TileID]int64
-	recvBlocked map[arch.TileID]bool
-	// simBatch and releaseProcs are serve-loop scratch (one goroutine):
-	// reused across quanta so the steady-state barrier service does not
-	// allocate per round. When a checkpoint intercepts a release,
-	// releaseProcs holds the stashed release until the save completes; no
-	// recheck can run in between (every unblocked thread is parked on
-	// that very release), so it stays intact.
-	simBatch     []SimWait
-	releaseProcs map[arch.ProcID]bool
+	// round is every tile's LaxBarrier state; a tile is busy while it has
+	// a thread. simBatch is decode scratch, reused across quanta.
+	// releaseTo marks the processes the epoch being released wakes, and
+	// holds a checkpoint's stashed release until the save completes.
+	round     *synchro.Round
+	simBatch  []SimWait
+	releaseTo []bool
 
 	// Checkpoint state machine (see checkpoint.go). All fields are
 	// serve-goroutine-private except ckpt (set before Serve runs) and
@@ -132,24 +121,21 @@ type shutdownAck struct {
 // NewServer builds the MCP. net must be registered on the MCP endpoint.
 func NewServer(cfg *config.Config, net *network.Net) *Server {
 	return &Server{
-		cfg:          cfg,
-		net:          net,
-		alloc:        NewAllocator(cfg.AS.HeapBase, cfg.AS.HeapSize),
-		threads:      make(map[arch.ThreadID]*threadRec),
-		tileBusy:     make([]bool, cfg.Tiles),
-		blocked:      make(map[arch.TileID]bool),
-		mutexes:      make(map[arch.Addr]*mutexRec),
-		barriers:     make(map[arch.Addr]*barrierRec),
-		conds:        make(map[arch.Addr]*condRec),
-		simWaits:     make(map[arch.TileID]int64),
-		recvBlocked:  make(map[arch.TileID]bool),
-		releaseProcs: make(map[arch.ProcID]bool),
-		ckptFailed:   make(chan error, 1),
-		statsCh:      make(chan []stats.Tile, cfg.Processes),
-		flushCh:      make(chan struct{}, cfg.Processes),
-		shutCh:       make(chan shutdownAck, cfg.Processes),
-		doneCh:       make(chan struct{}),
-		stopped:      make(chan struct{}),
+		cfg:        cfg,
+		net:        net,
+		alloc:      NewAllocator(cfg.AS.HeapBase, cfg.AS.HeapSize),
+		threads:    make(map[arch.ThreadID]*threadRec),
+		round:      synchro.NewRound(cfg.Tiles),
+		mutexes:    make(map[arch.Addr]*mutexRec),
+		barriers:   make(map[arch.Addr]*barrierRec),
+		conds:      make(map[arch.Addr]*condRec),
+		releaseTo:  make([]bool, cfg.Processes),
+		ckptFailed: make(chan error, 1),
+		statsCh:    make(chan []stats.Tile, cfg.Processes),
+		flushCh:    make(chan struct{}, cfg.Processes),
+		shutCh:     make(chan shutdownAck, cfg.Processes),
+		doneCh:     make(chan struct{}),
+		stopped:    make(chan struct{}),
 	}
 }
 
@@ -168,7 +154,6 @@ func (s *Server) StartMain(arg uint64) error {
 		return fmt.Errorf("mcp: no tile available for main")
 	}
 	s.threads[arch.ThreadID(tile)] = &threadRec{}
-	s.running++
 	s.everStarted = true
 	s.sendToLCP(tile, StartThread{Tile: tile, Func: 0, Arg: arg}, 0)
 	return nil
@@ -184,39 +169,42 @@ func (s *Server) StartMain(arg uint64) error {
 // thread's record joinable until tiles run out.
 func (s *Server) pickTile() arch.TileID {
 	reuse := arch.InvalidTile
-	for i, busy := range s.tileBusy {
-		if busy {
+	for i := range s.cfg.Tiles {
+		tile := arch.TileID(i)
+		if s.round.State(tile) != synchro.Idle {
 			continue
 		}
 		if s.threads[arch.ThreadID(i)] == nil {
-			s.tileBusy[i] = true
-			return arch.TileID(i)
+			reuse = tile
+			break
 		}
 		if reuse == arch.InvalidTile {
-			reuse = arch.TileID(i)
+			reuse = tile
 		}
 	}
 	if reuse != arch.InvalidTile {
-		s.tileBusy[reuse] = true
+		s.round.Step(reuse, synchro.Started, 0)
 	}
 	return reuse
 }
 
 func (s *Server) sendToLCP(tile arch.TileID, st StartThread, when arch.Cycles) {
-	proc := s.cfg.ProcOf(tile)
-	dst := arch.TileID(transport.LCP(proc))
-	if _, err := s.net.Send(network.ClassSystem, MsgStartThread, dst, 0, EncodeStartThread(st), when); err != nil && !errors.Is(err, transport.ErrClosed) {
-		panic("mcp: send to LCP failed: " + err.Error())
-	}
+	send(s.net, MsgStartThread, lcpTile(s.cfg.ProcOf(tile)), 0, EncodeStartThread(st), when)
 }
 
 func (s *Server) reply(typ uint8, to replyTo, payload []byte, when arch.Cycles) {
-	// Replies racing teardown (transport closed) are dropped; the waiting
-	// thread is being torn down with the fabric.
-	if _, err := s.net.Send(network.ClassSystem, typ, to.src, to.seq, payload, when); err != nil && !errors.Is(err, transport.ErrClosed) {
-		panic("mcp: reply failed: " + err.Error())
+	send(s.net, typ, to.src, to.seq, payload, when)
+}
+
+// send sends a control message. One that races teardown (transport
+// closed) is dropped: its receiver is torn down with the fabric.
+func send(n *network.Net, typ uint8, dst arch.TileID, seq uint64, payload []byte, when arch.Cycles) {
+	if _, err := n.Send(network.ClassSystem, typ, dst, seq, payload, when); err != nil && !errors.Is(err, transport.ErrClosed) {
+		panic(fmt.Sprintf("mcp: send %s: %v", msgName(typ), err))
 	}
 }
+
+func lcpTile(p arch.ProcID) arch.TileID { return arch.TileID(transport.LCP(p)) }
 
 // Serve is the MCP message loop.
 func (s *Server) Serve() {
@@ -233,21 +221,20 @@ func (s *Server) Serve() {
 }
 
 // Report writes the LaxBarrier service's view of the threads for a
-// wedged-run dump (park.Report): running threads, the tiles blocked in MCP
-// services and in application receives, the epoch waits, and the active
-// count the release rule compares them with.
+// wedged-run dump (park.Report): the live threads, then the round.
 func (s *Server) Report(w io.Writer) {
 	if !s.mu.TryLock() {
 		fmt.Fprintln(w, "  mcp: busy handling a message")
 		return
 	}
 	defer s.mu.Unlock()
-	fmt.Fprintf(w, "  mcp: running %d, active %d; mcp-blocked %v; recv-blocked %v; epoch waits %v\n",
-		s.running, s.running-len(s.blocked)-len(s.recvBlocked), s.blocked, s.recvBlocked, s.simWaits)
+	fmt.Fprintf(w, "  mcp: running %d, %v\n", s.round.Live(), s.round)
 }
 
 func (s *Server) handle(pkt network.Packet) {
-	delete(s.recvBlocked, pkt.Src) // a tile that speaks to the MCP is not blocked receiving
+	if pkt.Src >= 0 {
+		s.round.Step(pkt.Src, synchro.Resume, 0) // a tile that speaks to the MCP is not blocked receiving
+	}
 	to := replyTo{src: pkt.Src, seq: pkt.Seq}
 	switch pkt.Type {
 	case MsgSpawn:
@@ -312,7 +299,6 @@ func (s *Server) handleSpawn(pkt network.Packet, to replyTo) {
 		return
 	}
 	s.threads[arch.ThreadID(tile)] = &threadRec{}
-	s.running++
 	s.everStarted = true
 	start := pkt.Time + s.cfg.Costs.Spawn
 	s.sendToLCP(tile, StartThread{Tile: tile, Func: req.Func, Arg: req.Arg}, start)
@@ -332,11 +318,9 @@ func (s *Server) handleThreadExit(pkt network.Packet) {
 		s.unblock(j.src)
 	}
 	rec.joiners = nil
-	s.tileBusy[pkt.Src] = false
-	s.running--
-	delete(s.simWaits, pkt.Src)
+	s.round.Step(pkt.Src, synchro.Exited, 0)
 	s.recheckSimBarrier()
-	if s.running == 0 && s.everStarted {
+	if s.round.Live() == 0 && s.everStarted {
 		select {
 		case <-s.doneCh:
 		default:
@@ -536,105 +520,69 @@ func (s *Server) handleFree(pkt network.Packet) {
 	}
 }
 
-// handleSimBarrierBatch merges one process ledger's batch of waits into
-// the wait table. Entries are independent — a tile cannot have two waits
-// in flight (it stays parked until released) — so merge order across
-// batches is irrelevant. A receive report (epoch -1) counts only for a
-// tile that is running and neither waiting nor MCP-blocked: the batch
-// rides the process's control endpoint, so it can trail the tile's own
-// later messages, and a stale report must not count the tile twice.
+// handleSimBarrierBatch steps the round with one ledger's batch of waits
+// and receive reports (epoch -1); the round's rows drop a report that
+// trails its tile's own later messages.
 func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
-	waits, err := AppendSimBatch(s.simBatch[:0], pkt.Payload)
+	waits, err := AppendSimBatch(s.simBatch[:0], pkt.Payload, s.cfg.Tiles)
 	if err != nil {
 		panic("mcp: " + err.Error())
 	}
 	s.simBatch = waits[:0]
 	for _, w := range waits {
 		if w.Epoch >= 0 {
-			s.simWaits[w.Tile] = w.Epoch
-			delete(s.recvBlocked, w.Tile)
-			continue
-		}
-		_, waiting := s.simWaits[w.Tile]
-		if rec := s.threads[arch.ThreadID(w.Tile)]; rec != nil && !rec.exited && !waiting && !s.blocked[w.Tile] {
-			s.recvBlocked[w.Tile] = true
+			s.round.Step(w.Tile, synchro.Waited, w.Epoch)
+		} else {
+			s.round.Step(w.Tile, synchro.Recv, 0)
 		}
 	}
 	s.recheckSimBarrier()
 }
 
-// recheckSimBarrier releases the lowest pending LaxBarrier epoch once
-// every running, unblocked thread is waiting on the barrier, and repeats
-// while that still holds. Threads blocked in MCP services (mutex queues,
-// joins, condition waits) or in an application receive are not advancing
-// their clocks and are excluded, which keeps the quanta barrier
-// deadlock-free. Waiters are released with one notification per host
-// process.
-//
-// The repeat matters for a stale wait. A receive-blocked tile is left out
-// of the count, so its epoch can be released while its own wait for it is
-// still in flight in its ledger's batch; its ledger wakes it on the
-// release, and the wait then lands here for an epoch already gone. It is
-// the lowest pending epoch, so it is released first, and without a
-// recheck the real waits behind it would wait for an event that never
-// comes.
+// recheckSimBarrier releases the lowest pending LaxBarrier epoch once no
+// thread runs: each waits on the barrier, is blocked in an MCP service or
+// an application receive (its clock is not advancing), or is gone. One
+// notification goes to each host process, in process order. The released
+// tiles run again, so one release completes the check.
 func (s *Server) recheckSimBarrier() {
-	for s.ckptMCP == nil && len(s.simWaits) > 0 && len(s.simWaits) >= s.running-len(s.blocked)-len(s.recvBlocked) {
-		min := int64(1<<62 - 1)
-		//graphite:maporder commutative minimum over pending epochs
-		for _, epoch := range s.simWaits {
-			if epoch < min {
-				min = epoch
-			}
-		}
-		clear(s.releaseProcs)
-		//graphite:maporder releases go to disjoint tiles/processes; the fabric orders only per-pair FIFO, so wake order was never defined, and released threads re-synchronize at the next quantum regardless
-		for tile, epoch := range s.simWaits {
-			if epoch != min {
-				continue
-			}
-			s.releaseProcs[s.cfg.ProcOf(tile)] = true
-			delete(s.simWaits, tile)
-		}
-		// A checkpoint-eligible epoch intercepts the release: the
-		// collected targets stay stashed in releaseProcs until the save
-		// completes, and releaseEpoch runs from the checkpoint machine,
-		// which rechecks after it.
-		if s.maybeCheckpoint(min) {
-			return
-		}
-		s.releaseEpoch(min)
+	epoch, ok := s.round.Next()
+	if s.ckptMCP != nil || !ok {
+		return
+	}
+	s.round.Release(epoch, func(t arch.TileID) { s.releaseTo[s.cfg.ProcOf(t)] = true })
+	// A checkpoint-eligible epoch intercepts the release: the targets stay
+	// stashed in releaseTo until the save completes, and releaseEpoch
+	// runs from the checkpoint machine.
+	if !s.maybeCheckpoint(epoch) {
+		s.releaseEpoch(epoch)
 	}
 }
 
 // releaseEpoch performs a collected epoch release: one notification per
 // process with released waiters.
-func (s *Server) releaseEpoch(min int64) {
-	//graphite:maporder one release notification per distinct process; delivery order across processes is unordered by the fabric anyway
-	for proc := range s.releaseProcs {
-		dst := arch.TileID(transport.LCP(proc))
-		if _, err := s.net.Send(network.ClassSystem, MsgSimBarrierRelease, dst, 0, EncodeU64(uint64(min)), 0); err != nil && !errors.Is(err, transport.ErrClosed) {
-			panic("mcp: barrier release failed: " + err.Error())
+func (s *Server) releaseEpoch(epoch int64) {
+	for proc, ok := range s.releaseTo {
+		if ok {
+			send(s.net, MsgSimBarrierRelease, lcpTile(arch.ProcID(proc)), 0, EncodeU64(uint64(epoch)), 0)
 		}
 	}
-	clear(s.releaseProcs)
+	clear(s.releaseTo)
 }
 
 func (s *Server) block(tile arch.TileID) {
-	s.blocked[tile] = true
+	s.round.Step(tile, synchro.Block, 0)
 	s.recheckSimBarrier()
 }
 
 func (s *Server) unblock(tile arch.TileID) {
-	delete(s.blocked, tile)
+	s.round.Step(tile, synchro.Resume, 0)
 }
 
 // GatherStats asks every LCP for its tiles' records and returns them all,
 // ordered by tile ID. Call only after the application has finished.
 func (s *Server) GatherStats() []stats.Tile {
 	for p := 0; p < s.cfg.Processes; p++ {
-		dst := arch.TileID(transport.LCP(arch.ProcID(p)))
-		if _, err := s.net.Send(network.ClassSystem, MsgStatsGather, dst, 0, nil, 0); err != nil {
+		if _, err := s.net.Send(network.ClassSystem, MsgStatsGather, lcpTile(arch.ProcID(p)), 0, nil, 0); err != nil {
 			panic("mcp: stats gather send: " + err.Error())
 		}
 	}
@@ -682,12 +630,11 @@ func (s *Server) ShutdownWorkers() []ProcShutdown {
 		out[p].Proc = arch.ProcID(p)
 	}
 	for p := 0; p < s.cfg.Processes; p++ {
-		dst := arch.TileID(transport.LCP(arch.ProcID(p)))
 		// A failed send (dead peer connection, closed transport) must not
 		// stop the announcement: the REMAINING workers still need their
 		// teardown, or they block forever. The failed process simply
 		// yields no ack.
-		if _, err := s.net.Send(network.ClassSystem, MsgShutdown, dst, 0, nil, 0); err == nil {
+		if _, err := s.net.Send(network.ClassSystem, MsgShutdown, lcpTile(arch.ProcID(p)), 0, nil, 0); err == nil {
 			announced++
 		}
 	}
@@ -714,8 +661,7 @@ func (s *Server) ShutdownWorkers() []ProcShutdown {
 // completion. Call only after the application has finished.
 func (s *Server) FlushCaches() {
 	for p := 0; p < s.cfg.Processes; p++ {
-		dst := arch.TileID(transport.LCP(arch.ProcID(p)))
-		if _, err := s.net.Send(network.ClassSystem, MsgFlush, dst, 0, nil, 0); err != nil {
+		if _, err := s.net.Send(network.ClassSystem, MsgFlush, lcpTile(arch.ProcID(p)), 0, nil, 0); err != nil {
 			panic("mcp: flush send: " + err.Error())
 		}
 	}

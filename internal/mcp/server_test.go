@@ -1,6 +1,7 @@
 package mcp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -447,6 +448,34 @@ func TestSimBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSimBatchRejectsOutOfRange: a batch entry for a tile outside the
+// simulation, or with an epoch below -1, is refused with an error that
+// names the entry, and the MCP panics on it like on any bad payload
+// instead of counting it as a wait.
+func TestSimBatchRejectsOutOfRange(t *testing.T) {
+	for _, w := range []SimWait{{Tile: 2, Epoch: 1}, {Tile: -1, Epoch: 1}, {Tile: 1, Epoch: -2}} {
+		batch := EncodeSimBatch([]SimWait{{Tile: 0, Epoch: 1}, w})
+		want := fmt.Sprintf("mcp: sim batch entry 1 (tile %d, epoch %d) out of range for 2 tiles", w.Tile, w.Epoch)
+		if _, err := AppendSimBatch(nil, batch, 2); err == nil || err.Error() != want {
+			t.Errorf("entry %+v: error %v, want %q", w, err, want)
+		}
+		cfg := config.Default()
+		cfg.Tiles = 2
+		srv := NewServer(&cfg, nil)
+		func() {
+			defer func() {
+				if r := recover(); r != "mcp: "+want {
+					t.Errorf("entry %+v: the MCP panicked with %v, want %q", w, r, want)
+				}
+			}()
+			srv.handle(network.Packet{Class: network.ClassSystem, Type: MsgSimBarrierBatch, Src: arch.TileID(transport.LCP(0)), Payload: batch})
+		}()
+	}
+	if _, err := AppendSimBatch(nil, EncodeSimBatch([]SimWait{{Tile: 1, Epoch: -1}}), 2); err != nil {
+		t.Errorf("a receive report for tile 1 of 2 refused: %v", err)
+	}
+}
+
 func TestMallocExhaustionRepliesZero(t *testing.T) {
 	h := newHarness(t, 2)
 	h.send(0, MsgMalloc, EncodeU64(1<<62), 10)
@@ -511,10 +540,10 @@ func TestSpawnPrefersNeverUsedTiles(t *testing.T) {
 // the release rule, so the epoch it was about to wait at can release
 // while its wait for that epoch still rides its ledger's batch. The wait
 // then arrives for an epoch already gone, and the tile — woken by its
-// ledger's release — goes on into an MCP service. The stale wait is the
-// lowest pending epoch and releases first; the waits of the other tiles,
-// complete behind it, must release too, with no further event to
-// trigger it (the 2-process LaxBarrier matmul park).
+// ledger's release — goes on into an MCP service, which replaces the
+// stale wait. The waits of the other tiles, complete behind it, must
+// release, with no further event to trigger it (the 2-process LaxBarrier
+// matmul park).
 func TestSimBarrierReleasesPastStaleWait(t *testing.T) {
 	h := newHarness(t, 3)
 	h.srv.StartMain(0)
@@ -534,10 +563,8 @@ func TestSimBarrierReleasesPastStaleWait(t *testing.T) {
 		h.send(0, MsgJoin, EncodeU64(1), 0)
 		h.noReply(t, 0, 20*time.Millisecond) // tile 0 is MCP-blocked now
 		h.simWait(t, SimWait{Tile: 1, Epoch: 6}, SimWait{Tile: 2, Epoch: 6})
-		for _, want := range []uint64{5, 6} {
-			if e := h.simRelease(t); e != want {
-				t.Errorf("released epoch %d, want %d", e, want)
-			}
+		if e := h.simRelease(t); e != 6 {
+			t.Errorf("released epoch %d, want 6", e)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/transport"
 )
 
 // WorkerOptions configures Work.
@@ -97,21 +98,13 @@ func Work(addr string, opt WorkerOptions) error {
 // the coordinator); a secondary dial happens while a primary connection
 // is already up, so a refusal means the coordinator finished or died and
 // redialing it for the full timeout would only delay the worker's exit.
-//
-//graphite:wallclock dial retry loop: host-fleet startup timing (workers may start before the coordinator); no simulated state exists yet
 func attach(addr string, timeout time.Duration, primary bool) (net.Conn, *bufio.Reader, *message, error) {
-	deadline := time.Now().Add(timeout)
-	var conn net.Conn
-	var err error
-	for {
-		conn, err = net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			break
-		}
-		if !primary || time.Now().After(deadline) {
-			return nil, nil, nil, fmt.Errorf("dispatch: dial coordinator %s: %w", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !primary {
+		timeout = 0
+	}
+	conn, err := transport.DialRetry(addr, timeout)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("dispatch: dial coordinator %s: %w", addr, err)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)

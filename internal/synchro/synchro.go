@@ -47,7 +47,7 @@ type Model interface {
 }
 
 // barrier implements LaxBarrier via a wait function provided by the
-// runtime (an RPC to the MCP's simulation-barrier service).
+// runtime (a wait at the process's Ledger).
 type barrier struct {
 	quantum arch.Cycles
 	epoch   int64

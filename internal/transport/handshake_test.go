@@ -92,7 +92,7 @@ func TestHandshakeRejectsClusterSizeMismatch(t *testing.T) {
 	}()
 
 	// Dial proc 0's listener claiming to be proc 1 of a THREE-process run.
-	conn, err := dialRetry(addrs[0], 5*time.Second)
+	conn, err := DialRetry(addrs[0], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestHandshakeRejectsGenerationSkew(t *testing.T) {
 
 	// Dial proc 0's listener as proc 1 of generation 1 — the attempt that
 	// already died.
-	conn, err := dialRetry(addrs[0], 5*time.Second)
+	conn, err := DialRetry(addrs[0], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 		result <- err
 	}()
 
-	conn, err := dialRetry(addrs[0], 5*time.Second)
+	conn, err := DialRetry(addrs[0], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,7 +273,7 @@ func handshake(conn net.Conn, cfg *TCPConfig) (arch.ProcID, error) {
 // peers of a multi-host launch come up in any order) and completes the
 // handshake.
 func dialPeer(cfg *TCPConfig, p int) (net.Conn, error) {
-	conn, err := dialRetry(cfg.Addrs[p], cfg.DialTimeout)
+	conn, err := DialRetry(cfg.Addrs[p], cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial proc %d (%s): %w", p, cfg.Addrs[p], err)
 	}
@@ -288,17 +288,21 @@ func dialPeer(cfg *TCPConfig, p int) (net.Conn, error) {
 	return conn, nil
 }
 
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
+// DialRetry dials addr over TCP every 10 ms until it connects or timeout
+// has passed; a zero timeout makes one attempt. Processes of a
+// distributed run, and sweep workers and their coordinator, come up in
+// any order. The error gives the attempt count.
+//
+//graphite:wallclock dial retry loop: host startup timing (peers come up in any order); no simulated state exists yet
+func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	for attempt := 1; ; attempt++ {
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
 			return conn, nil
 		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w (gave up after %d attempts over %v)", lastErr, attempt+1, timeout)
+		if !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("%w (gave up after %d attempts over %v)", err, attempt, timeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -197,7 +197,7 @@ func TestTCPMalformedFrameFailsFabric(t *testing.T) {
 		}
 		dialed <- tr
 	}()
-	conn, err := dialRetry(addrs[0], 5*time.Second)
+	conn, err := DialRetry(addrs[0], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@
 package directory
 
 import (
+	"math/bits"
+
 	"repro/internal/arch"
 	"repro/internal/config"
 )
@@ -42,6 +44,10 @@ type Store struct {
 	bits    []uint64      // FullMap/LimitLESS: stride words per entry
 	ptrs    []arch.TileID // LimitedNB: pcap slots per entry
 	cursors []int32       // LimitedNB: round-robin eviction cursor
+
+	// fan holds, in its one entry, the sharers the last ExReq cleared,
+	// until the home has sent their invalidations (ForEachInvalidee).
+	fan *Store
 }
 
 // NewStore builds an empty entry arena for the configured protocol. hint
@@ -59,6 +65,9 @@ func NewStore(cfg config.CoherenceConfig, tiles, hint int) *Store {
 	if hint > 0 {
 		s.presize(hint)
 	}
+	s.fan = &Store{kind: s.kind, stride: s.stride, pcap: s.pcap}
+	s.fan.presize(1)
+	s.fan.Alloc()
 	return s
 }
 
@@ -249,14 +258,8 @@ func (r Ref) ForEachSharer(fn func(arch.TileID)) {
 	switch s.kind {
 	case config.FullMap, config.LimitLESS:
 		for w, word := range r.words() {
-			for word != 0 {
-				b := word & -word
-				bit := 0
-				for m := b; m > 1; m >>= 1 {
-					bit++
-				}
-				fn(arch.TileID(w*64 + bit))
-				word &^= b
+			for ; word != 0; word &= word - 1 {
+				fn(arch.TileID(w*64 + bits.TrailingZeros64(word)))
 			}
 		}
 	case config.LimitedNB:
@@ -282,6 +285,29 @@ func (r Ref) ClearSharers() {
 		}
 	}
 	s.counts[r.i] = 0
+}
+
+// moveToFanout clears the sharers into the store's fan entry.
+func (r Ref) moveToFanout() {
+	s, f := r.s, Ref{s: r.s.fan}
+	if s.stride > 0 {
+		copy(f.words(), r.words())
+	} else {
+		copy(f.slots(), r.slots())
+	}
+	f.s.counts[0] = s.counts[r.i]
+	r.ClearSharers()
+}
+
+// ForEachInvalidee visits the tiles an OpInvAll of r's store
+// invalidates: the sharers the step cleared, in ForEachSharer's order,
+// but a.To.
+func (r Ref) ForEachInvalidee(a Action, fn func(arch.TileID)) {
+	Ref{s: r.s.fan}.ForEachSharer(func(t arch.TileID) {
+		if t != a.To {
+			fn(t)
+		}
+	})
 }
 
 // InvTrap reports whether invalidating the current sharer set requires a

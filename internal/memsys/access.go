@@ -3,7 +3,7 @@ package memsys
 import (
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/config"
+	"repro/internal/directory"
 	"repro/internal/network"
 )
 
@@ -201,7 +201,7 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	n.turn = false
 	n.coreState.Store(0)
 	home := n.homeOf(line)
-	n.send(typ, home, pr.seq, n.coreEncReq(req), sendAt)
+	n.send(typ, home, pr.seq, encodeReq(&n.coreScratch, req), sendAt)
 	n.mu.Unlock()
 
 	if !n.await(pr) {
@@ -220,25 +220,20 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	// the server's writes): the core context owns the domain again and
 	// applies the completion lock-free. A coroutine's turn goes on with
 	// it, after the interventions that queued behind the grant.
-	info := n.finishMiss(pr, pr.reply)
+	arrival := n.finishMiss(pr, pr.reply)
 	if turn {
 		n.turn = true
 		if n.coreState.Load() != stCoreActive {
 			n.claimSlow() // drain what queued behind the grant
 		}
 	}
-	lat := info.arrival - now
+	lat := arrival - now
 	if lat < lookup {
 		lat = lookup
 	}
 	// Fill/install cost at the end of the miss.
 	lat += n.l2.HitLatency()
 	return AccessResult{Latency: lat, L2Misses: 1}
-}
-
-// missInfo is finishMiss's summary of a completed miss.
-type missInfo struct {
-	arrival arch.Cycles
 }
 
 // grantInfo is one coherence grant as the core context applies it,
@@ -253,13 +248,12 @@ type grantInfo struct {
 	sentAt  arch.Cycles
 }
 
-// finishMiss applies a completion reply in the core context. It runs
-// lock-free — ownership of the core domain returned with the hand-off.
-func (n *Node) finishMiss(pr *pendingReq, pkt network.Packet) missInfo {
+// finishMiss applies a completion reply in the core context and returns
+// its arrival. It runs lock-free — ownership of the core domain returned
+// with the hand-off.
+func (n *Node) finishMiss(pr *pendingReq, pkt network.Packet) arch.Cycles {
 	p, err := decodeData(pkt.Payload)
-	if err != nil {
-		panic("memsys: " + err.Error())
-	}
+	must(err)
 	seg := pr.rbuf
 	if pr.isWrite {
 		seg = pr.wbuf
@@ -272,7 +266,7 @@ func (n *Node) finishMiss(pr *pendingReq, pkt network.Packet) missInfo {
 		arrival: pkt.Time,
 		sentAt:  pr.sentAt,
 	})
-	return missInfo{arrival: pkt.Time}
+	return pkt.Time
 }
 
 // applyGrant installs a granted line, performs the pending operation,
@@ -324,52 +318,36 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 	}
 }
 
-// localMiss is the local-home shortcut: when this tile is the line's home
-// and the transaction needs nothing from other tiles, the directory is
-// consulted and the grant produced inline — no loopback messages, no
-// server round trip, no wake — while charging exactly the modeled timing
-// the messaged loopback would have had (request and reply delays, the
-// directory latency, the DRAM access) and feeding the same timestamps to
-// the progress window. ok is false when the messaged path must run
-// instead:
-//
-//   - a self-directed message is still in flight (its ordering — an
-//     EvictM's data landing, an EvictS clearing a sharer bit — must not
-//     be jumped);
-//   - the line has an open transaction, a Modified owner, or (for
-//     writes) foreign sharers to invalidate;
-//   - the directory is not the full-map kind (limited directories may
-//     evict pointers or trap on Add, which needs the full state machine).
+// localMiss is the local-home shortcut: when this tile is the line's home,
+// the request is stepped through the directory inline and the grant
+// produced here — no loopback messages, no server round trip, no wake —
+// while charging exactly the modeled timing the messaged loopback would
+// have had (request and reply delays, the directory latency, the DRAM
+// access) and feeding the same timestamps to the progress window. ok is
+// false when the messaged path must run instead: while a self-directed
+// message is in flight (its ordering — an EvictM's data landing, an
+// EvictS clearing a sharer bit — must not be jumped), or when the step
+// refuses a Local request (directory.Event.Local).
 //
 // Called with mu held by the core context; takes the home lock (mu →
 // home.mu nests only here and in the local evictions, never in reverse).
 func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, isWrite, ifetch bool, now, sendAt, lookup arch.Cycles) (AccessResult, bool) {
-	if n.selfInflight.Load() != 0 || n.cfg.Coherence.Kind != config.FullMap {
+	if n.selfInflight.Load() != 0 {
 		return AccessResult{}, false
 	}
 	h := &n.home
 	h.mu.Lock()
 	dl := h.dirLine(line)
-	e := dl.entry
-	if dl.busy != nil || e.Owner() != arch.InvalidTile {
+	ev := directory.Event{Kind: directory.ShReq, Src: n.tile, Mask: mask, Local: true}
+	if isWrite {
+		ev.Kind = directory.ExReq
+		ln, ok := n.l2.Peek(line)
+		ev.Upgrade = ok && ln.State() == cache.Shared
+	}
+	res := directory.Step(dl.entry, &dl.tx, ev)
+	if res.Refused() {
 		h.mu.Unlock()
 		return AccessResult{}, false
-	}
-	upgrade := false
-	if isWrite {
-		foreign := false
-		e.ForEachSharer(func(s arch.TileID) {
-			if s != n.tile {
-				foreign = true
-			}
-		})
-		if foreign {
-			h.mu.Unlock()
-			return AccessResult{}, false
-		}
-		if ln, ok := n.l2.Peek(line); ok && ln.State() == cache.Shared {
-			upgrade = e.ContainsSharer(n.tile)
-		}
 	}
 
 	// From here the transaction completes locally. Replicate the messaged
@@ -380,29 +358,17 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 	reqArr := sendAt + n.net.Delay(network.ClassMemory, n.tile, reqPayloadLen, sendAt)
 	n.net.Observe(reqArr)
 	t := reqArr + n.cfg.Coherence.DirLatency
-	writer, wmask := e.LastWriter(), e.LastWriterMask()
-
-	g := grantInfo{writer: writer, wmask: wmask, sentAt: sendAt}
+	g := grantInfo{writer: res.Writer, wmask: res.WMask, sentAt: sendAt}
 	repLen := dataPayloadLen
-	if !isWrite {
-		e.AddSharer(n.tile) // full map: never evicts, never traps
-		t += h.dram.ReadLine(uint64(line), n.localGrant, t)
-		g.typ = msgShRep
-		g.data = n.localGrant
-		repLen += n.lineSize
-	} else {
-		e.ClearSharers()
-		e.SetLastWriter(n.tile)
-		e.SetLastWriterMask(mask)
-		if upgrade {
-			g.typ = msgUpgRep
-		} else {
+	for _, a := range res.Actions() {
+		switch a.Op {
+		case directory.OpReadDRAM:
 			t += h.dram.ReadLine(uint64(line), n.localGrant, t)
-			g.typ = msgExRep
 			g.data = n.localGrant
 			repLen += n.lineSize
+		case directory.OpGrantSh, directory.OpGrantEx, directory.OpGrantUpg:
+			g.typ = msgShRep + uint8(a.Op-directory.OpGrantSh)
 		}
-		e.SetOwner(n.tile)
 	}
 	repArr := t + n.net.Delay(network.ClassMemory, n.tile, repLen, t)
 	n.net.Observe(repArr)
@@ -437,22 +403,9 @@ func (n *Node) FlushAll(now arch.Cycles) {
 		n.flushMeta = append(n.flushMeta, flushVictim{addr: l.Addr(), state: l.State()})
 	})
 	for _, v := range n.flushMeta {
-		home := n.homeOf(v.addr)
-		if v.state == cache.Modified {
-			ln, _ := n.l2.Peek(v.addr)
-			vic := cache.Victim{Addr: v.addr, State: v.state, WriteMask: ln.WriteMask(), Data: ln.Data()}
-			if home != n.tile || !n.localEvict(vic, now) {
-				n.outstandingWB.Add(1)
-				pay := dataPayload{line: uint64(v.addr), mask: ln.WriteMask(), writer: n.tile, flags: flagHasData, data: ln.Data()}
-				n.send(msgEvictM, home, 0, n.coreEncData(pay), now)
-			}
-		} else {
-			if home != n.tile || !n.localEvict(cache.Victim{Addr: v.addr, State: v.state}, now) {
-				n.send(msgEvictS, home, 0, n.coreEncLine(uint64(v.addr)), now)
-			}
-		}
+		ln, _ := n.l2.Peek(v.addr)
+		n.processVictim(cache.Victim{Addr: v.addr, State: v.state, WriteMask: ln.WriteMask(), Data: ln.Data()}, now)
 		n.l2.Invalidate(v.addr)
-		n.invL1(v.addr)
 	}
 	n.mu.Unlock()
 
@@ -467,76 +420,49 @@ func (n *Node) FlushAll(now arch.Cycles) {
 
 // Peek reads len(buf) bytes functionally (no timing, no caching) from the
 // simulated address space. Valid only pre-run or post-FlushAll.
-func (n *Node) Peek(addr arch.Addr, buf []byte) {
-	off := 0
-	for off < len(buf) {
-		lineStart := int(uint64(addr+arch.Addr(off)) & (uint64(n.lineSize) - 1))
-		seg := n.lineSize - lineStart
-		if seg > len(buf)-off {
-			seg = len(buf) - off
-		}
-		n.peekLine(addr+arch.Addr(off), buf[off:off+seg])
-		off += seg
-	}
-}
+func (n *Node) Peek(addr arch.Addr, buf []byte) { n.functional(msgPeek, addr, buf) }
 
 // Poke writes buf functionally into the simulated address space. Valid
 // only pre-run or post-FlushAll.
-func (n *Node) Poke(addr arch.Addr, buf []byte) {
-	off := 0
-	for off < len(buf) {
-		lineStart := int(uint64(addr+arch.Addr(off)) & (uint64(n.lineSize) - 1))
-		seg := n.lineSize - lineStart
-		if seg > len(buf)-off {
-			seg = len(buf) - off
-		}
-		n.pokeLine(addr+arch.Addr(off), buf[off:off+seg])
+func (n *Node) Poke(addr arch.Addr, buf []byte) { n.functional(msgPoke, addr, buf) }
+
+// functional serves a Peek or Poke (typ) one line segment at a time.
+func (n *Node) functional(typ uint8, addr arch.Addr, buf []byte) {
+	for off := 0; off < len(buf); {
+		a := addr + arch.Addr(off)
+		seg := min(n.lineSize-int(uint64(a)&(uint64(n.lineSize)-1)), len(buf)-off)
+		n.functionalLine(typ, a, buf[off:off+seg])
 		off += seg
 	}
 }
 
-// peekLine and pokeLine wait on the pending-request slot like a miss but
-// never touch the caches, so they do not transfer core-domain ownership:
-// a parked tile stays parked and a running one keeps its claim.
-func (n *Node) peekLine(addr arch.Addr, buf []byte) {
+// functionalLine waits on the pending-request slot like a miss but never
+// touches the caches, so it does not transfer core-domain ownership: a
+// parked tile stays parked and a running one keeps its claim.
+func (n *Node) functionalLine(typ uint8, addr arch.Addr, buf []byte) {
 	n.mu.Lock()
 	if n.pending != nil {
 		n.mu.Unlock()
-		panic("memsys: Peek with outstanding request")
+		panic("memsys: " + msgName(typ) + " with outstanding request")
 	}
 	n.seq++
 	pr := &n.reqSlot
-	*pr = pendingReq{seq: n.seq, peek: true, park: n.park}
+	*pr = pendingReq{seq: n.seq, functional: true, park: n.park}
 	n.pending = pr
-	home := n.homeOf(n.lineOf(addr))
-	n.send(msgPeek, home, pr.seq, n.coreEncPeek(peekPayload{addr: addr, n: uint32(len(buf))}), 0)
+	p := peekPayload{addr: addr, n: uint32(len(buf))}
+	if typ == msgPoke {
+		p.data = buf
+	}
+	n.send(typ, n.homeOf(n.lineOf(addr)), pr.seq, encodePeek(&n.coreScratch, p), 0)
 	n.mu.Unlock()
 	if !n.await(pr) {
 		n.clearStaged(pr) // teardown (see the miss path)
 		return
 	}
-	p, err := decodePeek(pr.reply.Payload)
-	if err != nil {
-		panic("memsys: " + err.Error())
-	}
-	copy(buf, p.data)
-}
-
-func (n *Node) pokeLine(addr arch.Addr, buf []byte) {
-	n.mu.Lock()
-	if n.pending != nil {
-		n.mu.Unlock()
-		panic("memsys: Poke with outstanding request")
-	}
-	n.seq++
-	pr := &n.reqSlot
-	*pr = pendingReq{seq: n.seq, poke: true, park: n.park}
-	n.pending = pr
-	home := n.homeOf(n.lineOf(addr))
-	n.send(msgPoke, home, pr.seq, n.coreEncPeek(peekPayload{addr: addr, n: uint32(len(buf)), data: buf}), 0)
-	n.mu.Unlock()
-	if !n.await(pr) {
-		n.clearStaged(pr) // teardown (see the miss path)
+	if typ == msgPeek {
+		p, err := decodePeek(pr.reply.Payload)
+		must(err)
+		copy(buf, p.data)
 	}
 }
 

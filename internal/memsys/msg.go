@@ -119,18 +119,23 @@ const (
 	linePayloadLen = 8  // encodeLine
 )
 
-// ensureLen returns a length-n slice, reusing scratch's storage when it is
-// large enough. The encoders below take a scratch buffer because encoded
-// payloads live only until the next Send, which copies them into the wire
-// frame — each sending context can recycle one buffer for all its sends.
-func ensureLen(scratch []byte, n int) []byte {
-	if cap(scratch) < n {
+// ensureLen returns a length-n slice backed by *scratch, which it grows
+// when too small (a nil scratch allocates). The encoders below take a
+// scratch buffer because encoded payloads live only until the next Send,
+// which copies them into the wire frame — each sending context can
+// recycle one buffer for all its sends (Node.coreScratch, Node.srvScratch).
+func ensureLen(scratch *[]byte, n int) []byte {
+	if scratch == nil {
 		return make([]byte, n)
 	}
-	return scratch[:n]
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	*scratch = (*scratch)[:n]
+	return *scratch
 }
 
-func encodeReq(scratch []byte, p reqPayload) []byte {
+func encodeReq(scratch *[]byte, p reqPayload) []byte {
 	buf := ensureLen(scratch, 17)
 	binary.LittleEndian.PutUint64(buf[0:8], p.line)
 	binary.LittleEndian.PutUint64(buf[8:16], p.mask)
@@ -159,7 +164,7 @@ type dataPayload struct {
 	data   []byte
 }
 
-func encodeData(scratch []byte, p dataPayload) []byte {
+func encodeData(scratch *[]byte, p dataPayload) []byte {
 	buf := ensureLen(scratch, 21+len(p.data))
 	binary.LittleEndian.PutUint64(buf[0:8], p.line)
 	binary.LittleEndian.PutUint64(buf[8:16], p.mask)
@@ -187,7 +192,7 @@ func decodeData(b []byte) (dataPayload, error) {
 
 // ctrlPayload is the body of InvReq/WbReq/FlushReq/EvictS/EvictAck: just a
 // line address.
-func encodeLine(scratch []byte, line uint64) []byte {
+func encodeLine(scratch *[]byte, line uint64) []byte {
 	buf := ensureLen(scratch, 8)
 	binary.LittleEndian.PutUint64(buf, line)
 	return buf
@@ -207,7 +212,7 @@ type peekPayload struct {
 	data []byte // Poke request and PeekRep carry data
 }
 
-func encodePeek(scratch []byte, p peekPayload) []byte {
+func encodePeek(scratch *[]byte, p peekPayload) []byte {
 	buf := ensureLen(scratch, 12+len(p.data))
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(p.addr))
 	binary.LittleEndian.PutUint32(buf[8:12], p.n)

@@ -25,24 +25,26 @@ type pendingReq struct {
 	line    cache.LineAddr
 	isWrite bool
 	ifetch  bool
-	peek    bool
-	poke    bool
-	off     int    // byte offset within the line
-	wbuf    []byte // bytes to write (store)
-	rbuf    []byte // destination for loaded bytes
-	mask    uint64 // accessed-words mask
-	sentAt  arch.Cycles
-	park    park.Parker
-	reply   network.Packet
+	// functional marks a Peek or Poke, which does not touch the caches.
+	functional bool
+	off        int    // byte offset within the line
+	wbuf       []byte // bytes to write (store)
+	rbuf       []byte // destination for loaded bytes
+	mask       uint64 // accessed-words mask
+	sentAt     arch.Cycles
+	park       park.Parker
+	reply      network.Packet
 }
 
 // dirLine is the home-side state of one line: a handle into the home's
-// directory-entry arena, the in-flight transaction if any, and requests
+// directory-entry arena, the decision state of its transaction, the
+// timing and data of the transaction while it is open, and requests
 // queued behind it. Entry state lives in the home's structure-of-arrays
 // Store (one bulk allocation per growth step, contiguous sharer words)
 // rather than embedded per line.
 type dirLine struct {
 	entry   directory.Ref
+	tx      directory.Txn
 	busy    *txn
 	pending []network.Packet
 }
@@ -60,8 +62,8 @@ type home struct {
 	// store is the directory-entry arena (structure-of-arrays);
 	// dirLine.entry handles index into it.
 	store *directory.Store
-	// homeSeq numbers the home's sub-requests (Inv/Wb/Flush); replies
-	// carry it back.
+	// homeSeq numbers the home's transactions; their sub-requests
+	// (Inv/Wb/Flush) carry it, and the replies carry it back.
 	homeSeq uint64
 	// txnFree recycles transaction records (and their flush-data buffers):
 	// one transaction begins per home request, so pooling them removes a
@@ -76,27 +78,15 @@ type home struct {
 	dirRequests, dirTraps, invSent uint64
 }
 
-// txn is one in-flight home transaction (blocking directory: one per line).
+// txn is the timing and data of an open home transaction; its decisions
+// are the line's directory.Txn.
 type txn struct {
-	homeSeq   uint64 // matches sub-request replies
-	reqType   uint8  // msgShReq or msgExReq
-	requester arch.TileID
-	reqSeq    uint64 // requester's sequence number, echoed in the reply
-	reqMask   uint64
-	upgrade   bool
-	ifetch    bool
-	line      cache.LineAddr
-
-	waitAcks int         // outstanding InvReps
-	waitData bool        // outstanding WbRep/FlushRep
-	dataFrom arch.TileID // tile the data is expected from
-	haveData bool
+	reqSeq    uint64      // requester's sequence number, echoed in the grant
+	latest    arch.Cycles // the latest arrival the transaction waited for
+	trapExtra arch.Cycles // LimitLESS software trap cycles to charge
 	// data holds flushed owner data in a buffer owned by the transaction
 	// record; reset (not reallocated) when the record is recycled.
-	data      []byte
-	dataMask  uint64 // accumulated write mask from the flushing owner
-	latest    arch.Cycles
-	trapExtra arch.Cycles // LimitLESS software trap cycles to charge
+	data []byte
 }
 
 // coreState values. The word is the entire fast-path synchronization
@@ -530,41 +520,4 @@ func (n *Node) sendSrv(typ uint8, dst arch.TileID, seq uint64, payload []byte, n
 		n.selfInflight.Add(1)
 	}
 	return n.out.Send(network.ClassMemory, typ, dst, seq, payload, now)
-}
-
-// The enc helpers encode payloads into the owning context's scratch
-// buffer; the result is valid until that context's next encode or send.
-func (n *Node) srvEncLine(line uint64) []byte {
-	n.srvScratch = encodeLine(n.srvScratch, line)
-	return n.srvScratch
-}
-
-func (n *Node) srvEncData(p dataPayload) []byte {
-	n.srvScratch = encodeData(n.srvScratch, p)
-	return n.srvScratch
-}
-
-func (n *Node) srvEncPeek(p peekPayload) []byte {
-	n.srvScratch = encodePeek(n.srvScratch, p)
-	return n.srvScratch
-}
-
-func (n *Node) coreEncReq(p reqPayload) []byte {
-	n.coreScratch = encodeReq(n.coreScratch, p)
-	return n.coreScratch
-}
-
-func (n *Node) coreEncLine(line uint64) []byte {
-	n.coreScratch = encodeLine(n.coreScratch, line)
-	return n.coreScratch
-}
-
-func (n *Node) coreEncData(p dataPayload) []byte {
-	n.coreScratch = encodeData(n.coreScratch, p)
-	return n.coreScratch
-}
-
-func (n *Node) coreEncPeek(p peekPayload) []byte {
-	n.coreScratch = encodePeek(n.coreScratch, p)
-	return n.coreScratch
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cache"
+	"repro/internal/directory"
 	"repro/internal/network"
 	"repro/internal/park"
 	"repro/internal/stats"
@@ -336,40 +337,19 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 	switch pkt.Type {
 	case msgShReq, msgExReq:
 		req, err := decodeReq(pkt.Payload)
-		if err != nil {
-			panic("memsys: " + err.Error())
-		}
-		n.lockHeld(&n.home.mu)
-		n.handleRequest(pkt, req)
-		n.home.mu.Unlock()
+		must(err)
+		n.homeEvent(n.reqEvent(pkt, req), pkt, nil, req.line, pkt.Time+n.cfg.Coherence.DirLatency)
 	case msgEvictS:
 		line, err := decodeLine(pkt.Payload)
-		if err != nil {
-			panic("memsys: " + err.Error())
-		}
-		n.lockHeld(&n.home.mu)
-		if dl := n.home.lines[cache.LineAddr(line)]; dl != nil {
-			dl.entry.RemoveSharer(pkt.Src)
-		}
-		n.home.mu.Unlock()
-	case msgEvictM:
+		must(err)
+		n.homeEvent(directory.Event{Kind: directory.EvictS, Src: pkt.Src}, pkt, nil, line, pkt.Time)
+	case msgEvictM, msgInvRep, msgWbRep, msgFlushRep:
 		p, err := decodeData(pkt.Payload)
-		if err != nil {
-			panic("memsys: " + err.Error())
-		}
-		n.lockHeld(&n.home.mu)
-		n.handleEvictM(pkt, p)
-		n.home.mu.Unlock()
+		must(err)
+		ev := directory.Event{Kind: replyKinds[pkt.Type-msgEvictM], Src: pkt.Src, Seq: pkt.Seq, Mask: p.mask, Data: p.flags&flagHasData != 0}
+		n.homeEvent(ev, pkt, p.data, p.line, pkt.Time)
 	case msgInvReq, msgWbReq, msgFlushReq:
 		n.queueIntervention(pkt)
-	case msgInvRep, msgWbRep, msgFlushRep:
-		p, err := decodeData(pkt.Payload)
-		if err != nil {
-			panic("memsys: " + err.Error())
-		}
-		n.lockHeld(&n.home.mu)
-		n.handleHomeReply(pkt, p)
-		n.home.mu.Unlock()
 	case msgShRep, msgExRep, msgUpgRep, msgPeekRep, msgPokeAck:
 		return n.handoffCompletion(pkt)
 	case msgEvictAck:
@@ -388,6 +368,13 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		}
 	}
 	return nil
+}
+
+// must panics on a malformed payload: a peer that sends one is broken.
+func must(err error) {
+	if err != nil {
+		panic("memsys: " + err.Error())
+	}
 }
 
 // lockHeld takes mu for the server inside its hold on the progress window
@@ -426,7 +413,7 @@ func (n *Node) handoffCompletion(pkt network.Packet) *pendingReq {
 		return nil
 	}
 	n.pending = nil
-	if !pr.peek && !pr.poke {
+	if !pr.functional {
 		// The word is free here: the core released it before blocking and
 		// the server's own claims are transient under this mu.
 		n.coreState.Store(stCoreActive)
@@ -476,258 +463,116 @@ func (h *home) putTxn(tx *txn) {
 	h.txnFree = append(h.txnFree, tx)
 }
 
-// handleRequest is the home's entry point for ShReq/ExReq. Called with
-// the home locked, like every home handler below.
-func (n *Node) handleRequest(pkt network.Packet, req reqPayload) {
-	n.home.dirRequests++
-	dl := n.home.dirLine(cache.LineAddr(req.line))
-	if dl.busy != nil {
-		dl.pending = append(dl.pending, pkt)
-		return
+// replyKinds maps msgEvictM and the home's reply types, in message-type
+// order, to their directory events.
+var replyKinds = [...]directory.EventKind{msgEvictM - msgEvictM: directory.EvictM,
+	msgInvRep - msgEvictM: directory.InvRep, msgWbRep - msgEvictM: directory.WbRep, msgFlushRep - msgEvictM: directory.FlushRep}
+
+// reqEvent is the directory event of a ShReq or ExReq.
+func (n *Node) reqEvent(pkt network.Packet, req reqPayload) directory.Event {
+	kind := directory.ShReq
+	if pkt.Type == msgExReq {
+		kind = directory.ExReq
 	}
-	n.startTxn(dl, pkt, req)
+	return directory.Event{Kind: kind, Src: pkt.Src, Mask: req.mask, Upgrade: req.flags&flagUpgrade != 0}
 }
 
-func (n *Node) startTxn(dl *dirLine, pkt network.Packet, req reqPayload) {
+// homeEvent serves one home-side event under the home lock. A request or
+// a writeback creates the line's home state; an eviction notice or a
+// reply for a line without one is stale.
+func (n *Node) homeEvent(ev directory.Event, pkt network.Packet, data []byte, line uint64, at arch.Cycles) {
 	h := &n.home
-	e := dl.entry
-	t := pkt.Time + n.cfg.Coherence.DirLatency
-	h.homeSeq++
-	tx := h.getTxn()
-	buf := tx.data[:0]
-	*tx = txn{
-		homeSeq:   h.homeSeq,
-		reqType:   pkt.Type,
-		requester: pkt.Src,
-		reqSeq:    pkt.Seq,
-		reqMask:   req.mask,
-		upgrade:   req.flags&flagUpgrade != 0,
-		ifetch:    req.flags&flagIFetch != 0,
-		line:      cache.LineAddr(req.line),
-		latest:    t,
-		data:      buf,
+	n.lockHeld(&h.mu)
+	dl := h.lines[cache.LineAddr(line)]
+	if ev.Kind <= directory.ExReq || ev.Kind == directory.EvictM {
+		dl = h.dirLine(cache.LineAddr(line))
 	}
-
-	if pkt.Type == msgShReq {
-		if e.Owner() != arch.InvalidTile && e.Owner() != pkt.Src {
-			// Downgrade the Modified owner and collect its data.
-			tx.waitData = true
-			tx.dataFrom = e.Owner()
-			n.sendSrv(msgWbReq, e.Owner(), tx.homeSeq, n.srvEncLine(req.line), t)
-			dl.busy = tx
-			return
-		}
-		// completeTxn adds the requester to the sharer set, handling any
-		// Dir_iNB pointer reclaim (which requires another invalidation
-		// round before the grant).
-		n.completeTxn(dl, tx, t)
-		return
+	if ev.Kind <= directory.ExReq {
+		h.dirRequests++
 	}
-
-	// ExReq.
-	if e.Owner() != arch.InvalidTile && e.Owner() != pkt.Src {
-		tx.waitData = true
-		tx.dataFrom = e.Owner()
-		n.sendSrv(msgFlushReq, e.Owner(), tx.homeSeq, n.srvEncLine(req.line), t)
-		dl.busy = tx
-		return
+	if dl != nil {
+		n.serveLine(dl, ev, pkt, data, line, at)
 	}
-	// The upgrade is only valid if the requester still holds its S copy.
-	tx.upgrade = tx.upgrade && e.ContainsSharer(pkt.Src)
-	if e.InvTrap() {
-		tx.trapExtra += n.cfg.Coherence.TrapLatency
-		h.dirTraps++
-	}
-	e.ForEachSharer(func(s arch.TileID) {
-		if s == pkt.Src {
-			return
-		}
-		tx.waitAcks++
-		h.invSent++
-		n.sendSrv(msgInvReq, s, tx.homeSeq, n.srvEncLine(req.line), t)
-	})
-	e.ClearSharers()
-	if tx.waitAcks > 0 {
-		dl.busy = tx
-		return
-	}
-	n.completeTxn(dl, tx, t)
+	h.mu.Unlock()
 }
 
-// completeTxn grants the request, replies to the requester, and recycles
-// the transaction record.
-func (n *Node) completeTxn(dl *dirLine, tx *txn, now arch.Cycles) {
-	h := &n.home
-	e := dl.entry
-	t := now
-	if tx.latest > t {
-		t = tx.latest
-	}
-	t += tx.trapExtra
-	payload := dataPayload{
-		line:   uint64(tx.line),
-		mask:   e.LastWriterMask(),
-		writer: e.LastWriter(),
-	}
-
-	if tx.reqType == msgShReq {
-		// Track the requester as a sharer. A limited directory (Dir_iNB)
-		// may reclaim a pointer: the displaced sharer must be invalidated
-		// before the grant, or it would retain a copy the directory no
-		// longer knows about — unreachable by later invalidations.
-		evict, trap := e.AddSharer(tx.requester)
-		if trap {
-			tx.trapExtra += n.cfg.Coherence.TrapLatency
-			h.dirTraps++
-		}
-		if evict != arch.InvalidTile && evict != tx.requester {
-			tx.waitAcks++
-			h.invSent++
-			n.sendSrv(msgInvReq, evict, tx.homeSeq, n.srvEncLine(uint64(tx.line)), t)
-			tx.latest = t
-			dl.busy = tx // re-enters completeTxn when the ack arrives
-			return
-		}
-		buf := n.grantBuf
-		if tx.haveData {
-			// Data flushed by the former owner; it is also written back
-			// so every Shared copy is clean (MSI). The writeback occupies
-			// the DRAM queue but is off the critical path.
-			copy(buf, tx.data)
-			h.dram.WriteLineHeld(uint64(tx.line), tx.data, t, n.held)
-		} else {
-			t += h.dram.ReadLineHeld(uint64(tx.line), buf, t, n.held)
-		}
-		payload.flags |= flagHasData
-		payload.data = buf
-		n.sendSrv(msgShRep, tx.requester, tx.reqSeq, n.srvEncData(payload), t)
-	} else {
-		e.SetLastWriter(tx.requester)
-		e.SetLastWriterMask(tx.reqMask)
-		if tx.upgrade && !tx.haveData {
-			e.SetOwner(tx.requester)
-			n.sendSrv(msgUpgRep, tx.requester, tx.reqSeq, n.srvEncData(payload), t)
-		} else {
-			buf := n.grantBuf
-			if tx.haveData {
-				// Dirty data moves owner to owner without touching DRAM.
-				copy(buf, tx.data)
-			} else {
-				t += h.dram.ReadLineHeld(uint64(tx.line), buf, t, n.held)
-			}
-			e.SetOwner(tx.requester)
-			payload.flags |= flagHasData
-			payload.data = buf
-			n.sendSrv(msgExRep, tx.requester, tx.reqSeq, n.srvEncData(payload), t)
-		}
-	}
-	dl.busy = nil
-	h.putTxn(tx)
-	n.popPending(dl)
-}
-
-// popPending starts the next queued request for the line, if any.
-func (n *Node) popPending(dl *dirLine) {
-	for dl.busy == nil && len(dl.pending) > 0 {
+// serveLine steps line's directory with one event arriving at the home at
+// time at, then starts the requests queued behind a transaction the event
+// closed, each at its own arrival. Called with the home locked.
+func (n *Node) serveLine(dl *dirLine, ev directory.Event, pkt network.Packet, data []byte, line uint64, at arch.Cycles) {
+	n.homeStep(dl, ev, pkt, data, line, at)
+	for !dl.tx.Open && len(dl.pending) > 0 {
 		pkt := dl.pending[0]
 		dl.pending = dl.pending[1:]
-		req, err := decodeReq(pkt.Payload)
-		if err != nil {
-			panic("memsys: " + err.Error())
-		}
-		n.startTxn(dl, pkt, req)
+		req, _ := decodeReq(pkt.Payload) // checked when it arrived
+		n.homeStep(dl, n.reqEvent(pkt, req), pkt, nil, req.line, pkt.Time+n.cfg.Coherence.DirLatency)
 	}
 }
 
-// handleHomeReply processes InvRep/WbRep/FlushRep for an in-flight
-// transaction. Stale replies (transaction already satisfied by a crossing
-// EvictM) are dropped by sequence-number mismatch.
-func (n *Node) handleHomeReply(pkt network.Packet, p dataPayload) {
-	dl := n.home.lines[cache.LineAddr(p.line)]
-	if dl == nil || dl.busy == nil || dl.busy.homeSeq != pkt.Seq {
-		return // stale reply from a completed transaction
+// homeStep runs one event through the line's directory step and carries
+// out the actions it returns, in order: the messages, the DRAM accesses
+// and their timing. data is the event's line, if it carries one.
+func (n *Node) homeStep(dl *dirLine, ev directory.Event, pkt network.Packet, data []byte, line uint64, at arch.Cycles) {
+	h := &n.home
+	if ev.Kind <= directory.ExReq {
+		ev.Seq = h.homeSeq + 1 // the number a transaction it opens takes
 	}
-	tx := dl.busy
-	if pkt.Time > tx.latest {
-		tx.latest = pkt.Time
+	res := directory.Step(dl.entry, &dl.tx, ev)
+	tx, t := dl.busy, at
+	var grant []byte
+	for _, a := range res.Actions() {
+		switch a.Op {
+		case directory.OpQueue:
+			dl.pending = append(dl.pending, pkt)
+		case directory.OpStart:
+			h.homeSeq = ev.Seq
+			tx = h.getTxn()
+			tx.reqSeq, tx.latest = pkt.Seq, at
+			dl.busy = tx
+		case directory.OpJoin:
+			tx.latest = max(tx.latest, at)
+		case directory.OpKeep:
+			tx.data = append(tx.data[:0], data...)
+		case directory.OpInvAll:
+			dl.entry.ForEachInvalidee(a, func(s arch.TileID) {
+				h.invSent++
+				n.sendSrv(msgInvReq, s, dl.tx.Seq, encodeLine(&n.srvScratch, line), t)
+			})
+		case directory.OpInv, directory.OpWb, directory.OpFlush:
+			typ := msgInvReq + uint8(a.Op-directory.OpInv)
+			if typ == msgInvReq {
+				h.invSent++
+			}
+			n.sendSrv(typ, a.To, dl.tx.Seq, encodeLine(&n.srvScratch, line), t)
+			tx.latest = max(tx.latest, t)
+		case directory.OpTrap:
+			tx.trapExtra += n.cfg.Coherence.TrapLatency
+			h.dirTraps++
+		case directory.OpComplete:
+			t = tx.latest + tx.trapExtra
+			grant = tx.data
+		case directory.OpReadDRAM:
+			t += h.dram.ReadLineHeld(line, n.grantBuf, t, n.held)
+			grant = n.grantBuf
+		case directory.OpWriteDRAM:
+			h.dram.WriteLineHeld(line, data, t, n.held)
+		case directory.OpWriteBack:
+			// Off the critical path: the grant does not wait for it.
+			h.dram.WriteLineHeld(line, tx.data, t, n.held)
+		case directory.OpGrantSh, directory.OpGrantEx, directory.OpGrantUpg:
+			typ := msgShRep + uint8(a.Op-directory.OpGrantSh)
+			p := dataPayload{line: line, mask: res.WMask, writer: res.Writer}
+			if typ != msgUpgRep {
+				p.flags, p.data = flagHasData, grant
+			}
+			n.sendSrv(typ, a.To, tx.reqSeq, encodeData(&n.srvScratch, p), t)
+		case directory.OpAck:
+			n.sendSrv(msgEvictAck, a.To, pkt.Seq, encodeLine(&n.srvScratch, line), t)
+		}
 	}
-	e := dl.entry
-	switch pkt.Type {
-	case msgInvRep:
-		tx.waitAcks--
-		if p.flags&flagHasData != 0 {
-			// Defensive: an invalidated copy turned out Modified.
-			n.home.dram.WriteLineHeld(p.line, p.data, pkt.Time, n.held)
-		}
-	case msgWbRep:
-		if p.flags&flagNotPresent != 0 {
-			// Per-sender FIFO guarantees the owner's EvictM reaches us
-			// before a not-present WbRep; this reply cannot match an
-			// open transaction.
-			panic("memsys: WbRep(notPresent) for open transaction")
-		}
-		tx.waitData = false
-		tx.haveData = true
-		tx.data = append(tx.data[:0], p.data...)
-		tx.dataMask = p.mask
-		e.SetOwner(arch.InvalidTile)
-		// The former owner retains a Shared copy. An M line has no other
-		// sharers, so the pointer set cannot overflow here; handle an
-		// eviction anyway so a future protocol variant cannot silently
-		// leak an untracked sharer.
-		if evict, _ := e.AddSharer(pkt.Src); evict != arch.InvalidTile && evict != pkt.Src {
-			tx.waitAcks++
-			n.home.invSent++
-			n.sendSrv(msgInvReq, evict, tx.homeSeq, n.srvEncLine(p.line), pkt.Time)
-		}
-		e.SetLastWriter(pkt.Src)
-		e.SetLastWriterMask(p.mask)
-	case msgFlushRep:
-		if p.flags&flagNotPresent != 0 {
-			panic("memsys: FlushRep(notPresent) for open transaction")
-		}
-		tx.waitData = false
-		tx.haveData = true
-		tx.data = append(tx.data[:0], p.data...)
-		tx.dataMask = p.mask
-		e.SetOwner(arch.InvalidTile)
-		e.SetLastWriter(pkt.Src)
-		e.SetLastWriterMask(p.mask)
-	}
-	if tx.waitAcks == 0 && !tx.waitData {
-		n.completeTxn(dl, tx, tx.latest)
-	}
-}
-
-// handleEvictM applies a dirty writeback. If a transaction is waiting for
-// a flush from the evicting owner, the writeback doubles as the flush data
-// (the owner's not-present reply that follows is dropped as stale).
-func (n *Node) handleEvictM(pkt network.Packet, p dataPayload) {
-	n.sendSrv(msgEvictAck, pkt.Src, pkt.Seq, n.srvEncLine(p.line), pkt.Time)
-	dl := n.home.dirLine(cache.LineAddr(p.line))
-	e := dl.entry
-	n.home.dram.WriteLineHeld(p.line, p.data, pkt.Time, n.held)
-	if dl.busy != nil && dl.busy.waitData && dl.busy.dataFrom == pkt.Src {
-		tx := dl.busy
-		tx.waitData = false
-		tx.haveData = true
-		tx.data = append(tx.data[:0], p.data...)
-		tx.dataMask = p.mask
-		if pkt.Time > tx.latest {
-			tx.latest = pkt.Time
-		}
-		e.SetOwner(arch.InvalidTile)
-		e.SetLastWriter(pkt.Src)
-		e.SetLastWriterMask(p.mask)
-		if tx.waitAcks == 0 {
-			n.completeTxn(dl, tx, tx.latest)
-		}
-		return
-	}
-	if e.Owner() == pkt.Src {
-		e.SetOwner(arch.InvalidTile)
-		e.SetLastWriter(pkt.Src)
-		e.SetLastWriterMask(p.mask)
+	if tx != nil && !dl.tx.Open {
+		dl.busy = nil
+		h.putTxn(tx)
 	}
 }
 
@@ -738,9 +583,7 @@ func (n *Node) handleEvictM(pkt network.Packet, p dataPayload) {
 // replies flushed before the core can wake). Called with mu held.
 func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 	line, err := decodeLine(pkt.Payload)
-	if err != nil {
-		panic("memsys: " + err.Error())
-	}
+	must(err)
 	l := cache.LineAddr(line)
 	t := pkt.Time + n.l2.HitLatency()
 	pay := dataPayload{line: line, writer: n.tile}
@@ -757,7 +600,7 @@ func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 				pay.data = v.Data
 			}
 			n.invL1(l)
-			n.markInvalidated(l)
+			n.invalidated[l] = struct{}{}
 		} else {
 			pay.flags |= flagNotPresent
 		}
@@ -778,7 +621,7 @@ func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 			pay.mask = v.WriteMask
 			pay.data = v.Data
 			n.invL1(l)
-			n.markInvalidated(l)
+			n.invalidated[l] = struct{}{}
 		} else {
 			pay.flags |= flagNotPresent
 		}
@@ -786,9 +629,9 @@ func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 		panic("memsys: unexpected intervention " + msgName(pkt.Type))
 	}
 	if srv {
-		n.sendSrv(typ, pkt.Src, pkt.Seq, n.srvEncData(pay), t)
+		n.sendSrv(typ, pkt.Src, pkt.Seq, encodeData(&n.srvScratch, pay), t)
 	} else {
-		n.send(typ, pkt.Src, pkt.Seq, n.coreEncData(pay), t)
+		n.send(typ, pkt.Src, pkt.Seq, encodeData(&n.coreScratch, pay), t)
 	}
 }
 
@@ -848,9 +691,9 @@ func (n *Node) processVictim(victim cache.Victim, now arch.Cycles) {
 	if victim.State == cache.Modified {
 		n.outstandingWB.Add(1)
 		pay := dataPayload{line: uint64(victim.Addr), mask: victim.WriteMask, writer: n.tile, flags: flagHasData, data: victim.Data}
-		n.send(msgEvictM, home, 0, n.coreEncData(pay), now)
+		n.send(msgEvictM, home, 0, encodeData(&n.coreScratch, pay), now)
 	} else {
-		n.send(msgEvictS, home, 0, n.coreEncLine(uint64(victim.Addr)), now)
+		n.send(msgEvictS, home, 0, encodeLine(&n.coreScratch, uint64(victim.Addr)), now)
 	}
 }
 
@@ -860,8 +703,9 @@ func (n *Node) processVictim(victim cache.Victim, now arch.Cycles) {
 // local writeback needs none). The modeled timing matches the messaged
 // path: the notification's loopback delay is charged before the DRAM
 // write and the progress window sees the same delivery samples. Bails
-// (returns false) under the same ordering guards as localMiss: any
-// self-directed message in flight, or an open transaction on the line.
+// (returns false) as localMiss does: while a self-directed message is in
+// flight, or when the directory step refuses the Local eviction (the line
+// has an open transaction).
 // Called in the core context without the home lock; mu may or may not
 // be held (FlushAll holds it, the post-miss victim path does not) — the
 // function must therefore touch only home-guarded state and the atomic
@@ -874,29 +718,23 @@ func (n *Node) localEvict(victim cache.Victim, now arch.Cycles) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if victim.State != cache.Modified {
-		// Clean eviction: drop the sharer bit, as dispatch(msgEvictS) would.
 		if dl := h.lines[victim.Addr]; dl != nil {
-			if dl.busy != nil {
+			if res := directory.Step(dl.entry, &dl.tx, directory.Event{Kind: directory.EvictS, Src: n.tile, Local: true}); res.Refused() {
 				return false
 			}
-			dl.entry.RemoveSharer(n.tile)
 		}
 		n.net.Observe(now + n.net.Delay(network.ClassMemory, n.tile, linePayloadLen, now))
 		return true
 	}
 	dl := h.dirLine(victim.Addr)
-	if dl.busy != nil {
+	ev := directory.Event{Kind: directory.EvictM, Src: n.tile, Mask: victim.WriteMask, Data: true, Local: true}
+	if res := directory.Step(dl.entry, &dl.tx, ev); res.Refused() {
 		return false
 	}
+	// The step's actions are OpAck and OpWriteDRAM.
 	arr := now + n.net.Delay(network.ClassMemory, n.tile, dataPayloadLen+len(victim.Data), now)
 	n.net.Observe(arr)
 	h.dram.WriteLine(uint64(victim.Addr), victim.Data, arr)
-	e := dl.entry
-	if e.Owner() == n.tile {
-		e.SetOwner(arch.InvalidTile)
-		e.SetLastWriter(n.tile)
-		e.SetLastWriterMask(victim.WriteMask)
-	}
 	// Mirror the EvictAck delivery the messaged path would have produced.
 	n.net.Observe(arr + n.net.Delay(network.ClassMemory, n.tile, linePayloadLen, arr))
 	return true
@@ -911,17 +749,11 @@ func (n *Node) invL1(l cache.LineAddr) {
 	}
 }
 
-func (n *Node) markInvalidated(l cache.LineAddr) {
-	n.invalidated[l] = struct{}{}
-}
-
 // handlePeekPoke serves functional memory access against the home backing
 // store. Valid only pre-run or post-flush (no dirty cached copies).
 func (n *Node) handlePeekPoke(pkt network.Packet) {
 	p, err := decodePeek(pkt.Payload)
-	if err != nil {
-		panic("memsys: " + err.Error())
-	}
+	must(err)
 	line := uint64(p.addr) >> n.lineBits
 	off := int(uint64(p.addr) & (uint64(n.lineSize) - 1))
 	if pkt.Type == msgPoke {
@@ -935,7 +767,7 @@ func (n *Node) handlePeekPoke(pkt network.Packet) {
 	n.lockHeld(&n.home.mu)
 	n.home.dram.Peek(line, off, buf)
 	n.home.mu.Unlock()
-	n.sendSrv(msgPeekRep, pkt.Src, pkt.Seq, n.srvEncPeek(peekPayload{addr: p.addr, n: p.n, data: buf}), pkt.Time)
+	n.sendSrv(msgPeekRep, pkt.Src, pkt.Seq, encodePeek(&n.srvScratch, peekPayload{addr: p.addr, n: p.n, data: buf}), pkt.Time)
 }
 
 func (n *Node) wbAcked() {

@@ -238,7 +238,6 @@ func (r *Result) start(e Ref, tx *Txn, ev Event) {
 // complete grants the request and closes the transaction, unless a read
 // must first invalidate the holder of the pointer it reclaims.
 func (r *Result) complete(e Ref, tx *Txn) {
-	r.add(OpComplete, tx.Requester)
 	r.Writer, r.WMask = e.LastWriter(), e.LastWriterMask()
 	if !tx.Ex {
 		// A limited directory (Dir_iNB) may reclaim a pointer: the
@@ -246,8 +245,9 @@ func (r *Result) complete(e Ref, tx *Txn) {
 		// would keep a copy no later invalidation reaches.
 		evict, trap := e.AddSharer(tx.Requester)
 		if trap {
-			r.add(OpTrap, tx.Requester)
+			r.add(OpTrap, tx.Requester) // charged at OpComplete, as a write's is
 		}
+		r.add(OpComplete, tx.Requester)
 		if evict != arch.InvalidTile && evict != tx.Requester {
 			tx.WaitAcks++
 			r.add(OpInv, evict)
@@ -260,6 +260,7 @@ func (r *Result) complete(e Ref, tx *Txn) {
 		}
 		r.add(OpGrantSh, tx.Requester)
 	} else {
+		r.add(OpComplete, tx.Requester)
 		e.SetLastWriter(tx.Requester)
 		e.SetLastWriterMask(tx.Mask)
 		switch {

@@ -695,3 +695,28 @@ func TestShardDrainsClosedNodeThenTearsItDown(t *testing.T) {
 		c.close() // waits for the shard to return
 	})
 }
+
+// A read that overflows LimitLESS's hardware pointers traps to software,
+// and the trap's latency is part of the read's: with two pointers and a
+// 100 000-cycle trap, the third, fourth and fifth readers of a line each
+// take longer than the trap, and the first two far less.
+func TestLimitLESSReadTrapIsCharged(t *testing.T) {
+	const trap = 100_000
+	cfg := testConfig(8)
+	cfg.Coherence = config.CoherenceConfig{Kind: config.LimitLESS, DirPointers: 2, TrapLatency: trap, DirLatency: 10}
+	c := newCluster(t, cfg)
+	buf := make([]byte, 8)
+	for i := 0; i < 5; i++ {
+		lat := c.nodes[i].Read(0x1F000, buf, 0).Latency
+		if trapped := i >= 2; trapped != (lat > trap) {
+			t.Errorf("reader %d: %d cycles with a %d-cycle trap (overflows the pointers: %v)", i+1, lat, trap, trapped)
+		}
+	}
+	var traps uint64
+	for _, n := range c.nodes {
+		traps += n.Stats().DirTraps
+	}
+	if traps != 3 {
+		t.Fatalf("traps = %d, want 3", traps)
+	}
+}

@@ -347,6 +347,9 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		p, err := decodeData(pkt.Payload)
 		must(err)
 		ev := directory.Event{Kind: replyKinds[pkt.Type-msgEvictM], Src: pkt.Src, Seq: pkt.Seq, Mask: p.mask, Data: p.flags&flagHasData != 0}
+		if (ev.Data || pkt.Type == msgEvictM) && len(p.data) != n.lineSize {
+			panic(fmt.Sprintf("memsys: %s carries %d bytes of a %d-byte line", msgName(pkt.Type), len(p.data), n.lineSize))
+		}
 		n.homeEvent(ev, pkt, p.data, p.line, pkt.Time)
 	case msgInvReq, msgWbReq, msgFlushReq:
 		n.queueIntervention(pkt)
@@ -756,6 +759,9 @@ func (n *Node) handlePeekPoke(pkt network.Packet) {
 	must(err)
 	line := uint64(p.addr) >> n.lineBits
 	off := int(uint64(p.addr) & (uint64(n.lineSize) - 1))
+	if off+int(p.n) > n.lineSize || off+len(p.data) > n.lineSize {
+		panic(fmt.Sprintf("memsys: %s of %d bytes at offset %d runs past its line", msgName(pkt.Type), max(int(p.n), len(p.data)), off))
+	}
 	if pkt.Type == msgPoke {
 		n.lockHeld(&n.home.mu)
 		n.home.dram.Poke(line, off, p.data)
@@ -763,7 +769,7 @@ func (n *Node) handlePeekPoke(pkt network.Packet) {
 		n.sendSrv(msgPokeAck, pkt.Src, pkt.Seq, nil, pkt.Time)
 		return
 	}
-	buf := make([]byte, p.n)
+	buf := n.grantBuf[:p.n]
 	n.lockHeld(&n.home.mu)
 	n.home.dram.Peek(line, off, buf)
 	n.home.mu.Unlock()

@@ -59,7 +59,6 @@ type Op uint8
 const (
 	OpQueue     Op = iota // hold the request until the transaction closes
 	OpDrop                // the reply is stale: its transaction is closed
-	OpRefuse              // the Local event is sent as a message instead
 	OpStart               // open the transaction at the request's arrival, numbered Event.Seq
 	OpJoin                // the event answers the transaction: its arrival joins the latest one
 	OpKeep                // keep the event's line for the grant
@@ -90,19 +89,18 @@ const maxActions = 8
 
 // Result is what a step decided: its actions in order and, for a grant,
 // the last writer and mask the grant reports (as they were before a write
-// grant replaced them).
+// grant replaced them). Refused is set, and nothing else, when the step
+// refuses a Local event, which the tile then sends as a message.
 type Result struct {
-	acts   [maxActions]Action
-	n      int
-	Writer arch.TileID
-	WMask  uint64
+	acts    [maxActions]Action
+	n       int
+	Refused bool
+	Writer  arch.TileID
+	WMask   uint64
 }
 
 // Actions returns the actions in the order they are carried out.
 func (r *Result) Actions() []Action { return r.acts[:r.n] }
-
-// Refused reports that the step refused a Local event.
-func (r *Result) Refused() bool { return r.n == 1 && r.acts[0].Op == OpRefuse }
 
 func (r *Result) add(op Op, to arch.TileID) { r.acts[r.n] = Action{op, to}; r.n++ }
 
@@ -118,19 +116,19 @@ func Step(e Ref, tx *Txn, ev Event) (r Result) {
 		if !tx.Open {
 			r.start(e, tx, ev)
 		} else if ev.Local {
-			r.refuse()
+			r.Refused = true
 		} else {
 			r.add(OpQueue, ev.Src)
 		}
 	case EvictS:
 		if ev.Local && tx.Open {
-			r.refuse()
+			r.Refused = true
 			break
 		}
 		e.RemoveSharer(ev.Src)
 	case EvictM:
 		if ev.Local && tx.Open {
-			r.refuse()
+			r.Refused = true
 			break
 		}
 		r.add(OpAck, ev.Src)
@@ -169,8 +167,6 @@ func Step(e Ref, tx *Txn, ev Event) (r Result) {
 	return
 }
 
-func (r *Result) refuse() { r.add(OpRefuse, arch.InvalidTile) }
-
 // release forgets the owner ev.Src, which wrote ev.Mask last.
 func release(e Ref, ev Event) {
 	e.SetOwner(arch.InvalidTile)
@@ -205,7 +201,7 @@ func (r *Result) start(e Ref, tx *Txn, ev Event) {
 		others--
 	}
 	if ev.Local && (e.s.kind != config.FullMap || owner != arch.InvalidTile || ex && others > 0) {
-		r.refuse()
+		r.Refused = true
 		return
 	}
 	*tx = Txn{Open: true, Ex: ex, Upgrade: ev.Upgrade, Seq: ev.Seq, Requester: ev.Src, Mask: ev.Mask}

@@ -154,9 +154,19 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 		lookup += n.l1i.HitLatency()
 	}
 	sendAt := now + lookup
+	req := reqPayload{line: uint64(line), mask: mask}
+	typ := msgShReq
+	if isWrite {
+		typ = msgExReq
+		if ln, ok := n.l2.Peek(line); ok && ln.State() == cache.Shared {
+			req.flags |= flagUpgrade
+		}
+	} else if ifetch {
+		req.flags |= flagIFetch
+	}
 
 	if n.homeOf(line) == n.tile {
-		if res, ok := n.localMiss(line, off, seg, mask, isWrite, ifetch, now, sendAt, lookup); ok {
+		if res, ok := n.localMiss(typ, req, off, seg, isWrite, ifetch, now, sendAt, lookup); ok {
 			n.mu.Unlock()
 			return res
 		}
@@ -176,19 +186,10 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 		sentAt:  sendAt,
 		park:    n.park,
 	}
-	req := reqPayload{line: uint64(line), mask: mask}
-	typ := msgShReq
 	if isWrite {
-		typ = msgExReq
 		pr.wbuf = seg
-		if ln, ok := n.l2.Peek(line); ok && ln.State() == cache.Shared {
-			req.flags |= flagUpgrade
-		}
 	} else {
 		pr.rbuf = seg
-		if ifetch {
-			req.flags |= flagIFetch
-		}
 	}
 	n.pending = pr
 	// Release the core domain for the wait: the server must be able to
@@ -319,7 +320,8 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 }
 
 // localMiss is the local-home shortcut: when this tile is the line's home,
-// the request is stepped through the directory inline and the grant
+// the request the tile would send (typ, req) is stepped through the
+// directory inline and the grant
 // produced here — no loopback messages, no server round trip, no wake —
 // while charging exactly the modeled timing the messaged loopback would
 // have had (request and reply delays, the directory latency, the DRAM
@@ -331,21 +333,18 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 //
 // Called with mu held by the core context; takes the home lock (mu →
 // home.mu nests only here and in the local evictions, never in reverse).
-func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, isWrite, ifetch bool, now, sendAt, lookup arch.Cycles) (AccessResult, bool) {
+func (n *Node) localMiss(typ uint8, req reqPayload, off int, seg []byte, isWrite, ifetch bool, now, sendAt, lookup arch.Cycles) (AccessResult, bool) {
 	if n.selfInflight.Load() != 0 {
 		return AccessResult{}, false
 	}
 	h := &n.home
 	h.mu.Lock()
+	line := cache.LineAddr(req.line)
 	dl := h.dirLine(line)
-	ev := directory.Event{Kind: directory.ShReq, Src: n.tile, Mask: mask, Local: true}
-	if isWrite {
-		ev.Kind = directory.ExReq
-		ln, ok := n.l2.Peek(line)
-		ev.Upgrade = ok && ln.State() == cache.Shared
-	}
+	ev := n.reqEvent(typ, n.tile, req)
+	ev.Local = true
 	res := directory.Step(dl.entry, &dl.tx, ev)
-	if res.Refused() {
+	if res.Refused {
 		h.mu.Unlock()
 		return AccessResult{}, false
 	}
@@ -359,23 +358,21 @@ func (n *Node) localMiss(line cache.LineAddr, off int, seg []byte, mask uint64, 
 	n.net.Observe(reqArr)
 	t := reqArr + n.cfg.Coherence.DirLatency
 	g := grantInfo{writer: res.Writer, wmask: res.WMask, sentAt: sendAt}
-	repLen := dataPayloadLen
 	for _, a := range res.Actions() {
 		switch a.Op {
 		case directory.OpReadDRAM:
 			t += h.dram.ReadLine(uint64(line), n.localGrant, t)
 			g.data = n.localGrant
-			repLen += n.lineSize
 		case directory.OpGrantSh, directory.OpGrantEx, directory.OpGrantUpg:
 			g.typ = msgShRep + uint8(a.Op-directory.OpGrantSh)
 		}
 	}
-	repArr := t + n.net.Delay(network.ClassMemory, n.tile, repLen, t)
+	repArr := t + n.net.Delay(network.ClassMemory, n.tile, dataPayloadLen+len(g.data), t)
 	n.net.Observe(repArr)
 	h.mu.Unlock()
 
 	g.arrival = repArr
-	n.applyGrant(line, off, seg, mask, isWrite, ifetch, g)
+	n.applyGrant(line, off, seg, req.mask, isWrite, ifetch, g)
 	lat := repArr - now
 	if lat < lookup {
 		lat = lookup

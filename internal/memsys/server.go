@@ -338,7 +338,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 	case msgShReq, msgExReq:
 		req, err := decodeReq(pkt.Payload)
 		must(err)
-		n.homeEvent(n.reqEvent(pkt, req), pkt, nil, req.line, pkt.Time+n.cfg.Coherence.DirLatency)
+		n.homeEvent(n.reqEvent(pkt.Type, pkt.Src, req), pkt, nil, req.line, pkt.Time+n.cfg.Coherence.DirLatency)
 	case msgEvictS:
 		line, err := decodeLine(pkt.Payload)
 		must(err)
@@ -472,12 +472,12 @@ var replyKinds = [...]directory.EventKind{msgEvictM - msgEvictM: directory.Evict
 	msgInvRep - msgEvictM: directory.InvRep, msgWbRep - msgEvictM: directory.WbRep, msgFlushRep - msgEvictM: directory.FlushRep}
 
 // reqEvent is the directory event of a ShReq or ExReq.
-func (n *Node) reqEvent(pkt network.Packet, req reqPayload) directory.Event {
+func (n *Node) reqEvent(typ uint8, src arch.TileID, req reqPayload) directory.Event {
 	kind := directory.ShReq
-	if pkt.Type == msgExReq {
+	if typ == msgExReq {
 		kind = directory.ExReq
 	}
-	return directory.Event{Kind: kind, Src: pkt.Src, Mask: req.mask, Upgrade: req.flags&flagUpgrade != 0}
+	return directory.Event{Kind: kind, Src: src, Mask: req.mask, Upgrade: req.flags&flagUpgrade != 0}
 }
 
 // homeEvent serves one home-side event under the home lock. A request or
@@ -494,22 +494,17 @@ func (n *Node) homeEvent(ev directory.Event, pkt network.Packet, data []byte, li
 		h.dirRequests++
 	}
 	if dl != nil {
-		n.serveLine(dl, ev, pkt, data, line, at)
+		// The event, then the requests queued behind a transaction it
+		// closed, each at its own arrival.
+		n.homeStep(dl, ev, pkt, data, line, at)
+		for !dl.tx.Open && len(dl.pending) > 0 {
+			pkt := dl.pending[0]
+			dl.pending = dl.pending[1:]
+			req, _ := decodeReq(pkt.Payload) // checked when it arrived
+			n.homeStep(dl, n.reqEvent(pkt.Type, pkt.Src, req), pkt, nil, req.line, pkt.Time+n.cfg.Coherence.DirLatency)
+		}
 	}
 	h.mu.Unlock()
-}
-
-// serveLine steps line's directory with one event arriving at the home at
-// time at, then starts the requests queued behind a transaction the event
-// closed, each at its own arrival. Called with the home locked.
-func (n *Node) serveLine(dl *dirLine, ev directory.Event, pkt network.Packet, data []byte, line uint64, at arch.Cycles) {
-	n.homeStep(dl, ev, pkt, data, line, at)
-	for !dl.tx.Open && len(dl.pending) > 0 {
-		pkt := dl.pending[0]
-		dl.pending = dl.pending[1:]
-		req, _ := decodeReq(pkt.Payload) // checked when it arrived
-		n.homeStep(dl, n.reqEvent(pkt, req), pkt, nil, req.line, pkt.Time+n.cfg.Coherence.DirLatency)
-	}
 }
 
 // homeStep runs one event through the line's directory step and carries
@@ -591,42 +586,27 @@ func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 	t := pkt.Time + n.l2.HitLatency()
 	pay := dataPayload{line: line, writer: n.tile}
 
-	var typ uint8
+	typ := pkt.Type + (msgInvRep - msgInvReq) // the matching reply
 	switch pkt.Type {
-	case msgInvReq:
-		typ = msgInvRep
+	case msgInvReq, msgFlushReq:
 		if v, ok := n.l2.Invalidate(l); ok {
-			if v.State == cache.Modified {
-				// Defensive: should have been a FlushReq.
-				pay.flags |= flagHasData
-				pay.mask = v.WriteMask
-				pay.data = v.Data
+			// An InvReq finding a Modified copy (defensive: it should have
+			// been a FlushReq) sends the data home as a flush does.
+			if pkt.Type == msgFlushReq || v.State == cache.Modified {
+				pay.flags, pay.mask, pay.data = flagHasData, v.WriteMask, v.Data
 			}
 			n.invL1(l)
 			n.invalidated[l] = struct{}{}
 		} else {
-			pay.flags |= flagNotPresent
+			pay.flags = flagNotPresent
 		}
 	case msgWbReq:
-		typ = msgWbRep
 		if ln, ok := n.l2.Peek(l); ok {
-			pay.flags |= flagHasData
-			pay.mask = ln.WriteMask()
-			pay.data = ln.Data() // copied by the payload encoder below
+			// The data is copied by the payload encoder below.
+			pay.flags, pay.mask, pay.data = flagHasData, ln.WriteMask(), ln.Data()
 			n.l2.Downgrade(l)
 		} else {
-			pay.flags |= flagNotPresent
-		}
-	case msgFlushReq:
-		typ = msgFlushRep
-		if v, ok := n.l2.Invalidate(l); ok {
-			pay.flags |= flagHasData
-			pay.mask = v.WriteMask
-			pay.data = v.Data
-			n.invL1(l)
-			n.invalidated[l] = struct{}{}
-		} else {
-			pay.flags |= flagNotPresent
+			pay.flags = flagNotPresent
 		}
 	default:
 		panic("memsys: unexpected intervention " + msgName(pkt.Type))
@@ -722,7 +702,7 @@ func (n *Node) localEvict(victim cache.Victim, now arch.Cycles) bool {
 	defer h.mu.Unlock()
 	if victim.State != cache.Modified {
 		if dl := h.lines[victim.Addr]; dl != nil {
-			if res := directory.Step(dl.entry, &dl.tx, directory.Event{Kind: directory.EvictS, Src: n.tile, Local: true}); res.Refused() {
+			if res := directory.Step(dl.entry, &dl.tx, directory.Event{Kind: directory.EvictS, Src: n.tile, Local: true}); res.Refused {
 				return false
 			}
 		}
@@ -731,7 +711,7 @@ func (n *Node) localEvict(victim cache.Victim, now arch.Cycles) bool {
 	}
 	dl := h.dirLine(victim.Addr)
 	ev := directory.Event{Kind: directory.EvictM, Src: n.tile, Mask: victim.WriteMask, Data: true, Local: true}
-	if res := directory.Step(dl.entry, &dl.tx, ev); res.Refused() {
+	if res := directory.Step(dl.entry, &dl.tx, ev); res.Refused {
 		return false
 	}
 	// The step's actions are OpAck and OpWriteDRAM.

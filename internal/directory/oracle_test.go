@@ -1,6 +1,8 @@
-// The pre-SoA sharer sets, kept as the reference model the Store is
+// Two reference models. The pre-SoA sharer sets, which the Store is
 // tested against (store_test.go): one interface, three small
-// implementations, an Entry that embeds one per line.
+// implementations, an Entry that embeds one per line. And the home's
+// coherence handlers as the memory server had them before Step, which
+// the step is tested against (explore_test.go).
 
 package directory
 
@@ -251,4 +253,290 @@ func NewEntry(cfg config.CoherenceConfig, tiles int) *Entry {
 // Idle reports whether no tile caches the line.
 func (e *Entry) Idle() bool {
 	return e.Owner == arch.InvalidTile && e.Sharers.Count() == 0
+}
+
+// oracleTxn is the memory server's transaction record before Step, less
+// its timing (latest, trapExtra) and its I/O (the requester's sequence
+// number, the flushed data and its mask).
+type oracleTxn struct {
+	homeSeq   uint64
+	reqType   EventKind // ShReq or ExReq
+	requester arch.TileID
+	reqMask   uint64
+	upgrade   bool
+	waitAcks  int
+	waitData  bool
+	dataFrom  arch.TileID
+	haveData  bool
+}
+
+// oracleHome is one line at its home as the handlers below see it: its
+// entry, open transaction and queued requests. The handlers are the
+// memory server's startTxn, completeTxn, popPending, handleHomeReply,
+// handleEvictM, its EvictS dispatch, and the local-home shortcuts
+// localMiss and localEvict, as they were before Step, verbatim but for
+// two things. Each send and DRAM access becomes the Action it stands for
+// (an Inv fan-out one OpInv per sharer), and each change of the
+// transaction's timing one of OpStart, OpJoin, OpTrap and OpComplete.
+// And completeTxn charges a read's trap (OpTrap before OpComplete): the
+// handlers added it after the grant time was taken, so it was lost.
+type oracleHome struct {
+	e       Ref
+	busy    *oracleTxn
+	pending []Event
+	homeSeq uint64
+	acts    []Action
+	// writer and wmask are the last grant's payload.
+	writer arch.TileID
+	wmask  uint64
+}
+
+func (o *oracleHome) emit(op Op, to arch.TileID) { o.acts = append(o.acts, Action{op, to}) }
+
+// event is the server's dispatch of a home-side message.
+func (o *oracleHome) event(ev Event) {
+	switch ev.Kind {
+	case ShReq, ExReq:
+		if o.busy != nil {
+			o.pending = append(o.pending, ev)
+			o.emit(OpQueue, ev.Src)
+			return
+		}
+		o.startTxn(ev)
+	case EvictS:
+		o.e.RemoveSharer(ev.Src)
+	case EvictM:
+		o.handleEvictM(ev)
+	default:
+		o.handleHomeReply(ev)
+	}
+}
+
+func (o *oracleHome) startTxn(ev Event) {
+	e := o.e
+	o.homeSeq++
+	tx := &oracleTxn{homeSeq: o.homeSeq, reqType: ev.Kind, requester: ev.Src, reqMask: ev.Mask, upgrade: ev.Upgrade}
+	o.emit(OpStart, ev.Src)
+
+	if ev.Kind == ShReq {
+		if e.Owner() != arch.InvalidTile && e.Owner() != ev.Src {
+			// Downgrade the Modified owner and collect its data.
+			tx.waitData = true
+			tx.dataFrom = e.Owner()
+			o.emit(OpWb, e.Owner())
+			o.busy = tx
+			return
+		}
+		o.completeTxn(tx)
+		return
+	}
+
+	// ExReq.
+	if e.Owner() != arch.InvalidTile && e.Owner() != ev.Src {
+		tx.waitData = true
+		tx.dataFrom = e.Owner()
+		o.emit(OpFlush, e.Owner())
+		o.busy = tx
+		return
+	}
+	// The upgrade is only valid if the requester still holds its S copy.
+	tx.upgrade = tx.upgrade && e.ContainsSharer(ev.Src)
+	if e.InvTrap() {
+		o.emit(OpTrap, ev.Src)
+	}
+	e.ForEachSharer(func(s arch.TileID) {
+		if s == ev.Src {
+			return
+		}
+		tx.waitAcks++
+		o.emit(OpInv, s)
+	})
+	e.ClearSharers()
+	if tx.waitAcks > 0 {
+		o.busy = tx
+		return
+	}
+	o.completeTxn(tx)
+}
+
+func (o *oracleHome) completeTxn(tx *oracleTxn) {
+	e := o.e
+	o.writer, o.wmask = e.LastWriter(), e.LastWriterMask()
+
+	if tx.reqType == ShReq {
+		evict, trap := e.AddSharer(tx.requester)
+		if trap {
+			o.emit(OpTrap, tx.requester)
+		}
+		// The grant's time: the handlers took it first, which lost the trap.
+		o.emit(OpComplete, tx.requester)
+		if evict != arch.InvalidTile && evict != tx.requester {
+			tx.waitAcks++
+			o.emit(OpInv, evict)
+			o.busy = tx // re-enters completeTxn when the ack arrives
+			return
+		}
+		if tx.haveData {
+			o.emit(OpWriteBack, tx.requester)
+		} else {
+			o.emit(OpReadDRAM, tx.requester)
+		}
+		o.emit(OpGrantSh, tx.requester)
+	} else {
+		o.emit(OpComplete, tx.requester)
+		e.SetLastWriter(tx.requester)
+		e.SetLastWriterMask(tx.reqMask)
+		if tx.upgrade && !tx.haveData {
+			e.SetOwner(tx.requester)
+			o.emit(OpGrantUpg, tx.requester)
+		} else {
+			if !tx.haveData {
+				o.emit(OpReadDRAM, tx.requester)
+			}
+			e.SetOwner(tx.requester)
+			o.emit(OpGrantEx, tx.requester)
+		}
+	}
+	o.busy = nil
+	o.popPending()
+}
+
+func (o *oracleHome) popPending() {
+	for o.busy == nil && len(o.pending) > 0 {
+		ev := o.pending[0]
+		o.pending = o.pending[1:]
+		o.startTxn(ev)
+	}
+}
+
+func (o *oracleHome) handleHomeReply(ev Event) {
+	if o.busy == nil || o.busy.homeSeq != ev.Seq {
+		o.emit(OpDrop, ev.Src)
+		return // stale reply from a completed transaction
+	}
+	tx := o.busy
+	o.emit(OpJoin, ev.Src)
+	e := o.e
+	switch ev.Kind {
+	case InvRep:
+		tx.waitAcks--
+		if ev.Data {
+			o.emit(OpWriteDRAM, ev.Src)
+		}
+	case WbRep:
+		if !ev.Data {
+			panic("memsys: WbRep(notPresent) for open transaction")
+		}
+		tx.waitData = false
+		tx.haveData = true
+		o.emit(OpKeep, ev.Src)
+		e.SetOwner(arch.InvalidTile)
+		if evict, _ := e.AddSharer(ev.Src); evict != arch.InvalidTile && evict != ev.Src {
+			tx.waitAcks++
+			o.emit(OpInv, evict)
+		}
+		e.SetLastWriter(ev.Src)
+		e.SetLastWriterMask(ev.Mask)
+	case FlushRep:
+		if !ev.Data {
+			panic("memsys: FlushRep(notPresent) for open transaction")
+		}
+		tx.waitData = false
+		tx.haveData = true
+		o.emit(OpKeep, ev.Src)
+		e.SetOwner(arch.InvalidTile)
+		e.SetLastWriter(ev.Src)
+		e.SetLastWriterMask(ev.Mask)
+	}
+	if tx.waitAcks == 0 && !tx.waitData {
+		o.completeTxn(tx)
+	}
+}
+
+func (o *oracleHome) handleEvictM(ev Event) {
+	o.emit(OpAck, ev.Src)
+	e := o.e
+	o.emit(OpWriteDRAM, ev.Src)
+	if o.busy != nil && o.busy.waitData && o.busy.dataFrom == ev.Src {
+		tx := o.busy
+		tx.waitData = false
+		tx.haveData = true
+		o.emit(OpKeep, ev.Src)
+		o.emit(OpJoin, ev.Src)
+		e.SetOwner(arch.InvalidTile)
+		e.SetLastWriter(ev.Src)
+		e.SetLastWriterMask(ev.Mask)
+		if tx.waitAcks == 0 {
+			o.completeTxn(tx)
+		}
+		return
+	}
+	if e.Owner() == ev.Src {
+		e.SetOwner(arch.InvalidTile)
+		e.SetLastWriter(ev.Src)
+		e.SetLastWriterMask(ev.Mask)
+	}
+}
+
+// localMiss is the shortcut's decision and directory update; ok is false
+// where it made the miss take the messaged path. ev.Upgrade is whether
+// the tile's L2 holds a Shared copy. The self-directed-message guard is
+// the caller's.
+func (o *oracleHome) localMiss(ev Event) (ok bool) {
+	e := o.e
+	if e.s.kind != config.FullMap || o.busy != nil || e.Owner() != arch.InvalidTile {
+		return false
+	}
+	upgrade := false
+	if ev.Kind == ExReq {
+		foreign := false
+		e.ForEachSharer(func(s arch.TileID) {
+			if s != ev.Src {
+				foreign = true
+			}
+		})
+		if foreign {
+			return false
+		}
+		if ev.Upgrade {
+			upgrade = e.ContainsSharer(ev.Src)
+		}
+	}
+	o.writer, o.wmask = e.LastWriter(), e.LastWriterMask()
+	if ev.Kind == ShReq {
+		e.AddSharer(ev.Src) // full map: never evicts, never traps
+		o.emit(OpReadDRAM, ev.Src)
+		o.emit(OpGrantSh, ev.Src)
+		return true
+	}
+	e.ClearSharers()
+	e.SetLastWriter(ev.Src)
+	e.SetLastWriterMask(ev.Mask)
+	if upgrade {
+		o.emit(OpGrantUpg, ev.Src)
+	} else {
+		o.emit(OpReadDRAM, ev.Src)
+		o.emit(OpGrantEx, ev.Src)
+	}
+	e.SetOwner(ev.Src)
+	return true
+}
+
+// localEvict is the eviction shortcut's decision and directory update.
+func (o *oracleHome) localEvict(ev Event) (ok bool) {
+	if o.busy != nil {
+		return false
+	}
+	e := o.e
+	if ev.Kind == EvictS {
+		e.RemoveSharer(ev.Src)
+		return true
+	}
+	o.emit(OpWriteDRAM, ev.Src)
+	if e.Owner() == ev.Src {
+		e.SetOwner(arch.InvalidTile)
+		e.SetLastWriter(ev.Src)
+		e.SetLastWriterMask(ev.Mask)
+	}
+	return true
 }

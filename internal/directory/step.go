@@ -135,6 +135,7 @@ func Step(e Ref, tx *Txn, ev Event) (r Result) {
 		r.add(OpWriteDRAM, ev.Src)
 		if tx.Open && tx.WaitData && tx.DataFrom == ev.Src {
 			r.answer(e, tx, ev) // the writeback is the flush the transaction waits for
+			r.add(OpJoin, ev.Src)
 		} else if e.Owner() == ev.Src {
 			release(e, ev)
 		}
@@ -143,8 +144,8 @@ func Step(e Ref, tx *Txn, ev Event) (r Result) {
 			r.add(OpDrop, ev.Src)
 			break
 		}
+		r.add(OpJoin, ev.Src)
 		if ev.Kind == InvRep {
-			r.add(OpJoin, ev.Src)
 			tx.WaitAcks--
 			if ev.Data { // defensive: the invalidated copy was Modified
 				r.add(OpWriteDRAM, ev.Src)
@@ -177,7 +178,6 @@ func release(e Ref, ev Event) {
 // answer takes the former owner's line: a WbRep, a FlushRep, or an
 // EvictM that crossed the request for it.
 func (r *Result) answer(e Ref, tx *Txn, ev Event) {
-	r.add(OpJoin, ev.Src)
 	r.add(OpKeep, ev.Src)
 	tx.WaitData, tx.HaveData = false, true
 	release(e, ev)

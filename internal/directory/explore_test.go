@@ -524,6 +524,17 @@ func (x *explorer) oracleFor(s *state, l uint8) *oracleHome {
 	return o
 }
 
+var opNames = [...]string{"Queue", "Drop", "Start", "Join", "Keep", "InvAll", "Inv", "Wb", "Flush", "Trap",
+	"Complete", "ReadDRAM", "WriteDRAM", "WriteBack", "GrantSh", "GrantEx", "GrantUpg", "Ack"}
+
+func (g grantAct) String() string {
+	s := fmt.Sprintf("%s(%d)", opNames[g.Op], g.To)
+	if g.Op >= OpGrantSh && g.Op <= OpGrantUpg {
+		s += fmt.Sprintf("[writer %d mask %#x]", g.writer, g.wmask)
+	}
+	return s
+}
+
 // expand lists a result's actions as compared against the oracle.
 func (x *explorer) expand(res *Result) []grantAct {
 	var out []grantAct
@@ -846,10 +857,14 @@ func boolByte(v bool) byte {
 }
 
 // exploreScenarios cover, between them, every row the protocol reaches:
-// reads and writes racing on one line among two and three tiles (the
-// pointer reclaims of Dir_iNB(1) and the traps of LimitLESS(1) need
-// three), and two lines with evictions crossing requests for them.
+// reads and writes racing on one line among two and three tiles, and
+// two lines with evictions crossing requests for them. The first is
+// small, so that a violation it shows has a short trace.
 var exploreScenarios = []scenario{
+	{"2 tiles, 1 line, short", 1, [][]op{
+		{{opRead, 0}, {opWrite, 0}},
+		{{opRead, 0}, {opWrite, 0}},
+	}},
 	{"2 tiles, 1 line", 1, [][]op{
 		{{opRead, 0}, {opWrite, 0}, {opEvict, 0}, {opRead, 0}, {opWrite, 0}, {opEvict, 0}},
 		{{opWrite, 0}, {opRead, 0}, {opEvict, 0}, {opWrite, 0}, {opRead, 0}, {opWrite, 0}},

@@ -5,9 +5,9 @@
 // hardware pointers track the first sharers and overflow is handled by a
 // software trap that preserves the full sharer set at extra latency.
 //
-// The package is purely bookkeeping: protocol message flow and timing live
-// in internal/memsys, and so does the locking — a Store belongs to one
-// tile's home.
+// It also holds the home's whole coherence rule: Step decides what the
+// home does with one event on one line. internal/memsys carries that out
+// (messages, timing, locking); a Store belongs to one tile's home.
 package directory
 
 import (

@@ -320,10 +320,9 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 }
 
 // localMiss is the local-home shortcut: when this tile is the line's home,
-// the request the tile would send (typ, req) is stepped through the
-// directory inline and the grant
-// produced here — no loopback messages, no server round trip, no wake —
-// while charging exactly the modeled timing the messaged loopback would
+// the request it would send (typ, req) is stepped through the directory
+// and granted inline — no loopback messages, no server round trip, no
+// wake — while charging exactly the modeled timing the messaged loopback would
 // have had (request and reply delays, the directory latency, the DRAM
 // access) and feeding the same timestamps to the progress window. ok is
 // false when the messaged path must run instead: while a self-directed

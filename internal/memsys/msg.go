@@ -36,11 +36,12 @@
 //
 // A tile's home — its directory and DRAM controller — is one unit under
 // one mutex, taken by the server per home message and by the core only in
-// the local-home shortcuts. The server's outgoing messages are batched
-// per destination and flushed before the shard moves to another tile,
-// sleeps, or wakes the tile's core,
-// which preserves the per-sender-FIFO orderings the protocol relies on
-// (see the race analysis in DESIGN.md).
+// the local-home shortcuts. What the home does is one step of the rule in
+// internal/directory (directory.Step); the server and the shortcuts carry
+// out its actions. The server's outgoing messages are batched per
+// destination and flushed before the shard moves to another tile, sleeps,
+// or wakes the tile's core, which preserves the per-sender-FIFO orderings
+// the protocol relies on (see the race analysis in DESIGN.md).
 package memsys
 
 import (

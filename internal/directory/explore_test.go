@@ -540,7 +540,7 @@ func (x *explorer) expand(res *Result) []grantAct {
 	var out []grantAct
 	for _, a := range res.Actions() {
 		if a.Op == OpInvAll {
-			x.step.ForEachInvalidee(a, func(t arch.TileID) { out = append(out, grantAct{Action: Action{OpInv, t}}) })
+			x.step.TakeSharers(a, func(t arch.TileID) { out = append(out, grantAct{Action: Action{OpInv, t}}) })
 			continue
 		}
 		g := grantAct{Action: a}

@@ -62,7 +62,7 @@ const (
 	OpStart               // open the transaction at the request's arrival, numbered Event.Seq
 	OpJoin                // the event answers the transaction: its arrival joins the latest one
 	OpKeep                // keep the event's line for the grant
-	OpInvAll              // invalidate every cleared sharer but To (ForEachInvalidee)
+	OpInvAll              // invalidate every sharer but To, and forget them (Ref.TakeSharers)
 	OpInv                 // invalidate To
 	OpWb                  // downgrade the owner To
 	OpFlush               // flush the owner To
@@ -109,7 +109,8 @@ func (r *Result) add(op Op, to arch.TileID) { r.acts[r.n] = Action{op, to}; r.n+
 // carries out, in order. It is the home's whole coherence rule (DESIGN.md
 // §4): the memory server and the local-home shortcut interpret its
 // result, and do no bookkeeping of their own. An event for a closed
-// transaction passes tx as it was left.
+// transaction passes tx as it was left. An OpInvAll leaves the sharers it
+// invalidates in e, for the caller to take with Ref.TakeSharers.
 func Step(e Ref, tx *Txn, ev Event) (r Result) {
 	switch ev.Kind {
 	case ShReq, ExReq:
@@ -221,12 +222,12 @@ func (r *Result) start(e Ref, tx *Txn, ev Event) {
 		if e.InvTrap() {
 			r.add(OpTrap, ev.Src)
 		}
-		e.moveToFanout()
 		if others > 0 {
 			tx.WaitAcks = int32(others)
-			r.add(OpInvAll, ev.Src)
+			r.add(OpInvAll, ev.Src) // the caller takes the sharers
 			return
 		}
+		e.ClearSharers()
 	}
 	r.complete(e, tx)
 }

@@ -44,10 +44,6 @@ type Store struct {
 	bits    []uint64      // FullMap/LimitLESS: stride words per entry
 	ptrs    []arch.TileID // LimitedNB: pcap slots per entry
 	cursors []int32       // LimitedNB: round-robin eviction cursor
-
-	// fan holds, in its one entry, the sharers the last ExReq cleared,
-	// until the home has sent their invalidations (ForEachInvalidee).
-	fan *Store
 }
 
 // NewStore builds an empty entry arena for the configured protocol. hint
@@ -65,9 +61,6 @@ func NewStore(cfg config.CoherenceConfig, tiles, hint int) *Store {
 	if hint > 0 {
 		s.presize(hint)
 	}
-	s.fan = &Store{kind: s.kind, stride: s.stride, pcap: s.pcap}
-	s.fan.presize(1)
-	s.fan.Alloc()
 	return s
 }
 
@@ -287,27 +280,16 @@ func (r Ref) ClearSharers() {
 	s.counts[r.i] = 0
 }
 
-// moveToFanout clears the sharers into the store's fan entry.
-func (r Ref) moveToFanout() {
-	s, f := r.s, Ref{s: r.s.fan}
-	if s.stride > 0 {
-		copy(f.words(), r.words())
-	} else {
-		copy(f.slots(), r.slots())
-	}
-	f.s.counts[0] = s.counts[r.i]
-	r.ClearSharers()
-}
-
-// ForEachInvalidee visits the tiles an OpInvAll of r's store
-// invalidates: the sharers the step cleared, in ForEachSharer's order,
-// but a.To.
-func (r Ref) ForEachInvalidee(a Action, fn func(arch.TileID)) {
-	Ref{s: r.s.fan}.ForEachSharer(func(t arch.TileID) {
+// TakeSharers carries out an OpInvAll of Step, which leaves the sharers
+// in the entry for it: it visits them but a.To, in ForEachSharer's
+// order, and clears them. The fan-out needs no copy of the set.
+func (r Ref) TakeSharers(a Action, fn func(arch.TileID)) {
+	r.ForEachSharer(func(t arch.TileID) {
 		if t != a.To {
 			fn(t)
 		}
 	})
+	r.ClearSharers()
 }
 
 // InvTrap reports whether invalidating the current sharer set requires a

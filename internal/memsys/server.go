@@ -532,7 +532,7 @@ func (n *Node) homeStep(dl *dirLine, ev directory.Event, pkt network.Packet, dat
 		case directory.OpKeep:
 			tx.data = append(tx.data[:0], data...)
 		case directory.OpInvAll:
-			dl.entry.ForEachInvalidee(a, func(s arch.TileID) {
+			dl.entry.TakeSharers(a, func(s arch.TileID) {
 				h.invSent++
 				n.sendSrv(msgInvReq, s, dl.tx.Seq, encodeLine(&n.srvScratch, line), t)
 			})

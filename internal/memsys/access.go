@@ -322,13 +322,13 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 // localMiss is the local-home shortcut: when this tile is the line's home,
 // the request it would send (typ, req) is stepped through the directory
 // and granted inline — no loopback messages, no server round trip, no
-// wake — while charging exactly the modeled timing the messaged loopback would
-// have had (request and reply delays, the directory latency, the DRAM
-// access) and feeding the same timestamps to the progress window. ok is
-// false when the messaged path must run instead: while a self-directed
-// message is in flight (its ordering — an EvictM's data landing, an
-// EvictS clearing a sharer bit — must not be jumped), or when the step
-// refuses a Local request (directory.Event.Local).
+// wake — while charging exactly the modeled timing the messaged loopback
+// would have had (request and reply delays, the directory latency, the
+// DRAM access) and feeding the same timestamps to the progress window.
+// ok is false when the messaged path must run instead: while a
+// self-directed message is in flight (its ordering — an EvictM's data
+// landing, an EvictS clearing a sharer bit — must not be jumped), or when
+// the step refuses a Local request (directory.Event.Local).
 //
 // Called with mu held by the core context; takes the home lock (mu →
 // home.mu nests only here and in the local evictions, never in reverse).

@@ -487,7 +487,7 @@ func (n *Node) homeEvent(ev directory.Event, pkt network.Packet, data []byte, li
 	h := &n.home
 	n.lockHeld(&h.mu)
 	dl := h.lines[cache.LineAddr(line)]
-	if ev.Kind <= directory.ExReq || ev.Kind == directory.EvictM {
+	if dl == nil && (ev.Kind <= directory.ExReq || ev.Kind == directory.EvictM) {
 		dl = h.dirLine(cache.LineAddr(line))
 	}
 	if ev.Kind <= directory.ExReq {

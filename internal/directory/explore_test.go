@@ -188,8 +188,6 @@ func (sc scenario) tiles() int { return len(sc.progs) }
 
 // explorer searches one scenario under one directory.
 type explorer struct {
-	t     *testing.T
-	cfg   config.CoherenceConfig
 	sc    scenario
 	seed  maphash.Seed
 	seen  map[uint64]struct{}
@@ -204,8 +202,8 @@ type explorer struct {
 	key                 []byte
 }
 
-func newExplorer(t *testing.T, cfg config.CoherenceConfig, sc scenario) *explorer {
-	x := &explorer{t: t, cfg: cfg, sc: sc, seed: maphash.MakeSeed(), seen: map[uint64]struct{}{}, rows: map[string]int{}}
+func newExplorer(cfg config.CoherenceConfig, sc scenario) *explorer {
+	x := &explorer{sc: sc, seed: maphash.MakeSeed(), seen: map[uint64]struct{}{}, rows: map[string]int{}}
 	x.step = NewStore(cfg, sc.tiles(), 1).Alloc()
 	x.oracle = NewStore(cfg, sc.tiles(), 1).Alloc()
 	return x
@@ -911,7 +909,7 @@ func TestExploreStep(t *testing.T) {
 			rows := map[string]int{}
 			states, trans := 0, 0
 			for _, sc := range exploreScenarios {
-				x := newExplorer(t, cfg, sc)
+				x := newExplorer(cfg, sc)
 				x.run()
 				if x.violation != "" {
 					t.Errorf("%s: %s", sc.name, x.violation)

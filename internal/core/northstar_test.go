@@ -168,9 +168,9 @@ func TestLaxP2PMatmulOneShard(t *testing.T) {
 // TestContendedModelFlushFinishes runs radix on the contention model,
 // striped over two processes, to its end-of-run flush: the LCP flushes
 // each tile's caches from its own goroutine, under the tile's locks,
-// while the shards serve the evictions in bursts that hold the
-// contention-model lock (network.Batch.Hold). Neither may wait for the
-// other; each run must finish with the native checksum.
+// while the shards serve the evictions in bursts that take the same
+// tile locks and, under them, the contention-model lock. Neither may
+// wait for the other; each run must finish with the native checksum.
 func TestContendedModelFlushFinishes(t *testing.T) {
 	w, ok := workloads.Get("radix")
 	if !ok {

@@ -82,14 +82,8 @@ func (c *Controller) ServiceTime() arch.Cycles { return c.service }
 // copies the line's data into dst (zeros if never written). dst must be
 // lineSize bytes.
 func (c *Controller) ReadLine(line uint64, dst []byte, now arch.Cycles) arch.Cycles {
-	return c.ReadLineHeld(line, dst, now, nil)
-}
-
-// ReadLineHeld is ReadLine for a caller that may hold a progress window's
-// lock already (held, or nil; see network.Batch.Hold).
-func (c *Controller) ReadLineHeld(line uint64, dst []byte, now arch.Cycles, held *clock.ProgressWindow) arch.Cycles {
 	c.Reads++
-	lat := c.access(now, held)
+	lat := c.access(now)
 	if data, ok := c.store[line]; ok {
 		copy(dst, data)
 	} else {
@@ -102,14 +96,8 @@ func (c *Controller) ReadLineHeld(line uint64, dst []byte, now arch.Cycles, held
 
 // WriteLine stores a line (a writeback) and returns the modeled latency.
 func (c *Controller) WriteLine(line uint64, src []byte, now arch.Cycles) arch.Cycles {
-	return c.WriteLineHeld(line, src, now, nil)
-}
-
-// WriteLineHeld is WriteLine for a caller that may hold a progress
-// window's lock already (held, or nil).
-func (c *Controller) WriteLineHeld(line uint64, src []byte, now arch.Cycles, held *clock.ProgressWindow) arch.Cycles {
 	c.Writes++
-	lat := c.access(now, held)
+	lat := c.access(now)
 	buf, ok := c.store[line]
 	if !ok {
 		buf = c.lineBuf()
@@ -142,15 +130,10 @@ func (c *Controller) Poke(line uint64, off int, src []byte) {
 	copy(buf[off:], src)
 }
 
-func (c *Controller) access(now arch.Cycles, held *clock.ProgressWindow) arch.Cycles {
+func (c *Controller) access(now arch.Cycles) arch.Cycles {
 	lat := c.latency + c.service
 	if c.progress != nil {
-		var d arch.Cycles
-		if c.progress == held {
-			d = c.queue.Admit(c.progress, now, c.service)
-		} else {
-			d = c.queue.Delay(c.progress, now, c.service)
-		}
+		d := c.queue.Delay(c.progress, now, c.service)
 		c.TotalQueueDelay += d
 		lat += d
 	}

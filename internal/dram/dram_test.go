@@ -143,27 +143,3 @@ func TestLineStorageStartsSmallAndDoubles(t *testing.T) {
 		}
 	}
 }
-
-// TestHeldAccessModelsAsUnheld: an access by a caller that holds the
-// window's lock already is modeled exactly as one that lets the
-// controller take it.
-func TestHeldAccessModelsAsUnheld(t *testing.T) {
-	cfg := config.Default()
-	cfg.DRAM.QueueModel = true
-	wa, wb := clock.NewProgressWindow(4), clock.NewProgressWindow(4)
-	a, b := New(&cfg, wa), New(&cfg, wb)
-	line := make([]byte, cfg.LineSize())
-	for i := 0; i < 20; i++ {
-		now := arch.Cycles(1000 + i*3)
-		la := a.WriteLine(uint64(i), line, now) + a.ReadLine(uint64(i), line, now)
-		wb.Lock()
-		lb := b.WriteLineHeld(uint64(i), line, now, wb) + b.ReadLineHeld(uint64(i), line, now, wb)
-		wb.Unlock()
-		if la != lb {
-			t.Fatalf("access %d: latency %d unheld, %d held", i, la, lb)
-		}
-	}
-	if a.TotalQueueDelay == 0 || a.TotalQueueDelay != b.TotalQueueDelay || wa.Now() != wb.Now() {
-		t.Fatalf("queue delay %d unheld, %d held; window %d and %d", a.TotalQueueDelay, b.TotalQueueDelay, wa.Now(), wb.Now())
-	}
-}

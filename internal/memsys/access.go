@@ -312,8 +312,7 @@ func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64,
 			n.st.MemLatencyTotal += lat
 			n.st.MemAccesses++
 		}
-		delete(n.invalidated, line)
-		n.everAccessed[line] = struct{}{}
+		n.lineHist[line] = lineSeen
 	default:
 		panic("memsys: unexpected completion " + msgName(g.typ))
 	}

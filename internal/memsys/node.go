@@ -185,9 +185,10 @@ type Node struct {
 	park    park.Parker
 	defPark park.Chan
 
-	// Miss classification state — core domain.
-	everAccessed map[cache.LineAddr]struct{}
-	invalidated  map[cache.LineAddr]struct{}
+	// Miss classification state — core domain: per line ever granted,
+	// lineSeen, plus lineInvalidated while an invalidation has taken it
+	// since its last grant.
+	lineHist map[cache.LineAddr]uint8
 
 	// Outstanding modified-line writebacks (for FlushAll).
 	outstandingWB atomic.Int64
@@ -250,11 +251,6 @@ type Node struct {
 	down   bool
 	coro   atomic.Pointer[Coro]
 
-	// held is the progress window whose lock the shard holds while it
-	// serves the node's burst, nil otherwise (server domain): the home's
-	// DRAM accesses are modeled inside that hold.
-	held *clock.ProgressWindow
-
 	stopped chan struct{}
 }
 
@@ -275,13 +271,12 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 			store: directory.NewStore(cfg.Coherence, cfg.Tiles, 0),
 			dram:  dram.New(cfg, progress),
 		},
-		out:          net.NewBatch(),
-		everAccessed: make(map[cache.LineAddr]struct{}),
-		invalidated:  make(map[cache.LineAddr]struct{}),
-		wbDrained:    make(chan struct{}, 1),
-		defPark:      park.NewChan(),
-		lineSize:     cfg.LineSize(),
-		stopped:      make(chan struct{}),
+		out:       net.NewBatch(),
+		lineHist:  make(map[cache.LineAddr]uint8),
+		wbDrained: make(chan struct{}, 1),
+		defPark:   park.NewChan(),
+		lineSize:  cfg.LineSize(),
+		stopped:   make(chan struct{}),
 	}
 	n.park = n.defPark
 	n.grantBuf = make([]byte, n.lineSize)
@@ -301,6 +296,12 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 
 // nodeStopped is Node.replied once the node is down.
 const nodeStopped = ^uint64(0)
+
+// Node.lineHist bits.
+const (
+	lineSeen        = 1 << iota // granted at least once: a later miss is not cold
+	lineInvalidated             // invalidated since its last grant
+)
 
 // SetParker installs how the core context waits for its misses, peeks
 // and pokes; nil restores the default, a blocking channel receive. Core
@@ -441,7 +442,7 @@ func (n *Node) drainLocked(srv bool) {
 // command queued in the mailbox, flagged by stPending; the core's release
 // CAS observes the flag and drains. Called by the server only.
 func (n *Node) queueIntervention(pkt network.Packet) {
-	n.lockHeld(&n.mu)
+	n.mu.Lock()
 	n.intvQ = append(n.intvQ, pkt)
 	for {
 		s := n.coreState.Load()

@@ -64,6 +64,15 @@ const maxDrain = 64
 // which keeps per-sender FIFO intact: a woken core may immediately send
 // new messages (a miss for a line whose flush reply is still sitting in
 // the batch, say) that must not overtake them.
+//
+// Only the contention model is serial across shards. Every model call a
+// burst makes takes the process's progress-window lock for itself alone:
+// one mesh route per send, one DRAM access, one observe per received
+// packet. Decoding, directory steps, cache work, encoding and the
+// hand-offs to the transport run outside it, in parallel with the other
+// shards. The order of the model's calls is the order of the burst's
+// work, so a single-thread run's results do not depend on the number of
+// shards.
 func Serve(nodes ...*Node) { NewShard(nodes...).Run() }
 
 // Serve serves this node alone: a shard of one.
@@ -155,12 +164,7 @@ func (s *Shard) Run() {
 		if n.down {
 			continue // readied by its own Close after it was torn down
 		}
-		// The burst holds the contention-model lock from its first receive
-		// to its flush (network.Batch.Hold): its handlers model every
-		// packet and DRAM access inside one hold, and let go before the
-		// shard runs a thread or waits.
-		n.held = n.out.Hold()
-		k, open := n.out.RecvBurst(burst[:])
+		k, open := n.net.TryRecvBurst(burst[:])
 		var done *pendingReq
 		for i := 0; i < k; i++ {
 			if pr := n.dispatch(burst[i]); pr != nil {
@@ -172,8 +176,6 @@ func (s *Shard) Run() {
 			burst[i] = network.Packet{}
 		}
 		n.flushSends()
-		n.out.Release()
-		n.held = nil
 		var wake park.Parker
 		if done != nil {
 			// The slot is the core's again the moment replied says so.
@@ -360,15 +362,7 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 	case msgPeek, msgPoke:
 		n.handlePeekPoke(pkt)
 	case msgCkpt:
-		// Captures and restores take the node's locks the way a core
-		// context does; they run outside the hold.
-		if w := n.held; w != nil {
-			w.Unlock()
-			n.runCtrl()
-			w.Lock()
-		} else {
-			n.runCtrl()
-		}
+		n.runCtrl()
 	}
 	return nil
 }
@@ -378,25 +372,6 @@ func must(err error) {
 	if err != nil {
 		panic("memsys: " + err.Error())
 	}
-}
-
-// lockHeld takes mu for the server inside its hold on the progress window
-// (Node.held). Every other context takes the node's locks before the
-// window — a core context models its traffic under them, and FlushAll
-// runs one from the LCP's goroutine — so when mu is taken the server lets
-// go of the window until it has mu, and the lock order never inverts.
-func (n *Node) lockHeld(mu *sync.Mutex) {
-	w := n.held
-	if w == nil {
-		mu.Lock()
-		return
-	}
-	if mu.TryLock() {
-		return
-	}
-	w.Unlock()
-	mu.Lock()
-	w.Lock()
 }
 
 // handoffCompletion matches a completion reply against the outstanding
@@ -409,7 +384,7 @@ func (n *Node) lockHeld(mu *sync.Mutex) {
 // exactly arrival order, because the home serializes per line and sent
 // the grant first. Stale replies (sequence mismatch) are dropped.
 func (n *Node) handoffCompletion(pkt network.Packet) *pendingReq {
-	n.lockHeld(&n.mu)
+	n.mu.Lock()
 	pr := n.pending
 	if pr == nil || pr.seq != pkt.Seq {
 		n.mu.Unlock()
@@ -485,7 +460,7 @@ func (n *Node) reqEvent(typ uint8, src arch.TileID, req reqPayload) directory.Ev
 // reply for a line without one is stale.
 func (n *Node) homeEvent(ev directory.Event, pkt network.Packet, data []byte, line uint64, at arch.Cycles) {
 	h := &n.home
-	n.lockHeld(&h.mu)
+	h.mu.Lock()
 	dl := h.lines[cache.LineAddr(line)]
 	if dl == nil && (ev.Kind <= directory.ExReq || ev.Kind == directory.EvictM) {
 		dl = h.dirLine(cache.LineAddr(line))
@@ -550,13 +525,13 @@ func (n *Node) homeStep(dl *dirLine, ev directory.Event, pkt network.Packet, dat
 			t = tx.latest + tx.trapExtra
 			grant = tx.data
 		case directory.OpReadDRAM:
-			t += h.dram.ReadLineHeld(line, n.grantBuf, t, n.held)
+			t += h.dram.ReadLine(line, n.grantBuf, t)
 			grant = n.grantBuf
 		case directory.OpWriteDRAM:
-			h.dram.WriteLineHeld(line, data, t, n.held)
+			h.dram.WriteLine(line, data, t)
 		case directory.OpWriteBack:
 			// Off the critical path: the grant does not wait for it.
-			h.dram.WriteLineHeld(line, tx.data, t, n.held)
+			h.dram.WriteLine(line, tx.data, t)
 		case directory.OpGrantSh, directory.OpGrantEx, directory.OpGrantUpg:
 			typ := msgShRep + uint8(a.Op-directory.OpGrantSh)
 			p := dataPayload{line: line, mask: res.WMask, writer: res.Writer}
@@ -596,7 +571,7 @@ func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 				pay.flags, pay.mask, pay.data = flagHasData, v.WriteMask, v.Data
 			}
 			n.invL1(l)
-			n.invalidated[l] = struct{}{}
+			n.lineHist[l] |= lineInvalidated
 		} else {
 			pay.flags = flagNotPresent
 		}
@@ -648,10 +623,11 @@ func (n *Node) fillL1(line cache.LineAddr, ifetch bool, data []byte) {
 // wmask are the line's last writer and its accumulated write mask as
 // granted by the home.
 func (n *Node) classify(line cache.LineAddr, mask uint64, writer arch.TileID, wmask uint64) stats.MissKind {
-	if _, seen := n.everAccessed[line]; !seen {
+	hist := n.lineHist[line]
+	if hist&lineSeen == 0 {
 		return stats.MissCold
 	}
-	if _, inv := n.invalidated[line]; inv {
+	if hist&lineInvalidated != 0 {
 		if writer != n.tile && writer != arch.InvalidTile && wmask&mask != 0 {
 			return stats.MissTrueSharing
 		}
@@ -743,14 +719,14 @@ func (n *Node) handlePeekPoke(pkt network.Packet) {
 		panic(fmt.Sprintf("memsys: %s of %d bytes at offset %d runs past its line", msgName(pkt.Type), max(int(p.n), len(p.data)), off))
 	}
 	if pkt.Type == msgPoke {
-		n.lockHeld(&n.home.mu)
+		n.home.mu.Lock()
 		n.home.dram.Poke(line, off, p.data)
 		n.home.mu.Unlock()
 		n.sendSrv(msgPokeAck, pkt.Src, pkt.Seq, nil, pkt.Time)
 		return
 	}
 	buf := n.grantBuf[:p.n]
-	n.lockHeld(&n.home.mu)
+	n.home.mu.Lock()
 	n.home.dram.Peek(line, off, buf)
 	n.home.mu.Unlock()
 	n.sendSrv(msgPeekRep, pkt.Src, pkt.Seq, encodePeek(&n.srvScratch, peekPayload{addr: p.addr, n: p.n, data: buf}), pkt.Time)

@@ -86,8 +86,8 @@ func (n *Node) Capture(ts *checkpoint.TileState) error {
 	}
 	ts.L2 = n.l2.Capture()
 	ts.ReqSeq = n.seq
-	ts.EverAccessed = sortedLines(n.everAccessed)
-	ts.Invalidated = sortedLines(n.invalidated)
+	ts.EverAccessed = sortedLines(n.lineHist, lineSeen)
+	ts.Invalidated = sortedLines(n.lineHist, lineInvalidated)
 	ts.Stats = n.st
 	n.coreState.Store(0)
 	n.mu.Unlock()
@@ -157,13 +157,12 @@ func (n *Node) Restore(ts *checkpoint.TileState) error {
 		return err
 	}
 	n.seq = ts.ReqSeq
-	n.everAccessed = make(map[cache.LineAddr]struct{}, len(ts.EverAccessed))
+	n.lineHist = make(map[cache.LineAddr]uint8, len(ts.EverAccessed))
 	for _, l := range ts.EverAccessed {
-		n.everAccessed[cache.LineAddr(l)] = struct{}{}
+		n.lineHist[cache.LineAddr(l)] |= lineSeen
 	}
-	n.invalidated = make(map[cache.LineAddr]struct{}, len(ts.Invalidated))
 	for _, l := range ts.Invalidated {
-		n.invalidated[cache.LineAddr(l)] = struct{}{}
+		n.lineHist[cache.LineAddr(l)] |= lineInvalidated
 	}
 	n.st = ts.Stats
 	n.st.TileID = n.tile
@@ -205,16 +204,15 @@ func (n *Node) Restore(ts *checkpoint.TileState) error {
 	return nil
 }
 
-// sortedLines flattens a line set into a sorted slice (canonical
-// encoding for the checkpoint).
-func sortedLines(m map[cache.LineAddr]struct{}) []uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, len(m))
+// sortedLines flattens the lines of m with bit set into a sorted slice
+// (canonical encoding for the checkpoint).
+func sortedLines(m map[cache.LineAddr]uint8, bit uint8) []uint64 {
+	var out []uint64
 	//graphite:maporder the slice is sorted below, so iteration order never reaches the snapshot
-	for l := range m {
-		out = append(out, uint64(l))
+	for l, hist := range m {
+		if hist&bit != 0 {
+			out = append(out, uint64(l))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

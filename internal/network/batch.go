@@ -2,7 +2,6 @@ package network
 
 import (
 	"repro/internal/arch"
-	"repro/internal/clock"
 	"repro/internal/transport"
 )
 
@@ -23,17 +22,12 @@ import (
 // or per-sender FIFO is lost. The memory server flushes before blocking
 // and before waking its core thread for exactly this reason.
 //
-// The owner may also hold the contention-model lock across a run of its
-// receives and sends (Hold): a memory server's burst then takes the
-// process's progress-window lock once, where it took it for every packet
-// it received, every packet it sent and every DRAM access it modeled.
-// Two workers hand that lock back and forth far less often, and each
-// hand-off moves the model's cache lines between their CPUs once per
-// burst instead of once per packet. The order of the model's updates
-// does not change, so neither does any single-worker result.
+// Send models its packet as Net.Send does, under the contention-model
+// lock for that one route only: the owner's other work between sends
+// (a memory server's decoding, directory steps and encoding) runs
+// outside the lock, in parallel with other shards.
 type Batch struct {
-	n    *Net
-	held *clock.ProgressWindow // the Net's window while the owner holds its lock
+	n *Net
 	// dests[:nd] are the destinations with queued frames, in first-queued
 	// order. A burst reaches a handful of destinations, so Send finds its
 	// own by a scan, which costs less than hashing into a map on every
@@ -61,7 +55,7 @@ func (n *Net) NewBatch() *Batch { return &Batch{n: n} }
 func (b *Batch) Send(class Class, typ uint8, dst arch.TileID, seq uint64, payload []byte, now arch.Cycles) arch.Cycles {
 	n := b.n
 	p := Packet{Class: class, Type: typ, Src: n.node, Dst: dst, Seq: seq, Payload: payload}
-	delay := n.models.delay(class, n.node, dst, p.Bytes(), now, b.held)
+	delay := n.models.Delay(class, n.node, dst, p.Bytes(), now)
 	p.Time = now + delay
 	b.pkts[class]++
 	b.bytes[class] += uint64(p.Bytes())
@@ -87,34 +81,6 @@ func (b *Batch) dest(ep transport.EndpointID) *pendingDest {
 	b.nd++
 	d.ep = ep
 	return d
-}
-
-// Hold takes the lock of the Net's progress window for the owner's next
-// RecvBurst and Send calls, and returns the window (nil when the Net has
-// none: there is nothing to hold). Inside the hold the owner models
-// traffic only through those two calls and through calls it passes the
-// window to (dram.Controller.ReadLineHeld); any other path of the same
-// window would wait for the lock forever. Release before anything that
-// may wait.
-func (b *Batch) Hold() *clock.ProgressWindow {
-	if w := b.n.progress; w != nil {
-		w.Lock()
-		b.held = w
-	}
-	return b.held
-}
-
-// Release gives up a Hold.
-func (b *Batch) Release() {
-	if b.held != nil {
-		b.held.Unlock()
-		b.held = nil
-	}
-}
-
-// RecvBurst is the Net's TryRecvBurst inside a Hold.
-func (b *Batch) RecvBurst(out []Packet) (k int, open bool) {
-	return b.n.tryRecvBurst(out, b.held)
 }
 
 // Len reports how many packets are queued.

@@ -92,12 +92,17 @@ type Mesh struct {
 	width  int
 	height int
 
-	// links holds one contention queue per (router, direction) as a flat
-	// slice of values, built up front and indexed by link. The queues are
-	// guarded by prog's lock, which Delay takes once for a packet's whole
-	// route. nil without a contention model.
+	// links holds one contention queue — a bare queue clock — per
+	// (router, direction) as a flat slice, built up front and indexed by
+	// link. The queues are guarded by prog's lock, which Delay takes once
+	// for a packet's whole route. nil without a contention model.
 	links []queuemodel.Queue
 	prog  *clock.ProgressWindow
+
+	// Totals over every route, under prog's lock like the links and
+	// updated once per route, never per hop.
+	hops   uint64      // link admissions: the hops of every route
+	waited arch.Cycles // their queueing delay
 }
 
 // Link directions. Each has its own block of links (see Mesh.link).
@@ -111,9 +116,10 @@ const (
 // link returns the index of the link leaving router (x, y) in direction
 // dir. Each direction's links form one block, in row order for east and
 // west and in column order for north and south, so a straight stretch of
-// route walks adjacent queues — two to a cache line — and a route touches
-// about half as many lines as it has hops. Inside the lock that matters:
-// the lines a walk writes are the ones another worker's walk pulls back.
+// route walks adjacent queues — eight to a cache line — and a route
+// touches about an eighth as many lines as it has hops. Inside the lock
+// that matters: the lines a walk writes are the ones another worker's
+// walk pulls back.
 func (m *Mesh) link(x, y, dir int) int {
 	if dir == east || dir == west {
 		return dir*m.width*m.height + y*m.width + x
@@ -178,30 +184,19 @@ func (m *Mesh) serialization(bytes int) arch.Cycles {
 //
 //graphite:hotpath
 func (m *Mesh) Delay(src, dst arch.TileID, bytes int, depart arch.Cycles) arch.Cycles {
-	return m.delay(src, dst, bytes, depart, nil)
-}
-
-// delay is Delay for a caller that may hold a progress window's lock
-// already (held, or nil): the route takes the lock only when it is not
-// that window's.
-//
-//graphite:hotpath
-func (m *Mesh) delay(src, dst arch.TileID, bytes int, depart arch.Cycles, held *clock.ProgressWindow) arch.Cycles {
 	ser := m.serialization(bytes)
 	if src == dst {
 		// Loopback through the local switch: serialization only.
 		return ser
 	}
-	if m.prog == nil {
-		return arch.Cycles(m.HopCount(src, dst))*m.cfg.HopLatency + ser
-	}
 	sx, sy := m.coord(src)
 	dx, dy := m.coord(dst)
-	t := depart
-	lock := m.prog != held
-	if lock {
-		m.prog.Lock()
+	hops := abs(dx-sx) + abs(dy-sy)
+	if m.prog == nil {
+		return arch.Cycles(hops)*m.cfg.HopLatency + ser
 	}
+	t := depart
+	m.prog.Lock()
 	if dx >= sx {
 		t = m.walk(m.link(sx, sy, east), 1, dx-sx, t, ser)
 	} else {
@@ -212,9 +207,9 @@ func (m *Mesh) delay(src, dst arch.TileID, bytes int, depart arch.Cycles, held *
 	} else {
 		t = m.walk(m.link(dx, sy, north), -1, sy-dy, t, ser)
 	}
-	if lock {
-		m.prog.Unlock()
-	}
+	m.hops += uint64(hops)
+	m.waited += t - depart - arch.Cycles(hops)*m.cfg.HopLatency
+	m.prog.Unlock()
 	// t has advanced by every hop's wait and router latency.
 	return t - depart + ser
 }
@@ -228,17 +223,13 @@ func (m *Mesh) walk(link, stride, hops int, t, ser arch.Cycles) arch.Cycles {
 	return queuemodel.AdmitRoute(m.prog, m.links, link, stride, hops, t, ser, m.cfg.HopLatency)
 }
 
-// contentionStats aggregates queueing statistics over all links.
+// contentionStats reports the link admissions and queueing delay of
+// every route so far.
 func (m *Mesh) contentionStats() (packets uint64, totalDelay arch.Cycles) {
 	if m.prog == nil {
 		return 0, 0
 	}
 	m.prog.Lock()
-	for i := range m.links {
-		p, d, _ := m.links[i].Stats()
-		packets += p
-		totalDelay += d
-	}
-	m.prog.Unlock()
-	return packets, totalDelay
+	defer m.prog.Unlock()
+	return m.hops, m.waited
 }

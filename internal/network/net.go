@@ -33,20 +33,11 @@ func (m *Models) Model(c Class) Model { return m.ms[c] }
 // Delay computes the modeled latency for one packet. Traffic to or from
 // control endpoints (negative IDs) is control-plane only and has no
 // modeled delay regardless of class.
-func (m *Models) Delay(c Class, src, dst arch.TileID, bytes int, depart arch.Cycles) arch.Cycles {
-	return m.delay(c, src, dst, bytes, depart, nil)
-}
-
-// delay is Delay for a caller that may hold a progress window's lock
-// already (held, or nil; see Batch.Hold).
 //
 //graphite:hotpath
-func (m *Models) delay(c Class, src, dst arch.TileID, bytes int, depart arch.Cycles, held *clock.ProgressWindow) arch.Cycles {
+func (m *Models) Delay(c Class, src, dst arch.TileID, bytes int, depart arch.Cycles) arch.Cycles {
 	if src < 0 || dst < 0 {
 		return 0
-	}
-	if mesh, ok := m.ms[c].(*Mesh); ok {
-		return mesh.delay(src, dst, bytes, depart, held)
 	}
 	return m.ms[c].Delay(src, dst, bytes, depart)
 }
@@ -363,23 +354,12 @@ func (n *Net) SetNotify(fn func()) { n.ep.SetNotify(fn) }
 // closed and drained; the sinks then hear of the close, once, as from
 // Recv. Only the pump consumer calls it: server loops drain a burst this
 // way before flushing batched replies.
-func (n *Net) TryRecvBurst(out []Packet) (k int, open bool) {
-	return n.tryRecvBurst(out, nil)
-}
-
-// tryRecvBurst is TryRecvBurst for a caller that may hold the lock of the
-// Net's progress window (held, or nil; see Batch.Hold). The sinks run
-// outside it: a sink may send.
 //
 //graphite:hotpath
-func (n *Net) tryRecvBurst(out []Packet, held *clock.ProgressWindow) (k int, open bool) {
+func (n *Net) TryRecvBurst(out []Packet) (k int, open bool) {
 	for k < len(out) {
 		frame, ok, err := n.ep.TryRecv()
 		if err != nil {
-			if held != nil {
-				held.Unlock()
-				defer held.Lock()
-			}
 			n.closeOnce.Do(n.closeSinks)
 			return k, false
 		}
@@ -390,25 +370,12 @@ func (n *Net) tryRecvBurst(out []Packet, held *clock.ProgressWindow) (k int, ope
 		if derr != nil {
 			continue
 		}
-		if held != nil {
-			if pkt.Time >= 0 {
-				held.ObserveLocked(pkt.Time)
-			}
-			n.stats.PacketsRecv[pkt.Class].Add(1)
-		} else {
-			n.recvPacket(&pkt)
-		}
+		n.recvPacket(&pkt)
 		if pkt.Class == n.pumped {
 			out[k] = pkt
 			k++
 		} else {
-			if held != nil {
-				held.Unlock()
-			}
 			n.deliver(pkt)
-			if held != nil {
-				held.Lock()
-			}
 		}
 	}
 	return k, true

@@ -573,6 +573,48 @@ func TestNetTryRecvBurstReportsCloseOnce(t *testing.T) {
 	}
 }
 
+// TestBurstRunsSendingSink: a sink runs inside the pump consumer's
+// TryRecvBurst, and one that sends — a LaxP2P clock probe's reply does —
+// models its packet on the contended mesh there, taking the progress
+// window's lock for its route while the burst goes on.
+func TestBurstRunsSendingSink(t *testing.T) {
+	cfg := config.Default()
+	cfg.Tiles = 16
+	cfg.MemNet.Kind = config.NetMeshContention
+	prog := clock.NewProgressWindow(16)
+	models := NewModels(&cfg, prog)
+	fab := transport.NewChannelFabric(transport.StripedRoute(1))
+	defer fab.Close()
+	tr := fab.Process(0)
+	net := func(tile arch.TileID) *Net {
+		ep, err := tr.Register(transport.TileEndpoint(tile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := New(tile, tr, ep, models, prog)
+		n.SetPrimary(ClassMemory)
+		return n
+	}
+	src, dst := net(0), net(15)
+	replied := 0
+	dst.SetSink(ClassSystem, func(p Packet, ok bool) {
+		if ok {
+			dst.Send(ClassMemory, 0, 0, p.Seq, nil, p.Time)
+			replied++
+		}
+	})
+	src.Send(ClassSystem, 0, 15, 1, nil, 10)
+	src.Send(ClassMemory, 0, 15, 2, nil, 20)
+	var out [4]Packet
+	k, open := dst.TryRecvBurst(out[:])
+	if k != 1 || !open || replied != 1 {
+		t.Fatalf("TryRecvBurst = %d packets, open %v, %d sink replies; want 1, true, 1", k, open, replied)
+	}
+	if hops, _ := models.Model(ClassMemory).(*Mesh).contentionStats(); hops != 12 {
+		t.Fatalf("the mesh admitted %d hops, want 12: the memory packet's 6 and the reply's 6", hops)
+	}
+}
+
 // FuzzPacketDecode checks the frame decoder: decoding never panics, and a
 // frame it accepts re-encodes to the same bytes through Packet.Encode.
 // The seeds are frames the simulator sends: a coherence request, a data

@@ -6,7 +6,8 @@ package network
 // window Observe+Now and one link lock per hop — kept verbatim (names
 // prefixed ref) so the differential tests below can hold the current
 // model to it operation by operation. Single-threaded, the two must agree
-// on every delay, every Now() and every counter: that is the golden
+// on every delay, every Now(), every queue clock and the totals the
+// reference's per-link counters sum to: that is the golden
 // contract of DESIGN.md §5 at mesh sizes the benchmark's golden sweep
 // does not reach.
 
@@ -209,7 +210,8 @@ func (m *refMesh) ContentionStats() (packets uint64, totalDelay arch.Cycles) {
 // current model with one seeded stream of route walks, bare Observes (a
 // received packet, a loopback shortcut) and DRAM controller accesses, all
 // sharing one window, and requires every returned latency, Now() wherever
-// it is sampled, and every link's final clock and counters to be equal.
+// it is sampled, every link's final queue clock, the mesh's totals and
+// each controller's queue delay to be equal.
 func TestContentionModelMatchesReference(t *testing.T) {
 	const dramCtls = 3
 	for _, tiles := range []int{4, 8, 36, 1024} {
@@ -289,12 +291,8 @@ func TestContentionModelMatchesReference(t *testing.T) {
 					}
 					for i := range ref.links {
 						x, y, dir := i/4%ref.width, i/4/ref.width, i%4
-						got := &m.links[m.link(x, y, dir)]
-						gp, gd, gb := got.Stats()
-						wp, wd, wb := ref.links[i].Stats()
-						if gp != wp || gd != wd || gb != wb || got.Clock() != ref.links[i].qclock {
-							t.Fatalf("link (%d,%d) dir %d: packets/delay/busy/clock = %d/%d/%d/%d, reference %d/%d/%d/%d",
-								x, y, dir, gp, gd, gb, got.Clock(), wp, wd, wb, ref.links[i].qclock)
+						if got, want := m.links[m.link(x, y, dir)].Clock(), ref.links[i].qclock; got != want {
+							t.Fatalf("link (%d,%d) dir %d: queue clock %d, reference %d", x, y, dir, got, want)
 						}
 					}
 					for i := range ctl {
@@ -311,15 +309,16 @@ func TestContentionModelMatchesReference(t *testing.T) {
 // TestContentionModelConcurrent walks routes, observes and admits to a
 // stand-alone queue from many goroutines at once (run it under -race). No
 // delay may be negative, no goroutine may see Now() decrease, and at
-// quiescence the links must have seen exactly the hops and service time
-// that were offered.
+// quiescence the mesh must have admitted exactly the hops that were
+// offered and charged exactly the waits that were returned, and the
+// stand-alone queue's clock must cover the service time offered.
 func TestContentionModelConcurrent(t *testing.T) {
 	const tiles, workers, walks = 1024, 8, 2_000
 	w := clock.NewProgressWindow(tiles)
 	m := newMesh(meshCfg(config.NetMeshContention), tiles, w)
 	var lone queuemodel.Queue
 
-	var hops, busy atomic.Int64
+	var hops, waited atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -333,12 +332,13 @@ func TestContentionModelConcurrent(t *testing.T) {
 				bytes := 1 + rng.Intn(200)
 				d := m.Delay(src, dst, bytes, now)
 				h := m.HopCount(src, dst)
-				if floor := arch.Cycles(h)*m.cfg.HopLatency + m.serialization(bytes); d < floor {
+				floor := arch.Cycles(h)*m.cfg.HopLatency + m.serialization(bytes)
+				if d < floor {
 					t.Errorf("Delay(%d->%d) = %d, below its uncontended latency %d", src, dst, d, floor)
 					return
 				}
 				hops.Add(int64(h))
-				busy.Add(int64(h) * int64(m.serialization(bytes)))
+				waited.Add(int64(d - floor))
 				w.Observe(now + d)
 				if lone.Delay(w, now, 5) < 0 {
 					t.Error("negative queue delay")
@@ -355,20 +355,11 @@ func TestContentionModelConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	var linkPackets uint64
-	var linkBusy arch.Cycles
-	for i := range m.links {
-		p, _, b := m.links[i].Stats()
-		linkPackets += p
-		linkBusy += b
+	if p, d := m.contentionStats(); p != uint64(hops.Load()) || d != arch.Cycles(waited.Load()) {
+		t.Errorf("mesh admitted %d hops and charged %d cycles of waiting, routes had %d hops and were charged %d",
+			p, d, hops.Load(), waited.Load())
 	}
-	if linkPackets != uint64(hops.Load()) {
-		t.Errorf("links admitted %d packets, routes had %d hops", linkPackets, hops.Load())
-	}
-	if linkBusy != arch.Cycles(busy.Load()) {
-		t.Errorf("links were busy %d cycles, routes offered %d", linkBusy, busy.Load())
-	}
-	if p, _, b := lone.Stats(); p != workers*walks || b != workers*walks*5 {
-		t.Errorf("stand-alone queue: %d packets, %d busy cycles, want %d and %d", p, b, workers*walks, workers*walks*5)
+	if c := lone.Clock(); c < workers*walks*5 {
+		t.Errorf("stand-alone queue clock %d, below the %d cycles of service offered", c, workers*walks*5)
 	}
 }

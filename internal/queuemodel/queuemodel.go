@@ -29,33 +29,18 @@ import (
 	"repro/internal/clock"
 )
 
-// Queue is the state of one contended resource: its queue clock and
-// counters, plain words so that thousands pack into a flat slice. All
-// access happens with the lock of the window the queue is measured
-// against held, or after the simulation has quiesced.
+// Queue is the state of one contended resource: its queue clock, one
+// word, so that thousands pack into a flat slice. A resource that wants
+// totals keeps them itself, once per admission of its own, not per queue
+// (dram.Controller, network.Mesh). All access happens with the lock of the
+// window the queue is measured against held, or after the simulation has
+// quiesced.
 type Queue struct {
 	qclock arch.Cycles
-
-	// stats
-	packets    uint64
-	totalDelay arch.Cycles
-	busyCycles arch.Cycles
-}
-
-// Admit accepts a packet that needs service cycles of processing and
-// returns its modeled queueing delay (waiting time, excluding service).
-// now is the packet's own timestamp; it feeds the progress window so that
-// queues stay current even on tiles with no active thread. The caller
-// holds w's lock.
-//
-//graphite:hotpath
-func (q *Queue) Admit(w *clock.ProgressWindow, now, service arch.Cycles) arch.Cycles {
-	w.ObserveLocked(now)
-	return q.admit(now, w.NowLocked(), max(service, 0))
 }
 
 // AdmitRoute admits a packet to hops queues in a row — qs[i], then every
-// stride-th queue after it — as that many Admit calls would, at its
+// stride-th queue after it — as that many Delay calls would, at its
 // running time t: past each queue t advances by the queue's wait and hop.
 // It returns t after the last. The caller holds w's lock; the window's
 // cursor stays in registers for the whole route.
@@ -90,28 +75,23 @@ func (q *Queue) admit(now, progress, service arch.Cycles) arch.Cycles {
 	} else {
 		q.qclock = arrive + service
 	}
-	q.packets++
-	q.totalDelay += wait
-	q.busyCycles += service
 	return wait
 }
 
-// Delay is Admit for a resource that is a single queue: it takes w's lock
-// around the one admission.
+// Delay accepts a packet that needs service cycles of processing and
+// returns its modeled queueing delay (waiting time, excluding service).
+// now is the packet's own timestamp; it feeds the progress window so that
+// queues stay current even on tiles with no active thread. It takes w's
+// lock around the one admission.
 //
 //graphite:hotpath
 func (q *Queue) Delay(w *clock.ProgressWindow, now, service arch.Cycles) arch.Cycles {
 	w.Lock()
-	wait := q.Admit(w, now, service)
+	w.ObserveLocked(now)
+	wait := q.admit(now, w.NowLocked(), max(service, 0))
 	w.Unlock()
 	return wait
 }
 
 // Clock returns the current queue clock (diagnostics and tests).
 func (q *Queue) Clock() arch.Cycles { return q.qclock }
-
-// Stats reports the number of packets seen, the cumulative queueing delay,
-// and the cumulative service time.
-func (q *Queue) Stats() (packets uint64, totalDelay, busy arch.Cycles) {
-	return q.packets, q.totalDelay, q.busyCycles
-}

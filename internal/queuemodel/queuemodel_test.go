@@ -2,6 +2,7 @@ package queuemodel
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -60,16 +61,15 @@ func TestAggregateDelayMatchesOfferedLoad(t *testing.T) {
 	// order.
 	q, _ := newQueue(1)
 	const n, s = 20, 7
+	var total arch.Cycles
 	for i := 0; i < n; i++ {
-		q.Delay(500, s)
+		total += q.Delay(500, s)
 	}
-	_, total, busy := q.Stats()
-	want := arch.Cycles(s * n * (n - 1) / 2)
-	if total != want {
+	if want := arch.Cycles(s * n * (n - 1) / 2); total != want {
 		t.Fatalf("aggregate delay = %d, want %d", total, want)
 	}
-	if busy != n*s {
-		t.Fatalf("busy = %d, want %d", busy, n*s)
+	if c := q.Clock(); c != 500+n*s {
+		t.Fatalf("queue clock = %d, want %d: busy from 500 for %d cycles", c, 500+n*s, n*s)
 	}
 }
 
@@ -102,26 +102,31 @@ func TestNegativeProcessingClamped(t *testing.T) {
 func TestConcurrentDelayKeepsAccounting(t *testing.T) {
 	q, _ := newQueue(8)
 	const workers, per = 8, 500
+	var total atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if d := q.Delay(1000, 3); d < 0 {
+				d := q.Delay(1000, 3)
+				if d < 0 {
 					t.Errorf("negative delay %d", d)
 					return
 				}
+				total.Add(int64(d))
 			}
 		}()
 	}
 	wg.Wait()
-	p, _, busy := q.Stats()
-	if p != workers*per {
-		t.Fatalf("packets = %d, want %d", p, workers*per)
+	// Every packet arrives at 1000, so together they wait the queueing
+	// triangle and keep the queue busy from 1000 for all their service.
+	const n = workers * per
+	if got, want := total.Load(), int64(3*n*(n-1)/2); got != want {
+		t.Fatalf("aggregate delay = %d, want %d", got, want)
 	}
-	if busy != arch.Cycles(workers*per*3) {
-		t.Fatalf("busy = %d, want %d", busy, workers*per*3)
+	if c := q.Clock(); c != 1000+3*n {
+		t.Fatalf("queue clock = %d, want %d", c, 1000+3*n)
 	}
 }
 

@@ -29,7 +29,7 @@ const testScenarioJSON = `{
   ]
 }`
 
-func loadTestScenario(t *testing.T) (*scenario.Scenario, []scenario.RunSpec) {
+func loadTestScenario(t testing.TB) (*scenario.Scenario, []scenario.RunSpec) {
 	t.Helper()
 	s, err := scenario.Parse(strings.NewReader(testScenarioJSON))
 	if err != nil {

@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 
 	"repro/internal/scenario"
 )
@@ -81,7 +80,7 @@ type message struct {
 // writeMsg sends one frame. Header and payload go out as a single Write
 // so a frame is never interleaved with another from the same goroutine's
 // point of view.
-func writeMsg(conn net.Conn, m *message) error {
+func writeMsg(conn io.Writer, m *message) error {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("dispatch: encode %s: %w", m.Type, err)
@@ -96,7 +95,9 @@ func writeMsg(conn net.Conn, m *message) error {
 	return err
 }
 
-// readMsg reads one frame.
+// readMsg reads one frame. The payload's buffer grows as its bytes
+// arrive: a header alone, from a peer not yet known to speak the
+// protocol, costs no more than the bytes that follow it.
 func readMsg(r *bufio.Reader) (*message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -106,9 +107,12 @@ func readMsg(r *bufio.Reader) (*message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("dispatch: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(payload) < int(n) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	var m message
 	if err := json.Unmarshal(payload, &m); err != nil {

@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		coher     = fs.String("coherence", "full_map", "coherence: full_map|dir_nb|limitless")
 		ptrs      = fs.Int("dirptrs", 4, "directory pointers for dir_nb/limitless")
 		lineSize  = fs.Int("line", 64, "cache line size in bytes")
-		workers   = fs.Int("workers", 0, "host worker cores: GOMAXPROCS and memory-server shards per process, 0 = all")
+		workers   = fs.Int("workers", 0, "host cores the simulation may use on each host, shared by the processes there (GOMAXPROCS and memory-server shards), 0 = all")
 		seed      = fs.Int64("seed", 1, "model random seed")
 		showTiles = fs.Bool("pertile", false, "print per-tile statistics")
 

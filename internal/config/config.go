@@ -365,9 +365,14 @@ type Config struct {
 	// run decides the transport: processes sharing an OS process talk over
 	// the channel fabric, processes in separate OS processes over TCP.
 	Processes int
-	// Workers bounds host OS parallelism (GOMAXPROCS) for the simulation
-	// and sets how many memory-server shards each process runs; 0 means
-	// "leave GOMAXPROCS as is" and one shard per GOMAXPROCS. Used by the
+	// Workers is the host cores the simulation may use on each host
+	// machine: the simulated processes on one host share them (of W
+	// cores, k processes get W/k each, the first W%k one more, at least
+	// one and at most one per tile; core.HostShare), and each runs one
+	// memory-server shard per core it gets. A forked worker process pins
+	// GOMAXPROCS to its share, and a process hosting the whole simulation
+	// to Workers. 0 means GOMAXPROCS: it is then left as it is by the
+	// process that runs the application, and split as above. Used by the
 	// host-scaling experiments.
 	Workers int
 	// ClockHz is the target clock frequency (Table 1: 1 GHz).

@@ -59,6 +59,11 @@ type Cluster struct {
 	transports []transport.Transport
 	fabric     *transport.ChannelFabric
 
+	// sharers is how many of the simulation's processes share this host,
+	// and rank the place among them of the first hosted process: the k
+	// and r of HostShare.
+	sharers, rank int
+
 	// WorkerDied, if set before Run, aborts the run with ErrWorkerDied
 	// when it is closed: whoever supervises the remote processes knows
 	// of a death before the fabric does.
@@ -72,6 +77,10 @@ type Cluster struct {
 	ran      bool
 	acks     []mcp.ProcShutdown
 	tornDown chan struct{}
+
+	// gathered, once Run has seen the application finish, is closed when
+	// its flush and stats gather are over; Close waits for it.
+	gathered chan struct{}
 
 	// ckpt, if set via SetCheckpoint before Run, enables MCP-initiated
 	// checkpoints and direct idle-cluster capture.
@@ -93,7 +102,7 @@ func NewCluster(cfg config.Config, prog Program) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, prog: prog}
+	c := &Cluster{cfg: cfg, prog: prog, sharers: cfg.Processes}
 
 	c.fabric = transport.NewChannelFabricSized(transport.StripedRoute(cfg.Processes), cfg.Tiles)
 	for p := 0; p < cfg.Processes; p++ {
@@ -102,23 +111,29 @@ func NewCluster(cfg config.Config, prog Program) (*Cluster, error) {
 	if err := c.build(0); err != nil {
 		return nil, err
 	}
-	c.start()
+	c.start(c.hostCores())
 	return c, nil
 }
 
 // JoinCluster builds the one process id of a simulation whose other
 // cfg.Processes-1 processes run elsewhere, on tr, this process's
-// already-dialed attachment to their common fabric. The cluster owns tr
-// from here on, error return included. Its servers start with Run or
-// Serve, not before: what SetCheckpoint attaches in between must be in
-// place when the first message from another process arrives. The caller
-// must Close it.
-func JoinCluster(cfg config.Config, prog Program, id arch.ProcID, tr transport.Transport) (*Cluster, error) {
+// already-dialed attachment to their common fabric. sharers of the
+// simulation's processes run on this host, and this one is the rank-th
+// of them: the process runs its HostShare of the host's cores. The
+// cluster owns tr from here on, error return included. Its servers start
+// with Run or Serve, not before: what SetCheckpoint attaches in between
+// must be in place when the first message from another process arrives.
+// The caller must Close it.
+func JoinCluster(cfg config.Config, prog Program, id arch.ProcID, tr transport.Transport, sharers, rank int) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		tr.Close()
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, prog: prog, transports: []transport.Transport{tr}}
+	if rank < 0 || rank >= sharers {
+		tr.Close()
+		return nil, fmt.Errorf("core: rank %d among %d processes on the host", rank, sharers)
+	}
+	c := &Cluster{cfg: cfg, prog: prog, transports: []transport.Transport{tr}, sharers: sharers, rank: rank}
 	if err := c.build(id); err != nil {
 		return nil, err
 	}
@@ -146,14 +161,29 @@ func (c *Cluster) build(first arch.ProcID) error {
 	return nil
 }
 
-// start launches every hosted process's servers, once.
-func (c *Cluster) start() {
+// hostCores is the cores one simulation may use on this host:
+// Config.Workers, else GOMAXPROCS.
+func (c *Cluster) hostCores() int {
+	if c.cfg.Workers > 0 {
+		return c.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// share is hosted process i's share of w host cores.
+func (c *Cluster) share(w, i int) int {
+	return HostShare(w, c.sharers, c.rank+i, len(c.procs[i].tileList))
+}
+
+// start launches every hosted process's servers, once, each on its share
+// of w host cores.
+func (c *Cluster) start(w int) {
 	if c.started {
 		return
 	}
 	c.started = true
-	for _, p := range c.procs {
-		p.Start()
+	for i, p := range c.procs {
+		p.Start(c.share(w, i))
 	}
 	c.unwatch = park.Watch(func(w io.Writer) {
 		for _, p := range c.procs {
@@ -173,11 +203,18 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 	if m == nil {
 		return nil, errors.New("core: Run on a cluster that hosts a worker process; Serve it")
 	}
+	w := c.hostCores()
 	if c.cfg.Workers > 0 {
-		prev := runtime.GOMAXPROCS(c.cfg.Workers)
-		defer runtime.GOMAXPROCS(prev)
+		// With Workers 0 GOMAXPROCS stays as it is: this OS process may
+		// be serving other work. A process that hosts the whole
+		// simulation takes all of w, one that shares the host its share.
+		pin := w
+		if len(c.procs) < c.cfg.Processes {
+			pin = c.share(w, 0)
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(pin))
 	}
-	c.start()
+	c.start(w)
 	start := time.Now() //graphite:wallclock wall_sec slowdown reporting (Table 2); measures host time only, never feeds simulated state
 	if c.cfg.CollectSkew {
 		skewStop := make(chan struct{})
@@ -187,28 +224,31 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 	if err := m.StartMain(arg); err != nil {
 		return nil, err
 	}
-	select {
-	case <-m.Done():
-	case err := <-m.CkptFailed():
-		// The epoch release was withheld: every thread is parked.
+	if err := c.watch(m.Done()); err != nil {
 		return nil, err
-	case <-c.WorkerDied:
-		// Every cross-process transaction the dead process owed an answer
-		// to would hang forever.
-		return nil, ErrWorkerDied
-	case <-m.Stopped():
-		// The MCP's receive loop ended before the run did: the transport
-		// failed the fabric underneath it (a peer write error closes it;
-		// see the TCP transport's fail). This is how a lost peer is seen
-		// when nobody supervises the remote processes.
-		return nil, fmt.Errorf("%w (fabric transport failed)", ErrWorkerDied)
 	}
 	wall := time.Since(start) //graphite:wallclock wall_sec slowdown reporting; excluded from reproducibility diffs
-	for _, p := range c.procs {
-		p.Wait()
+	// The flush and the gather wait for every process's reply, so they
+	// run under the same watch: a process lost after the application
+	// finished must not hang the run either.
+	var tiles []stats.Tile
+	var gatherErr error
+	c.gathered = make(chan struct{})
+	go func() {
+		defer close(c.gathered)
+		for _, p := range c.procs {
+			p.Wait()
+		}
+		if gatherErr = m.FlushCaches(); gatherErr == nil {
+			tiles, gatherErr = m.GatherStats()
+		}
+	}()
+	if err := c.watch(c.gathered); err != nil {
+		return nil, err
 	}
-	m.FlushCaches()
-	tiles := m.GatherStats()
+	if gatherErr != nil {
+		return nil, fmt.Errorf("%w (%v)", ErrWorkerDied, gatherErr)
+	}
 	totals := stats.Aggregate(tiles)
 	c.ran = true
 	c.skewMu.Lock()
@@ -223,14 +263,40 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 	}, nil
 }
 
+// watch waits for done, or for what ends a run before it: a failed
+// checkpoint, a lost worker, a fabric that failed under the MCP.
+func (c *Cluster) watch(done <-chan struct{}) error {
+	m := c.procs[0].MCP
+	select {
+	case <-done:
+		return nil
+	case err := <-m.CkptFailed():
+		// The epoch release was withheld: every thread is parked.
+		return err
+	case <-c.WorkerDied:
+		// Every cross-process transaction the dead process owed an answer
+		// to would hang forever.
+		return ErrWorkerDied
+	case <-m.Stopped():
+		// The MCP's receive loop ended before the run did: the transport
+		// failed the fabric underneath it (a peer write error closes it;
+		// see the TCP transport's fail). This is how a lost peer is seen
+		// when nobody supervises the remote processes.
+		return fmt.Errorf("%w (fabric transport failed)", ErrWorkerDied)
+	}
+}
+
 // Serve hosts a worker process's tiles until the coordinator announces
-// teardown (its Close, after its Run). The acknowledgement is already on
-// the wire when Serve returns; the caller Closes.
+// teardown (its Close, after its Run), with GOMAXPROCS pinned to the
+// process's share of its host meanwhile. The acknowledgement is already
+// on the wire when Serve returns; the caller Closes.
 func (c *Cluster) Serve() error {
 	if c.tornDown == nil {
 		return errors.New("core: Serve on a cluster that hosts process 0; Run it")
 	}
-	c.start()
+	w := c.hostCores()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.share(w, 0)))
+	c.start(w)
 	<-c.tornDown
 	return nil
 }
@@ -355,6 +421,11 @@ func (c *Cluster) Close() {
 		for _, t := range p.Tiles() {
 			t.Mem.ReleaseCaches()
 		}
+	}
+	if c.gathered != nil {
+		// The MCP has stopped, so a flush or gather still waiting for a
+		// lost process's reply has returned.
+		<-c.gathered
 	}
 }
 

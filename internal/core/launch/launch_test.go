@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 )
 
 // TestMain lets forked copies of this test binary serve as fabric
@@ -156,5 +157,43 @@ func TestLocalHostsDistinct(t *testing.T) {
 			t.Fatalf("duplicate address %s in %v", h, hosts)
 		}
 		seen[h] = true
+	}
+}
+
+// TestHostSharers: the processes whose listen addresses name one host
+// split its cores, each by its rank among them. Host parts compare as
+// written: IPv4, IPv6 and names alike.
+func TestHostSharers(t *testing.T) {
+	hosts := []string{
+		"10.0.0.1:7000", "[::1]:7000", "node-a:7000", "10.0.0.1:7001",
+		"node-b:7000", "[::1]:7001", "10.0.0.1:7002", "node-a:7001",
+	}
+	for _, tc := range []struct {
+		proc, sharers, rank int
+		share               int // of 4 cores, 16 tiles
+	}{
+		{0, 3, 0, 2}, {3, 3, 1, 1}, {6, 3, 2, 1},
+		{1, 2, 0, 2}, {5, 2, 1, 2},
+		{2, 2, 0, 2}, {7, 2, 1, 2},
+		{4, 1, 0, 4},
+	} {
+		sharers, rank := hostSharers(hosts, tc.proc)
+		if sharers != tc.sharers || rank != tc.rank {
+			t.Errorf("process %d (%s): %d sharers, rank %d; want %d, rank %d",
+				tc.proc, hosts[tc.proc], sharers, rank, tc.sharers, tc.rank)
+		}
+		if got := core.HostShare(4, sharers, rank, 16); got != tc.share {
+			t.Errorf("process %d (%s): share %d of 4 cores, want %d", tc.proc, hosts[tc.proc], got, tc.share)
+		}
+	}
+	// LocalHosts puts every process on 127.0.0.1.
+	local, err := LocalHosts(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range local {
+		if sharers, rank := hostSharers(local, p); sharers != 3 || rank != p {
+			t.Errorf("LocalHosts process %d: %d sharers, rank %d; want 3, rank %d", p, sharers, rank, p)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"time"
@@ -111,7 +112,8 @@ func program(workload string, threads, scale int) (core.Program, error) {
 
 // join dials one process's attachment to the TCP fabric — tc names the
 // process, the addresses and the handshake identity — and builds the
-// one-process cluster on it.
+// one-process cluster on it, which runs its share of the cores of its
+// host (core.HostShare) with the other processes the list puts there.
 func join(cfg config.Config, prog core.Program, tc transport.TCPConfig) (*core.Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -124,7 +126,24 @@ func join(cfg config.Config, prog core.Program, tc transport.TCPConfig) (*core.C
 	if err != nil {
 		return nil, err
 	}
-	return core.JoinCluster(cfg, prog, tc.Proc, tr)
+	sharers, rank := hostSharers(tc.Addrs, int(tc.Proc))
+	return core.JoinCluster(cfg, prog, tc.Proc, tr, sharers, rank)
+}
+
+// hostSharers returns how many of the listen addresses in hosts name the
+// host of hosts[proc], comparing the host parts as written, and proc's
+// rank among them. Two names of one machine count as two hosts.
+func hostSharers(hosts []string, proc int) (sharers, rank int) {
+	host, _, _ := net.SplitHostPort(hosts[proc])
+	for i, h := range hosts {
+		if other, _, err := net.SplitHostPort(h); err == nil && other == host {
+			sharers++
+			if i < proc {
+				rank++
+			}
+		}
+	}
+	return sharers, rank
 }
 
 // InProcess runs the simulation with every one of its processes inside

@@ -43,31 +43,34 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// joinTCP builds process id of a two-process TCP fabric on the loopback
+// addresses addrs, both processes on one host.
+func joinTCP(cfg config.Config, prog Program, addrs []string, id arch.ProcID) (*Cluster, error) {
+	tr, err := transport.DialTCP(transport.TCPConfig{
+		Proc: id, Procs: 2, Addrs: addrs, Route: transport.StripedRoute(2),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return JoinCluster(cfg, prog, id, tr, 2, int(id))
+}
+
 // joinTCPPair builds process 0 of a two-process TCP fabric on loopback
 // addresses and Serves process 1 from a goroutine, as two OS processes
 // would; served reports how the peer ended. The caller Closes c.
 func joinTCPPair(t *testing.T, cfg config.Config, prog Program) (c *Cluster, served <-chan error) {
 	t.Helper()
 	addrs := freeAddrs(t, 2)
-	join := func(id arch.ProcID) (*Cluster, error) {
-		tr, err := transport.DialTCP(transport.TCPConfig{
-			Proc: id, Procs: 2, Addrs: addrs, Route: transport.StripedRoute(2),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return JoinCluster(cfg, prog, id, tr)
-	}
 	peerDone := make(chan error, 1)
 	go func() {
-		peer, err := join(1)
+		peer, err := joinTCP(cfg, prog, addrs, 1)
 		if err == nil {
 			err = peer.Serve()
 			peer.Close()
 		}
 		peerDone <- err
 	}()
-	c, err := join(0)
+	c, err := joinTCP(cfg, prog, addrs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,4 +165,55 @@ func TestRunReturnsWhenMCPStops(t *testing.T) {
 	if _, err := runCluster(t, c, 0); !errors.Is(err, ErrWorkerDied) {
 		t.Fatalf("Run returned %v, want ErrWorkerDied", err)
 	}
+}
+
+// TestRunReturnsWhenWorkerDiesBeforeGather: a worker process lost after
+// the application's last thread exited, before the flush and the stats
+// gather, ends Run with ErrWorkerDied. Those wait for every process's
+// reply, so they run under the same watch as the application.
+func TestRunReturnsWhenWorkerDiesBeforeGather(t *testing.T) {
+	cfg := testCfg(4, 2)
+	addrs := freeAddrs(t, 2)
+	exiting, lost := make(chan struct{}), make(chan struct{})
+	walk := walkProgram().Funcs[0]
+	prog := Program{Name: "lost", Funcs: []ThreadFunc{func(th *Thread, arg uint64) {
+		walk(th, arg)
+		close(exiting)
+		// Blocks this thread's shard until the worker is gone, so the MCP
+		// learns of the exit only then. Nothing the worker's teardown
+		// waits for runs on this process's shards.
+		<-lost
+	}}}
+	peers := make(chan *Cluster, 1)
+	go func() {
+		peer, err := joinTCP(cfg, prog, addrs, 1)
+		if err != nil {
+			t.Error(err)
+		} else {
+			peer.start(peer.hostCores())
+		}
+		peers <- peer
+	}()
+	c, err := joinTCP(cfg, prog, addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peer := <-peers
+	if peer == nil {
+		return
+	}
+	died := make(chan struct{})
+	c.WorkerDied = died
+	go func() {
+		<-exiting
+		peer.Close()
+		close(lost)
+		<-c.procs[0].MCP.Done()
+		close(died)
+	}()
+	if _, err := runCluster(t, c, 0); !errors.Is(err, ErrWorkerDied) {
+		t.Fatalf("Run returned %v, want ErrWorkerDied", err)
+	}
+	simtest.Deadline(t, runDeadline, c.Close)
 }

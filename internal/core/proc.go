@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,20 +137,16 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 	return p, nil
 }
 
-// Start launches every server goroutine of the process: W memory-server
-// shards over its tiles, the LCP, and the MCP on process 0. W is
-// Config.Workers when set, else GOMAXPROCS, and at most the tile count;
-// tile i of the stripe goes to shard i mod W. The shards pump the tiles'
-// endpoints and run their threads, the LCP and MCP pump their own.
-func (p *Proc) Start() {
-	w := p.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	w = min(w, len(p.tileList))
-	shards := make([][]*memsys.Node, w)
+// Start launches every server goroutine of the process: one
+// memory-server shard per core of its share of the host, the LCP, and the
+// MCP on process 0. cores is that share (HostShare), 1 to the process's
+// tile count; tile i of the stripe goes to shard i mod cores. The shards
+// pump the tiles' endpoints and run their threads, the LCP and MCP pump
+// their own.
+func (p *Proc) Start(cores int) {
+	shards := make([][]*memsys.Node, cores)
 	for i, t := range p.tileList {
-		shards[i%w] = append(shards[i%w], t.Mem)
+		shards[i%cores] = append(shards[i%cores], t.Mem)
 	}
 	for _, nodes := range shards {
 		// Built here, not in the goroutine: a thread start the LCP
@@ -164,6 +159,19 @@ func (p *Proc) Start() {
 	if p.MCP != nil {
 		go p.MCP.Serve()
 	}
+}
+
+// HostShare is how the simulated processes on one host split its cores:
+// of w cores, the process of rank r among the k that share the host gets
+// w/k, plus one when r < w%k, and at least one and at most its tiles. w is
+// Config.Workers, else GOMAXPROCS: the cores one simulation may use on
+// each host, whatever the number of its processes there.
+func HostShare(w, k, r, tiles int) int {
+	share := w / k
+	if r < w%k {
+		share++
+	}
+	return max(1, min(share, tiles))
 }
 
 // startThread is the LCP callback launching an application thread: a

@@ -579,16 +579,20 @@ func (s *Server) unblock(tile arch.TileID) {
 }
 
 // GatherStats asks every LCP for its tiles' records and returns them all,
-// ordered by tile ID. Call only after the application has finished.
-func (s *Server) GatherStats() []stats.Tile {
-	for p := 0; p < s.cfg.Processes; p++ {
-		if _, err := s.net.Send(network.ClassSystem, MsgStatsGather, lcpTile(arch.ProcID(p)), 0, nil, 0); err != nil {
-			panic("mcp: stats gather send: " + err.Error())
-		}
+// ordered by tile ID. Call only after the application has finished. It
+// fails if a request cannot be sent or the serve loop ends first.
+func (s *Server) GatherStats() ([]stats.Tile, error) {
+	if err := s.askAll(MsgStatsGather); err != nil {
+		return nil, err
 	}
 	var all []stats.Tile
 	for p := 0; p < s.cfg.Processes; p++ {
-		all = append(all, <-s.statsCh...)
+		select {
+		case rep := <-s.statsCh:
+			all = append(all, rep...)
+		case <-s.stopped:
+			return nil, errServeEnded
+		}
 	}
 	byTile := make([]stats.Tile, s.cfg.Tiles)
 	for _, t := range all {
@@ -596,7 +600,21 @@ func (s *Server) GatherStats() []stats.Tile {
 			byTile[t.TileID] = t
 		}
 	}
-	return byTile
+	return byTile, nil
+}
+
+// errServeEnded is what a wait for every process's reply returns when the
+// serve loop ends before the replies are in.
+var errServeEnded = errors.New("mcp: serve loop ended before every process replied")
+
+// askAll sends typ, with no payload, to every process's LCP.
+func (s *Server) askAll(typ uint8) error {
+	for p := 0; p < s.cfg.Processes; p++ {
+		if _, err := s.net.Send(network.ClassSystem, typ, lcpTile(arch.ProcID(p)), 0, nil, 0); err != nil {
+			return fmt.Errorf("mcp: send to process %d: %w", p, err)
+		}
+	}
+	return nil
 }
 
 // ProcShutdown reports one host process's teardown acknowledgement.
@@ -658,14 +676,18 @@ func (s *Server) ShutdownWorkers() []ProcShutdown {
 }
 
 // FlushCaches asks every LCP to flush its tiles' caches and waits for
-// completion. Call only after the application has finished.
-func (s *Server) FlushCaches() {
+// completion. Call only after the application has finished. It fails as
+// GatherStats does.
+func (s *Server) FlushCaches() error {
+	if err := s.askAll(MsgFlush); err != nil {
+		return err
+	}
 	for p := 0; p < s.cfg.Processes; p++ {
-		if _, err := s.net.Send(network.ClassSystem, MsgFlush, lcpTile(arch.ProcID(p)), 0, nil, 0); err != nil {
-			panic("mcp: flush send: " + err.Error())
+		select {
+		case <-s.flushCh:
+		case <-s.stopped:
+			return errServeEnded
 		}
 	}
-	for p := 0; p < s.cfg.Processes; p++ {
-		<-s.flushCh
-	}
+	return nil
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // workersScenario is radix and fft at four line sizes under the three
-// directory kinds, on 8 small-cache tiles with one application thread:
-// runs whose working sets spill out of L2, so their misses reach every
-// home, the DRAM queues and the contended mesh.
+// directory kinds, on 8 small-cache tiles with one application thread,
+// the tiles in one simulated process or striped over two: runs whose
+// working sets spill out of L2, so their misses reach every home, the
+// DRAM queues and the contended mesh.
 const workersScenario = `{
   "name": "workers",
   "preset": "small-cache",
@@ -24,7 +25,8 @@ const workersScenario = `{
       "axes": [
         { "field": "workload", "values": ["radix", "fft"] },
         { "field": "line_size", "values": [16, 32, 64, 128] },
-        { "field": "Coherence.Kind", "values": ["full_map", "dir_nb", "limitless"] }
+        { "field": "Coherence.Kind", "values": ["full_map", "dir_nb", "limitless"] },
+        { "field": "Processes", "values": [1, 2] }
       ]
     }
   ]
@@ -32,8 +34,10 @@ const workersScenario = `{
 
 // TestWorkerCountKeepsResults: a single-thread run's simulated cycles and
 // statistics do not depend on how many memory-server shards serve its
-// tiles. Only the contention model is serial across shards, and a single
-// thread makes the order of its calls the same at any worker count.
+// tiles, nor on how its processes split them (core.HostShare: at two
+// processes, Workers 1, 2 and 4 run 1+1, 1+1 and 2+2 shards). Only the
+// contention model is serial across shards, and a single thread makes the
+// order of its calls the same at any worker count.
 func TestWorkerCountKeepsResults(t *testing.T) {
 	s, err := scenario.Parse(strings.NewReader(workersScenario))
 	if err != nil {
@@ -43,8 +47,17 @@ func TestWorkerCountKeepsResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 24 {
-		t.Fatalf("expanded %d specs, want 24", len(specs))
+	if len(specs) != 48 {
+		t.Fatalf("expanded %d specs, want 48", len(specs))
+	}
+	split := 0
+	for _, spec := range specs {
+		if spec.Config.Processes == 2 {
+			split++
+		}
+	}
+	if split != 24 {
+		t.Fatalf("%d specs at two processes, want 24", split)
 	}
 	for i := range specs {
 		var ref scenario.Record

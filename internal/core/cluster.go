@@ -287,8 +287,9 @@ func (c *Cluster) watch(done <-chan struct{}) error {
 }
 
 // Serve hosts a worker process's tiles until the coordinator announces
-// teardown (its Close, after its Run), with GOMAXPROCS pinned to the
-// process's share of its host meanwhile. The acknowledgement is already
+// teardown (its Close, after its Run), or until the fabric fails under
+// it, with GOMAXPROCS pinned to the process's share of its host
+// meanwhile. The acknowledgement is already
 // on the wire when Serve returns; the caller Closes.
 func (c *Cluster) Serve() error {
 	if c.tornDown == nil {
@@ -297,8 +298,14 @@ func (c *Cluster) Serve() error {
 	w := c.hostCores()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.share(w, 0)))
 	c.start(w)
-	<-c.tornDown
-	return nil
+	select {
+	case <-c.tornDown:
+		return nil
+	case <-c.procs[0].lcp.Stopped():
+		// The fabric failed under the process (see the TCP transport's
+		// fail): the coordinator, or the connection to it, is gone.
+		return fmt.Errorf("core: process %d: fabric transport failed before teardown", c.procs[0].id)
+	}
 }
 
 // sampleSkew periodically snapshots all running tiles' clocks. It reads

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"io"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -216,4 +218,87 @@ func TestRunReturnsWhenWorkerDiesBeforeGather(t *testing.T) {
 		t.Fatalf("Run returned %v, want ErrWorkerDied", err)
 	}
 	simtest.Deadline(t, runDeadline, c.Close)
+}
+
+// cutProxy forwards every connection made to the address it returns on
+// to addr, until cut closes them all at once, as the death of the process
+// behind them would: no end sends its orderly-close frame.
+func cutProxy(t *testing.T, addr string) (string, func()) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []io.Closer
+	conns = append(conns, ln)
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// The process behind addr may not listen yet.
+			out, err := transport.DialRetry(addr, runDeadline)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			mu.Lock()
+			conns = append(conns, in, out)
+			mu.Unlock()
+			go io.Copy(out, in)
+			go io.Copy(in, out)
+		}
+	}()
+	return ln.Addr().String(), func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+}
+
+// TestRunFailsWhenPeerConnectionDrops: connections to a worker process
+// that end without the orderly-close frame fail the coordinator's
+// fabric, so Run ends with ErrWorkerDied although nothing supervises the
+// worker (no WorkerDied channel).
+func TestRunFailsWhenPeerConnectionDrops(t *testing.T) {
+	cfg := testCfg(4, 2)
+	addrs := freeAddrs(t, 2)
+	to0, cut0 := cutProxy(t, addrs[0])
+	to1, cut1 := cutProxy(t, addrs[1])
+	started := make(chan struct{})
+	prog := Program{Name: "parked", Funcs: []ThreadFunc{func(th *Thread, arg uint64) {
+		close(started)
+		th.Recv()
+	}}}
+	served := make(chan error, 1)
+	go func() {
+		peer, err := joinTCP(cfg, prog, []string{to0, addrs[1]}, 1)
+		if err == nil {
+			err = peer.Serve()
+			peer.Close()
+		}
+		served <- err
+	}()
+	c, err := joinTCP(cfg, prog, []string{addrs[0], to1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go func() {
+		<-started
+		cut0()
+		cut1()
+	}()
+	if _, err := runCluster(t, c, 0); !errors.Is(err, ErrWorkerDied) {
+		t.Fatalf("Run returned %v, want ErrWorkerDied", err)
+	}
+	simtest.Deadline(t, runDeadline, func() {
+		c.Close()
+		if err := <-served; err == nil {
+			t.Error("the worker's Serve ended without an error on a failed fabric")
+		}
+	})
 }

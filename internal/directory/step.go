@@ -139,6 +139,11 @@ func Step(e Ref, tx *Txn, ev Event) (r Result) {
 			r.add(OpJoin, ev.Src)
 		} else if e.Owner() == ev.Src {
 			release(e, ev)
+		} else {
+			// Only the owner holds a Modified copy, and it stays the owner
+			// until its EvictM, WbRep or FlushRep arrives: a copy it gave
+			// up by a reply cannot be written back.
+			panic("directory: EvictM from a tile that does not own the line")
 		}
 	default:
 		if !tx.Open || tx.Seq != ev.Seq {
@@ -147,10 +152,11 @@ func Step(e Ref, tx *Txn, ev Event) (r Result) {
 		}
 		r.add(OpJoin, ev.Src)
 		if ev.Kind == InvRep {
-			tx.WaitAcks--
-			if ev.Data { // defensive: the invalidated copy was Modified
-				r.add(OpWriteDRAM, ev.Src)
+			if ev.Data {
+				// An InvReq goes to sharers only (CacheStep's InvReq rows).
+				panic("directory: InvRep with data")
 			}
+			tx.WaitAcks--
 		} else if !ev.Data {
 			if ev.Kind == WbRep {
 				// Per-sender FIFO brings the owner's EvictM before its
@@ -183,12 +189,11 @@ func (r *Result) answer(e Ref, tx *Txn, ev Event) {
 	tx.WaitData, tx.HaveData = false, true
 	release(e, ev)
 	if ev.Kind == WbRep {
-		// The former owner keeps a Shared copy. An M line has no other
-		// sharers, so no pointer is reclaimed; should one be, its holder
-		// is invalidated rather than left untracked.
+		// The former owner keeps a Shared copy. An owned line has no
+		// sharers (the write that made the owner cleared them, and a read
+		// first takes the owner's data), so no pointer is reclaimed.
 		if evict, _ := e.AddSharer(ev.Src); evict != arch.InvalidTile && evict != ev.Src {
-			tx.WaitAcks++
-			r.add(OpInv, evict)
+			panic("directory: a WbRep reclaims a pointer")
 		}
 	}
 }
@@ -196,6 +201,12 @@ func (r *Result) answer(e Ref, tx *Txn, ev Event) {
 // start opens a transaction for a request on a line without one.
 func (r *Result) start(e Ref, tx *Txn, ev Event) {
 	owner := e.Owner()
+	if owner == ev.Src {
+		// The owner misses only once its copy is gone, and its EvictM goes
+		// ahead of its next request: per-sender FIFO, and for the home's
+		// own tile the shortcut's wait for its messages to itself.
+		panic("directory: the owner requests its own line")
+	}
 	ex := ev.Kind == ExReq
 	others := e.sharerCount()
 	if e.ContainsSharer(ev.Src) {
@@ -207,7 +218,7 @@ func (r *Result) start(e Ref, tx *Txn, ev Event) {
 	}
 	*tx = Txn{Open: true, Ex: ex, Upgrade: ev.Upgrade, Seq: ev.Seq, Requester: ev.Src, Mask: ev.Mask}
 	r.add(OpStart, ev.Src)
-	if owner != arch.InvalidTile && owner != ev.Src {
+	if owner != arch.InvalidTile {
 		tx.WaitData, tx.DataFrom = true, owner
 		if ex {
 			r.add(OpFlush, owner)

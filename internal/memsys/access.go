@@ -94,10 +94,7 @@ func (n *Node) accessOwned(addr arch.Addr, seg []byte, isWrite, ifetch bool, now
 			n.st.Loads++
 		}
 		// Loads: L1 first.
-		l1 := n.l1d
-		if ifetch {
-			l1 = n.l1i
-		}
+		l1 := n.l1Of(ifetch)
 		if l1 != nil {
 			if ln, ok := l1.Lookup(line); ok {
 				copy(seg, ln.Data()[off:off+len(seg)])
@@ -115,7 +112,7 @@ func (n *Node) accessOwned(addr arch.Addr, seg []byte, isWrite, ifetch bool, now
 			return AccessResult{Latency: lat}
 		}
 		// L2 miss: fetch a Shared copy from home.
-		return n.miss(line, off, seg, false, ifetch, now)
+		return n.miss(line, off, seg, false, ifetch, cache.Invalid, now)
 	}
 
 	// Stores: need Modified at L2 (write-through L1).
@@ -125,19 +122,18 @@ func (n *Node) accessOwned(addr arch.Addr, seg []byte, isWrite, ifetch bool, now
 			n.applyWrite(ln, line, off, seg, cache.WordMask(off, len(seg), n.lineSize))
 			return AccessResult{Latency: n.l2.HitLatency()}
 		}
-		// Shared: upgrade.
-		return n.miss(line, off, seg, true, false, now)
+		return n.miss(line, off, seg, true, false, cache.Shared, now)
 	}
-	// Write miss.
-	return n.miss(line, off, seg, true, false, now)
+	return n.miss(line, off, seg, true, false, cache.Invalid, now)
 }
 
-// miss issues the coherence request, releases the core domain for the
-// wait, and applies the reply in the core context on wake.
+// miss issues the coherence request for an access that found the line
+// in state st, releases the core domain for the wait, and applies the
+// reply in the core context on wake.
 // Queued interventions are drained before the request leaves the tile, so
 // the home observes our reply to any earlier intervention before our
 // request (the ordering argument of DESIGN.md §13).
-func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bool, now arch.Cycles) AccessResult {
+func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bool, st cache.State, now arch.Cycles) AccessResult {
 	mask := cache.WordMask(off, len(seg), n.lineSize)
 
 	n.mu.Lock()
@@ -153,44 +149,32 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	if ifetch && n.l1i != nil {
 		lookup += n.l1i.HitLatency()
 	}
-	sendAt := now + lookup
+	// Reuse the tile's single request slot: the previous request fully
+	// completed (pending was nil).
+	pr := &n.reqSlot
+	*pr = pendingReq{line: line, isWrite: isWrite, ifetch: ifetch, off: off, buf: seg, mask: mask, sentAt: now + lookup, park: n.park}
 	req := reqPayload{line: uint64(line), mask: mask}
-	typ := msgShReq
-	if isWrite {
-		typ = msgExReq
-		if ln, ok := n.l2.Peek(line); ok && ln.State() == cache.Shared {
-			req.flags |= flagUpgrade
-		}
-	} else if ifetch {
+	if ifetch {
 		req.flags |= flagIFetch
+	}
+	res := directory.CacheStep(&directory.Copy{State: st}, directory.CacheEvent{Kind: missOf(isWrite, ifetch)})
+	typ := msgShReq
+	if res.Actions()[0] == directory.SendExReq {
+		typ = msgExReq
+	}
+	if res.Upgrade {
+		req.flags |= flagUpgrade
 	}
 
 	if n.homeOf(line) == n.tile {
-		if res, ok := n.localMiss(typ, req, off, seg, isWrite, ifetch, now, sendAt, lookup); ok {
+		if arrival, ok := n.localMiss(pr, typ, req); ok {
 			n.mu.Unlock()
-			return res
+			return n.missLatency(now, lookup, arrival)
 		}
 	}
 
 	n.seq++
-	// Reuse the tile's single request slot: the previous request fully
-	// completed (pending was nil).
-	pr := &n.reqSlot
-	*pr = pendingReq{
-		seq:     n.seq,
-		line:    line,
-		isWrite: isWrite,
-		ifetch:  ifetch,
-		off:     off,
-		mask:    mask,
-		sentAt:  sendAt,
-		park:    n.park,
-	}
-	if isWrite {
-		pr.wbuf = seg
-	} else {
-		pr.rbuf = seg
-	}
+	pr.seq = n.seq
 	n.pending = pr
 	// Release the core domain for the wait: the server must be able to
 	// answer interventions against our caches while we are parked. The
@@ -201,8 +185,7 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	turn := n.turn
 	n.turn = false
 	n.coreState.Store(0)
-	home := n.homeOf(line)
-	n.send(typ, home, pr.seq, encodeReq(&n.coreScratch, req), sendAt)
+	n.send(typ, n.homeOf(line), pr.seq, encodeReq(&n.coreScratch, req), pr.sentAt)
 	n.mu.Unlock()
 
 	if !n.await(pr) {
@@ -221,20 +204,22 @@ func (n *Node) miss(line cache.LineAddr, off int, seg []byte, isWrite, ifetch bo
 	// the server's writes): the core context owns the domain again and
 	// applies the completion lock-free. A coroutine's turn goes on with
 	// it, after the interventions that queued behind the grant.
-	arrival := n.finishMiss(pr, pr.reply)
+	p, err := decodeData(pr.reply.Payload)
+	must(err)
+	n.applyGrant(pr, grantInfo{typ: pr.reply.Type, writer: p.writer, wmask: p.mask, data: p.data, arrival: pr.reply.Time})
 	if turn {
 		n.turn = true
 		if n.coreState.Load() != stCoreActive {
 			n.claimSlow() // drain what queued behind the grant
 		}
 	}
-	lat := arrival - now
-	if lat < lookup {
-		lat = lookup
-	}
-	// Fill/install cost at the end of the miss.
-	lat += n.l2.HitLatency()
-	return AccessResult{Latency: lat, L2Misses: 1}
+	return n.missLatency(now, lookup, pr.reply.Time)
+}
+
+// missLatency is a miss's latency: from now to the grant's arrival, at
+// least the lookup, plus the fill.
+func (n *Node) missLatency(now, lookup, arrival arch.Cycles) AccessResult {
+	return AccessResult{Latency: max(arrival-now, lookup) + n.l2.HitLatency(), L2Misses: 1}
 }
 
 // grantInfo is one coherence grant as the core context applies it,
@@ -246,105 +231,99 @@ type grantInfo struct {
 	wmask   uint64
 	data    []byte
 	arrival arch.Cycles
-	sentAt  arch.Cycles
 }
 
-// finishMiss applies a completion reply in the core context and returns
-// its arrival. It runs lock-free — ownership of the core domain returned
-// with the hand-off.
-func (n *Node) finishMiss(pr *pendingReq, pkt network.Packet) arch.Cycles {
-	p, err := decodeData(pkt.Payload)
-	must(err)
-	seg := pr.rbuf
-	if pr.isWrite {
-		seg = pr.wbuf
-	}
-	n.applyGrant(pr.line, pr.off, seg, pr.mask, pr.isWrite, pr.ifetch, grantInfo{
-		typ:     pkt.Type,
-		writer:  p.writer,
-		wmask:   p.mask,
-		data:    p.data,
-		arrival: pkt.Time,
-		sentAt:  pr.sentAt,
-	})
-	return pkt.Time
-}
-
-// applyGrant installs a granted line, performs the pending operation,
-// classifies the miss, and updates the core-owned statistics.
-func (n *Node) applyGrant(line cache.LineAddr, off int, seg []byte, mask uint64, isWrite, ifetch bool, g grantInfo) {
-	switch g.typ {
-	case msgUpgRep:
-		ln, ok := n.l2.Peek(line)
-		if !ok {
-			// Home serializes per line: nothing can invalidate our copy
-			// between the upgrade grant and its arrival (an invalidation
-			// racing the upgrade demotes it to a full ExRep instead).
-			panic("memsys: upgrade grant for absent line")
-		}
-		ln.SetState(cache.Modified)
-		n.applyWrite(ln, line, off, seg, mask)
-		n.st.Upgrades++
-	case msgShRep, msgExRep:
-		st := cache.Shared
-		if g.typ == msgExRep {
-			st = cache.Modified
-		}
-		if victim, evicted := n.l2.Insert(line, st, g.data); evicted {
-			n.processVictim(victim, g.arrival)
-		}
-		ln, _ := n.l2.Peek(line)
-		if isWrite {
-			n.applyWrite(ln, line, off, seg, mask)
-		} else {
-			copy(seg, ln.Data()[off:off+len(seg)])
-			n.fillL1(line, ifetch, ln.Data())
-		}
-		if ifetch {
-			n.st.IFetchMisses++
-		} else {
-			kind := n.classify(line, mask, g.writer, g.wmask)
-			n.st.MissBy[kind]++
-			lat := g.arrival - g.sentAt
-			if lat < 0 {
-				lat = 0
+// applyGrant carries out the requester step of the grant that completes
+// miss pr: it installs the line, performs the access and counts the
+// miss. It runs lock-free: ownership of the core domain returned with
+// the hand-off.
+func (n *Node) applyGrant(pr *pendingReq, g grantInfo) {
+	line := pr.line
+	c, ln := n.copyOf(line)
+	hist := c.Hist
+	res := directory.CacheStep(&c, directory.CacheEvent{Kind: directory.ShRep + directory.CacheEventKind(g.typ-msgShRep),
+		Miss: missOf(pr.isWrite, pr.ifetch), Self: n.tile, Mask: pr.mask, Writer: g.writer, WMask: g.wmask})
+	for _, a := range res.Actions() {
+		switch a {
+		case directory.Install:
+			if victim, evicted := n.l2.Insert(line, c.State, g.data); evicted {
+				n.processVictim(victim, g.arrival)
 			}
-			n.st.MemLatencyTotal += lat
+			ln, _ = n.l2.Peek(line)
+		case directory.Upgrade:
+			ln.SetState(cache.Modified)
+		case directory.DoWrite:
+			n.applyWrite(ln, line, pr.off, pr.buf, pr.mask)
+		case directory.DoRead:
+			copy(pr.buf, ln.Data()[pr.off:pr.off+len(pr.buf)])
+		case directory.FillL1D, directory.FillL1I:
+			if l1 := n.l1Of(a == directory.FillL1I); l1 != nil {
+				l1.Insert(line, cache.Shared, ln.Data())
+			}
+		case directory.CountMiss:
+			n.st.MissBy[res.Kind]++
+			n.st.MemLatencyTotal += max(g.arrival-pr.sentAt, 0)
 			n.st.MemAccesses++
+		case directory.CountFetch:
+			n.st.IFetchMisses++
+		case directory.CountUpgrade:
+			n.st.Upgrades++
 		}
-		n.lineHist[line] = lineSeen
-	default:
-		panic("memsys: unexpected completion " + msgName(g.typ))
 	}
+	if c.Hist != hist {
+		n.lineHist[line] = c.Hist
+	}
+}
+
+// copyOf is line's copy as the requester step takes it: its L2 state,
+// with a handle to the line while it is present, and its history.
+func (n *Node) copyOf(line cache.LineAddr) (directory.Copy, cache.Line) {
+	c := directory.Copy{Hist: n.lineHist[line]}
+	ln, ok := n.l2.Peek(line)
+	if ok {
+		c.State = ln.State()
+	}
+	return c, ln
+}
+
+// missOf is the requester event of a miss.
+func missOf(isWrite, ifetch bool) directory.CacheEventKind {
+	switch {
+	case isWrite:
+		return directory.WriteMiss
+	case ifetch:
+		return directory.FetchMiss
+	}
+	return directory.ReadMiss
 }
 
 // localMiss is the local-home shortcut: when this tile is the line's home,
-// the request it would send (typ, req) is stepped through the directory
-// and granted inline — no loopback messages, no server round trip, no
-// wake — while charging exactly the modeled timing the messaged loopback
-// would have had (request and reply delays, the directory latency, the
-// DRAM access) and feeding the same timestamps to the progress window.
-// ok is false when the messaged path must run instead: while a
-// self-directed message is in flight (its ordering — an EvictM's data
-// landing, an EvictS clearing a sharer bit — must not be jumped), or when
-// the step refuses a Local request (directory.Event.Local).
+// the request it would send (typ, req) for miss pr is stepped through the
+// directory and granted inline — no loopback messages, no server round
+// trip, no wake — while charging exactly the modeled timing the messaged
+// loopback would have had (request and reply delays, the directory
+// latency, the DRAM access) and feeding the same timestamps to the
+// progress window. It returns the grant's arrival. ok is false when the
+// messaged path must run instead: while a self-directed message is in
+// flight (its ordering — an EvictM's data landing, an EvictS clearing a
+// sharer bit — must not be jumped), or when the step refuses a Local
+// request (directory.Event.Local).
 //
 // Called with mu held by the core context; takes the home lock (mu →
 // home.mu nests only here and in the local evictions, never in reverse).
-func (n *Node) localMiss(typ uint8, req reqPayload, off int, seg []byte, isWrite, ifetch bool, now, sendAt, lookup arch.Cycles) (AccessResult, bool) {
+func (n *Node) localMiss(pr *pendingReq, typ uint8, req reqPayload) (arch.Cycles, bool) {
 	if n.selfInflight.Load() != 0 {
-		return AccessResult{}, false
+		return 0, false
 	}
 	h := &n.home
 	h.mu.Lock()
-	line := cache.LineAddr(req.line)
-	dl := h.dirLine(line)
+	dl := h.dirLine(pr.line)
 	ev := n.reqEvent(typ, n.tile, req)
 	ev.Local = true
 	res := directory.Step(dl.entry, &dl.tx, ev)
 	if res.Refused {
 		h.mu.Unlock()
-		return AccessResult{}, false
+		return 0, false
 	}
 
 	// From here the transaction completes locally. Replicate the messaged
@@ -352,31 +331,24 @@ func (n *Node) localMiss(typ uint8, req reqPayload, off int, seg []byte, isWrite
 	// delay — and the progress-window samples the two deliveries would
 	// have contributed.
 	h.dirRequests++
-	reqArr := sendAt + n.net.Delay(network.ClassMemory, n.tile, reqPayloadLen, sendAt)
+	reqArr := pr.sentAt + n.net.Delay(network.ClassMemory, n.tile, reqPayloadLen, pr.sentAt)
 	n.net.Observe(reqArr)
 	t := reqArr + n.cfg.Coherence.DirLatency
-	g := grantInfo{writer: res.Writer, wmask: res.WMask, sentAt: sendAt}
+	g := grantInfo{writer: res.Writer, wmask: res.WMask}
 	for _, a := range res.Actions() {
 		switch a.Op {
 		case directory.OpReadDRAM:
-			t += h.dram.ReadLine(uint64(line), n.localGrant, t)
+			t += h.dram.ReadLine(req.line, n.localGrant, t)
 			g.data = n.localGrant
 		case directory.OpGrantSh, directory.OpGrantEx, directory.OpGrantUpg:
 			g.typ = msgShRep + uint8(a.Op-directory.OpGrantSh)
 		}
 	}
-	repArr := t + n.net.Delay(network.ClassMemory, n.tile, dataPayloadLen+len(g.data), t)
-	n.net.Observe(repArr)
+	g.arrival = t + n.net.Delay(network.ClassMemory, n.tile, dataPayloadLen+len(g.data), t)
+	n.net.Observe(g.arrival)
 	h.mu.Unlock()
-
-	g.arrival = repArr
-	n.applyGrant(line, off, seg, req.mask, isWrite, ifetch, g)
-	lat := repArr - now
-	if lat < lookup {
-		lat = lookup
-	}
-	lat += n.l2.HitLatency()
-	return AccessResult{Latency: lat, L2Misses: 1}, true
+	n.applyGrant(pr, g)
+	return g.arrival, true
 }
 
 // FlushAll writes back every Modified line and drops all cached state,
@@ -389,18 +361,15 @@ func (n *Node) localMiss(typ uint8, req reqPayload, off int, seg []byte, isWrite
 func (n *Node) FlushAll(now arch.Cycles) {
 	n.mu.Lock()
 	n.drainLocked(false)
-	// Collect victims first (ForEach forbids mutation during the visit),
-	// then write back and invalidate line by line. The line data is
-	// encoded straight out of cache storage — the wire frame copies it —
-	// so no per-line clone is needed.
-	n.flushMeta = n.flushMeta[:0]
-	n.l2.ForEach(func(l cache.Line) {
-		n.flushMeta = append(n.flushMeta, flushVictim{addr: l.Addr(), state: l.State()})
-	})
-	for _, v := range n.flushMeta {
-		ln, _ := n.l2.Peek(v.addr)
-		n.processVictim(cache.Victim{Addr: v.addr, State: v.state, WriteMask: ln.WriteMask(), Data: ln.Data()}, now)
-		n.l2.Invalidate(v.addr)
+	// Collect the lines first (ForEach forbids mutation during the
+	// visit), then invalidate and write back line by line. A victim's
+	// bytes stay in its slot until an Insert reuses it, and the wire frame
+	// copies them, so no per-line clone is needed.
+	n.flushLines = n.flushLines[:0]
+	n.l2.ForEach(func(l cache.Line) { n.flushLines = append(n.flushLines, l.Addr()) })
+	for _, l := range n.flushLines {
+		v, _ := n.l2.Invalidate(l)
+		n.processVictim(v, now)
 	}
 	n.mu.Unlock()
 

@@ -28,8 +28,7 @@ type pendingReq struct {
 	// functional marks a Peek or Poke, which does not touch the caches.
 	functional bool
 	off        int    // byte offset within the line
-	wbuf       []byte // bytes to write (store)
-	rbuf       []byte // destination for loaded bytes
+	buf        []byte // the bytes a store writes, or a load's destination
 	mask       uint64 // accessed-words mask
 	sentAt     arch.Cycles
 	park       park.Parker
@@ -185,10 +184,9 @@ type Node struct {
 	park    park.Parker
 	defPark park.Chan
 
-	// Miss classification state — core domain: per line ever granted,
-	// lineSeen, plus lineInvalidated while an invalidation has taken it
-	// since its last grant.
-	lineHist map[cache.LineAddr]uint8
+	// Miss classification state — core domain: the history half of each
+	// line's directory.Copy, kept for every line ever granted.
+	lineHist map[cache.LineAddr]directory.Hist
 
 	// Outstanding modified-line writebacks (for FlushAll).
 	outstandingWB atomic.Int64
@@ -229,8 +227,8 @@ type Node struct {
 	// same argument as Thread.scratch).
 	fetchBuf []byte
 
-	// flushMeta is FlushAll's reusable victim list.
-	flushMeta []flushVictim
+	// flushLines is FlushAll's reusable line list.
+	flushLines []cache.LineAddr
 
 	// ctrlQ holds control functions (checkpoint capture/restore) queued
 	// by EnqueueCtrl for the server to run on the next msgCkpt
@@ -254,11 +252,6 @@ type Node struct {
 	stopped chan struct{}
 }
 
-type flushVictim struct {
-	addr  cache.LineAddr
-	state cache.State
-}
-
 // NewNode builds the memory subsystem of one tile. progress feeds the DRAM
 // queue model; net must be the tile's network interface.
 func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *clock.ProgressWindow) *Node {
@@ -272,7 +265,7 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 			dram:  dram.New(cfg, progress),
 		},
 		out:       net.NewBatch(),
-		lineHist:  make(map[cache.LineAddr]uint8),
+		lineHist:  make(map[cache.LineAddr]directory.Hist),
 		wbDrained: make(chan struct{}, 1),
 		defPark:   park.NewChan(),
 		lineSize:  cfg.LineSize(),
@@ -296,12 +289,6 @@ func NewNode(tile arch.TileID, cfg *config.Config, net *network.Net, progress *c
 
 // nodeStopped is Node.replied once the node is down.
 const nodeStopped = ^uint64(0)
-
-// Node.lineHist bits.
-const (
-	lineSeen        = 1 << iota // granted at least once: a later miss is not cold
-	lineInvalidated             // invalidated since its last grant
-)
 
 // SetParker installs how the core context waits for its misses, peeks
 // and pokes; nil restores the default, a blocking channel receive. Core

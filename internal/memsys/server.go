@@ -12,7 +12,6 @@ import (
 	"repro/internal/directory"
 	"repro/internal/network"
 	"repro/internal/park"
-	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
@@ -549,47 +548,52 @@ func (n *Node) homeStep(dl *dirLine, ev directory.Event, pkt network.Packet, dat
 	}
 }
 
-// applyIntervention serves one Inv/Wb/Flush command against the local
-// caches. It runs in whichever context owns the core domain at the time:
-// the core context draining its mailbox (srv == false, immediate replies)
-// or the server while the core is parked (srv == true, batched
-// replies flushed before the core can wake). Called with mu held.
+// applyIntervention carries out the requester step of one Inv/Wb/Flush
+// command against the local caches. It runs in whichever context owns
+// the core domain at the time: the core context draining its mailbox
+// (srv == false, immediate replies) or the server while the core is
+// parked (srv == true, batched replies flushed before the core can wake).
+// Called with mu held.
 func (n *Node) applyIntervention(pkt network.Packet, srv bool) {
 	line, err := decodeLine(pkt.Payload)
 	must(err)
 	l := cache.LineAddr(line)
 	t := pkt.Time + n.l2.HitLatency()
+	c, ln := n.copyOf(l)
+	hist := c.Hist
+	res := directory.CacheStep(&c, directory.CacheEvent{Kind: directory.InvReq + directory.CacheEventKind(pkt.Type-msgInvReq)})
 	pay := dataPayload{line: line, writer: n.tile}
-
-	typ := pkt.Type + (msgInvRep - msgInvReq) // the matching reply
-	switch pkt.Type {
-	case msgInvReq, msgFlushReq:
-		if v, ok := n.l2.Invalidate(l); ok {
-			// An InvReq finding a Modified copy (defensive: it should have
-			// been a FlushReq) sends the data home as a flush does.
-			if pkt.Type == msgFlushReq || v.State == cache.Modified {
-				pay.flags, pay.mask, pay.data = flagHasData, v.WriteMask, v.Data
-			}
-			n.invL1(l)
-			n.lineHist[l] |= lineInvalidated
-		} else {
-			pay.flags = flagNotPresent
-		}
-	case msgWbReq:
-		if ln, ok := n.l2.Peek(l); ok {
-			// The data is copied by the payload encoder below.
-			pay.flags, pay.mask, pay.data = flagHasData, ln.WriteMask(), ln.Data()
+	for _, a := range res.Actions() {
+		switch a {
+		case directory.Drop:
+			// The victim's bytes stay in the slot until the next Insert
+			// in its set; the payload encoder below copies them.
+			v, _ := n.l2.Invalidate(l)
+			pay.mask, pay.data = v.WriteMask, v.Data
+		case directory.Downgrade:
+			pay.mask, pay.data = ln.WriteMask(), ln.Data()
 			n.l2.Downgrade(l)
-		} else {
-			pay.flags = flagNotPresent
+		case directory.InvL1:
+			n.invL1(l)
+		case directory.SendInvRep, directory.SendWbRep, directory.SendFlushRep:
+			switch {
+			case res.Data:
+				pay.flags = flagHasData
+			case res.Absent:
+				pay.flags = flagNotPresent
+			default:
+				pay.mask, pay.data = 0, nil
+			}
+			typ := msgInvRep + uint8(a-directory.SendInvRep)
+			if srv {
+				n.sendSrv(typ, pkt.Src, pkt.Seq, encodeData(&n.srvScratch, pay), t)
+			} else {
+				n.send(typ, pkt.Src, pkt.Seq, encodeData(&n.coreScratch, pay), t)
+			}
 		}
-	default:
-		panic("memsys: unexpected intervention " + msgName(pkt.Type))
 	}
-	if srv {
-		n.sendSrv(typ, pkt.Src, pkt.Seq, encodeData(&n.srvScratch, pay), t)
-	} else {
-		n.send(typ, pkt.Src, pkt.Seq, encodeData(&n.coreScratch, pay), t)
+	if c.Hist != hist {
+		n.lineHist[l] = c.Hist
 	}
 }
 
@@ -606,53 +610,40 @@ func (n *Node) applyWrite(ln cache.Line, line cache.LineAddr, off int, wbuf []by
 	}
 }
 
-// fillL1 installs a freshly read line into the appropriate L1.
-func (n *Node) fillL1(line cache.LineAddr, ifetch bool, data []byte) {
+// l1Of is the L1I or the L1D, nil if disabled.
+func (n *Node) l1Of(ifetch bool) *cache.Cache {
 	if ifetch {
-		if n.l1i != nil {
-			n.l1i.Insert(line, cache.Shared, data)
-		}
-		return
+		return n.l1i
 	}
-	if n.l1d != nil {
-		n.l1d.Insert(line, cache.Shared, data)
-	}
+	return n.l1d
 }
 
-// classify determines the miss kind (paper §4.4 / Figure 8). writer and
-// wmask are the line's last writer and its accumulated write mask as
-// granted by the home.
-func (n *Node) classify(line cache.LineAddr, mask uint64, writer arch.TileID, wmask uint64) stats.MissKind {
-	hist := n.lineHist[line]
-	if hist&lineSeen == 0 {
-		return stats.MissCold
-	}
-	if hist&lineInvalidated != 0 {
-		if writer != n.tile && writer != arch.InvalidTile && wmask&mask != 0 {
-			return stats.MissTrueSharing
-		}
-		return stats.MissFalseSharing
-	}
-	return stats.MissCapacity
-}
-
-// processVictim handles an L2 eviction: L1 inclusion and the home
-// notification (writeback for Modified victims). It runs in the core
-// context, so the notification is sent immediately — per-sender FIFO
-// orders it ahead of any later miss the core issues for the same line.
-// Locally homed victims are applied inline when safe (localEvict).
+// processVictim carries out the requester step of an L2 eviction: L1
+// inclusion and the home notification (writeback for Modified victims).
+// It runs in the core context, so the notification is sent immediately —
+// per-sender FIFO orders it ahead of any later miss the core issues for
+// the same line. Locally homed victims are applied inline when safe
+// (localEvict).
 func (n *Node) processVictim(victim cache.Victim, now arch.Cycles) {
-	n.invL1(victim.Addr)
-	home := n.homeOf(victim.Addr)
-	if home == n.tile && n.localEvict(victim, now) {
-		return
-	}
-	if victim.State == cache.Modified {
-		n.outstandingWB.Add(1)
-		pay := dataPayload{line: uint64(victim.Addr), mask: victim.WriteMask, writer: n.tile, flags: flagHasData, data: victim.Data}
-		n.send(msgEvictM, home, 0, encodeData(&n.coreScratch, pay), now)
-	} else {
-		n.send(msgEvictS, home, 0, encodeLine(&n.coreScratch, uint64(victim.Addr)), now)
+	res := directory.CacheStep(&directory.Copy{State: victim.State}, directory.CacheEvent{Kind: directory.Evict})
+	for _, a := range res.Actions() {
+		switch a {
+		case directory.InvL1:
+			n.invL1(victim.Addr)
+		case directory.SendEvictS, directory.SendEvictM:
+			writeback := a == directory.SendEvictM
+			home := n.homeOf(victim.Addr)
+			if home == n.tile && n.localEvict(victim, writeback, now) {
+				continue
+			}
+			if writeback {
+				n.outstandingWB.Add(1)
+				pay := dataPayload{line: uint64(victim.Addr), mask: victim.WriteMask, writer: n.tile, flags: flagHasData, data: victim.Data}
+				n.send(msgEvictM, home, 0, encodeData(&n.coreScratch, pay), now)
+			} else {
+				n.send(msgEvictS, home, 0, encodeLine(&n.coreScratch, uint64(victim.Addr)), now)
+			}
+		}
 	}
 }
 
@@ -664,19 +655,19 @@ func (n *Node) processVictim(victim cache.Victim, now arch.Cycles) {
 // write and the progress window sees the same delivery samples. Bails
 // (returns false) as localMiss does: while a self-directed message is in
 // flight, or when the directory step refuses the Local eviction (the line
-// has an open transaction).
+// has an open transaction). writeback selects EvictM over EvictS.
 // Called in the core context without the home lock; mu may or may not
 // be held (FlushAll holds it, the post-miss victim path does not) — the
 // function must therefore touch only home-guarded state and the atomic
 // selfInflight word, never the mailbox or the pending slot.
-func (n *Node) localEvict(victim cache.Victim, now arch.Cycles) bool {
+func (n *Node) localEvict(victim cache.Victim, writeback bool, now arch.Cycles) bool {
 	if n.selfInflight.Load() != 0 {
 		return false
 	}
 	h := &n.home
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if victim.State != cache.Modified {
+	if !writeback {
 		if dl := h.lines[victim.Addr]; dl != nil {
 			if res := directory.Step(dl.entry, &dl.tx, directory.Event{Kind: directory.EvictS, Src: n.tile, Local: true}); res.Refused {
 				return false

@@ -18,6 +18,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
+	"repro/internal/directory"
 )
 
 // CtrlMsg is the ClassMemory message type that pokes a tile's memory
@@ -86,8 +87,8 @@ func (n *Node) Capture(ts *checkpoint.TileState) error {
 	}
 	ts.L2 = n.l2.Capture()
 	ts.ReqSeq = n.seq
-	ts.EverAccessed = sortedLines(n.lineHist, lineSeen)
-	ts.Invalidated = sortedLines(n.lineHist, lineInvalidated)
+	ts.EverAccessed = sortedLines(n.lineHist, directory.Seen)
+	ts.Invalidated = sortedLines(n.lineHist, directory.Invalidated)
 	ts.Stats = n.st
 	n.coreState.Store(0)
 	n.mu.Unlock()
@@ -157,12 +158,12 @@ func (n *Node) Restore(ts *checkpoint.TileState) error {
 		return err
 	}
 	n.seq = ts.ReqSeq
-	n.lineHist = make(map[cache.LineAddr]uint8, len(ts.EverAccessed))
+	n.lineHist = make(map[cache.LineAddr]directory.Hist, len(ts.EverAccessed))
 	for _, l := range ts.EverAccessed {
-		n.lineHist[cache.LineAddr(l)] |= lineSeen
+		n.lineHist[cache.LineAddr(l)] |= directory.Seen
 	}
 	for _, l := range ts.Invalidated {
-		n.lineHist[cache.LineAddr(l)] |= lineInvalidated
+		n.lineHist[cache.LineAddr(l)] |= directory.Invalidated
 	}
 	n.st = ts.Stats
 	n.st.TileID = n.tile
@@ -206,7 +207,7 @@ func (n *Node) Restore(ts *checkpoint.TileState) error {
 
 // sortedLines flattens the lines of m with bit set into a sorted slice
 // (canonical encoding for the checkpoint).
-func sortedLines(m map[cache.LineAddr]uint8, bit uint8) []uint64 {
+func sortedLines(m map[cache.LineAddr]directory.Hist, bit directory.Hist) []uint64 {
 	var out []uint64
 	//graphite:maporder the slice is sorted below, so iteration order never reaches the snapshot
 	for l, hist := range m {

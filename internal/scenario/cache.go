@@ -39,9 +39,22 @@ type RecordCache interface {
 // excluded via config.Canonical: they must not change results, so an
 // in-process run may serve a distributed re-run of the same spec and
 // vice versa.
+// The key also names the simulator model (ModelPin), so that a
+// persistent cache never serves a record an older model made.
 func CacheKey(configDigest, workload string, threads, scale int, seed int64) string {
+	return cacheKey(ModelPin, configDigest, workload, threads, scale, seed)
+}
+
+// ModelPin names the simulator model that makes records: the first 16 hex
+// digits of the "full" digest in benchmark/golden/records.sha256, which
+// moves whenever a change moves results. TestModelPinMatchesGoldens fails
+// when the goldens move and the pin does not.
+const ModelPin = "3a4bc9b82861cf6b"
+
+// cacheKey is CacheKey under the model pin given.
+func cacheKey(pin, configDigest, workload string, threads, scale int, seed int64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "record/v1\x00%s\x00%s\x00%d\x00%d\x00%d", configDigest, workload, threads, scale, seed)
+	fmt.Fprintf(h, "record/v1\x00%s\x00%s\x00%s\x00%d\x00%d\x00%d", pin, configDigest, workload, threads, scale, seed)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

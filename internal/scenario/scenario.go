@@ -276,18 +276,27 @@ func (s *Scenario) Expand() ([]RunSpec, error) {
 		repeats = 1
 	}
 
-	var specs []RunSpec
+	// Count the runs before allocating any: the count is a product of
+	// sizes a short request can make huge.
+	grids := make([]int, len(s.Grids)) // points per grid
+	total := 0
 	for gi := range s.Grids {
-		g := &s.Grids[gi]
-		for ai, ax := range g.Axes {
+		points := 1
+		for ai, ax := range s.Grids[gi].Axes {
 			if len(ax.Values) == 0 {
 				return nil, fmt.Errorf("scenario %s grid %d axis %d (%s): no values", s.Name, gi, ai, ax.Field)
 			}
+			points = min(points*len(ax.Values), MaxRuns+1)
 		}
-		points := 1
-		for _, ax := range g.Axes {
-			points *= len(ax.Values)
-		}
+		grids[gi] = points
+		total = min(total+points*min(repeats, MaxRuns+1), MaxRuns+1)
+	}
+	if total > MaxRuns {
+		return nil, fmt.Errorf("scenario %s: more than %d runs", s.Name, MaxRuns)
+	}
+
+	specs := make([]RunSpec, 0, total)
+	for gi, points := range grids {
 		for pt := 0; pt < points; pt++ {
 			spec, err := s.resolvePoint(gi, pt, size)
 			if err != nil {
@@ -305,6 +314,11 @@ func (s *Scenario) Expand() ([]RunSpec, error) {
 	}
 	return specs, nil
 }
+
+// MaxRuns bounds the runs one scenario expands to. Expand refuses a
+// scenario above it before it allocates anything, so that a short
+// submission cannot exhaust a daemon's memory.
+const MaxRuns = 1 << 16
 
 // resolvePoint builds the RunSpec of one grid point (before repeat/seed
 // assignment).

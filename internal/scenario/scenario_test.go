@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 )
@@ -290,4 +292,48 @@ func TestDigestStable(t *testing.T) {
 	if Digest(&a) == Digest(&b) {
 		t.Fatal("different configs digest identically")
 	}
+}
+
+// TestExpandRefusesHugeScenarios: a short submission that asks for more
+// than MaxRuns runs, by repeats or by the product of its axes, is refused
+// before anything is allocated.
+func TestExpandRefusesHugeScenarios(t *testing.T) {
+	values := `[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32]`
+	for _, body := range []string{
+		`{"name":"x","workload":"radix","repeats":1099511627776,"grids":[{}]}`,
+		`{"name":"x","workload":"radix","repeats":3,"grids":[{},{"axes":[{"field":"tiles","values":` + values + `},{"field":"seed","values":` + values + `},{"field":"scale","values":` + values + `}]}]}`,
+	} {
+		s, err := Parse(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		specs, err := s.Expand()
+		if err == nil || len(specs) != 0 {
+			t.Errorf("%s: expanded to %d runs, want an error", body, len(specs))
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refused after %v", body, d)
+		}
+	}
+}
+
+// FuzzScenarioParse: Parse then Expand never panics, whatever the bytes.
+func FuzzScenarioParse(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example scenarios: %v", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if s, err := Parse(bytes.NewReader(b)); err == nil {
+			s.Expand()
+		}
+	})
 }

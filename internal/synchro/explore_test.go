@@ -10,12 +10,11 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/simtest/explore"
 )
 
-// The explorer checks the LaxBarrier round by explicit-state search, in
-// the spirit of Murphi or TLC: from the initial state it takes every
-// enabled event in every reachable state, and hashes states so that each
-// is expanded once. The model is the runtime's: application threads on
+// The explorer checks the LaxBarrier round by explicit-state search
+// (internal/simtest/explore). The model is the runtime's: application threads on
 // tiles spread over two processes, each process's ledger (a Round over
 // its tiles, flushing Round.Batch), and the MCP (a Round over every tile,
 // releasing Round.Next) with one application mutex. Messages travel on
@@ -226,7 +225,7 @@ func cloneRule(m rule) rule {
 	panic("unknown rule")
 }
 
-func (w *world) clone() *world {
+func (w *world) Clone() *world {
 	c := *w
 	c.th, c.pc, c.epoch, c.sent, c.rel = slices.Clone(w.th), slices.Clone(w.pc), slices.Clone(w.epoch), slices.Clone(w.sent), slices.Clone(w.rel)
 	c.ledger = []*Round{cloneRound(w.ledger[0]), cloneRound(w.ledger[1])}
@@ -246,9 +245,8 @@ func (w *world) clone() *world {
 	return &c
 }
 
-// key encodes every field of the state.
-func (w *world) key() string {
-	b := make([]byte, 0, 256)
+// Key appends an encoding of every field of the state.
+func (w *world) Key(b []byte) []byte {
 	num := func(v int64) { b = binary.AppendVarint(b, v) }
 	msgs := func(ms []mcpMsg) {
 		num(int64(len(ms)))
@@ -309,7 +307,7 @@ func (w *world) key() string {
 	if w.shadow != nil {
 		oracleKey(w.shadow)
 	}
-	return string(b)
+	return b
 }
 
 func boolByte(v bool) byte {
@@ -319,41 +317,8 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-// violation is a property a transition or a final state broke.
-type violation struct{ msg string }
-
-// step is one enabled event: its label and the state it leads to, or the
-// property it violates.
-type step struct {
-	label string
-	next  *world
-	err   string
-}
-
-// successors returns every enabled event of w, in a fixed order; labels
-// are formatted only when asked for, to print a trace.
-func (w *world) successors(labels bool) []step {
-	var out []step
-	try := func(label func() string, fn func(c *world)) {
-		c := w.clone()
-		err := func() (msg string) {
-			defer func() {
-				r := recover()
-				if v, ok := r.(violation); ok {
-					msg = v.msg
-				} else if r != nil {
-					panic(r)
-				}
-			}()
-			fn(c)
-			return ""
-		}()
-		st := step{next: c, err: err}
-		if labels {
-			st.label = label()
-		}
-		out = append(out, st)
-	}
+// Next offers every enabled event of w, in a fixed order.
+func (w *world) Next(try func(label func() string, fn func(c *world))) {
 	for t := range w.th {
 		tile := arch.TileID(t)
 		if len(w.outbox[t]) > 0 {
@@ -412,7 +377,6 @@ func (w *world) successors(labels bool) []step {
 			try(func() string { return fmt.Sprintf("ledger %d: release %d", p, w.releases[p][0]) }, func(c *world) { c.deliverRelease(p) })
 		}
 	}
-	return out
 }
 
 func (w *world) pending(t int) bool {
@@ -424,7 +388,7 @@ func (w *world) pending(t int) bool {
 	return false
 }
 
-func fail(format string, args ...any) { panic(violation{fmt.Sprintf(format, args...)}) }
+func fail(format string, args ...any) { panic(fmt.Sprintf(format, args...)) }
 
 // ledgerStep applies e at the tile's ledger, as Ledger.step does, and
 // puts the batch it completes in the tile's outbox.
@@ -570,9 +534,12 @@ func (w *world) deliverRelease(p int) {
 	}
 }
 
-// final checks a state with no enabled event: no live tile is parked, and
-// no ledger holds a wait.
-func (w *world) final() string {
+// Check checks a state with no enabled event: no live tile is parked,
+// and no ledger holds a wait. The transitions check the rest.
+func (w *world) Check(final bool) string {
+	if !final {
+		return ""
+	}
 	for t, th := range w.th {
 		if th != thExit {
 			return fmt.Sprintf("no event is enabled, and tile %d is %s", t, []string{"running", "parked at its ledger", "parked in an MCP call", "parked in a receive"}[th])
@@ -584,64 +551,6 @@ func (w *world) final() string {
 		}
 	}
 	return ""
-}
-
-// exploration is the result of one search.
-type exploration struct {
-	states int
-	trace  []string // the path to the first violation, if any
-	err    string
-}
-
-// explore searches every state reachable from w, breadth first, and stops
-// at the first violation. A node keeps its parent and its index among the
-// parent's successors; the trace to a violation is replayed from w with
-// labels.
-func explore(w *world) exploration {
-	type node struct {
-		w         *world
-		parent, k int
-	}
-	nodes := []node{{w: w, parent: -1}}
-	seen := map[string]bool{w.key(): true}
-	path := func(i, k int) []string {
-		var ks []int
-		for ; nodes[i].parent >= 0; i = nodes[i].parent {
-			ks = append(ks, nodes[i].k)
-		}
-		slices.Reverse(ks)
-		var out []string
-		at := w
-		for _, k := range append(ks, k) {
-			if k < 0 {
-				return append(out, "(stuck)")
-			}
-			succ := at.successors(true)
-			out = append(out, succ[k].label)
-			at = succ[k].next
-		}
-		return out
-	}
-	for i := 0; i < len(nodes); i++ {
-		succ := nodes[i].w.successors(false)
-		if len(succ) == 0 {
-			if msg := nodes[i].w.final(); msg != "" {
-				return exploration{states: len(seen), trace: path(i, -1), err: msg}
-			}
-		}
-		for k, s := range succ {
-			if s.err != "" {
-				return exploration{states: len(seen), trace: path(i, k), err: s.err}
-			}
-			key := s.next.key()
-			if !seen[key] {
-				seen[key] = true
-				nodes = append(nodes, node{w: s.next, parent: i, k: k})
-			}
-		}
-		nodes[i].w = nil
-	}
-	return exploration{states: len(seen)}
 }
 
 func prog(ins ...instr) []instr { return ins }
@@ -760,11 +669,11 @@ func splits(n int) [][]int {
 	return out
 }
 
-func runScenario(t *testing.T, sc *scenario, mcp func(proc func(arch.TileID) int) rule, shadow bool) exploration {
+func runScenario(t *testing.T, sc *scenario, mcp func(proc func(arch.TileID) int) rule, shadow bool) explore.Result {
 	t.Helper()
 	start := time.Now()
-	res := explore(newWorld(sc, mcp, shadow))
-	t.Logf("%s, processes %v: %d states in %v", sc.name, sc.procs, res.states, time.Since(start).Round(time.Millisecond))
+	res := explore.Search(newWorld(sc, mcp, shadow))
+	t.Logf("%s, processes %v: %d states in %v", sc.name, sc.procs, res.States, time.Since(start).Round(time.Millisecond))
 	return res
 }
 
@@ -786,9 +695,9 @@ func TestExploreRound(t *testing.T) {
 		for _, procs := range splits(len(sc.procs)) {
 			sc.procs = procs
 			res := runScenario(t, &sc, withRound, true)
-			total += res.states
-			if res.err != "" {
-				t.Errorf("%s, processes %v: %s\n  %s", sc.name, procs, res.err, strings.Join(res.trace, "\n  "))
+			total += res.States
+			if res.Err != "" {
+				t.Errorf("%s, processes %v: %s\n  %s", sc.name, procs, res.Err, strings.Join(res.Trace, "\n  "))
 			}
 		}
 	}
@@ -803,8 +712,8 @@ func TestExploreFindsParkWithoutRepeat(t *testing.T) {
 	res := runScenario(t, sc, func(proc func(arch.TileID) int) rule {
 		return newOracle(len(sc.procs), proc, false)
 	}, false)
-	if res.err == "" {
-		t.Fatalf("%s: no counterexample in %d states", sc.name, res.states)
+	if res.Err == "" {
+		t.Fatalf("%s: no counterexample in %d states", sc.name, res.States)
 	}
-	t.Logf("counterexample: %s\n  %s", res.err, strings.Join(res.trace, "\n  "))
+	t.Logf("counterexample: %s\n  %s", res.Err, strings.Join(res.Trace, "\n  "))
 }

@@ -31,8 +31,14 @@ const helloMagic = 0x01504D47
 // machines from different builds, and a version skew must fail the dial
 // loudly instead of mis-framing traffic. Bump on any change to the frame
 // or handshake layout. Proto 4 has one frame format and both ends send
-// the same hello.
-const tcpProto = 4
+// the same hello; proto 5 ends every connection with closeHeader.
+const tcpProto = 5
+
+// closeHeader is the frame header a writer sends last, when its transport
+// closes. Its length is above maxFrame, so no data frame has it. A reader
+// that sees it ends quietly; a connection that ends without it lost its
+// peer, and fails the fabric.
+var closeHeader = [8]byte{0xff, 0xff, 0xff, 0xff}
 
 // encodeHello returns the 32-byte header each end of a fresh connection
 // sends: magic, proto, total process count, the sender's ProcID, the
@@ -115,6 +121,11 @@ type tcpTransport struct {
 	local    *ChannelFabric
 	listener net.Listener
 	peers    []*tcpPeer // indexed by ProcID; nil for self
+
+	// readers counts the running read loops, and faults the faults fail
+	// reported, so tests can tell an orderly teardown from a lost peer.
+	readers sync.WaitGroup
+	faults  atomic.Int32
 }
 
 // tcpPeer is the sending half of the connection to one other process.
@@ -216,7 +227,11 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 				break
 			}
 			seen[from] = true
-			go t.readLoop(conn)
+			t.readers.Add(1)
+			go func() {
+				defer t.readers.Done()
+				t.readLoop(conn)
+			}()
 		}
 		accepted <- err
 	}()
@@ -314,9 +329,11 @@ func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 // (one lock, one readiness callback), and the run is delivered before the
 // loop may block on the socket, so no frame waits on bytes that have not
 // arrived. Payloads are carved from a per-connection slab, as
-// network.FrameArena carves outbound frames. A frame longer than maxFrame
-// means the stream is corrupt: it fails the fabric, since every frame
-// after it is lost and the receivers would otherwise wait forever.
+// network.FrameArena carves outbound frames. The stream ends with
+// closeHeader. A stream that ends without it means the peer process is
+// gone, and a frame longer than maxFrame means the stream is corrupt:
+// either fails the fabric, since the receivers would otherwise wait
+// forever for frames that will not come.
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, 64<<10)
@@ -338,6 +355,11 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 			deliver()
 		}
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			t.fail(fmt.Errorf("connection from %s lost: %w", conn.RemoteAddr(), err))
+			return
+		}
+		if hdr == closeHeader {
+			deliver()
 			return
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
@@ -359,6 +381,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 			data, slab = slab[:n:n], slab[n:]
 		}
 		if _, err := io.ReadFull(r, data); err != nil {
+			t.fail(fmt.Errorf("connection from %s lost mid-frame: %w", conn.RemoteAddr(), err))
 			return
 		}
 		run = append(run, data)
@@ -424,7 +447,7 @@ func (p *tcpPeer) wake() {
 
 // writeLoop is p's writer. Each wake-up takes everything appended since
 // the last one and writes it with one conn.Write, until Close has been
-// seen and drained or a write fails.
+// seen and drained, with closeHeader after it, or a write fails.
 func (t *tcpTransport) writeLoop(p *tcpPeer) {
 	var out []byte // the writer's buffer; empty between writes
 	var err error
@@ -436,6 +459,9 @@ func (t *tcpTransport) writeLoop(p *tcpPeer) {
 			out, p.pending = p.pending, out
 		}
 		p.mu.Unlock()
+		if last {
+			out = append(out, closeHeader[:]...)
+		}
 		if len(out) == 0 {
 			continue
 		}
@@ -453,9 +479,10 @@ func (t *tcpTransport) writeLoop(p *tcpPeer) {
 	}
 }
 
-// fail handles a fault on a fabric that is not closing: a write error
-// means a peer process is gone (killed, crashed, machine lost), and a
-// corrupt inbound frame means its stream cannot be trusted. Either way the
+// fail handles a fault on a fabric that is not closing: a write error or
+// a connection that ends without closeHeader means a peer process is gone
+// (killed, crashed, machine lost), and a corrupt inbound frame means its
+// stream cannot be trusted. Either way the
 // simulation cannot make progress, and every path in the simulator treats
 // ErrClosed — and only ErrClosed — as orderly teardown. So fail logs the
 // fault and closes the transport (idempotent, wakes every local
@@ -467,6 +494,7 @@ func (t *tcpTransport) fail(err error) {
 	if t.local.closed() {
 		return
 	}
+	t.faults.Add(1)
 	fmt.Fprintf(os.Stderr, "transport: %v\n", err)
 	t.Close()
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -268,6 +269,7 @@ func TestTCPThreeProcessesAllPairs(t *testing.T) {
 		eps[p] = ep
 		defer trs[p].Close()
 	}
+	defer checkQuietTeardown(t, trs)
 	for src := 0; src < procs; src++ {
 		for dst := 0; dst < procs; dst++ {
 			if src == dst {
@@ -282,6 +284,78 @@ func TestTCPThreeProcessesAllPairs(t *testing.T) {
 				t.Fatalf("recv %s = %q, %v", msg, got, err)
 			}
 		}
+	}
+}
+
+// checkQuietTeardown closes every transport of a fabric, in process
+// order, and checks that none of them saw a fault: each connection ended
+// with its orderly-close frame.
+func checkQuietTeardown(t *testing.T, trs []Transport) {
+	t.Helper()
+	for _, tr := range trs {
+		tr.Close()
+	}
+	for p, tr := range trs {
+		tt := tr.(*tcpTransport)
+		tt.readers.Wait()
+		if n := tt.faults.Load(); n != 0 {
+			t.Errorf("process %d reported %d faults in an orderly teardown", p, n)
+		}
+	}
+}
+
+// TestTCPThreeProcessTeardownQuiet: whichever process closes first, the
+// others take its connections' ends as orderly.
+func TestTCPThreeProcessTeardownQuiet(t *testing.T) {
+	const procs = 3
+	for first := range procs {
+		addrs := tcpAddrs(t, procs)
+		trs := make([]Transport, procs)
+		var wg sync.WaitGroup
+		for p := range procs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr, err := DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: procs, Addrs: addrs, DialTimeout: 5 * time.Second})
+				if err != nil {
+					t.Error(err)
+				}
+				trs[(p+procs-first)%procs] = tr
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		checkQuietTeardown(t, trs)
+	}
+}
+
+// TestTCPLostPeerFailsFabric: a connection that ends without the
+// orderly-close frame, as a killed process's does, fails the fabric of
+// the process reading it, which wakes its receivers with ErrClosed.
+func TestTCPLostPeerFailsFabric(t *testing.T) {
+	trs := dialPair(t)
+	ep, err := trs[0].Register(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := ep.Recv()
+		got <- err
+	}()
+	trs[1].(*tcpTransport).peers[0].conn.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv returned %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the lost connection did not fail the fabric")
+	}
+	if n := trs[0].(*tcpTransport).faults.Load(); n != 1 {
+		t.Errorf("%d faults reported, want 1", n)
 	}
 }
 

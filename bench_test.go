@@ -1,11 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), one per experiment, plus ablation benches for the
-// design choices called out in DESIGN.md and micro-benches that keep the
-// simulator's own allocation behaviour visible (the Go-GC concern).
-//
-// The experiment benches run the Quick preset per iteration and report
-// the headline quantity of the corresponding table/figure as a custom
-// metric. cmd/graphite-sweep prints the full rows.
+// Ablation benches for the design choices called out in DESIGN.md, and
+// throughput benches that keep the simulator's own allocation behaviour
+// visible (the Go-GC concern). The paper's tables and figures are
+// cmd/graphite-sweep -exp; internal/experiments tests each at its Quick
+// preset.
 package graphite_test
 
 import (
@@ -13,112 +10,8 @@ import (
 
 	graphite "repro"
 	"repro/internal/config"
-	"repro/internal/experiments"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
-
-// BenchmarkFig4HostScaling regenerates Figure 4: simulation wall time as
-// host cores grow. Reported metric: speedup of the last host-core count
-// versus one host core.
-func BenchmarkFig4HostScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(experiments.Quick, []string{"radix"}, []int{1, 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Points[len(res.Points)-1].Speedup, "speedup-max-cores")
-	}
-}
-
-// BenchmarkTable2Slowdown regenerates Table 2: simulation slowdown versus
-// native execution on 1 and N host processes.
-func BenchmarkTable2Slowdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2(experiments.Quick, []string{"fmm", "radix"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Median1, "median-slowdown-1proc")
-		b.ReportMetric(res.Median8, "median-slowdown-Nproc")
-	}
-}
-
-// BenchmarkFig5LargeTarget regenerates Figure 5: a thread-per-tile
-// matrix-multiply across host process counts.
-func BenchmarkFig5LargeTarget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(experiments.Quick, []int{1, 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Points[len(res.Points)-1].Speedup, "speedup-max-procs")
-	}
-}
-
-// BenchmarkFig6SyncModels regenerates Figure 6 / Table 3: run time, error,
-// and CoV of the three synchronization models.
-func BenchmarkFig6SyncModels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table3(experiments.Quick, []string{"radix"}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanRunTime[config.LaxBarrier][0], "barrier-runtime-vs-lax")
-		b.ReportMetric(res.MeanError[config.Lax], "lax-error-pct")
-		b.ReportMetric(res.MeanError[config.LaxP2P], "p2p-error-pct")
-	}
-}
-
-// BenchmarkFig7ClockSkew regenerates Figure 7: maximum clock skew per
-// synchronization model.
-func BenchmarkFig7ClockSkew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tr := range res.Traces {
-			b.ReportMetric(float64(tr.MaxSkew), "max-skew-"+tr.Model.String())
-		}
-	}
-}
-
-// BenchmarkFig8MissRates regenerates Figure 8: the miss breakdown as line
-// size changes. Reported metric: radix false-sharing rate at 256 B lines
-// (the spike the paper calls out).
-func BenchmarkFig8MissRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.Quick, []string{"radix", "lu_cont"}, []int{64, 256}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			if p.Benchmark == "radix" && p.LineSize == 256 {
-				b.ReportMetric(100*p.Rates[stats.MissFalseSharing], "radix-false-pct-256B")
-			}
-			if p.Benchmark == "lu_cont" && p.LineSize == 256 {
-				b.ReportMetric(100*p.Total, "lu-total-pct-256B")
-			}
-		}
-	}
-}
-
-// BenchmarkFig9Coherence regenerates Figure 9: blackscholes speedup under
-// the four directory schemes.
-func BenchmarkFig9Coherence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(experiments.Quick, []int{1, 8}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			if p.Tiles == 8 {
-				b.ReportMetric(p.Speedup, "speedup8-"+p.Scheme)
-			}
-		}
-	}
-}
 
 // runBench executes one workload under cfg once per iteration.
 func runBench(b *testing.B, name string, threads, scale int, cfg graphite.Config) *graphite.RunStats {

@@ -352,11 +352,11 @@ func ReadProcState(path, wantSum string) (*ProcState, error) {
 // WriteProcState).
 func WriteManifest(dir string, m *Manifest) error {
 	m.Version = Version
-	b, err := json.MarshalIndent(m, "", "  ")
+	b, err := encodeManifest(m)
 	if err != nil {
-		return fmt.Errorf("checkpoint: marshal manifest: %w", err)
+		return err
 	}
-	return atomicWrite(filepath.Join(dir, ManifestFileName(m.Epoch)), append(b, '\n'))
+	return atomicWrite(filepath.Join(dir, ManifestFileName(m.Epoch)), b)
 }
 
 // ReadManifest loads one manifest file.
@@ -365,12 +365,30 @@ func ReadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	m, err := decodeManifest(b)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// encodeManifest is the manifest file's bytes.
+func encodeManifest(m *Manifest) ([]byte, error) {
+	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: marshal manifest: %w", err)
+	}
+	return append(b, '\n'), nil
+}
+
+// decodeManifest parses a manifest file's bytes, refusing other versions.
+func decodeManifest(b []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode %s: %w", path, err)
+		return nil, fmt.Errorf("decode manifest: %w", err)
 	}
 	if m.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s: version %d, want %d", path, m.Version, Version)
+		return nil, fmt.Errorf("manifest version %d, want %d", m.Version, Version)
 	}
 	return &m, nil
 }

@@ -252,3 +252,40 @@ func FuzzDecodeProcState(f *testing.F) {
 		}
 	})
 }
+
+// FuzzManifest feeds arbitrary bytes to the manifest decoder, seeded
+// with a real capture's manifest: it must not panic, and a manifest it
+// accepts must survive a rewrite — its encoding decodes again, encodes to
+// the same bytes, and keeps its replay-verification digests.
+func FuzzManifest(f *testing.F) {
+	dir, m := realCapture(f)
+	real, err := os.ReadFile(filepath.Join(dir, checkpoint.ManifestFileName(m.Epoch)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add(real[:len(real)/2])
+	f.Add(bytes.Replace(real, []byte(`"version": 1`), []byte(`"version": 2`), 1))
+	f.Add([]byte(`{"version":1,"procs":[],"mcp":{}}`))
+	f.Add([]byte(`{"version":1,"Procs":[{"proc":-1,"file":"../x"}],"mcp":null}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := checkpoint.DecodeManifest(b)
+		if err != nil {
+			return
+		}
+		enc, err := checkpoint.EncodeManifest(m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not encode: %v", err)
+		}
+		again, err := checkpoint.DecodeManifest(enc)
+		if err != nil {
+			t.Fatalf("re-encoded manifest refused: %v\n%s", err, enc)
+		}
+		if enc2, err := checkpoint.EncodeManifest(again); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encoding is not stable (%v):\n%s\n%s", err, enc, enc2)
+		}
+		if !reflect.DeepEqual(again.VerifyDigests(), m.VerifyDigests()) {
+			t.Fatal("rewrite changed the manifest's verification digests")
+		}
+	})
+}

@@ -5,24 +5,23 @@
 // (Figure 7), the cache miss-rate characterization (Figure 8), and the
 // cache-coherence study (Figure 9).
 //
-// Each experiment is a pure function from a size preset to structured
-// results, plus a printer that renders the same rows the paper reports.
-// Absolute numbers differ from the paper's (the substrate is a simulator
-// on a small host, not an 8-core Xeon cluster); the shapes — who wins, by
-// what factor, where curves bend — are the reproduction target, and
-// EXPERIMENTS.md records both sides.
+// Each experiment builds a scenario.Scenario, runs its expansion on the
+// sweep engine (scenario.Run; Figure 7, whose skew samples live in
+// core.RunStats rather than in a Record, executes each expanded spec
+// with scenario.ExecuteStats), derives structured results from the
+// records, and prints the same rows the paper reports. Absolute numbers
+// differ from the paper's (the substrate is a simulator on a small host,
+// not an 8-core Xeon cluster); the shapes — who wins, by what factor,
+// where curves bend — are the reproduction target.
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -64,62 +63,18 @@ func ParsePreset(s string) (Preset, error) {
 	}
 }
 
-// scaleFor returns the workload Scale for a preset. The tables live in
-// the workloads package so scenarios resolve the same sizes.
-func scaleFor(name string, pr Preset) int {
-	s, err := workloads.ScaleFor(name, pr.String())
-	if err != nil {
-		panic("experiments: " + err.Error())
+// anys converts an axis's values to the []any a scenario.Axis holds.
+func anys[T any](xs []T) []any {
+	out := make([]any, len(xs))
+	for i, x := range xs {
+		out[i] = x
 	}
-	return s
+	return out
 }
 
-// baseConfig is the Table 1 target scaled to simulation-friendly cache
-// sizes (per-tile cache metadata is host memory; see DESIGN.md). It is
-// the scenario preset "small-cache", so bespoke experiments and scenario
-// definitions agree on the base target.
-func baseConfig(tiles int) config.Config {
-	cfg, err := scenario.Preset("small-cache")
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	cfg.Tiles = tiles
-	return cfg
-}
-
-// runOnce executes one workload configuration and returns its stats and
-// checksum. The returned RunStats' SimulatedCycles is replaced by the
-// workload's region-of-interest time (the parallel region ending at the
-// final join) when the workload recorded one — the standard SPLASH/PARSEC
-// measurement; the raw total remains available as the max tile clock.
-// Execution and result readback are scenario.ExecuteStats, the same path
-// the sweep runner uses, so bespoke experiments and scenarios cannot
-// disagree on the result ABI.
-func runOnce(name string, threads int, scale int, cfg config.Config) (*core.RunStats, float64, error) {
-	rs, rec, err := runOnceRecord(name, threads, scale, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rs, rec.Checksum, nil
-}
-
-// runOnceRecord is runOnce returning the whole scenario Record, for
-// experiments that also need the config digest or stats snapshot.
-func runOnceRecord(name string, threads int, scale int, cfg config.Config) (*core.RunStats, scenario.Record, error) {
-	spec := scenario.RunSpec{
-		Scenario: "bespoke",
-		Workload: name,
-		Threads:  threads,
-		Scale:    scale,
-		Seed:     cfg.RandSeed,
-		Config:   cfg,
-	}
-	rec, rs := scenario.ExecuteStats(&spec)
-	if rec.Error != "" {
-		return nil, scenario.Record{}, errors.New(rec.Error)
-	}
-	return rs, rec, nil
-}
+// syncModels are the three synchronization models Figures 6 and 7 and
+// Table 3 compare, in the paper's order.
+var syncModels = []config.SyncModel{config.Lax, config.LaxP2P, config.LaxBarrier}
 
 // nativeTime measures the wall-clock time of the native variant, repeated
 // until at least minDuration has elapsed to get a stable measurement.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/simtest"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 func TestParsePreset(t *testing.T) {
@@ -23,11 +24,14 @@ func TestParsePreset(t *testing.T) {
 	}
 }
 
+// TestScaleForCoversAllWorkloadsAndPresets: every preset's spelling is a
+// scenario Size the workloads resolve, so an experiment's scenario never
+// fails to expand for want of a problem size.
 func TestScaleForCoversAllWorkloadsAndPresets(t *testing.T) {
-	for _, name := range []string{"fft", "lu_cont", "radix", "blackscholes", "matmul"} {
+	for _, name := range []string{"fft", "lu_cont", "radix", "blackscholes", "matmul", "fmm"} {
 		for _, pr := range []Preset{Quick, Standard, Full} {
-			if s := scaleFor(name, pr); s <= 0 {
-				t.Fatalf("scaleFor(%s, %v) = %d", name, pr, s)
+			if s, err := workloads.ScaleFor(name, pr.String()); err != nil || s <= 0 {
+				t.Fatalf("ScaleFor(%s, %v) = %d, %v", name, pr, s, err)
 			}
 		}
 	}
@@ -214,8 +218,7 @@ func TestFig9Quick(t *testing.T) {
 	}
 }
 
-// expDeadline bounds one experiment of a test: the slowest takes seconds,
-// the 256-tile host-scaling point under the race detector a minute.
+// expDeadline bounds one experiment of a test: the slowest takes seconds.
 const expDeadline = 5 * time.Minute
 
 // bounded runs one experiment — some number of simulations — under

@@ -34,14 +34,10 @@ func Fig4Scenario(pr Preset, benchmarks []string, hostCores []int, tiles int) *s
 		Size:   pr.String(),
 		Base:   map[string]any{"Tiles": tiles},
 	}
-	vals := make([]any, len(hostCores))
-	for i, hc := range hostCores {
-		vals[i] = hc
-	}
 	for _, b := range benchmarks {
 		sc.Grids = append(sc.Grids, scenario.Grid{
 			Workload: b,
-			Axes:     []scenario.Axis{{Field: "Workers", Values: vals}},
+			Axes:     []scenario.Axis{{Field: "Workers", Values: anys(hostCores)}},
 		})
 	}
 	return sc

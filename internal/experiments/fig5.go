@@ -3,7 +3,7 @@ package experiments
 import (
 	"io"
 
-	"repro/internal/config"
+	"repro/internal/scenario"
 )
 
 // Fig5Point is one (machines, wall time) measurement.
@@ -21,10 +21,26 @@ type Fig5Result struct {
 	Points      []Fig5Point
 }
 
-// Fig5 runs the large-target scaling study. The paper uses 1024 tiles on
-// 1..10 machines; presets scale the tile count to host memory (per-tile
-// cache metadata) while keeping one thread per tile and the neighbour
-// messaging pattern.
+// Fig5Scenario expresses the large-target study declaratively: matmul
+// with one thread per tile on the lean per-tile caches of preset
+// "large-target" (host memory), sweeping the simulated process count.
+// It runs Serial because the measurement is wall-clock time.
+func Fig5Scenario(machines []int, tiles, scale int) *scenario.Scenario {
+	return &scenario.Scenario{
+		Name:     "fig5",
+		Preset:   "large-target",
+		Workload: "matmul",
+		Scale:    scale,
+		Serial:   true,
+		Base:     map[string]any{"Tiles": tiles},
+		Grids:    []scenario.Grid{{Axes: []scenario.Axis{{Field: "Processes", Values: anys(machines)}}}},
+	}
+}
+
+// Fig5 runs the large-target scaling study through the shared scenario
+// runner. The paper uses 1024 tiles on 1..10 machines; presets scale the
+// tile count to host memory (per-tile cache metadata) while keeping one
+// thread per tile and the neighbour messaging pattern.
 func Fig5(pr Preset, machines []int) (*Fig5Result, error) {
 	if len(machines) == 0 {
 		machines = []int{1, 2, 4, 6, 8, 10}
@@ -37,23 +53,14 @@ func Fig5(pr Preset, machines []int) (*Fig5Result, error) {
 	case Standard:
 		tiles, scale = 256, 64
 	}
+	records, err := scenario.Run(Fig5Scenario(machines, tiles, scale), scenario.Options{})
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig5Result{TargetTiles: tiles}
-	base := 0.0
-	for _, m := range machines {
-		cfg := baseConfig(tiles)
-		cfg.Processes = m
-		// Large targets need lean per-tile caches (host memory).
-		cfg.L1D = config.CacheConfig{Enabled: true, Size: 4 << 10, Assoc: 2, LineSize: 64, HitLatency: 1}
-		cfg.L2 = config.CacheConfig{Enabled: true, Size: 32 << 10, Assoc: 4, LineSize: 64, HitLatency: 8}
-		rs, _, err := runOnce("matmul", tiles, scale, cfg)
-		if err != nil {
-			return nil, err
-		}
-		wall := rs.Wall.Seconds()
-		if base == 0 {
-			base = wall
-		}
-		res.Points = append(res.Points, Fig5Point{Machines: m, WallSec: wall, Speedup: base / wall})
+	base := records[0].WallSec
+	for i, r := range records {
+		res.Points = append(res.Points, Fig5Point{Machines: machines[i], WallSec: r.WallSec, Speedup: base / r.WallSec})
 	}
 	return res, nil
 }

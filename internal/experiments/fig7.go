@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 // Fig7Trace is the clock-skew trace of one synchronization model.
@@ -24,30 +26,46 @@ type Fig7Result struct {
 	Traces []Fig7Trace
 }
 
-// Fig7 runs the skew study.
-func Fig7(pr Preset) (*Fig7Result, error) {
-	tiles, threads := 32, 32
-	if pr == Quick {
-		tiles, threads = 8, 8
+// Fig7Scenario expresses the skew study declaratively: fmm with skew
+// sampling on, one run per synchronization model.
+func Fig7Scenario(pr Preset, tiles int, slack, interval arch.Cycles) *scenario.Scenario {
+	return &scenario.Scenario{
+		Name:     "fig7",
+		Preset:   "small-cache",
+		Size:     pr.String(),
+		Workload: "fmm",
+		Base: map[string]any{
+			"Tiles":               tiles,
+			"CollectSkew":         true,
+			"Sync.BarrierQuantum": 1000,
+			"Sync.P2PSlack":       slack,
+			"Sync.P2PInterval":    interval,
+		},
+		Grids: []scenario.Grid{{Axes: []scenario.Axis{{Field: "Sync.Model", Values: anys(syncModels)}}}},
 	}
-	scale := scaleFor("fmm", pr)
+}
+
+// Fig7 runs the skew study. Its samples live in core.RunStats, which a
+// Record does not carry, so it executes each expanded spec itself, one
+// at a time: the samples are stamped with wall-clock time.
+func Fig7(pr Preset) (*Fig7Result, error) {
+	tiles := 32
+	slack, interval := arch.Cycles(20_000), arch.Cycles(5_000)
+	if pr == Quick {
+		tiles = 8
+		slack, interval = 5_000, 2_000
+	}
+	specs, err := Fig7Scenario(pr, tiles, slack, interval).Expand()
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig7Result{}
-	for _, m := range []config.SyncModel{config.Lax, config.LaxP2P, config.LaxBarrier} {
-		cfg := baseConfig(tiles)
-		cfg.CollectSkew = true
-		cfg.Sync.Model = m
-		cfg.Sync.BarrierQuantum = 1000
-		cfg.Sync.P2PSlack = 5_000
-		cfg.Sync.P2PInterval = 2_000
-		if pr != Quick {
-			cfg.Sync.P2PSlack = 20_000
-			cfg.Sync.P2PInterval = 5_000
+	for i := range specs {
+		rec, rs := scenario.ExecuteStats(&specs[i])
+		if rec.Error != "" {
+			return nil, fmt.Errorf("fig7 %s: %s", specs[i].Config.Sync.Model, rec.Error)
 		}
-		rs, _, err := runOnce("fmm", threads, scale, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tr := Fig7Trace{Model: m, Samples: rs.Skew}
+		tr := Fig7Trace{Model: specs[i].Config.Sync.Model, Samples: rs.Skew}
 		for _, s := range rs.Skew {
 			if spread := int64(s.Max - s.Min); spread > tr.MaxSkew {
 				tr.MaxSkew = spread

@@ -33,14 +33,6 @@ type Fig8Result struct {
 // simulated (miss counters, not wall time), so the runner executes them
 // host-parallel.
 func Fig8Scenario(pr Preset, benchmarks []string, lineSizes []int, tiles, l2Size int) *scenario.Scenario {
-	wl := make([]any, len(benchmarks))
-	for i, b := range benchmarks {
-		wl[i] = b
-	}
-	ls := make([]any, len(lineSizes))
-	for i, v := range lineSizes {
-		ls[i] = v
-	}
 	return &scenario.Scenario{
 		Name:   "fig8",
 		Preset: "l2-only",
@@ -48,8 +40,8 @@ func Fig8Scenario(pr Preset, benchmarks []string, lineSizes []int, tiles, l2Size
 		Base:   map[string]any{"Tiles": tiles, "L2.Size": l2Size},
 		Grids: []scenario.Grid{{
 			Axes: []scenario.Axis{
-				{Field: "workload", Values: wl},
-				{Field: "L2.LineSize", Values: ls},
+				{Field: "workload", Values: anys(benchmarks)},
+				{Field: "L2.LineSize", Values: anys(lineSizes)},
 			},
 		}},
 	}

@@ -52,10 +52,6 @@ func Fig9Schemes() []Fig9Scheme {
 // base overrides), each sweeping the target tile count. The metric is
 // simulated cycles, so the runner executes the grid host-parallel.
 func Fig9Scenario(pr Preset, tileCounts []int) *scenario.Scenario {
-	tc := make([]any, len(tileCounts))
-	for i, t := range tileCounts {
-		tc[i] = t
-	}
 	sc := &scenario.Scenario{
 		Name:     "fig9",
 		Preset:   "small-cache",
@@ -70,7 +66,7 @@ func Fig9Scenario(pr Preset, tileCounts []int) *scenario.Scenario {
 				"Coherence.TrapLatency": 100,
 				"Coherence.DirLatency":  10,
 			},
-			Axes: []scenario.Axis{{Field: "Tiles", Values: tc}},
+			Axes: []scenario.Axis{{Field: "Tiles", Values: anys(tileCounts)}},
 		})
 	}
 	return sc

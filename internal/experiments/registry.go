@@ -113,30 +113,6 @@ func Registry() []Experiment {
 			},
 		},
 		{
-			Name:    "mpscale",
-			Summary: "single-simulation scaling across OS processes (§4.2, single host)",
-			Run: func(w io.Writer, o Options) error {
-				r, err := MPScale(o.Preset, o.Sizes)
-				if err != nil {
-					return err
-				}
-				r.Print(w)
-				return nil
-			},
-		},
-		{
-			Name:    "hostscale",
-			Summary: "host-worker scaling at 64-1024 simulated tiles in one process",
-			Run: func(w io.Writer, o Options) error {
-				r, err := HostScale(o.Preset, o.Sizes, nil)
-				if err != nil {
-					return err
-				}
-				r.Print(w)
-				return nil
-			},
-		},
-		{
 			Name:    "fig8",
 			Summary: "cache miss breakdown versus line size",
 			Run: func(w io.Writer, o Options) error {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/config"
+	"repro/internal/scenario"
 )
 
 // SyncCell is the measurement of one (benchmark, sync model, processes)
@@ -37,8 +38,40 @@ type Table3Result struct {
 	Procs       int
 }
 
-// Table3 runs the synchronization-model study: each benchmark × model ×
-// process-count cell is repeated runs times (the paper uses ten).
+// Table3Scenario expresses the synchronization-model study
+// declaratively: one grid per benchmark sweeping sync model × simulated
+// process count, every point repeated runs times (consecutive run
+// indices, hence distinct seeds). It runs Serial because the runtime
+// column is wall-clock time.
+func Table3Scenario(pr Preset, benchmarks []string, runs, tiles, procs int, slack, interval arch.Cycles) *scenario.Scenario {
+	sc := &scenario.Scenario{
+		Name:    "table3",
+		Preset:  "small-cache",
+		Size:    pr.String(),
+		Repeats: runs,
+		Serial:  true,
+		Base: map[string]any{
+			"Tiles":               tiles,
+			"Sync.BarrierQuantum": 1000,
+			"Sync.P2PSlack":       slack,
+			"Sync.P2PInterval":    interval,
+		},
+	}
+	for _, b := range benchmarks {
+		sc.Grids = append(sc.Grids, scenario.Grid{
+			Workload: b,
+			Axes: []scenario.Axis{
+				{Field: "Sync.Model", Values: anys(syncModels)},
+				{Field: "Processes", Values: []any{1, procs}},
+			},
+		})
+	}
+	return sc
+}
+
+// Table3 runs the synchronization-model study through the shared
+// scenario runner: each benchmark × model × process-count cell is
+// repeated runs times (the paper uses ten).
 func Table3(pr Preset, benchmarks []string, runs int) (*Table3Result, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = []string{"lu_cont", "ocean_cont", "radix"}
@@ -46,18 +79,34 @@ func Table3(pr Preset, benchmarks []string, runs int) (*Table3Result, error) {
 	if runs <= 0 {
 		runs = 10
 	}
-	tiles, threads, procs := 32, 32, 4
+	tiles, procs := 32, 4
 	// The P2P slack must be small relative to the run's simulated length
 	// (the paper's 100k-cycle slack is tuned to multi-billion-cycle runs).
 	slack, interval := arch.Cycles(100_000), arch.Cycles(10_000)
 	if pr == Quick {
-		tiles, threads, procs, runs = 8, 8, 2, min(runs, 3)
+		tiles, procs, runs = 8, 2, min(runs, 3)
 		slack, interval = 1_000, 500
 	} else if pr == Standard {
 		slack, interval = 20_000, 5_000
 	}
-	models := []config.SyncModel{config.Lax, config.LaxP2P, config.LaxBarrier}
+	records, err := scenario.Run(Table3Scenario(pr, benchmarks, runs, tiles, procs, slack, interval), scenario.Options{})
+	if err != nil {
+		return nil, err
+	}
+
+	// A grid's points are model-major, process count fastest; cell
+	// Grid*points+Point collects that point's repeats.
 	procCounts := []int{1, procs}
+	points := len(syncModels) * len(procCounts)
+	type cellData struct {
+		wall, cycles []float64
+	}
+	data := make([]cellData, len(benchmarks)*points)
+	for _, r := range records {
+		cd := &data[r.Grid*points+r.Point]
+		cd.wall = append(cd.wall, r.WallSec)
+		cd.cycles = append(cd.cycles, float64(r.SimCycles))
+	}
 
 	res := &Table3Result{
 		Runs:        runs,
@@ -66,48 +115,16 @@ func Table3(pr Preset, benchmarks []string, runs int) (*Table3Result, error) {
 		MeanError:   map[config.SyncModel]float64{},
 		MeanCoV:     map[config.SyncModel]float64{},
 	}
-
-	type cellData struct {
-		wall, cycles []float64
-	}
-	data := map[string]map[config.SyncModel]map[int]*cellData{}
-	for _, b := range benchmarks {
-		data[b] = map[config.SyncModel]map[int]*cellData{}
-		scale := scaleFor(b, pr)
-		for _, m := range models {
-			data[b][m] = map[int]*cellData{}
-			for _, pc := range procCounts {
-				cd := &cellData{}
-				for r := 0; r < runs; r++ {
-					cfg := baseConfig(tiles)
-					cfg.Processes = pc
-					cfg.Sync.Model = m
-					cfg.Sync.BarrierQuantum = 1000
-					cfg.Sync.P2PSlack = slack
-					cfg.Sync.P2PInterval = interval
-					cfg.RandSeed = int64(r + 1)
-					rs, _, err := runOnce(b, threads, scale, cfg)
-					if err != nil {
-						return nil, err
-					}
-					cd.wall = append(cd.wall, rs.Wall.Seconds())
-					cd.cycles = append(cd.cycles, float64(rs.SimulatedCycles))
-				}
-				data[b][m][pc] = cd
-			}
-		}
-	}
-
-	// Normalize and summarize.
 	sums := map[config.SyncModel][2]float64{}
 	errSums := map[config.SyncModel]float64{}
 	covSums := map[config.SyncModel]float64{}
-	for _, b := range benchmarks {
-		laxBase := mean(data[b][config.Lax][1].wall)
-		baseline := mean(data[b][config.LaxBarrier][1].cycles)
-		for _, m := range models {
+	for bi, b := range benchmarks {
+		cell := func(mi, pi int) *cellData { return &data[bi*points+mi*len(procCounts)+pi] }
+		laxBase := mean(cell(0, 0).wall)
+		baseline := mean(cell(len(syncModels)-1, 0).cycles) // LaxBarrier, 1 process
+		for mi, m := range syncModels {
 			for pi, pc := range procCounts {
-				cd := data[b][m][pc]
+				cd := cell(mi, pi)
 				wallMean := mean(cd.wall)
 				cycMean := mean(cd.cycles)
 				errPct := 0.0
@@ -138,7 +155,7 @@ func Table3(pr Preset, benchmarks []string, runs int) (*Table3Result, error) {
 		}
 	}
 	nb := float64(len(benchmarks))
-	for _, m := range models {
+	for _, m := range syncModels {
 		res.MeanRunTime[m] = [2]float64{sums[m][0] / nb, sums[m][1] / nb}
 		res.MeanError[m] = errSums[m] / nb
 		res.MeanCoV[m] = covSums[m] / nb
@@ -165,7 +182,7 @@ func (r *Table3Result) Print(w io.Writer) {
 	}
 	fprintf(w, "\nSummary (means over benchmarks):\n")
 	fprintf(w, "%-11s %14s %14s %10s %8s\n", "model", "runtime(1mc)", "runtime(Nmc)", "error%%", "CoV%%")
-	for _, m := range []config.SyncModel{config.Lax, config.LaxP2P, config.LaxBarrier} {
+	for _, m := range syncModels {
 		rt := r.MeanRunTime[m]
 		fprintf(w, "%-11s %14.3f %14.3f %9.2f%% %7.2f%%\n",
 			m.String(), rt[0], rt[1], r.MeanError[m], r.MeanCoV[m])

@@ -14,6 +14,7 @@ package mcp
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
@@ -55,11 +56,15 @@ type CheckpointPolicy struct {
 	OnError func(err error)
 }
 
-// ckptMaxProbeRounds bounds the drain probe. Residual post-barrier
-// traffic is a bounded set of eviction chains, each shortened by every
-// round trip, so a drain that outlasts this many rounds means the fabric
-// is wedged; the checkpoint is abandoned and the run released.
-const ckptMaxProbeRounds = 1000
+// ckptDrainTimeout bounds the drain probe by host time since the
+// checkpoint's first probe. Residual post-barrier traffic is a bounded
+// set of eviction chains, each shortened by every round trip, so a drain
+// that outlasts it means the fabric is wedged; the checkpoint is
+// abandoned and the run released. Rounds run back to back, and their
+// number is no bound: one takes microseconds in-process, so a shard
+// descheduled for a few milliseconds on a loaded host outlasts a
+// thousand of them.
+const ckptDrainTimeout = 10 * time.Second
 
 // SetCheckpoint attaches the policy. Call before the simulation starts
 // (the serve goroutine reads the field without locking).
@@ -89,6 +94,7 @@ func (s *Server) maybeCheckpoint(epoch int64) bool {
 	s.ckptPrevSent = ^uint64(0)
 	s.ckptPrevRecv = ^uint64(0)
 	s.ckptRounds = 0
+	s.ckptStart = time.Now() //graphite:wallclock host-liveness bound of the drain probe (ckptDrainTimeout); it decides only whether a snapshot is kept, never simulated state
 	s.ckptSaves = s.ckptSaves[:0]
 	s.sendCkptProbes()
 	return true
@@ -127,8 +133,9 @@ func (s *Server) handleCkptProbeRep(pkt network.Packet) {
 	}
 	s.ckptPrevSent, s.ckptPrevRecv = s.ckptSent, s.ckptRecv
 	s.ckptRounds++
-	if s.ckptRounds > ckptMaxProbeRounds {
-		s.abortCheckpoint(fmt.Errorf("mcp: checkpoint at epoch %d abandoned: traffic did not drain in %d probe rounds", s.ckptEpoch, ckptMaxProbeRounds))
+	//graphite:wallclock host-liveness bound of the drain probe (ckptDrainTimeout); it decides only whether a snapshot is kept, never simulated state
+	if waited := time.Since(s.ckptStart); waited > ckptDrainTimeout {
+		s.abortCheckpoint(fmt.Errorf("mcp: checkpoint at epoch %d abandoned: traffic did not drain in %v (%d probe rounds)", s.ckptEpoch, waited.Round(time.Millisecond), s.ckptRounds))
 		return
 	}
 	s.sendCkptProbes()

@@ -98,6 +98,7 @@ type Server struct {
 	ckptPrevSent uint64
 	ckptPrevRecv uint64
 	ckptRounds   int
+	ckptStart    time.Time // first probe of the checkpoint in progress
 	ckptSaves    []CkptSaveResult
 	ckptFailed   chan error
 

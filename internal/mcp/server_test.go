@@ -6,11 +6,13 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/checkpoint"
 	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/network"
 	"repro/internal/simtest"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // mcpHarness drives a real MCP server with crafted packets from fake
@@ -423,6 +425,60 @@ func TestSimBarrierReleasesPastReceiveBlocked(t *testing.T) {
 	}
 	if second.Type != MsgCkptProbe {
 		t.Fatalf("with every thread waiting, the LCP got %s, want the checkpoint's drain probe", msgName(second.Type))
+	}
+}
+
+// TestCheckpointDrainOutlastsManyRounds: a process that answers the
+// drain probe "not quiesced" for more than a thousand rounds — a shard
+// descheduled for a few milliseconds outlasts that many in-process
+// rounds — and then drains gets its checkpoint saved, not abandoned. The
+// drain is bounded by host time, not by a round count.
+func TestCheckpointDrainOutlastsManyRounds(t *testing.T) {
+	const busyRounds = 1500
+	h := newHarness(t, 1)
+	h.srv.StartMain(0)
+	h.lcp.Recv(network.ClassSystem)
+	var saved, failed []string
+	h.srv.SetCheckpoint(&CheckpointPolicy{
+		Dir:     t.TempDir(),
+		Every:   1,
+		OnSaved: func(epoch int64, _ *checkpoint.Manifest) { saved = append(saved, fmt.Sprint(epoch)) },
+		OnError: func(err error) { failed = append(failed, err.Error()) },
+	})
+	reply := func(typ uint8, seq uint64, payload []byte) {
+		if _, err := h.lcp.Send(network.ClassSystem, typ, arch.TileID(transport.MCP), seq, payload, 0); err != nil {
+			t.Error(err)
+		}
+	}
+	var release network.Packet
+	simtest.Deadline(t, time.Minute, func() {
+		h.simWait(t, SimWait{Tile: 0, Epoch: 1})
+		for round := 0; round <= busyRounds; round++ {
+			probe, _ := h.lcp.Recv(network.ClassSystem)
+			if probe.Type != MsgCkptProbe {
+				t.Errorf("probe round %d: the LCP got %s, want CkptProbe", round, msgName(probe.Type))
+				return
+			}
+			rep := CkptProbeRep{Quiesced: round == busyRounds}
+			reply(MsgCkptProbeRep, probe.Seq, wire.Encode(rep.Walk))
+		}
+		save, _ := h.lcp.Recv(network.ClassSystem)
+		if save.Type != MsgCkptSave {
+			t.Errorf("after the drain, the LCP got %s, want CkptSave", msgName(save.Type))
+			return
+		}
+		res := CkptSaveResult{Proc: 0, File: "p0.state", FileSum: "sum", StateDigest: "sum"}
+		reply(MsgCkptSaveRep, save.Seq, wire.Encode(res.Walk))
+		release, _ = h.lcp.Recv(network.ClassSystem)
+	})
+	if t.Failed() {
+		return
+	}
+	if epoch, err := DecodeU64(release.Payload); release.Type != MsgSimBarrierRelease || err != nil || epoch != 1 {
+		t.Fatalf("after the save, the LCP got %s %v, want the release of epoch 1", msgName(release.Type), release.Payload)
+	}
+	if len(failed) != 0 || len(saved) != 1 {
+		t.Fatalf("checkpoint saved at epochs %v with errors %v, want saved at 1 without errors", saved, failed)
 	}
 }
 

@@ -9,9 +9,10 @@
 //
 // Scenarios come from two places: JSON files loaded with Load (the
 // cmd/graphite-sweep -scenario mode), and Go code building the structs
-// directly (the experiments package expresses the paper's tables and
-// figures this way, so bespoke loops and declarative sweeps share one
-// execution path).
+// directly. The experiments package builds every table and figure of the
+// paper this way and runs it with Run, as the -scenario mode runs a
+// file; Figure 7 alone executes its expanded specs with ExecuteStats,
+// because its clock-skew samples are not part of a Record.
 package scenario
 
 import (
@@ -167,9 +168,7 @@ type RunSpec struct {
 
 // presets maps preset names to base configurations. "default" is the
 // paper's Table 1 target; the others are the evaluation section's
-// variants, shared with internal/experiments so a figure regenerated
-// bespoke and the same figure expressed as a scenario start from the
-// same configuration.
+// variants, which internal/experiments' scenarios name.
 var presets = map[string]func() config.Config{
 	// The Table 1 target architecture.
 	"default": config.Default,

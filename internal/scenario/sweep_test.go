@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,7 @@ import (
 
 // sweepSpecs expands a four-run sweep (two workloads × two line sizes),
 // single-threaded so records are byte-deterministic.
-func sweepSpecs(t *testing.T) []RunSpec {
+func sweepSpecs(t testing.TB) []RunSpec {
 	t.Helper()
 	s := detScenario()
 	s.Workload = ""
@@ -75,6 +77,77 @@ func TestSweepResumeAdoptionRules(t *testing.T) {
 			t.Fatalf("run %d: got %s/%d cycles, want %s/%d", i, records[i].Workload, records[i].SimCycles, specs[i].Workload, full[i].SimCycles)
 		}
 	}
+}
+
+// FuzzResume feeds arbitrary bytes to the -resume path, ReadJSONL into
+// NewSweep's adoption, seeded with a real sweep's output. It must not
+// panic, and run i adopts a record exactly when one carries run index i,
+// no error, run i's config digest and its workload, threads and scale —
+// the first such record, results intact.
+func FuzzResume(f *testing.F) {
+	specs := sweepSpecs(f)
+	cold := NewSweep(specs, SweepOptions{})
+	cold.Work(2)
+	records, err := cold.Wait()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var real bytes.Buffer
+	if err := WriteJSONL(&real, records); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.Bytes())
+	f.Add(real.Bytes()[:real.Len()/2])
+	edited := append([]Record(nil), records...)
+	edited[1].ConfigDigest = "stale"
+	edited[2].Workload = specs[3].Workload
+	edited[3].Error = "killed"
+	edited = append(edited, records[0], Record{Run: -1}, Record{Run: len(specs)})
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, edited); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	digests := make([]string, len(specs))
+	for i := range specs {
+		digests[i] = Digest(&specs[i].Config)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		resume, err := ReadJSONL(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		sw := NewSweep(specs, SweepOptions{Resume: resume})
+		reused := sw.Reused()
+		sw.Cancel("not resumed")
+		got, _ := sw.Wait()
+		adopted := 0
+		for i, spec := range specs {
+			var want *Record
+			for ri := range resume {
+				r := &resume[ri]
+				if r.Run == i && r.Error == "" && r.ConfigDigest == digests[i] &&
+					r.Workload == spec.Workload && r.Threads == spec.Threads && r.Scale == spec.Scale {
+					want = r
+					break
+				}
+			}
+			if (got[i].Error == "") != (want != nil) {
+				t.Fatalf("run %d: adopted %v, want %v (record %+v)", i, got[i].Error == "", want != nil, got[i])
+			}
+			if want == nil {
+				continue
+			}
+			adopted++
+			if got[i].SimCycles != want.SimCycles || math.Float64bits(got[i].Checksum) != math.Float64bits(want.Checksum) ||
+				!reflect.DeepEqual(got[i].Stats, want.Stats) {
+				t.Fatalf("run %d adopted other results than its resumed record's", i)
+			}
+		}
+		if reused != adopted {
+			t.Fatalf("Reused() = %d, want %d", reused, adopted)
+		}
+	})
 }
 
 // TestSweepFlushesInRunOrder: record i reaches Out only once records

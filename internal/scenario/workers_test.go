@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/simtest"
 )
 
 // workersScenario is radix and fft at four line sizes under the three
@@ -77,5 +79,43 @@ func TestWorkerCountKeepsResults(t *testing.T) {
 					spec.Run, spec.Axes, w, rec.SimCycles, rec.Stats, ref.SimCycles, ref.Stats)
 			}
 		}
+	}
+}
+
+// TestWorkerCountKeepsChecksum256: a 256-tile run with one application
+// thread per tile (matmul on preset "large-target"'s lean caches) gives
+// the same workload checksum and config digest at one memory-server
+// shard and at two. A multi-thread run promises only that much across
+// worker counts. It reaches the epoch-batched barrier ledger and the
+// dense construction path at a tile count no other test does, and CI
+// runs it under -race.
+func TestWorkerCountKeepsChecksum256(t *testing.T) {
+	s := &scenario.Scenario{
+		Name:     "workers-256",
+		Preset:   "large-target",
+		Workload: "matmul",
+		Base:     map[string]any{"Tiles": 256},
+		Grids:    []scenario.Grid{{}},
+	}
+	specs, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [2]scenario.Record
+	simtest.Deadline(t, 5*time.Minute, func() {
+		for i := range recs {
+			spec := specs[0]
+			spec.Config.Workers = i + 1
+			recs[i] = scenario.Execute(&spec)
+		}
+	})
+	for i, rec := range recs {
+		if rec.Error != "" {
+			t.Fatalf("Workers=%d: %s", i+1, rec.Error)
+		}
+	}
+	if recs[1].Checksum != recs[0].Checksum || recs[1].ConfigDigest != recs[0].ConfigDigest {
+		t.Fatalf("Workers=2 gives checksum %v and digest %s, Workers=1 %v and %s",
+			recs[1].Checksum, recs[1].ConfigDigest, recs[0].Checksum, recs[0].ConfigDigest)
 	}
 }

@@ -56,7 +56,7 @@ type (
 	ThreadFunc = core.ThreadFunc
 	// RunStats is the outcome of one run.
 	RunStats = core.RunStats
-	// SkewSample is one clock-skew observation (Figure 7).
+	// SkewSample is one clock-skew observation (Figure 7) at a cycle.
 	SkewSample = core.SkewSample
 	// Addr is a simulated memory address.
 	Addr = arch.Addr

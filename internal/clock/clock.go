@@ -80,12 +80,15 @@ func (c *Local) Set(t arch.Cycles) {
 // called, so where Now is called is part of the model's behaviour.
 type ProgressWindow struct {
 	mu sync.Mutex
-	// The lock word has a cache line to itself: a waiter spins reading
-	// it, and on the line of the fields below every read would pull the
-	// line from under the holder's next write.
-	_     [56]byte
-	slots []int64 // ring of the last len(slots) samples, zero before filled
-	cur   Cursor  // sum, floor and ring position
+	// The floor sampler (OnFloor) shares the lock word's line, which
+	// Unlock writes anyway. The rest of the line is padding: a waiter
+	// spins reading the word, and on the line of the fields below every
+	// read would pull the line from under the holder's next write.
+	floorAt int64
+	onFloor func(floor arch.Cycles) arch.Cycles
+	_       [40]byte
+	slots   []int64 // ring of the last len(slots) samples, zero before filled
+	cur     Cursor  // sum, floor and ring position
 
 	// mulSafe is the largest high for which (high+1)*len(slots) cannot
 	// overflow, so NowLocked may test the floor by multiplication.
@@ -120,17 +123,36 @@ func NewProgressWindow(size int) *ProgressWindow {
 		size = 1
 	}
 	return &ProgressWindow{
+		floorAt: math.MaxInt64,
 		slots:   make([]int64, size),
 		mulSafe: math.MaxInt64/int64(size) - 1,
 	}
+}
+
+// OnFloor installs f as the window's floor sampler: the lock holder
+// calls f under the lock as it releases it, the first time the floor —
+// the value Now last returned — has reached at; f returns the floor at
+// which to call it next (MaxInt64: never). The check reads the floor
+// without moving it, so a sampler changes no simulated result; without
+// one it is a compare per Unlock.
+func (w *ProgressWindow) OnFloor(at arch.Cycles, f func(floor arch.Cycles) (next arch.Cycles)) {
+	w.mu.Lock()
+	w.floorAt, w.onFloor = int64(at), f
+	w.mu.Unlock()
 }
 
 // Lock acquires the contention-model lock. Hold it only for the
 // ObserveLocked/NowLocked calls and queue updates of one transaction.
 func (w *ProgressWindow) Lock() { w.mu.Lock() }
 
-// Unlock releases the contention-model lock.
-func (w *ProgressWindow) Unlock() { w.mu.Unlock() }
+// Unlock releases the contention-model lock, first running the floor
+// sampler if the floor has reached its next point.
+func (w *ProgressWindow) Unlock() {
+	if w.cur.high >= w.floorAt {
+		w.floorAt = int64(w.onFloor(arch.Cycles(w.cur.high)))
+	}
+	w.mu.Unlock()
+}
 
 // Observe records a message timestamp.
 func (w *ProgressWindow) Observe(t arch.Cycles) {
@@ -150,7 +172,7 @@ func (w *ProgressWindow) ObserveLocked(t arch.Cycles) { w.cur = w.observe(w.cur,
 func (w *ProgressWindow) Now() arch.Cycles {
 	w.mu.Lock()
 	now := w.NowLocked()
-	w.mu.Unlock()
+	w.Unlock()
 	return now
 }
 

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -252,5 +253,47 @@ func TestProgressWindowMonotonicNow(t *testing.T) {
 		if got := w.Now(); got < high {
 			t.Fatalf("progress regressed: %d after %d", got, high)
 		}
+	}
+}
+
+// TestOnFloorSamplesWithoutMovingTheFloor: the sampler runs once the
+// floor Now last returned reaches each requested point, with that floor,
+// and installing it moves no value Now returns.
+func TestOnFloorSamplesWithoutMovingTheFloor(t *testing.T) {
+	feed := []arch.Cycles{100, 900, 1500, 1600, 4000, 4100, 9000}
+	var plain []arch.Cycles
+	w := NewProgressWindow(2)
+	for _, v := range feed {
+		w.Observe(v)
+		plain = append(plain, w.Now())
+	}
+
+	var floors []arch.Cycles
+	w = NewProgressWindow(2)
+	w.OnFloor(1000, func(floor arch.Cycles) arch.Cycles {
+		floors = append(floors, floor)
+		return (floor/1000 + 1) * 1000
+	})
+	for i, v := range feed {
+		w.Observe(v)
+		if got := w.Now(); got != plain[i] {
+			t.Fatalf("Now() = %d with a sampler, %d without", got, plain[i])
+		}
+	}
+	// Floors: 100, 500, 1200, 1550, 2800, 4050, 6550.
+	want := []arch.Cycles{1200, 2800, 4050, 6550}
+	if len(floors) != len(want) {
+		t.Fatalf("sampled at %v, want %v", floors, want)
+	}
+	for i := range want {
+		if floors[i] != want[i] {
+			t.Fatalf("sampled at %v, want %v", floors, want)
+		}
+	}
+	w.OnFloor(math.MaxInt64, nil)
+	w.Observe(1 << 20)
+	w.Now()
+	if len(floors) != len(want) {
+		t.Fatal("a removed sampler ran")
 	}
 }

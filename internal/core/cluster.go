@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -19,8 +19,9 @@ import (
 
 // SkewSample is one observation of clock skew across tiles (Figure 7).
 type SkewSample struct {
-	// Wall is the wall-clock offset from simulation start.
-	Wall time.Duration
+	// Cycle is the simulated cycle at which the sample was taken: the
+	// floor of process 0's progress window.
+	Cycle arch.Cycles
 	// Min, Max, Mean summarize the clocks of tiles with running threads.
 	Min, Max, Mean arch.Cycles
 }
@@ -86,8 +87,10 @@ type Cluster struct {
 	// checkpoints and direct idle-cluster capture.
 	ckpt *mcp.CheckpointPolicy
 
-	skewMu sync.Mutex
-	skew   []SkewSample
+	// skew holds the clock-skew samples (sampleSkew), taken every
+	// skewEvery cycles of process 0's progress window.
+	skew      []SkewSample
+	skewEvery arch.Cycles
 
 	// unwatch unregisters the cluster's wedged-run report (park.Watch).
 	unwatch func()
@@ -215,12 +218,11 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(pin))
 	}
 	c.start(w)
-	start := time.Now() //graphite:wallclock wall_sec slowdown reporting (Table 2); measures host time only, never feeds simulated state
 	if c.cfg.CollectSkew {
-		skewStop := make(chan struct{})
-		defer close(skewStop)
-		go c.sampleSkew(start, skewStop)
+		c.skewEvery = skewEvery
+		c.procs[0].progress.OnFloor(skewEvery, c.sampleSkew)
 	}
+	start := time.Now() //graphite:wallclock wall_sec slowdown reporting (Table 2); measures host time only, never feeds simulated state
 	if err := m.StartMain(arg); err != nil {
 		return nil, err
 	}
@@ -228,6 +230,9 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 		return nil, err
 	}
 	wall := time.Since(start) //graphite:wallclock wall_sec slowdown reporting; excluded from reproducibility diffs
+	if c.cfg.CollectSkew {
+		c.procs[0].progress.OnFloor(math.MaxInt64, nil) // the samples are final
+	}
 	// The flush and the gather wait for every process's reply, so they
 	// run under the same watch: a process lost after the application
 	// finished must not hang the run either.
@@ -251,15 +256,12 @@ func (c *Cluster) Run(arg uint64) (*RunStats, error) {
 	}
 	totals := stats.Aggregate(tiles)
 	c.ran = true
-	c.skewMu.Lock()
-	skew := c.skew
-	c.skewMu.Unlock()
 	return &RunStats{
 		SimulatedCycles: totals.MaxCycles,
 		Wall:            wall,
 		Tiles:           tiles,
 		Totals:          totals,
-		Skew:            skew,
+		Skew:            c.skew,
 	}, nil
 }
 
@@ -308,48 +310,49 @@ func (c *Cluster) Serve() error {
 	}
 }
 
-// sampleSkew periodically snapshots all running tiles' clocks. It reads
-// clocks directly (all simulated processes share this OS process), which
-// corresponds to the approximate skew measurement of Figure 7.
-func (c *Cluster) sampleSkew(start time.Time, stop <-chan struct{}) {
-	//graphite:wallclock Figure 7 skew measurement is wall-clock-paced by design: samples observe simulated clocks, they never advance them
-	tick := time.NewTicker(500 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		// Only running, unblocked threads participate: exited or
-		// RPC-blocked threads have frozen clocks that would read as
-		// ever-growing skew while they are merely waiting.
-		var clocks []arch.Cycles
-		for _, p := range c.procs {
-			for _, t := range p.Tiles() {
-				if t.Running() {
-					clocks = append(clocks, t.Clock.Now())
-				}
+// Skew sampling (Config.CollectSkew): the first interval between sample
+// points, in simulated cycles, and the most samples a run keeps.
+const (
+	skewEvery   arch.Cycles = 1000
+	skewSamples             = 512
+)
+
+// sampleSkew takes one of Figure 7's samples: process 0's progress window
+// calls it under its lock the first time its floor reaches each multiple
+// of c.skewEvery, so a run on one shard samples the same points with the
+// same clocks every time. It reads the clocks (atomic words) of the
+// running, unblocked threads: a blocked thread's frozen clock is waiting,
+// not behind. A full buffer keeps every other sample and doubles the
+// interval, which bounds the samples of any run.
+func (c *Cluster) sampleSkew(floor arch.Cycles) arch.Cycles {
+	s := SkewSample{Cycle: floor}
+	var n, sum arch.Cycles
+	for _, p := range c.procs {
+		for _, t := range p.tileList {
+			if !t.Running() {
+				continue
 			}
-		}
-		if len(clocks) < 2 {
-			continue
-		}
-		sort.Slice(clocks, func(i, j int) bool { return clocks[i] < clocks[j] })
-		var sum arch.Cycles
-		for _, v := range clocks {
+			v := t.Clock.Now()
+			if n == 0 || v < s.Min {
+				s.Min = v
+			}
+			s.Max = max(s.Max, v)
 			sum += v
+			n++
 		}
-		s := SkewSample{
-			Wall: time.Since(start), //graphite:wallclock sample timestamp in the skew report; observation only
-			Min:  clocks[0],
-			Max:  clocks[len(clocks)-1],
-			Mean: sum / arch.Cycles(len(clocks)),
-		}
-		c.skewMu.Lock()
-		c.skew = append(c.skew, s)
-		c.skewMu.Unlock()
 	}
+	if n >= 2 {
+		s.Mean = sum / n
+		if len(c.skew) == skewSamples {
+			for i := range skewSamples / 2 {
+				c.skew[i] = c.skew[2*i]
+			}
+			c.skew = c.skew[:skewSamples/2]
+			c.skewEvery *= 2
+		}
+		c.skew = append(c.skew, s)
+	}
+	return (floor/c.skewEvery + 1) * c.skewEvery
 }
 
 // Peek reads simulated memory functionally. Valid before Run or after Run
@@ -367,7 +370,7 @@ func (c *Cluster) Poke(addr arch.Addr, buf []byte) {
 func (c *Cluster) Tiles() []*Tile {
 	var out []*Tile
 	for _, p := range c.procs {
-		out = append(out, p.Tiles()...)
+		out = append(out, p.tileList...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -414,7 +417,7 @@ func (c *Cluster) Close() {
 	// MCP loops are waited for too: one may still be writing a checkpoint
 	// state file or manifest, which must not land after Close returns.
 	for _, p := range c.procs {
-		for _, t := range p.Tiles() {
+		for _, t := range p.tileList {
 			<-t.Mem.Stopped()
 		}
 		<-p.lcp.Stopped()
@@ -425,7 +428,7 @@ func (c *Cluster) Close() {
 			p.ledger.Close()
 		}
 		p.Wait()
-		for _, t := range p.Tiles() {
+		for _, t := range p.tileList {
 			t.Mem.ReleaseCaches()
 		}
 	}

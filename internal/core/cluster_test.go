@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -486,16 +488,97 @@ func TestPeekPokeAroundRun(t *testing.T) {
 	}
 }
 
+// TestSkewCollection: skew samples are taken at simulated-cycle points,
+// so two runs on one shard give the same non-empty samples, at strictly
+// increasing cycles, each with Min <= Mean <= Max. The workers meet at a
+// barrier before they work: a thread starts when the LCP's goroutine gets
+// to it, so only a point where every thread waits orders them the same
+// way on every run (the race detector shuffles even that).
 func TestSkewCollection(t *testing.T) {
-	cfg := testCfg(4, 1)
+	const workers, lines = 3, 512 // 32 KB per thread: twice the L2
+	const barrier = arch.Addr(0x100)
+	prog := Program{Name: "skew"}
+	prog.Funcs = []ThreadFunc{
+		func(th *Thread, arg uint64) {
+			buf := th.Malloc(workers * lines * 64)
+			var kids []arch.ThreadID
+			for w := uint64(0); w < workers; w++ {
+				kids = append(kids, th.Spawn(1, uint64(buf)+w*lines*64))
+			}
+			th.BarrierWait(barrier, workers+1)
+			for _, k := range kids {
+				th.Join(k)
+			}
+		},
+		func(th *Thread, arg uint64) {
+			th.BarrierWait(barrier, workers+1)
+			for pass := 0; pass < 4; pass++ {
+				for i := 0; i < lines; i++ {
+					th.Compute(coremodel.Arith, 1+int(th.ID())*10)
+					th.Store64(arch.Addr(arg)+arch.Addr(i*64), uint64(pass))
+				}
+			}
+		},
+	}
+	cfg := testCfg(workers+1, 1)
+	cfg.Workers = 1
 	cfg.CollectSkew = true
-	prog := twoWorkerComputeProgram(t)
-	rs, _ := run(t, cfg, prog, 0)
-	// Short runs may or may not capture samples; if any were captured
-	// they must be well-formed.
-	for _, s := range rs.Skew {
+	first, _ := run(t, cfg, prog, 0)
+	again, _ := run(t, cfg, prog, 0)
+	if len(first.Skew) == 0 {
+		t.Fatal("no skew samples")
+	}
+	if !raceDetector() && !reflect.DeepEqual(first.Skew, again.Skew) {
+		t.Fatalf("two runs on one shard sampled differently:\n%v\n%v", first.Skew, again.Skew)
+	}
+	for i, s := range first.Skew {
 		if s.Min > s.Mean || s.Mean > s.Max {
 			t.Fatalf("malformed skew sample %+v", s)
 		}
+		if i > 0 && s.Cycle <= first.Skew[i-1].Cycle {
+			t.Fatalf("sample %d at cycle %d, after one at %d", i, s.Cycle, first.Skew[i-1].Cycle)
+		}
 	}
+}
+
+// TestSkewSamplesBounded: a full sample buffer keeps every other sample
+// and doubles the interval, so any run keeps at most skewSamples.
+func TestSkewSamplesBounded(t *testing.T) {
+	p := &Proc{tileList: []*Tile{{}, {}}}
+	for _, tile := range p.tileList {
+		tile.active.Store(true)
+	}
+	c := &Cluster{procs: []*Proc{p}, skewEvery: skewEvery}
+	at := skewEvery
+	for i := 0; i < 10*skewSamples; i++ {
+		p.tileList[1].Clock.Set(at)
+		next := c.sampleSkew(at)
+		if next <= at || len(c.skew) > skewSamples {
+			t.Fatalf("sample %d: next point %d after %d, %d samples kept", i, next, at, len(c.skew))
+		}
+		at = next
+	}
+	if c.skewEvery <= skewEvery {
+		t.Fatal("interval never doubled")
+	}
+	for i := 1; i < len(c.skew); i++ {
+		if c.skew[i].Cycle <= c.skew[i-1].Cycle {
+			t.Fatal("kept samples out of order")
+		}
+	}
+}
+
+// raceDetector reports whether the test binary runs under the race
+// detector. It randomizes the order of runnable goroutines, so the
+// control plane's goroutines and a shard interleave differently on every
+// run: two runs at one worker are compared only without it.
+func raceDetector() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

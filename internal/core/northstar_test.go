@@ -134,9 +134,10 @@ func TestLaxBarrierMatmulFinishes(t *testing.T) {
 	}
 }
 
-// TestLaxP2PMatmulOneShard: LaxP2P naps park a thread on a timer while
-// its shard runs the others. A 16-tile matmul with every thread on one
-// shard (Workers=1) must finish with the checksum the Lax run computes.
+// TestLaxP2PMatmulOneShard: a LaxP2P hold parks a thread until its
+// partner catches up while its shard runs the others. A 16-tile matmul
+// with every thread on one shard (Workers=1) must finish with the
+// checksum the Lax run computes.
 func TestLaxP2PMatmulOneShard(t *testing.T) {
 	w, ok := workloads.Get("matmul")
 	if !ok {

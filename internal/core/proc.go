@@ -193,15 +193,13 @@ func (p *Proc) startThread(st mcp.StartThread, start arch.Cycles) {
 		if p.ledger != nil {
 			p.ledger.ThreadStarted(tile.ID)
 		}
-		th := &Thread{tile: tile, proc: p, co: co}
-		if m := p.newSyncModel(tile, co); m != nil {
-			th.tickFn = m.Tick
-		}
+		th := &Thread{tile: tile, proc: p, co: co, tickFn: p.syncTick(tile)}
 		// A thread the simulation is dismantled under unwinds out of fn
 		// through tornDown, past everything below: the control plane is
 		// gone, so there is no one to notify.
 		fn(th, st.Arg)
 		tile.active.Store(false)
+		tile.sys.release()
 		if p.ledger != nil {
 			// Before the MCP hears of the exit: the departure may complete
 			// the local round, and the flushed waits must not trail the
@@ -218,52 +216,53 @@ func (p *Proc) startThread(st mcp.StartThread, start arch.Cycles) {
 	})
 }
 
-// newSyncModel instantiates the configured synchronization model for a
-// freshly started thread, co. Plain Lax returns nil: the thread runtime
-// then skips model ticks entirely. Threads parked in any of these closures
-// leave their memory node's ownership word free, so its server answers
-// coherence interventions while they wait.
-func (p *Proc) newSyncModel(tile *Tile, co *memsys.Coro) synchro.Model {
+// syncTick returns what a freshly started thread on tile calls after
+// every event under the configured synchronization model. Plain Lax
+// returns nil: the thread runtime then skips model ticks entirely.
+// Threads parked in any of these closures leave their memory node's
+// ownership word free, so its server answers coherence interventions
+// while they wait.
+func (p *Proc) syncTick(tile *Tile) func(arch.Cycles) {
 	switch p.cfg.Sync.Model {
 	case config.LaxBarrier:
 		return synchro.NewBarrier(p.cfg.Sync.BarrierQuantum, func(epoch int64) {
 			// Park at the process ledger; the wait reaches the MCP in the
 			// round's batch and the ledger wakes us on the epoch release.
 			p.ledger.Wait(tile.ID, epoch)
-		})
+		}).Tick
 	case config.LaxP2P:
+		var partner arch.TileID // the last probe's target
 		probe := func(target arch.TileID) (arch.Cycles, bool) {
+			partner = target
 			if local := p.tiles[target]; local != nil {
 				// Same-process partner: its clock is an atomic word — read
 				// it directly instead of a system-network round trip. With
 				// one host process a thousand tiles probe without a single
-				// RPC.
-				if !local.Running() {
-					// A partner with no running thread (or blocked in the
-					// control plane) is waiting, not behind: skip it.
-					return 0, false
-				}
-				return local.Clock.Now(), true
+				// RPC. A partner with no running thread, or a blocked one,
+				// is waiting, not behind: skip it.
+				return local.Clock.Now(), local.Running()
 			}
-			pkt, ok := tile.sys.call(mcp.MsgClockProbe, target, nil, tile.Clock.Now())
-			if !ok {
-				return 0, false
-			}
+			// A failed call (teardown) leaves no payload to decode.
+			pkt, _ := tile.sys.call(mcp.MsgClockProbe, target, nil, tile.Clock.Now())
 			v, running, err := mcp.DecodeU64Pair(pkt.Payload)
-			if err != nil || running == 0 {
-				return 0, false
-			}
-			return arch.Cycles(v), true
+			return arch.Cycles(v), err == nil && running != 0
 		}
-		// While napping the tile is waiting, not behind: exclude it from
-		// skew sampling and partner probes like any blocked thread. The
-		// nap parks the coroutine on a timer; its shard runs on.
-		nap := func(d time.Duration) {
-			tile.setBlocked(waitNap)
-			co.Sleep(d)
+		// A held thread is blocked, not behind (DESIGN §6). Its holding
+		// probe is answered once the partner's clock is within the slack
+		// or the partner stops running.
+		wait := func(time.Duration) {
+			tile.setBlocked(waitHold)
+			at := tile.Clock.Now() - p.cfg.Sync.P2PSlack
+			tile.sys.call(mcp.MsgClockProbe, partner, mcp.EncodeU64(uint64(at)), tile.Clock.Now())
 			tile.setBlocked(0)
 		}
-		return synchro.NewP2P(p.cfg.Sync, tile.ID, p.cfg.Tiles, p.cfg.RandSeed, probe, nap)
+		m := synchro.NewP2P(p.cfg.Sync, tile.ID, p.cfg.Tiles, p.cfg.RandSeed, probe, wait)
+		return func(now arch.Cycles) {
+			if now >= tile.sys.holdAt {
+				tile.sys.release()
+			}
+			m.Tick(now)
+		}
 	default:
 		return nil
 	}
@@ -298,9 +297,6 @@ func (p *Proc) report(w io.Writer) {
 		sh.Report(w, func(tile arch.TileID) string { return p.tiles[tile].waitLabel() })
 	}
 }
-
-// Tiles returns the process's tiles (for skew sampling and tests).
-func (p *Proc) Tiles() []*Tile { return p.tileList }
 
 // Wait blocks until all local application threads have returned.
 func (p *Proc) Wait() { p.threads.Wait() }

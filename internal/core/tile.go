@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -36,9 +37,9 @@ type Tile struct {
 	// active reports whether an application thread is currently running
 	// on this tile; blockedOn, when nonzero, says what the thread waits
 	// for with a frozen clock: an MCP call (join, lock, barrier, ...), an
-	// application receive, or a LaxP2P nap (the wait* codes). Skew
-	// sampling and LaxP2P probes consider only running, unblocked tiles —
-	// a frozen clock is not "behind", it is waiting.
+	// application receive, or a LaxP2P hold on a partner (the wait*
+	// codes). Skew sampling and LaxP2P probes consider only running,
+	// unblocked tiles — a frozen clock is not "behind", it is waiting.
 	active    atomic.Bool
 	blockedOn atomic.Uint32
 
@@ -53,16 +54,20 @@ type Tile struct {
 // Tile.blockedOn codes: waitCall|typ is an MCP call of message type typ.
 const (
 	waitRecv uint32 = 1 << 8
-	waitNap  uint32 = 2 << 8
+	waitHold uint32 = 2 << 8
 	waitCall uint32 = 3 << 8
 )
 
 // setBlocked records what the thread now waits for (0: nothing) and
-// notifies the epoch ledger when one is attached.
+// notifies the epoch ledger when one is attached. A thread that starts
+// waiting answers the probes held on its clock.
 func (t *Tile) setBlocked(on uint32) {
 	t.blockedOn.Store(on)
 	if t.onBlock != nil {
 		t.onBlock(t.ID, on != 0, on == waitRecv)
+	}
+	if on != 0 {
+		t.sys.release()
 	}
 }
 
@@ -74,8 +79,8 @@ func (t *Tile) waitLabel() string {
 		return ""
 	case on == waitRecv:
 		return ", in an application receive"
-	case on == waitNap:
-		return ", napping"
+	case on == waitHold:
+		return ", held on a LaxP2P partner"
 	default:
 		return fmt.Sprintf(", in MCP call type %d", on&0xff)
 	}
@@ -101,7 +106,7 @@ func NewTile(id arch.TileID, cfg *config.Config, net *network.Net, progress *clo
 		func(pc arch.Addr, n int, now arch.Cycles) arch.Cycles {
 			return t.Mem.Fetch(pc, n, now).Latency
 		})
-	t.sys = sysPort{net: net, clk: &t.Clock, running: t.Running}
+	t.sys = sysPort{net: net, clk: &t.Clock, running: t.Running, holdAt: math.MaxInt64}
 	// Memory traffic, the dominant class, never leaves the server's
 	// goroutine; system packets are answered or handed over on the way.
 	net.SetPrimary(network.ClassMemory)
@@ -124,7 +129,8 @@ func (t *Tile) setParker(p park.Parker, ledger *synchro.Ledger) {
 
 // sysPort is the tile's end of the control plane. Its sink runs inside the
 // memory server's pump: it answers LaxP2P clock probes on the spot (even
-// when the tile has no running thread, the clock is readable) and hands an
+// when the tile has no running thread, the clock is readable), or, for a
+// holding probe, once the clock has reached the prober's bound, and hands an
 // RPC reply to the tile's one outstanding caller — the application thread,
 // in a control-plane call or a LaxP2P probe. Like the memory node's
 // request slot, there is one reusable reply slot per tile.
@@ -138,6 +144,12 @@ type sysPort struct {
 	// running reports whether the tile's thread is running and unblocked;
 	// probe replies carry it so LaxP2P partners skip waiting tiles.
 	running func() bool
+
+	// holds are the holding probes waiting for the tile's clock to reach
+	// their bound, holdAt the lowest bound (MaxInt64: none). The sink
+	// keeps them and the tile's thread answers them, both on the shard.
+	holds  []network.Packet
+	holdAt arch.Cycles
 
 	// park is the tile's thread while one runs. seq numbers its
 	// requests; want is the sequence number the outstanding call awaits,
@@ -161,17 +173,44 @@ func (r *sysPort) deliver(pkt network.Packet, ok bool) {
 			r.park.Unpark()
 		}
 	case pkt.Type == mcp.MsgClockProbe:
-		running := uint64(0)
-		if r.running() {
-			running = 1
+		// A payload is the bound of a holding probe.
+		var at arch.Cycles
+		if len(pkt.Payload) == 8 {
+			v, _ := mcp.DecodeU64(pkt.Payload)
+			at = arch.Cycles(v)
 		}
-		payload := mcp.EncodeU64Pair(uint64(r.clk.Now()), running)
-		r.net.Send(network.ClassSystem, mcp.MsgClockProbeRep, pkt.Src, pkt.Seq, payload, 0)
+		if at > r.clk.Now() && r.running() {
+			r.holds = append(r.holds, pkt)
+			r.holdAt = min(r.holdAt, at)
+		} else {
+			r.probeReply(pkt)
+		}
 	case pkt.Seq != 0 && pkt.Seq == r.want:
 		r.want = 0
 		r.reply = pkt
 		r.park.Unpark()
 	}
+}
+
+// release answers every held probe; a prober whose bound is still ahead
+// probes again and holds anew.
+func (r *sysPort) release() {
+	for _, pkt := range r.holds {
+		r.probeReply(pkt)
+	}
+	r.holds = r.holds[:0]
+	r.holdAt = math.MaxInt64
+}
+
+// probeReply answers a clock probe with the tile's clock and whether its
+// thread runs.
+func (r *sysPort) probeReply(probe network.Packet) {
+	running := uint64(0)
+	if r.running() {
+		running = 1
+	}
+	payload := mcp.EncodeU64Pair(uint64(r.clk.Now()), running)
+	r.net.Send(network.ClassSystem, mcp.MsgClockProbeRep, probe.Src, probe.Seq, payload, 0)
 }
 
 // call performs an RPC: it sends a system packet and parks until the reply

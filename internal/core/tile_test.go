@@ -250,3 +250,66 @@ func BenchmarkSysCallRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestLaxP2PHoldEndsWhenPartnerBlocks: a thread far ahead of its one
+// partner is held; the partner then blocks in a join on it, which must
+// release the hold, or neither ever runs again: the holding probe is
+// answered, by the partner's tile in this process or across two.
+func TestLaxP2PHoldEndsWhenPartnerBlocks(t *testing.T) {
+	for _, run := range []struct{ procs, workers int }{{1, 1}, {1, 2}, {2, 1}} {
+		procs := run.procs
+		cfg := testCfg(2, procs)
+		cfg.Workers = run.workers
+		cfg.Sync.Model = config.LaxP2P
+		cfg.Sync.P2PSlack = 1000
+		cfg.Sync.P2PInterval = 100
+		var c *Cluster
+		held := func() bool { return c.procs[procs-1].tiles[1].blockedOn.Load() == waitHold }
+		var sawHold bool
+		prog := Program{Name: "hold"}
+		prog.Funcs = []ThreadFunc{
+			func(th *Thread, arg uint64) {
+				k := th.Spawn(1, 0)
+				th.Recv() // the worker has started
+				// Run slowly until the worker is held on this tile, then on,
+				// far below its bound: the hold lasts.
+				for i := 0; i < 1<<19 && !sawHold; i++ {
+					th.Compute(coremodel.Arith, 1)
+					sawHold = held()
+				}
+				for i := 0; i < 1<<16; i++ {
+					th.Compute(coremodel.Arith, 1)
+				}
+				sawHold = sawHold && held()
+				th.Join(k)
+			},
+			func(th *Thread, arg uint64) {
+				th.Send(0, []byte{1})
+				th.Compute(coremodel.Arith, 1<<20) // far past the slack
+				for i := 0; i < 1<<18; i++ {
+					th.Compute(coremodel.Arith, 1) // probes every 100 cycles
+				}
+			},
+		}
+		var err error
+		if c, err = NewCluster(cfg, prog); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if _, err := runCluster(t, c, 0); err != nil {
+			t.Fatal(err)
+		}
+		// A hold waits for one answer; it does not probe in a loop (on
+		// two shards a loop would not wait for main's turn to end). In
+		// one process plain probes read the clock, so the worker's tile
+		// receives only its holding probes' answers.
+		if procs == 1 {
+			if got := c.procs[0].tiles[1].Net.Stats().PacketsRecv[network.ClassSystem].Load(); got > 2 {
+				t.Errorf("%+v: the worker's tile received %d system packets: the hold spins", run, got)
+			}
+		}
+		if !sawHold {
+			t.Errorf("%+v: the worker was not held to the end", run)
+		}
+	}
+}

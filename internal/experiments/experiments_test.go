@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -144,13 +147,50 @@ func TestTable3Quick(t *testing.T) {
 	if !strings.Contains(buf.String(), "LaxP2P") {
 		t.Fatal("print missing model")
 	}
+	if strings.Contains(buf.String(), "%%") || !strings.Contains(buf.String(), " error% ") {
+		t.Fatalf("headers must read error%% and CoV%%:\n%s", buf.String())
+	}
 }
 
+// TestFig7Quick checks Figure 7 at one worker, where its samples are a
+// function of the model alone: two runs give the same traces, and the
+// figure's claims hold.
+//
+// LaxBarrier bound: a sampled thread runs; since its last tick, at clock
+// c', it has advanced by at most one event's advance A, and it passed that
+// tick only after every running thread had reached epoch ⌊c'/Q⌋, so the
+// slowest running clock is at least c'−Q. The spread is at most Q+A. A is
+// the largest clock advance of one non-blocking event (a miss queued at
+// the DRAM and on the mesh) of a running thread in this run: 1 034 cycles,
+// measured by recording the advance between consecutive Thread ticks that
+// no blocking call separates. maxEvent rounds it up.
 func TestFig7Quick(t *testing.T) {
+	const maxEvent = 1100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	res := bounded(t, func() (*Fig7Result, error) { return Fig7(Quick) })
+	again := bounded(t, func() (*Fig7Result, error) { return Fig7(Quick) })
+	if !raceDetector() && !reflect.DeepEqual(res, again) {
+		t.Fatal("two runs of Fig7(Quick) at one worker sampled differently")
+	}
 	if len(res.Traces) != 3 {
 		t.Fatalf("traces = %d", len(res.Traces))
 	}
+	spread := map[config.SyncModel]int64{}
+	for _, tr := range res.Traces {
+		if len(tr.Samples) == 0 {
+			t.Fatalf("%v: no samples", tr.Model)
+		}
+		spread[tr.Model] = tr.MaxSkew
+	}
+	quantum := int64(Fig7Scenario(Quick, 8, 1, 1).Base["Sync.BarrierQuantum"].(int))
+	if got := spread[config.LaxBarrier]; got > quantum+maxEvent {
+		t.Errorf("LaxBarrier spread %d cycles, above quantum %d + one event %d", got, quantum, maxEvent)
+	}
+	if spread[config.Lax] <= spread[config.LaxBarrier] {
+		t.Errorf("Lax spread %d cycles, not above LaxBarrier's %d", spread[config.Lax], spread[config.LaxBarrier])
+	}
+	t.Logf("largest spread: Lax %d, LaxP2P %d, LaxBarrier %d cycles", spread[config.Lax], spread[config.LaxP2P], spread[config.LaxBarrier])
+
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "LaxBarrier") {
@@ -167,7 +207,7 @@ func TestFig7Quick(t *testing.T) {
 		samples += len(tr.Samples)
 	}
 	lines := strings.Split(strings.TrimSuffix(csv.String(), "\n"), "\n")
-	if lines[0] != "model,wall_ms,min_dev_cycles,max_dev_cycles,mean_cycles" || len(lines) != 1+samples {
+	if lines[0] != "model,cycle,min_dev_cycles,max_dev_cycles,mean_cycles" || len(lines) != 1+samples {
 		t.Fatalf("CSV has header %q and %d lines, want the five columns and 1+%d", lines[0], len(lines), samples)
 	}
 }
@@ -193,6 +233,9 @@ func TestFig8Quick(t *testing.T) {
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "false%") {
 		t.Fatal("print missing columns")
+	}
+	if strings.Contains(buf.String(), "%%") {
+		t.Fatalf("a doubled percent sign in the table:\n%s", buf.String())
 	}
 	_ = stats.MissCold // keep import honest
 }
@@ -234,4 +277,19 @@ func bounded[T any](t *testing.T, fn func() (T, error)) T {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// raceDetector reports whether the test binary runs under the race
+// detector. It randomizes the order of runnable goroutines, so the
+// control plane's goroutines and a shard interleave differently on every
+// run: two runs at one worker are compared only without it.
+func raceDetector() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

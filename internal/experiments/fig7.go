@@ -46,8 +46,8 @@ func Fig7Scenario(pr Preset, tiles int, slack, interval arch.Cycles) *scenario.S
 }
 
 // Fig7 runs the skew study. Its samples live in core.RunStats, which a
-// Record does not carry, so it executes each expanded spec itself, one
-// at a time: the samples are stamped with wall-clock time.
+// Record does not carry, so it executes each expanded spec itself; they
+// are taken at simulated cycles, the same on every run at one worker.
 func Fig7(pr Preset) (*Fig7Result, error) {
 	tiles := 32
 	slack, interval := arch.Cycles(20_000), arch.Cycles(5_000)
@@ -81,14 +81,14 @@ func (r *Fig7Result) Print(w io.Writer) {
 	fprintf(w, "Figure 7: clock skew during fmm, per synchronization model\n")
 	for _, tr := range r.Traces {
 		fprintf(w, "\n[%s] samples=%d max-skew=%d cycles\n", tr.Model.String(), len(tr.Samples), tr.MaxSkew)
-		fprintf(w, "%12s %14s %14s %14s\n", "wall-ms", "min-dev", "max-dev", "mean")
+		fprintf(w, "%12s %14s %14s %14s\n", "cycle", "min-dev", "max-dev", "mean")
 		for i, s := range tr.Samples {
 			// Thin long traces for readability.
 			if len(tr.Samples) > 40 && i%(len(tr.Samples)/40+1) != 0 {
 				continue
 			}
-			fprintf(w, "%12.2f %14d %14d %14d\n",
-				float64(s.Wall.Microseconds())/1000,
+			fprintf(w, "%12d %14d %14d %14d\n",
+				int64(s.Cycle),
 				int64(s.Min-s.Mean), int64(s.Max-s.Mean), int64(s.Mean))
 		}
 	}
@@ -97,14 +97,14 @@ func (r *Fig7Result) Print(w io.Writer) {
 // WriteCSV writes every sample of every trace, unthinned, one row per
 // sample under a header row — the series to plot Figure 7 from.
 func (r *Fig7Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "model,wall_ms,min_dev_cycles,max_dev_cycles,mean_cycles"); err != nil {
+	if _, err := fmt.Fprintln(w, "model,cycle,min_dev_cycles,max_dev_cycles,mean_cycles"); err != nil {
 		return err
 	}
 	for _, tr := range r.Traces {
 		for _, s := range tr.Samples {
-			if _, err := fmt.Fprintf(w, "%s,%.3f,%d,%d,%d\n",
+			if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d\n",
 				tr.Model.String(),
-				float64(s.Wall.Microseconds())/1000,
+				int64(s.Cycle),
 				int64(s.Min-s.Mean), int64(s.Max-s.Mean), int64(s.Mean)); err != nil {
 				return err
 			}

@@ -89,7 +89,7 @@ func Fig8(pr Preset, benchmarks []string, lineSizes []int, parallel int) (*Fig8R
 func (r *Fig8Result) Print(w io.Writer) {
 	fprintf(w, "Figure 8: cache miss breakdown by type vs. line size (L1 off, L2 only)\n")
 	fprintf(w, "%-16s %6s %9s %9s %9s %9s %9s %9s\n",
-		"benchmark", "line", "total%%", "cold%%", "capac%%", "true%%", "false%%", "upgr%%")
+		"benchmark", "line", "total%", "cold%", "capac%", "true%", "false%", "upgr%")
 	for _, p := range r.Points {
 		fprintf(w, "%-16s %6d %8.3f%% %8.3f%% %8.3f%% %8.3f%% %8.3f%% %8.3f%%\n",
 			p.Benchmark, p.LineSize, 100*p.Total,

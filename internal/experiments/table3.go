@@ -174,14 +174,14 @@ func abs(v float64) float64 {
 func (r *Table3Result) Print(w io.Writer) {
 	fprintf(w, "Figure 6 / Table 3: synchronization models (%d runs per cell)\n", r.Runs)
 	fprintf(w, "%-14s %-11s %6s %12s %14s %10s %8s\n",
-		"benchmark", "model", "procs", "runtime-norm", "sim-cycles", "error%%", "CoV%%")
+		"benchmark", "model", "procs", "runtime-norm", "sim-cycles", "error%", "CoV%")
 	for _, c := range r.Cells {
 		fprintf(w, "%-14s %-11s %6d %12.3f %14.0f %9.2f%% %7.2f%%\n",
 			c.Benchmark, c.Model.String(), c.Processes, c.RunTimeNorm,
 			c.SimCyclesMean, c.ErrorPct, c.CoVPct)
 	}
 	fprintf(w, "\nSummary (means over benchmarks):\n")
-	fprintf(w, "%-11s %14s %14s %10s %8s\n", "model", "runtime(1mc)", "runtime(Nmc)", "error%%", "CoV%%")
+	fprintf(w, "%-11s %14s %14s %10s %8s\n", "model", "runtime(1mc)", "runtime(Nmc)", "error%", "CoV%")
 	for _, m := range syncModels {
 		rt := r.MeanRunTime[m]
 		fprintf(w, "%-11s %14.3f %14.3f %9.2f%% %7.2f%%\n",

@@ -9,8 +9,8 @@ import (
 // depend on the host's wall clock. Any of them inside the determinism
 // boundary makes simulated results a function of host speed — the
 // failure class the byte-identical-checksum CI gates exist to catch.
-// time.Sleep is included: sleeping is wall-clock *pacing* (legitimate
-// only in LaxP2P's annotated nap path), never a result input.
+// time.Sleep is included: sleeping is wall-clock *pacing* (no model
+// needs it: LaxP2P holds in simulated time), never a result input.
 var wallclockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "After": true,
 	"Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,

@@ -36,8 +36,8 @@ import (
 // System message types (network.Packet.Type within ClassSystem).
 const (
 	// MsgClockProbe / MsgClockProbeRep implement LaxP2P partner probes;
-	// the target tile's sysPort answers them inside its memory server's
-	// pump, not the MCP.
+	// the target tile's sysPort answers them, not the MCP: at once, or
+	// for a holding probe (a u64 bound) once its clock reaches the bound.
 	MsgClockProbe uint8 = iota
 	MsgClockProbeRep
 

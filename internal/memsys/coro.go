@@ -3,7 +3,6 @@ package memsys
 import (
 	"iter"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/park"
 )
@@ -15,8 +14,8 @@ import (
 // time and never bounce the tile's state between host CPUs. Coro is the
 // thread's park.Parker: every blocking call parks it, and whoever
 // satisfies the wait — the shard handing over a miss completion or a
-// reply, an application message, a ledger release, a nap timer — calls
-// Unpark, which puts it back on the shard's ready list.
+// reply, an application message, a ledger release — calls Unpark, which
+// puts it back on the shard's ready list.
 type Coro struct {
 	sh    *Shard
 	node  *Node
@@ -27,10 +26,8 @@ type Coro struct {
 	state atomic.Uint32
 	// events counts the events since Preempt last looked at the shard,
 	// waited the events other coroutines have waited for this one's
-	// turn to end; timer backs Sleep. All three belong to the
-	// coroutine.
+	// turn to end. Both belong to the coroutine.
 	events, waited int
-	timer          *time.Timer
 }
 
 // Coroutine states. A coroutine is running while the shard resumes it;
@@ -140,9 +137,6 @@ func (c *Coro) kill() {
 func (c *Coro) end() {
 	c.state.Store(coroDead)
 	c.node.coro.CompareAndSwap(c, nil)
-	if c.timer != nil {
-		c.timer.Stop()
-	}
 	exit := c.exit
 	c.exit = nil
 	exit()
@@ -234,20 +228,6 @@ func (c *Coro) Preempt() {
 			return // unwinding at teardown
 		}
 	}
-}
-
-// Sleep parks the coroutine for about d of wall-clock time: a timer
-// wakes it, and the shard runs its other work meanwhile. An earlier wake
-// ends the nap early.
-//
-//graphite:wallclock LaxP2P nap (paper §3.6.3): throttles host execution only; the frozen simulated clock resumes exactly where it stopped
-func (c *Coro) Sleep(d time.Duration) {
-	if c.timer == nil {
-		c.timer = time.AfterFunc(d, c.Unpark)
-	} else {
-		c.timer.Reset(d)
-	}
-	c.Park()
 }
 
 // suspend switches back to the shard loop; it panics with park.TornDown

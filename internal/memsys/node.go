@@ -424,7 +424,7 @@ func (n *Node) drainLocked(srv bool) {
 // queueIntervention publishes a home-initiated cache command (Inv/Wb/
 // Flush) to the core domain. An idle tile (word free) is served by the
 // server on the spot — it claims the word, applies, and releases — so a
-// tile whose thread is blocked, napping, computing natively, or long gone
+// tile whose thread is blocked, held, computing natively, or long gone
 // can never stall the protocol. A tile whose core is mid-access gets the
 // command queued in the mailbox, flagged by stPending; the core's release
 // CAS observes the flag and drains. Called by the server only.

@@ -42,7 +42,7 @@ func (p *prng) intn(n int) int { return int(p.next() % uint64(n)) }
 // Model is one synchronization scheme, owned by a single thread.
 type Model interface {
 	// Tick is called with the tile's current simulated clock. It may
-	// block (barrier) or sleep (P2P) in real time.
+	// park the thread (at a barrier, or held on a LaxP2P partner).
 	Tick(now arch.Cycles)
 }
 
@@ -89,54 +89,32 @@ type p2p struct {
 	tiles int
 	rng   *prng
 	probe ProbeFunc
-	sleep func(time.Duration)
-	// start/base anchor the rate measurement: the wall-clock time and the
-	// tile's simulated clock at the first Tick. Anchoring the wall clock
-	// alone at construction mis-scales the rate of a thread spawned
-	// mid-simulation: its clock starts at a large inherited value, so
-	// cycles it never executed are divided by only its own wall time —
-	// an overstated rate, naps far too short to let partners catch up
-	// (and, had construction preceded the thread's start by long enough,
-	// the opposite error). Both anchors must open at the same event.
-	start  time.Time
-	base   arch.Cycles
-	nowFn  func() time.Time
-	last   arch.Cycles
-	maxNap time.Duration
+	wait  func(time.Duration)
+	last  arch.Cycles
 }
 
 // NewP2P returns a LaxP2P model for one tile. probe reads a random
-// partner's clock; sleep is time.Sleep (injectable for tests).
-//
-//graphite:wallclock LaxP2P pacing (paper §3.6.3): the wall clock and sleep only throttle host execution speed; naps never advance or feed a simulated clock, so results are unaffected
-func NewP2P(cfg config.SyncConfig, self arch.TileID, tiles int, seed int64, probe ProbeFunc, sleep func(time.Duration)) Model {
-	if sleep == nil {
-		sleep = time.Sleep
-	}
+// partner's clock; wait holds the thread until the partner it last probed
+// may have caught up, and must not be nil. wait's Duration argument is
+// unused (always 0): the hold is in simulated time, and the parameter
+// stays for callers written against the earlier wall-clock nap.
+func NewP2P(cfg config.SyncConfig, self arch.TileID, tiles int, seed int64, probe ProbeFunc, wait func(time.Duration)) Model {
 	return &p2p{
-		cfg:    cfg,
-		self:   self,
-		tiles:  tiles,
-		rng:    newPRNG(seed ^ int64(self)*0x5851F42D4C957F2D),
-		probe:  probe,
-		sleep:  sleep,
-		nowFn:  time.Now,
-		maxNap: 10 * time.Millisecond,
+		cfg:   cfg,
+		self:  self,
+		tiles: tiles,
+		rng:   newPRNG(seed ^ int64(self)*0x5851F42D4C957F2D),
+		probe: probe,
+		wait:  wait,
 	}
 }
 
 // Tick implements Model: every P2PInterval simulated cycles the tile
-// synchronizes with one random partner. If this tile is ahead by more than
-// the slack, it naps for s = c/r real seconds, where c is the clock
-// difference and r the tile's real-time simulation rate, so the partner
-// has caught up when it wakes (paper §3.6.3).
+// synchronizes with one random partner. While this tile is ahead by more
+// than the slack, it is held: it waits, then probes the same partner
+// again, until the partner is within the slack or no longer running
+// (paper §3.6.3 naps c/r seconds of real time instead; see DESIGN §6).
 func (p *p2p) Tick(now arch.Cycles) {
-	if p.start.IsZero() {
-		// Lazy anchor: the rate window opens at the thread's first event,
-		// not at model construction (see the field comment).
-		p.start = p.nowFn()
-		p.base = now
-	}
 	if p.tiles < 2 || now-p.last < p.cfg.P2PInterval {
 		return
 	}
@@ -145,36 +123,11 @@ func (p *p2p) Tick(now arch.Cycles) {
 	if target >= p.self {
 		target++
 	}
-	theirs, ok := p.probe(target)
-	if !ok {
-		return
+	for {
+		theirs, ok := p.probe(target)
+		if !ok || now-theirs <= p.cfg.P2PSlack {
+			return
+		}
+		p.wait(0)
 	}
-	c := now - theirs
-	if c <= p.cfg.P2PSlack {
-		return
-	}
-	elapsed := p.nowFn().Sub(p.start).Seconds()
-	if elapsed <= 0 {
-		return
-	}
-	rate := float64(now-p.base) / elapsed // simulated cycles per real second
-	if rate <= 0 {
-		return
-	}
-	nap := napFor(c, rate)
-	if nap > p.maxNap {
-		nap = p.maxNap
-	}
-	if nap > 0 {
-		p.sleep(nap)
-	}
-}
-
-// napFor is the P2P sleep computation: given a clock lead c and rate r
-// (cycles/sec), the nap is c/r seconds.
-func napFor(c arch.Cycles, rate float64) time.Duration {
-	if rate <= 0 || c <= 0 {
-		return 0
-	}
-	return time.Duration(float64(c) / rate * float64(time.Second))
 }

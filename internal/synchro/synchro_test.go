@@ -44,64 +44,96 @@ func TestBarrierZeroQuantumSafe(t *testing.T) {
 	m.Tick(5) // must not divide by zero or loop forever
 }
 
-func newTestP2P(self arch.TileID, tiles int, partnerClock arch.Cycles, probed *[]arch.TileID, naps *[]time.Duration) *p2p {
+// newTestP2P builds a LaxP2P model whose partners all read the clocks
+// in partner, one per probe, the last repeating; waits counts the holds'
+// waits.
+func newTestP2P(self arch.TileID, tiles int, partner []arch.Cycles, probed *[]arch.TileID, waits *int) *p2p {
 	cfg := config.SyncConfig{P2PSlack: 1000, P2PInterval: 100}
-	m := NewP2P(cfg, self, tiles, 42,
+	return NewP2P(cfg, self, tiles, 42,
 		func(target arch.TileID) (arch.Cycles, bool) {
 			*probed = append(*probed, target)
-			return partnerClock, true
+			c := partner[0]
+			if len(partner) > 1 {
+				partner = partner[1:]
+			}
+			return c, true
 		},
-		func(d time.Duration) { *naps = append(*naps, d) },
+		func(time.Duration) { *waits++ },
 	).(*p2p)
-	// Deterministic wall clock: 1 second since start.
-	start := time.Now()
-	m.start = start
-	m.nowFn = func() time.Time { return start.Add(time.Second) }
-	return m
 }
 
-func TestP2PSleepsWhenAhead(t *testing.T) {
-	var probed []arch.TileID
-	var naps []time.Duration
-	m := newTestP2P(0, 4, 1000, &probed, &naps)
-	m.Tick(100_000) // we are at 100k, partner at 1k: 99k ahead >> slack
-	if len(probed) != 1 {
-		t.Fatalf("probes = %v", probed)
+// TestP2PHoldsUntilPartnerCatchesUp: a partner that is within the slack
+// after k waits causes exactly k waits, each followed by a probe of the
+// same partner.
+func TestP2PHoldsUntilPartnerCatchesUp(t *testing.T) {
+	for k := 1; k <= 4; k++ {
+		var probed []arch.TileID
+		waits := 0
+		// We are at 100k; the partner reads 1k, then creeps up, and is
+		// within the slack (99k) from probe k+1 on.
+		clocks := make([]arch.Cycles, 0, k+1)
+		for i := 0; i < k; i++ {
+			clocks = append(clocks, arch.Cycles(1000+i*1000))
+		}
+		clocks = append(clocks, 99_000)
+		m := newTestP2P(0, 4, clocks, &probed, &waits)
+		m.Tick(100_000)
+		if waits != k {
+			t.Fatalf("k=%d: %d waits", k, waits)
+		}
+		if len(probed) != k+1 {
+			t.Fatalf("k=%d: %d probes, want %d", k, len(probed), k+1)
+		}
+		for _, p := range probed {
+			if p != probed[0] {
+				t.Fatalf("k=%d: hold probed %v, not one partner", k, probed)
+			}
+		}
 	}
-	if len(naps) != 1 {
-		t.Fatal("no nap despite being far ahead")
-	}
-	// rate = 100_000 cycles/sec, lead = 99_000 -> nap 0.99 s, capped at
-	// maxNap (100 ms).
-	if naps[0] != m.maxNap {
-		t.Fatalf("nap = %v, want cap %v", naps[0], m.maxNap)
+}
+
+// TestP2PHoldEndsWhenPartnerStops: a probe that is not ok (the partner
+// waits, or has no thread) ends the hold.
+func TestP2PHoldEndsWhenPartnerStops(t *testing.T) {
+	probes, waits := 0, 0
+	cfg := config.SyncConfig{P2PSlack: 1000, P2PInterval: 100}
+	m := NewP2P(cfg, 0, 4, 42,
+		func(arch.TileID) (arch.Cycles, bool) {
+			probes++
+			return 0, probes < 3 // behind twice, then not running
+		},
+		func(time.Duration) { waits++ },
+	)
+	m.Tick(100_000)
+	if probes != 3 || waits != 2 {
+		t.Fatalf("%d probes and %d waits, want 3 and 2", probes, waits)
 	}
 }
 
 func TestP2PNoSleepWithinSlack(t *testing.T) {
 	var probed []arch.TileID
-	var naps []time.Duration
-	m := newTestP2P(0, 4, 99_500, &probed, &naps)
-	m.Tick(100_000) // only 500 ahead, slack is 1000
-	if len(naps) != 0 {
-		t.Fatalf("napped within slack: %v", naps)
+	waits := 0
+	m := newTestP2P(0, 4, []arch.Cycles{99_000}, &probed, &waits)
+	m.Tick(100_000) // exactly the slack ahead
+	if waits != 0 || len(probed) != 1 {
+		t.Fatalf("%d waits and %d probes within the slack, want 0 and 1", waits, len(probed))
 	}
 }
 
 func TestP2PNoSleepWhenBehind(t *testing.T) {
 	var probed []arch.TileID
-	var naps []time.Duration
-	m := newTestP2P(0, 4, 10_000_000, &probed, &naps)
+	waits := 0
+	m := newTestP2P(0, 4, []arch.Cycles{10_000_000}, &probed, &waits)
 	m.Tick(100_000)
-	if len(naps) != 0 {
-		t.Fatalf("napped while behind: %v", naps)
+	if waits != 0 {
+		t.Fatalf("held while behind: %d waits", waits)
 	}
 }
 
 func TestP2PRespectsInterval(t *testing.T) {
 	var probed []arch.TileID
-	var naps []time.Duration
-	m := newTestP2P(0, 4, 0, &probed, &naps)
+	waits := 0
+	m := newTestP2P(0, 4, []arch.Cycles{0}, &probed, &waits)
 	m.Tick(100)
 	m.Tick(150) // within interval of the last probe
 	if len(probed) != 1 {
@@ -115,8 +147,8 @@ func TestP2PRespectsInterval(t *testing.T) {
 
 func TestP2PNeverProbesSelf(t *testing.T) {
 	var probed []arch.TileID
-	var naps []time.Duration
-	m := newTestP2P(2, 8, 0, &probed, &naps)
+	waits := 0
+	m := newTestP2P(2, 8, []arch.Cycles{1 << 40}, &probed, &waits)
 	for i := 1; i <= 200; i++ {
 		m.Tick(arch.Cycles(i * 100))
 	}
@@ -135,57 +167,10 @@ func TestP2PNeverProbesSelf(t *testing.T) {
 
 func TestP2PSingleTileNoop(t *testing.T) {
 	var probed []arch.TileID
-	var naps []time.Duration
-	m := newTestP2P(0, 1, 0, &probed, &naps)
+	waits := 0
+	m := newTestP2P(0, 1, []arch.Cycles{0}, &probed, &waits)
 	m.Tick(1_000_000)
 	if len(probed) != 0 {
 		t.Fatal("single-tile simulation probed")
-	}
-}
-
-func TestNapFor(t *testing.T) {
-	if d := napFor(1000, 1000); d != time.Second {
-		t.Fatalf("napFor(1000 cycles, 1000 cyc/s) = %v, want 1s", d)
-	}
-	if d := napFor(500, 1000); d != 500*time.Millisecond {
-		t.Fatalf("NapFor = %v", d)
-	}
-	if napFor(-5, 1000) != 0 || napFor(100, 0) != 0 {
-		t.Fatal("degenerate inputs must nap 0")
-	}
-}
-
-func TestP2PRateAnchorsAtFirstTick(t *testing.T) {
-	var naps []time.Duration
-	cfg := config.SyncConfig{P2PSlack: 1000, P2PInterval: 100}
-	m := NewP2P(cfg, 0, 2, 7,
-		func(arch.TileID) (arch.Cycles, bool) { return 0, true }, // partner far behind
-		func(d time.Duration) { naps = append(naps, d) },
-	).(*p2p)
-	now := time.Unix(1000, 0)
-	m.nowFn = func() time.Time { return now }
-	m.maxNap = time.Hour // expose the raw nap computation
-
-	// A thread spawned mid-simulation inherits a clock of 1M cycles. Its
-	// first Tick must open the rate-measurement window here — zero elapsed
-	// wall time, 1M-cycle baseline — so no rate exists yet and no nap is
-	// taken even though the partner is far behind.
-	m.Tick(1_000_000)
-	if len(naps) != 0 {
-		t.Fatalf("napped on the anchoring tick: %v", naps)
-	}
-
-	// One real second later it has executed 100k further cycles: the rate
-	// is 100k cycles/sec measured from the first Tick. The old
-	// construction-time anchor folded the inherited 1M cycles into the
-	// rate (1.1M cyc/s here — 11x overstated), cutting naps to a
-	// fraction of what the partner needs to catch up.
-	now = now.Add(time.Second)
-	m.Tick(1_100_000)
-	if len(naps) != 1 {
-		t.Fatalf("naps = %v, want exactly one", naps)
-	}
-	if want := napFor(1_100_000, 100_000); naps[0] != want {
-		t.Fatalf("nap = %v, want %v (rate measured from first tick)", naps[0], want)
 	}
 }

@@ -32,8 +32,8 @@
 // Local and served sweeps take -cache DIR (README, "Record cache"): a
 // content-addressed record store consulted before any run is simulated
 // or dispatched. Warm re-runs of a sweep simulate nothing and emit
-// byte-identical records up to wall_sec/cached. -cache-max-bytes and
-// -cache-ttl tune it; without -cache nothing is cached.
+// byte-identical records up to wall_sec/cached. -cache-max-bytes bounds
+// its memory; without -cache nothing is cached.
 //
 // Experiment mode regenerates the tables and figures of the paper's
 // evaluation section (§4). Each -exp selects one experiment from the
@@ -55,7 +55,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core/launch"
 	"repro/internal/experiments"
@@ -90,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workersExp   = fs.Int("workers-expected", 0, "coordinator waits for this many worker processes before dispatching")
 		cacheDir     = fs.String("cache", "", "record cache directory: serve repeated runs from cache instead of re-simulating")
 		cacheBytes   = fs.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
-		cacheTTL     = fs.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
 		exp          = fs.String("exp", "all", "experiment: "+experiments.FlagUsage())
 		preset       = fs.String("preset", "quick", "size preset: quick|standard|full")
 		runs         = fs.Int("runs", 0, "repetitions for table3 (default: preset-dependent)")
@@ -168,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *scenarioPath != "" {
-		cache, err := openCache(*cacheDir, *cacheBytes, *cacheTTL, stderr)
+		cache, err := openCache(*cacheDir, *cacheBytes, stderr)
 		if err != nil {
 			return fail(err)
 		}
@@ -260,11 +258,11 @@ func fig7WithCSV(pr experiments.Preset, path string, stdout io.Writer) error {
 
 // openCache builds the record cache from the -cache* flags; nil means
 // caching is off (no -cache dir).
-func openCache(dir string, maxBytes int64, ttl time.Duration, stderr io.Writer) (*recordcache.Cache, error) {
+func openCache(dir string, maxBytes int64, stderr io.Writer) (*recordcache.Cache, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	c, err := recordcache.Open(recordcache.Options{Dir: dir, MaxBytes: maxBytes, TTL: ttl})
+	c, err := recordcache.Open(recordcache.Options{Dir: dir, MaxBytes: maxBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -323,22 +321,12 @@ func submitScenario(path, baseURL, out string, stdout, stderr io.Writer) error {
 		w = f
 	}
 
-	// Stream with resume: the line index is a stable cursor (records
-	// arrive in run-index order), so after a drop we continue from the
-	// count already written and the output stays byte-identical.
-	written := 0
-	for attempt := 0; ; {
-		n, err := cl.StreamRecords(ctx, st.ID, written, w)
-		written += n
-		if err == nil {
-			break
-		}
-		attempt++
-		if attempt >= 5 {
-			return fmt.Errorf("record stream failed %d times (last: %w); resume with: GET /v1/jobs/%s/records?from=%d", attempt, err, st.ID, written)
-		}
-		fmt.Fprintf(stderr, "record stream interrupted after %d records (%v), resuming\n", written, err)
-		time.Sleep(500 * time.Millisecond)
+	// StreamRecords resumes after a drop from the count already written
+	// (records arrive in run-index order), so the output stays
+	// byte-identical; an error here is one retrying cannot mend.
+	written, err := cl.StreamRecords(ctx, st.ID, 0, w)
+	if err != nil {
+		return fmt.Errorf("record stream: %w; resume with: GET /v1/jobs/%s/records?from=%d", err, st.ID, written)
 	}
 
 	// The stream ends when the job settles; fetch the terminal state for

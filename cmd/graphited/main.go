@@ -52,7 +52,6 @@ func run(args []string, stderr io.Writer) int {
 		maxActive  = fs.Int("max-active", 1, "jobs running concurrently; further jobs queue in submission order")
 		cacheDir   = fs.String("cache", "", "record cache directory shared by every job (strongly recommended; see docs/OPERATIONS.md)")
 		cacheBytes = fs.Int64("cache-max-bytes", 256<<20, "record cache in-memory byte budget (disk tier is unbounded)")
-		cacheTTL   = fs.Duration("cache-ttl", 0, "record cache entry time-to-live, e.g. 72h (0 = never expire)")
 		drain      = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted jobs before canceling them")
 		verbose    = fs.Bool("verbose", false, "log 2xx requests too (non-2xx are always logged)")
 		quiet      = fs.Bool("quiet", false, "suppress per-run progress lines")
@@ -68,20 +67,16 @@ func run(args []string, stderr io.Writer) int {
 		return usage(fmt.Sprintf("unexpected argument %q (every setting is a flag)", fs.Arg(0)))
 	}
 	if *cacheDir == "" {
-		tuned := ""
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "cache-max-bytes" || f.Name == "cache-ttl" {
-				tuned = f.Name
-			}
-		})
-		if tuned != "" {
-			return usage("-" + tuned + " tunes the record cache and needs -cache")
+		tuned := false
+		fs.Visit(func(f *flag.Flag) { tuned = tuned || f.Name == "cache-max-bytes" })
+		if tuned {
+			return usage("-cache-max-bytes tunes the record cache and needs -cache")
 		}
 	}
 
 	var cache *recordcache.Cache
 	if *cacheDir != "" {
-		c, err := recordcache.Open(recordcache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, TTL: *cacheTTL})
+		c, err := recordcache.Open(recordcache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes})
 		if err != nil {
 			fmt.Fprintln(stderr, "graphited:", err)
 			return 1

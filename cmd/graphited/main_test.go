@@ -19,7 +19,6 @@ func TestUsageErrors(t *testing.T) {
 		{"serve", `unexpected argument "serve"`},
 		{"-addr 127.0.0.1:0 -cache d extra", `unexpected argument "extra"`},
 		{"-cache-max-bytes 1024", "-cache-max-bytes tunes the record cache and needs -cache"},
-		{"-cache-ttl 72h", "-cache-ttl tunes the record cache and needs -cache"},
 	} {
 		var stderr bytes.Buffer
 		if code := run(strings.Fields(tc.args), &stderr); code != 2 || !strings.Contains(stderr.String(), tc.wantErr) {

@@ -2,11 +2,10 @@ package core
 
 // Per-process checkpoint support (DESIGN.md §18). The LCP's CkptProbe
 // and CkptSave callbacks land here. A save runs each tile's capture in
-// that tile's memory server, the shard that serves it: the function is
-// queued with EnqueueCtrl and the server is poked with one CtrlMsg packet
-// sent from the LCP endpoint (control endpoints are negative, so the
-// packet neither takes a network delay nor perturbs the server's
-// self-traffic accounting). Restore uses the same path on a freshly constructed,
+// that tile's memory server, the shard that serves it, which runs the
+// function queued with EnqueueCtrl the next time it serves the tile; no
+// packet carries it, so a checkpoint moves no tile's traffic or
+// statistics. Restore uses the same path on a freshly constructed,
 // not-yet-started cluster.
 
 import (
@@ -16,7 +15,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
 	"repro/internal/mcp"
-	"repro/internal/memsys"
 	"repro/internal/network"
 )
 
@@ -47,9 +45,6 @@ func (p *Proc) ckptProbe() mcp.CkptProbeRep {
 			rep.Quiesced = false
 		}
 	}
-	// Control pokes from earlier checkpoints arrived on the memory class;
-	// without this correction sent/recv would stay unbalanced forever.
-	rep.Recv -= p.ckptPokes.Load()
 	return rep
 }
 
@@ -123,7 +118,8 @@ func (p *Proc) RestoreState(ps *checkpoint.ProcState) error {
 }
 
 // forEachTileCtrl runs fn(i, tile) for every local tile in that tile's
-// memory server and waits for all of them; fn must not block. Errors are
+// memory server and waits for all of them; fn must not block. A tile
+// whose server has returned gets an error instead of a run. Errors are
 // collected per tile; the first (in stripe order) is returned.
 func (p *Proc) forEachTileCtrl(fn func(i int, t *Tile) error) error {
 	errs := make([]error, len(p.tileList))
@@ -131,17 +127,13 @@ func (p *Proc) forEachTileCtrl(fn func(i int, t *Tile) error) error {
 	for i, t := range p.tileList {
 		i, t := i, t
 		wg.Add(1)
-		t.Mem.EnqueueCtrl(func() {
+		if err := t.Mem.EnqueueCtrl(func() {
 			defer wg.Done()
 			errs[i] = fn(i, t)
-		})
-		// The poke must come from a control endpoint (the LCP net): the
-		// memory server balances self-traffic accounting for packets whose
-		// Src is the tile itself, and a control packet must not participate.
-		if _, err := p.lcpNet.Send(network.ClassMemory, memsys.CtrlMsg, t.ID, 0, nil, 0); err != nil {
-			return fmt.Errorf("core: ctrl poke of tile %d: %w", t.ID, err)
+		}); err != nil {
+			wg.Done()
+			errs[i] = fmt.Errorf("core: control of tile %d: %w", t.ID, err)
 		}
-		p.ckptPokes.Add(1)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -53,12 +52,8 @@ type Proc struct {
 	OnShutdown func()
 
 	// ckpt, if set before any thread starts, enables the LCP's
-	// checkpoint-save callback (see checkpoint.go). ckptPokes counts the
-	// control packets sent to local tiles: they arrive on the memory
-	// class, so the drain probe must subtract them from the tiles'
-	// receive counters or sent/recv would never balance again.
-	ckpt      *ckptConfig
-	ckptPokes atomic.Uint64
+	// checkpoint-save callback (see checkpoint.go).
+	ckpt *ckptConfig
 
 	// shards are the memory-server shards Start launched.
 	shards []*memsys.Shard

@@ -649,7 +649,8 @@ func TestAccessAfterTeardownReturns(t *testing.T) {
 
 // TestShardDrainsClosedNodeThenTearsItDown: a shard serves what a closed
 // node's endpoint still holds before it tears that node down, keeps
-// serving its other nodes, and returns once every node is down.
+// serving its other nodes, and returns once every node is down; from
+// then on EnqueueCtrl refuses control functions.
 func TestShardDrainsClosedNodeThenTearsItDown(t *testing.T) {
 	c := newShardedCluster(t, testConfig(3), 1)
 	tr := c.fab.Process(0)
@@ -663,11 +664,10 @@ func TestShardDrainsClosedNodeThenTearsItDown(t *testing.T) {
 	// a line homed at tile 2 lands in tile 2's endpoint and tile 2's
 	// network closes.
 	held, release := make(chan struct{}), make(chan struct{})
-	c.nodes[0].EnqueueCtrl(func() {
+	if err := c.nodes[0].EnqueueCtrl(func() {
 		close(held)
 		<-release
-	})
-	if _, err := ctrl.Send(network.ClassMemory, CtrlMsg, 0, 0, nil, 0); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	simtest.Deadline(t, 30*time.Second, func() {
@@ -693,6 +693,9 @@ func TestShardDrainsClosedNodeThenTearsItDown(t *testing.T) {
 			t.Errorf("tile 1 read %d after tile 0 wrote 7", got[0])
 		}
 		c.close() // waits for the shard to return
+		if err := c.nodes[0].EnqueueCtrl(func() { t.Error("a control function ran after its shard returned") }); err == nil {
+			t.Error("EnqueueCtrl accepted a function after the shard returned")
+		}
 	})
 }
 

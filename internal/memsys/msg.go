@@ -80,17 +80,12 @@ const (
 	msgEvictAck
 	msgPeekRep
 	msgPokeAck
-
-	// Control plane -> server: run the queued control functions (see
-	// EnqueueCtrl in snapshot.go). Sent from a control endpoint, never
-	// tile-to-tile, so it cannot perturb selfInflight accounting.
-	msgCkpt
 )
 
 func msgName(t uint8) string {
 	names := []string{"ShReq", "ExReq", "EvictS", "EvictM", "Peek", "Poke",
 		"InvReq", "WbReq", "FlushReq", "InvRep", "WbRep", "FlushRep",
-		"ShRep", "ExRep", "UpgRep", "EvictAck", "PeekRep", "PokeAck", "Ckpt"}
+		"ShRep", "ExRep", "UpgRep", "EvictAck", "PeekRep", "PokeAck"}
 	if int(t) < len(names) {
 		return names[t]
 	}

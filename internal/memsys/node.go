@@ -231,10 +231,11 @@ type Node struct {
 	flushLines []cache.LineAddr
 
 	// ctrlQ holds control functions (checkpoint capture/restore) queued
-	// by EnqueueCtrl for the server to run on the next msgCkpt
-	// packet, serialized with dispatch like any other message.
-	ctrlMu sync.Mutex
-	ctrlQ  []func()
+	// by EnqueueCtrl for the shard to run when it next serves the node,
+	// serialized with dispatch like any message (guarded by the shard's
+	// lock); ctrl is set while it is non-empty.
+	ctrlQ []func()
+	ctrl  atomic.Bool
 
 	lineBits uint
 	lineSize int

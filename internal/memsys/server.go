@@ -12,6 +12,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/network"
 	"repro/internal/park"
+	"repro/internal/ring"
 	"repro/internal/transport"
 )
 
@@ -32,10 +33,11 @@ const maxDrain = 64
 // runs the application threads of its tiles, as coroutines (Node.Go). A
 // process runs a few shards over all of its tiles (core.Proc.Start).
 //
-// The shard keeps two ready lists: its nodes whose endpoints hold frames,
-// in the order they became ready (the endpoints' readiness callbacks feed
-// it), and its coroutines that are runnable, in turn order (Coro.Unpark
-// and Node.Go feed it). It sleeps only while both are empty. It takes one
+// The shard keeps two ready lists: its nodes whose endpoints hold frames
+// or that have control functions queued, in the order they became ready
+// (the endpoints' readiness callbacks and EnqueueCtrl feed it), and its
+// coroutines that are runnable, in turn order (Coro.Unpark and Node.Go
+// feed it). It sleeps only while both are empty. It takes one
 // entry at a time, a node first unless it has served a burst per node
 // since a coroutine last ran. A node gets one bounded burst; a node that
 // may still hold frames after a full burst goes to the back of its list,
@@ -82,11 +84,11 @@ type Shard struct {
 	nodes []*Node
 
 	mu     sync.Mutex
-	cond   sync.Cond   // the loop waits here while both lists are empty
-	ready  ring[*Node] // nodes whose endpoints hold frames, oldest first
-	run    ring[*Coro] // runnable coroutines, in turn order
-	streak int         // node bursts served since the last coroutine ran
-	dead   bool        // the loop has returned; Node.Go ends new coroutines at once
+	cond   sync.Cond        // the loop waits here while both lists are empty
+	ready  ring.Ring[*Node] // nodes with frames or control functions, oldest first
+	run    ring.Ring[*Coro] // runnable coroutines, in turn order
+	streak int              // node bursts served since the last coroutine ran
+	dead   bool             // the loop has returned; Node.Go ends new coroutines at once
 
 	// waiting mirrors the lists for lock-free reads by a running
 	// coroutine (Coro.Preempt): ready nodes in the high 32 bits, runnable
@@ -96,47 +98,6 @@ type Shard struct {
 
 // nodeWaiting is one ready node in Shard.waiting.
 const nodeWaiting = 1 << 32
-
-// ring is a growable FIFO.
-type ring[T any] struct {
-	buf     []T
-	head, n int
-}
-
-func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
-
-func (r *ring[T]) grow() {
-	if r.n < len(r.buf) {
-		return
-	}
-	buf := make([]T, 2*len(r.buf)+1)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.at(i)
-	}
-	r.buf, r.head = buf, 0
-}
-
-func (r *ring[T]) push(v T) {
-	r.grow()
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-}
-
-func (r *ring[T]) pushFront(v T) {
-	r.grow()
-	r.head = (r.head + len(r.buf) - 1) % len(r.buf)
-	r.buf[r.head] = v
-	r.n++
-}
-
-func (r *ring[T]) pop() T {
-	var zero T
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v
-}
 
 // NewShard builds the shard that will serve nodes; Run serves them. Nodes
 // can take coroutines (Node.Go) from here on.
@@ -160,8 +121,9 @@ func (s *Shard) Run() {
 			c.resume()
 			continue
 		}
+		n.runCtrl()
 		if n.down {
-			continue // readied by its own Close after it was torn down
+			continue // readied (by its own Close, or EnqueueCtrl) after it was torn down
 		}
 		k, open := n.net.TryRecvBurst(burst[:])
 		var done *pendingReq
@@ -198,13 +160,16 @@ func (s *Shard) Run() {
 	s.mu.Lock()
 	s.dead = true
 	var orphans []*Coro
-	for s.run.n > 0 {
-		orphans = append(orphans, s.run.pop())
+	for s.run.Len() > 0 {
+		orphans = append(orphans, s.run.Pop())
 	}
 	s.waiting.Store(0)
 	s.mu.Unlock()
 	for _, c := range orphans {
 		c.kill() // never resumed: their tiles went down first
+	}
+	for _, n := range s.nodes {
+		n.runCtrl() // queued after the last burst, before dead was set
 	}
 }
 
@@ -215,11 +180,11 @@ func (s *Shard) Run() {
 func (s *Shard) Report(w io.Writer, label func(arch.TileID) string) {
 	s.mu.Lock()
 	var nodes, coros []arch.TileID
-	for i := 0; i < s.ready.n; i++ {
-		nodes = append(nodes, s.ready.at(i).tile)
+	for i := 0; i < s.ready.Len(); i++ {
+		nodes = append(nodes, (*s.ready.At(i)).tile)
 	}
-	for i := 0; i < s.run.n; i++ {
-		coros = append(coros, s.run.at(i).node.tile)
+	for i := 0; i < s.run.Len(); i++ {
+		coros = append(coros, (*s.run.At(i)).node.tile)
 	}
 	s.mu.Unlock()
 	fmt.Fprintf(w, "  shard of tiles %d..: ready nodes %v, runnable threads %v\n", s.nodes[0].tile, nodes, coros)
@@ -243,13 +208,18 @@ func (s *Shard) Report(w io.Writer, label func(arch.TileID) string) {
 // readiness callbacks, so it never blocks beyond the shard lock.
 func (s *Shard) readyNode(n *Node) {
 	s.mu.Lock()
+	s.readyLocked(n)
+	s.mu.Unlock()
+}
+
+// readyLocked is readyNode with the shard lock held.
+func (s *Shard) readyLocked(n *Node) {
 	if !n.queued {
 		n.queued = true
-		s.ready.push(n)
+		s.ready.Push(n)
 		s.waiting.Add(nodeWaiting)
 		s.cond.Signal()
 	}
-	s.mu.Unlock()
 }
 
 // readyCoro lists a runnable coroutine: at the back of the turn order, or
@@ -262,9 +232,9 @@ func (s *Shard) readyCoro(c *Coro, front bool) bool {
 	ok := !s.dead
 	if ok {
 		if front {
-			s.run.pushFront(c)
+			s.run.PushFront(c)
 		} else {
-			s.run.push(c)
+			s.run.Push(c)
 		}
 		s.waiting.Add(1)
 		s.cond.Signal()
@@ -282,11 +252,11 @@ func (s *Shard) readyCoro(c *Coro, front bool) bool {
 func (s *Shard) next() (*Node, *Coro) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.ready.n == 0 && s.run.n == 0 {
+	for s.ready.Len() == 0 && s.run.Len() == 0 {
 		s.cond.Wait()
 	}
-	if s.ready.n > 0 && (s.run.n == 0 || s.streak < len(s.nodes)) {
-		n := s.ready.pop()
+	if s.ready.Len() > 0 && (s.run.Len() == 0 || s.streak < len(s.nodes)) {
+		n := s.ready.Pop()
 		n.queued = false
 		s.streak++
 		s.waiting.Add(^uint64(nodeWaiting - 1))
@@ -294,7 +264,7 @@ func (s *Shard) next() (*Node, *Coro) {
 	}
 	s.streak = 0
 	s.waiting.Add(^uint64(0))
-	return nil, s.run.pop()
+	return nil, s.run.Pop()
 }
 
 // stop tears down a node whose endpoint has closed and drained, once:
@@ -360,8 +330,6 @@ func (n *Node) dispatch(pkt network.Packet) *pendingReq {
 		n.wbAcked()
 	case msgPeek, msgPoke:
 		n.handlePeekPoke(pkt)
-	case msgCkpt:
-		n.runCtrl()
 	}
 	return nil
 }

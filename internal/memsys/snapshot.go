@@ -2,16 +2,19 @@ package memsys
 
 // Checkpoint support. A tile's memory state is captured and restored by
 // its own server (the shard serving it): the control plane queues a
-// function with EnqueueCtrl and pokes the server with a CtrlMsg packet,
-// so the snapshot is serialized with message dispatch exactly like any
-// protocol message. The happens-before chain to the parked core context — the
-// thread's last cache writes precede its barrier park, which precedes the
-// MCP's decision to checkpoint, which precedes the control packet's
-// delivery here — makes the core-domain reads race-free; the ownership
-// word is still claimed, as an idle-tile intervention would, to assert
-// the tile really is quiesced.
+// function with EnqueueCtrl, which the shard runs the next time it
+// serves the node, so the snapshot is serialized with message dispatch
+// exactly like any protocol message. No packet carries the request, so a
+// checkpoint leaves the tile's traffic and its statistics untouched. The
+// happens-before chain to the parked core context — the thread's last
+// cache writes precede its barrier park, which precedes the MCP's
+// decision to checkpoint, which precedes the enqueue here — makes the
+// core-domain reads race-free; the ownership word is still claimed, as
+// an idle-tile intervention would, to assert the tile really is
+// quiesced.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -21,28 +24,43 @@ import (
 	"repro/internal/directory"
 )
 
-// CtrlMsg is the ClassMemory message type that pokes a tile's memory
-// server to run its queued control functions. It must be sent from a
-// control endpoint (negative ID), never tile-to-tile: the server
-// unconditionally balances selfInflight for packets whose Src is the tile
-// itself, and a control packet must not participate in that accounting.
-const CtrlMsg = msgCkpt
+// errShardDone is EnqueueCtrl's answer once no shard will serve the node.
+var errShardDone = errors.New("memsys: the tile's memory server has returned")
 
-// EnqueueCtrl queues fn to run in the node's server. fn must not block:
-// the shard serves other tiles too. The caller must then send a CtrlMsg
-// packet to this tile from a control endpoint; the server runs every
-// queued function when the packet arrives.
-func (n *Node) EnqueueCtrl(fn func()) {
-	n.ctrlMu.Lock()
+// EnqueueCtrl queues fn to run in the node's server and lists the node on
+// its shard's ready list; the shard runs every queued function the next
+// time it serves the node. fn must not block: the shard serves other
+// tiles too. It fails, queuing nothing, if the node has no shard or its
+// shard has returned, so a caller never waits for a function that will
+// not run.
+func (n *Node) EnqueueCtrl(fn func()) error {
+	s := n.sh
+	if s == nil {
+		return errShardDone
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dead {
+		return errShardDone
+	}
 	n.ctrlQ = append(n.ctrlQ, fn)
-	n.ctrlMu.Unlock()
+	n.ctrl.Store(true)
+	s.readyLocked(n)
+	return nil
 }
 
+// runCtrl runs the node's queued control functions, if any: one atomic
+// load when there are none. Shard goroutine only.
 func (n *Node) runCtrl() {
-	n.ctrlMu.Lock()
+	if !n.ctrl.Load() {
+		return
+	}
+	s := n.sh
+	s.mu.Lock()
 	q := n.ctrlQ
 	n.ctrlQ = nil
-	n.ctrlMu.Unlock()
+	n.ctrl.Store(false)
+	s.mu.Unlock()
 	for _, fn := range q {
 		fn()
 	}

@@ -8,9 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
-	"repro/internal/network"
 	"repro/internal/simtest"
-	"repro/internal/transport"
 )
 
 // goThread runs body as a thread coroutine of node n, parking its misses
@@ -94,19 +92,11 @@ func TestTurnDrainsWhatQueuedBehindItsMiss(t *testing.T) {
 	c := newShardedCluster(t, testConfig(4), 2)
 	const addr = arch.Addr(1 * 64) // line 1, homed at tile 1
 	n0, home, n2 := c.nodes[0], c.nodes[1], c.nodes[2]
-	tr := c.fab.Process(0)
-	ep, err := tr.Register(transport.LCP(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl := network.New(arch.TileID(transport.LCP(0)), tr, ep, network.NewModels(&c.cfg, nil), nil)
-	ctrl.SetPrimary(network.ClassMemory)
 	held, release := make(chan struct{}), make(chan struct{})
-	home.EnqueueCtrl(func() {
+	if err := home.EnqueueCtrl(func() {
 		close(held)
 		<-release
-	})
-	if _, err := ctrl.Send(network.ClassMemory, CtrlMsg, 1, 0, nil, 0); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	staged := func(n *Node) bool {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/park"
+	"repro/internal/ring"
 	"repro/internal/transport"
 )
 
@@ -50,20 +51,16 @@ type Stats struct {
 	TotalDelay  [NumClasses]atomic.Int64 // summed modeled latency of sent packets
 }
 
-// pktQueue is an unbounded FIFO of packets, stored in a ring buffer so
-// steady-state traffic recycles one allocation instead of regrowing an
-// append-and-reslice queue (whose head capacity is unrecoverable). The
-// ring is allocated by the first put: a class that is pumped or sunk never
-// queues anything, so its queue costs no packet storage.
+// pktQueue is an unbounded FIFO of packets. Its ring is allocated by the
+// first put: a class that is pumped or sunk never queues anything, so its
+// queue costs no packet storage.
 //
 // A queue has one consumer, which waits in wait through park: by default
 // defPark, a channel a plain goroutine blocks on; an application thread
 // installs its coroutine (Net.SetParker). put and close wake it.
 type pktQueue struct {
 	mu      sync.Mutex
-	buf     []Packet // ring of count packets starting at head
-	head    int
-	count   int
+	pkts    ring.Ring[Packet]
 	closed  bool
 	park    park.Parker
 	defPark park.Chan
@@ -76,21 +73,13 @@ func newPktQueue() *pktQueue {
 	return q
 }
 
-// at indexes the ring: logical position i counted from the head.
-// Called with mu held.
-func (q *pktQueue) at(i int) *Packet {
-	return &q.buf[(q.head+i)%len(q.buf)]
-}
-
 func (q *pktQueue) put(p Packet) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return
 	}
-	q.grow(1)
-	*q.at(q.count) = p
-	q.count++
+	q.pkts.Push(p)
 	q.wakeLocked()
 	q.mu.Unlock()
 }
@@ -112,44 +101,16 @@ func (q *pktQueue) wakeLocked() {
 	}
 }
 
-// grow ensures room for n more packets. Called with mu held.
-func (q *pktQueue) grow(n int) {
-	if q.count+n <= len(q.buf) {
-		return
-	}
-	newCap := len(q.buf) * 2
-	if newCap < 16 {
-		newCap = 16
-	}
-	for newCap < q.count+n {
-		newCap *= 2
-	}
-	nb := make([]Packet, newCap)
-	for i := 0; i < q.count; i++ {
-		nb[i] = *q.at(i)
-	}
-	q.buf, q.head = nb, 0
-}
-
-// pop removes and returns the head packet. Called with mu held, count > 0.
-func (q *pktQueue) pop() Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = Packet{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	return p
-}
-
 func (q *pktQueue) get() (Packet, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.count == 0 && !q.closed {
+	for q.pkts.Len() == 0 && !q.closed {
 		q.wait()
 	}
-	if q.count == 0 {
+	if q.pkts.Len() == 0 {
 		return Packet{}, false
 	}
-	return q.pop(), true
+	return q.pkts.Pop(), true
 }
 
 // getMatch returns the first packet satisfying pred, buffering others in
@@ -159,19 +120,12 @@ func (q *pktQueue) getMatch(pred func(*Packet) bool) (Packet, bool) {
 	defer q.mu.Unlock()
 	scanned := 0
 	for {
-		for i := scanned; i < q.count; i++ {
-			if pred(q.at(i)) {
-				p := *q.at(i)
-				// Close the gap: shift everything after i forward one slot.
-				for j := i; j+1 < q.count; j++ {
-					*q.at(j) = *q.at(j + 1)
-				}
-				*q.at(q.count - 1) = Packet{}
-				q.count--
-				return p, true
+		for i := scanned; i < q.pkts.Len(); i++ {
+			if pred(q.pkts.At(i)) {
+				return q.pkts.Remove(i), true
 			}
 		}
-		scanned = q.count
+		scanned = q.pkts.Len()
 		if q.closed {
 			return Packet{}, false
 		}

@@ -9,20 +9,24 @@
 //
 // The cache is two tiers:
 //
-//   - An in-memory LRU over the marshaled record bytes, bounded by an
-//     entry-count budget and a byte budget, with an optional TTL.
-//     Eviction only forgets the memory copy; the disk tier still holds
-//     the entry.
+//   - An in-memory LRU over the marshaled record bytes, bounded by a
+//     byte budget. Eviction only forgets the memory copy; the disk tier
+//     still holds the entry.
 //   - A disk tier of append-only JSONL segment files under Options.Dir.
-//     Each line is a self-validating envelope {key, at, sum, record}
-//     where sum is the SHA-256 of the record bytes, so truncation,
-//     bit flips, and torn tails are detected per entry and skipped
-//     instead of erroring the sweep. Dead bytes (overwritten, expired,
-//     or corrupt entries) are reclaimed by compaction: live entries are
+//     Each line is a self-validating envelope {key, sum, record} where
+//     sum is the SHA-256 of the record bytes, so truncation, bit flips,
+//     and torn tails are detected per entry and skipped instead of
+//     erroring the sweep. Dead bytes (overwritten or corrupt entries)
+//     are reclaimed by compaction: live entries are
 //     rewritten to a temp file which is fsynced and renamed into place
 //     before the old segments are removed, so a crash at any point
 //     leaves a readable cache (at worst with duplicate entries, which
 //     the later-segment-wins scan collapses).
+//
+// Segment names carry scenario.ModelPin, the simulator model that made
+// their records. Records of another model are never served: the writer
+// removes their segments at Open, with those of names from before the
+// pin, and a read-only opener skips them.
 //
 // Single-writer discipline: one Cache instance owns the directory's
 // writer lock (a LOCK file holding its pid; stale locks from dead
@@ -59,15 +63,9 @@ type Options struct {
 	// Dir is the disk tier's directory (created if missing). Empty means
 	// memory-only: no persistence, no sharing.
 	Dir string
-	// MaxEntries bounds the in-memory tier's entry count (0 = unlimited).
-	MaxEntries int
 	// MaxBytes bounds the in-memory tier's record bytes (0 = unlimited).
 	// An entry larger than the whole budget is served from disk only.
 	MaxBytes int64
-	// TTL expires entries (memory and disk) this long after their Put
-	// (0 = never). Expiry is evaluated against this instance's clock at
-	// Get time and at segment scan.
-	TTL time.Duration
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -75,7 +73,6 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"` // memory-tier LRU evictions
-	Expired   int64 `json:"expired"`   // TTL drops (memory or disk)
 	Corrupt   int64 `json:"corrupt"`   // disk entries failing checksum/decode
 	Compacts  int64 `json:"compacts"`
 
@@ -102,7 +99,6 @@ func (s Stats) HitRate() float64 {
 //graphite:wire
 type diskLine struct {
 	Key    string          `json:"key"`
-	At     int64           `json:"at"` // Put time, unix nanoseconds
 	Sum    string          `json:"sum"`
 	Record json.RawMessage `json:"record"`
 }
@@ -112,20 +108,17 @@ type diskEntry struct {
 	seg string
 	off int64
 	len int // line length excluding the trailing newline
-	at  int64
 }
 
 // memEntry is one in-memory tier entry (an LRU list value).
 type memEntry struct {
 	key  string
-	at   int64
 	data []byte // marshaled record
 }
 
 // Cache is a two-tier digest-keyed record store. See the package comment.
 type Cache struct {
 	opt Options
-	now func() time.Time // injectable for TTL tests
 
 	mu sync.Mutex
 
@@ -149,12 +142,14 @@ type Cache struct {
 	dead     int64
 	diskErr  error // first append failure; disables further appends
 
-	hits, misses, evictions, expired, corrupt, compacts int64
+	hits, misses, evictions, corrupt, compacts int64
 }
 
 const (
 	lockFile = "LOCK"
-	segExt   = ".jsonl"
+	// segPrefix begins the name of every segment of this model.
+	segPrefix = "seg-" + scenario.ModelPin + "-"
+	segExt    = ".jsonl"
 	// compactMinDead is the dead-byte floor below which automatic
 	// compaction is not worth the rewrite.
 	compactMinDead = 64 << 10
@@ -168,7 +163,6 @@ const (
 func Open(opt Options) (*Cache, error) {
 	c := &Cache{
 		opt:     opt,
-		now:     time.Now,
 		lru:     list.New(),
 		mem:     map[string]*list.Element{},
 		index:   map[string]diskEntry{},
@@ -182,18 +176,21 @@ func Open(opt Options) (*Cache, error) {
 		return nil, fmt.Errorf("recordcache: %w", err)
 	}
 	c.acquireLock()
-	if c.locked {
-		// Leftover temp files are failed compactions from a crashed
-		// writer; only the lock holder may remove them.
-		if tmps, err := filepath.Glob(filepath.Join(c.dir, ".compact-*.tmp")); err == nil {
-			for _, t := range tmps {
-				os.Remove(t)
-			}
-		}
-	}
-	names, err := segmentNames(c.dir)
+	names, stale, err := segmentNames(c.dir)
 	if err != nil {
 		return nil, fmt.Errorf("recordcache: %w", err)
+	}
+	if c.locked {
+		// Segments of another model hold records no key of this one
+		// reaches, and leftover temp files are failed compactions from a
+		// crashed writer; only the lock holder may remove them.
+		tmps, _ := filepath.Glob(filepath.Join(c.dir, ".compact-*.tmp"))
+		for _, name := range stale {
+			tmps = append(tmps, filepath.Join(c.dir, name))
+		}
+		for _, t := range tmps {
+			os.Remove(t)
+		}
 	}
 	for _, name := range names {
 		c.scanSegment(name)
@@ -209,24 +206,27 @@ func Open(opt Options) (*Cache, error) {
 	return c, nil
 }
 
-// segmentNames lists the directory's segment files in scan order
-// (lexical = chronological: names embed a zero-padded creation time).
-func segmentNames(dir string) ([]string, error) {
+// segmentNames lists the directory's segment files of this model in scan
+// order (lexical = chronological: after the pin, names embed a
+// zero-padded creation time), and apart from them the stale segments:
+// another model's, and those named before names carried the pin.
+func segmentNames(dir string) (names, stale []string, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, e := range ents {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		if strings.HasPrefix(e.Name(), "seg-") && strings.HasSuffix(e.Name(), segExt) {
-			names = append(names, e.Name())
+		name := e.Name()
+		switch {
+		case !e.Type().IsRegular() || !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, segExt):
+		case strings.HasPrefix(name, segPrefix):
+			names = append(names, name)
+		default:
+			stale = append(stale, name)
 		}
 	}
 	sort.Strings(names)
-	return names, nil
+	return names, stale, nil
 }
 
 // acquireLock takes the directory writer lock or degrades to read-only.
@@ -288,15 +288,12 @@ func (c *Cache) scanSegment(name string) {
 			if complete {
 				c.corrupt++
 			}
-		case c.expiredAt(dl.At):
-			c.dead += n
-			c.expired++
 		default:
 			if old, live := c.index[dl.Key]; live {
 				c.dead += int64(old.len) + 1
 				c.live -= int64(old.len) + 1
 			}
-			c.index[dl.Key] = diskEntry{seg: name, off: off, len: len(trimmed), at: dl.At}
+			c.index[dl.Key] = diskEntry{seg: name, off: off, len: len(trimmed)}
 			c.live += n
 		}
 		off += n
@@ -320,10 +317,6 @@ func sumHex(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-func (c *Cache) expiredAt(at int64) bool {
-	return c.opt.TTL > 0 && c.now().Sub(time.Unix(0, at)) > c.opt.TTL
-}
-
 // Get returns the record stored under key, consulting the memory tier
 // first and promoting disk hits into it. Implements scenario.RecordCache.
 func (c *Cache) Get(key string) (scenario.Record, bool) {
@@ -343,24 +336,14 @@ func (c *Cache) Get(key string) (scenario.Record, bool) {
 // lookupLocked returns the marshaled record bytes for key, or false.
 func (c *Cache) lookupLocked(key string) ([]byte, bool) {
 	if el, ok := c.mem[key]; ok {
-		me := el.Value.(*memEntry)
-		if !c.expiredAt(me.at) {
-			c.lru.MoveToFront(el)
-			return me.data, true
-		}
-		c.expired++
-		c.removeMemLocked(el)
+		c.lru.MoveToFront(el)
+		return el.Value.(*memEntry).data, true
 	}
 	e, ok := c.index[key]
 	if !ok {
 		return nil, false
 	}
-	if c.expiredAt(e.at) {
-		c.expired++
-		c.dropDiskLocked(key, e)
-		return nil, false
-	}
-	data, at, ok := c.readEntryLocked(key, e)
+	data, ok := c.readEntryLocked(key, e)
 	if !ok {
 		// Bit rot since the open-time scan: forget the entry and let
 		// compaction rewrite the survivors.
@@ -369,30 +352,30 @@ func (c *Cache) lookupLocked(key string) ([]byte, bool) {
 		c.maybeCompactLocked()
 		return nil, false
 	}
-	c.insertMemLocked(key, at, data)
+	c.insertMemLocked(key, data)
 	return data, true
 }
 
 // readEntryLocked reads and re-validates one indexed line from disk.
-func (c *Cache) readEntryLocked(key string, e diskEntry) ([]byte, int64, bool) {
+func (c *Cache) readEntryLocked(key string, e diskEntry) ([]byte, bool) {
 	f := c.readers[e.seg]
 	if f == nil {
 		var err error
 		f, err = os.Open(filepath.Join(c.dir, e.seg))
 		if err != nil {
-			return nil, 0, false
+			return nil, false
 		}
 		c.readers[e.seg] = f
 	}
 	buf := make([]byte, e.len)
 	if _, err := f.ReadAt(buf, e.off); err != nil {
-		return nil, 0, false
+		return nil, false
 	}
 	dl, ok := decodeLine(buf)
 	if !ok || dl.Key != key {
-		return nil, 0, false
+		return nil, false
 	}
-	return dl.Record, dl.At, true
+	return dl.Record, true
 }
 
 // dropDiskLocked forgets a disk entry, moving its bytes to the dead pool.
@@ -419,34 +402,28 @@ func (c *Cache) Put(rec scenario.Record) {
 	key := scenario.RecordKey(&rec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	at := c.now().UnixNano()
-	c.insertMemLocked(key, at, data)
-	c.appendDiskLocked(key, at, data)
+	c.insertMemLocked(key, data)
+	c.appendDiskLocked(key, data)
 	c.maybeCompactLocked()
 }
 
 // insertMemLocked adds (or refreshes) a memory-tier entry and evicts
 // from the cold end until the budgets hold again. An entry larger than
 // the whole byte budget is evicted immediately (disk still serves it).
-func (c *Cache) insertMemLocked(key string, at int64, data []byte) {
+func (c *Cache) insertMemLocked(key string, data []byte) {
 	if el, ok := c.mem[key]; ok {
 		me := el.Value.(*memEntry)
 		c.bytes += int64(len(data)) - int64(len(me.data))
-		me.at, me.data = at, data
+		me.data = data
 		c.lru.MoveToFront(el)
 	} else {
-		c.mem[key] = c.lru.PushFront(&memEntry{key: key, at: at, data: data})
+		c.mem[key] = c.lru.PushFront(&memEntry{key: key, data: data})
 		c.bytes += int64(len(data))
 	}
-	for c.lru.Len() > 0 && c.overBudgetLocked() {
+	for c.lru.Len() > 0 && c.opt.MaxBytes > 0 && c.bytes > c.opt.MaxBytes {
 		c.evictions++
 		c.removeMemLocked(c.lru.Back())
 	}
-}
-
-func (c *Cache) overBudgetLocked() bool {
-	return (c.opt.MaxEntries > 0 && c.lru.Len() > c.opt.MaxEntries) ||
-		(c.opt.MaxBytes > 0 && c.bytes > c.opt.MaxBytes)
 }
 
 func (c *Cache) removeMemLocked(el *list.Element) {
@@ -459,7 +436,7 @@ func (c *Cache) removeMemLocked(el *list.Element) {
 // appendDiskLocked appends one envelope line to the active segment. A
 // write failure disables the disk tier for the rest of the run (memory
 // keeps serving) rather than failing the sweep.
-func (c *Cache) appendDiskLocked(key string, at int64, data []byte) {
+func (c *Cache) appendDiskLocked(key string, data []byte) {
 	if c.dir == "" || c.readOnly || c.diskErr != nil {
 		return
 	}
@@ -473,7 +450,7 @@ func (c *Cache) appendDiskLocked(key string, at int64, data []byte) {
 		c.active, c.activeNm, c.activeOf = f, name, 0
 		c.segments = append(c.segments, name)
 	}
-	line := encodeLine(key, at, data)
+	line := encodeLine(key, data)
 	if _, err := c.active.Write(line); err != nil {
 		c.diskErr = err
 		return
@@ -482,13 +459,13 @@ func (c *Cache) appendDiskLocked(key string, at int64, data []byte) {
 		c.dead += int64(old.len) + 1
 		c.live -= int64(old.len) + 1
 	}
-	c.index[key] = diskEntry{seg: c.activeNm, off: c.activeOf, len: len(line) - 1, at: at}
+	c.index[key] = diskEntry{seg: c.activeNm, off: c.activeOf, len: len(line) - 1}
 	c.live += int64(len(line))
 	c.activeOf += int64(len(line))
 }
 
-func encodeLine(key string, at int64, data []byte) []byte {
-	line, err := json.Marshal(&diskLine{Key: key, At: at, Sum: sumHex(data), Record: data})
+func encodeLine(key string, data []byte) []byte {
+	line, err := json.Marshal(&diskLine{Key: key, Sum: sumHex(data), Record: data})
 	if err != nil {
 		// diskLine is plain data over already-marshaled bytes.
 		panic("recordcache: encode segment line: " + err.Error())
@@ -497,10 +474,11 @@ func encodeLine(key string, at int64, data []byte) []byte {
 }
 
 // segNameLocked mints a fresh segment name that sorts after every
-// existing one (zero-padded wall nanoseconds + pid + per-instance seq).
+// existing one of this model (the pin, then zero-padded wall nanoseconds
+// + pid + per-instance seq).
 func (c *Cache) segNameLocked() string {
 	c.segSeq++
-	return fmt.Sprintf("seg-%020d-%d-%d%s", c.now().UnixNano(), os.Getpid(), c.segSeq, segExt)
+	return fmt.Sprintf("%s%020d-%d-%d%s", segPrefix, time.Now().UnixNano(), os.Getpid(), c.segSeq, segExt)
 }
 
 // maybeCompactLocked rewrites the disk tier when enough of it is dead
@@ -546,18 +524,18 @@ func (c *Cache) compactLocked() error {
 	newIndex := make(map[string]diskEntry, len(entries))
 	var off int64
 	for _, kv := range entries {
-		data, at, ok := c.readEntryLocked(kv.key, kv.e)
+		data, ok := c.readEntryLocked(kv.key, kv.e)
 		if !ok {
 			c.corrupt++
 			continue // rotted since indexing: compaction is how it dies
 		}
-		line := encodeLine(kv.key, at, data)
+		line := encodeLine(kv.key, data)
 		if _, err := f.Write(line); err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return fmt.Errorf("recordcache: compact: %w", err)
 		}
-		newIndex[kv.key] = diskEntry{seg: newName, off: off, len: len(line) - 1, at: at}
+		newIndex[kv.key] = diskEntry{seg: newName, off: off, len: len(line) - 1}
 		off += int64(len(line))
 	}
 	if err := f.Sync(); err != nil {
@@ -611,7 +589,6 @@ func (c *Cache) Stats() Stats {
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Evictions:   c.evictions,
-		Expired:     c.expired,
 		Corrupt:     c.corrupt,
 		Compacts:    c.compacts,
 		Entries:     c.lru.Len(),

@@ -2,12 +2,12 @@ package recordcache
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/scenario"
 )
@@ -151,33 +151,72 @@ func TestOverwriteLatestWins(t *testing.T) {
 	mustGet(t, c2, r)
 }
 
-func TestTTLExpiry(t *testing.T) {
+// TestOtherModelSegmentsAreDropped: a segment of another model (another
+// pin, or a name from before segments carried one) is never served. A
+// read-only opener leaves it in place; the writer removes it at Open.
+func TestOtherModelSegmentsAreDropped(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(Options{Dir: dir, TTL: time.Hour})
+	r := testRecord(1, 0)
+	data, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := encodeLine(key(&r), data)
+	stale := []string{
+		"seg-0000000000000000-00000000000000000001-1-1" + segExt, // another pin
+		"seg-00000000000000000001-1-1" + segExt,                  // no pin
+	}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(dir, name), line, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	present := func() int {
+		n := 0
+		for _, name := range stale {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				n++
+			}
+		}
+		return n
+	}
+
+	// A live writer holds the lock: this opener is read-only.
+	if err := os.WriteFile(filepath.Join(dir, lockFile), []byte(fmt.Sprintf("%d\n", os.Getpid())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ro.Get(key(&r)); ok || !ro.Stats().ReadOnly {
+		t.Fatalf("read-only opener served another model's record (read-only %v)", ro.Stats().ReadOnly)
+	}
+	ro.Close()
+	if n := present(); n != len(stale) {
+		t.Fatalf("a read-only opener removed %d stale segments", len(stale)-n)
+	}
+
+	os.Remove(filepath.Join(dir, lockFile))
+	c, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	now := time.Unix(1_000_000, 0)
-	c.now = func() time.Time { return now }
-	r := testRecord(1, 0)
-	c.Put(r)
-	now = now.Add(30 * time.Minute)
-	mustGet(t, c, r)
-	now = now.Add(31 * time.Minute)
 	if _, ok := c.Get(key(&r)); ok {
-		t.Fatal("expired entry served")
+		t.Fatal("the writer served another model's record")
 	}
-	st := c.Stats()
-	if st.Expired == 0 || st.DiskEntries != 0 || st.Entries != 0 {
-		t.Fatalf("expiry accounting wrong: %+v", st)
+	if n := present(); n != 0 {
+		t.Fatalf("%d stale segments survived the writer's open", n)
 	}
+	c.Put(r)
+	mustGet(t, c, r)
 }
 
 // segmentFiles returns the cache directory's segment paths.
 func segmentFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	names, err := segmentNames(dir)
+	names, _, err := segmentNames(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

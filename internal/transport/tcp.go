@@ -206,10 +206,15 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 	}
 
 	// Accept inbound connections from the other Procs-1 processes. Each
-	// must present a valid hello before its frames are trusted.
+	// must present a valid hello before its frames are trusted. Their
+	// read loops start once the dial loop below has built the peer table:
+	// a reader that finds its peer gone fails the fabric, and that closes
+	// every peer in the table.
+	dialed := make(chan struct{})
 	accepted := make(chan error, 1)
 	go func() {
 		var err error
+		var conns []net.Conn
 		seen := make(map[arch.ProcID]bool)
 		for i := 0; i < cfg.Procs-1; i++ {
 			conn, aerr := ln.Accept()
@@ -227,6 +232,10 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 				break
 			}
 			seen[from] = true
+			conns = append(conns, conn)
+		}
+		<-dialed
+		for _, conn := range conns {
 			t.readers.Add(1)
 			go func() {
 				defer t.readers.Done()
@@ -253,6 +262,7 @@ func DialTCP(cfg TCPConfig) (Transport, error) {
 		t.peers[p] = newTCPPeer(conn)
 		go t.writeLoop(t.peers[p])
 	}
+	close(dialed)
 	if dialErr != nil {
 		t.Close()
 		return nil, dialErr

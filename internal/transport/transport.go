@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arch"
+	"repro/internal/ring"
 )
 
 // EndpointID addresses one logical receiver on the fabric.
@@ -101,16 +102,11 @@ func StripedRoute(procs int) RouteFunc {
 }
 
 // Endpoint is the receive side of one endpoint ID: an unbounded FIFO of
-// messages, stored in a ring buffer so steady-state traffic recycles one
-// allocation instead of regrowing an append-and-reslice queue (the head
-// capacity of a sliced queue is unrecoverable, so it reallocates
-// continuously under load).
+// messages.
 type Endpoint struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    [][]byte // ring of count frames starting at head
-	head   int
-	count  int
+	frames ring.Ring[[]byte]
 	closed bool
 	// notify is the readiness callback installed by SetNotify, or nil.
 	notify func()
@@ -121,45 +117,13 @@ type Endpoint struct {
 }
 
 func newEndpoint() *Endpoint {
-	// The ring starts at its steady-state minimum so the first messages of
-	// a simulation don't each pay a growth step; construction of all
-	// mailboxes is one allocation sweep instead of load-triggered regrowth.
-	e := &Endpoint{buf: make([][]byte, 16)}
+	// The mailbox starts at the ring's steady-state minimum so the first
+	// messages of a simulation don't each pay a growth step; construction
+	// of all mailboxes is one allocation sweep instead of load-triggered
+	// regrowth.
+	e := &Endpoint{frames: ring.New[[]byte]()}
 	e.cond = sync.NewCond(&e.mu)
 	return e
-}
-
-// grow ensures room for n more frames. Called with mu held.
-func (e *Endpoint) grow(n int) {
-	if e.count+n <= len(e.buf) {
-		return
-	}
-	newCap := len(e.buf) * 2
-	if newCap < 16 {
-		newCap = 16
-	}
-	for newCap < e.count+n {
-		newCap *= 2
-	}
-	nb := make([][]byte, newCap)
-	for i := 0; i < e.count; i++ {
-		nb[i] = e.buf[(e.head+i)%len(e.buf)]
-	}
-	e.buf, e.head = nb, 0
-}
-
-func (e *Endpoint) push(data []byte) {
-	e.grow(1)
-	e.buf[(e.head+e.count)%len(e.buf)] = data
-	e.count++
-}
-
-func (e *Endpoint) pop() []byte {
-	data := e.buf[e.head]
-	e.buf[e.head] = nil
-	e.head = (e.head + 1) % len(e.buf)
-	e.count--
-	return data
 }
 
 func (e *Endpoint) put(data []byte) error {
@@ -169,7 +133,7 @@ func (e *Endpoint) put(data []byte) error {
 		return ErrClosed
 	}
 	fire := e.readyFn()
-	e.push(data)
+	e.frames.Push(data)
 	e.cond.Signal()
 	e.mu.Unlock()
 	if fire != nil {
@@ -187,10 +151,9 @@ func (e *Endpoint) putBatch(frames [][]byte) error {
 		return ErrClosed
 	}
 	fire := e.readyFn()
-	e.grow(len(frames))
+	e.frames.Grow(len(frames))
 	for _, f := range frames {
-		e.buf[(e.head+e.count)%len(e.buf)] = f
-		e.count++
+		e.frames.Push(f)
 	}
 	// Broadcast, not Signal: with more than one message queued, several
 	// concurrent Recv callers can all make progress.
@@ -210,7 +173,7 @@ func (e *Endpoint) putBatch(frames [][]byte) error {
 // the installed one if the endpoint is empty, else nil. Called with mu
 // held, before the push.
 func (e *Endpoint) readyFn() func() {
-	if e.count == 0 {
+	if e.frames.Len() == 0 {
 		return e.notify
 	}
 	return nil
@@ -226,7 +189,7 @@ func (e *Endpoint) readyFn() func() {
 func (e *Endpoint) SetNotify(fn func()) {
 	e.mu.Lock()
 	e.notify = fn
-	ready := e.count > 0 || e.closed
+	ready := e.frames.Len() > 0 || e.closed
 	e.mu.Unlock()
 	if ready {
 		fn()
@@ -238,13 +201,13 @@ func (e *Endpoint) SetNotify(fn func()) {
 func (e *Endpoint) Recv() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for e.count == 0 && !e.closed {
+	for e.frames.Len() == 0 && !e.closed {
 		e.cond.Wait()
 	}
-	if e.count == 0 {
+	if e.frames.Len() == 0 {
 		return nil, ErrClosed
 	}
-	return e.pop(), nil
+	return e.frames.Pop(), nil
 }
 
 // TryRecv returns the next message without blocking; ok reports whether
@@ -252,13 +215,13 @@ func (e *Endpoint) Recv() ([]byte, error) {
 func (e *Endpoint) TryRecv() (data []byte, ok bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.count == 0 {
+	if e.frames.Len() == 0 {
 		if e.closed {
 			return nil, false, ErrClosed
 		}
 		return nil, false, nil
 	}
-	return e.pop(), true, nil
+	return e.frames.Pop(), true, nil
 }
 
 // Close closes only this endpoint. The first Close fires the readiness

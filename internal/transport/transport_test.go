@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -356,6 +357,73 @@ func TestTCPLostPeerFailsFabric(t *testing.T) {
 	}
 	if n := trs[0].(*tcpTransport).faults.Load(); n != 1 {
 		t.Errorf("%d faults reported, want 1", n)
+	}
+}
+
+// TestTCPPeerLostWhileDialing: a peer whose inbound connection passes the
+// handshake and drops while this process is still dialing it fails the
+// fabric once DialTCP has built its peer table. Under -race this is the
+// check that a failing reader never closes the table while the dial loop
+// fills it.
+func TestTCPPeerLostWhileDialing(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	ln, err := net.Listen("tcp", addrs[1]) // proc 1, played by the test
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type dialed struct {
+		tr  Transport
+		err error
+	}
+	result := make(chan dialed, 1)
+	go func() {
+		tr, err := DialTCP(TCPConfig{Proc: 0, Procs: 2, Addrs: addrs, DialTimeout: 5 * time.Second})
+		result <- dialed{tr, err}
+	}()
+
+	// Proc 1 connects to proc 0, completes the handshake and drops...
+	in, err := DialRetry(addrs[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello [32]byte
+	if _, err := in.Write(encodeHello(2, 1, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(in, hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	in.Close()
+	// ...and only then answers proc 0's dial.
+	out, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if _, err := io.ReadFull(out, hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := out.Write(encodeHello(2, 1, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case r := <-result:
+		if r.err != nil {
+			t.Fatalf("DialTCP: %v", r.err)
+		}
+		tt := r.tr.(*tcpTransport)
+		tt.readers.Wait()
+		if n := tt.faults.Load(); n != 1 {
+			t.Errorf("%d faults reported, want 1", n)
+		}
+		if _, err := tt.Register(0); !errors.Is(err, ErrClosed) {
+			t.Errorf("Register on the failed fabric: %v, want ErrClosed", err)
+		}
+		tt.Close()
+	case <-time.After(10 * time.Second):
+		t.Fatal("DialTCP did not return")
 	}
 }
 

@@ -1,7 +1,8 @@
 package core
 
-// Per-process checkpoint support (DESIGN.md §18). The LCP's CkptProbe
-// and CkptSave callbacks land here. A save runs each tile's capture in
+// Per-process checkpoint support (DESIGN.md §18): the LCP answers the
+// MCP's drain probe with ckptProbe and its save order with ckptSave. A
+// save runs each tile's capture in
 // that tile's memory server, the shard that serves it, which runs the
 // function queued with EnqueueCtrl the next time it serves the tile; no
 // packet carries it, so a checkpoint moves no tile's traffic or
@@ -34,7 +35,7 @@ func (p *Proc) SetCheckpoint(dir, configDigest string) {
 
 // ckptProbe reports this process's drain status: cumulative memory-class
 // traffic over the local tiles and whether every local node is quiesced.
-// All reads are atomic; the serve goroutine calls this without blocking.
+// All reads are atomic, so it never blocks the LCP loop.
 func (p *Proc) ckptProbe() mcp.CkptProbeRep {
 	rep := mcp.CkptProbeRep{Quiesced: true}
 	for _, t := range p.tileList {
@@ -49,8 +50,8 @@ func (p *Proc) ckptProbe() mcp.CkptProbeRep {
 }
 
 // ckptSave serializes the process's complete simulation state for one
-// epoch and writes the per-process state file. It runs on the LCP serve
-// goroutine and blocks until every local tile has captured.
+// epoch and writes the per-process state file. It runs on the LCP loop
+// and blocks until every local tile has captured.
 func (p *Proc) ckptSave(epoch int64) mcp.CkptSaveResult {
 	res := mcp.CkptSaveResult{Proc: int32(p.id)}
 	cp := p.ckpt

@@ -72,12 +72,10 @@ type Cluster struct {
 
 	// started and ran record that the processes' servers are running and
 	// that Run completed; acks is what the processes answered to Close's
-	// teardown announcement; tornDown (clusters hosting a worker process
-	// only) is closed when that announcement arrives.
-	started  bool
-	ran      bool
-	acks     []mcp.ProcShutdown
-	tornDown chan struct{}
+	// teardown announcement.
+	started bool
+	ran     bool
+	acks    []mcp.ProcShutdown
 
 	// gathered, once Run has seen the application finish, is closed when
 	// its flush and stats gather are over; Close waits for it.
@@ -139,13 +137,6 @@ func JoinCluster(cfg config.Config, prog Program, id arch.ProcID, tr transport.T
 	c := &Cluster{cfg: cfg, prog: prog, transports: []transport.Transport{tr}, sharers: sharers, rank: rank}
 	if err := c.build(id); err != nil {
 		return nil, err
-	}
-	if id != 0 {
-		// Installed before Start — the Proc contract — so that a
-		// coordinator tearing down the instant startup completes cannot
-		// strand the worker.
-		c.tornDown = make(chan struct{})
-		c.procs[0].OnShutdown = func() { close(c.tornDown) }
 	}
 	return c, nil
 }
@@ -294,16 +285,16 @@ func (c *Cluster) watch(done <-chan struct{}) error {
 // meanwhile. The acknowledgement is already
 // on the wire when Serve returns; the caller Closes.
 func (c *Cluster) Serve() error {
-	if c.tornDown == nil {
+	if c.procs[0].MCP != nil {
 		return errors.New("core: Serve on a cluster that hosts process 0; Run it")
 	}
 	w := c.hostCores()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.share(w, 0)))
 	c.start(w)
 	select {
-	case <-c.tornDown:
+	case <-c.procs[0].shutdown:
 		return nil
-	case <-c.procs[0].lcp.Stopped():
+	case <-c.procs[0].lcpDone:
 		// The fabric failed under the process (see the TCP transport's
 		// fail): the coordinator, or the connection to it, is gone.
 		return fmt.Errorf("core: process %d: fabric transport failed before teardown", c.procs[0].id)
@@ -413,14 +404,16 @@ func (c *Cluster) Close() {
 	// at the barrier are woken only after their process's servers have
 	// stopped — a server may have been capturing its tile for a checkpoint,
 	// and that capture must be ordered before the woken thread's next step
-	// — and caches return to the pools only after the threads. The LCP and
-	// MCP loops are waited for too: one may still be writing a checkpoint
-	// state file or manifest, which must not land after Close returns.
+	// — and caches return to the pools only after the threads. Each
+	// process's LCP loop is waited for too, since it may be writing a
+	// checkpoint state file, and the MCP, which returns only after a
+	// running checkpoint function has written its manifest or given up:
+	// neither may land after Close returns.
 	for _, p := range c.procs {
 		for _, t := range p.tileList {
 			<-t.Mem.Stopped()
 		}
-		<-p.lcp.Stopped()
+		<-p.lcpDone
 		if p.MCP != nil {
 			<-p.MCP.Stopped()
 		}

@@ -36,24 +36,13 @@ func (c *Cluster) CaptureState(epoch int64) (*checkpoint.Manifest, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("core: CaptureState without SetCheckpoint")
 	}
-	m := &checkpoint.Manifest{
-		Epoch:        epoch,
-		FabricID:     pol.FabricID,
-		Generation:   pol.Generation,
-		ConfigDigest: pol.ConfigDigest,
-		MCP:          c.procs[0].MCP.CaptureState(),
+	saves := make([]mcp.CkptSaveResult, len(c.procs))
+	for i, p := range c.procs {
+		saves[i] = p.ckptSave(epoch)
 	}
-	for _, p := range c.procs {
-		res := p.ckptSave(epoch)
-		if res.Err != "" {
-			return nil, fmt.Errorf("core: proc %d capture: %s", p.id, res.Err)
-		}
-		m.Procs = append(m.Procs, checkpoint.ManifestProc{
-			Proc:        res.Proc,
-			File:        res.File,
-			FileSum:     res.FileSum,
-			StateDigest: res.StateDigest,
-		})
+	m, err := pol.Manifest(epoch, c.procs[0].MCP.CaptureState(), saves)
+	if err != nil {
+		return nil, fmt.Errorf("core: capture: %w", err)
 	}
 	if err := checkpoint.WriteManifest(pol.Dir, m); err != nil {
 		return nil, err

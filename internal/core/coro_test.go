@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +45,38 @@ func TestSpinOnSharedShardFinishes(t *testing.T) {
 	cfg := testCfg(2, 1)
 	cfg.Workers = 1
 	run(t, cfg, prog, 0)
+}
+
+// TestSpawnedThreadStartsAtAFixedPoint: at one worker a spawned thread
+// enters its shard's order ahead of its parent's next turn, whatever the
+// host's scheduling: the LCP lists the child before it answers the
+// parent's spawn. Main spawns a worker and then runs 2^20 events without
+// blocking, counting them; the worker reads the count at its first event.
+func TestSpawnedThreadStartsAtAFixedPoint(t *testing.T) {
+	const runs, events = 10, 1 << 20
+	for range runs {
+		var count, seen atomic.Int64
+		prog := Program{Name: "spawn-point", Funcs: []ThreadFunc{
+			func(th *Thread, _ uint64) {
+				th.Spawn(1, 0)
+				for range events {
+					th.Compute(coremodel.Arith, 1)
+					count.Add(1)
+				}
+			},
+			func(th *Thread, _ uint64) {
+				seen.Store(count.Load())
+				th.Compute(coremodel.Arith, 1)
+			},
+		}}
+		cfg := testCfg(2, 1)
+		cfg.Workers = 1
+		cfg.Sync.Model = config.Lax
+		run(t, cfg, prog, 0)
+		if n := seen.Load(); n != 0 {
+			t.Fatalf("the worker started after %d of its parent's events, want 0", n)
+		}
+	}
 }
 
 // TestReportNamesEachWait: a wedged run's dump (park.Report, printed by

@@ -15,6 +15,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/synchro"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Proc is one simulated host process: a subset of the target tiles (striped
@@ -36,8 +37,12 @@ type Proc struct {
 	tiles    []*Tile
 	tileList []*Tile
 
-	lcp    *mcp.LCP
-	lcpNet *network.Net
+	// lcpNet is the process's LCP endpoint, which serveLCP serves;
+	// lcpDone is closed when that loop ends. started anchors the serving
+	// time the teardown ack reports.
+	lcpNet  *network.Net
+	lcpDone chan struct{}
+	started time.Time
 
 	// ledger batches this process's LaxBarrier waits into one MCP message
 	// per quantum round (nil under Lax and LaxP2P).
@@ -47,12 +52,12 @@ type Proc struct {
 	MCP    *mcp.Server
 	mcpNet *network.Net
 
-	// OnShutdown, if set before Start, runs when the MCP announces
-	// teardown (worker OS processes use it to exit).
-	OnShutdown func()
+	// shutdown is closed when the MCP announces teardown (a worker's
+	// Cluster.Serve returns on it).
+	shutdown chan struct{}
 
-	// ckpt, if set before any thread starts, enables the LCP's
-	// checkpoint-save callback (see checkpoint.go).
+	// ckpt, if set before any thread starts, lets the LCP save the
+	// process's state (see checkpoint.go).
 	ckpt *ckptConfig
 
 	// shards are the memory-server shards Start launched.
@@ -62,6 +67,8 @@ type Proc struct {
 }
 
 // NewProc builds the runtime of one host process on an attached transport.
+//
+//graphite:wallclock anchors the per-process wall-serving timer reported as proc_wall_sec — reporting only, excluded from reproducibility diffs, never feeds simulated state
 func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Transport) (*Proc, error) {
 	if len(prog.Funcs) == 0 {
 		return nil, fmt.Errorf("core: program %q has no thread functions", prog.Name)
@@ -73,6 +80,9 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 		tr:       tr,
 		progress: clock.NewProgressWindow(cfg.ProgressWindowSize()),
 		tiles:    make([]*Tile, cfg.Tiles),
+		lcpDone:  make(chan struct{}),
+		shutdown: make(chan struct{}),
+		started:  time.Now(),
 	}
 	p.models = network.NewModels(cfg, p.progress)
 
@@ -103,24 +113,6 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 			t.onBlock = p.ledger.SetBlocked
 		}
 	}
-	p.lcp = mcp.NewLCP(id, p.lcpNet, mcp.LCPCallbacks{
-		StartThread:  p.startThread,
-		CollectStats: p.collectStats,
-		Flush:        p.flushAll,
-		Shutdown: func() {
-			if p.OnShutdown != nil {
-				p.OnShutdown()
-			}
-		},
-		SimRelease: func(epoch int64) {
-			if p.ledger != nil {
-				p.ledger.Release(epoch)
-			}
-		},
-		CkptProbe: p.ckptProbe,
-		CkptSave:  p.ckptSave,
-	})
-
 	if id == 0 {
 		mcpEP, err := tr.Register(transport.MCP)
 		if err != nil {
@@ -133,11 +125,11 @@ func NewProc(id arch.ProcID, cfg *config.Config, prog Program, tr transport.Tran
 }
 
 // Start launches every server goroutine of the process: one
-// memory-server shard per core of its share of the host, the LCP, and the
-// MCP on process 0. cores is that share (HostShare), 1 to the process's
-// tile count; tile i of the stripe goes to shard i mod cores. The shards
-// pump the tiles' endpoints and run their threads, the LCP and MCP pump
-// their own.
+// memory-server shard per core of its share of the host, the LCP loop,
+// and the MCP on process 0. cores is that share (HostShare), 1 to the
+// process's tile count; tile i of the stripe goes to shard i mod cores.
+// The shards pump the tiles' endpoints and run their threads, the LCP and
+// MCP pump their own.
 func (p *Proc) Start(cores int) {
 	shards := make([][]*memsys.Node, cores)
 	for i, t := range p.tileList {
@@ -150,7 +142,7 @@ func (p *Proc) Start(cores int) {
 		p.shards = append(p.shards, sh)
 		go sh.Run()
 	}
-	go p.lcp.Serve()
+	go p.serveLCP()
 	if p.MCP != nil {
 		go p.MCP.Serve()
 	}
@@ -169,8 +161,68 @@ func HostShare(w, k, r, tiles int) int {
 	return max(1, min(share, tiles))
 }
 
-// startThread is the LCP callback launching an application thread: a
-// coroutine of the shard that serves the tile, which runs it from there.
+// serveLCP is the process's Local Control Program: it starts the
+// threads the MCP places here, answers the MCP's asks (flush, stats,
+// checkpoint probe and save, teardown) and hands epoch releases to the
+// ledger. It returns when the LCP endpoint closes.
+func (p *Proc) serveLCP() {
+	defer close(p.lcpDone)
+	for {
+		pkt, ok := p.lcpNet.Recv(network.ClassSystem)
+		if !ok {
+			return
+		}
+		switch pkt.Type {
+		case mcp.MsgStartThread:
+			st, err := mcp.DecodeStartThread(pkt.Payload)
+			if err != nil {
+				panic("core: " + err.Error())
+			}
+			p.startThread(st, pkt.Time)
+			if st.Seq != 0 {
+				// Listed on its shard now, the child runs before the
+				// parent's next turn there.
+				mcp.Send(p.lcpNet, mcp.MsgSpawnRep, st.Parent, st.Seq, mcp.EncodeU64Pair(uint64(st.Tile), uint64(pkt.Time)), pkt.Time)
+			}
+		case mcp.MsgSimBarrierRelease:
+			epoch, err := mcp.DecodeU64(pkt.Payload)
+			if err != nil {
+				panic("core: " + err.Error())
+			}
+			if p.ledger != nil {
+				p.ledger.Release(int64(epoch))
+			}
+		case mcp.MsgFlush:
+			p.flushAll()
+			mcp.Send(p.lcpNet, mcp.MsgFlushRep, pkt.Src, pkt.Seq, nil, 0)
+		case mcp.MsgStatsGather:
+			mcp.Send(p.lcpNet, mcp.MsgStatsRep, pkt.Src, pkt.Seq, mcp.EncodeStats(p.collectStats()), 0)
+		case mcp.MsgCkptProbe:
+			rep := p.ckptProbe()
+			mcp.Send(p.lcpNet, mcp.MsgCkptProbeRep, pkt.Src, pkt.Seq, wire.Encode(rep.Walk), 0)
+		case mcp.MsgCkptSave:
+			epoch, err := mcp.DecodeU64(pkt.Payload)
+			if err != nil {
+				panic("core: " + err.Error())
+			}
+			res := p.ckptSave(int64(epoch))
+			mcp.Send(p.lcpNet, mcp.MsgCkptSaveRep, pkt.Src, pkt.Seq, wire.Encode(res.Walk), 0)
+		case mcp.MsgShutdown:
+			// Acknowledge, then act: a worker OS process exits once
+			// shutdown closes and tears the transport down with it.
+			wall := time.Since(p.started) //graphite:wallclock proc_wall_sec reporting; excluded from reproducibility diffs
+			mcp.Send(p.lcpNet, mcp.MsgShutdownRep, pkt.Src, pkt.Seq, mcp.EncodeU64(uint64(wall.Nanoseconds())), 0)
+			select {
+			case <-p.shutdown:
+			default:
+				close(p.shutdown)
+			}
+		}
+	}
+}
+
+// startThread launches an application thread: a coroutine of the shard
+// that serves the tile, which runs it from there.
 func (p *Proc) startThread(st mcp.StartThread, start arch.Cycles) {
 	if int(st.Tile) >= len(p.tiles) || p.tiles[st.Tile] == nil {
 		panic(fmt.Sprintf("core: process %d asked to start thread on foreign tile %v", p.id, st.Tile))

@@ -9,11 +9,10 @@ import (
 )
 
 // TestShutdownImmediatelyAfterStart is the regression test for a worker
-// teardown race: OnShutdown must be installed before Start (the
-// documented Proc contract, which JoinCluster keeps), and a coordinator
-// that announces teardown the instant startup completes must still reach
-// every worker's callback. Assigned after Start, a fast MsgShutdown could
-// be served while the field was still nil and the worker blocked forever.
+// teardown race: a coordinator that announces teardown the instant
+// startup completes must still reach every process. When the teardown
+// was a callback assigned after Start, a fast MsgShutdown could be served
+// while the field was still nil and the worker blocked forever.
 func TestShutdownImmediatelyAfterStart(t *testing.T) {
 	const procs = 2
 	cfg := testCfg(2, procs)
@@ -22,17 +21,13 @@ func TestShutdownImmediatelyAfterStart(t *testing.T) {
 	prog := Program{Name: "idle", Funcs: []ThreadFunc{func(th *Thread, arg uint64) {}}}
 
 	var ps []*Proc
-	var done []chan struct{}
 	for p := 0; p < procs; p++ {
 		pr, err := NewProc(arch.ProcID(p), &cfg, prog, fabric.Process(arch.ProcID(p)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch := make(chan struct{})
-		pr.OnShutdown = func() { close(ch) }
 		pr.Start(1)
 		ps = append(ps, pr)
-		done = append(done, ch)
 	}
 	defer func() {
 		for _, pr := range ps {
@@ -43,9 +38,9 @@ func TestShutdownImmediatelyAfterStart(t *testing.T) {
 	// Tear down immediately: no application ever starts.
 	acks := ps[0].MCP.ShutdownWorkers()
 
-	for p, ch := range done {
+	for p, pr := range ps {
 		select {
-		case <-ch:
+		case <-pr.shutdown:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("proc %d never saw the teardown announcement", p)
 		}

@@ -193,6 +193,10 @@ func (t *Thread) Free(addr arch.Addr) {
 // tile chosen by the MCP. It returns the child's thread ID, or
 // arch.InvalidThread if every tile is busy.
 func (t *Thread) Spawn(fn int, arg uint64) arch.ThreadID {
+	// The reply never waits on a thread. Holding the shard until it lands
+	// puts the child, which the LCP lists before it replies, and the
+	// parent at fixed points of the shard's order.
+	t.co.Hold()
 	pkt, ok := t.call(mcp.MsgSpawn, mcp.EncodeSpawnReq(mcp.SpawnReq{Func: uint32(fn), Arg: arg}))
 	if !ok {
 		panic(tornDown("spawn"))

@@ -1,24 +1,25 @@
 package mcp
 
-// Checkpoint orchestration (DESIGN.md §18). The MCP initiates a
+// Checkpoint orchestration (DESIGN.md §18). The MCP decides on a
 // checkpoint at a LaxBarrier release point: every running, unblocked
 // thread is parked waiting for the epoch release, so simulated state is
 // changing nowhere except the terminating tails of in-flight memory
 // traffic (evictions and their acks). The MCP stashes the release,
-// captures its own service state (stable for the whole window — only
-// checkpoint replies can arrive), probes every process until residual
-// traffic drains, orders each process to serialize its state, writes the
-// manifest, and only then performs the stashed release. The serve loop
-// never blocks: each stage is driven by reply arrival.
+// captures its own service state, and starts the checkpoint function,
+// which probes every process until residual traffic drains, orders each
+// process to save its state, writes the manifest, and only then performs
+// the stashed release.
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
-	"repro/internal/network"
 	"repro/internal/synchro"
 	"repro/internal/wire"
 )
@@ -47,12 +48,12 @@ type CheckpointPolicy struct {
 	// checksum, not in timing-dependent state (see DESIGN.md §18).
 	Verify       map[int64][]string
 	StrictVerify bool
-	// OnSaved, if non-nil, is called from the serve goroutine after each
-	// manifest is written; it must not block.
+	// OnSaved, if non-nil, is called after each manifest is written,
+	// before the epoch is released; it must not block.
 	OnSaved func(epoch int64, m *checkpoint.Manifest)
-	// OnError, if non-nil, observes non-fatal checkpoint failures (probe
-	// overflow, save I/O errors). The simulation continues without the
-	// checkpoint; it must not block.
+	// OnError, if non-nil, observes non-fatal checkpoint failures (a
+	// drain past its bound, save I/O errors). The simulation continues
+	// without the checkpoint; it must not block.
 	OnError func(err error)
 }
 
@@ -75,170 +76,153 @@ func (s *Server) SetCheckpoint(p *CheckpointPolicy) { s.ckpt = p }
 // past it; launchers select on this alongside run completion.
 func (s *Server) CkptFailed() <-chan error { return s.ckptFailed }
 
-// maybeCheckpoint begins a checkpoint at a barrier release point when
-// the policy calls for one, deferring the release (already collected in
-// releaseTo) until the save completes. It returns true when the release
-// was stashed. recheckSimBarrier releases nothing while the checkpoint is
-// in progress (ckptMCP set), so the stash stays intact. It declines while
-// a thread is blocked in an application receive: the drain counts only
-// memory traffic, so an application message still in flight could wake
-// that thread during the cut.
+// maybeCheckpoint starts a checkpoint at a barrier release point when the
+// policy calls for one, leaving the release (already collected in
+// releaseTo) to the checkpoint function. It returns true when it did.
+// recheckSimBarrier releases nothing while the function runs, so the
+// stash stays intact. It declines while a thread is blocked in an
+// application receive: the drain counts only memory traffic, so an
+// application message still in flight could wake that thread during the
+// cut. Serve loop only.
 func (s *Server) maybeCheckpoint(epoch int64) bool {
 	cp := s.ckpt
 	if cp == nil || cp.Every <= 0 || epoch <= 0 || epoch%cp.Every != 0 || epoch == s.ckptLast || s.round.Count(synchro.Receiving) > 0 {
 		return false
 	}
 	s.ckptLast = epoch
-	s.ckptEpoch = epoch
-	s.ckptMCP = s.CaptureState()
-	s.ckptPrevSent = ^uint64(0)
-	s.ckptPrevRecv = ^uint64(0)
-	s.ckptRounds = 0
-	s.ckptStart = time.Now() //graphite:wallclock host-liveness bound of the drain probe (ckptDrainTimeout); it decides only whether a snapshot is kept, never simulated state
-	s.ckptSaves = s.ckptSaves[:0]
-	s.sendCkptProbes()
+	s.ckptRunning = true
+	s.ckptWG.Add(1)
+	go s.checkpoint(epoch, s.CaptureState())
 	return true
 }
 
-// sendCkptProbes starts one drain-probe round.
-func (s *Server) sendCkptProbes() {
-	s.ckptAcks = 0
-	s.ckptSent, s.ckptRecv = 0, 0
-	s.ckptQuiesced = true
-	for p := 0; p < s.cfg.Processes; p++ {
-		send(s.net, MsgCkptProbe, lcpTile(arch.ProcID(p)), 0, nil, 0)
-	}
-}
-
-// handleCkptProbeRep accumulates one process's drain report and, when
-// the round is complete, either starts the save (traffic quiesced,
-// globally balanced, and unchanged since the previous round — cumulative
-// counters, so equality means nothing moved) or probes again.
-func (s *Server) handleCkptProbeRep(pkt network.Packet) {
-	var rep CkptProbeRep
-	if err := wire.Decode(pkt.Payload, rep.Walk); err != nil {
-		panic("mcp: bad ckpt probe reply: " + err.Error())
-	}
-	s.ckptAcks++
-	s.ckptSent += rep.Sent
-	s.ckptRecv += rep.Recv
-	s.ckptQuiesced = s.ckptQuiesced && rep.Quiesced
-	if s.ckptAcks < s.cfg.Processes {
-		return
-	}
-	if s.ckptQuiesced && s.ckptSent == s.ckptRecv &&
-		s.ckptSent == s.ckptPrevSent && s.ckptRecv == s.ckptPrevRecv {
-		s.sendCkptSaves()
-		return
-	}
-	s.ckptPrevSent, s.ckptPrevRecv = s.ckptSent, s.ckptRecv
-	s.ckptRounds++
-	//graphite:wallclock host-liveness bound of the drain probe (ckptDrainTimeout); it decides only whether a snapshot is kept, never simulated state
-	if waited := time.Since(s.ckptStart); waited > ckptDrainTimeout {
-		s.abortCheckpoint(fmt.Errorf("mcp: checkpoint at epoch %d abandoned: traffic did not drain in %v (%d probe rounds)", s.ckptEpoch, waited.Round(time.Millisecond), s.ckptRounds))
-		return
-	}
-	s.sendCkptProbes()
-}
-
-// sendCkptSaves orders every process to serialize its state.
-func (s *Server) sendCkptSaves() {
-	s.ckptAcks = 0
-	payload := EncodeU64(uint64(s.ckptEpoch))
-	for p := 0; p < s.cfg.Processes; p++ {
-		send(s.net, MsgCkptSave, lcpTile(arch.ProcID(p)), 0, payload, 0)
-	}
-}
-
-// handleCkptSaveRep collects one process's save acknowledgement; the
-// last one completes the checkpoint: manifest write, replay-identity
-// verification, and the stashed epoch release.
-func (s *Server) handleCkptSaveRep(pkt network.Packet) {
-	var res CkptSaveResult
-	if err := wire.Decode(pkt.Payload, res.Walk); err != nil {
-		panic("mcp: bad ckpt save reply: " + err.Error())
-	}
-	s.ckptSaves = append(s.ckptSaves, res)
-	if len(s.ckptSaves) < s.cfg.Processes {
-		return
-	}
-	for _, r := range s.ckptSaves {
-		if r.Err != "" {
-			s.abortCheckpoint(fmt.Errorf("mcp: checkpoint at epoch %d abandoned: proc %d save: %s", s.ckptEpoch, r.Proc, r.Err))
-			return
-		}
-	}
-	sort.Slice(s.ckptSaves, func(i, j int) bool { return s.ckptSaves[i].Proc < s.ckptSaves[j].Proc })
+// checkpoint cuts the checkpoint at epoch, whose release is stashed, and
+// then releases the epoch: on an error the snapshot is lost (OnError
+// hears of it), never the run. A replay divergence under StrictVerify is
+// the exception: no manifest is written, the release stays withheld (the
+// parked threads are torn down with the run) and the launcher aborts via
+// CkptFailed. At the end of the serve loop it returns as it stands.
+func (s *Server) checkpoint(epoch int64, ms *checkpoint.MCPState) {
+	defer s.ckptWG.Done()
 	cp := s.ckpt
-	m := &checkpoint.Manifest{
-		Epoch:        s.ckptEpoch,
-		FabricID:     cp.FabricID,
-		Generation:   cp.Generation,
-		ConfigDigest: cp.ConfigDigest,
-		Procs:        make([]checkpoint.ManifestProc, len(s.ckptSaves)),
-		MCP:          s.ckptMCP,
-	}
-	for i, r := range s.ckptSaves {
-		m.Procs[i] = checkpoint.ManifestProc{
-			Proc:        r.Proc,
-			File:        r.File,
-			FileSum:     r.FileSum,
-			StateDigest: r.StateDigest,
-		}
-	}
-	if want, ok := cp.Verify[s.ckptEpoch]; ok && !equalDigests(want, m.VerifyDigests()) {
-		err := fmt.Errorf("mcp: replay diverged at epoch %d: checkpoint digests do not match previous attempt", s.ckptEpoch)
-		if cp.StrictVerify {
-			// Strict mode treats the divergence as fatal: the release stays
-			// withheld (parked threads are torn down with the run) and the
-			// launcher aborts via CkptFailed.
-			select {
-			case s.ckptFailed <- err:
-			default:
-			}
-			return
-		}
-		// Default mode reports and continues: timing-dependent state may
-		// legitimately differ across attempts of a multi-thread run; the
-		// workload checksum of the finished run is the identity criterion.
+	onError := func(err error) {
 		if cp.OnError != nil {
 			cp.OnError(err)
 		}
 	}
-	if err := checkpoint.WriteManifest(cp.Dir, m); err != nil {
-		s.abortCheckpoint(fmt.Errorf("mcp: checkpoint at epoch %d abandoned: %w", s.ckptEpoch, err))
+	m, err := s.cut(epoch, ms)
+	if errors.Is(err, errServeEnded) {
 		return
 	}
-	if cp.OnSaved != nil {
-		cp.OnSaved(s.ckptEpoch, m)
+	if want, ok := cp.Verify[epoch]; ok && err == nil && !slices.Equal(want, m.VerifyDigests()) {
+		diverged := fmt.Errorf("mcp: replay diverged at epoch %d: checkpoint digests do not match previous attempt", epoch)
+		if cp.StrictVerify {
+			select {
+			case s.ckptFailed <- diverged:
+			default:
+			}
+			return
+		}
+		// Timing-dependent state may differ across attempts of a
+		// multi-thread run; its workload checksum is the identity.
+		onError(diverged)
 	}
-	s.ckptMCP = nil
-	s.releaseEpoch(s.ckptEpoch)
+	if err == nil {
+		err = checkpoint.WriteManifest(cp.Dir, m)
+	}
+	if err != nil {
+		onError(fmt.Errorf("mcp: checkpoint at epoch %d abandoned: %w", epoch, err))
+	} else if cp.OnSaved != nil {
+		cp.OnSaved(epoch, m)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ckptRunning = false
+	s.releaseEpoch(epoch)
 	s.recheckSimBarrier()
 }
 
-// abortCheckpoint abandons the in-progress checkpoint (non-fatal: the
-// simulation is intact, only the snapshot is lost) and performs the
-// stashed release so the run continues.
-func (s *Server) abortCheckpoint(err error) {
-	if cp := s.ckpt; cp != nil && cp.OnError != nil {
-		cp.OnError(err)
+// cut probes every process until the traffic has drained, has each save
+// its state, and assembles the manifest.
+func (s *Server) cut(epoch int64, ms *checkpoint.MCPState) (*checkpoint.Manifest, error) {
+	if err := s.drain(); err != nil {
+		return nil, err
 	}
-	s.ckptMCP = nil
-	s.releaseEpoch(s.ckptEpoch)
-	s.recheckSimBarrier()
-}
-
-func equalDigests(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+	g, err := s.ask(MsgCkptSave, EncodeU64(uint64(epoch)), time.Time{})
+	if err != nil {
+		return nil, err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	saves := make([]CkptSaveResult, len(g.reps))
+	for p, b := range g.reps {
+		if err := wire.Decode(b, saves[p].Walk); err != nil {
+			return nil, fmt.Errorf("process %d save reply: %w", p, err)
 		}
 	}
-	return true
+	return s.ckpt.Manifest(epoch, ms, saves)
+}
+
+// drain probes every process until the memory traffic has settled: every
+// node quiesced, as many packets received as sent, and the counts
+// unchanged since the previous round (they are cumulative, so equal
+// means nothing moved). Residual post-barrier traffic is a bounded set of
+// eviction chains, each shortened by every round trip, so a drain that
+// outlasts drainBound, counted from the first probe, means the fabric is
+// wedged.
+//
+//graphite:wallclock host-liveness bound of the drain probe (ckptDrainTimeout); it decides only whether a snapshot is kept, never simulated state
+func (s *Server) drain() error {
+	start := time.Now()
+	deadline := start.Add(s.drainBound)
+	prevSent, prevRecv := ^uint64(0), ^uint64(0)
+	for rounds := 1; ; rounds++ {
+		g, err := s.ask(MsgCkptProbe, nil, deadline)
+		if errors.Is(err, errServeEnded) {
+			return err
+		}
+		if err != nil {
+			return fmt.Errorf("traffic did not drain in %v (%d probe rounds): %w", time.Since(start).Round(time.Millisecond), rounds, err)
+		}
+		var sent, recv uint64
+		quiesced := true
+		for p, b := range g.reps {
+			var rep CkptProbeRep
+			if err := wire.Decode(b, rep.Walk); err != nil {
+				return fmt.Errorf("process %d probe reply: %w", p, err)
+			}
+			sent += rep.Sent
+			recv += rep.Recv
+			quiesced = quiesced && rep.Quiesced
+		}
+		if quiesced && sent == recv && sent == prevSent && recv == prevRecv {
+			return nil
+		}
+		prevSent, prevRecv = sent, recv
+		if waited := time.Since(start); waited > s.drainBound {
+			return fmt.Errorf("traffic did not drain in %v (%d probe rounds)", waited.Round(time.Millisecond), rounds)
+		}
+	}
+}
+
+// Manifest assembles the manifest of a checkpoint at epoch from the MCP's
+// service state and every process's save result, in process order. It
+// fails on the first process whose save failed.
+func (p *CheckpointPolicy) Manifest(epoch int64, ms *checkpoint.MCPState, saves []CkptSaveResult) (*checkpoint.Manifest, error) {
+	m := &checkpoint.Manifest{
+		Epoch:        epoch,
+		FabricID:     p.FabricID,
+		Generation:   p.Generation,
+		ConfigDigest: p.ConfigDigest,
+		Procs:        make([]checkpoint.ManifestProc, len(saves)),
+		MCP:          ms,
+	}
+	for i, r := range saves {
+		if r.Err != "" {
+			return nil, fmt.Errorf("proc %d save: %s", r.Proc, r.Err)
+		}
+		m.Procs[i] = checkpoint.ManifestProc{Proc: r.Proc, File: r.File, FileSum: r.FileSum, StateDigest: r.StateDigest}
+	}
+	slices.SortFunc(m.Procs, func(a, b checkpoint.ManifestProc) int { return cmp.Compare(a.Proc, b.Proc) })
+	return m, nil
 }
 
 // CaptureState snapshots the MCP's service tables. It must run either in

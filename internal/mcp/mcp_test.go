@@ -121,8 +121,8 @@ func TestMsgCodecs(t *testing.T) {
 	if err != nil || sr.Func != 7 || sr.Arg != 0xDEADBEEF {
 		t.Fatalf("spawn codec: %+v %v", sr, err)
 	}
-	st, err := DecodeStartThread(EncodeStartThread(StartThread{Tile: 5, Func: 2, Arg: 9}))
-	if err != nil || st.Tile != 5 || st.Func != 2 || st.Arg != 9 {
+	want := StartThread{Tile: 5, Func: 2, Arg: 9, Parent: 3, Seq: 1 << 40}
+	if st, err := DecodeStartThread(EncodeStartThread(want)); err != nil || st != want {
 		t.Fatalf("start codec: %+v %v", st, err)
 	}
 	v, err := DecodeU64(EncodeU64(42))

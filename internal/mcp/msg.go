@@ -1,13 +1,16 @@
-// Package mcp implements Graphite's simulation control plane (paper §2.2,
-// §3.4, §3.5): the Master Control Program — one per simulation, hosted by
-// process 0 — and the Local Control Program, one per host process.
+// Package mcp implements Graphite's Master Control Program (paper §2.2,
+// §3.4, §3.5) — one per simulation, hosted by process 0 — and the
+// messages it exchanges with the tiles and with the Local Control
+// Programs, one per host process. An LCP is the control loop of a
+// core.Proc, which serves its process's LCP endpoint.
 //
 // The MCP provides the services that preserve the illusion of a single
 // process across distributed host processes:
 //
 //   - thread management: spawn requests are forwarded to the MCP, which
 //     picks an available tile and asks the owning process's LCP to start
-//     the thread; joins synchronize through the MCP;
+//     the thread; the LCP answers the parent once the thread is listed;
+//     joins synchronize through the MCP;
 //   - synchronization: the futex-style services behind application
 //     mutexes, barriers, and condition variables, keyed by simulated
 //     address;
@@ -15,6 +18,11 @@
 //     heap segment of the single application address space;
 //   - the LaxBarrier epoch service used by the quanta-based
 //     synchronization model.
+//
+// Whatever the MCP needs from every process — a cache flush, the
+// statistics, teardown, a checkpoint's drain probes and saves — is one
+// ask: a message to every LCP under a fresh Seq, and one reply from each,
+// which the serve loop files by that Seq.
 //
 // All services communicate over ClassSystem packets, which ride the
 // zero-delay "magic" network so control traffic never perturbs simulated
@@ -84,7 +92,7 @@ const (
 	MsgFlushRep
 	MsgShutdown
 	// MsgShutdownRep acknowledges MsgShutdown. The LCP sends it *before*
-	// invoking its Shutdown callback, carrying the process's wall-clock
+	// its process acts on the teardown, carrying the process's wall-clock
 	// serving time in nanoseconds, so the MCP knows every worker saw the
 	// teardown (acknowledge-then-close) and can report per-process wall
 	// time.
@@ -156,31 +164,40 @@ func DecodeSpawnReq(b []byte) (SpawnReq, error) {
 	}, nil
 }
 
-// StartThread tells an LCP to launch a thread on one of its tiles.
+// StartThread tells an LCP to launch a thread on one of its tiles. A
+// spawned thread carries its parent's MsgSpawn (tile and Seq), which the
+// LCP answers once the thread is listed on its shard; the main thread's
+// Seq is 0, and no one awaits its start.
 type StartThread struct {
-	Tile arch.TileID
-	Func uint32
-	Arg  uint64
+	Tile   arch.TileID
+	Func   uint32
+	Arg    uint64
+	Parent arch.TileID
+	Seq    uint64
 }
 
 // EncodeStartThread serializes a StartThread.
 func EncodeStartThread(r StartThread) []byte {
-	b := make([]byte, 16)
+	b := make([]byte, 28)
 	binary.LittleEndian.PutUint32(b[0:4], uint32(int32(r.Tile)))
 	binary.LittleEndian.PutUint32(b[4:8], r.Func)
 	binary.LittleEndian.PutUint64(b[8:16], r.Arg)
+	binary.LittleEndian.PutUint32(b[16:20], uint32(int32(r.Parent)))
+	binary.LittleEndian.PutUint64(b[20:28], r.Seq)
 	return b
 }
 
 // DecodeStartThread parses a StartThread.
 func DecodeStartThread(b []byte) (StartThread, error) {
-	if len(b) != 16 {
+	if len(b) != 28 {
 		return StartThread{}, fmt.Errorf("mcp: bad StartThread (%d bytes)", len(b))
 	}
 	return StartThread{
-		Tile: arch.TileID(int32(binary.LittleEndian.Uint32(b[0:4]))),
-		Func: binary.LittleEndian.Uint32(b[4:8]),
-		Arg:  binary.LittleEndian.Uint64(b[8:16]),
+		Tile:   arch.TileID(int32(binary.LittleEndian.Uint32(b[0:4]))),
+		Func:   binary.LittleEndian.Uint32(b[4:8]),
+		Arg:    binary.LittleEndian.Uint64(b[8:16]),
+		Parent: arch.TileID(int32(binary.LittleEndian.Uint32(b[16:20]))),
+		Seq:    binary.LittleEndian.Uint64(b[20:28]),
 	}, nil
 }
 
@@ -279,6 +296,12 @@ func (r *CkptSaveResult) Walk(c *wire.Codec) {
 // statsRep is the payload of MsgStatsRep: the records of one process's
 // tiles.
 type statsRep []stats.Tile
+
+// EncodeStats serializes the payload of MsgStatsRep.
+func EncodeStats(tiles []stats.Tile) []byte {
+	rep := statsRep(tiles)
+	return wire.Encode(rep.Walk)
+}
 
 // minStatsTile is the shortest encoding of one record, that of the zero
 // record.

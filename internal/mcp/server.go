@@ -1,6 +1,7 @@
 package mcp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/network"
 	"repro/internal/stats"
@@ -84,39 +84,30 @@ type Server struct {
 	simBatch  []SimWait
 	releaseTo []bool
 
-	// Checkpoint state machine (see checkpoint.go). All fields are
-	// serve-goroutine-private except ckpt (set before Serve runs) and
-	// ckptFailed (read by launchers).
-	ckpt         *CheckpointPolicy
-	ckptLast     int64
-	ckptEpoch    int64
-	ckptMCP      *checkpoint.MCPState
-	ckptAcks     int
-	ckptSent     uint64
-	ckptRecv     uint64
-	ckptQuiesced bool
-	ckptPrevSent uint64
-	ckptPrevRecv uint64
-	ckptRounds   int
-	ckptStart    time.Time // first probe of the checkpoint in progress
-	ckptSaves    []CkptSaveResult
-	ckptFailed   chan error
+	// Checkpoints (see checkpoint.go). ckpt is set before Serve runs;
+	// ckptLast is the epoch of the last one begun. ckptRunning is set
+	// while a checkpoint function runs, and recheckSimBarrier releases
+	// nothing meanwhile; Serve waits for the function (ckptWG) before
+	// closing stopped. drainBound is ckptDrainTimeout, shortened by tests.
+	ckpt        *CheckpointPolicy
+	ckptLast    int64
+	ckptRunning bool
+	ckptWG      sync.WaitGroup
+	ckptFailed  chan error
+	drainBound  time.Duration
 
-	statsCh chan []stats.Tile
-	flushCh chan struct{}
-	shutCh  chan shutdownAck
+	// asks are the open fan-outs by their Seq (see ask), seq the last
+	// Seq handed out.
+	asks map[uint64]*gather
+	seq  uint64
+
 	doneCh  chan struct{}
-	stopped chan struct{}
+	ended   chan struct{} // the receive loop has ended
+	stopped chan struct{} // ... and a running checkpoint has returned
 
 	// mu is held while the serve loop handles a message, so Report can
 	// read the loop's state from another goroutine.
 	mu sync.Mutex
-}
-
-// shutdownAck is one LCP's acknowledgement of teardown.
-type shutdownAck struct {
-	proc arch.ProcID
-	wall time.Duration
 }
 
 // NewServer builds the MCP. net must be registered on the MCP endpoint.
@@ -132,10 +123,10 @@ func NewServer(cfg *config.Config, net *network.Net) *Server {
 		conds:      make(map[arch.Addr]*condRec),
 		releaseTo:  make([]bool, cfg.Processes),
 		ckptFailed: make(chan error, 1),
-		statsCh:    make(chan []stats.Tile, cfg.Processes),
-		flushCh:    make(chan struct{}, cfg.Processes),
-		shutCh:     make(chan shutdownAck, cfg.Processes),
+		drainBound: ckptDrainTimeout,
+		asks:       make(map[uint64]*gather),
 		doneCh:     make(chan struct{}),
+		ended:      make(chan struct{}),
 		stopped:    make(chan struct{}),
 	}
 }
@@ -143,7 +134,8 @@ func NewServer(cfg *config.Config, net *network.Net) *Server {
 // Done is closed when every application thread has exited.
 func (s *Server) Done() <-chan struct{} { return s.doneCh }
 
-// Stopped is closed when the serve loop exits.
+// Stopped is closed when the serve loop exits, after a checkpoint it
+// started has finished or been abandoned.
 func (s *Server) Stopped() <-chan struct{} { return s.stopped }
 
 // StartMain launches the application's main thread (function 0, argument
@@ -190,16 +182,17 @@ func (s *Server) pickTile() arch.TileID {
 }
 
 func (s *Server) sendToLCP(tile arch.TileID, st StartThread, when arch.Cycles) {
-	send(s.net, MsgStartThread, lcpTile(s.cfg.ProcOf(tile)), 0, EncodeStartThread(st), when)
+	Send(s.net, MsgStartThread, lcpTile(s.cfg.ProcOf(tile)), 0, EncodeStartThread(st), when)
 }
 
 func (s *Server) reply(typ uint8, to replyTo, payload []byte, when arch.Cycles) {
-	send(s.net, typ, to.src, to.seq, payload, when)
+	Send(s.net, typ, to.src, to.seq, payload, when)
 }
 
-// send sends a control message. One that races teardown (transport
-// closed) is dropped: its receiver is torn down with the fabric.
-func send(n *network.Net, typ uint8, dst arch.TileID, seq uint64, payload []byte, when arch.Cycles) {
+// Send sends a control message from n, an MCP or LCP endpoint. One that
+// races teardown (transport closed) is dropped: its receiver is torn down
+// with the fabric.
+func Send(n *network.Net, typ uint8, dst arch.TileID, seq uint64, payload []byte, when arch.Cycles) {
 	if _, err := n.Send(network.ClassSystem, typ, dst, seq, payload, when); err != nil && !errors.Is(err, transport.ErrClosed) {
 		panic(fmt.Sprintf("mcp: send %s: %v", msgName(typ), err))
 	}
@@ -207,18 +200,21 @@ func send(n *network.Net, typ uint8, dst arch.TileID, seq uint64, payload []byte
 
 func lcpTile(p arch.ProcID) arch.TileID { return arch.TileID(transport.LCP(p)) }
 
-// Serve is the MCP message loop.
+// Serve is the MCP message loop. Once its network closes it waits for a
+// running checkpoint, which the end of the loop stops, and returns.
 func (s *Server) Serve() {
 	defer close(s.stopped)
 	for {
 		pkt, ok := s.net.Recv(network.ClassSystem)
 		if !ok {
-			return
+			break
 		}
 		s.mu.Lock()
 		s.handle(pkt)
 		s.mu.Unlock()
 	}
+	close(s.ended)
+	s.ckptWG.Wait()
 }
 
 // Report writes the LaxBarrier service's view of the threads for a
@@ -262,29 +258,8 @@ func (s *Server) handle(pkt network.Packet) {
 		s.handleFree(pkt)
 	case MsgSimBarrierBatch:
 		s.handleSimBarrierBatch(pkt)
-	case MsgCkptProbeRep:
-		s.handleCkptProbeRep(pkt)
-	case MsgCkptSaveRep:
-		s.handleCkptSaveRep(pkt)
-	case MsgStatsRep:
-		var rep statsRep
-		if err := wire.Decode(pkt.Payload, rep.Walk); err != nil {
-			panic("mcp: bad stats payload: " + err.Error())
-		}
-		s.statsCh <- rep
-	case MsgFlushRep:
-		s.flushCh <- struct{}{}
-	case MsgShutdownRep:
-		ns, err := DecodeU64(pkt.Payload)
-		if err != nil {
-			panic("mcp: bad shutdown ack: " + err.Error())
-		}
-		// The sender is an LCP; its endpoint encodes the process ID.
-		proc, ok := transport.LCPProc(transport.EndpointID(pkt.Src))
-		if !ok {
-			panic(fmt.Sprintf("mcp: shutdown ack from non-LCP endpoint %d", pkt.Src))
-		}
-		s.shutCh <- shutdownAck{proc: proc, wall: time.Duration(ns)}
+	case MsgFlushRep, MsgStatsRep, MsgShutdownRep, MsgCkptProbeRep, MsgCkptSaveRep:
+		s.file(pkt)
 	}
 }
 
@@ -301,9 +276,11 @@ func (s *Server) handleSpawn(pkt network.Packet, to replyTo) {
 	}
 	s.threads[arch.ThreadID(tile)] = &threadRec{}
 	s.everStarted = true
+	// The child's LCP answers the parent, once the child is listed on its
+	// shard: the child enters its shard's order ahead of the parent's
+	// next turn, whatever the host's scheduling.
 	start := pkt.Time + s.cfg.Costs.Spawn
-	s.sendToLCP(tile, StartThread{Tile: tile, Func: req.Func, Arg: req.Arg}, start)
-	s.reply(MsgSpawnRep, to, EncodeU64Pair(uint64(tile), uint64(start)), start)
+	s.sendToLCP(tile, StartThread{Tile: tile, Func: req.Func, Arg: req.Arg, Parent: to.src, Seq: to.seq}, start)
 }
 
 func (s *Server) handleThreadExit(pkt network.Packet) {
@@ -547,13 +524,12 @@ func (s *Server) handleSimBarrierBatch(pkt network.Packet) {
 // tiles run again, so one release completes the check.
 func (s *Server) recheckSimBarrier() {
 	epoch, ok := s.round.Next()
-	if s.ckptMCP != nil || !ok {
+	if s.ckptRunning || !ok {
 		return
 	}
 	s.round.Release(epoch, func(t arch.TileID) { s.releaseTo[s.cfg.ProcOf(t)] = true })
 	// A checkpoint-eligible epoch intercepts the release: the targets stay
-	// stashed in releaseTo until the save completes, and releaseEpoch
-	// runs from the checkpoint machine.
+	// stashed in releaseTo, and the checkpoint function releases them.
 	if !s.maybeCheckpoint(epoch) {
 		s.releaseEpoch(epoch)
 	}
@@ -564,7 +540,7 @@ func (s *Server) recheckSimBarrier() {
 func (s *Server) releaseEpoch(epoch int64) {
 	for proc, ok := range s.releaseTo {
 		if ok {
-			send(s.net, MsgSimBarrierRelease, lcpTile(arch.ProcID(proc)), 0, EncodeU64(uint64(epoch)), 0)
+			Send(s.net, MsgSimBarrierRelease, lcpTile(arch.ProcID(proc)), 0, EncodeU64(uint64(epoch)), 0)
 		}
 	}
 	clear(s.releaseTo)
@@ -579,49 +555,121 @@ func (s *Server) unblock(tile arch.TileID) {
 	s.round.Step(tile, synchro.Resume, 0)
 }
 
-// GatherStats asks every LCP for its tiles' records and returns them all,
-// ordered by tile ID. Call only after the application has finished. It
-// fails if a request cannot be sent or the serve loop ends first.
-func (s *Server) GatherStats() ([]stats.Tile, error) {
-	if err := s.askAll(MsgStatsGather); err != nil {
-		return nil, err
+// gather is one open ask: each process's reply payload, whether it came,
+// and how many replies are still awaited.
+type gather struct {
+	reps [][]byte
+	got  []bool
+	left int
+	done chan struct{}
+}
+
+// settle counts one awaited reply as in, or as never coming; the last
+// closes done. Under s.mu.
+func (g *gather) settle() {
+	if g.left--; g.left == 0 {
+		close(g.done)
 	}
-	var all []stats.Tile
-	for p := 0; p < s.cfg.Processes; p++ {
-		select {
-		case rep := <-s.statsCh:
-			all = append(all, rep...)
-		case <-s.stopped:
-			return nil, errServeEnded
+}
+
+// file hands an LCP's reply to the ask open under its Seq. A reply that
+// matches no open ask — a late one, a duplicate, one from no LCP — is
+// dropped. Serve loop only.
+func (s *Server) file(pkt network.Packet) {
+	g := s.asks[pkt.Seq]
+	proc, ok := transport.LCPProc(transport.EndpointID(pkt.Src))
+	if g == nil || !ok || int(proc) >= len(g.got) || g.got[proc] {
+		return
+	}
+	g.reps[proc], g.got[proc] = pkt.Payload, true
+	g.settle()
+}
+
+// errServeEnded is what an ask returns when the serve loop ends before
+// every process has replied.
+var errServeEnded = errors.New("mcp: serve loop ended before every process replied")
+
+// ask sends typ with payload to every process's LCP under a fresh Seq and
+// collects one reply from each. A failed send does not stop the others.
+// It returns once every process it reached has replied, the serve loop
+// has ended, or the deadline (zero: none) has passed. err is the first
+// failed send, else why the wait ended short. Not from the serve loop,
+// which files the replies.
+//
+//graphite:wallclock bounded reply wait (teardown acks, the checkpoint drain): it decides only whether a reply is still awaited, never simulated state
+func (s *Server) ask(typ uint8, payload []byte, deadline time.Time) (*gather, error) {
+	n := s.cfg.Processes
+	g := &gather{reps: make([][]byte, n), got: make([]bool, n), left: n, done: make(chan struct{})}
+	s.mu.Lock()
+	s.seq++
+	seq := s.seq
+	s.asks[seq] = g
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.asks, seq)
+		s.mu.Unlock()
+	}()
+	var err error
+	for p := range n {
+		if _, serr := s.net.Send(network.ClassSystem, typ, lcpTile(arch.ProcID(p)), seq, payload, 0); serr != nil {
+			err = cmp.Or(err, fmt.Errorf("mcp: send %s to process %d: %w", msgName(typ), p, serr))
+			s.mu.Lock()
+			g.settle()
+			s.mu.Unlock()
 		}
 	}
+	var timeout <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case <-g.done:
+		return g, err
+	case <-s.ended:
+		return g, cmp.Or(err, errServeEnded)
+	case <-timeout:
+		return g, cmp.Or(err, fmt.Errorf("mcp: %s: a process did not reply in time", msgName(typ)))
+	}
+}
+
+// GatherStats asks every LCP for its tiles' records and returns them all,
+// indexed by tile ID. Call only after the application has finished. It
+// fails if a request cannot be sent or the serve loop ends first.
+func (s *Server) GatherStats() ([]stats.Tile, error) {
+	g, err := s.ask(MsgStatsGather, nil, time.Time{})
+	if err != nil {
+		return nil, err
+	}
 	byTile := make([]stats.Tile, s.cfg.Tiles)
-	for _, t := range all {
-		if int(t.TileID) < len(byTile) {
-			byTile[t.TileID] = t
+	for p, b := range g.reps {
+		var rep statsRep
+		if err := wire.Decode(b, rep.Walk); err != nil {
+			return nil, fmt.Errorf("mcp: stats of process %d: %w", p, err)
+		}
+		for _, t := range rep {
+			if int(t.TileID) < len(byTile) {
+				byTile[t.TileID] = t
+			}
 		}
 	}
 	return byTile, nil
 }
 
-// errServeEnded is what a wait for every process's reply returns when the
-// serve loop ends before the replies are in.
-var errServeEnded = errors.New("mcp: serve loop ended before every process replied")
-
-// askAll sends typ, with no payload, to every process's LCP.
-func (s *Server) askAll(typ uint8) error {
-	for p := 0; p < s.cfg.Processes; p++ {
-		if _, err := s.net.Send(network.ClassSystem, typ, lcpTile(arch.ProcID(p)), 0, nil, 0); err != nil {
-			return fmt.Errorf("mcp: send to process %d: %w", p, err)
-		}
-	}
-	return nil
+// FlushCaches asks every LCP to flush its tiles' caches and waits for
+// completion. Call only after the application has finished. It fails as
+// GatherStats does.
+func (s *Server) FlushCaches() error {
+	_, err := s.ask(MsgFlush, nil, time.Time{})
+	return err
 }
 
 // ProcShutdown reports one host process's teardown acknowledgement.
 type ProcShutdown struct {
 	Proc arch.ProcID
-	// Wall is the process's wall-clock serving time (LCP construction to
+	// Wall is the process's wall-clock serving time (LCP start to
 	// shutdown ack), valid when Acked.
 	Wall time.Duration
 	// Acked reports whether the process acknowledged teardown before the
@@ -636,59 +684,21 @@ type ProcShutdown struct {
 const shutdownAckTimeout = 15 * time.Second
 
 // ShutdownWorkers announces teardown to every LCP and waits for each to
-// acknowledge (acknowledge-then-close: workers send the ack before their
-// Shutdown callback exits the process, so a full set of acks means every
-// worker saw the teardown and is past its last fabric send). The returned
-// slice, indexed by process, carries per-process wall times. In-process
-// simulations with no Shutdown callbacks still ack; callers that don't
-// care may ignore the result.
+// acknowledge (acknowledge-then-close: an LCP sends the ack before its
+// process acts on the teardown, so a full set of acks means every worker
+// saw it and is past its last fabric send). A failed send does not stop
+// the announcement to the others: they still need their teardown; the
+// failed process yields no ack. The result, indexed by process, carries
+// per-process wall times; callers that don't care may ignore it.
 func (s *Server) ShutdownWorkers() []ProcShutdown {
+	//graphite:wallclock bounded teardown-ack wait: a dead worker must not hang shutdown; the timeout only abandons acks, simulation results are already final
+	g, _ := s.ask(MsgShutdown, nil, time.Now().Add(shutdownAckTimeout))
 	out := make([]ProcShutdown, s.cfg.Processes)
-	announced := 0
 	for p := range out {
 		out[p].Proc = arch.ProcID(p)
-	}
-	for p := 0; p < s.cfg.Processes; p++ {
-		// A failed send (dead peer connection, closed transport) must not
-		// stop the announcement: the REMAINING workers still need their
-		// teardown, or they block forever. The failed process simply
-		// yields no ack.
-		if _, err := s.net.Send(network.ClassSystem, MsgShutdown, lcpTile(arch.ProcID(p)), 0, nil, 0); err == nil {
-			announced++
-		}
-	}
-	//graphite:wallclock bounded teardown-ack wait: a dead worker must not hang shutdown; the timeout only abandons acks, simulation results are already final
-	deadline := time.NewTimer(shutdownAckTimeout)
-	defer deadline.Stop()
-	for n := 0; n < announced; n++ {
-		select {
-		case ack := <-s.shutCh:
-			if int(ack.proc) < len(out) {
-				out[ack.proc].Wall = ack.wall
-				out[ack.proc].Acked = true
-			}
-		case <-s.stopped:
-			return out // serve loop gone (transport closed): no more acks
-		case <-deadline.C:
-			return out
+		if ns, err := DecodeU64(g.reps[p]); g.got[p] && err == nil {
+			out[p].Wall, out[p].Acked = time.Duration(ns), true
 		}
 	}
 	return out
-}
-
-// FlushCaches asks every LCP to flush its tiles' caches and waits for
-// completion. Call only after the application has finished. It fails as
-// GatherStats does.
-func (s *Server) FlushCaches() error {
-	if err := s.askAll(MsgFlush); err != nil {
-		return err
-	}
-	for p := 0; p < s.cfg.Processes; p++ {
-		select {
-		case <-s.flushCh:
-		case <-s.stopped:
-			return errServeEnded
-		}
-	}
-	return nil
 }

@@ -2,6 +2,8 @@ package mcp
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +107,49 @@ func (h *mcpHarness) simRelease(t *testing.T) uint64 {
 		t.Fatal(err)
 	}
 	return epoch
+}
+
+// serveStart plays the LCP's part in a thread start: it takes the next
+// StartThread and, for a spawn, answers the parent as core.Proc does once
+// the thread is listed.
+func (h *mcpHarness) serveStart(t *testing.T) (StartThread, network.Packet) {
+	t.Helper()
+	pkt := recvOn(t, h.lcp)
+	if pkt.Type != MsgStartThread {
+		t.Fatalf("LCP got %s, want StartThread", msgName(pkt.Type))
+	}
+	st, err := DecodeStartThread(pkt.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Seq != 0 {
+		if _, err := h.lcp.Send(network.ClassSystem, MsgSpawnRep, st.Parent, st.Seq, EncodeU64Pair(uint64(st.Tile), uint64(pkt.Time)), pkt.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, pkt
+}
+
+// startMain starts the main thread on tile 0.
+func (h *mcpHarness) startMain(t *testing.T) {
+	t.Helper()
+	if err := h.srv.StartMain(0); err != nil {
+		t.Fatal(err)
+	}
+	h.serveStart(t)
+}
+
+// spawn has tile from spawn a thread of function 1 at time at, serves its
+// start, and returns the child's tile.
+func (h *mcpHarness) spawn(t *testing.T, from int, at arch.Cycles) uint64 {
+	t.Helper()
+	h.send(from, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), at)
+	h.serveStart(t)
+	tid, _, err := DecodeU64Pair(h.recv(t, from).Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tid
 }
 
 // recvOn awaits the next system-class packet at an endpoint.
@@ -246,51 +291,48 @@ func TestJoinUnknownThreadRepliesImmediately(t *testing.T) {
 	}
 }
 
+// TestSpawnRoutesToLCPAndOverflows: the MCP places a spawned thread and
+// orders its start from the LCP of the tile's process, carrying the
+// parent's request; the parent's reply comes from that LCP, not from the
+// MCP, so it cannot overtake the start. The main thread's start asks for
+// no reply. A spawn with no tile free is answered by the MCP itself.
 func TestSpawnRoutesToLCPAndOverflows(t *testing.T) {
 	h := newHarness(t, 2)
 	if err := h.srv.StartMain(0); err != nil {
 		t.Fatal(err)
 	}
-	// StartMain sends a StartThread for tile 0 to the LCP.
-	pkt, ok := h.lcp.Recv(network.ClassSystem)
-	if !ok || pkt.Type != MsgStartThread {
-		t.Fatalf("LCP got %d", pkt.Type)
+	if st, _ := h.serveStart(t); st != (StartThread{Tile: 0}) {
+		t.Fatalf("main's start %+v, want tile 0 with no reply", st)
 	}
-	st, err := DecodeStartThread(pkt.Payload)
-	if err != nil || st.Tile != 0 {
-		t.Fatalf("start thread %+v %v", st, err)
+	// Tile 0 spawns one more: tile 1 is granted, and tile 0 hears so only
+	// from the LCP.
+	seq := h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1, Arg: 7}), 500)
+	h.noReply(t, 0, 20*time.Millisecond)
+	st, start := h.serveStart(t)
+	if want := (StartThread{Tile: 1, Func: 1, Arg: 7, Parent: 0, Seq: seq}); st != want {
+		t.Fatalf("forwarded %+v, want %+v", st, want)
 	}
-	// Tile 0 spawns one more: tile 1 is granted.
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1, Arg: 7}), 500)
+	if start.Time != 500+h.srv.cfg.Costs.Spawn {
+		t.Fatalf("child start %d", start.Time)
+	}
 	rep := h.recv(t, 0)
-	tid, start, err := DecodeU64Pair(rep.Payload)
-	if err != nil || tid != 1 {
-		t.Fatalf("spawn rep %d %v", tid, err)
-	}
-	if arch.Cycles(start) != 500+h.srv.cfg.Costs.Spawn {
-		t.Fatalf("child start %d", start)
-	}
-	pkt, _ = h.lcp.Recv(network.ClassSystem)
-	st, _ = DecodeStartThread(pkt.Payload)
-	if st.Tile != 1 || st.Func != 1 || st.Arg != 7 {
-		t.Fatalf("forwarded %+v", st)
+	tid, at, err := DecodeU64Pair(rep.Payload)
+	if err != nil || tid != 1 || arch.Cycles(at) != start.Time || rep.Time != start.Time || rep.Src != lcpTile(0) {
+		t.Fatalf("spawn rep from %d at %d: tile %d start %d %v", rep.Src, rep.Time, tid, at, err)
 	}
 	// A third spawn overflows.
 	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 600)
 	rep = h.recv(t, 0)
 	tid, _, _ = DecodeU64Pair(rep.Payload)
-	if tid != ^uint64(0) {
-		t.Fatalf("overflow spawn returned tile %d", tid)
+	if tid != ^uint64(0) || rep.Src != arch.TileID(transport.MCP) {
+		t.Fatalf("overflow spawn returned tile %d from %d", tid, rep.Src)
 	}
 }
 
 func TestJoinThenExitReleasesJoiner(t *testing.T) {
 	h := newHarness(t, 2)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 100)
-	h.recv(t, 0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
+	h.spawn(t, 0, 100)
 	// Tile 0 joins tile 1 before it exits.
 	h.send(0, MsgJoin, EncodeU64(1), 200)
 	h.noReply(t, 0, 0) // consumed replies above; just proceed
@@ -312,11 +354,8 @@ func TestJoinThenExitReleasesJoiner(t *testing.T) {
 
 func TestSimBarrierReleasesMinEpochOnly(t *testing.T) {
 	h := newHarness(t, 2)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
-	h.recv(t, 0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
+	h.spawn(t, 0, 0)
 	// Tile 0 waits at epoch 5, tile 1 at epoch 3, in separate batches:
 	// only epoch 3 releases.
 	h.simWait(t, SimWait{Tile: 0, Epoch: 5})
@@ -338,11 +377,8 @@ func TestSimBarrierReleasesMinEpochOnly(t *testing.T) {
 
 func TestSimBarrierExcludesBlockedThreads(t *testing.T) {
 	h := newHarness(t, 2)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
-	h.recv(t, 0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
+	h.spawn(t, 0, 0)
 	// Tile 1 blocks on a mutex held by tile 0.
 	h.send(0, MsgMutexLock, EncodeU64(0x9), 10)
 	h.recv(t, 0)
@@ -358,11 +394,8 @@ func TestSimBarrierExcludesBlockedThreads(t *testing.T) {
 
 func TestSimBarrierBatchReleasesViaLCP(t *testing.T) {
 	h := newHarness(t, 2)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
-	h.recv(t, 0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
+	h.spawn(t, 0, 0)
 	// The process ledger forwards both tiles' waits in one batch; the MCP
 	// answers the whole process with a single release of the min epoch.
 	h.simWait(t, SimWait{Tile: 0, Epoch: 5}, SimWait{Tile: 1, Epoch: 3})
@@ -385,11 +418,8 @@ func TestSimBarrierBatchReleasesViaLCP(t *testing.T) {
 // again: the epoch then waits for it, and the checkpoint is cut.
 func TestSimBarrierReleasesPastReceiveBlocked(t *testing.T) {
 	h := newHarness(t, 2)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
-	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
-	h.recv(t, 0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
+	h.spawn(t, 0, 0)
 	h.srv.SetCheckpoint(&CheckpointPolicy{Dir: t.TempDir(), Every: 1})
 
 	var first, early, second network.Packet
@@ -436,8 +466,7 @@ func TestSimBarrierReleasesPastReceiveBlocked(t *testing.T) {
 func TestCheckpointDrainOutlastsManyRounds(t *testing.T) {
 	const busyRounds = 1500
 	h := newHarness(t, 1)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
 	var saved, failed []string
 	h.srv.SetCheckpoint(&CheckpointPolicy{
 		Dir:     t.TempDir(),
@@ -479,6 +508,105 @@ func TestCheckpointDrainOutlastsManyRounds(t *testing.T) {
 	}
 	if len(failed) != 0 || len(saved) != 1 {
 		t.Fatalf("checkpoint saved at epochs %v with errors %v, want saved at 1 without errors", saved, failed)
+	}
+}
+
+// TestCheckpointAbandonedPastDrainBound: a process that never reports
+// quiesced gets the checkpoint abandoned once the drain bound has passed
+// since the first probe: OnError hears of it once, no manifest is
+// written, and the stashed epoch is released.
+func TestCheckpointAbandonedPastDrainBound(t *testing.T) {
+	h := newHarness(t, 1)
+	h.startMain(t)
+	h.srv.drainBound = 50 * time.Millisecond
+	// Room for calls past the one expected, so a surplus is counted, not
+	// blocked on.
+	errs := make(chan error, 4)
+	saved := make(chan int64, 4)
+	h.srv.SetCheckpoint(&CheckpointPolicy{
+		Dir:     t.TempDir(),
+		Every:   1,
+		OnSaved: func(epoch int64, _ *checkpoint.Manifest) { saved <- epoch },
+		OnError: func(err error) { errs <- err },
+	})
+	var release network.Packet
+	probes := 0
+	simtest.Deadline(t, time.Minute, func() {
+		h.simWait(t, SimWait{Tile: 0, Epoch: 1})
+		for {
+			pkt, ok := h.lcp.Recv(network.ClassSystem)
+			if !ok || pkt.Type != MsgCkptProbe {
+				release = pkt
+				return
+			}
+			probes++
+			rep := CkptProbeRep{Sent: 3, Recv: 3}
+			if _, err := h.lcp.Send(network.ClassSystem, MsgCkptProbeRep, arch.TileID(transport.MCP), pkt.Seq, wire.Encode(rep.Walk), 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	if epoch, err := DecodeU64(release.Payload); release.Type != MsgSimBarrierRelease || err != nil || epoch != 1 {
+		t.Fatalf("after %d probes the LCP got %s %v, want the release of epoch 1", probes, msgName(release.Type), release.Payload)
+	}
+	if len(errs) != 1 || len(saved) != 0 {
+		t.Fatalf("OnError called %d times and OnSaved %d, want once and never", len(errs), len(saved))
+	}
+	if err := <-errs; !strings.Contains(err.Error(), "did not drain") {
+		t.Fatalf("OnError got %v, want the drain bound", err)
+	}
+}
+
+// TestUnaskedRepliesAreDropped: replies that match no open ask — late,
+// duplicated or never asked for — are dropped without blocking the serve
+// loop, which goes on answering requests.
+func TestUnaskedRepliesAreDropped(t *testing.T) {
+	h := newHarness(t, 2)
+	var rep network.Packet
+	simtest.Deadline(t, time.Minute, func() {
+		for i := range 2 * h.srv.cfg.Processes {
+			for _, m := range []struct {
+				typ     uint8
+				payload []byte
+			}{{MsgFlushRep, nil}, {MsgStatsRep, EncodeStats(nil)}} {
+				if _, err := h.lcp.Send(network.ClassSystem, m.typ, arch.TileID(transport.MCP), uint64(i), m.payload, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+		h.send(1, MsgMalloc, EncodeU64(64), 10)
+		rep, _ = h.tiles[1].Recv(network.ClassSystem)
+	})
+	if addr, err := DecodeU64(rep.Payload); rep.Type != MsgMallocRep || err != nil || addr == 0 {
+		t.Fatalf("malloc after unasked replies: got %s %v", msgName(rep.Type), rep.Payload)
+	}
+}
+
+// TestShutdownAnnouncesPastAFailedSend: a failed send — process 1's LCP
+// is on no fabric — does not stop the teardown announcement. Process 0
+// still hears it and is reported acked, process 1 unacked, and the wait
+// ends well inside the ack bound.
+func TestShutdownAnnouncesPastAFailedSend(t *testing.T) {
+	h := newHarness(t, 2)
+	h.srv.cfg.Processes = 2 // process 1's LCP endpoint is never registered
+	var acks []ProcShutdown
+	simtest.Deadline(t, 10*time.Second, func() {
+		go func() {
+			pkt, ok := h.lcp.Recv(network.ClassSystem)
+			if !ok || pkt.Type != MsgShutdown {
+				t.Errorf("LCP 0 got %s, want Shutdown", msgName(pkt.Type))
+				return
+			}
+			if _, err := h.lcp.Send(network.ClassSystem, MsgShutdownRep, pkt.Src, pkt.Seq, EncodeU64(5), 0); err != nil {
+				t.Error(err)
+			}
+		}()
+		acks = h.srv.ShutdownWorkers()
+	})
+	if want := []ProcShutdown{{Proc: 0, Wall: 5, Acked: true}, {Proc: 1}}; !reflect.DeepEqual(acks, want) {
+		t.Fatalf("acks %+v, want %+v", acks, want)
 	}
 }
 
@@ -555,24 +683,9 @@ func TestMallocExhaustionRepliesZero(t *testing.T) {
 // IDs are tile IDs). A freed tile is reused only once no fresh one is left.
 func TestSpawnPrefersNeverUsedTiles(t *testing.T) {
 	h := newHarness(t, 4)
-	if err := h.srv.StartMain(0); err != nil {
-		t.Fatal(err)
-	}
-	h.lcp.Recv(network.ClassSystem)
-	spawn := func(at arch.Cycles) uint64 {
-		t.Helper()
-		h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), at)
-		tid, _, err := DecodeU64Pair(h.recv(t, 0).Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tid != ^uint64(0) {
-			h.lcp.Recv(network.ClassSystem)
-		}
-		return tid
-	}
+	h.startMain(t)
 	for want := uint64(1); want <= 2; want++ {
-		if tid := spawn(100); tid != want {
+		if tid := h.spawn(t, 0, 100); tid != want {
 			t.Fatalf("spawn %d landed on tile %d", want, tid)
 		}
 	}
@@ -580,14 +693,15 @@ func TestSpawnPrefersNeverUsedTiles(t *testing.T) {
 	h.send(1, MsgThreadExit, nil, 200)
 	h.send(0, MsgJoin, EncodeU64(1), 300) // orders the exit before the spawn
 	h.recv(t, 0)
-	if tid := spawn(400); tid != 3 {
+	if tid := h.spawn(t, 0, 400); tid != 3 {
 		t.Fatalf("third spawn landed on tile %d, want the never-used tile 3", tid)
 	}
 	// With every tile used, the freed one is handed out again.
-	if tid := spawn(500); tid != 1 {
+	if tid := h.spawn(t, 0, 500); tid != 1 {
 		t.Fatalf("fourth spawn landed on tile %d, want the freed tile 1", tid)
 	}
-	if tid := spawn(600); tid != ^uint64(0) {
+	h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 600)
+	if tid, _, _ := DecodeU64Pair(h.recv(t, 0).Payload); tid != ^uint64(0) {
 		t.Fatalf("fifth spawn got tile %d with no tile free", tid)
 	}
 }
@@ -602,12 +716,9 @@ func TestSpawnPrefersNeverUsedTiles(t *testing.T) {
 // matmul park).
 func TestSimBarrierReleasesPastStaleWait(t *testing.T) {
 	h := newHarness(t, 3)
-	h.srv.StartMain(0)
-	h.lcp.Recv(network.ClassSystem)
+	h.startMain(t)
 	for i := 0; i < 2; i++ {
-		h.send(0, MsgSpawn, EncodeSpawnReq(SpawnReq{Func: 1}), 0)
-		h.recv(t, 0)
-		h.lcp.Recv(network.ClassSystem)
+		h.spawn(t, 0, 0)
 	}
 	simtest.Deadline(t, time.Minute, func() {
 		h.simWait(t, SimWait{Tile: 0, Epoch: -1})

@@ -135,6 +135,11 @@ func (c *Coro) kill() {
 }
 
 func (c *Coro) end() {
+	c.sh.mu.Lock()
+	if c.sh.held == c {
+		c.sh.held = nil
+	}
+	c.sh.mu.Unlock()
 	c.state.Store(coroDead)
 	c.node.coro.CompareAndSwap(c, nil)
 	exit := c.exit
@@ -163,6 +168,18 @@ func (c *Coro) Park() {
 			c.suspend() // dead: stop has been called, so this panics
 		}
 	}
+}
+
+// Hold makes the coroutine's next wait hold its shard: until the
+// coroutine is runnable again, the shard serves its node alone, so no
+// other thread runs and no other tile's burst is served meanwhile. It is
+// for a wait that no thread gates (a spawn's reply): the wait is short,
+// and what the shard's other threads do during it is not left to host
+// scheduling. The coroutine must park next.
+func (c *Coro) Hold() {
+	c.sh.mu.Lock()
+	c.sh.held = c
+	c.sh.mu.Unlock()
 }
 
 // Unpark makes the coroutine runnable, from any goroutine.

@@ -37,12 +37,14 @@ const maxDrain = 64
 // or that have control functions queued, in the order they became ready
 // (the endpoints' readiness callbacks and EnqueueCtrl feed it), and its
 // coroutines that are runnable, in turn order (Coro.Unpark and Node.Go
-// feed it). It sleeps only while both are empty. It takes one
-// entry at a time, a node first unless it has served a burst per node
-// since a coroutine last ran. A node gets one bounded burst; a node that
-// may still hold frames after a full burst goes to the back of its list,
-// because its endpoint will not fire again until it has been emptied. A
-// coroutine runs until it parks, steps aside (Coro.Preempt) or returns.
+// feed it). It sleeps only while both are empty, or while a coroutine
+// holds it (Coro.Hold), when it serves that coroutine's node alone. It
+// takes one entry at a time, a node first unless it has served a burst
+// per node since a coroutine last ran. A node gets one bounded burst; a
+// node that may still hold frames after a full burst goes to the back of
+// its list, because its endpoint will not fire again until it has been
+// emptied. A coroutine runs until it parks, steps aside (Coro.Preempt)
+// or returns.
 //
 // A shard never blocks on other tiles: home transactions are a state
 // machine (blocking directory with per-line pending queues), every lock a
@@ -89,6 +91,7 @@ type Shard struct {
 	run    ring.Ring[*Coro] // runnable coroutines, in turn order
 	streak int              // node bursts served since the last coroutine ran
 	dead   bool             // the loop has returned; Node.Go ends new coroutines at once
+	held   *Coro            // waits holding the shard (Coro.Hold) until listed again
 
 	// waiting mirrors the lists for lock-free reads by a running
 	// coroutine (Coro.Preempt): ready nodes in the high 32 bits, runnable
@@ -230,6 +233,9 @@ func (s *Shard) readyLocked(n *Node) {
 func (s *Shard) readyCoro(c *Coro, front bool) bool {
 	s.mu.Lock()
 	ok := !s.dead
+	if s.held == c {
+		s.held = nil
+	}
 	if ok {
 		if front {
 			s.run.PushFront(c)
@@ -245,14 +251,30 @@ func (s *Shard) readyCoro(c *Coro, front bool) bool {
 
 // next takes the next entry, sleeping while there is none: a ready node
 // first, unless the shard has served a burst per node since a coroutine
-// last ran and coroutines wait. A node is unlisted from here on, so
-// readiness that arrives while the loop drains it lists it again.
+// last ran and coroutines wait. While a coroutine holds the shard, the
+// only entry is its node. A node is unlisted from here on, so readiness
+// that arrives while the loop drains it lists it again.
 //
 //graphite:hotpath
 func (s *Shard) next() (*Node, *Coro) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.ready.Len() == 0 && s.run.Len() == 0 {
+	for {
+		if h := s.held; h != nil {
+			if n := h.node; n.queued {
+				for i := 0; ; i++ {
+					if *s.ready.At(i) == n {
+						s.ready.Remove(i)
+						break
+					}
+				}
+				n.queued = false
+				s.waiting.Add(^uint64(nodeWaiting - 1))
+				return n, nil
+			}
+		} else if s.ready.Len() > 0 || s.run.Len() > 0 {
+			break
+		}
 		s.cond.Wait()
 	}
 	if s.ready.Len() > 0 && (s.run.Len() == 0 || s.streak < len(s.nodes)) {

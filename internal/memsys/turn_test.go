@@ -3,6 +3,7 @@ package memsys
 import (
 	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,5 +155,56 @@ func TestCaptureFindsTurnHeld(t *testing.T) {
 	}
 	if !n0.Quiesced() {
 		t.Error("the word is still held after the thread ended")
+	}
+}
+
+// TestHoldServesTheHoldersNodeAlone: one shard serves every tile. While
+// a thread on tile 0 waits holding the shard, neither a thread started on
+// tile 1 nor a control function queued there runs; a control function on
+// tile 0 does, and waking the holder ends the hold. Then the shard goes
+// on in its usual order: the ready node, then the threads in the order
+// they became runnable.
+func TestHoldServesTheHoldersNodeAlone(t *testing.T) {
+	c := newShardedCluster(t, testConfig(2), 1)
+	var mu sync.Mutex
+	var order []string
+	note := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	ran := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), order...)
+	}
+	holding := make(chan *Coro, 1)
+	simtest.Deadline(t, 30*time.Second, func() {
+		holderDone := goThread(c.nodes[0], func(co *Coro) {
+			co.Hold()
+			holding <- co
+			co.Park()
+			note("holder")
+		})
+		holder := <-holding
+		otherDone := goThread(c.nodes[1], func(*Coro) { note("thread 1") })
+		if err := c.nodes[1].EnqueueCtrl(func() { note("ctrl 1") }); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if got := ran(); len(got) != 0 {
+			t.Errorf("during the hold %v ran, want nothing", got)
+		}
+		if err := c.nodes[0].EnqueueCtrl(func() {
+			note("ctrl 0")
+			holder.Unpark()
+		}); err != nil {
+			t.Error(err)
+		}
+		<-holderDone
+		<-otherDone
+	})
+	if got, want := strings.Join(ran(), ", "), "ctrl 0, ctrl 1, thread 1, holder"; got != want {
+		t.Fatalf("ran %s, want %s", got, want)
 	}
 }

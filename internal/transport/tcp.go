@@ -35,9 +35,9 @@ const helloMagic = 0x01504D47
 const tcpProto = 5
 
 // closeHeader is the frame header a writer sends last, when its transport
-// closes. Its length is above maxFrame, so no data frame has it. A reader
-// that sees it ends quietly; a connection that ends without it lost its
-// peer, and fails the fabric.
+// closes, unless its fabric failed. Its length is above maxFrame, so no
+// data frame has it. A reader that sees it ends quietly; a connection
+// that ends without it lost its peer, and fails the fabric.
 var closeHeader = [8]byte{0xff, 0xff, 0xff, 0xff}
 
 // encodeHello returns the 32-byte header each end of a fresh connection
@@ -124,8 +124,12 @@ type tcpTransport struct {
 
 	// readers counts the running read loops, and faults the faults fail
 	// reported, so tests can tell an orderly teardown from a lost peer.
+	// failed is set by fail before it closes the transport: a failed
+	// fabric's connections end without closeHeader, so its peers fail too
+	// instead of taking its end for a teardown.
 	readers sync.WaitGroup
 	faults  atomic.Int32
+	failed  atomic.Bool
 }
 
 // tcpPeer is the sending half of the connection to one other process.
@@ -469,7 +473,7 @@ func (t *tcpTransport) writeLoop(p *tcpPeer) {
 			out, p.pending = p.pending, out
 		}
 		p.mu.Unlock()
-		if last {
+		if last && !t.failed.Load() {
 			out = append(out, closeHeader[:]...)
 		}
 		if len(out) == 0 {
@@ -506,6 +510,7 @@ func (t *tcpTransport) fail(err error) {
 	}
 	t.faults.Add(1)
 	fmt.Fprintf(os.Stderr, "transport: %v\n", err)
+	t.failed.Store(true)
 	t.Close()
 }
 

@@ -360,6 +360,53 @@ func TestTCPLostPeerFailsFabric(t *testing.T) {
 	}
 }
 
+// TestTCPFailureReachesEveryPeer: a process whose fabric fails — here
+// because process 2's connection to it drops — ends its other connections
+// without the orderly-close frame, so process 1, which lost nothing
+// itself, fails too instead of waiting for a teardown that will not come.
+func TestTCPFailureReachesEveryPeer(t *testing.T) {
+	const procs = 3
+	addrs := tcpAddrs(t, procs)
+	trs := make([]Transport, procs)
+	var wg sync.WaitGroup
+	for p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := DialTCP(TCPConfig{Proc: arch.ProcID(p), Procs: procs, Addrs: addrs, DialTimeout: 5 * time.Second})
+			if err != nil {
+				t.Error(err)
+			}
+			trs[p] = tr
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, tr := range trs {
+		defer tr.Close()
+	}
+	ep, err := trs[1].Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := ep.Recv()
+		got <- err
+	}()
+	trs[2].(*tcpTransport).peers[0].conn.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("process 1's Recv returned %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("process 0's failure left process 1 serving")
+	}
+}
+
 // TestTCPPeerLostWhileDialing: a peer whose inbound connection passes the
 // handshake and drops while this process is still dialing it fails the
 // fabric once DialTCP has built its peer table. Under -race this is the

@@ -104,13 +104,14 @@ func TestMemoryTierProperties(t *testing.T) {
 	}
 }
 
-// residentBytes sums the record bytes the memory tier holds.
+// residentBytes sums the marshaled lengths of the records the memory
+// tier holds.
 func residentBytes(c *Cache) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		n += int64(len(el.Value.(*memEntry).data))
+		n += el.Value.(*memEntry).size
 	}
 	return n
 }

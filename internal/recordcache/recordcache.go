@@ -9,9 +9,11 @@
 //
 // The cache is two tiers:
 //
-//   - An in-memory LRU over the marshaled record bytes, bounded by a
-//     byte budget. Eviction only forgets the memory copy; the disk tier
-//     still holds the entry.
+//   - An in-memory LRU of decoded records, bounded by a byte budget that
+//     counts each record's marshaled length. A hit decodes nothing: it
+//     copies the record's slices and maps so the caller owns the result.
+//     Eviction only forgets the memory copy; the disk tier still holds
+//     the entry.
 //   - A disk tier of append-only JSONL segment files under Options.Dir.
 //     Each line is a self-validating envelope {key, sum, record} where
 //     sum is the SHA-256 of the record bytes, so truncation, bit flips,
@@ -47,8 +49,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,8 +67,9 @@ type Options struct {
 	// Dir is the disk tier's directory (created if missing). Empty means
 	// memory-only: no persistence, no sharing.
 	Dir string
-	// MaxBytes bounds the in-memory tier's record bytes (0 = unlimited).
-	// An entry larger than the whole budget is served from disk only.
+	// MaxBytes bounds the in-memory tier by the marshaled length of the
+	// records it holds (0 = unlimited), the bytes each takes on disk. An
+	// entry larger than the whole budget is served from disk only.
 	MaxBytes int64
 }
 
@@ -77,7 +82,7 @@ type Stats struct {
 	Compacts  int64 `json:"compacts"`
 
 	Entries int   `json:"entries"` // in-memory tier
-	Bytes   int64 `json:"bytes"`   // in-memory record bytes
+	Bytes   int64 `json:"bytes"`   // marshaled length of the in-memory records
 
 	DiskEntries int   `json:"disk_entries"` // live disk index entries
 	DiskLive    int64 `json:"disk_live"`    // live bytes across segments
@@ -110,10 +115,12 @@ type diskEntry struct {
 	len int // line length excluding the trailing newline
 }
 
-// memEntry is one in-memory tier entry (an LRU list value).
+// memEntry is one in-memory tier entry (an LRU list value). rec is never
+// mutated once stored, so a reader may copy it after releasing the lock.
 type memEntry struct {
 	key  string
-	data []byte // marshaled record
+	rec  *scenario.Record
+	size int64 // marshaled length of rec
 }
 
 // Cache is a two-tier digest-keyed record store. See the package comment.
@@ -317,43 +324,46 @@ func sumHex(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// Get returns the record stored under key, consulting the memory tier
-// first and promoting disk hits into it. Implements scenario.RecordCache.
+// Get returns a copy of the record stored under key that the caller
+// owns, consulting the memory tier first and promoting disk hits into
+// it. Implements scenario.RecordCache.
 func (c *Cache) Get(key string) (scenario.Record, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if data, ok := c.lookupLocked(key); ok {
-		var rec scenario.Record
-		if json.Unmarshal(data, &rec) == nil {
-			c.hits++
-			return rec, true
-		}
+	rec := c.lookupLocked(key)
+	if rec == nil {
+		c.misses++
+		c.mu.Unlock()
+		return scenario.Record{}, false
 	}
-	c.misses++
-	return scenario.Record{}, false
+	c.hits++
+	c.mu.Unlock()
+	return cloneRecord(rec), true
 }
 
-// lookupLocked returns the marshaled record bytes for key, or false.
-func (c *Cache) lookupLocked(key string) ([]byte, bool) {
+// lookupLocked returns the stored record for key, or nil. A disk hit is
+// decoded here, once, and promoted into the memory tier.
+func (c *Cache) lookupLocked(key string) *scenario.Record {
 	if el, ok := c.mem[key]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*memEntry).data, true
+		return el.Value.(*memEntry).rec
 	}
 	e, ok := c.index[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	data, ok := c.readEntryLocked(key, e)
-	if !ok {
-		// Bit rot since the open-time scan: forget the entry and let
-		// compaction rewrite the survivors.
+	rec := new(scenario.Record)
+	if !ok || json.Unmarshal(data, rec) != nil {
+		// Bit rot since the open-time scan, or a record that passes its
+		// checksum but is no record: forget the entry and let compaction
+		// rewrite the survivors.
 		c.corrupt++
 		c.dropDiskLocked(key, e)
 		c.maybeCompactLocked()
-		return nil, false
+		return nil
 	}
-	c.insertMemLocked(key, data)
-	return data, true
+	c.insertMemLocked(key, rec, int64(len(data)))
+	return rec
 }
 
 // readEntryLocked reads and re-validates one indexed line from disk.
@@ -400,9 +410,10 @@ func (c *Cache) Put(rec scenario.Record) {
 		return
 	}
 	key := scenario.RecordKey(&rec)
+	stored := cloneRecord(&rec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertMemLocked(key, data)
+	c.insertMemLocked(key, &stored, int64(len(data)))
 	c.appendDiskLocked(key, data)
 	c.maybeCompactLocked()
 }
@@ -410,15 +421,15 @@ func (c *Cache) Put(rec scenario.Record) {
 // insertMemLocked adds (or refreshes) a memory-tier entry and evicts
 // from the cold end until the budgets hold again. An entry larger than
 // the whole byte budget is evicted immediately (disk still serves it).
-func (c *Cache) insertMemLocked(key string, data []byte) {
+func (c *Cache) insertMemLocked(key string, rec *scenario.Record, size int64) {
 	if el, ok := c.mem[key]; ok {
 		me := el.Value.(*memEntry)
-		c.bytes += int64(len(data)) - int64(len(me.data))
-		me.data = data
+		c.bytes += size - me.size
+		me.rec, me.size = rec, size
 		c.lru.MoveToFront(el)
 	} else {
-		c.mem[key] = c.lru.PushFront(&memEntry{key: key, data: data})
-		c.bytes += int64(len(data))
+		c.mem[key] = c.lru.PushFront(&memEntry{key: key, rec: rec, size: size})
+		c.bytes += size
 	}
 	for c.lru.Len() > 0 && c.opt.MaxBytes > 0 && c.bytes > c.opt.MaxBytes {
 		c.evictions++
@@ -430,7 +441,24 @@ func (c *Cache) removeMemLocked(el *list.Element) {
 	me := el.Value.(*memEntry)
 	c.lru.Remove(el)
 	delete(c.mem, me.key)
-	c.bytes -= int64(len(me.data))
+	c.bytes -= me.size
+}
+
+// cloneRecord copies r deeply enough that the copy shares no memory with
+// r: every field that refers to memory is copied too. Axis values are
+// bools, numbers and strings (a scenario sets only such config leaves),
+// so copying the axes map copies them.
+func cloneRecord(r *scenario.Record) scenario.Record {
+	out := *r
+	out.Axes = maps.Clone(r.Axes)
+	out.MissByName = maps.Clone(r.MissByName)
+	out.Tiles = slices.Clone(r.Tiles)
+	out.ProcWallSec = slices.Clone(r.ProcWallSec)
+	if r.ChecksumOK != nil {
+		ok := *r.ChecksumOK
+		out.ChecksumOK = &ok
+	}
+	return out
 }
 
 // appendDiskLocked appends one envelope line to the active segment. A

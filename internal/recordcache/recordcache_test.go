@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 // testRecord builds a distinguishable, key-complete record. pad inflates
@@ -441,4 +443,208 @@ func TestStaleLockStolen(t *testing.T) {
 	if st := c.Stats(); st.DiskEntries != 1 {
 		t.Fatalf("writes disabled after lock steal: %+v", st)
 	}
+}
+
+// TestUndecodableRecordIsCorrupt: a line whose envelope checksum holds
+// but whose record does not decode is corruption, like a bit flip. The
+// first Get counts it, drops it from the index and misses; nothing of it
+// stays resident, and compaction removes it from disk.
+func TestUndecodableRecordIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	const k = "undecodable"
+	seg := filepath.Join(dir, segPrefix+"00000000000000000001-1-1"+segExt)
+	if err := os.WriteFile(seg, encodeLine(k, []byte(`{"run":"not a number"}`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, ok := c.Get(k); ok {
+			t.Fatal("an undecodable record was served")
+		}
+	}
+	st := c.Stats()
+	if st.Misses != 3 || st.Corrupt != 1 || st.Entries != 0 || st.Bytes != 0 || st.DiskEntries != 0 || st.DiskDead == 0 {
+		t.Fatalf("stats = %+v, want 3 misses, 1 corrupt, nothing resident or indexed, dead bytes", st)
+	}
+	c.mu.Lock()
+	err = c.compactLocked()
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range segmentFiles(t, dir) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(k)) {
+			t.Fatalf("compaction kept the undecodable line in %s", p)
+		}
+	}
+}
+
+// richRecord builds a record with every field that refers to memory
+// set, each to values a JSON round trip keeps as they are.
+func richRecord() scenario.Record {
+	ok := true
+	rec := testRecord(7, 0)
+	rec.Axes = map[string]any{"l2_kb": float64(512), "sync": "lax"}
+	rec.ChecksumOK = &ok
+	rec.Stats.Tiles = 2
+	rec.Stats.Instructions = 12345
+	rec.MissByName = map[string]uint64{"cold": 9, "capacity": 4}
+	rec.Tiles = []stats.Tile{{TileID: 0, Instructions: 12000, Loads: 300}, {TileID: 1, Instructions: 345, Stores: 21}}
+	rec.ProcWallSec = []float64{0.5, 0.25}
+	rec.WallSec = 1.5
+	return rec
+}
+
+// scribble mutates every field of rec that refers to memory.
+func scribble(rec *scenario.Record) {
+	rec.Tiles[0].Instructions = 1
+	rec.MissByName["cold"] = 1
+	rec.MissByName["new"] = 1
+	rec.Axes["sync"] = "lax_barrier"
+	rec.ProcWallSec[0] = 99
+	*rec.ChecksumOK = false
+}
+
+// TestCallerOwnsRecords: what Put is given and what Get returns belong
+// to the caller, from the memory tier and from the disk tier alike.
+// Mutating either leaves what the cache serves next unchanged.
+func TestCallerOwnsRecords(t *testing.T) {
+	want := richRecord()
+	expect := func(c *Cache, tier string) {
+		t.Helper()
+		got, ok := c.Get(key(&want))
+		if !ok {
+			t.Fatalf("%s: record missing", tier)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: served\n%+v\nwant\n%+v", tier, got, want)
+		}
+		scribble(&got)
+	}
+
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := richRecord()
+	c.Put(put)
+	scribble(&put)
+	expect(c, "memory hit after Put")
+	expect(c, "memory hit after a mutated Get")
+	c.Close()
+
+	c2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	expect(c2, "disk hit")
+	expect(c2, "memory hit after a mutated disk hit")
+	if st := c2.Stats(); st.Hits != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 hits and the disk hit promoted", st)
+	}
+}
+
+// TestTiersServeIdenticalOutput: a record served by CacheLookup writes
+// the same JSONL bytes whether it came from the memory tier (as Put left
+// it) or from the disk tier (decoded from its segment line).
+func TestTiersServeIdenticalOutput(t *testing.T) {
+	rec := richRecord()
+	spec := &scenario.RunSpec{
+		Scenario:  "tiers",
+		Run:       3,
+		Workload:  rec.Workload,
+		Threads:   rec.Threads,
+		Scale:     rec.Scale,
+		Seed:      rec.Seed,
+		Axes:      map[string]any{"l2_kb": json.Number("512")},
+		TileStats: true,
+	}
+	jsonl := func(c *Cache) []byte {
+		t.Helper()
+		got, ok := scenario.CacheLookup(c, spec, rec.ConfigDigest)
+		if !ok {
+			t.Fatal("CacheLookup missed")
+		}
+		var b bytes.Buffer
+		if err := scenario.WriteJSONL(&b, []scenario.Record{got}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(rec)
+	fromMemory := jsonl(c)
+	c.Close()
+
+	c2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	fromDisk := jsonl(c2)
+	if st := c2.Stats(); st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want one disk hit", st)
+	}
+	if !bytes.Equal(fromMemory, fromDisk) {
+		t.Fatalf("tiers differ:\nmemory %s\ndisk   %s", fromMemory, fromDisk)
+	}
+	for _, field := range []string{`"tiles":[`, `"miss_by_name":{`, `"checksum_ok":true`, `"axes":{`} {
+		if !bytes.Contains(fromDisk, []byte(field)) {
+			t.Fatalf("output lacks %s: %s", field, fromDisk)
+		}
+	}
+}
+
+// TestCloneRecordCoversEveryReference: cloneRecord copies the fields of
+// scenario.Record that refer to memory by name, one level deep (axis
+// values are scalars), so a new field of that kind, or a reference
+// inside the elements of a copied one, must be handled there (and added
+// to richRecord and scribble) before the cache can keep its promise that
+// callers own what they get.
+func TestCloneRecordCoversEveryReference(t *testing.T) {
+	cloned := map[string]bool{"Axes": true, "ChecksumOK": true, "MissByName": true, "Tiles": true, "ProcWallSec": true}
+	rt := reflect.TypeOf(scenario.Record{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		switch {
+		case !hasReference(f.Type):
+		case !cloned[f.Name]:
+			t.Errorf("scenario.Record.%s (%s) refers to memory but cloneRecord does not copy it", f.Name, f.Type)
+		case f.Name != "Axes" && hasReference(f.Type.Elem()):
+			t.Errorf("the elements of scenario.Record.%s (%s) refer to memory, but cloneRecord copies them shallowly", f.Name, f.Type)
+		}
+	}
+}
+
+// hasReference reports whether a value of type t can refer to memory
+// that a copy of the value would share.
+func hasReference(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	case reflect.Array:
+		return hasReference(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasReference(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

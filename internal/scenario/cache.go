@@ -20,12 +20,15 @@ import (
 // RecordCache is the memoization store consulted per RunSpec before
 // simulating (implemented by internal/recordcache; defined here so the
 // sweep engine does not depend on the store's tiering). Implementations must
-// be safe for concurrent use and must return records that the caller
-// may hold without further synchronization.
+// be safe for concurrent use.
 type RecordCache interface {
-	// Get returns the record stored under a CacheKey.
+	// Get returns the record stored under a CacheKey. Each call returns a
+	// record the caller owns: its slices, maps and pointers share no
+	// memory with the store or with another Get's result, so the caller
+	// may modify or keep it without synchronization.
 	Get(key string) (Record, bool)
-	// Put stores an error-free record under its RecordKey.
+	// Put stores an error-free record under its RecordKey. The store keeps
+	// no reference into the record, so the caller may modify it after.
 	Put(Record)
 }
 
